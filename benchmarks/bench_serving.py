@@ -1,23 +1,32 @@
-"""Multi-tenant serving throughput vs client concurrency.
+"""Serving cost against a direct call, and throughput vs client threads.
 
-The serving layer (:mod:`repro.serving`, docs/serving.md) claims that
-shape-compatible dynamic batching turns concurrent clients into
-throughput: while one graph run is in flight, arriving requests queue
-up, and the next dispatch coalesces them into a single stacked
-execution whose cost is dominated by the same per-call dispatch
-overhead a single request pays.  This bench measures end-to-end
-request throughput through a ``Server`` at 1, 2, 4, and 8 client
-threads against one warm ``janus.function`` endpoint, with
-``batch_linger_s=0`` so batches form only from natural queueing (no
-artificial latency is traded for the throughput number).
+The serving layer (:mod:`repro.serving`, docs/serving.md) has no
+dispatcher thread: the client that waits on a request runs the queue on
+its own thread, so a served call is the direct call plus queueing,
+batch assembly and accounting.  ROADMAP's bar is that serving a
+function is not slower than calling it; this bench measures how far
+from that bar the layer is, as **same-run ratios** against a warm
+``janus.function`` (absolute numbers on shared hosts drift 2x between
+runs; a ratio of adjacent blocks does not):
 
-``--check`` gates the claim: on a multi-core host, 4 client threads
-must reach at least ``--threshold`` (default 1.5x) the single-client
-throughput.  On a single-core host the gate is **skipped with a logged
-reason** — the dispatcher and the clients then share one core, so the
-4-client run measures scheduler contention as much as batching, and a
-threshold there would gate the host, not the code.  Run standalone or
-via ``make bench-check``::
+* ``solo``   - one blocking client on ``Server.call``, batch always 1:
+  served calls/s over direct calls/s.  Nothing amortises the per-request
+  cost here, so this is the overhead ratio itself.
+* ``fanout`` - one client keeps 8 requests outstanding through
+  ``endpoint.submit`` and waits for all 8: every dispatch is one
+  stacked call of 8, so batching has to pay for the queueing.
+
+``--check`` gates both ratios against floors set from measured values
+with headroom (see ``SOLO_FLOOR`` / ``FANOUT_FLOOR``).  Both run on any
+host, one core included - there is nothing to skip.
+
+The 1/2/4/8 *spinning* client-thread table is printed as information
+only.  With caller-runs dispatch a thread that never blocks never
+leaves requests queued behind it, so with ``batch_linger_s=0`` eight
+spinning clients take turns at batch 1 (docs/serving.md, "When batches
+form"); ``batch_linger_s`` is the explicit way to ask for more.
+
+Run standalone or via ``make bench-check``::
 
     PYTHONPATH=src python benchmarks/bench_serving.py --check
 
@@ -46,6 +55,18 @@ REQUESTS_PER_CLIENT = 60
 REPEATS = 3
 #: Input rows x features per request.
 ROWS, FEATURES = 4, 32
+#: Requests per timed block of the ratio gates, and rounds of adjacent
+#: (direct, solo, fanout) blocks; the median round's ratio is reported.
+BLOCK = 400
+ROUNDS = 15
+#: Requests the fanout client keeps outstanding.
+FANOUT = 8
+#: Gate floors.  Measured on the 2-core reference host: solo 0.45-0.50,
+#: fanout 1.15-1.30 (the thread-hand-off design this replaced read 0.28
+#: and 0.81).  The floors leave 20-25% headroom; 1.0 is also ROADMAP's
+#: bar: with batching, serving is not slower than calling.
+SOLO_FLOOR = 0.35
+FANOUT_FLOOR = 1.0
 
 
 def build_endpoint():
@@ -94,6 +115,45 @@ def _timed_round(server, n_clients, request):
     return (n_clients * REQUESTS_PER_CLIENT) / elapsed
 
 
+def _rate(block):
+    start = time.perf_counter()
+    block()
+    return BLOCK / (time.perf_counter() - start)
+
+
+def _ratios(server, endpoint, predict, request):
+    """Median over rounds of served/direct rate, solo and fanout; each
+    round times its three blocks back to back so they see one host."""
+    def direct():
+        for _ in range(BLOCK):
+            predict(request)
+
+    def solo():
+        for _ in range(BLOCK):
+            server.call("predict", request)
+
+    def fanout():
+        args = (request,)
+        for _ in range(BLOCK // FANOUT):
+            pending = [endpoint.submit(args) for _ in range(FANOUT)]
+            for handle in pending:
+                handle.wait()
+                if handle.error is not None:
+                    raise handle.error
+
+    solo_ratios, fanout_ratios, direct_rates = [], [], []
+    for _ in range(ROUNDS):
+        base = _rate(direct)
+        direct_rates.append(base)
+        solo_ratios.append(_rate(solo) / base)
+        fanout_ratios.append(_rate(fanout) / base)
+    return {
+        "direct_calls_per_s": statistics.median(direct_rates),
+        "solo_vs_direct": statistics.median(solo_ratios),
+        "fanout_vs_direct": statistics.median(fanout_ratios),
+    }
+
+
 def run_bench():
     import repro as R
     from repro.observability import SERVING
@@ -104,19 +164,25 @@ def run_bench():
     request = R.constant(rng.normal(size=(ROWS, FEATURES))
                          .astype(np.float32))
     # Warm outside the server: profile, generate, and settle the graph
-    # so every timed round measures steady-state serving.
+    # - for the single request and for the stacked batch of FANOUT,
+    # which has its own leading dimension - so every timed block
+    # measures steady-state serving.
+    stacked = R.constant(np.concatenate([request.numpy()] * FANOUT))
     for _ in range(6):
         predict(request)
+        predict(stacked)
     assert predict.stats["graph_runs"] > 0, predict.stats
 
     results = {}
     with Server(ServingConfig(max_batch_size=8, batch_linger_s=0.0,
                               max_queue_depth=256)) as server:
-        server.register("predict", predict)
-        server.call("predict", request)        # warm the dispatcher
+        endpoint = server.register("predict", predict)
+        server.call("predict", request)        # warm the serving path
         gc.collect()
         gc.disable()
         try:
+            results["ratios"] = _ratios(server, endpoint, predict,
+                                        request)
             for n in CLIENTS:
                 SERVING.clear()
                 samples = [_timed_round(server, n, request)
@@ -133,26 +199,36 @@ def run_bench():
             gc.enable()
 
     base = results["1-client"]["requests_per_s"]
-    for row in results.values():
+    for n in CLIENTS:
+        row = results["%d-client" % n]
         row["speedup_vs_1"] = row["requests_per_s"] / base
     results["meta"] = {
         "rows": ROWS, "features": FEATURES,
         "requests_per_client": REQUESTS_PER_CLIENT, "repeats": REPEATS,
+        "block": BLOCK, "rounds": ROUNDS, "fanout": FANOUT,
         "cpu_count": os.cpu_count(),
     }
     return results
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="fail unless 4 clients reach the threshold "
-                             "over 1 client (multi-core hosts only)")
-    parser.add_argument("--threshold", type=float, default=1.5,
-                        help="required 4-client/1-client speedup")
+                        help="fail unless both served/direct ratios "
+                             "reach their floors")
     args = parser.parse_args(argv)
 
     results = run_bench()
+    ratios = results["ratios"]
+    print(format_table(
+        ["client", "served/direct", "floor"],
+        [["1 blocking (Server.call)",
+          "%.2f" % ratios["solo_vs_direct"], "%.2f" % SOLO_FLOOR],
+         ["1 with %d outstanding (submit)" % FANOUT,
+          "%.2f" % ratios["fanout_vs_direct"], "%.2f" % FANOUT_FLOOR]],
+        title="Served vs direct call, same run (direct: %.0f calls/s)"
+              % ratios["direct_calls_per_s"]))
     rows = []
     for n in CLIENTS:
         row = results["%d-client" % n]
@@ -161,8 +237,8 @@ def main(argv=None):
                      "%.2fx" % row["speedup_vs_1"]])
     print(format_table(
         ["clients", "req/s", "mean batch", "vs 1 client"], rows,
-        title="Serving throughput (%dx%d requests, batch<=8, linger 0)"
-              % (ROWS, FEATURES)))
+        title="Spinning client threads, information only (%dx%d "
+              "requests, batch<=8, linger 0)" % (ROWS, FEATURES)))
 
     label = os.environ.get("BENCH_LABEL")
     path = save_results("serving" + ("-" + label if label else ""),
@@ -170,21 +246,21 @@ def main(argv=None):
     print("results written to %s" % path)
 
     if args.check:
-        cores = os.cpu_count() or 1
-        if cores < 2:
-            print("gate SKIPPED: host has %d CPU core(s); the 4-client "
-                  "throughput gate needs the dispatcher and clients on "
-                  "separate cores to measure batching rather than "
-                  "scheduler contention" % cores)
-            return 0
-        speedup = results["4-client"]["speedup_vs_1"]
-        print("gate: 4 clients reach %.2fx single-client throughput "
-              "(floor %.2fx)" % (speedup, args.threshold))
-        if speedup < args.threshold:
-            print("FAIL: dynamic batching is not converting concurrency "
-                  "into throughput")
+        failed = False
+        for name, key, floor in (
+                ("one blocking client", "solo_vs_direct", SOLO_FLOOR),
+                ("%d outstanding submits" % FANOUT, "fanout_vs_direct",
+                 FANOUT_FLOOR)):
+            ok = ratios[key] >= floor
+            failed = failed or not ok
+            print("gate: %s serve at %.2fx the direct-call rate "
+                  "(floor %.2fx) %s" % (name, ratios[key], floor,
+                                        "OK" if ok else "FAIL"))
+        if failed:
+            print("FAIL: serving costs more over a direct call than the "
+                  "floor allows")
             return 1
-        print("OK: serving throughput scales with client concurrency")
+        print("OK: served/direct ratios hold")
     return 0
 
 

@@ -80,18 +80,27 @@ class Histogram:
     # -- recording -----------------------------------------------------------
 
     def observe(self, value):
+        with self._lock:
+            self._observe(value)
+
+    def _observe(self, value):
+        """:meth:`observe` for a caller that already holds the lock
+        guarding this histogram (an owner folding several observations
+        under one acquisition)."""
         value = float(value)
         # bisect_right: value == bound goes to the next bucket, so bucket
         # i holds (BOUNDS[i-1], BOUNDS[i]].  Negative/zero clamps to 0.
-        bucket = bisect_right(self.BOUNDS, value) if value > 0.0 else 0
-        with self._lock:
-            self.counts[bucket] += 1
-            self.count += 1
-            self.total += value
-            if self.min is None or value < self.min:
-                self.min = value
-            if self.max is None or value > self.max:
-                self.max = value
+        self._add(bisect_right(self.BOUNDS, value) if value > 0.0 else 0,
+                  value)
+
+    def _add(self, bucket, value):
+        self.counts[bucket] += 1
+        self.count += 1
+        self.total += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     # -- statistics ----------------------------------------------------------
 
@@ -197,14 +206,14 @@ class WindowedHistogram(Histogram):
     last ``slices`` periods — expired slots are simply skipped, so an
     idle histogram decays to empty without a background thread.
 
-    Memory is bounded at ``(slices + 1)`` bucket arrays.  The ring has
-    its own lock; slice histograms have their own, so the (inherited,
-    re-entrancy-unsafe) cumulative lock is never held while a slice is
-    updated.
+    Memory is bounded at ``(slices + 1)`` bucket arrays.  The inherited
+    lock guards the cumulative counts, the ring and every slice in it:
+    an observation finds its bucket once and lands in both views under
+    that one acquisition.
     """
 
     __slots__ = ("window_s", "slices", "_slice_span", "_ring", "_seqs",
-                 "_ring_lock", "_clock")
+                 "_clock")
 
     def __init__(self, window_s=60.0, slices=6, clock=None):
         super().__init__()
@@ -215,22 +224,21 @@ class WindowedHistogram(Histogram):
         self._slice_span = self.window_s / self.slices
         self._ring = [Histogram() for _ in range(self.slices)]
         self._seqs = [None] * self.slices
-        self._ring_lock = threading.Lock()
         #: Injectable for tests; perf_counter in production.
         self._clock = clock if clock is not None else _perf_counter
 
     # -- recording -----------------------------------------------------------
 
-    def observe(self, value):
-        Histogram.observe(self, value)           # cumulative view
+    def _observe(self, value):
+        value = float(value)
+        bucket = bisect_right(self.BOUNDS, value) if value > 0.0 else 0
+        self._add(bucket, value)                 # cumulative view
         seq = int(self._clock() / self._slice_span)
         slot = seq % self.slices
-        with self._ring_lock:
-            if self._seqs[slot] != seq:
-                self._ring[slot] = Histogram()   # expired: start fresh
-                self._seqs[slot] = seq
-            hist = self._ring[slot]
-        hist.observe(value)
+        if self._seqs[slot] != seq:
+            self._ring[slot] = Histogram()       # expired: start fresh
+            self._seqs[slot] = seq
+        self._ring[slot]._add(bucket, value)
 
     # -- trailing-window view ------------------------------------------------
 
@@ -238,12 +246,11 @@ class WindowedHistogram(Histogram):
         """A merged :class:`Histogram` of the trailing window."""
         now_seq = int(self._clock() / self._slice_span)
         merged = Histogram()
-        with self._ring_lock:
-            live = [self._ring[i] for i in range(self.slices)
-                    if self._seqs[i] is not None
-                    and now_seq - self._seqs[i] < self.slices]
-        for hist in live:
-            merged.merge(hist)
+        with self._lock:
+            for i in range(self.slices):
+                if self._seqs[i] is not None \
+                        and now_seq - self._seqs[i] < self.slices:
+                    merged.merge(self._ring[i])
         return merged
 
     def window_percentiles(self):

@@ -2,7 +2,8 @@
 
 The tracer answers "what happened, in order"; this module answers "what
 happened *to this request*".  A :class:`RequestContext` is created when
-a request enters the serving layer (``Server.call`` → ``submit``) and
+a request enters the serving layer (``Endpoint.submit``, which
+``Server.call`` goes through) and
 travels with it through queueing, batch dispatch, ``janus.function``
 dispatch (warm hit / stampede loss / ticket win / background recompile /
 imperative fallback), disk-cache probes, and co-execution fragment/gap
@@ -19,16 +20,18 @@ Two cooperating mechanisms:
    and mirrors the event into the request's bounded capture, so every
    existing instrumentation site (``cache_hit``, ``assumption_fail``,
    ``diskcache_*``, …) joins the request's causal flow without being
-   rewritten.  Request contexts cross threads explicitly: the serving
-   dispatcher re-activates the context it pulled off the queue with
-   :func:`using`.
+   rewritten.  Request contexts cross threads explicitly: whichever
+   client thread dispatches a request re-activates the context it
+   pulled off the queue with :func:`using`.
 
-2. **The flight recorder.**  Every finished request leaves a summary
-   (trace id, outcome, duration, captured spans).  :data:`RECORDER`
-   retains the N slowest plus *all* failed/fallback/rejected requests
-   as post-mortem exemplars, dumpable via ``janus-stats --requests``
-   and the ``/requests`` endpoint of
-   ``python -m repro.observability.httpstat``.
+2. **The flight recorder.**  Every finished request hands its context
+   (trace id, outcome, duration, captured spans) to :data:`RECORDER`,
+   which retains the N slowest plus *all* failed/fallback/rejected
+   requests as post-mortem exemplars, dumpable via ``janus-stats
+   --requests`` and the ``/requests`` endpoint of
+   ``python -m repro.observability.httpstat``.  The recorder keeps the
+   contexts themselves; the JSON summary of one is built when somebody
+   reads it, not when the request finishes.
 
 Cost model, mirroring the tracer's:
 
@@ -36,8 +39,9 @@ Cost model, mirroring the tracer's:
   None and every site degenerates to one attribute load / contextvar
   read; no allocation, no timestamps.
 * Recorder enabled (the default for the serving layer) → one small
-  context object per request plus one dict per captured span; captures
-  are bounded by :attr:`RequestContext.MAX_EVENTS`.
+  context object per request plus one tuple per captured span (turned
+  into JSON-ready dicts when read); captures are bounded by
+  :attr:`RequestContext.MAX_EVENTS`.
 
 Standard library only, importable from any subsystem without cycles.
 """
@@ -55,52 +59,111 @@ from .tracer import TRACER, TraceEvent
 
 __all__ = ["RECORDER", "FlightRecorder", "RequestContext", "current",
            "finish", "flag", "new_request", "note", "record_span",
-           "span", "using", "get_flight_recorder"]
+           "span", "span_in", "using", "get_flight_recorder"]
 
 _perf_counter = time.perf_counter
+
+#: Trace ids are a per-process random prefix plus a counter: unique
+#: across the processes of a fleet without a system call per request.
+_TRACE_IDS = itertools.count()
+_TRACE_PREFIX = os.urandom(4).hex()
+
+
+def _reseed_trace_prefix():
+    global _TRACE_PREFIX
+    _TRACE_PREFIX = os.urandom(4).hex()
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the prefix and the counter position.
+    os.register_at_fork(after_in_child=_reseed_trace_prefix)
 
 #: The active request context for this thread/task (None = no request).
 _CURRENT = contextvars.ContextVar("janus_request", default=None)
 
 
 class RequestContext:
-    """One request's causal trace: id, span stack, bounded capture."""
+    """One request's causal trace: id, open span, bounded capture."""
 
-    __slots__ = ("trace_id", "name", "started", "events", "dropped",
-                 "flags", "outcome", "detail", "duration", "_ids",
-                 "_stack")
+    __slots__ = ("name", "started", "_seq", "_captured", "dropped",
+                 "_flags", "outcome", "detail", "duration", "_ids",
+                 "_open")
 
     #: Per-request capture bound; events beyond it are counted, not kept.
     MAX_EVENTS = 200
 
     def __init__(self, name):
-        self.trace_id = os.urandom(8).hex()
+        # What a request that nobody looks at pays for is kept small:
+        # the id is formatted, the flag set allocated and the captured
+        # events rendered only when read.
         self.name = name
         self.started = _perf_counter()
-        self.events = []
+        self._seq = next(_TRACE_IDS)
+        #: (category, name, ph, ts, dur, args, span_id, parent_span)
+        #: per captured event; the ids are None when *args* already
+        #: carries them (events mirrored from the tracer).
+        self._captured = []
         self.dropped = 0
-        #: Dispatch-path markers ("fallback", "stampede_loss", ...) set
-        #: via :func:`note`; a flagged request is retained by the
-        #: recorder even when its outcome is "ok".
-        self.flags = set()
+        self._flags = None
         self.outcome = None
         self.detail = None
         self.duration = None
         self._ids = itertools.count(1)
-        self._stack = []
+        #: Id of the innermost span still open (None outside any span):
+        #: the parent of whatever is recorded next.  Spans nest as
+        #: ``with`` blocks, so each restores its own parent on exit.
+        self._open = None
+
+    @property
+    def trace_id(self):
+        """16 hex digits: the process prefix, then this request's
+        number."""
+        return "%s%08x" % (_TRACE_PREFIX, self._seq & 0xffffffff)
+
+    @property
+    def flags(self):
+        """Dispatch-path markers ("fallback", "stampede_loss", ...) set
+        via :func:`note`; a flagged request is retained by the recorder
+        even when its outcome is "ok"."""
+        if self._flags is None:
+            self._flags = set()
+        return self._flags
 
     # -- capture -------------------------------------------------------------
 
-    def _note(self, event):
-        """Mirror one TraceEvent into the bounded capture."""
-        if len(self.events) >= self.MAX_EVENTS:
+    def _capture(self, category, name, ph, ts, dur, args, span_id=None,
+                 parent=None):
+        """Keep one event in the bounded capture.  *args* is kept, not
+        copied: callers hand over a dict nobody mutates afterwards."""
+        if len(self._captured) >= self.MAX_EVENTS:
             self.dropped += 1
             return
-        self.events.append({
-            "cat": event.category, "name": event.name, "ph": event.ph,
-            "rel_s": event.ts - self.started, "dur_s": event.dur,
-            "args": dict(event.args) if event.args else {},
-        })
+        self._captured.append((category, name, ph, ts, dur, args,
+                               span_id, parent))
+
+    def close(self, outcome, now, detail=None):
+        """Stamp how and when (``perf_counter`` *now*) the request ended."""
+        self.outcome = outcome
+        self.detail = detail
+        self.duration = now - self.started
+
+    @property
+    def events(self):
+        """The captured events as JSON-serializable dicts."""
+        events = []
+        trace_id = self.trace_id
+        for category, name, ph, ts, dur, args, span_id, parent \
+                in self._captured:
+            args = dict(args) if args else {}
+            if span_id is not None:
+                args["trace_id"] = trace_id
+                args["span_id"] = span_id
+                if parent is not None:
+                    args["parent_span"] = parent
+            events.append({"cat": category, "name": name, "ph": ph,
+                           "rel_s": ts - self.started, "dur_s": dur,
+                           "args": args})
+        return events
 
     def summary(self):
         """JSON-serializable post-mortem record for the recorder."""
@@ -109,16 +172,16 @@ class RequestContext:
             "name": self.name,
             "outcome": self.outcome,
             "detail": self.detail,
-            "flags": sorted(self.flags),
+            "flags": sorted(self._flags or ()),
             "duration_s": self.duration,
             "started_unix": TRACER.epoch + self.started,
-            "events": list(self.events),
+            "events": self.events,
             "dropped_events": self.dropped,
         }
 
     def __repr__(self):
         return "RequestContext(%s, %s, %d events)" % (
-            self.trace_id, self.name, len(self.events))
+            self.trace_id, self.name, len(self._captured))
 
 
 def _annotate(event):
@@ -139,9 +202,10 @@ def _annotate(event):
     if "trace_id" not in args:
         args["trace_id"] = ctx.trace_id
         args["span_id"] = next(ctx._ids)
-        if ctx._stack:
-            args["parent_span"] = ctx._stack[-1]
-    ctx._note(event)
+        if ctx._open is not None:
+            args["parent_span"] = ctx._open
+    ctx._capture(event.category, event.name, event.ph, event.ts,
+                 event.dur, args)
 
 
 tracer_mod.set_request_hook(_annotate)
@@ -169,8 +233,9 @@ def current():
 class using:
     """Activate *ctx* on the current thread for the ``with`` body.
 
-    The serving dispatcher uses this to continue the trace a client
-    thread started; ``using(None)`` is a no-op context manager.
+    The serving layer uses this to continue, on the thread that
+    dispatches a request, the trace its submitter started;
+    ``using(None)`` is a no-op context manager.
     """
 
     __slots__ = ("_ctx", "_token")
@@ -193,53 +258,65 @@ def finish(ctx, outcome, detail=None):
     """Close out a request: stamp outcome + duration, feed the recorder."""
     if ctx is None:
         return
-    ctx.outcome = outcome
-    ctx.detail = detail
-    ctx.duration = _perf_counter() - ctx.started
+    ctx.close(outcome, _perf_counter(), detail)
     RECORDER.record(ctx)
 
 
 # -- span recording ----------------------------------------------------------
 
 class _ReqSpan:
-    """Timed span inside the active request (parented on the stack)."""
+    """Timed span inside a request (parented on the span open around
+    it); with *activate* the request is also made current for the body.
+    """
 
     __slots__ = ("_ctx", "_category", "_name", "_args", "_span_id",
-                 "_parent", "_start")
+                 "_parent", "_start", "_token")
 
-    def __init__(self, ctx, category, name, args):
+    def __init__(self, ctx, category, name, args, activate=False):
         self._ctx = ctx
         self._category = category
         self._name = name
         self._args = args
+        #: False: leave the current request alone.  True: make *ctx*
+        #: current on enter, when this becomes the token to reset with.
+        self._token = activate
 
     def __enter__(self):
         ctx = self._ctx
+        if self._token:
+            self._token = _CURRENT.set(ctx)
         self._span_id = next(ctx._ids)
-        self._parent = ctx._stack[-1] if ctx._stack else None
-        ctx._stack.append(self._span_id)
+        self._parent = ctx._open
+        ctx._open = self._span_id
         self._start = _perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         end = _perf_counter()
         ctx = self._ctx
-        if ctx._stack and ctx._stack[-1] == self._span_id:
-            ctx._stack.pop()
-        args = dict(self._args)
+        if self._token:
+            _CURRENT.reset(self._token)
+        ctx._open = self._parent
+        args = self._args
         if exc_type is not None:
-            args["error"] = exc_type.__name__
-        args["trace_id"] = ctx.trace_id
-        args["span_id"] = self._span_id
-        if self._parent is not None:
-            args["parent_span"] = self._parent
-        event = TraceEvent(self._category, self._name, "X", self._start,
-                           end - self._start, threading.get_ident(), args)
-        if TRACER.level:
-            TRACER._append(event)    # hook captures (trace_id pre-set)
-        else:
-            ctx._note(event)         # recorder-only mode
+            args = dict(args, error=exc_type.__name__)
+        _emit(ctx, self._category, self._name, "X", self._start,
+              end - self._start, args, self._span_id, self._parent)
         return False
+
+
+def _emit(ctx, category, name, ph, ts, dur, args, span_id, parent):
+    """One request-scoped event: into the tracer when it is on (its
+    hook mirrors the event into *ctx*), else straight into *ctx*'s
+    capture, where the ids ride beside *args* instead of in a copy."""
+    if TRACER.level:
+        args = dict(args, trace_id=ctx.trace_id, span_id=span_id)
+        if parent is not None:
+            args["parent_span"] = parent
+        TRACER._append(TraceEvent(category, name, ph, ts, dur,
+                                  threading.get_ident(), args))
+    else:
+        ctx._capture(category, name, ph, ts, dur, args, span_id, parent)
 
 
 def span(category, name, **args):
@@ -256,23 +333,27 @@ def span(category, name, **args):
     return _ReqSpan(ctx, category, name, args)
 
 
-def record_span(ctx, category, name, start, duration, **args):
+def span_in(ctx, category, name, args):
+    """:func:`using` and :func:`span` in one context manager: activate
+    *ctx* on this thread for the body and time a span in it.  The
+    serving layer enters one per dispatch; *args* is a dict it may
+    share between the spans of a batch (never mutated here)."""
+    if ctx is None:
+        return TRACER.span(category, name, **args)
+    return _ReqSpan(ctx, category, name, args, activate=True)
+
+
+def record_span(ctx, category, name, start, duration, args):
     """Record an externally-timed span into *ctx* (no activation needed).
 
     Used for spans measured on another thread's clock — e.g. the queue
-    wait, timed from the client thread's enqueue to the dispatcher's
-    pickup.
+    wait, timed from the submitting thread's enqueue to the dispatching
+    thread's pickup.  *args* may be shared between calls (never mutated
+    here).
     """
-    if ctx is None:
-        return
-    args["trace_id"] = ctx.trace_id
-    args["span_id"] = next(ctx._ids)
-    event = TraceEvent(category, name, "X", start, duration,
-                       threading.get_ident(), args)
-    if TRACER.level:
-        TRACER._append(event)
-    else:
-        ctx._note(event)
+    if ctx is not None:
+        _emit(ctx, category, name, "X", start, duration, args,
+              next(ctx._ids), None)
 
 
 def flag(name):
@@ -299,16 +380,8 @@ def note(category, name, flag=None, **args):
         return
     if flag is not None:
         ctx.flags.add(flag)
-    args["trace_id"] = ctx.trace_id
-    args["span_id"] = next(ctx._ids)
-    if ctx._stack:
-        args["parent_span"] = ctx._stack[-1]
-    event = TraceEvent(category, name, "i", _perf_counter(), 0.0,
-                       threading.get_ident(), args)
-    if TRACER.level:
-        TRACER._append(event)
-    else:
-        ctx._note(event)
+    _emit(ctx, category, name, "i", _perf_counter(), 0.0, args,
+          next(ctx._ids), ctx._open)
 
 
 # -- the flight recorder -----------------------------------------------------
@@ -324,6 +397,10 @@ class FlightRecorder:
       stampede loss, …),
     * **recent** — the last ``keep_recent`` requests regardless.
 
+    :meth:`record` only files the finished context — no summary dict,
+    and an ``insort`` into *slowest* only for a request slower than the
+    fastest one kept there.  The views build the summaries when read.
+
     Thread-safe; snapshot/restore round-trips through the
     ``janus-stats`` bundle like the other registries.
     """
@@ -333,7 +410,7 @@ class FlightRecorder:
         self.enabled = _env_enabled()
         self.keep_slowest = int(keep_slowest)
         self._lock = threading.Lock()
-        self._slowest = []          # [(duration, seq, summary)] ascending
+        self._slowest = []          # [(duration, seq, ctx)] ascending
         self._seq = itertools.count()
         self._failed = deque(maxlen=int(keep_failed))
         self._recent = deque(maxlen=int(keep_recent))
@@ -341,49 +418,61 @@ class FlightRecorder:
         self.failures = 0
 
     def record(self, ctx):
+        self.record_all((ctx,))
+
+    def record_all(self, contexts):
+        """File finished contexts (one dispatch's worth) under one lock."""
         if not self.enabled:
             return
-        summary = ctx.summary()
-        failed = ctx.outcome != "ok" or bool(ctx.flags)
         with self._lock:
-            self.completed += 1
-            self._recent.append(summary)
-            if failed:
-                self.failures += 1
-                self._failed.append(summary)
-            insort(self._slowest,
-                   (summary["duration_s"] or 0.0, next(self._seq),
-                    summary))
-            if len(self._slowest) > self.keep_slowest:
-                self._slowest.pop(0)
+            slowest = self._slowest
+            for ctx in contexts:
+                self.completed += 1
+                self._recent.append(ctx)
+                if ctx.outcome != "ok" or ctx._flags:
+                    self.failures += 1
+                    self._failed.append(ctx)
+                duration = ctx.duration or 0.0
+                if len(slowest) < self.keep_slowest \
+                        or (slowest and duration > slowest[0][0]):
+                    insort(slowest, (duration, next(self._seq), ctx))
+                    if len(slowest) > self.keep_slowest:
+                        slowest.pop(0)
 
     # -- inspection ----------------------------------------------------------
 
     def slowest(self):
         """Summaries, slowest first."""
         with self._lock:
-            return [item[2] for item in reversed(self._slowest)]
+            kept = [item[2] for item in reversed(self._slowest)]
+        return _summaries(kept)
 
     def failed(self):
         """Failed/flagged summaries, oldest first."""
         with self._lock:
-            return list(self._failed)
+            kept = list(self._failed)
+        return _summaries(kept)
 
     def recent(self):
         with self._lock:
-            return list(self._recent)
+            kept = list(self._recent)
+        return _summaries(kept)
 
     # -- serialization -------------------------------------------------------
 
     def snapshot(self):
         with self._lock:
-            return {
-                "completed": self.completed,
-                "failures": self.failures,
-                "slowest": [item[2] for item in reversed(self._slowest)],
-                "failed": list(self._failed),
-                "recent": list(self._recent),
-            }
+            completed, failures = self.completed, self.failures
+            slowest = [item[2] for item in reversed(self._slowest)]
+            failed = list(self._failed)
+            recent = list(self._recent)
+        return {
+            "completed": completed,
+            "failures": failures,
+            "slowest": _summaries(slowest),
+            "failed": _summaries(failed),
+            "recent": _summaries(recent),
+        }
 
     @classmethod
     def from_snapshot(cls, snap):
@@ -416,6 +505,13 @@ class FlightRecorder:
         return "FlightRecorder(%s, %d completed, %d failures)" % (
             "enabled" if self.enabled else "disabled", self.completed,
             self.failures)
+
+
+def _summaries(kept):
+    """Summaries of what a recorder keeps: finished contexts, or the
+    summary dicts a restored snapshot holds."""
+    return [item.summary() if isinstance(item, RequestContext) else item
+            for item in kept]
 
 
 def _env_enabled():

@@ -12,10 +12,11 @@ capacity questions a serving deployment adds on top:
   coalesced (the dynamic-batching win is exactly this histogram's mean),
 * **tenancy** — active / peak concurrent client threads,
 * **recompiles in flight** — compile tickets currently owned, sampled
-  from the endpoints' single-flight tables (the §4.3 recovery machinery
-  under load),
+  from the live servers' endpoints when the gauge is *read* (the §4.3
+  recovery machinery under load),
 * **end-to-end latency** — per-outcome (``ok`` / ``error`` /
-  ``rejected``) request latency over a trailing window.
+  ``rejected``) submit → resolve latency over a trailing window,
+  stamped where the request is resolved.
 
 Queue-wait, batch-size, and request-latency histograms are
 :class:`~repro.observability.metrics.WindowedHistogram`\\ s: cumulative
@@ -24,9 +25,12 @@ observed-percentile signal the ROADMAP's adaptive-linger rung trades
 ``batch_linger_s`` against.  Queue depth and batch size are unitless
 counts in second-valued buckets, which is fine: percentile estimates
 clamp to the observed min/max and the fixed buckets keep snapshots
-mergeable.  Everything is thread-safe (the whole point of the layer) and
-snapshot/restore round-trips through the ``janus-stats`` bundle like the
-other registries.
+mergeable.  Everything is thread-safe (the whole point of the layer):
+one lock guards the counters *and* every histogram, so the server folds
+a whole dispatch — batch size, queue waits, per-outcome latencies — in
+one :meth:`ServingStats.record_batch` call under one acquisition.
+Snapshot/restore round-trips through the ``janus-stats`` bundle like
+the other registries.
 
 Rejected requests are first-class: ``ServerOverloaded`` leaves no
 queue-wait trace (it never enqueued), so admission control shows up
@@ -41,6 +45,7 @@ histograms off.
 """
 
 import threading
+import weakref
 
 from .metrics import Histogram, WindowedHistogram
 
@@ -64,19 +69,31 @@ class ServingStats:
 
     def __init__(self):
         self._lock = threading.Lock()
+        #: Live servers, asked for their compile tickets on read.
+        self._servers = weakref.WeakSet()
+        self._reset()
+
+    def _reset(self):
+        self.active_clients = 0      # gauge: blocked in Server.call
+        self.peak_clients = 0
+        self._recompiles_restored = 0
         self.requests = 0            # accepted into the queue
         self.rejected = 0            # refused at the queue bound
         self.batches = 0             # dispatches (1 batch >= 1 request)
         self.batched_requests = 0    # requests that shared their batch
-        self.active_clients = 0      # gauge: currently connected
-        self.peak_clients = 0
-        self.recompiles_in_flight = 0   # gauge: sampled from endpoints
-        self.queue_depth = Histogram()       # depth at enqueue (count)
-        self.batch_size = _windowed()        # requests per dispatch
-        self.queue_wait = _windowed()        # seconds queued
-        #: End-to-end submit → result latency, split by outcome.
-        self.request_latency = {outcome: _windowed()
+        self.queue_depth = self._own(Histogram())   # depth at enqueue
+        self.batch_size = self._own(_windowed())    # requests/dispatch
+        self.queue_wait = self._own(_windowed())    # seconds queued
+        #: End-to-end submit → resolve latency, split by outcome.
+        self.request_latency = {outcome: self._own(_windowed())
                                 for outcome in OUTCOMES}
+
+    def _own(self, hist):
+        """Guard *hist* with this object's lock: one acquisition then
+        covers the counters and every histogram a record_* call
+        touches, and readers of the histogram serialize with it."""
+        hist._lock = self._lock
+        return hist
 
     # -- recording (driven by repro.serving) --------------------------------
 
@@ -94,7 +111,7 @@ class ServingStats:
         """One request accepted; *depth* is the queue depth it saw."""
         with self._lock:
             self.requests += 1
-        self.queue_depth.observe(depth)
+            self.queue_depth._observe(depth)
 
     def record_reject(self, duration=0.0):
         """One request refused at the queue bound.
@@ -105,32 +122,58 @@ class ServingStats:
         """
         with self._lock:
             self.rejected += 1
-        self.request_latency["rejected"].observe(duration)
+            self.request_latency["rejected"]._observe(duration)
 
-    def record_batch(self, size, waits=()):
-        """One dispatch of *size* coalesced requests.
+    def record_batch(self, size, waits=(), latencies=()):
+        """One dispatch of *size* coalesced requests, folded at once.
 
         *waits* are the per-request queue-wait seconds (enqueue →
-        dispatch), observed into the ``queue_wait`` histogram.
+        dispatch); *latencies* are ``(outcome, seconds)`` pairs, the
+        end-to-end latency of each request the dispatch resolved.
         """
         with self._lock:
             self.batches += 1
             if size > 1:
                 self.batched_requests += size
-        self.batch_size.observe(size)
-        for wait in waits:
-            self.queue_wait.observe(wait)
+            self.batch_size._observe(size)
+            observe = self.queue_wait._observe
+            for wait in waits:
+                observe(wait)
+            by_outcome = self.request_latency
+            for outcome, duration in latencies:
+                (by_outcome.get(outcome)
+                 or by_outcome["error"])._observe(duration)
 
     def record_request(self, duration, outcome="ok"):
-        """One completed request's end-to-end latency."""
-        hist = self.request_latency.get(outcome)
-        if hist is None:
-            hist = self.request_latency["error"]
-        hist.observe(duration)
+        """One request resolved outside a dispatch (failed at close)."""
+        with self._lock:
+            (self.request_latency.get(outcome)
+             or self.request_latency["error"])._observe(duration)
+
+    # -- recompiles in flight: sampled on read -------------------------------
+
+    def watch(self, server):
+        """Sample *server*'s ``recompiles_in_flight()`` on every read of
+        the gauge, until :meth:`unwatch` (or the server is collected)."""
+        with self._lock:
+            self._servers.add(server)
+
+    def unwatch(self, server):
+        with self._lock:
+            self._servers.discard(server)
+
+    @property
+    def recompiles_in_flight(self):
+        """Compile tickets owned across the live servers' endpoints
+        (plus the value a restored snapshot carried)."""
+        with self._lock:
+            servers = list(self._servers)
+        return self._recompiles_restored + sum(
+            server.recompiles_in_flight() for server in servers)
 
     def set_recompiles_in_flight(self, value):
-        with self._lock:
-            self.recompiles_in_flight = int(value)
+        """The gauge of a stats object restored from a snapshot."""
+        self._recompiles_restored = int(value)
 
     # -- derived -------------------------------------------------------------
 
@@ -143,6 +186,7 @@ class ServingStats:
     # -- serialization -------------------------------------------------------
 
     def snapshot(self):
+        recompiles = self.recompiles_in_flight
         with self._lock:
             snap = {
                 "requests": self.requests,
@@ -151,7 +195,7 @@ class ServingStats:
                 "batched_requests": self.batched_requests,
                 "active_clients": self.active_clients,
                 "peak_clients": self.peak_clients,
-                "recompiles_in_flight": self.recompiles_in_flight,
+                "recompiles_in_flight": recompiles,
             }
         snap["queue_depth"] = self.queue_depth.snapshot()
         snap["batch_size"] = self.batch_size.snapshot()
@@ -166,37 +210,26 @@ class ServingStats:
         stats = cls()
         snap = snap or {}
         for field in ("requests", "rejected", "batches",
-                      "batched_requests", "active_clients", "peak_clients",
-                      "recompiles_in_flight"):
+                      "batched_requests", "active_clients", "peak_clients"):
             setattr(stats, field, int(snap.get(field, 0)))
-        if snap.get("queue_depth"):
-            stats.queue_depth = Histogram.from_snapshot(snap["queue_depth"])
-        for field in ("batch_size", "queue_wait"):
+        stats.set_recompiles_in_flight(snap.get("recompiles_in_flight", 0))
+        for field in ("queue_depth", "batch_size", "queue_wait"):
             if snap.get(field):
-                setattr(stats, field, _hist_from_snapshot(snap[field]))
+                setattr(stats, field,
+                        stats._own(_hist_from_snapshot(snap[field])))
         # Legacy janus-stats/1 bundles predate request_latency: the
         # per-outcome histograms stay empty.
         for outcome, hist_snap in (snap.get("request_latency")
                                    or {}).items():
             if outcome in stats.request_latency and hist_snap:
-                stats.request_latency[outcome] = _hist_from_snapshot(
-                    hist_snap)
+                stats.request_latency[outcome] = stats._own(
+                    _hist_from_snapshot(hist_snap))
         return stats
 
     def clear(self):
+        """Zero everything recorded; live servers stay watched."""
         with self._lock:
-            self.requests = 0
-            self.rejected = 0
-            self.batches = 0
-            self.batched_requests = 0
-            self.active_clients = 0
-            self.peak_clients = 0
-            self.recompiles_in_flight = 0
-        self.queue_depth = Histogram()
-        self.batch_size = _windowed()
-        self.queue_wait = _windowed()
-        self.request_latency = {outcome: _windowed()
-                                for outcome in OUTCOMES}
+            self._reset()
 
     def __repr__(self):
         return ("ServingStats(requests=%d, batches=%d, active=%d)"

@@ -1,12 +1,17 @@
 """Multi-tenant serving for ``@janus.function`` endpoints.
 
 A :class:`Server` exposes registered janus functions to N concurrent
-client threads.  Each endpoint owns a bounded request queue and a
-dispatcher thread; arriving calls are admission-checked, queued, and
-dispatched either singly or as a **dynamically batched** group —
-shape-compatible requests (same per-argument dtype and trailing shape)
-are stacked along axis 0, executed as one graph run, and the outputs
-are split back per request.  The batch window is bounded by
+client threads.  Each endpoint owns a bounded request queue and no
+thread: arriving calls are admission-checked and queued, and the
+client thread that *waits* on a request is the dispatcher — it takes
+the endpoint's lead, runs the queue FIFO on its own thread until its
+own request is resolved, then hands the lead to the oldest waiting
+client (leader/follower; see :class:`_Endpoint`).  An uncontended call
+therefore crosses no thread boundary.  Requests are dispatched either
+singly or as a **dynamically batched** group — shape-compatible
+requests (same per-argument dtype and trailing shape) are stacked
+along axis 0, executed as one graph run, and the outputs are split
+back per request.  The batch window is bounded by
 ``ServingConfig.max_batch_size`` and the ``batch_linger_s`` wait.
 
 Correctness contract for batching: a batchable endpoint must be
@@ -26,9 +31,11 @@ The runtime below the server is the concurrency-safe dispatch layer of
 artifact in parallel, an assumption-failure storm elects one recompile
 ticket, and with ``JanusConfig.recompile_workers > 0`` regeneration
 happens on background workers while queued requests are served by the
-imperative fallback.  Admission, queue-depth, batch-size, and
-queue-wait metrics land in :data:`repro.observability.SERVING` and
-surface through ``janus-stats`` (text and Prometheus).
+imperative fallback.  Admission, queue-depth, batch-size,
+queue-wait and per-outcome latency metrics land in
+:data:`repro.observability.SERVING` — folded once per dispatch, stamped
+where a request is resolved — and surface through ``janus-stats`` (text
+and Prometheus).
 """
 
 import threading
@@ -37,7 +44,7 @@ import time
 import numpy as np
 
 from ..imperative.eager import Tensor
-from ..observability import SERVING, TRACER, reqtrace
+from ..observability import RECORDER, SERVING, TRACER, reqtrace
 
 __all__ = ["Server", "ServingConfig", "ServerClosed", "ServerOverloaded"]
 
@@ -57,8 +64,8 @@ class ServingConfig:
                  max_queue_depth=64):
         #: Requests coalesced into one dispatch (1 disables batching).
         self.max_batch_size = max(1, int(max_batch_size))
-        #: How long a dispatcher holds the first request of a batch
-        #: waiting for shape-compatible companions.  0 dispatches
+        #: How long a leading client holds the first request of a
+        #: batch waiting for shape-compatible companions.  0 dispatches
         #: whatever is already queued without waiting.
         self.batch_linger_s = max(0.0, float(batch_linger_s))
         #: Admission bound per endpoint queue; arrivals beyond it are
@@ -96,143 +103,277 @@ def _group_key(args):
     return tuple(key), rows
 
 
+#: ``_Request.key`` until a leader first has to compare the request.
+_UNKEYED = object()
+
+#: Span args of a request executed on its own (shared, never mutated).
+_ALONE = {"batch": 1}
+
+
 class _Request:
-    """One queued client call."""
+    """One submitted client call: the handle ``submit`` returns.
 
-    __slots__ = ("args", "key", "rows", "enqueued", "done", "result",
-                 "error", "ctx")
+    Timestamps are stamped on it as it moves — ``enqueued`` at submit,
+    ``resolved`` once its dispatch has been accounted — so the whole
+    batch is folded into the stats in one call.  ``result`` / ``error``
+    are final once :meth:`wait` has returned True.
+    """
 
-    def __init__(self, args, key, rows, ctx=None):
+    __slots__ = ("endpoint", "args", "key", "rows", "ctx", "enqueued",
+                 "outcome", "result", "error", "resolved", "waiter")
+
+    def __init__(self, endpoint, args, ctx):
+        self.endpoint = endpoint
         self.args = args
-        self.key = key
-        self.rows = rows
-        self.enqueued = time.perf_counter()
-        self.done = threading.Event()
+        self.key = _UNKEYED
+        self.rows = 0
+        #: Request-trace context; whichever client thread dispatches
+        #: this request re-activates it around the endpoint function.
+        self.ctx = ctx
+        self.enqueued = ctx.started if ctx is not None \
+            else time.perf_counter()
+        self.outcome = None         # "ok" / "error" once executed
         self.result = None
         self.error = None
-        #: Request-trace context; carried across the queue so the
-        #: dispatcher thread can continue the client's causal flow.
-        self.ctx = ctx
+        self.resolved = None        # perf_counter stamp; None = pending
+        #: The Event a client blocked behind another leader sleeps on;
+        #: allocated only when one actually blocks.
+        self.waiter = None
 
-    def resolve(self, result=None, error=None):
-        self.result = result
-        self.error = error
-        self.done.set()
+    @property
+    def done(self):
+        """Event-style view of the handle (``done.wait()``,
+        ``done.is_set()``): the request itself, so no second object and
+        no reference cycle per request."""
+        return self
+
+    def is_set(self):
+        return self.resolved is not None
+
+    def group(self):
+        """The batch-compatibility key (None: cannot batch), worked out
+        when a leader first has another request to stack this one with
+        — a request dispatched alone never pays for it."""
+        if self.key is _UNKEYED:
+            self.key, self.rows = _group_key(self.args)
+        return self.key
+
+    def wait(self, timeout=None):
+        """Block until the request is resolved; True if it is.
+
+        The waiting thread does the endpoint's work while it waits: if
+        no other client is dispatching, it runs queued batches itself
+        until this request is resolved (see :meth:`_Endpoint._lead`).
+        """
+        return self.resolved is not None \
+            or self.endpoint._await(self, timeout)
 
 
 class _Endpoint:
-    """One registered janus function plus its queue and dispatcher."""
+    """One registered function plus its queue; dispatch is caller-runs.
+
+    There is no dispatcher thread.  ``submit`` only enqueues.  The first
+    client that *waits* on an unresolved request takes the endpoint's
+    lead and serves the queue FIFO on its own thread until its own
+    request is resolved; clients that wait meanwhile sleep on a
+    per-request Event.  A departing leader promotes the oldest queued
+    request with a sleeping waiter — one wake-up per contended batch.
+
+    ``lock`` guards ``queue``, ``leader``, ``lingering`` and every
+    request's ``waiter``; results are written and accounted outside it,
+    then published (``_wake``) under it.  ``cond`` is a condition on
+    the same lock that only a lingering leader waits on.
+    """
 
     def __init__(self, name, fn, batchable, server):
         self.name = name
         self.fn = fn
         self.batchable = batchable
         self.server = server
+        self.trace_name = "serve.%s" % name
         self.queue = []
-        self.cond = threading.Condition(threading.Lock())
-        self.thread = threading.Thread(
-            target=self._dispatch_loop,
-            name="janus-serve-%s" % name, daemon=True)
-        self.thread.start()
+        self.lock = threading.Lock()
+        self.cond = threading.Condition(self.lock)
+        self.leader = None          # the leading client's own request
+        self.lingering = False      # leader is waiting on cond
 
-    # -- client side ---------------------------------------------------------
+    # -- submitting ----------------------------------------------------------
 
     def submit(self, args):
+        """Enqueue one call; returns its handle without running it."""
         config = self.server.config
-        key, rows = _group_key(args) if self.batchable \
-            and config.max_batch_size > 1 else (None, 0)
-        # Continue the caller's request trace if one is active
-        # (Server.call opened it); open one here for direct submitters.
-        ctx = reqtrace.current()
-        owns_ctx = ctx is None
-        if owns_ctx:
-            ctx = reqtrace.new_request("serve.%s" % self.name)
-        request = _Request(args, key, rows, ctx)
-        with self.cond:
+        ctx = reqtrace.new_request(self.trace_name)
+        request = _Request(self, args, ctx)
+        with self.lock:
             if self.server.closed:
                 raise ServerClosed("server is shut down")
-            if len(self.queue) >= config.max_queue_depth:
-                duration = time.perf_counter() - request.enqueued
-                SERVING.record_reject(duration)
-                if ctx is not None:
-                    ctx.flags.add("rejected")
-                    reqtrace.record_span(ctx, "serve_queue", "rejected",
-                                         request.enqueued, duration,
-                                         endpoint=self.name)
-                    if owns_ctx:
-                        reqtrace.finish(ctx, "rejected",
-                                        detail="queue full")
-                raise ServerOverloaded(
-                    "endpoint %r queue is full (%d requests)"
-                    % (self.name, len(self.queue)))
-            SERVING.record_enqueue(len(self.queue))
-            self.queue.append(request)
-            self.cond.notify_all()
+            depth = len(self.queue)
+            rejected = depth >= config.max_queue_depth
+            if not rejected:
+                self.queue.append(request)
+                if self.lingering:
+                    self.cond.notify()
+        if rejected:
+            duration = time.perf_counter() - request.enqueued
+            SERVING.record_reject(duration)
+            if ctx is not None:
+                ctx.flags.add("rejected")
+                reqtrace.record_span(ctx, "serve_queue", "rejected",
+                                     request.enqueued, duration,
+                                     {"endpoint": self.name})
+                reqtrace.finish(ctx, "rejected", detail="queue full")
+            raise ServerOverloaded(
+                "endpoint %r queue is full (%d requests)"
+                % (self.name, depth))
+        SERVING.record_enqueue(depth)
         return request
 
-    # -- dispatcher side -----------------------------------------------------
+    # -- waiting: lead or follow ---------------------------------------------
 
-    def _dispatch_loop(self):
+    def _await(self, request, timeout):
+        deadline = None if timeout is None \
+            else time.perf_counter() + timeout
         while True:
-            batch = self._next_batch()
-            if batch is None:
-                return
-            self._execute(batch)
-            SERVING.set_recompiles_in_flight(
-                self.server.recompiles_in_flight())
+            with self.lock:
+                if request.resolved is not None:
+                    return True
+                remaining = None if deadline is None \
+                    else deadline - time.perf_counter()
+                waiter = request.waiter
+                if remaining is not None and remaining <= 0:
+                    # Leaving unresolved: nobody sleeps on this request
+                    # any more, so a promotion it received moves on.
+                    request.waiter = None
+                    if waiter is not None and waiter.is_set() \
+                            and self.leader is None:
+                        self._hand_on()
+                    return False
+                lead = self.leader is None
+                if lead:
+                    self.leader = request
+                elif waiter is None:
+                    waiter = request.waiter = threading.Event()
+                else:
+                    waiter.clear()
+            if lead:
+                self._lead(request, deadline)
+                if request.resolved is not None:
+                    return True
+            else:
+                waiter.wait(remaining)      # resolved, or promoted
 
-    def _next_batch(self):
-        """Block for the next request, then linger for companions."""
+    def _lead(self, own, deadline):
+        """Serve the queue on this thread until *own* is resolved."""
+        batch = []
+        try:
+            while True:
+                with self.lock:
+                    self._wake(batch)
+                    batch = []
+                    if own.resolved is not None or (
+                            deadline is not None
+                            and time.perf_counter() >= deadline):
+                        self._hand_on()
+                        return
+                    self._fill(batch)
+                dispatched = time.perf_counter()
+                self._run(batch, dispatched)
+                self._account(batch, dispatched)
+        except BaseException:
+            # This thread is dying mid-batch (say a KeyboardInterrupt
+            # out of the endpoint function): fail what it took instead
+            # of hanging their waiters, then hand the lead on.
+            stranded = [r for r in batch if r.resolved is None]
+            if stranded:
+                self._account(stranded)
+            with self.lock:
+                self._wake(batch)
+                self._hand_on()
+            raise
+
+    def _wake(self, batch):
+        for request in batch:
+            if request.waiter is not None:
+                request.waiter.set()
+
+    def _hand_on(self):
+        """Give up the lead; wake the oldest queued request's sleeping
+        waiter to take it."""
+        self.leader = None
+        for request in self.queue:
+            if request.waiter is not None:
+                request.waiter.set()
+                return
+
+    # -- batch assembly (under lock) -----------------------------------------
+
+    def _fill(self, batch):
+        """Pop the oldest request into *batch*, then its shape-compatible
+        companions: those already queued, and with ``batch_linger_s > 0``
+        those that arrive while the leader waits on ``cond``."""
         config = self.server.config
-        with self.cond:
-            while not self.queue:
-                if self.server.closed:
-                    return None
-                self.cond.wait(0.05)
-            first = self.queue.pop(0)
-            batch = [first]
-            if first.key is None or config.max_batch_size <= 1:
-                return batch
-            deadline = time.perf_counter() + config.batch_linger_s
-            while len(batch) < config.max_batch_size:
-                self._take_compatible(first.key, batch, config)
-                if len(batch) >= config.max_batch_size:
-                    break
+        first = self.queue.pop(0)
+        batch.append(first)
+        limit = config.max_batch_size
+        linger = config.batch_linger_s
+        if not self.batchable or limit <= 1 \
+                or not (self.queue or linger > 0):
+            return
+        key = first.group()
+        if key is None:
+            return
+        self._take_compatible(key, batch, limit)
+        if len(batch) >= limit or linger <= 0:
+            return
+        deadline = time.perf_counter() + linger
+        self.lingering = True
+        try:
+            while len(batch) < limit and not self.server.closed:
                 remaining = deadline - time.perf_counter()
-                if remaining <= 0 or self.server.closed:
+                if remaining <= 0:
                     break
                 self.cond.wait(remaining)
-            self._take_compatible(first.key, batch, config)
-            return batch
+                self._take_compatible(key, batch, limit)
+        finally:
+            self.lingering = False
 
-    def _take_compatible(self, key, batch, config):
+    def _take_compatible(self, key, batch, limit):
         """Move queued requests with a matching key into *batch*."""
+        queue = self.queue
         index = 0
-        while index < len(self.queue) \
-                and len(batch) < config.max_batch_size:
-            if self.queue[index].key == key:
-                batch.append(self.queue.pop(index))
+        while index < len(queue) and len(batch) < limit:
+            if queue[index].group() == key:
+                batch.append(queue.pop(index))
             else:
                 index += 1
 
-    def _execute(self, batch):
-        dispatch = time.perf_counter()
-        waits = [dispatch - r.enqueued for r in batch]
-        SERVING.record_batch(len(batch), waits)
+    # -- execution (no lock held) --------------------------------------------
+
+    def _run(self, batch, dispatched):
+        """Execute *batch*: every request leaves with an outcome."""
+        size = len(batch)
+        span_args = {"batch": size}
         # The queue wait becomes a span on each request's trace, timed
-        # from the client thread's enqueue to this pickup.
-        for request, wait in zip(batch, waits):
+        # from the submitting thread's enqueue to this pickup.
+        for request in batch:
             reqtrace.record_span(request.ctx, "serve_queue", self.name,
-                                 request.enqueued, wait,
-                                 batch=len(batch))
+                                 request.enqueued,
+                                 dispatched - request.enqueued, span_args)
         if TRACER.level:
-            TRACER.instant("serve_dispatch", self.name,
-                           batch=len(batch),
+            TRACER.instant("serve_dispatch", self.name, batch=size,
                            queued=len(self.queue))
-        if len(batch) == 1:
-            self._run_single(batch[0])
-            return
+        if size == 1 or not self._run_stacked(batch):
+            # Also the fallback when the endpoint is not
+            # batch-polymorphic for this input (or raised): batching
+            # can only cost latency, never correctness.
+            for request in batch:
+                self._run_single(request)
+
+    def _run_stacked(self, batch):
+        """One stacked call for the whole batch; False if it did not
+        split back row-for-row."""
         lead = batch[0]
+        size = len(batch)
         start = time.perf_counter()
         try:
             # Re-wrap each stacked buffer in the type of the first
@@ -247,37 +388,89 @@ class _Endpoint:
                                if isinstance(proto, Tensor) else merged)
             # The lead request's trace carries the shared execution;
             # companions get the same interval recorded post-hoc.
-            with reqtrace.using(lead.ctx):
-                with reqtrace.span("serve_dispatch", self.name,
-                                   batch=len(batch)):
-                    result = self.fn(*stacked)
+            with reqtrace.span_in(lead.ctx, "serve_dispatch", self.name,
+                                  {"batch": size}):
+                result = self.fn(*stacked)
             parts = _split_result(result, [r.rows for r in batch])
         except Exception:
-            parts = None
+            return False
         if parts is None:
-            # The endpoint is not batch-polymorphic for this input (or
-            # raised): fall back to per-request execution so batching
-            # can only cost latency, never correctness.
-            for request in batch:
-                self._run_single(request)
-            return
+            return False
         duration = time.perf_counter() - start
+        shared = {"batch": size, "shared": True}
         for request, part in zip(batch, parts):
             if request is not lead:
                 reqtrace.record_span(request.ctx, "serve_dispatch",
-                                     self.name, start, duration,
-                                     batch=len(batch), shared=True)
-            request.resolve(result=part)
+                                     self.name, start, duration, shared)
+            request.result = part
+            request.outcome = "ok"
+        return True
 
     def _run_single(self, request):
-        with reqtrace.using(request.ctx):
-            try:
-                with reqtrace.span("serve_dispatch", self.name,
-                                   batch=1):
-                    result = self.fn(*request.args)
-                request.resolve(result=result)
-            except Exception as exc:           # delivered to the caller
-                request.resolve(error=exc)
+        try:
+            with reqtrace.span_in(request.ctx, "serve_dispatch", self.name,
+                                  _ALONE):
+                request.result = self.fn(*request.args)
+            request.outcome = "ok"
+        except Exception as exc:               # delivered to its client
+            request.error = exc
+            request.outcome = "error"
+
+    # -- accounting: once per dispatch ---------------------------------------
+
+    def _account(self, requests, dispatched=None):
+        """Resolve *requests*: one SERVING fold, one RECORDER call.
+
+        *dispatched* is the pickup time of the dispatch that ran them;
+        None for requests that never ran (failed at close, or taken by
+        a leader that died), which count no batch and no queue wait.
+        """
+        now = time.perf_counter()
+        latencies = []
+        contexts = []
+        for request in requests:
+            if request.outcome is None:
+                request.outcome = "error"
+                request.error = RuntimeError(
+                    "the client thread dispatching this request died")
+            latencies.append((request.outcome, now - request.enqueued))
+            ctx = request.ctx
+            if ctx is not None:
+                error = request.error
+                ctx.close(request.outcome, now, None if error is None
+                          else type(error).__name__)
+                contexts.append(ctx)
+        if dispatched is not None:
+            SERVING.record_batch(
+                len(requests),
+                [dispatched - request.enqueued for request in requests],
+                latencies)
+        else:
+            for outcome, duration in latencies:
+                SERVING.record_request(duration, outcome)
+        if contexts:
+            RECORDER.record_all(contexts)
+        for request in requests:
+            request.resolved = now
+
+    # -- shutdown ------------------------------------------------------------
+
+    def _close(self):
+        """Fail queued requests nobody waits on; the rest are served by
+        the current leader and the waiters it promotes."""
+        orphans, served = [], []
+        with self.lock:
+            for request in self.queue:
+                (orphans if request.waiter is None
+                 and request is not self.leader else served).append(request)
+            self.queue[:] = served
+            if self.lingering:
+                self.cond.notify()
+        for request in orphans:
+            request.outcome = "error"
+            request.error = ServerClosed("server is shut down")
+        if orphans:
+            self._account(orphans)
 
 
 def _as_array(arg):
@@ -329,87 +522,73 @@ class Server:
     def __init__(self, config=None):
         self.config = config if config is not None else ServingConfig()
         self.closed = False
+        #: Replaced, never mutated, by ``register`` (under ``_lock``),
+        #: so ``call`` reads it without a lock.
         self._endpoints = {}
         self._lock = threading.Lock()
+        SERVING.watch(self)
 
     # -- registration --------------------------------------------------------
 
     def register(self, name, fn, batchable=True):
-        """Expose *fn* (typically a JanusFunction) as endpoint *name*."""
+        """Expose *fn* (typically a JanusFunction) as endpoint *name*.
+
+        Returns the endpoint; ``endpoint.submit(args_tuple)`` enqueues a
+        call without blocking and returns a handle with ``wait()``
+        (also spelled ``done.wait()``), ``result`` and ``error``.
+        """
         with self._lock:
             if self.closed:
                 raise ServerClosed("server is shut down")
             if name in self._endpoints:
                 raise ValueError("endpoint %r already registered" % name)
             endpoint = _Endpoint(name, fn, batchable, self)
-            self._endpoints[name] = endpoint
+            endpoints = dict(self._endpoints)
+            endpoints[name] = endpoint
+            self._endpoints = endpoints
             return endpoint
 
     def endpoints(self):
-        with self._lock:
-            return sorted(self._endpoints)
+        return sorted(self._endpoints)
 
     # -- client API ----------------------------------------------------------
 
     def call(self, name, *args):
         """Invoke endpoint *name*; blocks until its dispatch completes."""
-        with self._lock:
-            endpoint = self._endpoints.get(name)
+        endpoint = self._endpoints.get(name)
         if endpoint is None:
             raise KeyError("no endpoint %r (have %s)"
                            % (name, self.endpoints()))
         SERVING.client_started()
-        ctx = reqtrace.new_request("serve.%s" % name)
-        start = time.perf_counter()
         try:
-            with reqtrace.using(ctx):
-                request = endpoint.submit(args)
-            request.done.wait()
-            if request.error is not None:
-                raise request.error
-            SERVING.record_request(time.perf_counter() - start, "ok")
-            reqtrace.finish(ctx, "ok")
-            return request.result
-        except ServerOverloaded:
-            # record_reject already counted this into
-            # request_latency["rejected"]; submit flagged the context.
-            reqtrace.finish(ctx, "rejected", detail="queue full")
-            raise
-        except Exception as exc:
-            SERVING.record_request(time.perf_counter() - start, "error")
-            reqtrace.finish(ctx, "error", detail=type(exc).__name__)
-            raise
+            request = endpoint.submit(args)
+            request.wait()
         finally:
             SERVING.client_finished()
+        if request.error is not None:
+            raise request.error
+        return request.result
 
     # -- introspection / lifecycle -------------------------------------------
 
     def recompiles_in_flight(self):
         """Compile tickets currently owned across all endpoints."""
-        with self._lock:
-            endpoints = list(self._endpoints.values())
-        return sum(getattr(ep.fn, "recompiles_in_flight", 0)
-                   for ep in endpoints)
+        return sum(getattr(endpoint.fn, "recompiles_in_flight", 0)
+                   for endpoint in self._endpoints.values())
 
-    def close(self, timeout=5.0):
-        """Drain queues, stop dispatchers, and reject further calls."""
+    def close(self):
+        """Reject further calls and fail queued requests nobody waits on.
+
+        Requests a client is blocked on are still served — by the
+        client leading its endpoint, then by the waiters it promotes.
+        """
         with self._lock:
             if self.closed:
                 return
             self.closed = True
-            endpoints = list(self._endpoints.values())
-        for endpoint in endpoints:
-            with endpoint.cond:
-                endpoint.cond.notify_all()
-        for endpoint in endpoints:
-            endpoint.thread.join(timeout)
-        # Any request that slipped into a queue after its dispatcher
-        # exited is failed rather than left hanging.
-        for endpoint in endpoints:
-            with endpoint.cond:
-                leftovers, endpoint.queue = endpoint.queue, []
-            for request in leftovers:
-                request.resolve(error=ServerClosed("server is shut down"))
+        SERVING.unwatch(self)
+        for endpoint in self._endpoints.values():
+            endpoint._close()
 
     def __enter__(self):
         return self

@@ -22,10 +22,16 @@ model run in 4 threads against the imperative oracle.  The storm
 section forces a burned-constant guard failure under
 ``recompile_workers=1`` and asserts exactly one recompile ticket while
 the stale window is served by fallbacks.
+
+The last section stresses the serving layer's leader/follower dispatch
+(:mod:`repro.serving`): client threads are the only threads there are,
+so a lost promotion or a stranded request shows up as a hung client.
 """
 
+import itertools
 import linecache
 import random
+import sys
 import threading
 import time
 
@@ -35,7 +41,8 @@ import pytest
 import repro as R
 from repro import janus
 from repro.janus.concurrency import RWLock, TicketTable, recompile_pool
-from repro.observability import COUNTERS, clear
+from repro.observability import COUNTERS, SERVING, clear
+from repro.serving import Server, ServingConfig
 
 #: Generated differential programs; each runs THREADS x CALLS calls.
 SEEDS = 10
@@ -338,3 +345,71 @@ class TestNoLostUpdates:
         cache_stats = f.cache.stats()
         assert cache_stats["hits"] == stats["graph_runs"] \
             + stats["fallbacks"], (cache_stats, stats)
+
+
+# -- serving: leader/follower dispatch under contention --------------------------
+
+class TestServingLeaderFollower:
+    def test_seeded_stress_fifo_and_no_lost_promotion(self):
+        """6 client threads (more than this host has cores) x 12
+        requests of two shape families against a slow endpoint, mixing
+        blocking waits, waits that time out and retry, and submits
+        nobody waits on until the end.  Every request completes with
+        its own answer, each family is dispatched in submit order, and
+        at quiescence nothing is queued, nobody leads and the stats
+        have seen every request exactly once."""
+        rng = random.Random(20190226)
+        clients, per_client = 6, 12
+        plan = [[(rng.choice((3, 5)), rng.choice(("wait", "wait", "retry",
+                                                  "leave")))
+                 for _ in range(per_client)] for _ in range(clients)]
+        dispatched = {3: [], 5: []}
+
+        def slow(x):
+            arr = x.numpy()
+            dispatched[arr.shape[1]].extend(int(v) for v in arr[:, 0])
+            time.sleep(0.0002)
+            return R.constant(arr * 2.0)
+
+        numbers = itertools.count()
+        order = threading.Lock()
+        handles = []                       # (number, request)
+
+        def client(index):
+            for cols, mode in plan[index]:
+                with order:                # number order == queue order
+                    number = next(numbers)
+                    request = endpoint.submit((R.constant(np.full(
+                        (1, cols), float(number), np.float32)),))
+                    handles.append((number, request))
+                if mode == "retry" and not request.wait(0.0003):
+                    assert request.wait(30.0)
+                elif mode == "wait":
+                    assert request.wait(30.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with Server(ServingConfig(max_batch_size=4, batch_linger_s=0.0,
+                                      max_queue_depth=256)) as server:
+                endpoint = server.register("slow", slow)
+                assert not _run_threads(clients, client)
+                for _, request in handles:     # the ones left behind
+                    assert request.wait(30.0)
+                assert not endpoint.queue
+                assert endpoint.leader is None
+        finally:
+            sys.setswitchinterval(interval)
+
+        total = clients * per_client
+        assert len(handles) == total
+        for number, request in handles:
+            assert request.error is None, request.error
+            assert (request.result.numpy() == 2.0 * number).all(), number
+        for cols, seen in dispatched.items():
+            assert seen == sorted(seen), "family %d left FIFO order" % cols
+        assert sorted(dispatched[3] + dispatched[5]) == list(range(total))
+        snap = SERVING.snapshot()
+        assert snap["requests"] == total
+        assert snap["request_latency"]["ok"]["count"] == total
+        assert snap["queue_wait"]["count"] == total

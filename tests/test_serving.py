@@ -11,6 +11,8 @@ These tests pin down:
 * admission control at the queue bound (``ServerOverloaded`` + the
   rejected counter),
 * client accounting, exception propagation, and close semantics,
+* leader/follower dispatch: no server thread, the waiting client runs
+  the queue, a failing or dying leader strands nobody,
 * the serving section of the ``janus-stats`` report and Prometheus text.
 """
 
@@ -22,7 +24,7 @@ import pytest
 
 import repro as R
 from repro import janus
-from repro.observability import SERVING, clear
+from repro.observability import RECORDER, SERVING, clear
 from repro.observability.cli import prometheus_text, render_report
 from repro.serving import (Server, ServerClosed, ServerOverloaded,
                            ServingConfig)
@@ -103,9 +105,8 @@ class TestBatching:
         with Server(ServingConfig(max_batch_size=4,
                                   batch_linger_s=0.2)) as server:
             endpoint = server.register("k", kernel)
-            # Enqueue directly while stalling the dispatcher's linger
-            # window is unnecessary: submit from threads and let the
-            # 200 ms window coalesce them.
+            # Submit from threads and let the leading client's 200 ms
+            # linger window coalesce them.
             results = {}
 
             def client(i):
@@ -216,7 +217,7 @@ class TestAdmissionAndLifecycle:
                 target=lambda: results.append(
                     server.call("slow", _rows(1)))) for _ in range(3)]
             workers[0].start()
-            assert started.wait(5.0)   # dispatcher busy on request 0
+            assert started.wait(5.0)   # client 0 is busy leading
             workers[1].start()
             workers[2].start()
             deadline = time.time() + 5.0
@@ -276,6 +277,227 @@ class TestAdmissionAndLifecycle:
             server.call("f", _rows(0))
             assert server.recompiles_in_flight() == 2
             assert SERVING.snapshot()["recompiles_in_flight"] == 2
+
+
+class _Dying(BaseException):
+    """What kills a leading client mid-batch in these tests."""
+
+
+def _gated():
+    """An identity endpoint that announces its first entry and blocks
+    every call until released: ``(fn, started, release)``."""
+    release = threading.Event()
+    started = threading.Event()
+
+    def slow(x):
+        started.set()
+        release.wait(10.0)
+        return x
+
+    return slow, started, release
+
+
+class TestLeaderFollowerDispatch:
+    def test_register_starts_no_thread(self):
+        before = threading.enumerate()
+        with Server() as server:
+            server.register("a", lambda x: x)
+            server.register("b", lambda x: x, batchable=False)
+            assert threading.enumerate() == before
+            server.call("a", _rows(1))
+            assert threading.enumerate() == before
+        assert threading.enumerate() == before
+
+    def test_outstanding_submits_are_one_dispatch(self):
+        sizes = []
+
+        def kernel(x):
+            sizes.append(x.shape[0])
+            return R.constant(x.numpy() + 1.0)
+
+        with Server(ServingConfig(max_batch_size=8,
+                                  batch_linger_s=0.0)) as server:
+            endpoint = server.register("k", kernel)
+            pending = [endpoint.submit((_rows(i),)) for i in range(8)]
+            assert sizes == []              # submit only enqueues
+            assert not pending[0].done.is_set()
+            assert pending[0].done.wait(10.0)
+            # The one waiter led, and took everything queued with it.
+            assert sizes == [16]
+            for i, request in enumerate(pending):
+                assert request.wait(0) and request.error is None
+                assert np.array_equal(request.result.numpy(),
+                                      _rows(i).numpy() + 1.0), i
+        snap = SERVING.snapshot()
+        assert snap["batches"] == 1 and snap["requests"] == 8
+        assert snap["batched_requests"] == 8
+
+    def test_submitted_requests_reach_recorder_and_latency(self):
+        # Regression: requests entered through the endpoint object used
+        # to finish nowhere - no flight-recorder summary, no
+        # request_latency{outcome="ok"} observation.
+        saved = RECORDER.enabled
+        RECORDER.set_enabled(True)
+        try:
+            with Server(ServingConfig(batch_linger_s=0.0)) as server:
+                endpoint = server.register("id", lambda x: x)
+                pending = [endpoint.submit((_rows(i),)) for i in range(8)]
+                for request in pending:
+                    assert request.done.wait(10.0)
+            recent = RECORDER.recent()
+            assert len(recent) == 8
+            assert {s["outcome"] for s in recent} == {"ok"}
+            assert all(s["name"] == "serve.id" for s in recent)
+            assert len({s["trace_id"] for s in recent}) == 8
+            assert all({e["cat"] for e in s["events"]}
+                       == {"serve_queue", "serve_dispatch"}
+                       for s in recent)
+            latency = SERVING.snapshot()["request_latency"]
+            assert latency["ok"]["count"] == 8
+        finally:
+            RECORDER.set_enabled(saved)
+
+    def test_error_goes_to_the_request_that_raised_not_the_leader(self):
+        def picky(x):
+            if float(x.numpy()[0, 0]) < 0:
+                raise ValueError("negative input")
+            return x
+
+        with Server(ServingConfig(batch_linger_s=0.0)) as server:
+            endpoint = server.register("picky", picky, batchable=False)
+            bad = endpoint.submit((_rows(-1),))     # nobody waits yet
+            # This client leads, and serves the older bad request first.
+            good = server.call("picky", _rows(3))
+            assert np.array_equal(good.numpy(), _rows(3).numpy())
+            assert bad.done.is_set()
+            assert isinstance(bad.error, ValueError)
+            assert bad.result is None
+        latency = SERVING.snapshot()["request_latency"]
+        assert latency["ok"]["count"] == 1
+        assert latency["error"]["count"] == 1
+
+    @pytest.mark.parametrize("batchable", [False, True])
+    def test_dying_leader_fails_its_batch_and_frees_the_lead(
+            self, batchable):
+        def fn(x):
+            if float(x.numpy()[0, 0]) < 0:
+                raise _Dying()
+            return x
+
+        with Server(ServingConfig(max_batch_size=2,
+                                  batch_linger_s=0.0)) as server:
+            endpoint = server.register("fn", fn, batchable=batchable)
+            doomed = endpoint.submit((_rows(-1),))
+            rider = endpoint.submit((_rows(1),))
+            later = endpoint.submit((_rows(2),))
+            with pytest.raises(_Dying):
+                doomed.wait(10.0)
+            assert endpoint.leader is None
+            assert isinstance(doomed.error, RuntimeError)
+            if batchable:        # rode the batch the leader died in
+                assert isinstance(rider.error, RuntimeError)
+            else:                # still queued, served by the next leader
+                assert not rider.done.is_set()
+            assert later.wait(10.0) and later.error is None
+            assert np.array_equal(later.result.numpy(), _rows(2).numpy())
+            assert rider.done.is_set()
+            assert not endpoint.queue and endpoint.leader is None
+
+    def test_close_fails_queued_requests_nobody_waits_on(self):
+        server = Server(ServingConfig(batch_linger_s=0.0))
+        endpoint = server.register("id", lambda x: x)
+        pending = [endpoint.submit((_rows(i),)) for i in range(3)]
+        server.close()
+        for request in pending:
+            assert request.wait(0)
+            assert isinstance(request.error, ServerClosed)
+        assert not endpoint.queue
+        assert SERVING.snapshot()["request_latency"]["error"]["count"] == 3
+        with pytest.raises(ServerClosed):
+            endpoint.submit((_rows(9),))
+
+    def test_close_still_serves_requests_with_a_waiter(self):
+        slow, started, release = _gated()
+
+        server = Server(ServingConfig(batch_linger_s=0.0))
+        server.register("slow", slow, batchable=False)
+        results = []
+        clients = [threading.Thread(
+            target=lambda i=i: results.append(
+                server.call("slow", _rows(i)))) for i in range(2)]
+        clients[0].start()
+        assert started.wait(5.0)
+        clients[1].start()
+        endpoint = server._endpoints["slow"]
+        deadline = time.time() + 5.0
+        while time.time() < deadline:
+            with endpoint.cond:
+                if endpoint.queue and endpoint.queue[0].waiter is not None:
+                    break
+            time.sleep(0.005)
+        server.close()
+        release.set()
+        for client in clients:
+            client.join(10.0)
+            assert not client.is_alive()
+        assert len(results) == 2
+
+    def test_wait_timeout_never_abandons_a_running_batch(self):
+        slow, started, release = _gated()
+
+        with Server(ServingConfig(batch_linger_s=0.0)) as server:
+            endpoint = server.register("slow", slow, batchable=False)
+            first = endpoint.submit((_rows(1),))
+            leader = threading.Thread(target=first.wait)
+            leader.start()
+            assert started.wait(5.0)
+            # A follower gives up after its timeout; its request stays
+            # queued and is served later.
+            second = endpoint.submit((_rows(2),))
+            begin = time.perf_counter()
+            assert second.wait(0.05) is False
+            assert time.perf_counter() - begin < 5.0
+            assert not second.done.is_set() and second.waiter is None
+            release.set()
+            leader.join(10.0)
+            assert not leader.is_alive() and first.error is None
+            # A leader whose timeout passes mid-batch finishes the batch.
+            release.clear()
+            timer = threading.Timer(0.2, release.set)
+            timer.start()
+            try:
+                assert second.wait(0.01) is True
+            finally:
+                timer.cancel()
+            assert np.array_equal(second.result.numpy(), _rows(2).numpy())
+            assert endpoint.leader is None and not endpoint.queue
+
+    def test_timed_out_follower_does_not_swallow_the_promotion(self):
+        slow, started, release = _gated()
+
+        with Server(ServingConfig(batch_linger_s=0.0)) as server:
+            endpoint = server.register("slow", slow, batchable=False)
+            first = endpoint.submit((_rows(1),))
+            leader = threading.Thread(target=first.wait)
+            leader.start()
+            assert started.wait(5.0)
+            quitter = endpoint.submit((_rows(2),))
+            assert quitter.wait(0.02) is False
+            patient = endpoint.submit((_rows(3),))
+            follower = threading.Thread(target=patient.wait)
+            follower.start()
+            deadline = time.time() + 5.0
+            while patient.waiter is None and time.time() < deadline:
+                time.sleep(0.005)
+            release.set()
+            # The departing leader skips the quitter's request (nobody
+            # sleeps on it) and promotes the patient client, which then
+            # serves the quitter's older request on its way.
+            follower.join(10.0)
+            leader.join(10.0)
+            assert not follower.is_alive() and not leader.is_alive()
+            assert quitter.done.is_set() and patient.done.is_set()
+            assert endpoint.leader is None and not endpoint.queue
 
 
 class TestServingObservability:
