@@ -22,9 +22,8 @@
 #                      immune JANUS/imperative ratio, then the
 #                      JANUS-vs-symbolic parity gate on the lagging
 #                      models), then gate level-0 observability overhead
-#                      (<2% of the quickstart step) and the lowering
-#                      dispatch micro-benchmark (flat+fused >= node-walk)
-#                      and the two serving gates (same-run ratios
+#                      (<2% of the quickstart step) and the two serving
+#                      gates (same-run ratios
 #                      against a direct call of the warm function,
 #                      any host: one blocking client >= 0.35x, one
 #                      client with 8 outstanding submits >= 1.0x) and
@@ -36,8 +35,8 @@
 #                      enabled per-test and once with JANUS_CACHE_DIR
 #                      explicitly unset to prove the default path is
 #                      unchanged
-#   make ci          - tier-1 tests (lowering on, then JANUS_LOWERING=0,
-#                      then JANUS_COEXEC=0) + the concurrency suites
+#   make ci          - tier-1 tests (then again with JANUS_COEXEC=0)
+#                      + the concurrency suites
 #                      + the persistence suite + the gated benchmark
 #                      (what CI runs)
 
@@ -52,7 +51,7 @@ GATE_LABELS := $(shell seq 1 $(GATE_RUNS))
 GATE_FILES := $(foreach n,$(GATE_LABELS),\
 	benchmarks/results/table3_throughput-gate-run$(n).json)
 
-.PHONY: test test-nolowering test-nocoexec test-differential \
+.PHONY: test test-nocoexec test-differential \
 	test-concurrency test-coexec test-persistence trace-demo \
 	stats-demo stats-serve bench bench-check ci
 
@@ -62,12 +61,6 @@ STATS_DEMO_DIR ?= /tmp/janus-stats-demo
 
 test:
 	$(PYTHON) -m pytest -x -q
-
-# The same tier-1 suite with graph lowering disabled: the node-walking
-# executor is the always-correct fallback for every lowering bailout, so
-# it must stay green on its own (docs/lowering.md).
-test-nolowering:
-	JANUS_LOWERING=0 $(PYTHON) -m pytest -x -q
 
 # The same tier-1 suite with co-execution disabled: every function that
 # would run under a partial plan must fall back to the classic
@@ -150,9 +143,8 @@ bench-check:
 	$(PYTHON) benchmarks/check_regression.py --symbolic-parity \
 		--current $(GATE_FILES)
 	$(PYTHON) benchmarks/bench_observability_overhead.py --check
-	$(PYTHON) benchmarks/bench_lowering.py --check
 	$(PYTHON) benchmarks/bench_serving.py --check
 	$(PYTHON) benchmarks/bench_warm_start.py --check
 
-ci: test test-nolowering test-nocoexec test-concurrency \
+ci: test test-nocoexec test-concurrency \
 	test-persistence stats-serve bench-check

@@ -103,7 +103,7 @@ def instruction_count(train_step):
     if not entries:
         return 0
     _, entry = entries[-1]
-    return len(entry.executor._instructions)
+    return entry.executor.instruction_count
 
 
 def main(argv=None):

@@ -9,7 +9,7 @@ that boundary, in real subprocesses:
 
 * **cold** — a fresh worker with an *empty* cache directory: its
   time-to-first-graph-hit spans ``profile_runs`` imperative profiling
-  runs, AST conversion, specialization, fusion, and lowering,
+  runs, AST conversion, specialization, fusion, and compilation,
 * **warm** — an identical worker against a *seeded* cache directory:
   one disk load plus the deterministic rebuild pipeline.
 

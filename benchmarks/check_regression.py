@@ -54,9 +54,9 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 RESERVED = ("meta", "observability")
 
 #: Models the paper's Table 3 shows trailing pure symbolic execution —
-#: the set the parity gate watches (see docs/lowering.md for why
-#: TreeRNN may stay behind: per-call signature/bind overhead on
-#: hundreds of tiny per-topology graphs, not executor dispatch).
+#: the set the parity gate watches (TreeRNN may stay behind: per-call
+#: signature/bind overhead on hundreds of tiny per-topology graphs, not
+#: executor dispatch).
 PARITY_MODELS = ("ResNet", "Inception", "LM", "TreeRNN")
 
 

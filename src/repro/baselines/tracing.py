@@ -180,6 +180,9 @@ class TracedFunction:
                            nodes=len(builder.graph.nodes))
         self._generated = builder.graph
         self._executor = GraphExecutor(builder.graph)
+        # defun replays its trace without re-checking the traced feed
+        # shapes — the silent unsafety this baseline exists to show.
+        self._executor.preamble = []
         return result
 
     def _call_traced(self, eager_args):

@@ -4,7 +4,7 @@
 worker processes that all run the same JANUS-decorated training-style
 step function against a **shared** on-disk compile cache
 (:mod:`repro.janus.diskcache`).  The first worker starts cold — it pays
-profiling, conversion, optimization, and lowering, then publishes the
+profiling, conversion, optimization, and compilation, then publishes the
 artifact.  Every subsequent worker warm-starts: its first call probes
 the disk tier, rebuilds the artifact, and reaches ``_run_graph`` with
 zero profiling runs.  The printed summary is the fleet argument for

@@ -1,20 +1,33 @@
 """Dataflow graph executor.
 
-Compiles a graph into a flat instruction schedule and runs it over numpy
-buffers.  Three properties reproduce the paper's execution model:
+Compiles a graph into a flat closure program and runs it over numpy
+buffers.  Every SSA value has a preallocated register slot in one flat
+``values`` list and every instruction — registered op, fused kernel,
+heap access, variable access, functional control flow — is a pre-bound
+``fn(values, run_state)`` closure, so the run loop is
+``for fn in program: fn(values, run_state)``: all instruction-kind
+dispatch happens once at compile time, none per run.  This is the one
+execution tier; the JANUS path and the symbolic baseline share it.
+Four properties reproduce the paper's execution model:
 
-* **Low per-op overhead** — the schedule is precompiled (kernel, input
-  slots, output slots), so running a node costs one kernel call plus list
-  indexing, unlike the eager executor's full dispatch path.  This is the
-  BASE speedup of figure 7.
+* **Low per-op overhead** — running a node costs one closure call plus
+  list indexing, unlike the eager executor's full dispatch path.  This
+  is the BASE speedup of figure 7 and the "only residual cost is
+  checking the assumptions" claim of section 4.3.
 * **Deferred, all-or-nothing state updates** (section 4.2.3) — variable
   assignments and Python-heap writes go to per-run *local copies*; the
   Python heap is only mutated in the commit phase after every assertion
   has passed, so an :class:`~repro.errors.AssumptionFailed` abort never
   leaves partial state behind and fallback is always safe.
+* **Guard preamble** — the argument assumptions a top-level graph was
+  specialized under (placeholder dtype/shape specs) are checked on the
+  bound feeds before any kernel runs, so a program driven directly
+  (bypassing the api-level prechecks) still fails before any effect.
 * **Inter-op parallelism** (+PARL of figure 7) — an optional level-wise
-  schedule runs independent nodes on a thread pool (numpy kernels release
-  the GIL for the heavy lifting).
+  schedule submits the same closures to a thread pool (numpy kernels
+  release the GIL for the heavy lifting).
+
+See docs/compilation.md ("Mechanism 4: the executed form").
 """
 
 import os
@@ -195,7 +208,7 @@ def _internalize(value):
 
 
 class GraphExecutor:
-    """A compiled, reusable schedule for one graph."""
+    """A compiled, reusable flat closure program for one graph."""
 
     def __init__(self, graph, parallel=False, _nested=False,
                  heavy_threshold=2, tensor_write_barrier=True):
@@ -214,6 +227,14 @@ class GraphExecutor:
         self.tensor_write_barrier = bool(tensor_write_barrier)
         self._compile()
 
+    @property
+    def instruction_count(self):
+        return len(self._program)
+
+    def __repr__(self):
+        return "GraphExecutor(%s, %d instructions, %d guards)" % (
+            self.graph.name, len(self._program), len(self.preamble))
+
     # -- compilation -------------------------------------------------------
 
     def _compile(self):
@@ -229,35 +250,42 @@ class GraphExecutor:
         self._slot_count = slot_count
         self._py_objects = {}
 
-        instructions = []
-        labels = []
+        scheduled = []   # (node, closure), in schedule order
         self._placeholder_slots = {}
         for node in order:
             in_slots = tuple(self._slots[(id(i.node), i.index)]
                              for i in node.inputs)
             out_slots = tuple(self._slots[(id(node), out.index)]
                               for out in node.outputs)
-            instr = self._compile_node(node, in_slots, out_slots)
-            if instr is not None:
-                instructions.append(instr)
-                labels.append((node.op_name, node.debug_name))
-        self._instructions = instructions
-        #: Aligned with _instructions; consumed by level-2 op tracing.
-        self._instr_labels = labels
+            fn = self._compile_node(node, in_slots, out_slots)
+            if fn is not None:
+                scheduled.append((node, fn))
+        #: The flat program: one ``fn(values, run_state)`` per node.
+        self._program = [fn for _, fn in scheduled]
+        #: Aligned with _program; consumed by level-2 op tracing.
+        self._labels = [(node.op_name, node.debug_name)
+                        for node, _ in scheduled]
         self._ph_slot_order = [
             self._placeholder_slots[node.attrs["ph_name"]]
             for node in graph.placeholders]
         self._output_slots = [self._slots[(id(o.node), o.index)]
                               for o in graph.outputs]
+        #: Feed guards; nested bodies read already-validated slots, not
+        #: user feeds, and carry none.
+        self.preamble = [] if self._nested else self._build_preamble()
         if self.parallel:
-            self._compile_levels(order)
+            self._compile_levels(order, scheduled)
 
     def _compile_node(self, node, in_slots, out_slots):
+        """One node -> one bare ``fn(values, run_state)`` closure.
+
+        Returns None for nodes that execute nothing (placeholders are
+        filled during feed binding, groups only order their inputs).
+        """
         op = node.op_name
         if op == "placeholder":
             self._placeholder_slots[node.attrs["ph_name"]] = out_slots[0]
-            index = len(self._placeholder_slots) - 1
-            return None  # filled during feed binding
+            return None
         if op == "constant":
             value = node.constant_value
             raw = value.array if isinstance(value, TensorValue) else value
@@ -265,7 +293,7 @@ class GraphExecutor:
 
             def run_const(values, run_state, raw=raw, slot=slot):
                 values[slot] = raw
-            return ("closure", run_const)
+            return run_const
         if op == "var_read":
             variable = node.variable
             slot = out_slots[0]
@@ -274,29 +302,35 @@ class GraphExecutor:
                 local = run_state.var_local.get(variable)
                 values[slot] = local if local is not None \
                     else variable.storage.array
-            return ("closure", run_read)
+            return run_read
         if op == "var_assign":
-            return ("var_assign", node.variable, in_slots[0], out_slots[0])
+            variable = node.variable
+            in_slot, out_slot = in_slots[0], out_slots[0]
+
+            def run_assign(values, run_state):
+                value = values[in_slot]
+                run_state.var_local[variable] = value
+                values[out_slot] = value
+            return run_assign
         if op in ("py_get_attr", "py_get_subscr"):
             return self._compile_py_get(node, in_slots, out_slots)
         if op in ("py_set_attr", "py_set_subscr"):
             return self._compile_py_set(node, in_slots, out_slots)
         if op == "py_call":
-            return ("py_call", node.py_object.obj, in_slots, out_slots)
+            return self._compile_py_call(node, in_slots, out_slots)
         if op == "invoke":
-            return ("invoke", node, in_slots, out_slots)
+            return self._compile_invoke(node, in_slots, out_slots)
         if op == "cond":
-            return ("cond", node, in_slots, out_slots)
+            return self._compile_cond(node, in_slots, out_slots)
         if op == "while_loop":
-            return ("while", node, in_slots, out_slots)
+            return self._compile_while(node, in_slots, out_slots)
         if op == "while_grad":
-            return ("while_grad", node, in_slots, out_slots)
+            return self._compile_while_grad(node, in_slots, out_slots)
         if op == "group":
             return None
         if node.op_def is not None:
-            return ("closure",
-                    self._make_op_closure(node.op_def.kernel, node.attrs,
-                                          in_slots, out_slots))
+            return self._make_op_closure(node.op_def.kernel, node.attrs,
+                                         in_slots, out_slots)
         raise GraphError("cannot compile node %s" % node.debug_name)
 
     @staticmethod
@@ -359,9 +393,7 @@ class GraphExecutor:
         check = _compile_expected_check(node.attrs.get("expected"), node)
         out_slot = out_slots[0]
         if node.py_object is None:
-            # Dynamic receiver: the object arrives on an input edge, so
-            # only the guard check can be precompiled.
-            return ("py_get", kind, in_slots[0], key, check, out_slot)
+            return _dynamic_py_get(kind, in_slots[0], key, check, out_slot)
         obj = node.py_object.obj
         self._py_objects[id(obj)] = obj
         local_key = (id(obj), kind, key)
@@ -385,9 +417,7 @@ class GraphExecutor:
                 return obj[key]
 
         def run_get(values, run_state, fetch=fetch, local_key=local_key,
-                    check=check, memo=memo,
-                    out_slot=out_slot, metrics=METRICS,
-                    perf=time.perf_counter):
+                    check=check, memo=memo, out_slot=out_slot):
             raw = run_state.py_local.get(local_key)
             if raw is None:
                 raw = run_state.py_read_cache.get(local_key)
@@ -417,15 +447,7 @@ class GraphExecutor:
                     if raw is None:
                         raw = internalize(value)
                         if check is not None:
-                            if metrics.enabled:
-                                guard_start = perf()
-                                try:
-                                    check(raw)
-                                finally:
-                                    metrics.observe("guard.check",
-                                                    perf() - guard_start)
-                            else:
-                                check(raw)
+                            _run_check(check, raw)
                         t = type(value)
                         if t in memo_safe:
                             memo[0] = (value, raw, None)
@@ -444,21 +466,186 @@ class GraphExecutor:
                                      raw.shape, raw.dtype))
                     run_state.py_read_cache[local_key] = raw
             values[out_slot] = raw
-        return ("closure", run_get)
+        return run_get
 
     def _compile_py_set(self, node, in_slots, out_slots):
         kind = "attr" if node.op_name == "py_set_attr" else "subscr"
         key = node.attrs["name"] if kind == "attr" else node.attrs["key"]
-        obj = None
+        static_obj = None
+        dyn_slot = in_slots[0]
         value_slot = in_slots[-1]
+        out_slot = out_slots[0]
+        # Receivers first met at run time register here too, so commit's
+        # transitive object collection can reach them.
+        py_objects = self._py_objects
         if node.py_object is not None:
-            obj = node.py_object.obj
-            self._py_objects[id(obj)] = obj
-            dyn_slot = None
-        else:
-            dyn_slot = in_slots[0]
-        return ("py_set", kind, obj, dyn_slot, key, value_slot,
-                out_slots[0])
+            static_obj = node.py_object.obj
+            py_objects[id(static_obj)] = static_obj
+
+        def run_set(values, run_state):
+            obj = static_obj if static_obj is not None \
+                else values[dyn_slot].obj
+            run_state.py_local[(id(obj), kind, key)] = values[value_slot]
+            py_objects[id(obj)] = obj
+            values[out_slot] = PyRef(obj)
+        return run_set
+
+    @staticmethod
+    def _compile_py_call(node, in_slots, out_slots):
+        fn = node.py_object.obj
+        single = out_slots[0] if len(out_slots) == 1 else None
+
+        def run_call(values, run_state):
+            result = fn(*[_externalize(values[s]) for s in in_slots])
+            # An arbitrary Python call may mutate the heap (the naive
+            # state-update ablation does): cached reads are now stale.
+            run_state.py_read_cache.clear()
+            if single is not None:
+                values[single] = _internalize(result)
+            else:
+                for slot, r in zip(out_slots, result):
+                    values[slot] = _internalize(r)
+        return run_call
+
+    # Nested bodies (invoke / cond / while) resolve their executor per
+    # run, not at compile time: a recursive function's graph may not be
+    # finalized yet when its caller compiles, and graph mutation clears
+    # ``_executor_cache`` underneath long-lived parents.
+
+    def _compile_invoke(self, node, in_slots, out_slots):
+        func = node.func
+        barrier = self.tensor_write_barrier
+
+        def run_invoke(values, run_state):
+            args = [values[s] for s in in_slots]
+            memo_key = _invoke_memo_key(func, args)
+            if memo_key is not None:
+                cached = run_state.invoke_memo.get(memo_key)
+                if cached is not None:
+                    for slot, r in zip(out_slots, cached):
+                        values[slot] = r
+                    return
+            results = _function_executor(func, barrier).run(args, run_state)
+            if memo_key is not None:
+                run_state.invoke_memo[memo_key] = results
+            for slot, r in zip(out_slots, results):
+                values[slot] = r
+        return run_invoke
+
+    def _compile_cond(self, node, in_slots, out_slots):
+        branches = node.branches
+        barrier = self.tensor_write_barrier
+        pred_slot = in_slots[0]
+        arg_slots = in_slots[1:]
+
+        def run_cond(values, run_state):
+            branch = branches["true" if bool(np.all(values[pred_slot]))
+                              else "false"]
+            results = _function_executor(branch, barrier).run(
+                [values[s] for s in arg_slots], run_state)
+            for slot, r in zip(out_slots, results):
+                values[slot] = r
+        return run_cond
+
+    def _compile_while(self, node, in_slots, out_slots):
+        cond_func = node.attrs["cond_func"]
+        body_func = node.attrs["body_func"]
+        record_grad = bool(node.attrs.get("record_grad"))
+        max_iters = node.attrs.get("max_iterations", 1_000_000)
+        barrier = self.tensor_write_barrier
+
+        def run_while(values, run_state):
+            cond_exec = _function_executor(cond_func, barrier)
+            body_exec = _function_executor(body_func, barrier)
+            state = [values[s] for s in in_slots]
+            record = [] if record_grad else None
+            iteration = 0
+            while True:
+                keep_going = cond_exec.run(state, run_state)[0]
+                if not bool(np.all(keep_going)):
+                    break
+                if record is not None:
+                    record.append(list(state))
+                state = body_exec.run(state, run_state)
+                iteration += 1
+                if iteration > max_iters:
+                    raise ExecutionError("while_loop exceeded %d iterations"
+                                         % max_iters)
+            if record is not None:
+                run_state.while_records.setdefault(node, []).append(record)
+            for slot, value in zip(out_slots, state):
+                values[slot] = value
+        return run_while
+
+    def _compile_while_grad(self, node, in_slots, out_slots):
+        forward = node.attrs["forward_node"]
+        body_grad_func = node.attrs["body_grad_func"]
+        grad_var_count = node.attrs["grad_var_count"]
+        n_float = sum(node.attrs["float_mask"])
+        barrier = self.tensor_write_barrier
+
+        def run_while_grad(values, run_state):
+            stack = run_state.while_records.get(forward)
+            if not stack:
+                raise ExecutionError("while_grad has no recorded iterations")
+            record = stack.pop()
+            body_grad = _function_executor(body_grad_func, barrier)
+            state_grads = [values[s] for s in in_slots]
+            var_totals = [None] * grad_var_count
+            for iteration_state in reversed(record):
+                results = body_grad.run(list(iteration_state) + state_grads,
+                                        run_state)
+                state_grads = results[:n_float]
+                for i, g in enumerate(results[n_float:]):
+                    var_totals[i] = g if var_totals[i] is None \
+                        else var_totals[i] + g
+            outputs = list(state_grads) + [
+                g if g is not None else np.zeros(1, np.float32)
+                for g in var_totals]
+            for slot, value in zip(out_slots, outputs):
+                values[slot] = value
+        return run_while_grad
+
+    def _build_preamble(self):
+        """Slot-checked argument guards derived from placeholder specs.
+
+        One closure per tensor placeholder, validating that the bound
+        feed is an ndarray of the specialized dtype whose shape matches
+        the (possibly partial) specialized shape.  PyRef placeholders
+        (``dtype is None``) carry no tensor assumption and are skipped.
+        """
+        ndarray = np.ndarray
+        checks = []
+        for node in self.graph.placeholders:
+            out = node.outputs[0]
+            if out.dtype is None:
+                continue
+            slot = self._placeholder_slots[node.attrs["ph_name"]]
+            np_dtype = out.dtype.np_dtype
+            shape_obj = out.shape if out.shape.dims is not None else None
+            name = node.debug_name
+
+            def check(values, slot=slot, np_dtype=np_dtype,
+                      shape_obj=shape_obj, name=name):
+                arr = values[slot]
+                if arr.__class__ is not ndarray:
+                    raise AssumptionFailed(
+                        "feed %s: expected a tensor, got %s"
+                        % (name, type(arr).__name__), site=name,
+                        observed=arr)
+                if arr.dtype != np_dtype:
+                    raise AssumptionFailed(
+                        "feed %s: dtype %s != specialized %s"
+                        % (name, arr.dtype, np_dtype), site=name,
+                        observed=arr)
+                if shape_obj is not None \
+                        and not shape_obj.matches_value(arr.shape):
+                    raise AssumptionFailed(
+                        "feed %s: shape %s violates assumption %s"
+                        % (name, arr.shape, shape_obj), site=name,
+                        observed=arr)
+            checks.append(check)
+        return checks
 
     #: Ops heavy enough to amortize a thread-pool submission.
     _HEAVY_OPS = frozenset([
@@ -467,8 +654,8 @@ class GraphExecutor:
         "avg_pool_grad", "invoke", "gather_grad",
     ])
 
-    def _compile_levels(self, order):
-        """Group instructions into dependency levels for parallel runs.
+    def _compile_levels(self, order, scheduled):
+        """Group the program's closures into dependency levels.
 
         A level only runs on the thread pool when it contains at least
         ``heavy_threshold`` *heavy* instructions (default 2, tunable via
@@ -486,24 +673,19 @@ class GraphExecutor:
             for dep in deps:
                 lvl = max(lvl, node_level.get(dep, -1) + 1)
             node_level[node] = lvl
-        live_nodes = [n for n in order
-                      if n.op_name not in ("placeholder", "group")]
-        if len(live_nodes) != len(self._instructions):
-            # conservative: fall back to sequential execution
-            self.parallel = False
-            return
         levels = {}
-        for node, instr in zip(live_nodes, self._instructions):
-            levels.setdefault(node_level[node], []).append((node, instr))
+        for node, fn in scheduled:
+            levels.setdefault(node_level[node], []).append((node, fn))
+        #: ``[(fan_out, [closure, ...]), ...]`` in dependency order.
         self._levels = []
         for key in sorted(levels):
             members = levels[key]
             heavy = sum(1 for node, _ in members
                         if node.op_name in self._HEAVY_OPS)
-            run_parallel = heavy >= self.heavy_threshold
-            self._levels.append((run_parallel,
-                                 [instr for _, instr in members]))
-        if not any(p for p, _ in self._levels):
+            self._levels.append(
+                (heavy >= self.heavy_threshold and len(members) > 1,
+                 [fn for _, fn in members]))
+        if not any(fan_out for fan_out, _ in self._levels):
             self.parallel = False
 
     # -- execution ------------------------------------------------------------
@@ -532,43 +714,39 @@ class GraphExecutor:
         for slot, value in zip(ph_slots, feeds):
             values[slot] = value if type(value) is np.ndarray \
                 else _internalize(value)
+        for check in self.preamble:
+            check(values)
 
         if self.parallel:
             self._run_parallel(values, run_state)
         elif TRACER.level >= 2:
-            self._run_traced(values, run_state)
+            perf = time.perf_counter
+            for fn, (op_name, debug_name) in zip(self._program,
+                                                 self._labels):
+                start = perf()
+                fn(values, run_state)
+                TRACER.complete("op", op_name, start, perf() - start,
+                                level=2, node=debug_name,
+                                graph=self.graph.name)
         else:
-            execute = self._execute
-            for instr in self._instructions:
-                execute(instr, values, run_state)
+            for fn in self._program:
+                fn(values, run_state)
 
         outputs = [values[s] for s in self._output_slots]
         if top_level:
             run_state.commit(self._py_objects_transitive())
-            run_state.stats["nodes_executed"] += len(self._instructions)
+            run_state.stats["nodes_executed"] += len(self._program)
             _flush_memo(run_state)
             if TRACER.level:
                 TRACER.complete("op", "run:%s" % self.graph.name,
                                 run_start,
                                 time.perf_counter() - run_start,
-                                instructions=len(self._instructions),
+                                instructions=len(self._program),
                                 parallel=self.parallel)
             if METRICS.enabled and run_start:
                 METRICS.observe("graph.run",
                                 time.perf_counter() - run_start)
         return outputs
-
-    def _run_traced(self, values, run_state):
-        """Sequential execution with a level-2 timing event per node."""
-        execute = self._execute
-        perf = time.perf_counter
-        for instr, (op_name, debug_name) in zip(self._instructions,
-                                                self._instr_labels):
-            start = perf()
-            execute(instr, values, run_state)
-            TRACER.complete("op", op_name, start, perf() - start,
-                            level=2, node=debug_name,
-                            graph=self.graph.name)
 
     def _py_objects_transitive(self):
         """Python objects referenced here and in nested subgraphs."""
@@ -601,84 +779,52 @@ class GraphExecutor:
     def _run_parallel(self, values, run_state):
         pool = _shared_pool()
         trace_levels = TRACER.level >= 2
-        for index, (run_parallel, level) in enumerate(self._levels):
+        for index, (fan_out, level) in enumerate(self._levels):
             start = time.perf_counter() if trace_levels else 0.0
-            if not run_parallel or len(level) == 1:
-                for instr in level:
-                    self._execute(instr, values, run_state)
-            else:
-                futures = [pool.submit(self._execute, instr, values,
-                                       run_state)
-                           for instr in level]
-                done, _ = wait(futures)
-                for future in done:
+            if fan_out:
+                futures = [pool.submit(fn, values, run_state)
+                           for fn in level]
+                wait(futures)
+                # Submission order is schedule order: when several
+                # closures of one level fail, raise what the sequential
+                # schedule would have raised, not whichever hashes first.
+                for future in futures:
                     exc = future.exception()
                     if exc is not None:
-                        for f in futures:
-                            f.cancel()
                         raise exc
+            else:
+                for fn in level:
+                    fn(values, run_state)
             if trace_levels:
                 TRACER.complete("level", "L%d" % index, start,
                                 time.perf_counter() - start, level=2,
                                 graph=self.graph.name,
                                 instructions=len(level),
-                                parallel=run_parallel)
+                                parallel=fan_out)
 
-    # -- instruction dispatch -----------------------------------------------------
 
-    def _execute(self, instr, values, run_state):
-        kind = instr[0]
-        if kind == "closure":
-            instr[1](values, run_state)
-        elif kind == "var_assign":
-            _, variable, in_slot, out_slot = instr
-            value = values[in_slot]
-            run_state.var_local[variable] = value
-            values[out_slot] = value
-        elif kind == "py_get":
-            self._exec_py_get(instr, values, run_state)
-        elif kind == "py_set":
-            self._exec_py_set(instr, values, run_state)
-        elif kind == "py_call":
-            _, fn, in_slots, out_slots = instr
-            args = [_externalize(values[s]) for s in in_slots]
-            result = fn(*args)
-            # An arbitrary Python call may mutate the heap (the naive
-            # state-update ablation does): cached reads are now stale.
-            run_state.py_read_cache.clear()
-            if len(out_slots) == 1:
-                values[out_slots[0]] = _internalize(result)
-            else:
-                for slot, r in zip(out_slots, result):
-                    values[slot] = _internalize(r)
-        elif kind == "invoke":
-            _, node, in_slots, out_slots = instr
-            func = node.func
-            args = [values[s] for s in in_slots]
-            memo_key = _invoke_memo_key(func, args)
-            if memo_key is not None:
-                cached = run_state.invoke_memo.get(memo_key)
-                if cached is not None:
-                    for slot, r in zip(out_slots, cached):
-                        values[slot] = r
-                    return
-            sub = _function_executor(func, self.tensor_write_barrier)
-            results = sub.run(args, run_state)
-            if memo_key is not None:
-                run_state.invoke_memo[memo_key] = results
-            for slot, r in zip(out_slots, results):
-                values[slot] = r
-        elif kind == "cond":
-            self._exec_cond(instr, values, run_state)
-        elif kind == "while":
-            self._exec_while(instr, values, run_state)
-        elif kind == "while_grad":
-            self._exec_while_grad(instr, values, run_state)
-        else:
-            raise ExecutionError("unknown instruction %r" % (kind,))
+def _run_check(check, raw):
+    """Run one heap-read guard, timed when metrics are on."""
+    if METRICS.enabled:
+        guard_start = time.perf_counter()
+        try:
+            check(raw)
+        finally:
+            METRICS.observe("guard.check",
+                            time.perf_counter() - guard_start)
+    else:
+        check(raw)
 
-    def _exec_py_get(self, instr, values, run_state):
-        _, kind, dyn_slot, key, check, out_slot = instr
+
+def _dynamic_py_get(kind, dyn_slot, key, check, out_slot):
+    """Heap read whose receiver arrives on an input edge.
+
+    Only the guard check can be precompiled; there is no per-node memo
+    because the object may differ run to run.
+    """
+    is_attr = kind == "attr"
+
+    def run_get_dynamic(values, run_state):
         ref = values[dyn_slot]
         if not isinstance(ref, PyRef):
             raise ExecutionError("py_get on non-PyRef input")
@@ -688,94 +834,13 @@ class GraphExecutor:
         if raw is None:
             raw = run_state.py_read_cache.get(local_key)
             if raw is None:
-                raw = _internalize(getattr(obj, key) if kind == "attr"
+                raw = _internalize(getattr(obj, key) if is_attr
                                    else obj[key])
                 if check is not None:
-                    if METRICS.enabled:
-                        guard_start = time.perf_counter()
-                        try:
-                            check(raw)
-                        finally:
-                            METRICS.observe(
-                                "guard.check",
-                                time.perf_counter() - guard_start)
-                    else:
-                        check(raw)
+                    _run_check(check, raw)
                 run_state.py_read_cache[local_key] = raw
         values[out_slot] = raw
-
-    def _exec_py_set(self, instr, values, run_state):
-        _, kind, obj, dyn_slot, key, value_slot, out_slot = instr
-        if obj is None:
-            ref = values[dyn_slot]
-            obj = ref.obj
-        run_state.py_local[(id(obj), kind, key)] = values[value_slot]
-        # keep the object reachable for commit
-        self._py_objects[id(obj)] = obj
-        values[out_slot] = PyRef(obj)
-
-    def _exec_cond(self, instr, values, run_state):
-        _, node, in_slots, out_slots = instr
-        pred = values[in_slots[0]]
-        branch = node.branches["true" if bool(np.all(pred)) \
-                               else "false"]
-        sub = _function_executor(branch, self.tensor_write_barrier)
-        results = sub.run([values[s] for s in in_slots[1:]], run_state)
-        for slot, r in zip(out_slots, results):
-            values[slot] = r
-
-    def _exec_while(self, instr, values, run_state):
-        _, node, in_slots, out_slots = instr
-        cond_exec = _function_executor(node.attrs["cond_func"],
-                                       self.tensor_write_barrier)
-        body_exec = _function_executor(node.attrs["body_func"],
-                                       self.tensor_write_barrier)
-        state = [values[s] for s in in_slots]
-        record = [] if node.attrs.get("record_grad") else None
-        iteration = 0
-        max_iters = node.attrs.get("max_iterations", 1_000_000)
-        while True:
-            keep_going = cond_exec.run(state, run_state)[0]
-            if not bool(np.all(keep_going)):
-                break
-            if record is not None:
-                record.append(list(state))
-            state = body_exec.run(state, run_state)
-            iteration += 1
-            if iteration > max_iters:
-                raise ExecutionError("while_loop exceeded %d iterations"
-                                     % max_iters)
-        if record is not None:
-            run_state.while_records.setdefault(node, []).append(record)
-        for slot, value in zip(out_slots, state):
-            values[slot] = value
-
-    def _exec_while_grad(self, instr, values, run_state):
-        _, node, in_slots, out_slots = instr
-        forward = node.attrs["forward_node"]
-        body_grad = _function_executor(node.attrs["body_grad_func"],
-                                       self.tensor_write_barrier)
-        grad_var_count = node.attrs["grad_var_count"]
-        float_mask = node.attrs["float_mask"]
-        stack = run_state.while_records.get(forward)
-        if not stack:
-            raise ExecutionError("while_grad has no recorded iterations")
-        record = stack.pop()
-        state_grads = [values[s] for s in in_slots]
-        var_totals = [None] * grad_var_count
-        for iteration_state in reversed(record):
-            results = body_grad.run(list(iteration_state) + state_grads,
-                                    run_state)
-            n_float = sum(float_mask)
-            state_grads = results[:n_float]
-            for i, g in enumerate(results[n_float:]):
-                var_totals[i] = g if var_totals[i] is None \
-                    else var_totals[i] + g
-        outputs = list(state_grads) + [
-            g if g is not None else np.zeros(1, np.float32)
-            for g in var_totals]
-        for slot, value in zip(out_slots, outputs):
-            values[slot] = value
+    return run_get_dynamic
 
 
 def _compile_expected_check(expected, node):
@@ -872,9 +937,12 @@ def _invoke_memo_key(func, args):
 def _function_executor(func, tensor_write_barrier=True):
     """Compiled (sequential) executor for a GraphFunction, cached.
 
-    Cached per barrier setting: the parent executor's flag decides
-    whether nested py_get closures may memoize Tensor reads, and both
-    variants can coexist (e.g. tests flipping the config).
+    Cached in ``func.graph._executor_cache`` (graph mutation clears it)
+    per barrier setting: the parent executor's flag decides whether
+    nested py_get closures may memoize Tensor reads, and both variants
+    can coexist (e.g. tests flipping the config).  Nested bodies are
+    never fused (fused OpDefs carry no ``grad_fn`` and bodies may be
+    re-differentiated) and carry no preamble.
     """
     if func.graph is None:
         raise GraphError("function %s invoked before finalization"

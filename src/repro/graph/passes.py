@@ -7,27 +7,35 @@ simplification.  Speculative specialization (section 4.2.2) is what makes
 them bite — once profiled shapes and stable values are burned into the
 graph as constants, folding and simplification cascade.
 
-:class:`ElementwiseFusion` is the lowering-stage entry point (paper
-§4.3's "executing the symbolic graph with decent performance", ROADMAP
-"graph lowering" item): it is *not* part of :data:`DEFAULT_PASSES`
-because it erases per-op node structure (fused nodes carry no
-``grad_fn`` and cannot be re-differentiated), so it runs only on
-top-level graphs immediately before executor compilation — see
-:mod:`repro.graph.lowering` for the stage that invokes it.
+:class:`ElementwiseFusion` (paper §4.3's "executing the symbolic graph
+with decent performance") collapses chains of pure elementwise ops into
+single generated-source numpy kernels (:func:`fused_kernel_opdef`).  It
+is *not* part of :data:`DEFAULT_PASSES` because it erases per-op node
+structure (fused nodes carry no ``grad_fn`` and cannot be
+re-differentiated), so it runs only on top-level graphs immediately
+before executor compilation — ``compile_generated`` calls
+:func:`fuse_graph`.  Nested :class:`~repro.graph.core.GraphFunction`
+bodies (cond/while/invoke) are reused across regenerations via the
+fragment cache and may be re-differentiated by autodiff, so they stay
+unfused.
 
 Paper correspondence: DCE/CSE/folding/simplification are §3.1's
 "various compiler optimizations" that motivate symbolic execution;
 their leverage comes from §4.2.2's specialization burning profiled
 values in as foldable constants.  :class:`ElementwiseFusion` belongs
 to §4.3/Table 3 (graph execution performance) and is documented in
-docs/lowering.md.
+docs/compilation.md ("Mechanism 4: the executed form").
 """
 
+import itertools
+import linecache
+import threading
 import time
 
 import numpy as np
 
 from ..observability import COUNTERS, TRACER
+from ..ops.registry import OpDef
 from ..tensor import TensorValue
 from .core import Graph
 
@@ -335,6 +343,87 @@ ELEMENTWISE_OPS = frozenset([
 ])
 
 
+_FUSED_COUNTER = itertools.count()
+
+#: ``source text -> (code object, linecache filename)``.  The same op
+#: chain with the same wiring generates byte-identical source (kernels
+#: and attrs are reached through namespace bindings, not literals), and
+#: chains repeat heavily — unrolled RNN cells, per-topology TreeNN
+#: regenerations — so caching ``compile()`` output cuts the dominant
+#: cost of fusing a recompile-heavy workload.  Bounded crudely: emptied,
+#: together with the sources it registered in :mod:`linecache`, when it
+#: outgrows _CODE_CACHE_MAX distinct shapes.  Guarded by a lock:
+#: background recompiles can fuse concurrently, and the clear-then-store
+#: sequence must not interleave.
+_CODE_CACHE = {}
+_CODE_CACHE_MAX = 512
+_CODE_CACHE_LOCK = threading.Lock()
+
+
+def fused_kernel_opdef(members, ext_index):
+    """Generate one numpy kernel replaying ``members`` in order.
+
+    ``members`` is the fusion group in topological order (last member is
+    the group root whose output survives); ``ext_index`` maps external
+    input edges ``(id(node), index)`` to the fused node's input
+    positions.  Returns ``(op_def, source_name, uid)`` where ``op_def``
+    is a fresh single-output :class:`~repro.ops.registry.OpDef` and
+    ``source_name`` is the linecache-registered filename of the
+    generated source (so tracebacks and profilers can see the body).
+
+    The generated body coerces every intermediate exactly like
+    ``GraphExecutor._make_op_closure`` coerces op results
+    (``r if type(r) is ndarray else asarray(r)``), so a fused chain is
+    bit-for-bit identical to running the member kernels node by node.
+    """
+    uid = next(_FUSED_COUNTER)
+    params = ["x%d" % i for i in range(len(ext_index))]
+    lines = ["def _fused(attrs, %s):" % ", ".join(params)]
+    namespace = {"_nd": np.ndarray, "_as": np.asarray}
+    local = {}
+    for i, node in enumerate(members):
+        kname, aname = "_k%d" % i, "_a%d" % i
+        namespace[kname] = node.op_def.kernel
+        namespace[aname] = node.attrs
+        args = []
+        for inp in node.inputs:
+            edge = (id(inp.node), inp.index)
+            name = local.get(edge)
+            args.append(name if name is not None
+                        else "x%d" % ext_index[edge])
+        lines.append("    v%d = %s(%s, %s)" % (i, kname, aname,
+                                               ", ".join(args)))
+        lines.append("    if v%d.__class__ is not _nd: v%d = _as(v%d)"
+                     % (i, i, i))
+        local[(id(node), 0)] = "v%d" % i
+    lines.append("    return v%d" % (len(members) - 1))
+    source = "\n".join(lines) + "\n"
+    with _CODE_CACHE_LOCK:
+        cached = _CODE_CACHE.get(source)
+        if cached is None:
+            if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
+                for _, evicted_name in _CODE_CACHE.values():
+                    linecache.cache.pop(evicted_name, None)
+                _CODE_CACHE.clear()
+            source_name = "<janus-fused-%d>" % uid
+            linecache.cache[source_name] = (len(source), None,
+                                            source.splitlines(True),
+                                            source_name)
+            cached = (compile(source, source_name, "exec"), source_name)
+            _CODE_CACHE[source] = cached
+    code, source_name = cached
+    exec(code, namespace)
+
+    root_out = members[-1].outputs[0]
+    spec = (root_out.shape, root_out.dtype)
+
+    def shape_fn(attrs, in_shapes, in_dtypes, _spec=spec):
+        return [_spec]
+
+    return OpDef("fused", kernel=namespace["_fused"],
+                 shape_fn=shape_fn), source_name, uid
+
+
 class ElementwiseFusion(Pass):
     """Collapse chains of elementwise ops into single fused kernels.
 
@@ -348,14 +437,11 @@ class ElementwiseFusion(Pass):
     replacement node cannot create a cycle.  Each group is replaced by
     one ``fused`` node whose :class:`~repro.ops.registry.OpDef` kernel is
     a generated-source closure replaying the member kernels in order
-    (see :func:`repro.graph.lowering.fused_kernel_opdef`).
+    (see :func:`fused_kernel_opdef`).
 
     Not in :data:`DEFAULT_PASSES`: fused OpDefs have no ``grad_fn``, so
     this pass must only run on graphs that will never be differentiated
     again — the top-level graph right before executor compilation.
-    Nested :class:`~repro.graph.core.GraphFunction` bodies are reused
-    across regenerations (fragment cache) and may be re-differentiated,
-    so the lowering stage leaves them unfused.
     """
 
     name = "elementwise_fusion"
@@ -368,7 +454,6 @@ class ElementwiseFusion(Pass):
         self.fused_kernels = 0   # fused nodes emitted in the last run
 
     def run(self, graph, ctx=None):
-        from .lowering import fused_kernel_opdef
         self.fused_ops = 0
         self.fused_kernels = 0
         order = _order_of(graph, ctx)
@@ -446,6 +531,17 @@ class ElementwiseFusion(Pass):
         COUNTERS.inc("lowering.fused_ops", self.fused_ops)
         COUNTERS.inc("lowering.fused_kernels", self.fused_kernels)
         return True
+
+
+def fuse_graph(graph):
+    """Run elementwise fusion on a top-level graph; returns ops fused.
+
+    Must only be called on graphs that will never be differentiated
+    again (see :class:`ElementwiseFusion`).
+    """
+    fusion = ElementwiseFusion()
+    fusion.run(graph)
+    return fusion.fused_ops
 
 
 DEFAULT_PASSES = (

@@ -427,10 +427,8 @@ class JanusFunction:
                     METRICS.observe("graphgen.recompile" if regeneration
                                     else "graphgen.initial", elapsed)
                     health = HEALTH.function(self.__name__)
-                    health.record_generation(elapsed, regeneration)
-                    health.record_lowering(
-                        compiled.lowered is not None, compiled.fused_ops,
-                        reason=compiled.lowering_bailout)
+                    health.record_generation(elapsed, regeneration,
+                                             compiled.fused_ops)
                 return compiled
             except NotConvertible as exc:
                 if not self.config.fail_on_not_convertible \

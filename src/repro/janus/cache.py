@@ -263,9 +263,6 @@ class GraphCache:
         with self._lock:
             return {
                 "entries": len(self._entries),
-                "lowered_entries": sum(
-                    1 for e in self._entries.values()
-                    if getattr(e.compiled, "lowered", None) is not None),
                 "hits": self.total_hits,
                 "misses": self.total_misses,
                 "assumption_failures": self.total_failures,

@@ -10,7 +10,7 @@ schedule of
   synthesized into standalone functions and wrapped in their own
   :class:`~repro.janus.api.JanusFunction` so they reuse the entire
   profile → speculate → guard → regenerate pipeline (including
-  ``compile_generated`` lowering and the per-fragment GraphCache), and
+  ``compile_generated`` and the per-fragment GraphCache), and
 * **imperative gaps** — the unsupported statements, synthesized into
   plain functions executed eagerly.
 

@@ -6,9 +6,10 @@ many times.  :class:`CompiledGraph` is the unit that bet is made on: it
 bundles everything produced at graph-generation time — the converted
 :class:`~repro.janus.graphgen.GeneratedGraph` (graph + binding plan +
 prechecks), the compiled :class:`~repro.graph.executor.GraphExecutor`
-schedule (with its specialized per-node guard closures), and the
-compile-time metadata used to audit the amortization — so nothing is
-re-derived on the hot path.
+(the fused graph's flat closure program with its guard preamble and
+specialized per-node guard closures), and the compile-time metadata
+used to audit the amortization — so nothing is re-derived on the hot
+path.
 
 ``compile_generated`` is the single construction point, called from
 :mod:`repro.janus.api` inside the ``graphgen`` trace span; the artifact
@@ -20,7 +21,7 @@ import pickle
 import time
 
 from ..graph.executor import GraphExecutor
-from ..graph import lowering as lowering_mod
+from ..graph.passes import fuse_graph
 from ..observability import COUNTERS, TRACER
 from ..tensor import PyRef, TensorValue
 
@@ -96,7 +97,7 @@ def _structure_blocker(structure):
 def serialize_generated(generated):
     """Pickle a (pre-fusion) GeneratedGraph, or raise UnportableArtifact.
 
-    Must be called *before* :func:`~repro.graph.lowering.fuse_graph`
+    Must be called *before* :func:`~repro.graph.passes.fuse_graph`
     mutates the graph: fused kernels are exec-generated code objects
     that cannot pickle.  Loading re-runs the full deterministic
     ``compile_generated`` pipeline on the deserialized graph, so loaded
@@ -128,30 +129,20 @@ class CompiledGraph:
     the runtime makes per invocation (``bind_feeds`` /
     ``check_preconditions`` / ``repack_outputs``), so callers never
     reach around it to re-create executors or re-inspect the generator.
-
-    ``lowered`` is the optional fourth-stage artifact (docs/lowering.md):
-    a :class:`~repro.graph.lowering.LoweredProgram` built behind
-    ``JanusConfig.lowering``.  When present, ``run_flat`` prefers it; the
-    node-walking ``executor`` remains the always-correct fallback and
-    the carrier of the binding/commit machinery the program shares.
     """
 
     __slots__ = ("generated", "executor", "signature", "node_count",
-                 "compile_seconds", "lowered", "fused_ops",
-                 "lowering_bailout", "payload", "portable_skip",
-                 "from_disk")
+                 "compile_seconds", "fused_ops", "payload",
+                 "portable_skip", "from_disk")
 
     def __init__(self, generated, executor, signature=None,
-                 compile_seconds=0.0, lowered=None, fused_ops=0,
-                 lowering_bailout=None):
+                 compile_seconds=0.0, fused_ops=0):
         self.generated = generated
         self.executor = executor
         self.signature = signature
         self.node_count = len(generated.graph.nodes)
         self.compile_seconds = compile_seconds
-        self.lowered = lowered
         self.fused_ops = fused_ops
-        self.lowering_bailout = lowering_bailout
         #: Pre-fusion pickle of ``generated``, captured by
         #: ``compile_generated(..., persist=True)`` for disk publication;
         #: consumed (once) via :meth:`take_payload`.
@@ -172,6 +163,11 @@ class CompiledGraph:
     def graph(self):
         return self.generated.graph
 
+    @property
+    def lowered(self):
+        # Read by benchmarks/ledger (exec.lowered_share); the one executor.
+        return self.executor
+
     def bind_feeds(self, args):
         return self.generated.bind_feeds(args)
 
@@ -182,18 +178,13 @@ class CompiledGraph:
         return self.generated.repack_outputs(flat_values)
 
     def run_flat(self, feeds):
-        """Execute the precompiled schedule over already-bound feeds."""
-        lowered = self.lowered
-        if lowered is not None:
-            return lowered.run(feeds)
+        """Execute the precompiled program over already-bound feeds."""
         return self.executor.run(feeds)
 
     def __repr__(self):
-        detail = "lowered, %d ops fused" % self.fused_ops \
-            if self.lowered is not None else "node-walking"
-        return "CompiledGraph(%s, %d nodes, %s, compiled in %.1f ms)" % (
-            self.graph.name, self.node_count, detail,
-            self.compile_seconds * 1e3)
+        return "CompiledGraph(%s, %d nodes, %d ops fused, compiled in " \
+            "%.1f ms)" % (self.graph.name, self.node_count, self.fused_ops,
+                          self.compile_seconds * 1e3)
 
 
 class RegenerationSeed:
@@ -277,7 +268,7 @@ class CoExecArtifact:
 def compile_generated(generated, config, signature=None, persist=False):
     """Build the :class:`CompiledGraph` artifact for a generated graph.
 
-    This is the one place executor schedules (and with them the
+    This is the one place executor programs (and with them the
     specialized guard/heap-read closures) are compiled on the JANUS
     path; everything downstream reuses the artifact.
 
@@ -295,60 +286,34 @@ def compile_generated(generated, config, signature=None, persist=False):
         except UnportableArtifact as exc:
             portable_skip = exc.reason
             COUNTERS.inc("diskcache.store_skipped.%s" % exc.reason)
-    lowering_on = getattr(config, "lowering", True)
-    fused_ops = 0
-    if lowering_on:
-        # Fuse before the executor compiles so the schedule (and the
-        # node-walking fallback) run the same fused graph — bit-for-bit
-        # parity between the two run paths by construction.
-        lower_start = time.perf_counter()
-        with TRACER.span("janus", "lower", graph=generated.graph.name):
-            fused_ops = lowering_mod.fuse_graph(generated.graph)
+    # Fuse before the executor compiles: the program binds the fused
+    # kernels' closures, and nothing may mutate the graph afterwards.
+    with TRACER.span("janus", "fuse", graph=generated.graph.name):
+        fused_ops = fuse_graph(generated.graph)
     executor = GraphExecutor(
         generated.graph, parallel=config.parallel_execution,
         heavy_threshold=getattr(config, "parallel_heavy_ops_threshold", 2),
         tensor_write_barrier=getattr(config, "tensor_write_barrier", True))
-    lowered = None
-    bailout = None
-    if lowering_on:
-        try:
-            lowered = lowering_mod.lower_executor(executor)
-        except lowering_mod.LoweringBailout as exc:
-            bailout = exc.reason
-        except Exception:  # defensive: lowering must never block compile
-            bailout = "error"
-        if lowered is not None:
-            COUNTERS.inc("lowering.graphs_lowered")
-        else:
-            COUNTERS.inc("lowering.bailout.%s" % bailout)
-        COUNTERS.add_time("janus.lower",
-                          time.perf_counter() - lower_start)
-    else:
-        bailout = "disabled"
-        COUNTERS.inc("lowering.bailout.disabled")
     elapsed = time.perf_counter() - start
     COUNTERS.inc("janus.graphs_compiled")
     COUNTERS.add_time("janus.compile", elapsed)
     compiled = CompiledGraph(generated, executor, signature=signature,
-                             compile_seconds=elapsed, lowered=lowered,
-                             fused_ops=fused_ops,
-                             lowering_bailout=bailout)
+                             compile_seconds=elapsed, fused_ops=fused_ops)
     compiled.payload = payload
     compiled.portable_skip = portable_skip
     if TRACER.level:
         TRACER.instant("graphgen", "compiled", graph=generated.graph.name,
                        nodes=compiled.node_count,
                        compile_ms=round(elapsed * 1e3, 3),
-                       lowered=lowered is not None, fused_ops=fused_ops,
-                       lowering_bailout=bailout)
+                       fused_ops=fused_ops)
     return compiled
 
 
 def load_compiled(payload, config, signature=None):
     """Rebuild a full CompiledGraph from a persisted payload.
 
-    Runs the standard ``compile_generated`` pipeline (fuse → executor →
-    lower) on the deserialized pre-fusion graph, so the result is
+    Runs the standard ``compile_generated`` pipeline (fuse → executor)
+    on the deserialized pre-fusion graph, so the result is
     indistinguishable from a freshly-compiled artifact apart from
     ``from_disk``.  Raises on corrupt payloads; the disk cache converts
     any raise into a counted miss.

@@ -32,7 +32,6 @@ class JanusConfig:
                  incremental_regeneration=True,
                  parallel_heavy_ops_threshold=2,
                  tensor_write_barrier=True,
-                 lowering=None,
                  coexecution=None,
                  recompile_workers=0,
                  serving=None,
@@ -88,14 +87,6 @@ class JanusConfig:
         #: the memo restricted to immutable scalars / PyRefs (the PR-2
         #: behaviour).  See docs/compilation.md#write-barrier.
         self.tensor_write_barrier = tensor_write_barrier
-        #: Lower compiled graphs into fused flat register-slot programs
-        #: (docs/lowering.md).  None defers to the JANUS_LOWERING env
-        #: var (default on; ``JANUS_LOWERING=0`` disables — the CI knob
-        #: that keeps the node-walking fallback path green).  Lowering
-        #: never affects results: unsupported constructs bail out to the
-        #: node-walking executor, counted as ``lowering.bailout.*``.
-        self.lowering = (os.environ.get("JANUS_LOWERING", "1") != "0") \
-            if lowering is None else bool(lowering)
         #: Terra-style imperative–symbolic co-execution
         #: (docs/coexecution.md).  When whole-function conversion fails
         #: on an unsupported construct, split the function into guarded

@@ -2,7 +2,7 @@
 
 The in-memory :class:`~repro.janus.cache.GraphCache` dies with its
 process, so every worker in a fleet — and every restart — pays the full
-profile → convert → optimize → lower pipeline for functions an identical
+profile → convert → optimize → compile pipeline for functions an identical
 neighbour already compiled.  This module is the disk tier underneath it:
 serialized pre-fusion :class:`~repro.janus.graphgen.GeneratedGraph`
 payloads (see :func:`repro.janus.compiled.serialize_generated`) keyed so
@@ -62,7 +62,7 @@ _CONFIG_KEY_FIELDS = (
     "profile_runs", "unroll_stable_control_flow", "specialize_types",
     "optimize_graph", "parallel_execution", "deferred_state_update",
     "max_unroll", "max_recursion_inline", "parallel_heavy_ops_threshold",
-    "tensor_write_barrier", "lowering",
+    "tensor_write_barrier",
 )
 
 

@@ -29,10 +29,10 @@ the §4.3 fallback path.  Each completed generation emits a ``graphgen``
 trace event with node counts (:mod:`repro.observability`); the spans
 around generation are recorded by :mod:`repro.janus.api`.
 
-In the execution pipeline (instrument → graphgen → compile → lower,
+In the execution pipeline (instrument → graphgen → compile,
 docs/architecture.md) this module is stage 2; its output graph is
-immediately compiled into a :class:`~repro.janus.compiled.CompiledGraph`
-and lowered (:mod:`repro.graph.lowering`) by ``compile_generated``.
+immediately fused and compiled into a
+:class:`~repro.janus.compiled.CompiledGraph` by ``compile_generated``.
 """
 
 import ast

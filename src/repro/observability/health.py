@@ -143,12 +143,7 @@ class SpeculationHealth:
         self.recompiles = 0             # regenerations after the first build
         self.cache_evictions = 0
         self.cache_invalidations = 0
-        self.lowered_graphs = 0         # generations that produced a
-                                        # lowered program
-        self.lowering_bailouts = 0      # generations that fell back to
-                                        # the node-walking executor
         self.fused_ops = 0              # elementwise ops collapsed, total
-        self.last_lowering_bailout = None
         self.imperative_only = False
         self.coexec_runs = 0            # calls served by a co-exec plan
         self.coexec_fragment_runs = 0   # symbolic fragment graph runs
@@ -311,9 +306,10 @@ class SpeculationHealth:
             if len(sh.relax_chain) < MAX_CHAIN:
                 sh.relax_chain.append({"action": action, "detail": detail})
 
-    def record_generation(self, seconds, regeneration):
+    def record_generation(self, seconds, regeneration, fused_ops=0):
         with self._lock:
             self.graphs_generated += 1
+            self.fused_ops += int(fused_ops)
             if regeneration:
                 self.recompiles += 1
                 self.recent.append("recompile")
@@ -331,21 +327,6 @@ class SpeculationHealth:
                                 and entry["recompile_s"] is None:
                             entry["recompile_s"] = seconds
                             break
-
-    def record_lowering(self, lowered, fused_ops, reason=None):
-        """One compile's lowering outcome (docs/lowering.md).
-
-        ``lowered`` — whether a flat program was produced; ``fused_ops``
-        — elementwise ops collapsed into fused kernels this compile;
-        ``reason`` — bailout token when lowering fell back.
-        """
-        with self._lock:
-            if lowered:
-                self.lowered_graphs += 1
-            else:
-                self.lowering_bailouts += 1
-                self.last_lowering_bailout = reason
-            self.fused_ops += int(fused_ops)
 
     def record_fragment(self, site, reused):
         with self._lock:
@@ -402,10 +383,7 @@ class SpeculationHealth:
             "recompiles": self.recompiles,
             "cache_evictions": self.cache_evictions,
             "cache_invalidations": self.cache_invalidations,
-            "lowered_graphs": self.lowered_graphs,
-            "lowering_bailouts": self.lowering_bailouts,
             "fused_ops": self.fused_ops,
-            "last_lowering_bailout": self.last_lowering_bailout,
             "imperative_only": self.imperative_only,
             "coexec_runs": self.coexec_runs,
             "coexec_fragment_runs": self.coexec_fragment_runs,
@@ -426,13 +404,12 @@ class SpeculationHealth:
                       "profile_runs", "fallbacks", "graphs_generated",
                       "recompiles", "cache_evictions",
                       "cache_invalidations", "consecutive_graph_runs",
-                      "lowered_graphs", "lowering_bailouts", "fused_ops",
+                      "fused_ops",
                       # Absent from pre-co-execution bundles: default 0.
                       "coexec_runs", "coexec_fragment_runs"):
             setattr(health, field, int(snap.get(field, 0)))
         ratio = snap.get("converted_ratio")
         health.converted_ratio = float(ratio) if ratio is not None else None
-        health.last_lowering_bailout = snap.get("last_lowering_bailout")
         health.imperative_only = bool(snap.get("imperative_only", False))
         health.recent.extend(snap.get("recent", ()))
         health.failure_chain = list(snap.get("failure_chain",
@@ -506,24 +483,15 @@ def format_health_table(registry):
     lines = [
         "  %-24s %-13s %6s %8s %9s %6s %6s %8s %8s"
         % ("function", "state", "calls", "hit%", "fallback", "recomp",
-           "fail", "frag-re%", "lowered")]
+           "fail", "frag-re%", "fused")]
     for health in functions:
         reuse = health.fragment_reuse_ratio
         failures = sum(s.failures for s in health.sites.values())
-        generated = health.lowered_graphs + health.lowering_bailouts
-        if not generated:
-            lowered = "-"
-        elif health.lowered_graphs:
-            lowered = "%d/%d" % (health.lowered_graphs, generated)
-            if health.fused_ops:
-                lowered += "*"   # at least one fused kernel emitted
-        else:
-            lowered = health.last_lowering_bailout or "0/%d" % generated
         lines.append(
             "  %-24s %-13s %6d %7.1f%% %9d %6d %6d %8s %8s"
             % (health.name[:24], health.state, health.calls,
                health.graph_hit_ratio * 100.0, health.fallbacks,
                health.recompiles, failures,
                "-" if reuse is None else "%.0f%%" % (reuse * 100.0),
-               lowered[:8]))
+               health.fused_ops if health.graphs_generated else "-"))
     return lines

@@ -1,7 +1,7 @@
 """Shared seeded program generator for the differential suites.
 
 Grown out of the inline generators that test_write_barrier_differential,
-test_lowering_differential, and test_concurrency each carried a copy of:
+test_fusion_differential, and test_concurrency each carried a copy of:
 a seeded :func:`gen_program` builds a small tensor program over a heap
 model object (Tensor attributes, raw ndarrays, aliased attributes,
 burned scalars, Variables, input-dependent branches), registers its
@@ -17,7 +17,7 @@ order, so the same seed yields byte-identical programs and models as
 before the extraction):
 
 * :data:`WRITE_BARRIER_MIX` — the 5-kind pool with t/t2 aliasing
-  (test_write_barrier_differential, test_lowering_differential),
+  (test_write_barrier_differential, test_fusion_differential),
 * :data:`CONCURRENCY_MIX` — the 4-kind pool without aliasing
   (test_concurrency).
 
@@ -117,7 +117,7 @@ class Mix:
 
 
 #: Stream-identical to the historical test_write_barrier_differential
-#: generator (also consumed by test_lowering_differential).
+#: generator (also consumed by test_fusion_differential).
 WRITE_BARRIER_MIX = Mix(filename_prefix="wbdiff")
 
 #: Stream-identical to the historical test_concurrency generator: no

@@ -1,7 +1,7 @@
-"""Graph lowering: fusion boundaries, flat programs, guards, bailouts.
+"""The executed form: fusion boundaries, the flat program, feed guards.
 
-The lowering pipeline (docs/lowering.md) has three separately testable
-properties:
+The compile step (docs/compilation.md, "Mechanism 4") has three
+separately testable properties:
 
 * **Fusion is boundary-respecting** — a producer is absorbed into a
   fused kernel only when *every* consumer is inside the group and its
@@ -9,14 +9,12 @@ properties:
   involvement stop a chain.  Fused nodes must also survive CSE
   untouched (their kernels are distinct closures even when the op
   chains look identical).
-* **Lowered execution is bit-for-bit the node-walking executor** — the
-  flat closure loop is an encoding change, not a semantic one, for
-  every instruction kind including nested control flow and loop
-  gradients.
-* **Bailouts are taxonomized, never fatal** — unsupported constructs
-  and the parallel schedule raise :class:`LoweringBailout` with a
-  counter-suffix reason, and the config/env switches keep the
-  node-walking path selectable.
+* **A fused program is bit-for-bit the unfused one** — fusion and the
+  flat closure loop are encoding changes, not semantic ones, for every
+  instruction kind including nested control flow and loop gradients.
+* **The guard preamble fails before any kernel runs** — top-level
+  executors check bound feeds against the placeholder specs; nested
+  bodies carry no preamble.
 """
 
 import numpy as np
@@ -25,10 +23,8 @@ import pytest
 import repro as R
 from repro import janus
 from repro.graph import GraphBuilder, GraphExecutor, autodiff
-from repro.graph.lowering import (LoweredExecutor, LoweringBailout,
-                                  fuse_graph, lower_executor)
-from repro.graph.passes import (ELEMENTWISE_OPS, CommonSubexpressionElimination,
-                                ElementwiseFusion)
+from repro.graph.passes import (ELEMENTWISE_OPS,
+                                CommonSubexpressionElimination, fuse_graph)
 from repro.errors import AssumptionFailed
 from repro.observability import COUNTERS
 from repro.ops import api
@@ -44,9 +40,6 @@ def counters():
 
 def strict(**kw):
     kw.setdefault("profile_runs", 1)
-    # Explicit so the suite means the same thing under the CI leg that
-    # exports JANUS_LOWERING=0 (make test-nolowering).
-    kw.setdefault("lowering", True)
     return janus.JanusConfig(fail_on_not_convertible=True,
                              parallel_execution=False, **kw)
 
@@ -147,6 +140,35 @@ class TestElementwiseFusion:
         assert after.get("lowering.fused_kernels", 0) \
             - before.get("lowering.fused_kernels", 0) == 1
 
+    def test_code_cache_eviction_drops_linecache_sources(self, monkeypatch):
+        """Regression: evicting the code cache left every
+        ``<janus-fused-N>`` source in linecache forever, so a
+        per-topology regenerating workload grew without bound."""
+        import linecache
+        from repro.graph import passes
+        monkeypatch.setattr(passes, "_CODE_CACHE_MAX", 4)
+        monkeypatch.setattr(passes, "_CODE_CACHE", {})
+
+        def fused_sources():
+            return [k for k in linecache.cache
+                    if k.startswith("<janus-fused-")]
+
+        baseline = len(fused_sources())
+        feed = np.linspace(-1.0, 1.0, 4).astype(np.float32)
+        for depth in range(2, 14):      # 12 distinct chain shapes
+            b = GraphBuilder()
+            with b:
+                x = b.placeholder("x", shape=(4,), dtype=R.float32)
+                y = x
+                for _ in range(depth):
+                    y = api.tanh(api.add(y, 0.5))
+                b.mark_outputs([api.reduce_sum(y)])
+            want = GraphExecutor(b.graph).run([feed])[0].copy()
+            assert fuse_graph(b.graph) == 2 * depth
+            assert np.array_equal(GraphExecutor(b.graph).run([feed])[0],
+                                  want)
+            assert len(fused_sources()) - baseline <= 4
+
     def test_comparison_ops_are_fusable(self):
         assert "less" in ELEMENTWISE_OPS
         assert "where" in ELEMENTWISE_OPS
@@ -156,7 +178,7 @@ class TestElementwiseFusion:
 
 # -- the flat program --------------------------------------------------------
 
-class TestLoweredExecutor:
+class TestFlatProgram:
     def _graph(self):
         b = GraphBuilder()
         with b:
@@ -166,26 +188,31 @@ class TestLoweredExecutor:
             b.mark_outputs([api.reduce_sum(api.mul(h, h))])
         return b.graph
 
-    def test_matches_node_walking_bit_for_bit(self):
+    def test_fused_matches_unfused_bit_for_bit(self):
         graph = self._graph()
-        fuse_graph(graph)
-        executor = GraphExecutor(graph)
-        lowered = lower_executor(executor)
         feed = np.arange(6, dtype=np.float32).reshape(2, 3)
-        want = executor.run([feed])
-        got = lowered.run([feed])
+        want = [o.copy() for o in GraphExecutor(graph).run([feed])]
+        assert fuse_graph(graph) > 0
+        got = GraphExecutor(graph).run([feed])
         assert len(want) == len(got)
         for w_, g_ in zip(want, got):
             assert np.array_equal(w_, g_)
 
+    def test_every_program_entry_is_a_callable(self):
+        """No instruction-kind dispatch is left for run time."""
+        executor = GraphExecutor(self._graph())
+        assert executor._program
+        assert all(callable(fn) for fn in executor._program)
+        assert executor.instruction_count == len(executor._program)
+
     def test_instruction_count_shrinks_with_fusion(self):
         graph = self._graph()
-        unfused = lower_executor(GraphExecutor(graph))
+        unfused = GraphExecutor(graph)
         fuse_graph(graph)
-        fused = lower_executor(GraphExecutor(graph))
+        fused = GraphExecutor(graph)
         assert fused.instruction_count < unfused.instruction_count
 
-    def test_while_loop_and_gradient_lowered(self):
+    def test_while_loop_and_gradient(self):
         """while + while_grad: records stack through the nested bodies."""
         w = R.Variable(np.float32(2.0))
         cb = GraphBuilder()
@@ -208,126 +235,52 @@ class TestLoweredExecutor:
                                  b.convert(np.float32(1.0))])
             grads = autodiff.add_training_gradients(b, outs[1])
             b.mark_outputs([outs[1], grads[w]])
-        lowered = lower_executor(GraphExecutor(b.graph))
-        val, grad = lowered.run([])
+        val, grad = GraphExecutor(b.graph).run([])
         assert val == pytest.approx(8.0)
         assert grad == pytest.approx(12.0)
 
     def test_repr_names_program(self):
-        lowered = lower_executor(GraphExecutor(self._graph()))
-        assert "LoweredProgram" in repr(lowered)
+        text = repr(GraphExecutor(self._graph()))
+        assert "instructions" in text and "1 guards" in text
 
 
 # -- guard preamble ----------------------------------------------------------
 
 class TestPreamble:
-    def _lowered(self):
+    def _graph(self):
         b = GraphBuilder()
         with b:
             x = b.placeholder("x", shape=(2, 3), dtype=R.float32)
             b.mark_outputs([api.reduce_sum(api.tanh(x))])
-        return lower_executor(GraphExecutor(b.graph))
+        return b.graph
+
+    def _executor(self):
+        return GraphExecutor(self._graph())
 
     def test_one_guard_per_tensor_placeholder(self):
-        assert len(self._lowered().preamble) == 1
+        assert len(self._executor().preamble) == 1
 
     def test_good_feed_passes(self):
-        out, = self._lowered().run([np.ones((2, 3), np.float32)])
+        out, = self._executor().run([np.ones((2, 3), np.float32)])
         assert out == pytest.approx(np.tanh(1.0) * 6)
 
     def test_dtype_violation_raises_assumption_failed(self):
         with pytest.raises(AssumptionFailed, match="dtype"):
-            self._lowered().run([np.ones((2, 3), np.float64)])
+            self._executor().run([np.ones((2, 3), np.float64)])
 
     def test_shape_violation_raises_assumption_failed(self):
         with pytest.raises(AssumptionFailed, match="shape"):
-            self._lowered().run([np.ones((4, 3), np.float32)])
+            self._executor().run([np.ones((4, 3), np.float32)])
 
-    def test_preamble_optional_for_trusted_callers(self):
-        b = GraphBuilder()
-        with b:
-            x = b.placeholder("x", shape=(2,), dtype=R.float32)
-            b.mark_outputs([api.add(x, 1.0)])
-        lowered = lower_executor(GraphExecutor(b.graph), preamble=False)
-        assert lowered.preamble == []
-
-
-# -- bailout taxonomy --------------------------------------------------------
-
-class TestBailouts:
-    def test_parallel_schedule_bails_out(self):
-        b = GraphBuilder()
-        with b:
-            x = b.placeholder("x", shape=(2,), dtype=R.float32)
-            b.mark_outputs([api.add(x, 1.0)])
-        executor = GraphExecutor(b.graph)
-        # Single-CPU hosts force self.parallel False in the constructor,
-        # so flip it directly to exercise the guard.
-        executor.parallel = True
-        with pytest.raises(LoweringBailout) as exc:
-            lower_executor(executor)
-        assert exc.value.reason == "parallel_schedule"
-
-    def test_unknown_instruction_kind_bails_out(self):
-        b = GraphBuilder()
-        with b:
-            x = b.placeholder("x", shape=(2,), dtype=R.float32)
-            b.mark_outputs([api.add(x, 1.0)])
-        executor = GraphExecutor(b.graph)
-        executor._instructions = list(executor._instructions) \
-            + [("mystery_op",)]
-        with pytest.raises(LoweringBailout) as exc:
-            LoweredExecutor(executor)
-        assert exc.value.reason == "unsupported_op.mystery_op"
-
-    def test_config_off_counts_disabled(self):
-        before = counters()
-
-        @janus.function(config=strict(lowering=False))
-        def f(x):
-            return R.reduce_sum(x * 2.0 + 1.0)
-
-        x = R.constant(np.ones(4, np.float32))
-        for _ in range(4):
-            f(x)
-        assert f.stats["graph_runs"] > 0
-        entries = [e for _, e in f.cache.entries()]
-        assert entries and all(e.compiled.lowered is None for e in entries)
-        assert all(e.compiled.lowering_bailout == "disabled"
-                   for e in entries)
-        assert counters().get("lowering.bailout.disabled", 0) \
-            > before.get("lowering.bailout.disabled", 0)
-        assert f.cache_stats()["lowered_entries"] == 0
-
-
-# -- config and environment --------------------------------------------------
-
-class TestConfig:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("JANUS_LOWERING", raising=False)
-        assert janus.JanusConfig().lowering is True
-
-    def test_explicit_flag_wins(self):
-        assert janus.JanusConfig(lowering=False).lowering is False
-        assert janus.JanusConfig(lowering=True).lowering is True
-
-    def test_env_var_disables_default(self, monkeypatch):
-        monkeypatch.setenv("JANUS_LOWERING", "0")
-        assert janus.JanusConfig().lowering is False
-        # Explicit construction still overrides the environment.
-        assert janus.JanusConfig(lowering=True).lowering is True
-
-    def test_env_var_other_values_keep_default(self, monkeypatch):
-        monkeypatch.setenv("JANUS_LOWERING", "1")
-        assert janus.JanusConfig().lowering is True
+    def test_nested_bodies_carry_no_preamble(self):
+        """Their inputs are already-validated slots, not user feeds."""
+        assert GraphExecutor(self._graph(), _nested=True).preamble == []
 
 
 # -- end to end through janus.function ---------------------------------------
 
 class TestEndToEnd:
-    def test_compiled_entry_is_lowered_and_fused(self):
-        before = counters()
-
+    def test_compiled_entry_is_fused(self):
         @janus.function(config=strict())
         def f(x):
             return R.reduce_sum(R.tanh(x * 2.0 + 1.0))
@@ -344,47 +297,40 @@ class TestEndToEnd:
         entries = [e for _, e in f.cache.entries()]
         assert entries
         compiled = entries[0].compiled
-        assert compiled.lowered is not None
         assert compiled.fused_ops >= 2
-        assert "lowered" in repr(compiled)
-        assert counters().get("lowering.graphs_lowered", 0) \
-            > before.get("lowering.graphs_lowered", 0)
-        assert f.cache_stats()["lowered_entries"] == len(entries)
+        assert "ops fused" in repr(compiled)
+        assert any(n.op_name == "fused" for n in compiled.graph.nodes)
 
-    def test_lowering_toggle_is_bit_for_bit(self):
-        def model(x):
-            h = R.tanh(x * 0.5 + 0.25)
-            return R.reduce_sum(h * h - x)
-
-        rng = np.random.default_rng(1)
-        f_on = janus.function(model, config=strict(lowering=True))
-        f_off = janus.function(model, config=strict(lowering=False))
-        for _ in range(4):
-            x = R.constant(rng.normal(size=(16,)).astype(np.float32))
-            on = f_on(x)
-            off = f_off(x)
-        assert f_on.stats["graph_runs"] > 0
-        assert f_off.stats["graph_runs"] > 0
-        assert np.array_equal(on.numpy(), off.numpy())
-
-    def test_nested_control_flow_still_lowers(self):
+    def test_nested_control_flow_runs_unfused_bodies(self):
         @janus.function(config=strict(profile_runs=2))
         def f(x):
             if R.reduce_sum(x) > 0.0:
-                y = x * 2.0
+                y = R.tanh(x * 2.0 + 1.0)
             else:
-                y = x - 1.0
+                y = R.tanh(x - 1.0) * 0.5
             return R.reduce_sum(y)
 
+        # Both directions profiled: the branch stays a dynamic cond.
         xp = R.constant(np.ones(4, np.float32))
-        for _ in range(5):
-            out = f(xp)
+        xn = R.constant(-np.ones(4, np.float32))
+        for x in (xp, xn, xp, xn, xp):
+            out = f(x)
+            assert np.array_equal(out.numpy(), f.func(x).numpy())
         assert f.stats["graph_runs"] > 0
-        entries = [e for _, e in f.cache.entries()]
-        assert any(e.compiled.lowered is not None for e in entries)
-        assert float(out.numpy()) == pytest.approx(8.0)
+        # Fusion stops at the top level: every nested body keeps its
+        # per-op nodes (they may be re-differentiated).
+        stack = [e.compiled.graph for _, e in f.cache.entries()]
+        nested = []
+        while stack:
+            for node in stack.pop().nodes:
+                for func in node._nested_functions():
+                    if func is not None and func.graph is not None:
+                        nested.append(func.graph)
+                        stack.append(func.graph)
+        assert nested
+        assert all(n.op_name != "fused" for g in nested for n in g.nodes)
 
-    def test_health_reports_lowering(self):
+    def test_health_reports_fusion(self):
         # Health attribution rides the metrics pipeline; enable it.
         import repro.observability as obs
         from repro.observability import HEALTH
@@ -404,8 +350,7 @@ class TestEndToEnd:
                                         .astype(np.float32)))
             assert health_probe.stats["graph_runs"] > 0
             health = HEALTH.function("health_probe")
-            assert health.lowered_graphs >= 1
+            assert health.graphs_generated >= 1
             assert health.fused_ops >= 2
-            assert health.lowering_bailouts == 0
         finally:
             obs.set_metrics_enabled(previous)

@@ -88,6 +88,12 @@ class TestJanusConfig:
         with pytest.raises(AttributeError):
             JanusConfig().copy(bogus=True)
 
+    def test_retired_lowering_flag_is_an_ordinary_unknown_kwarg(self):
+        """One execution tier: no switch selects another."""
+        with pytest.raises(TypeError):
+            JanusConfig(lowering=False)
+        assert not hasattr(JanusConfig(), "lowering")
+
     def test_default_profile_runs_matches_paper(self):
         # Paper section 3.1 footnote: 3 iterations suffice.
         assert JanusConfig().profile_runs == 3

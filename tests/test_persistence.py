@@ -137,8 +137,8 @@ class TestWarmStartDifferential:
             assert e_warm.from_disk and not e_cold.from_disk
             assert e_warm.node_count == e_cold.node_count
             assert e_warm.fused_ops == e_cold.fused_ops
-            assert e_warm.lowering_bailout == e_cold.lowering_bailout
-            assert (e_warm.lowered is None) == (e_cold.lowered is None)
+            assert e_warm.executor.instruction_count \
+                == e_cold.executor.instruction_count
         finally:
             linecache.cache.pop(filename, None)
 
@@ -504,7 +504,7 @@ class TestPortability:
             store = dc.store_for(cfg)
             (key,) = (n[:-len(dc.SUFFIX)] for n in _entries(tmp_path))
             payload = store.load(key)
-            loaded = load_compiled(payload, JanusConfig(lowering=False))
+            loaded = load_compiled(payload, JanusConfig())
             # Pre-fusion payloads carry zero blockers by construction.
             assert portability_blockers(loaded.generated) is None
         finally:
