@@ -35,10 +35,12 @@
 #                      enabled per-test and once with JANUS_CACHE_DIR
 #                      explicitly unset to prove the default path is
 #                      unchanged
-#   make ci          - tier-1 tests (then again with JANUS_COEXEC=0)
-#                      + the concurrency suites
-#                      + the persistence suite + the gated benchmark
-#                      (what CI runs)
+#   make ci          - everything CI runs, and nothing CI runs is
+#                      outside it: tier-1 tests (then again with
+#                      JANUS_COEXEC=0), the concurrency, co-execution,
+#                      write-barrier and persistence suites standalone,
+#                      the stats-demo and stats-serve smokes, and the
+#                      gated benchmark
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -70,10 +72,13 @@ test-nocoexec:
 
 # The randomized write-barrier differential suite (>= 200 generated
 # programs across the barrier x regeneration matrix).  Part of the
-# tier-1 run too; this target re-runs it standalone with verbose
-# failure context, as CI does.
+# tier-1 run too; this target re-runs it standalone and untraced:
+# JANUS_TRACE=0 keeps the atexit trace dump out of the logs and
+# exercises the suite's own counter plumbing (it raises the trace level
+# itself for the runs that need memo-counter flushes).
 test-differential:
-	$(PYTHON) -m pytest tests/test_write_barrier_differential.py -q
+	JANUS_TRACE=0 $(PYTHON) -m pytest \
+		tests/test_write_barrier_differential.py -q
 
 # The concurrency-safe dispatch + multi-tenant serving suites: threaded
 # differential runs against the imperative oracle, cold-start stampede
@@ -146,5 +151,5 @@ bench-check:
 	$(PYTHON) benchmarks/bench_serving.py --check
 	$(PYTHON) benchmarks/bench_warm_start.py --check
 
-ci: test test-nocoexec test-concurrency \
-	test-persistence stats-serve bench-check
+ci: test test-nocoexec test-concurrency test-coexec test-differential \
+	test-persistence stats-demo stats-serve bench-check

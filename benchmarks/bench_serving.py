@@ -156,6 +156,7 @@ def _ratios(server, endpoint, predict, request):
 
 def run_bench():
     import repro as R
+    from repro import observability as obs
     from repro.observability import SERVING
     from repro.serving import Server, ServingConfig
 
@@ -184,16 +185,15 @@ def run_bench():
             results["ratios"] = _ratios(server, endpoint, predict,
                                         request)
             for n in CLIENTS:
-                SERVING.clear()
+                obs.clear()
                 samples = [_timed_round(server, n, request)
                            for _ in range(REPEATS)]
-                snap = SERVING.snapshot()
-                dispatches = max(1, snap["batches"])
                 results["%d-client" % n] = {
                     "clients": n,
                     "requests_per_s": statistics.median(samples),
-                    "mean_batch": snap["requests"] / dispatches,
-                    "batched_requests": snap["batched_requests"],
+                    "mean_batch": SERVING.requests
+                    / max(1, SERVING.batches),
+                    "batched_requests": SERVING.batched_requests,
                 }
         finally:
             gc.enable()

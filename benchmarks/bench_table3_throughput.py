@@ -81,7 +81,7 @@ def test_zz_report(benchmark):
     # (graphs generated/compiled, cache traffic, pass-analysis reuse).
     payload["meta"] = {
         "label": os.environ.get("BENCH_LABEL", "dev"),
-        "counters": obs.get_counters().snapshot(),
+        "counters": obs.counter_values(),
     }
     save_results("table3_throughput", payload)
     label = os.environ.get("BENCH_LABEL")

@@ -19,14 +19,18 @@ from repro.modes import make_step
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
+_WINDOW_SECONDS = obs.METRICS.histogram(
+    "janus_bench_window_seconds", "Measured benchmark windows.",
+    labels=("workload",))
+
 
 def save_results(name, payload):
     os.makedirs(RESULTS_DIR, exist_ok=True)
     if obs.trace_level() and isinstance(payload, dict):
-        # Tracing was on for this benchmark run: embed the counter totals
-        # and write the chrome trace next to the JSON results.
+        # Tracing was on for this benchmark run: embed the metrics
+        # registry and write the chrome trace next to the JSON results.
         payload = dict(payload)
-        payload["observability"] = obs.get_counters().snapshot()
+        payload["observability"] = obs.METRICS.snapshot()
         obs.write_chrome_trace(os.path.join(RESULTS_DIR,
                                             name + ".trace.json"))
     path = os.path.join(RESULTS_DIR, name + ".json")
@@ -236,8 +240,8 @@ def measure_throughput(step, batches, spec, warmup=4, iters=8,
     finally:
         gc.enable()
     if obs.trace_level():
-        obs.get_counters().inc("bench.%s.steps" % spec.name, count)
-        obs.get_counters().add_time("bench.%s" % spec.name, elapsed)
+        obs.COUNTERS.labels("bench.%s.steps" % spec.name).inc(count)
+        _WINDOW_SECONDS.labels(spec.name).observe(elapsed)
     return total_items / elapsed
 
 

@@ -44,7 +44,7 @@ class TracingLimitation(ReproError):
     def __init__(self, message, kind="other"):
         super().__init__(message)
         self.kind = kind
-        COUNTERS.inc("baseline.tracing_limitation.%s" % kind)
+        COUNTERS.labels("baseline.tracing_limitation.%s" % kind).inc()
 
 
 class _ShadowContext(EagerContext):
@@ -173,7 +173,7 @@ class TracedFunction:
             builder.mark_outputs([ctx.shadow_of(t) for t in outputs])
         if self.optimize_graph:
             PassManager().run(builder.graph)
-        COUNTERS.inc("baseline.ops_traced", ctx.ops_traced)
+        COUNTERS.labels("baseline.ops_traced").inc(ctx.ops_traced)
         if TRACER.level:
             TRACER.instant("baseline", "traced:%s" % name,
                            ops_traced=ctx.ops_traced,

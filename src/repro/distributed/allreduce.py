@@ -29,7 +29,7 @@ def ring_allreduce(worker_arrays, average=True):
     steps, only ever exchanging single chunks with its ring neighbour.
     """
     workers = len(worker_arrays)
-    COUNTERS.inc("distributed.allreduces")
+    COUNTERS.labels("distributed.allreduces").inc()
     if workers == 1:
         return [worker_arrays[0].copy()]
     start = time.perf_counter() if TRACER.level else 0.0

@@ -51,7 +51,7 @@ def measure_step(step_fn, args, warmup=2, iters=5, variables=None,
     if variables:
         grad_bytes = sum(v.storage.array.nbytes for v in variables
                          if v.trainable)
-    COUNTERS.inc("distributed.steps_measured")
+    COUNTERS.labels("distributed.steps_measured").inc()
     if TRACER.level:
         TRACER.complete("distributed", "measure_step", start,
                         time.perf_counter() - start, warmup=warmup,

@@ -78,7 +78,7 @@ def _worker_main(index):
         "profiling_runs": step.stats["imperative_runs"],
         "graphs_compiled": step.stats["graphs_generated"],
         "warm_starts": step.stats["warm_starts"],
-        "disk_hits": DISKCACHE.snapshot()["hits"],
+        "disk_hits": DISKCACHE.hits,
         "checksum": checksum,
     }))
     return 0

@@ -128,22 +128,32 @@ _MEMO_MISS = object()
 _MEMO_SAFE = None
 
 
+_MEMO_HIT = COUNTERS.labels("executor.memo_hit")
+_MEMO_STALE = COUNTERS.labels("executor.memo_stale")
+_GRAPH_RUN = METRICS.histogram(
+    "janus_graph_run_seconds",
+    "Top-level compiled-graph executions.").labels()
+_GUARD_CHECK = METRICS.histogram(
+    "janus_guard_check_seconds",
+    "Individual runtime assumption checks inside the executor.").labels()
+
+
 def _flush_memo(run_state):
     """Merge one run's private memo tallies into COUNTERS.
 
     The tallies live on the :class:`RunState` — private to the run, so
     the hot closures increment a plain list without locking — and merge
-    here through ``COUNTERS.inc`` (which takes the registry lock) once
+    here through the bound counter children (each takes its lock) once
     per top-level run.  This replaces the old module-global tally list,
     which lost increments when concurrent runs raced the unlocked
     read-modify-write and the flush's read-then-zero.
     """
     hits, stale = run_state.memo_counts
     if hits:
-        COUNTERS.inc("executor.memo_hit", hits)
+        _MEMO_HIT.inc(hits)
         run_state.memo_counts[0] = 0
     if stale:
-        COUNTERS.inc("executor.memo_stale", stale)
+        _MEMO_STALE.inc(stale)
         run_state.memo_counts[1] = 0
 
 
@@ -744,8 +754,7 @@ class GraphExecutor:
                                 instructions=len(self._program),
                                 parallel=self.parallel)
             if METRICS.enabled and run_start:
-                METRICS.observe("graph.run",
-                                time.perf_counter() - run_start)
+                _GRAPH_RUN.observe(time.perf_counter() - run_start)
         return outputs
 
     def _py_objects_transitive(self):
@@ -810,8 +819,7 @@ def _run_check(check, raw):
         try:
             check(raw)
         finally:
-            METRICS.observe("guard.check",
-                            time.perf_counter() - guard_start)
+            _GUARD_CHECK.observe(time.perf_counter() - guard_start)
     else:
         check(raw)
 

@@ -74,10 +74,10 @@ class AnalysisContext:
             self._topo = self.graph.topological_order()
             self._topo_version = version
             self.computes += 1
-            COUNTERS.inc("passes.topo_computed")
+            COUNTERS.labels("passes.topo_computed").inc()
         else:
             self.reuses += 1
-            COUNTERS.inc("passes.topo_reused")
+            COUNTERS.labels("passes.topo_reused").inc()
         return self._topo
 
     def live_nodes(self):
@@ -528,8 +528,8 @@ class ElementwiseFusion(Pass):
         self.fused_kernels = len(groups)
         _remap_inputs(graph, replacements)
         graph.remove_nodes(grouped)
-        COUNTERS.inc("lowering.fused_ops", self.fused_ops)
-        COUNTERS.inc("lowering.fused_kernels", self.fused_kernels)
+        COUNTERS.labels("lowering.fused_ops").inc(self.fused_ops)
+        COUNTERS.labels("lowering.fused_kernels").inc(self.fused_kernels)
         return True
 
 
@@ -574,7 +574,7 @@ class PassManager:
             # regeneration: spliced sub-graphs keep their stamp — and
             # their warm executor cache, which we deliberately do not
             # clear here.
-            COUNTERS.inc("passes.graphs_skipped")
+            COUNTERS.labels("passes.graphs_skipped").inc()
             return graph
         ctx = AnalysisContext(graph)
         for round_index in range(self.max_rounds):

@@ -207,6 +207,11 @@ class Tensor:
         return self._binop(o, "greater_equal")
 
 
+_DISPATCHES = COUNTERS.labels("eager.dispatch")
+_DISPATCH_SECONDS = METRICS.histogram(
+    "janus_eager_dispatch_seconds", "Per-op eager dispatch latency.").labels()
+
+
 class EagerContext(ExecutionContext):
     """Executes ops immediately and records them on active tapes."""
 
@@ -229,8 +234,8 @@ class EagerContext(ExecutionContext):
         # metrics are off: the eager dispatch path stays as hot as
         # before.
         if TRACER.level:
-            COUNTERS.inc("eager.dispatch")
-            COUNTERS.inc("eager.dispatch." + op_def.name)
+            _DISPATCHES.inc()
+            COUNTERS.labels("eager.dispatch." + op_def.name).inc()
         dispatch_start = time.perf_counter() if METRICS.enabled else 0.0
         arrays = [t.value.array for t in inputs]
         result = op_def.kernel(attrs, *arrays)
@@ -244,8 +249,7 @@ class EagerContext(ExecutionContext):
         if op_def.differentiable:
             tape_module.record_operation(op_def, attrs, inputs, out_list)
         if dispatch_start:
-            METRICS.observe("eager.dispatch",
-                            time.perf_counter() - dispatch_start)
+            _DISPATCH_SECONDS.observe(time.perf_counter() - dispatch_start)
         return outputs
 
 

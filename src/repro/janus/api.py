@@ -57,6 +57,23 @@ from .graphgen import GraphGenerator
 from .profiler import Profiler
 
 
+_DISPATCH_LATENCY = METRICS.windowed(
+    "janus_dispatch_latency_seconds",
+    "One janus.function dispatch, every outcome (warm hit, fallback, "
+    "recompile, ...).").labels()
+_PRECHECK_SECONDS = METRICS.histogram(
+    "janus_guard_precheck_seconds",
+    "Per-call cache precheck validation.").labels()
+_GRAPHGEN_INITIAL = METRICS.histogram(
+    "janus_graphgen_initial_seconds",
+    "First graph generation + compilation of a signature.").labels()
+_GRAPHGEN_RECOMPILE = METRICS.histogram(
+    "janus_graphgen_recompile_seconds",
+    "Post-relaxation regeneration + compilation.").labels()
+_FALLBACK_SECONDS = METRICS.histogram(
+    "janus_fallback_imperative_seconds",
+    "Imperative re-runs forced by a failed runtime assumption.").labels()
+
 #: Sentinels: "not yet computed" for the source-hash memo and "no warm
 #: start happened" for the disk-probe fast path.
 _UNSET = object()
@@ -155,8 +172,7 @@ class JanusFunction:
         try:
             return self._call(args)
         finally:
-            METRICS.observe_windowed("dispatch.latency",
-                                     time.perf_counter() - start)
+            _DISPATCH_LATENCY.observe(time.perf_counter() - start)
 
     def _inc(self, key, amount=1):
         with self._stats_lock:
@@ -227,7 +243,7 @@ class JanusFunction:
             # (cold-start stampede or a background regeneration still in
             # flight): serve imperatively, do not duplicate the work.
             self._inc("stampede_fallbacks")
-            COUNTERS.inc("dispatch.stampede_fallbacks")
+            COUNTERS.labels("dispatch.stampede_fallbacks").inc()
             reqtrace.note("fallback", "stampede_loss",
                           flag="stampede_loss", function=self.__name__)
             if health is not None:
@@ -271,8 +287,7 @@ class JanusFunction:
         try:
             return compiled.check_preconditions(args)
         finally:
-            METRICS.observe("guard.precheck",
-                            time.perf_counter() - start)
+            _PRECHECK_SECONDS.observe(time.perf_counter() - start)
 
     def _retire_entry(self, signature):
         """Invalidate a cache entry, keeping its artifact as a seed.
@@ -361,7 +376,6 @@ class JanusFunction:
             # Identity-bearing signature or unknowable source: this
             # function/specialization can never live on disk.
             DISKCACHE.record_miss("unportable")
-            COUNTERS.inc("diskcache.misses.unportable")
             return _WARM_MISS
         compiled = store.load(
             key, rebuild=lambda payload: load_compiled(
@@ -373,7 +387,7 @@ class JanusFunction:
         with self._artifact_lock.write():
             self.cache.store(signature, entry)
         self._inc("warm_starts")
-        COUNTERS.inc("dispatch.warm_starts")
+        COUNTERS.labels("dispatch.warm_starts").inc()
         if TRACER.level:
             TRACER.instant("cache_hit", self.__name__, source="disk",
                            signature=repr(signature))
@@ -424,8 +438,8 @@ class JanusFunction:
                     persist=self._should_persist(signature))
                 if gen_start:
                     elapsed = time.perf_counter() - gen_start
-                    METRICS.observe("graphgen.recompile" if regeneration
-                                    else "graphgen.initial", elapsed)
+                    (_GRAPHGEN_RECOMPILE if regeneration
+                     else _GRAPHGEN_INITIAL).observe(elapsed)
                     health = HEALTH.function(self.__name__)
                     health.record_generation(elapsed, regeneration,
                                              compiled.fused_ops)
@@ -482,7 +496,7 @@ class JanusFunction:
                 health.record_failure(site, kind=kind, guard=str(exc))
             if self._tickets.claim(signature):
                 self._inc("recompile_tickets")
-                COUNTERS.inc("dispatch.recompile_tickets")
+                COUNTERS.labels("dispatch.recompile_tickets").inc()
                 reqtrace.note("graphgen", "recompile_ticket",
                               flag="recompile", function=self.__name__)
                 background = self.config.recompile_workers > 0
@@ -499,7 +513,8 @@ class JanusFunction:
                     # The ticket travels with the background job; cold
                     # callers for this signature keep falling back until
                     # the regenerated artifact is published.
-                    COUNTERS.inc("dispatch.background_recompiles")
+                    COUNTERS.labels(
+                        "dispatch.background_recompiles").inc()
                     reqtrace.note("graphgen", "background_recompile",
                                   function=self.__name__)
                     recompile_pool(self.config.recompile_workers).submit(
@@ -511,7 +526,7 @@ class JanusFunction:
             result = self._run_imperative(args, profile=True)
             if health is not None:
                 elapsed = time.perf_counter() - fallback_start
-                METRICS.observe("fallback.imperative", elapsed)
+                _FALLBACK_SECONDS.observe(elapsed)
                 health.record_fallback(site, elapsed, kind=kind)
             return result
         self._inc("graph_runs")
@@ -530,7 +545,7 @@ class JanusFunction:
         win left; classic imperative-only).
         """
         self._inc("coexec_runs")
-        COUNTERS.inc("dispatch.coexec_runs")
+        COUNTERS.labels("dispatch.coexec_runs").inc()
         try:
             result, frag_runs, alive = plan.run(args)
         except coexec_mod.BoundaryMismatch as exc:
@@ -538,7 +553,7 @@ class JanusFunction:
             # co-executed one, so counter conservation holds:
             # calls == graph_runs + imperative_runs + coexec_runs.
             self._inc("coexec_runs", -1)
-            COUNTERS.inc("coexec.boundary_fallbacks")
+            COUNTERS.labels("coexec.boundary_fallbacks").inc()
             self._coexec_plan = None
             plan.invalidate()
             self.imperative_only = True

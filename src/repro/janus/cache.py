@@ -44,6 +44,10 @@ from . import specialization as spec
 #: beyond it — entries are a handful of words, so this is generous).
 _SIG_MEMO_MAX = 4096
 
+#: The two per-call counters, bound once (docs/observability.md).
+_HITS = COUNTERS.labels("cache.hits")
+_MISSES = COUNTERS.labels("cache.misses")
+
 
 class CacheEntry:
     """One compiled graph artifact plus its per-entry retrieval counts."""
@@ -150,21 +154,21 @@ class GraphCache:
         with self._lock:
             entry.hits += 1
             self.total_hits += 1
-        COUNTERS.inc("cache.hits")
+        _HITS.inc()
 
     def record_miss(self, entry=None):
         with self._lock:
             if entry is not None:
                 entry.misses += 1
             self.total_misses += 1
-        COUNTERS.inc("cache.misses")
+        _MISSES.inc()
 
     def record_failure(self, entry=None):
         with self._lock:
             if entry is not None:
                 entry.failures += 1
             self.total_failures += 1
-        COUNTERS.inc("cache.assumption_failures")
+        COUNTERS.labels("cache.assumption_failures").inc()
 
     # -- population ----------------------------------------------------------
 
@@ -173,7 +177,7 @@ class GraphCache:
             self._entries[signature] = entry
             self._entries.move_to_end(signature)
             self.stores += 1
-            COUNTERS.inc("cache.stores")
+            COUNTERS.labels("cache.stores").inc()
             if TRACER.level:
                 TRACER.instant("cache_store", entry.generated.graph.name,
                                signature=repr(signature),
@@ -182,7 +186,7 @@ class GraphCache:
                 while len(self._entries) > self.max_entries:
                     evicted_sig, evicted = self._entries.popitem(last=False)
                     self.evictions += 1
-                    COUNTERS.inc("cache.evictions")
+                    COUNTERS.labels("cache.evictions").inc()
                     if METRICS.enabled and self.owner is not None:
                         HEALTH.function(self.owner).record_cache_eviction()
                     if TRACER.level:
@@ -200,7 +204,7 @@ class GraphCache:
             entry = self._entries.pop(signature, None)
             if entry is not None:
                 self.invalidations += 1
-                COUNTERS.inc("cache.invalidations")
+                COUNTERS.labels("cache.invalidations").inc()
                 if METRICS.enabled and self.owner is not None:
                     HEALTH.function(self.owner).record_cache_invalidation()
                 if TRACER.level:

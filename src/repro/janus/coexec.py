@@ -446,7 +446,7 @@ class CoExecPlan:
                         ranges.append(("sym", index + 1, seg.end))
             self._set_segments(ranges)
             self.splits += 1
-        COUNTERS.inc("coexec.splits")
+        COUNTERS.labels("coexec.splits").inc()
         if TRACER.level:
             TRACER.instant("coexec_split", self.name,
                            segment="%d:%d" % (seg.start, seg.end),
@@ -614,7 +614,7 @@ def build_plan(parent, exc):
         return None
     if not plan.alive:
         return None
-    COUNTERS.inc("coexec.plans_built")
+    COUNTERS.labels("coexec.plans_built").inc()
     if TRACER.level:
         TRACER.instant("coexec_plan", plan.name,
                        segments=[(k, a, b) for k, a, b

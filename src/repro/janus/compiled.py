@@ -22,12 +22,16 @@ import time
 
 from ..graph.executor import GraphExecutor
 from ..graph.passes import fuse_graph
-from ..observability import COUNTERS, TRACER
+from ..observability import COUNTERS, METRICS, TRACER
 from ..tensor import PyRef, TensorValue
 
 #: Bump when the pickled GeneratedGraph layout changes incompatibly;
 #: the disk cache treats any other value as a miss.
 ARTIFACT_FORMAT = 1
+
+_COMPILE_SECONDS = METRICS.histogram(
+    "janus_compile_seconds",
+    "Fusion + executor compilation of one generated graph.").labels()
 
 
 class UnportableArtifact(Exception):
@@ -285,7 +289,8 @@ def compile_generated(generated, config, signature=None, persist=False):
             payload = serialize_generated(generated)
         except UnportableArtifact as exc:
             portable_skip = exc.reason
-            COUNTERS.inc("diskcache.store_skipped.%s" % exc.reason)
+            COUNTERS.labels(
+                "diskcache.store_skipped.%s" % exc.reason).inc()
     # Fuse before the executor compiles: the program binds the fused
     # kernels' closures, and nothing may mutate the graph afterwards.
     with TRACER.span("janus", "fuse", graph=generated.graph.name):
@@ -295,8 +300,8 @@ def compile_generated(generated, config, signature=None, persist=False):
         heavy_threshold=getattr(config, "parallel_heavy_ops_threshold", 2),
         tensor_write_barrier=getattr(config, "tensor_write_barrier", True))
     elapsed = time.perf_counter() - start
-    COUNTERS.inc("janus.graphs_compiled")
-    COUNTERS.add_time("janus.compile", elapsed)
+    COUNTERS.labels("janus.graphs_compiled").inc()
+    _COMPILE_SECONDS.observe(elapsed)
     compiled = CompiledGraph(generated, executor, signature=signature,
                              compile_seconds=elapsed, fused_ops=fused_ops)
     compiled.payload = payload

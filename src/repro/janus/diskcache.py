@@ -33,7 +33,7 @@ Nothing here is imported on the default path: the store is only
 constructed when ``JanusConfig.cache_dir`` / ``JANUS_CACHE_DIR`` is
 set.  Instrumentation lands in
 :data:`repro.observability.diskcache.DISKCACHE` (the ``janus-stats``
-"disk cache" section) plus plain counters.
+"disk cache" section, ``janus_diskcache_*`` in ``/metrics``).
 """
 
 import hashlib
@@ -179,7 +179,6 @@ class DiskGraphStore:
         except OSError:
             pass
         DISKCACHE.record_hit(time.perf_counter() - start)
-        COUNTERS.inc("diskcache.hits")
         if TRACER.level:
             TRACER.instant("janus", "diskcache_hit", key=key[:12],
                            graph=record.get("graph"),
@@ -188,7 +187,6 @@ class DiskGraphStore:
 
     def _miss(self, key, reason):
         DISKCACHE.record_miss(reason)
-        COUNTERS.inc("diskcache.misses.%s" % reason)
         if reason not in ("absent",):
             # A recognizably bad entry is dead weight: drop it so the
             # next publisher replaces it instead of re-missing forever.
@@ -236,10 +234,9 @@ class DiskGraphStore:
                     pass
                 raise
         except OSError:
-            COUNTERS.inc("diskcache.store_errors")
+            COUNTERS.labels("diskcache.store_errors").inc()
             return False
         DISKCACHE.record_store(len(payload))
-        COUNTERS.inc("diskcache.stores")
         if TRACER.level:
             TRACER.instant("janus", "diskcache_store", key=key[:12],
                            graph=graph_name, bytes=len(payload))
@@ -282,7 +279,6 @@ class DiskGraphStore:
                 evicted += 1
         if evicted:
             DISKCACHE.record_evictions(evicted)
-            COUNTERS.inc("diskcache.evictions", evicted)
         DISKCACHE.set_disk_usage(
             total, len(entries) - evicted)
 

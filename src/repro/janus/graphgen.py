@@ -36,12 +36,13 @@ immediately fused and compiled into a
 """
 
 import ast
+import time
 import types
 
 import numpy as np
 
 from ..errors import NotConvertible
-from ..observability import HEALTH, METRICS
+from ..observability import COUNTERS, HEALTH, METRICS, TRACER
 from ..graph.builder import GraphBuilder
 from ..graph.core import GraphFunction, NodeOutput
 from ..graph import autodiff
@@ -57,6 +58,10 @@ from .coverage import check_convertible
 from .instrument import get_function_ast, function_key
 from .whitelist import (handler_for, is_whitelisted, STRUCTURAL_BUILTINS,
                         MATH_CONST_FUNCS)
+
+_OPTIMIZE_SECONDS = METRICS.histogram(
+    "janus_graphgen_optimize_seconds",
+    "Optimization-pass time per generated graph.").labels()
 
 
 # ---------------------------------------------------------------------------
@@ -473,20 +478,17 @@ class GraphGenerator:
             self.builder.mark_outputs(flat)
         graph = self.builder.graph
         nodes_before = len(graph.nodes)
-        from ..observability import COUNTERS, TRACER
         if self.config.optimize_graph:
-            with COUNTERS.timer("graphgen.optimize"):
-                PassManager().run(graph)
-        COUNTERS.inc("janus.graphs_generated")
+            start = time.perf_counter()
+            PassManager().run(graph)
+            _OPTIMIZE_SECONDS.observe(time.perf_counter() - start)
+        COUNTERS.labels("janus.graphs_generated").inc()
         if self.fragments is not None:
-            if self.fragments_reused:
-                COUNTERS.inc("graphgen.fragments_reused",
-                             self.fragments_reused)
-            if self.fragments_reconverted:
-                COUNTERS.inc("graphgen.fragments_reconverted",
-                             self.fragments_reconverted)
-            if self.specs_seeded:
-                COUNTERS.inc("graphgen.specs_seeded", self.specs_seeded)
+            COUNTERS.labels("graphgen.fragments_reused").inc(
+                self.fragments_reused)
+            COUNTERS.labels("graphgen.fragments_reconverted").inc(
+                self.fragments_reconverted)
+            COUNTERS.labels("graphgen.specs_seeded").inc(self.specs_seeded)
             if TRACER.level:
                 TRACER.instant("graphgen", "incremental", graph=graph.name,
                                fragments_reused=self.fragments_reused,

@@ -29,6 +29,10 @@ from . import specialization as spec
 from .instrument import instrument_function, function_key
 from .whitelist import is_whitelisted
 
+_PROFILE_SECONDS = METRICS.histogram(
+    "janus_profile_run_seconds",
+    "Instrumented imperative profiling runs.").labels()
+
 
 class SiteProfile:
     """Aggregated observations at one syntactic site."""
@@ -333,8 +337,7 @@ class Profiler:
         profile_start = time.perf_counter() if METRICS.enabled else 0.0
         result = clone(*args)
         if profile_start:
-            METRICS.observe("profile.run",
-                            time.perf_counter() - profile_start)
+            _PROFILE_SECONDS.observe(time.perf_counter() - profile_start)
         self.return_specs[function_key(func)] = spec.merge(
             self.return_specs.get(function_key(func)), spec.observe(result))
         return result

@@ -1,21 +1,26 @@
 """Runtime observability for the JANUS reproduction.
 
-Structured event tracing, counters/timers, and exporters that make the
-speculate → guard → fallback → relax lifecycle visible:
+Structured event tracing, one metrics registry, and exporters that make
+the speculate → guard → fallback → relax lifecycle visible:
 
 * :mod:`repro.observability.tracer` — ring-buffered :class:`TraceEvent`
   recorder with level gating (``JANUS_TRACE`` / ``set_trace_level``),
-* :mod:`repro.observability.counters` — counters + scoped timers,
-* :mod:`repro.observability.metrics` — log-bucket latency histograms
-  with p50/p95/p99 (``JANUS_METRICS`` / ``set_metrics_enabled``), plus
-  :class:`WindowedHistogram` trailing-window views,
+* :mod:`repro.observability.metrics` — the one registry
+  (:data:`METRICS`) of typed, labelled instruments: counters
+  (:data:`COUNTERS` is its ``janus_counter_total{name}`` family),
+  gauges, log-bucket histograms with p50/p95/p99 and windowed
+  histograms; it owns the only snapshot / restore / clear
+  (``JANUS_METRICS`` / ``set_metrics_enabled`` gate the latency and
+  health sites),
 * :mod:`repro.observability.reqtrace` — request-scoped tracing: a
   contextvar-carried :class:`RequestContext` links every event a
   served request touches under one trace id, and the
   :class:`FlightRecorder` retains slowest/failed request exemplars,
-* :mod:`repro.observability.health` — per-``janus.function``,
-  per-assumption-site speculation health (state, hit ratio, failure and
-  relax chains, measured fallback/recompile cost),
+* :mod:`repro.observability.health`, :mod:`~repro.observability.serving`,
+  :mod:`~repro.observability.diskcache` — *views* over the registry:
+  per-``janus.function``, per-assumption-site speculation health
+  (state, hit ratio, failure and relax chains, measured
+  fallback/recompile cost), serving SLOs, disk-cache traffic,
 * :mod:`repro.observability.export` — ``chrome://tracing`` JSON and a
   plain-text summary,
 * :mod:`repro.observability.cli` / ``python -m repro.observability.stats``
@@ -43,14 +48,12 @@ See ``docs/observability.md`` for the full guide and
 
 from .tracer import (TRACER, CATEGORIES, TraceEvent, Tracer, get_tracer,
                      override_level, set_trace_level, trace_level)
-from .counters import COUNTERS, CounterRegistry, get_counters
-from .metrics import (METRICS, Histogram, MetricsRegistry,
-                      WindowedHistogram, get_metrics, metrics_enabled,
+from .metrics import (COUNTERS, METRICS, Histogram, Registry,
+                      WindowedHistogram, counter_values,
                       set_metrics_enabled)
-from .health import (HEALTH, HealthRegistry, SiteHealth, SpeculationHealth,
-                     get_health)
-from .serving import SERVING, ServingStats, get_serving
-from .diskcache import DISKCACHE, DiskCacheStats, get_diskcache
+from .health import HEALTH, HealthRegistry
+from .serving import SERVING, ServingStats
+from .diskcache import DISKCACHE, DiskCacheStats
 from . import reqtrace
 from .reqtrace import (RECORDER, FlightRecorder, RequestContext,
                        get_flight_recorder)
@@ -62,13 +65,11 @@ from .cli import (StatsBundle, load_stats, prometheus_text, render_report,
 __all__ = [
     "TRACER", "CATEGORIES", "TraceEvent", "Tracer", "get_tracer",
     "override_level", "set_trace_level", "trace_level",
-    "COUNTERS", "CounterRegistry", "get_counters",
-    "METRICS", "Histogram", "MetricsRegistry", "WindowedHistogram",
-    "get_metrics", "metrics_enabled", "set_metrics_enabled",
-    "HEALTH", "HealthRegistry", "SiteHealth", "SpeculationHealth",
-    "get_health",
-    "SERVING", "ServingStats", "get_serving",
-    "DISKCACHE", "DiskCacheStats", "get_diskcache",
+    "COUNTERS", "METRICS", "Histogram", "Registry", "WindowedHistogram",
+    "counter_values", "set_metrics_enabled",
+    "HEALTH", "HealthRegistry",
+    "SERVING", "ServingStats",
+    "DISKCACHE", "DiskCacheStats",
     "RECORDER", "FlightRecorder", "RequestContext", "get_flight_recorder",
     "reqtrace",
     "chrome_trace_events", "install_atexit_dump", "text_summary",
@@ -80,14 +81,10 @@ __all__ = [
 
 
 def clear():
-    """Reset the tracer buffer, counters, histograms, health models,
-    serving stats, and the flight recorder."""
+    """Reset the tracer buffer, every instrument of the metrics registry
+    (in place: bound handles keep recording) and the flight recorder."""
     TRACER.clear()
-    COUNTERS.clear()
     METRICS.clear()
-    HEALTH.clear()
-    SERVING.clear()
-    DISKCACHE.clear()
     RECORDER.clear()
 
 

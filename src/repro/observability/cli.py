@@ -8,18 +8,15 @@ graph runs, fallbacks, and recompiles — plus the serving layer's
 windowed SLO view and the flight recorder's slowest/failed request
 exemplars.
 
-Input is either the **live registries** (imported and rendered in-process
-— useful from a REPL or when a training script calls
-:func:`render_report` directly) or a **saved stats JSON** produced by
-:func:`write_stats_json` (the demo writes one; any program can).  The
-``--prometheus`` flag instead emits the scrape-friendly subset in the
-Prometheus text exposition format; ``--requests`` dumps the flight
-recorder's post-mortem exemplars.
+Input is either the **live registry** (rendered in-process — useful from
+a REPL or when a training script calls :func:`render_report` directly)
+or a **saved stats JSON** produced by :func:`write_stats_json` (the demo
+writes one; any program can).  The ``--prometheus`` flag instead emits
+the registry in the Prometheus text exposition format; ``--requests``
+dumps the flight recorder's post-mortem exemplars.
 
-:func:`load_stats` returns a :class:`StatsBundle` — named attribute
-access (``bundle.serving``) that still unpacks as the historical
-``(metrics, health, counters, serving, diskcache)`` 5-tuple, so the
-bundle can keep growing sections without breaking legacy callers.
+:func:`load_stats` returns a :class:`StatsBundle` — the restored
+registry plus its views by name (``bundle.serving.rejection_rate``).
 
 Typical uses::
 
@@ -47,123 +44,83 @@ import argparse
 import json
 import sys
 
-from .counters import COUNTERS, CounterRegistry
-from .diskcache import DISKCACHE, DiskCacheStats, format_diskcache_table
-from .health import HEALTH, HealthRegistry, format_health_table
-from .metrics import (METRICS, MetricsRegistry, WindowedHistogram,
-                      format_histograms)
+from .diskcache import DiskCacheStats, format_diskcache_table
+from .health import HealthRegistry, format_health_table
+from .metrics import (COUNTER, GAUGE, HISTOGRAM, METRICS, WINDOWED,
+                      Registry, format_histograms, sample_name)
 from .reqtrace import RECORDER, FlightRecorder
-from .serving import SERVING, ServingStats, format_serving_table
+from .serving import ServingStats, format_serving_table
 
-#: Saved-stats file format tag (bump on incompatible change).  The
-#: ``serving``, ``diskcache``, and ``requests`` sections were added
-#: within format 1: readers treat them as optional, so old bundles
-#: still load (with those sections empty).
-STATS_FORMAT = "janus-stats/1"
+#: Saved-stats file format tag (bump on incompatible change).
+STATS_FORMAT = "janus-stats/2"
 
 
 class StatsBundle:
-    """Named registries loaded from (or backing) a janus-stats bundle.
+    """A metrics registry, its views by name, and the flight recorder.
 
-    Attribute access is the API (``bundle.serving.rejection_rate``);
-    iteration and indexing reproduce the historical 5-tuple
-    ``(metrics, health, counters, serving, diskcache)`` so legacy
-    ``a, b, c, d, e = load_stats(path)`` unpacking keeps working.
-    Sections added later (``requests``) are attribute-only — the tuple
-    view is frozen at five elements forever.
+    The views are the ones over ``bundle.registry`` — live
+    (:meth:`live`) or restored from a saved bundle (:func:`load_stats`)
+    — so derived signals read the same way on both:
+    ``bundle.serving.rejection_rate``.
     """
 
-    #: The frozen legacy tuple protocol.
-    _TUPLE_FIELDS = ("metrics", "health", "counters", "serving",
-                     "diskcache")
-
-    def __init__(self, metrics, health, counters, serving, diskcache,
-                 requests=None):
-        self.metrics = metrics
-        self.health = health
-        self.counters = counters
-        self.serving = serving
-        self.diskcache = diskcache
-        #: Flight-recorder exemplars (attribute-only; not in the tuple).
-        self.requests = requests if requests is not None \
-            else FlightRecorder.from_snapshot(None)
-
-    def _tuple(self):
-        return tuple(getattr(self, field) for field in self._TUPLE_FIELDS)
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def __len__(self):
-        return len(self._TUPLE_FIELDS)
-
-    def __getitem__(self, index):
-        return self._tuple()[index]
+    def __init__(self, registry, requests):
+        self.registry = registry
+        self.health = registry.view(HealthRegistry)
+        self.serving = registry.view(ServingStats)
+        self.diskcache = registry.view(DiskCacheStats)
+        self.requests = requests
 
     @classmethod
     def live(cls):
-        """The process-wide registries as one bundle."""
-        return cls(METRICS, HEALTH, COUNTERS, SERVING, DISKCACHE,
-                   RECORDER)
-
-    def __repr__(self):
-        return ("StatsBundle(metrics=%r, health=%r, serving=%r)"
-                % (self.metrics, self.health, self.serving))
+        """The process-wide registry and recorder as one bundle."""
+        return cls(METRICS, RECORDER)
 
 
 # -- persistence -------------------------------------------------------------
 
-def stats_payload(metrics=None, health=None, counters=None, serving=None,
-                  diskcache=None, requests=None):
-    """The JSON-serializable stats bundle for the given registries."""
+def stats_payload(registry=None, recorder=None):
+    """The JSON-serializable stats bundle for *registry* (default: the
+    live one) and *recorder*."""
+    registry = METRICS if registry is None else registry
+    recorder = RECORDER if recorder is None else recorder
     return {
         "format": STATS_FORMAT,
-        "metrics": (metrics or METRICS).snapshot(),
-        "health": (health or HEALTH).snapshot(),
-        "counters": (counters or COUNTERS).snapshot(),
-        "serving": (serving or SERVING).snapshot(),
-        "diskcache": (diskcache or DISKCACHE).snapshot(),
-        "requests": (requests or RECORDER).snapshot(),
+        "registry": registry.snapshot(),
+        "health_log": registry.view(HealthRegistry).snapshot(),
+        "requests": recorder.snapshot(),
     }
 
 
-def write_stats_json(path, metrics=None, health=None, counters=None,
-                     serving=None, diskcache=None, requests=None):
-    """Save the registries for later ``janus-stats`` analysis."""
+def write_stats_json(path, registry=None, recorder=None):
+    """Save the registry for later ``janus-stats`` analysis."""
     with open(path, "w") as fh:
-        json.dump(stats_payload(metrics, health, counters, serving,
-                                diskcache, requests), fh, indent=1)
+        json.dump(stats_payload(registry, recorder), fh, indent=1)
     return path
 
 
 def load_stats(path):
     """Load a saved stats JSON into a :class:`StatsBundle`.
 
-    Raises ``ValueError`` on a file that is not a janus-stats bundle
-    (e.g. a raw chrome trace).  Bundles written before the serving
-    layer / disk cache / flight recorder existed load with empty stats
-    for those sections.
+    Raises ``ValueError`` on a file that is not a bundle of
+    :data:`STATS_FORMAT` — a raw chrome trace, or a bundle of the
+    format before the one-registry change; the message names the
+    format found.
     """
     with open(path) as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or "format" not in payload:
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != STATS_FORMAT:
         raise ValueError(
-            "%s is not a janus-stats file (expected a %r bundle; chrome "
-            "traces are not convertible — save stats with "
-            "observability.cli.write_stats_json)" % (path, STATS_FORMAT))
-    metrics = MetricsRegistry.from_snapshot(payload.get("metrics"))
-    health = HealthRegistry.from_snapshot(payload.get("health"))
-    counters = CounterRegistry()
-    counter_snap = payload.get("counters") or {}
-    for name, value in (counter_snap.get("counters") or {}).items():
-        counters.inc(name, value)
-    for name, (count, total) in (counter_snap.get("timers") or {}).items():
-        counters._timers[name] = [int(count), float(total)]
-    serving = ServingStats.from_snapshot(payload.get("serving"))
-    diskcache = DiskCacheStats.from_snapshot(payload.get("diskcache"))
-    requests = FlightRecorder.from_snapshot(payload.get("requests"))
-    return StatsBundle(metrics, health, counters, serving, diskcache,
-                       requests)
+            "%s is not a janus-stats file (expected a %r bundle, found "
+            "%s; older bundles and chrome traces are not convertible — "
+            "save stats with observability.cli.write_stats_json)"
+            % (path, STATS_FORMAT,
+               "format %r" % found if found else "no format tag"))
+    bundle = StatsBundle(Registry.from_snapshot(payload["registry"]),
+                         FlightRecorder.from_snapshot(payload["requests"]))
+    bundle.health.restore_log(payload["health_log"])
+    return bundle
 
 
 # -- report rendering --------------------------------------------------------
@@ -205,22 +162,14 @@ def post_mortem(health, name=None):
                         sh.failures, "s" if sh.failures != 1 else "",
                         " — guard: %s" % sh.last_guard
                         if sh.last_guard else ""))
-            if sh.fallback_count:
-                lines.append(
-                    "    fallback cost: %d run%s, %.3f ms total "
-                    "(%.3f ms avg)" % (
-                        sh.fallback_count,
-                        "s" if sh.fallback_count != 1 else "",
-                        sh.fallback_total * 1e3,
-                        sh.fallback_total / sh.fallback_count * 1e3))
-            if sh.recompile_count:
-                lines.append(
-                    "    recompile cost: %d build%s, %.3f ms total "
-                    "(%.3f ms avg)" % (
-                        sh.recompile_count,
-                        "s" if sh.recompile_count != 1 else "",
-                        sh.recompile_total * 1e3,
-                        sh.recompile_total / sh.recompile_count * 1e3))
+            for label, noun, cost in (("fallback", "run", sh.fallback),
+                                      ("recompile", "build", sh.recompile)):
+                if cost.count:
+                    lines.append(
+                        "    %s cost: %d %s%s, %.3f ms total (%.3f ms avg)"
+                        % (label, cost.count, noun,
+                           "s" if cost.count != 1 else "",
+                           cost.total * 1e3, cost.mean * 1e3))
             for step in sh.relax_chain:
                 detail = step.get("detail")
                 lines.append("    relax: %s%s" % (
@@ -263,18 +212,13 @@ def format_requests_table(recorder):
     return lines
 
 
-def render_report(metrics=None, health=None, counters=None, function=None,
-                  serving=None, diskcache=None, requests=None):
+def render_report(registry=None, function=None, recorder=None):
     """The full ``janus-stats`` text report."""
-    metrics = metrics if metrics is not None else METRICS
-    health = health if health is not None else HEALTH
-    counters = counters if counters is not None else COUNTERS
-    serving = serving if serving is not None else SERVING
-    diskcache = diskcache if diskcache is not None else DISKCACHE
-    requests = requests if requests is not None else RECORDER
+    bundle = StatsBundle(METRICS if registry is None else registry,
+                         RECORDER if recorder is None else recorder)
     lines = ["== janus-stats =="]
 
-    health_lines = format_health_table(health)
+    health_lines = format_health_table(bundle.health)
     lines.append("-- speculation health --")
     if health_lines:
         lines.extend(health_lines)
@@ -282,41 +226,33 @@ def render_report(metrics=None, health=None, counters=None, function=None,
         lines.append("  (no functions recorded — enable metrics with "
                      "JANUS_METRICS=1 or set_metrics_enabled(True))")
 
-    serving_lines = format_serving_table(serving)
-    if serving_lines:
-        lines.append("-- serving --")
-        lines.extend(serving_lines)
-
-    diskcache_lines = format_diskcache_table(diskcache)
-    if diskcache_lines:
-        lines.append("-- disk cache --")
-        lines.extend(diskcache_lines)
-
-    request_lines = format_requests_table(requests)
-    if request_lines:
-        lines.append("-- flight recorder --")
-        lines.extend(request_lines)
+    for heading, section in (
+            ("-- serving --", format_serving_table(bundle.serving)),
+            ("-- disk cache --", format_diskcache_table(bundle.diskcache)),
+            ("-- flight recorder --",
+             format_requests_table(bundle.requests))):
+        if section:
+            lines.append(heading)
+            lines.extend(section)
 
     lines.append("-- latency histograms --")
-    hist_lines = format_histograms(metrics)
-    if hist_lines:
-        lines.extend(hist_lines)
-    else:
-        lines.append("  (no observations recorded)")
+    lines.extend(format_histograms(bundle.registry)
+                 or ["  (no observations recorded)"])
 
-    mortem = post_mortem(health, function)
+    mortem = post_mortem(bundle.health, function)
     if mortem:
         lines.append("-- post-mortem --")
         lines.extend("  " + line if line and not line.startswith(" ")
                      else line for line in mortem)
 
-    snap = counters.snapshot()
-    interesting = {name: value for name, value
-                   in snap.get("counters", {}).items() if value}
-    if interesting:
+    counter_lines = [
+        "  %-52s %d" % (sample_name(family, values), value)
+        for family in bundle.registry.families()
+        if family.kind == COUNTER
+        for values, value in family.samples() if value]
+    if counter_lines:
         lines.append("-- counters --")
-        for name in sorted(interesting):
-            lines.append("  %-40s %d" % (name, interesting[name]))
+        lines.extend(counter_lines)
     return "\n".join(lines)
 
 
@@ -327,263 +263,103 @@ def _prom_escape(value):
                      .replace("\n", "\\n")
 
 
-def _prom_name(name):
-    out = []
-    for ch in name:
-        out.append(ch if ch.isalnum() or ch == "_" else "_")
-    return "".join(out)
+def _sample(lines, name, value, labels=None):
+    label_text = ""
+    if labels:
+        label_text = "{%s}" % ",".join(
+            '%s="%s"' % (k, _prom_escape(v)) for k, v in labels.items())
+    lines.append(("%s%s %g" if isinstance(value, float) else "%s%s %d")
+                 % (name, label_text, value))
 
 
-class _PromWriter:
-    """Accumulates exposition lines with once-per-family HELP/TYPE.
-
-    Labeled families (e.g. the per-outcome request-latency histograms)
-    emit several sample groups under one header — repeating ``# TYPE``
-    for the same metric name is invalid exposition, which is exactly
-    what the lint test checks.
-    """
-
-    def __init__(self):
-        self.lines = []
-        self._declared = set()
-
-    def header(self, name, kind, help_text):
-        if name in self._declared:
-            return
-        self._declared.add(name)
-        self.lines.append("# HELP %s %s" % (name, help_text))
-        self.lines.append("# TYPE %s %s" % (name, kind))
-
-    def sample(self, name, value, labels=None):
-        label_text = ""
-        if labels:
-            label_text = "{%s}" % ",".join(
-                '%s="%s"' % (k, _prom_escape(v))
-                for k, v in labels.items())
-        if isinstance(value, float):
-            self.lines.append("%s%s %g" % (name, label_text, value))
-        else:
-            self.lines.append("%s%s %d" % (name, label_text, value))
-
-    def gauge(self, name, value, help_text, labels=None):
-        self.header(name, "gauge", help_text)
-        self.sample(name, value, labels)
-
-    def histogram(self, base, hist, help_text, labels=None):
-        """Standard ``_bucket``/``_sum``/``_count`` triple with
-        cumulative ``le`` labels (monotonic, ``+Inf`` last)."""
-        self.header(base, "histogram", help_text)
-        snap = hist.snapshot()
-        cumulative = 0
-        for bound, count in zip(hist.BOUNDS, snap["counts"]):
-            cumulative += count
-            bucket_labels = dict(labels or {})
-            bucket_labels["le"] = "%g" % bound
-            self.sample(base + "_bucket", cumulative, bucket_labels)
-        cumulative += snap["counts"][-1]
-        inf_labels = dict(labels or {})
-        inf_labels["le"] = "+Inf"
-        self.sample(base + "_bucket", cumulative, inf_labels)
-        self.sample(base + "_sum", float(snap["sum"]), labels)
-        self.sample(base + "_count", snap["count"], labels)
-
-    def window_quantiles(self, base, hist, help_text, labels=None):
-        """Trailing-window p50/p95/p99 as a quantile-labelled gauge."""
-        if not isinstance(hist, WindowedHistogram):
-            return
-        stats = hist.window_percentiles()
-        if not stats["count"]:
-            return
-        self.header(base, "gauge", help_text)
-        for quantile, key in (("0.5", "p50"), ("0.95", "p95"),
-                              ("0.99", "p99")):
-            q_labels = dict(labels or {})
-            q_labels["quantile"] = quantile
-            self.sample(base, float(stats[key]), q_labels)
-
-    def text(self):
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+def _histogram(lines, base, hist, labels):
+    """Standard ``_bucket``/``_sum``/``_count`` triple with cumulative
+    ``le`` labels (monotonic, ``+Inf`` last)."""
+    snap = hist.snapshot()
+    cumulative = 0
+    for bound, count in zip(hist.BOUNDS, snap["counts"]):
+        cumulative += count
+        _sample(lines, base + "_bucket", cumulative,
+                dict(labels, le="%g" % bound))
+    _sample(lines, base + "_bucket", cumulative + snap["counts"][-1],
+            dict(labels, le="+Inf"))
+    _sample(lines, base + "_sum", float(snap["sum"]), labels)
+    _sample(lines, base + "_count", snap["count"], labels)
 
 
-def prometheus_text(metrics=None, health=None, counters=None, serving=None,
-                    diskcache=None, requests=None):
-    """The scrape-friendly subset in Prometheus text exposition format.
+_QUANTILES = (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"))
 
+
+def prometheus_text(registry=None, recorder=None):
+    """The registry in Prometheus text exposition format.
+
+    A walk over ``registry.families()``: the declared kind is the
+    ``# TYPE``, the help text the ``# HELP``, label names the labels.
     Histograms map to the standard ``_bucket``/``_sum``/``_count``
-    triple with cumulative ``le`` labels; windowed histograms
-    additionally expose trailing-window p50/p95/p99 as
-    ``*_window_seconds`` quantile gauges; per-function health maps to
-    gauges labelled by function (plus a one-hot ``state`` gauge);
-    counters map to ``janus_counter_total``; the serving layer maps to
-    ``janus_serving_*`` gauges, queue/batch histograms, and the
-    per-outcome ``janus_serving_request_latency_seconds`` family; the
-    disk compile cache maps to ``janus_diskcache_*`` gauges (misses
-    labelled by reason) plus the load-latency histogram; the flight
-    recorder contributes ``janus_requests_*`` totals.
+    triple with cumulative ``le`` labels; a windowed family ``X_seconds``
+    additionally exposes its trailing-window p50/p95/p99 as the
+    ``X_window_seconds{quantile=...}`` gauge.  The flight recorder —
+    not a metric — contributes its two ``janus_requests_*`` totals.
 
     Every line is valid exposition format — HELP/TYPE once per family,
     escaped label values, monotonic cumulative buckets — and the lint
     test in ``tests/test_prometheus_lint.py`` holds it to that.
     """
-    metrics = metrics if metrics is not None else METRICS
-    health = health if health is not None else HEALTH
-    counters = counters if counters is not None else COUNTERS
-    serving = serving if serving is not None else SERVING
-    diskcache = diskcache if diskcache is not None else DISKCACHE
-    requests = requests if requests is not None else RECORDER
-    w = _PromWriter()
+    registry = METRICS if registry is None else registry
+    recorder = RECORDER if recorder is None else recorder
+    lines = []
 
-    for name in metrics.names():
-        hist = metrics.get(name)
-        if hist is None:
+    def header(name, kind, help_text):
+        lines.append("# HELP %s %s" % (name, help_text))
+        lines.append("# TYPE %s %s" % (name, kind))
+
+    for family in registry.families():
+        samples = [(dict(zip(family.labelnames, values)), value)
+                   for values, value in family.samples()]
+        if not samples:
             continue
-        base = "janus_%s_seconds" % _prom_name(name)
-        w.histogram(base, hist, "Latency histogram for %s." % name)
-        w.window_quantiles(base + "_window", hist,
-                           "Trailing-window percentiles for %s." % name)
-
-    functions = health.functions()
-    if functions:
-        gauges = (
-            ("janus_function_calls_total", "calls",
-             "Calls dispatched through the janus function."),
-            ("janus_function_graph_runs_total", "graph_runs",
-             "Calls served by a compiled graph."),
-            ("janus_function_fallbacks_total", "fallbacks",
-             "Calls that fell back imperatively on a failed guard."),
-            ("janus_function_recompiles_total", "recompiles",
-             "Post-relaxation graph regenerations."),
-            ("janus_function_graph_hit_ratio", "graph_hit_ratio",
-             "Fraction of calls served by a compiled graph."),
-        )
-        for metric, attr, help_text in gauges:
-            w.header(metric, "gauge", help_text)
-            for fn in functions:
-                w.sample(metric, getattr(fn, attr),
-                         {"function": fn.name})
-        w.header("janus_function_state", "gauge",
-                 "One-hot speculation state per function.")
-        for fn in functions:
-            w.sample("janus_function_state", 1,
-                     {"function": fn.name, "state": fn.state})
-        w.header("janus_site_failures_total", "gauge",
-                 "Assumption failures per profiled site.")
-        for fn in functions:
-            for key in sorted(fn.sites):
-                sh = fn.sites[key]
-                if not sh.failures:
-                    continue
-                w.sample("janus_site_failures_total", sh.failures,
-                         {"function": fn.name, "site": key,
-                          "kind": sh.kind or "unknown"})
-
-    serving_snap = serving.snapshot()
-    if serving_snap["requests"] or serving_snap["rejected"] \
-            or serving_snap["active_clients"]:
-        serving_gauges = (
-            ("janus_serving_requests_total", "requests",
-             "Requests accepted into an endpoint queue."),
-            ("janus_serving_rejected_total", "rejected",
-             "Requests refused at the admission bound."),
-            ("janus_serving_batches_total", "batches",
-             "Dispatches (each coalescing >= 1 request)."),
-            ("janus_serving_batched_requests_total", "batched_requests",
-             "Requests that shared a dynamic batch."),
-            ("janus_serving_active_clients", "active_clients",
-             "Currently connected client threads."),
-            ("janus_serving_peak_clients", "peak_clients",
-             "Peak concurrent client threads."),
-            ("janus_serving_recompiles_in_flight", "recompiles_in_flight",
-             "Compile tickets currently owned across endpoints."),
-        )
-        for metric, key, help_text in serving_gauges:
-            w.gauge(metric, serving_snap[key], help_text)
-        w.gauge("janus_serving_rejection_rate", serving.rejection_rate,
-                "Rejected / offered requests since start.")
-        w.histogram("janus_serving_queue_depth", serving.queue_depth,
-                    "Queue depth seen by each accepted request.")
-        w.histogram("janus_serving_batch_size", serving.batch_size,
-                    "Requests coalesced per dispatch.")
-        w.histogram("janus_serving_queue_wait_seconds",
-                    serving.queue_wait,
-                    "Seconds each request waited before dispatch.")
-        w.window_quantiles("janus_serving_queue_wait_window_seconds",
-                           serving.queue_wait,
-                           "Trailing-window queue-wait percentiles.")
-        latency_help = ("End-to-end request latency by outcome "
-                        "(ok / error / rejected).")
-        for outcome in sorted(serving.request_latency):
-            hist = serving.request_latency[outcome]
-            if not hist.count:
-                continue
-            w.histogram("janus_serving_request_latency_seconds", hist,
-                        latency_help, {"outcome": outcome})
-            w.window_quantiles(
-                "janus_serving_request_latency_window_seconds", hist,
-                "Trailing-window request-latency percentiles by outcome.",
-                {"outcome": outcome})
-
-    disk_snap = diskcache.snapshot()
-    if disk_snap["loads"] or disk_snap["stores"] \
-            or disk_snap["store_skips"]:
-        disk_gauges = (
-            ("janus_diskcache_loads_total", "loads",
-             "Disk-cache load attempts."),
-            ("janus_diskcache_hits_total", "hits",
-             "Disk-cache loads that produced an artifact."),
-            ("janus_diskcache_stores_total", "stores",
-             "Artifacts published to the disk tier."),
-            ("janus_diskcache_store_bytes_total", "store_bytes",
-             "Bytes written to the disk tier."),
-            ("janus_diskcache_store_skips_total", "store_skips",
-             "Publishes skipped (unportable payloads)."),
-            ("janus_diskcache_evictions_total", "evictions",
-             "Disk-tier entries evicted by the size bound."),
-            ("janus_diskcache_bytes_on_disk", "bytes_on_disk",
-             "Current bytes on disk."),
-            ("janus_diskcache_entries_on_disk", "entries_on_disk",
-             "Current entries on disk."),
-        )
-        for metric, key, help_text in disk_gauges:
-            w.gauge(metric, disk_snap[key], help_text)
-        if disk_snap["miss_reasons"]:
-            w.header("janus_diskcache_misses_total", "gauge",
-                     "Disk-cache misses by reason.")
-            for reason in sorted(disk_snap["miss_reasons"]):
-                w.sample("janus_diskcache_misses_total",
-                         disk_snap["miss_reasons"][reason],
-                         {"reason": reason})
-        w.histogram("janus_diskcache_load_seconds",
-                    diskcache.load_latency,
-                    "Disk-cache load latency.")
-
-    request_snap = requests.snapshot()
-    if request_snap["completed"]:
-        w.gauge("janus_requests_recorded_total",
-                request_snap["completed"],
-                "Requests seen by the flight recorder.")
-        w.gauge("janus_requests_failed_total", request_snap["failures"],
-                "Requests retained as failed/fallback exemplars.")
-
-    counter_snap = counters.snapshot().get("counters", {})
-    if counter_snap:
-        w.header("janus_counter_total", "counter",
-                 "Flat runtime counters by name.")
-        for name in sorted(counter_snap):
-            w.sample("janus_counter_total", counter_snap[name],
-                     {"name": name})
-    return w.text()
+        if family.kind in (COUNTER, GAUGE):
+            header(family.name, family.kind, family.help)
+            for labels, value in samples:
+                _sample(lines, family.name, value, labels)
+            continue
+        header(family.name, HISTOGRAM, family.help)
+        for labels, hist in samples:
+            _histogram(lines, family.name, hist, labels)
+        if family.kind != WINDOWED:
+            continue
+        windows = [(labels, hist.window_percentiles())
+                   for labels, hist in samples]
+        windows = [(labels, stats) for labels, stats in windows
+                   if stats["count"]]
+        if not windows:
+            continue
+        window_name = family.name[:-len("_seconds")] + "_window_seconds"
+        header(window_name, GAUGE,
+               "Trailing-window percentiles of %s." % family.name)
+        for labels, stats in windows:
+            for quantile, key in _QUANTILES:
+                _sample(lines, window_name, float(stats[key]),
+                        dict(labels, quantile=quantile))
+    if recorder.completed:
+        for name, value, help_text in (
+                ("janus_requests_recorded_total", recorder.completed,
+                 "Requests seen by the flight recorder."),
+                ("janus_requests_failed_total", recorder.failures,
+                 "Requests retained as failed/fallback exemplars.")):
+            header(name, COUNTER, help_text)
+            _sample(lines, name, value)
+    return "".join(line + "\n" for line in lines)
 
 
 # -- CLI entry point ---------------------------------------------------------
 
-def _selfcheck(metrics, health):
+def _selfcheck(registry):
     """CI smoke gate: both the health table and histograms must be live."""
     problems = []
-    if not len(health):
+    if not registry.view(HealthRegistry).functions():
         problems.append("health table is empty (no functions recorded)")
-    if not any((metrics.get(n) or None) and metrics.get(n).count
-               for n in metrics.names()):
+    if not format_histograms(registry):
         problems.append("no histogram has a non-zero observation count")
     return problems
 
@@ -595,7 +371,7 @@ def main(argv=None):
     parser.add_argument(
         "--input", "-i", metavar="STATS_JSON", default=None,
         help="saved stats bundle (from write_stats_json / the demo); "
-             "defaults to the live in-process registries")
+             "defaults to the live in-process registry")
     parser.add_argument(
         "--function", "-f", default=None,
         help="restrict the post-mortem to one janus.function name")
@@ -623,21 +399,16 @@ def main(argv=None):
         bundle = StatsBundle.live()
 
     if args.prometheus:
-        sys.stdout.write(prometheus_text(
-            bundle.metrics, bundle.health, bundle.counters,
-            bundle.serving, bundle.diskcache, bundle.requests))
+        sys.stdout.write(prometheus_text(bundle.registry, bundle.requests))
     elif args.requests:
         json.dump(bundle.requests.snapshot(), sys.stdout, indent=1)
         sys.stdout.write("\n")
     else:
-        print(render_report(bundle.metrics, bundle.health,
-                            bundle.counters, args.function,
-                            serving=bundle.serving,
-                            diskcache=bundle.diskcache,
-                            requests=bundle.requests))
+        print(render_report(bundle.registry, args.function,
+                            bundle.requests))
 
     if args.check:
-        problems = _selfcheck(bundle.metrics, bundle.health)
+        problems = _selfcheck(bundle.registry)
         if problems:
             for problem in problems:
                 print("janus-stats --check FAILED: %s" % problem,

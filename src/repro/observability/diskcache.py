@@ -2,7 +2,7 @@
 
 The persistent cross-process compile cache (:mod:`repro.janus.diskcache`)
 turns cold-start compilation into a one-time fleet cost — provided warm
-workers actually hit.  This registry answers the operational questions
+workers actually hit.  This view answers the operational questions
 that design raises:
 
 * **loads** — probe attempts, hits, and misses broken down by *why*
@@ -16,113 +16,93 @@ that design raises:
 * **load latency** — the warm-start price actually paid (unpickle +
   re-fuse + re-lower), the number to compare against a cold compile.
 
-Thread-safe like the other registries and snapshot/restore round-trips
-through the ``janus-stats`` bundle.  The process-wide singleton is
-:data:`DISKCACHE`; populated by the store regardless of
-``METRICS.enabled`` — a worker with a cache dir configured wants its
-hit ratio even with latency histograms off.
+A *view* over the metrics registry
+(:mod:`repro.observability.metrics`): every number is a
+``janus_diskcache_*`` instrument, so snapshot, bundle and exposition
+come from the registry.  The process-wide view is :data:`DISKCACHE`;
+populated by the store regardless of ``METRICS.enabled`` — a worker
+with a cache dir configured wants its hit ratio even with latency
+histograms off.
 """
 
 import threading
 
-from .metrics import Histogram
+from .metrics import METRICS, Registry, View
 
-__all__ = ["DISKCACHE", "DiskCacheStats", "format_diskcache_table",
-           "get_diskcache"]
+__all__ = ["DISKCACHE", "DiskCacheStats", "format_diskcache_table"]
 
 
-class DiskCacheStats:
-    """Aggregated disk-compile-cache signals for one process."""
+class DiskCacheStats(View):
+    """Disk-compile-cache signals: a view over one metrics registry."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.loads = 0               # probe attempts
-        self.hits = 0
-        self.miss_reasons = {}       # reason kind -> count
-        self.stores = 0              # artifacts published
-        self.store_bytes = 0         # total payload bytes written
-        self.store_skips = 0         # unportable artifacts not published
-        self.evictions = 0           # entries dropped by the LRU bound
-        self.bytes_on_disk = 0       # gauge: sampled at probe/publish
-        self.entries_on_disk = 0     # gauge
-        self.load_latency = Histogram()   # seconds per successful load
+    PREFIX = "janus_diskcache_"
+    SCALARS = (
+        ("janus_diskcache_loads_total", "Disk-cache load attempts."),
+        ("janus_diskcache_hits_total",
+         "Disk-cache loads that produced an artifact."),
+        ("janus_diskcache_stores_total",
+         "Artifacts published to the disk tier."),
+        ("janus_diskcache_store_bytes_total",
+         "Bytes written to the disk tier.", "bytes"),
+        ("janus_diskcache_store_skips_total",
+         "Publishes skipped (unportable payloads)."),
+        ("janus_diskcache_evictions_total",
+         "Disk-tier entries evicted by the size bound."),
+        ("janus_diskcache_bytes_on_disk",
+         "Bytes on disk, sampled at probe/publish.", "bytes"),
+        ("janus_diskcache_entries_on_disk",
+         "Entries on disk, sampled at probe/publish.", "entries"),
+    )
+
+    def __init__(self, registry=None):
+        registry = Registry() if registry is None else registry
+        self._lock = lock = threading.Lock()
+        self._bind(self.declare(registry, lock))
+        self._misses = registry.counter(
+            "janus_diskcache_misses_total", "Disk-cache misses by reason.",
+            labels=("reason",), lock=lock)
+        #: Seconds per successful load.
+        self.load_latency = registry.histogram(
+            "janus_diskcache_load_seconds", "Disk-cache load latency.",
+            lock=lock).labels()
+
+    @property
+    def miss_reasons(self):
+        """``{reason kind: count}``."""
+        return {values[0]: count
+                for values, count in self._misses.samples()}
 
     # -- recording (driven by repro.janus.diskcache) -------------------------
 
     def record_hit(self, seconds):
         with self._lock:
-            self.loads += 1
-            self.hits += 1
-        self.load_latency.observe(seconds)
+            self._add("loads")
+            self._add("hits")
+            self.load_latency._observe(seconds)
 
     def record_miss(self, reason):
+        miss = self._misses.labels(reason)
         with self._lock:
-            self.loads += 1
-            self.miss_reasons[reason] = self.miss_reasons.get(reason, 0) + 1
+            self._add("loads")
+            miss.value += 1
 
     def record_store(self, nbytes):
         with self._lock:
-            self.stores += 1
-            self.store_bytes += int(nbytes)
+            self._add("stores")
+            self._add("store_bytes", int(nbytes))
 
     def record_store_skip(self):
         with self._lock:
-            self.store_skips += 1
+            self._add("store_skips")
 
     def record_evictions(self, count):
         with self._lock:
-            self.evictions += int(count)
+            self._add("evictions", int(count))
 
     def set_disk_usage(self, nbytes, entries):
         with self._lock:
-            self.bytes_on_disk = int(nbytes)
-            self.entries_on_disk = int(entries)
-
-    # -- serialization -------------------------------------------------------
-
-    def snapshot(self):
-        with self._lock:
-            snap = {
-                "loads": self.loads,
-                "hits": self.hits,
-                "miss_reasons": dict(self.miss_reasons),
-                "stores": self.stores,
-                "store_bytes": self.store_bytes,
-                "store_skips": self.store_skips,
-                "evictions": self.evictions,
-                "bytes_on_disk": self.bytes_on_disk,
-                "entries_on_disk": self.entries_on_disk,
-            }
-        snap["load_latency"] = self.load_latency.snapshot()
-        return snap
-
-    @classmethod
-    def from_snapshot(cls, snap):
-        stats = cls()
-        snap = snap or {}
-        for field in ("loads", "hits", "stores", "store_bytes",
-                      "store_skips", "evictions", "bytes_on_disk",
-                      "entries_on_disk"):
-            setattr(stats, field, int(snap.get(field, 0)))
-        stats.miss_reasons = {str(k): int(v) for k, v in
-                              (snap.get("miss_reasons") or {}).items()}
-        if snap.get("load_latency"):
-            stats.load_latency = Histogram.from_snapshot(
-                snap["load_latency"])
-        return stats
-
-    def clear(self):
-        with self._lock:
-            self.loads = 0
-            self.hits = 0
-            self.miss_reasons = {}
-            self.stores = 0
-            self.store_bytes = 0
-            self.store_skips = 0
-            self.evictions = 0
-            self.bytes_on_disk = 0
-            self.entries_on_disk = 0
-        self.load_latency = Histogram()
+            self._scalars["bytes_on_disk"].value = int(nbytes)
+            self._scalars["entries_on_disk"].value = int(entries)
 
     def __repr__(self):
         return ("DiskCacheStats(loads=%d, hits=%d, stores=%d)"
@@ -164,10 +144,6 @@ def format_diskcache_table(stats):
     return lines
 
 
-#: The process-wide disk-cache stats; populated by
+#: The process-wide disk-cache view; populated by
 #: :mod:`repro.janus.diskcache`.
-DISKCACHE = DiskCacheStats()
-
-
-def get_diskcache():
-    return DISKCACHE
+DISKCACHE = METRICS.view(DiskCacheStats)

@@ -7,17 +7,17 @@ a top-level object with a ``traceEvents`` list whose entries carry
 ``name``/``cat``/``ph``/``ts`` (µs) and, for complete events, ``dur``.
 
 The text summary is the quick look: event counts per category, the
-hottest ops by cumulative time, counter totals, and timer averages.
+hottest ops by cumulative time, the health and histogram tables, and
+counter totals.
 """
 
 import json
 import os
 import threading
 
-from .counters import COUNTERS
-from .health import HEALTH, format_health_table
-from .metrics import METRICS, format_histograms
-from .reqtrace import RECORDER
+from .cli import stats_payload
+from .health import HealthRegistry, format_health_table
+from .metrics import METRICS, counter_values, format_histograms
 from .tracer import TRACER
 
 _PID = os.getpid()
@@ -58,47 +58,22 @@ def _jsonable(value):
     return repr(value)
 
 
-def write_chrome_trace(path, tracer=None, counters=None, metrics=None,
-                       health=None, requests=None):
+def write_chrome_trace(path, tracer=None, registry=None, recorder=None):
     """Write a ``chrome://tracing``-loadable JSON file; returns ``path``.
 
-    Besides the counters, ``otherData`` carries the latency-histogram
-    snapshots, per-function health summaries, and the flight recorder's
-    request exemplars when any were recorded, so a single trace file
-    preserves the percentile and per-request data alongside the events.
-    Events emitted inside a request carry ``trace_id``/``span_id``/
-    ``parent_span`` args, so one serving request renders as a causally
-    linked flow across threads.
+    ``otherData`` is the stats bundle of *registry* and *recorder*
+    (:func:`repro.observability.cli.stats_payload`: the registry's
+    snapshot, the health log, the flight recorder's exemplars), so a
+    single trace file preserves the percentile and per-request data
+    alongside the events.  Events emitted inside a request carry
+    ``trace_id``/``span_id``/``parent_span`` args, so one serving
+    request renders as a causally linked flow across threads.
     """
-    counters = counters or COUNTERS
-    metrics = metrics if metrics is not None else METRICS
-    health = health if health is not None else HEALTH
-    requests = requests if requests is not None else RECORDER
-    other = {
-        "tool": "repro.observability",
-        "counters": counters.snapshot()["counters"],
-    }
-    metric_snaps = metrics.snapshot()
-    if metric_snaps:
-        other["metrics"] = {
-            name: {"count": snap["count"], "sum": snap["sum"],
-                   "min": snap["min"], "max": snap["max"],
-                   "percentiles": metrics.percentiles(name)}
-            for name, snap in metric_snaps.items()}
-    if len(health):
-        other["health"] = {
-            fn.name: {"state": fn.state,
-                      "graph_hit_ratio": fn.graph_hit_ratio,
-                      "calls": fn.calls, "fallbacks": fn.fallbacks,
-                      "recompiles": fn.recompiles}
-            for fn in health.functions()}
-    request_snap = requests.snapshot()
-    if request_snap["completed"]:
-        other["requests"] = request_snap
     payload = {
         "traceEvents": chrome_trace_events(tracer),
         "displayTimeUnit": "ms",
-        "otherData": other,
+        "otherData": dict(stats_payload(registry, recorder),
+                          tool="repro.observability"),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -106,8 +81,7 @@ def write_chrome_trace(path, tracer=None, counters=None, metrics=None,
     return path
 
 
-def text_summary(tracer=None, counters=None, top=12, metrics=None,
-                 health=None):
+def text_summary(tracer=None, top=12, registry=None):
     """A human-readable digest of the buffered trace + counters.
 
     When latency histograms or speculation-health models were recorded
@@ -115,9 +89,7 @@ def text_summary(tracer=None, counters=None, top=12, metrics=None,
     renders their tables; ``janus-stats`` renders the full post-mortem.
     """
     tracer = tracer or TRACER
-    counters = counters or COUNTERS
-    metrics = metrics if metrics is not None else METRICS
-    health = health if health is not None else HEALTH
+    registry = METRICS if registry is None else registry
     events = tracer.events
     lines = ["== janus trace summary (level %d, %d buffered events) =="
              % (tracer.level, len(events))]
@@ -147,37 +119,29 @@ def text_summary(tracer=None, counters=None, top=12, metrics=None,
                          % ("%s:%s" % (category, name), count, total * 1e3,
                             total / count * 1e6))
 
-    health_lines = format_health_table(health)
+    health_lines = format_health_table(registry.view(HealthRegistry))
     if health_lines:
         lines.append("-- speculation health --")
         lines.extend(health_lines)
-    hist_lines = format_histograms(metrics)
+    hist_lines = format_histograms(registry)
     if hist_lines:
         lines.append("-- latency histograms --")
         lines.extend(hist_lines)
 
-    snap = counters.snapshot()
+    counters = counter_values(registry)
     # Heap-read memo / write-barrier health is always reported (zeros
     # included): a zero memo_hit row on a tensor-attr workload is itself
     # the signal that the barrier is off or tracking is refusing.
+    barrier = ("executor.memo_hit", "executor.memo_stale",
+               "tensor.cow_copies")
     lines.append("-- heap-read memo / write barrier --")
-    for name in ("executor.memo_hit", "executor.memo_stale",
-                 "tensor.cow_copies"):
-        lines.append("  %-40s %d" % (name, snap["counters"].get(name, 0)))
-    generic = {name: value for name, value in snap["counters"].items()
-               if name not in ("executor.memo_hit", "executor.memo_stale",
-                               "tensor.cow_copies")}
+    for name in barrier:
+        lines.append("  %-40s %d" % (name, counters.get(name, 0)))
+    generic = sorted(set(counters).difference(barrier))
     if generic:
         lines.append("-- counters --")
-        for name in sorted(generic):
-            lines.append("  %-40s %d" % (name, generic[name]))
-    if snap["timers"]:
-        lines.append("-- timers --")
-        for name in sorted(snap["timers"]):
-            count, total = snap["timers"][name]
-            mean = total / count if count else 0.0
-            lines.append("  %-40s %6d calls  %9.3f ms  (%8.2f us/call)"
-                         % (name, count, total * 1e3, mean * 1e6))
+        for name in generic:
+            lines.append("  %-40s %d" % (name, counters[name]))
     return "\n".join(lines)
 
 

@@ -9,14 +9,21 @@ working*: which assumption at which site keeps failing, what each
 fallback and recompile cost, and whether a function has converged to
 stable graph execution or is thrashing between specializations.
 
-Everything is keyed by ``(function, site, assumption kind)``.  A *site*
-is the profiler's site key — a tuple rooted at the function key with
-the AST path appended (e.g. ``(fkey, "attr", "h.scale")``) — or a guard
-debug name when no profiler site is attached.  The registry is updated
-by the runtime (``janus/api.py``, ``janus/profiler.py``,
-``janus/cache.py``, ``janus/graphgen.py``) only when ``METRICS`` is
-enabled, so its level-0 cost is the same one-attribute-load gate as the
-histogram registry.
+:class:`HealthRegistry` is a *view* over the metrics registry
+(:mod:`repro.observability.metrics`).  Counts and totals are
+instruments labelled ``function`` (and ``site``, ``kind``); the view
+reads them back as attributes (``health.calls``, ``site.failures``).
+What is an event log rather than a metric — the recent-call window,
+the failure chain, per-site relax chains and guard text, the pending
+recompile attribution — is the only state kept here, serialised as the
+``health_log`` section of a stats bundle.
+
+A *site* is the profiler's site key — a tuple rooted at the function
+key with the AST path appended (e.g. ``(fkey, "attr", "h.scale")``) — or
+a guard debug name when no profiler site is attached.  The runtime
+(``janus/api.py``, ``janus/profiler.py``, ``janus/cache.py``,
+``janus/graphgen.py``) records only when ``METRICS`` is enabled, so the
+level-0 cost is one attribute load per site.
 
 State model per function (reported by :attr:`SpeculationHealth.state`):
 
@@ -40,6 +47,8 @@ State model per function (reported by :attr:`SpeculationHealth.state`):
 import threading
 from collections import deque
 
+from .metrics import METRICS, Registry, View
+
 #: Consecutive undisrupted graph runs required to report "converged".
 CONVERGED_RUNS = 5
 #: Sliding window of recent calls inspected for thrashing.
@@ -57,27 +66,41 @@ def site_key(site):
     return str(site)
 
 
-class SiteHealth:
+class SiteHealth(View):
     """One assumption site of one function: failures, relaxations, costs."""
 
-    __slots__ = ("site", "kind", "failures", "relaxations", "relax_chain",
-                 "fallback_count", "fallback_total", "recompile_count",
-                 "recompile_total", "fragments_reused",
-                 "fragments_reconverted", "last_guard")
+    PREFIX = "janus_site_"
+    LABELS = ("function", "site")
+    SCALARS = (
+        ("janus_site_relaxations_total",
+         "Spec relaxations applied at the site."),
+        ("janus_site_fragments_reused_total",
+         "Fragment splices accepted at the site."),
+        ("janus_site_fragments_reconverted_total",
+         "Fragment splices rejected and reconverted at the site."),
+    )
 
-    def __init__(self, site, kind=None):
+    def __init__(self, owner, function, site, kind=None):
         self.site = site
-        self.kind = kind                 # assumption kind: attr/branch/...
-        self.failures = 0                # guard trips at this site
-        self.relaxations = 0             # spec relaxations applied here
+        self._owner = owner
+        self._labels = (function, site_key(site))
+        self._bind(owner._site_families, *self._labels)
+        #: Measured imperative re-runs / regenerations attributed here.
+        self.fallback = owner._site_fallback.labels(*self._labels)
+        self.recompile = owner._site_recompile.labels(*self._labels)
         self.relax_chain = []            # [{"action", "detail"}, ...]
-        self.fallback_count = 0          # fallbacks attributed here
-        self.fallback_total = 0.0        # measured imperative-rerun seconds
-        self.recompile_count = 0         # regenerations attributed here
-        self.recompile_total = 0.0       # measured graphgen seconds
-        self.fragments_reused = 0        # splices accepted at this site
-        self.fragments_reconverted = 0   # splices rejected → reconverted
         self.last_guard = None           # human guard description
+        self.set_kind(kind)
+
+    def set_kind(self, kind):
+        """The assumption kind (attr/branch/...) labels the failures."""
+        self.kind = kind
+        self._failures = self._owner._site_failures.labels(
+            *self._labels, kind or "unknown")
+
+    @property
+    def failures(self):
+        return self._failures.value
 
     @property
     def fragment_reuse_ratio(self):
@@ -88,76 +111,63 @@ class SiteHealth:
             return None
         return self.fragments_reused / attempts
 
-    def snapshot(self):
-        return {
-            "site": site_key(self.site),
-            "kind": self.kind,
-            "failures": self.failures,
-            "relaxations": self.relaxations,
-            "relax_chain": list(self.relax_chain),
-            "fallback_count": self.fallback_count,
-            "fallback_total": self.fallback_total,
-            "recompile_count": self.recompile_count,
-            "recompile_total": self.recompile_total,
-            "fragments_reused": self.fragments_reused,
-            "fragments_reconverted": self.fragments_reconverted,
-            "fragment_reuse_ratio": self.fragment_reuse_ratio,
-            "last_guard": self.last_guard,
-        }
 
-    @classmethod
-    def from_snapshot(cls, snap):
-        sh = cls(snap.get("site", "?"), snap.get("kind"))
-        sh.failures = int(snap.get("failures", 0))
-        sh.relaxations = int(snap.get("relaxations", 0))
-        sh.relax_chain = list(snap.get("relax_chain", ()))[:MAX_CHAIN]
-        sh.fallback_count = int(snap.get("fallback_count", 0))
-        sh.fallback_total = float(snap.get("fallback_total", 0.0))
-        sh.recompile_count = int(snap.get("recompile_count", 0))
-        sh.recompile_total = float(snap.get("recompile_total", 0.0))
-        sh.fragments_reused = int(snap.get("fragments_reused", 0))
-        sh.fragments_reconverted = int(snap.get("fragments_reconverted", 0))
-        sh.last_guard = snap.get("last_guard")
-        return sh
-
-
-class SpeculationHealth:
+class SpeculationHealth(View):
     """Live health model for one ``janus.function``.
 
-    Thread-safe: every ``record_*`` mutator and ``snapshot`` run under a
-    per-function lock, so concurrent callers (N serving threads sharing
-    one function) never lose an increment or serialize a half-updated
-    failure chain.  RLock because the recording paths call :meth:`site`
-    internally.
+    Thread-safe: every ``record_*`` mutator runs under the owning
+    registry view's lock — the lock its instruments were declared with
+    — so one acquisition covers the counters and the event log, and
+    concurrent callers never lose an increment or serialize a
+    half-updated failure chain.
     """
 
-    def __init__(self, name):
-        self._lock = threading.RLock()
+    PREFIX = "janus_function_"
+    LABELS = ("function",)
+    SCALARS = (
+        ("janus_function_calls_total",
+         "Calls dispatched through the janus function."),
+        ("janus_function_graph_runs_total",
+         "Calls served by a compiled graph."),
+        ("janus_function_imperative_runs_total",
+         "Calls run imperatively (profiling, fallback, unconvertible)."),
+        ("janus_function_profile_runs_total",
+         "Instrumented imperative profiling runs."),
+        ("janus_function_fallbacks_total",
+         "Calls that fell back imperatively on a failed guard."),
+        ("janus_function_graphs_generated_total",
+         "Graphs generated and compiled."),
+        ("janus_function_recompiles_total",
+         "Post-relaxation graph regenerations."),
+        ("janus_function_cache_evictions_total",
+         "Graph-cache entries evicted by the LRU bound."),
+        ("janus_function_cache_invalidations_total",
+         "Graph-cache entries retired after a failed assumption."),
+        ("janus_function_fused_ops_total",
+         "Elementwise ops collapsed into fused kernels."),
+        ("janus_function_coexec_runs_total",
+         "Calls served by a co-execution plan."),
+        ("janus_function_coexec_fragment_runs_total",
+         "Symbolic fragment graph runs inside co-executed calls."),
+    )
+
+    def __init__(self, owner, name):
         self.name = name
-        self.calls = 0
-        self.graph_runs = 0
-        self.imperative_runs = 0        # profiling + fallback + non-convert
-        self.profile_runs = 0
-        self.fallbacks = 0
-        self.graphs_generated = 0
-        self.recompiles = 0             # regenerations after the first build
-        self.cache_evictions = 0
-        self.cache_invalidations = 0
-        self.fused_ops = 0              # elementwise ops collapsed, total
+        self._owner = owner
+        self._lock = owner._lock
+        self._bind(owner._function_families, name)
+        self.sites = {}                 # site_key(site) -> SiteHealth
         self.imperative_only = False
-        self.coexec_runs = 0            # calls served by a co-exec plan
-        self.coexec_fragment_runs = 0   # symbolic fragment graph runs
         #: Weighted fraction of body ops inside symbolic fragments
         #: (None until the first co-executed call reports it).
         self.converted_ratio = None
         self.consecutive_graph_runs = 0
         #: Sliding window of recent call outcomes: "graph", "profile",
-        #: "fallback", "recompile", "imperative".
+        #: "fallback", "recompile", "imperative", "coexec".
         self.recent = deque(maxlen=RECENT_WINDOW)
         #: Ordered record of guard failures: [{"site", "kind", "guard",
         #: "fallback_s", "recompile_s"}, ...] capped at MAX_CHAIN.
         self.failure_chain = []
-        self.sites = {}                 # site_key(site) -> SiteHealth
         #: Failure site whose relaxation the *next* regeneration pays
         #: for — lets us attribute recompile cost to the assumption
         #: that caused it.
@@ -170,9 +180,10 @@ class SpeculationHealth:
         with self._lock:
             sh = self.sites.get(key)
             if sh is None:
-                sh = self.sites[key] = SiteHealth(site, kind)
-            if kind is not None and sh.kind is None:
-                sh.kind = kind
+                sh = self.sites[key] = SiteHealth(self._owner, self.name,
+                                                  site, kind)
+            elif kind is not None and sh.kind is None:
+                sh.set_kind(kind)
             return sh
 
     # -- derived signals -----------------------------------------------------
@@ -200,11 +211,13 @@ class SpeculationHealth:
             return "profiling"
         if self.consecutive_graph_runs >= CONVERGED_RUNS:
             return "converged"
-        disruptions = sum(1 for outcome in self.recent
-                          if outcome in ("fallback", "recompile"))
-        if disruptions >= THRASH_DISRUPTIONS:
+        if self._disruptions() >= THRASH_DISRUPTIONS:
             return "thrashing"
         return "specialized"
+
+    def _disruptions(self):
+        return sum(1 for outcome in self.recent
+                   if outcome in ("fallback", "recompile"))
 
     def diagnosis(self):
         """One-line 'why is this function in this state' explanation."""
@@ -231,9 +244,7 @@ class SpeculationHealth:
                         worst.failures)) if worst else ""
             return ("%d of the last %d calls were disrupted by guard "
                     "failures or recompiles%s"
-                    % (sum(1 for o in self.recent
-                           if o in ("fallback", "recompile")),
-                       len(self.recent), where))
+                    % (self._disruptions(), len(self.recent), where))
         return ("graph exists but not yet converged (%d consecutive "
                 "graph runs, need %d)"
                 % (self.consecutive_graph_runs, CONVERGED_RUNS))
@@ -245,35 +256,44 @@ class SpeculationHealth:
             return None
         return max(failing, key=lambda s: s.failures)
 
+    def summary(self):
+        """The headline signals ``/health`` carries per function."""
+        return {"name": self.name, "state": self.state,
+                "diagnosis": self.diagnosis(), "calls": self.calls,
+                "graph_runs": self.graph_runs,
+                "graph_hit_ratio": self.graph_hit_ratio,
+                "fallbacks": self.fallbacks,
+                "recompiles": self.recompiles}
+
     # -- event recording (driven by the runtime) -----------------------------
 
     def record_call(self):
         with self._lock:
-            self.calls += 1
+            self._add("calls")
 
     def record_graph_run(self):
         with self._lock:
-            self.graph_runs += 1
+            self._add("graph_runs")
             self.consecutive_graph_runs += 1
             self.recent.append("graph")
 
     def record_profile_run(self):
         with self._lock:
-            self.profile_runs += 1
-            self.imperative_runs += 1
+            self._add("profile_runs")
+            self._add("imperative_runs")
             self.consecutive_graph_runs = 0
             self.recent.append("profile")
 
     def record_imperative_run(self):
         with self._lock:
-            self.imperative_runs += 1
+            self._add("imperative_runs")
             self.consecutive_graph_runs = 0
             self.recent.append("imperative")
 
     def record_failure(self, site, kind=None, guard=None):
         with self._lock:
             sh = self.site(site, kind)
-            sh.failures += 1
+            sh._failures.value += 1
             if guard is not None:
                 sh.last_guard = guard
             self.consecutive_graph_runs = 0
@@ -286,32 +306,34 @@ class SpeculationHealth:
 
     def record_fallback(self, site, seconds, kind=None):
         with self._lock:
-            sh = self.site(site, kind)
-            sh.fallback_count += 1
-            sh.fallback_total += seconds
-            self.fallbacks += 1
-            self.imperative_runs += 1
+            self.site(site, kind).fallback._observe(seconds)
+            self._add("fallbacks")
+            self._add("imperative_runs")
             self.consecutive_graph_runs = 0
             self.recent.append("fallback")
-            for entry in reversed(self.failure_chain):
-                if entry["site"] == site_key(site) \
-                        and entry["fallback_s"] is None:
-                    entry["fallback_s"] = seconds
-                    break
+            self._stamp_failure(site_key(site), "fallback_s", seconds)
+
+    def _stamp_failure(self, key, field, seconds):
+        """Fill the cost of the latest failure at *key* still missing
+        *field*."""
+        for entry in reversed(self.failure_chain):
+            if entry["site"] == key and entry[field] is None:
+                entry[field] = seconds
+                break
 
     def record_relax(self, site, action, detail=None, kind=None):
         with self._lock:
             sh = self.site(site, kind)
-            sh.relaxations += 1
+            sh._add("relaxations")
             if len(sh.relax_chain) < MAX_CHAIN:
                 sh.relax_chain.append({"action": action, "detail": detail})
 
     def record_generation(self, seconds, regeneration, fused_ops=0):
         with self._lock:
-            self.graphs_generated += 1
-            self.fused_ops += int(fused_ops)
+            self._add("graphs_generated")
+            self._add("fused_ops", int(fused_ops))
             if regeneration:
-                self.recompiles += 1
+                self._add("recompiles")
                 self.recent.append("recompile")
                 # A recompile disrupts the stable streak: a function that
                 # regenerates on every call must never report "converged".
@@ -319,22 +341,13 @@ class SpeculationHealth:
                 pending = self._pending_recompile_site
                 self._pending_recompile_site = None
                 if pending is not None and pending in self.sites:
-                    sh = self.sites[pending]
-                    sh.recompile_count += 1
-                    sh.recompile_total += seconds
-                    for entry in reversed(self.failure_chain):
-                        if entry["site"] == pending \
-                                and entry["recompile_s"] is None:
-                            entry["recompile_s"] = seconds
-                            break
+                    self.sites[pending].recompile._observe(seconds)
+                    self._stamp_failure(pending, "recompile_s", seconds)
 
     def record_fragment(self, site, reused):
         with self._lock:
-            sh = self.site(site)
-            if reused:
-                sh.fragments_reused += 1
-            else:
-                sh.fragments_reconverted += 1
+            self.site(site)._add("fragments_reused" if reused
+                                 else "fragments_reconverted")
 
     def record_coexec_run(self, fragment_graph_runs, ratio=None):
         """One call served by the co-execution plan.
@@ -344,8 +357,8 @@ class SpeculationHealth:
         plan's current converted-op ratio (refinement shrinks it).
         """
         with self._lock:
-            self.coexec_runs += 1
-            self.coexec_fragment_runs += int(fragment_graph_runs)
+            self._add("coexec_runs")
+            self._add("coexec_fragment_runs", int(fragment_graph_runs))
             if ratio is not None:
                 self.converted_ratio = float(ratio)
             self.consecutive_graph_runs = 0
@@ -357,82 +370,88 @@ class SpeculationHealth:
 
     def record_cache_eviction(self):
         with self._lock:
-            self.cache_evictions += 1
+            self._add("cache_evictions")
 
     def record_cache_invalidation(self):
         with self._lock:
-            self.cache_invalidations += 1
+            self._add("cache_invalidations")
 
-    # -- serialization -------------------------------------------------------
+    # -- the event log -------------------------------------------------------
 
-    def snapshot(self):
-        with self._lock:
-            return self._snapshot_locked()
-
-    def _snapshot_locked(self):
+    def _log(self):
         return {
-            "name": self.name,
-            "state": self.state,
-            "diagnosis": self.diagnosis(),
-            "calls": self.calls,
-            "graph_runs": self.graph_runs,
-            "imperative_runs": self.imperative_runs,
-            "profile_runs": self.profile_runs,
-            "fallbacks": self.fallbacks,
-            "graphs_generated": self.graphs_generated,
-            "recompiles": self.recompiles,
-            "cache_evictions": self.cache_evictions,
-            "cache_invalidations": self.cache_invalidations,
-            "fused_ops": self.fused_ops,
             "imperative_only": self.imperative_only,
-            "coexec_runs": self.coexec_runs,
-            "coexec_fragment_runs": self.coexec_fragment_runs,
             "converted_ratio": self.converted_ratio,
             "consecutive_graph_runs": self.consecutive_graph_runs,
-            "graph_hit_ratio": self.graph_hit_ratio,
-            "fragment_reuse_ratio": self.fragment_reuse_ratio,
             "recent": list(self.recent),
-            "failure_chain": list(self.failure_chain),
-            "sites": {key: sh.snapshot()
+            "failure_chain": [dict(entry) for entry in self.failure_chain],
+            "pending_recompile_site": self._pending_recompile_site,
+            "sites": {key: {"kind": sh.kind,
+                            "relax_chain": list(sh.relax_chain),
+                            "last_guard": sh.last_guard}
                       for key, sh in sorted(self.sites.items())},
         }
 
-    @classmethod
-    def from_snapshot(cls, snap):
-        health = cls(snap.get("name", "?"))
-        for field in ("calls", "graph_runs", "imperative_runs",
-                      "profile_runs", "fallbacks", "graphs_generated",
-                      "recompiles", "cache_evictions",
-                      "cache_invalidations", "consecutive_graph_runs",
-                      "fused_ops",
-                      # Absent from pre-co-execution bundles: default 0.
-                      "coexec_runs", "coexec_fragment_runs"):
-            setattr(health, field, int(snap.get(field, 0)))
-        ratio = snap.get("converted_ratio")
-        health.converted_ratio = float(ratio) if ratio is not None else None
-        health.imperative_only = bool(snap.get("imperative_only", False))
-        health.recent.extend(snap.get("recent", ()))
-        health.failure_chain = list(snap.get("failure_chain",
-                                             ()))[:MAX_CHAIN]
-        for key, site_snap in (snap.get("sites") or {}).items():
-            health.sites[key] = SiteHealth.from_snapshot(site_snap)
-        return health
+    def _restore_log(self, log):
+        self.imperative_only = bool(log["imperative_only"])
+        self.converted_ratio = log["converted_ratio"]
+        self.consecutive_graph_runs = int(log["consecutive_graph_runs"])
+        self.recent.extend(log["recent"])
+        self.failure_chain = list(log["failure_chain"])
+        self._pending_recompile_site = log["pending_recompile_site"]
+        for key, site_log in log["sites"].items():
+            sh = self.site(key, site_log["kind"])
+            sh.relax_chain = list(site_log["relax_chain"])
+            sh.last_guard = site_log["last_guard"]
 
 
-class HealthRegistry:
-    """All per-function health models in the process."""
+class HealthRegistry(View):
+    """All per-function health models over one metrics registry."""
 
-    def __init__(self):
+    def __init__(self, registry=None):
+        self.registry = registry = \
+            Registry() if registry is None else registry
+        #: Guards every health instrument and the event logs.  RLock
+        #: because the recording paths call ``site`` internally.
+        self._lock = lock = threading.RLock()
         self._functions = {}
-        self._lock = threading.Lock()
+        self._function_families = SpeculationHealth.declare(registry, lock)
+        self._site_families = SiteHealth.declare(registry, lock)
+        site_labels = SiteHealth.LABELS
+        self._site_failures = registry.counter(
+            "janus_site_failures_total",
+            "Assumption failures per profiled site.",
+            labels=site_labels + ("kind",), lock=lock)
+        self._site_fallback = registry.histogram(
+            "janus_site_fallback_seconds",
+            "Imperative re-runs forced by a guard failure at the site.",
+            labels=site_labels, lock=lock)
+        self._site_recompile = registry.histogram(
+            "janus_site_recompile_seconds",
+            "Regenerations attributed to a guard failure at the site.",
+            labels=site_labels, lock=lock)
+        registry.gauge(
+            "janus_function_state",
+            "One-hot speculation state per function.",
+            labels=("function", "state"),
+            sample=lambda: {(fn.name, fn.state): 1
+                            for fn in self.functions()})
+        registry.gauge(
+            "janus_function_graph_hit_ratio",
+            "Fraction of calls served by a compiled graph.",
+            labels=("function",),
+            sample=lambda: {(fn.name,): fn.graph_hit_ratio
+                            for fn in self.functions()})
 
     def function(self, name):
         """The (created-on-demand) health model for a function name."""
         health = self._functions.get(name)
         if health is None:
             with self._lock:
-                health = self._functions.setdefault(
-                    name, SpeculationHealth(name))
+                health = self._functions.get(name)
+                if health is None:
+                    health = self._functions[name] = \
+                        SpeculationHealth(self, name)
         return health
 
     def get(self, name):
@@ -440,58 +459,53 @@ class HealthRegistry:
 
     def functions(self):
         """Health models, sorted by function name."""
-        return [self._functions[name] for name in sorted(self._functions)]
+        with self._lock:
+            return [self._functions[name]
+                    for name in sorted(self._functions)]
 
     def snapshot(self):
-        return {name: health.snapshot()
-                for name, health in sorted(self._functions.items())}
+        """The ``health_log`` bundle section: per function, what the
+        registry's instruments do not carry."""
+        with self._lock:
+            return {fn.name: fn._log() for fn in self.functions()}
 
-    @classmethod
-    def from_snapshot(cls, snap):
-        registry = cls()
-        for name, health_snap in (snap or {}).items():
-            registry._functions[name] = SpeculationHealth.from_snapshot(
-                health_snap)
-        return registry
+    def restore_log(self, snap):
+        """Adopt a saved ``health_log`` over this view's (restored)
+        registry."""
+        for name, log in (snap or {}).items():
+            self.function(name)._restore_log(log)
 
-    def clear(self):
+    def reset_log(self):
         with self._lock:
             self._functions.clear()
 
-    def __len__(self):
-        return len(self._functions)
 
-
-#: The process-wide health registry; populated only while METRICS is
+#: The process-wide health view; populated only while METRICS is
 #: enabled.
-HEALTH = HealthRegistry()
+HEALTH = METRICS.view(HealthRegistry)
 
 
-def get_health():
-    return HEALTH
-
-
-def format_health_table(registry):
+def format_health_table(health):
     """Text table: one row per function with its headline signals.
 
-    Accepts a :class:`HealthRegistry` (live or restored from snapshot);
-    returns [] when nothing was recorded.
+    Accepts a :class:`HealthRegistry` (live or over a restored
+    registry); returns [] when nothing was recorded.
     """
-    functions = registry.functions()
+    functions = health.functions()
     if not functions:
         return []
     lines = [
         "  %-24s %-13s %6s %8s %9s %6s %6s %8s %8s"
         % ("function", "state", "calls", "hit%", "fallback", "recomp",
            "fail", "frag-re%", "fused")]
-    for health in functions:
-        reuse = health.fragment_reuse_ratio
-        failures = sum(s.failures for s in health.sites.values())
+    for fn in functions:
+        reuse = fn.fragment_reuse_ratio
+        failures = sum(s.failures for s in fn.sites.values())
         lines.append(
             "  %-24s %-13s %6d %7.1f%% %9d %6d %6d %8s %8s"
-            % (health.name[:24], health.state, health.calls,
-               health.graph_hit_ratio * 100.0, health.fallbacks,
-               health.recompiles, failures,
+            % (fn.name[:24], fn.state, fn.calls,
+               fn.graph_hit_ratio * 100.0, fn.fallbacks,
+               fn.recompiles, failures,
                "-" if reuse is None else "%.0f%%" % (reuse * 100.0),
-               health.fused_ops if health.graphs_generated else "-"))
+               fn.fused_ops if fn.graphs_generated else "-"))
     return lines

@@ -2,14 +2,14 @@
 
 A minimal scrape target for serving workers and the ``warmstart``
 fleet: a daemon HTTP server (standard-library ``http.server``, no new
-dependencies) exposing the live in-process registries while the
+dependencies) exposing the live in-process registry while the
 workload runs.
 
 Endpoints:
 
 * ``/metrics``  — Prometheus text exposition
   (:func:`repro.observability.cli.prometheus_text` over the live
-  registries; scrape-ready),
+  registry; scrape-ready),
 * ``/health``   — speculation-health JSON: per-function state /
   diagnosis / hit ratio plus the serving layer's windowed SLO view
   (request-latency and queue-wait percentiles over the trailing
@@ -32,7 +32,7 @@ or run standalone against a demo workload (used by ``make stats-serve``)::
     python -m repro.observability.httpstat --port 0 --smoke
 
 ``--smoke`` starts the server on an ephemeral port, drives a small
-serving workload in-process so every registry is populated, scrapes
+serving workload in-process so the registry is populated, scrapes
 ``/metrics`` and ``/health`` over real HTTP, asserts both parse, and
 exits 0 — the CI gate that the live endpoint actually serves.
 """
@@ -45,7 +45,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .cli import prometheus_text
 from .health import HEALTH
-from .metrics import WindowedHistogram
 from .reqtrace import RECORDER
 from .serving import SERVING
 
@@ -54,37 +53,10 @@ __all__ = ["StatsServer", "health_payload", "main"]
 
 def health_payload():
     """The ``/health`` JSON: speculation + serving health, live."""
-    functions = []
-    for fn in HEALTH.functions():
-        functions.append({
-            "name": fn.name,
-            "state": fn.state,
-            "diagnosis": fn.diagnosis(),
-            "calls": fn.calls,
-            "graph_runs": fn.graph_runs,
-            "graph_hit_ratio": fn.graph_hit_ratio,
-            "fallbacks": fn.fallbacks,
-            "recompiles": fn.recompiles,
-        })
-    serving = {
-        "requests": SERVING.requests,
-        "rejected": SERVING.rejected,
-        "rejection_rate": SERVING.rejection_rate,
-        "batches": SERVING.batches,
-        "active_clients": SERVING.active_clients,
-        "recompiles_in_flight": SERVING.recompiles_in_flight,
-    }
-    for name, hist in (("queue_wait", SERVING.queue_wait),
-                       ("request_latency_ok",
-                        SERVING.request_latency.get("ok")),
-                       ("request_latency_rejected",
-                        SERVING.request_latency.get("rejected"))):
-        if isinstance(hist, WindowedHistogram):
-            serving["%s_window" % name] = hist.window_percentiles()
     return {
         "status": "ok",
-        "functions": functions,
-        "serving": serving,
+        "functions": [fn.summary() for fn in HEALTH.functions()],
+        "serving": SERVING.summary(),
         "requests_recorded": RECORDER.completed,
         "requests_failed": RECORDER.failures,
     }
@@ -127,7 +99,7 @@ class _StatsHandler(BaseHTTPRequestHandler):
 
 
 class StatsServer:
-    """A daemon-threaded live stats server over the global registries."""
+    """A daemon-threaded live stats server over the global registry."""
 
     def __init__(self, host="127.0.0.1", port=0):
         self.host = host
@@ -176,7 +148,7 @@ class StatsServer:
 # -- smoke workload + CLI ----------------------------------------------------
 
 def _drive_demo_workload():
-    """Populate every registry with a tiny real serving run."""
+    """Populate the registry with a tiny real serving run."""
     import numpy as np
 
     import repro as R

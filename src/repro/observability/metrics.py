@@ -1,46 +1,39 @@
-"""Histogram/percentile metrics for the JANUS runtime.
+"""The one metrics registry of the JANUS runtime.
 
-The :class:`CounterRegistry` answers "how many / how much total"; this
-module answers the fleet-health questions the speculate → guard →
-fallback → relax loop raises in production: *what is the p99 graph-run
-latency, how expensive is a fallback, how long does a recompile take?*
+Every number the runtime keeps about itself — flat event counters,
+latency histograms, per-function speculation health, serving SLOs,
+disk-cache traffic — is an *instrument* declared once in a
+:class:`Registry` (name, help, unit, label names) and used through a
+handle: ``family.labels(*values)`` is the child that records.  Four
+kinds: ``counter`` (``inc``; named ``*_total``), ``gauge`` (``set`` /
+``inc``, or *sampled* by a callback when read), ``histogram``
+(``observe``; log-2 buckets, exact count/sum/min/max, p50/p95/p99) and
+``windowed`` (a histogram that also answers "over the last W seconds";
+named ``*_seconds``).  docs/observability.md, "Instruments", is the
+guide and the catalogue of families.
 
-A :class:`Histogram` is a fixed set of log-spaced buckets (factor-2
-growth from 1 µs to ~2 minutes) plus exact count/sum/min/max, so
-percentile estimates interpolate within one bucket and are always
-clamped to the observed range.  Fixed buckets make histograms from
-independent runs (worker subprocesses, per-function registries)
-**mergeable** the same way :class:`CounterRegistry` is — bucket counts
-just add.
+*One locking rule.*  A child owns a lock unless its declaration is
+given one; a view that folds several instruments per event declares
+them with its own lock, takes it once, and mutates ``child.value`` /
+calls ``child._observe`` under that one acquisition.
 
-Design constraints mirror the tracer's:
+*One snapshot.*  :meth:`Registry.snapshot` is self-describing (kind,
+help, unit and label names travel with the values), so a restored
+registry renders without the modules that declared its instruments.  A
+labelled counter reports from its first increment and a histogram from
+its first observation; gauges and unlabelled counters always report.
+:meth:`Registry.clear` zeroes children in place: handles bound before a
+clear keep recording after it.  Speculation health, serving SLOs and
+disk-cache stats are *views* (:meth:`Registry.view`) that read and
+write instruments and own no storage or serialisation.
 
-1. **Near-zero overhead when disabled.**  Every instrumentation site
-   first reads ``METRICS.enabled`` (a plain attribute) and only then
-   takes timestamps or builds values; with the default (disabled) the
-   cost per site is one attribute load and one truth test.
-   :func:`disabled_site_cost` measures exactly that cost, and
-   ``benchmarks/bench_observability_overhead.py`` gates it against the
-   quickstart model's step time.
-2. **Bounded memory.**  A histogram is ~30 integers regardless of how
-   many observations it absorbs.
-3. **Standard library only** — importable from any subsystem without
-   cycles.
-
-The process-wide singleton is :data:`METRICS`; the initial enablement
-comes from the ``JANUS_METRICS`` environment variable.  Histogram names
-used by the runtime (seconds unless noted):
-
-* ``graph.run`` — top-level compiled-graph executions,
-* ``graphgen.initial`` / ``graphgen.recompile`` — speculative graph
-  generation + compilation, first build vs post-relaxation rebuilds,
-* ``fallback.imperative`` — imperative runs forced by a failed runtime
-  assumption (the measured *fallback cost*),
-* ``guard.precheck`` — per-call cache precheck validation,
-* ``guard.check`` — individual runtime assumption checks (AssertOp
-  analogue) inside the graph executor,
-* ``eager.dispatch`` — per-op eager dispatch latency,
-* ``profile.run`` — instrumented imperative profiling runs.
+The process-wide registry is :data:`METRICS`; :data:`COUNTERS` is its
+``janus_counter_total{name=...}`` family.  ``METRICS.enabled``
+(``JANUS_METRICS`` / :func:`set_metrics_enabled`) is the plain
+attribute every latency/health site reads before taking a timestamp:
+disabled, a site costs one attribute load and one truth test
+(:func:`disabled_site_cost`).  Serving and disk-cache instruments
+record regardless.  Standard library only.
 """
 
 import os
@@ -55,13 +48,36 @@ _perf_counter = time.perf_counter
 #: bucket.  Every histogram uses the same bounds so any two merge.
 BUCKET_BOUNDS = tuple(1e-6 * (2.0 ** i) for i in range(28))
 
+COUNTER, GAUGE, HISTOGRAM, WINDOWED = ("counter", "gauge", "histogram",
+                                       "windowed")
+
+
+class Scalar:
+    """A counter or gauge child: one number behind a lock."""
+
+    __slots__ = ("value", "_lock")
+
+    def __init__(self, lock=None):
+        self.value = 0
+        self._lock = lock if lock is not None else threading.Lock()
+
+    def inc(self, amount=1):
+        with self._lock:
+            self.value += amount
+
+    def set(self, value):
+        with self._lock:
+            self.value = value
+
+    def _reset(self):
+        self.value = 0
+
 
 class Histogram:
     """Fixed log-bucket histogram with exact count/sum/min/max.
 
-    Thread-safe: ``observe``/``merge``/``snapshot`` serialize on a
-    per-histogram lock so concurrent callers (multi-tenant dispatch,
-    the serving layer's queue-depth gauges) never lose counts or read a
+    Thread-safe: ``observe``/``merge``/``snapshot`` serialize on the
+    histogram's lock so concurrent callers never lose counts or read a
     torn count/sum pair.
     """
 
@@ -69,13 +85,16 @@ class Histogram:
 
     BOUNDS = BUCKET_BOUNDS
 
-    def __init__(self):
+    def __init__(self, lock=None):
+        self._lock = lock if lock is not None else threading.Lock()
+        self._reset()
+
+    def _reset(self):
         self.counts = [0] * (len(self.BOUNDS) + 1)   # +1 overflow bucket
         self.count = 0
         self.total = 0.0
         self.min = None
         self.max = None
-        self._lock = threading.Lock()
 
     # -- recording -----------------------------------------------------------
 
@@ -169,17 +188,19 @@ class Histogram:
             return {"counts": list(self.counts), "count": self.count,
                     "sum": self.total, "min": self.min, "max": self.max}
 
+    def _restore(self, snap):
+        counts = list(snap.get("counts", ()))
+        for i, n in enumerate(counts[:len(self.counts)]):
+            self.counts[i] = int(n)
+        self.count = int(snap.get("count", sum(self.counts)))
+        self.total = float(snap.get("sum", 0.0))
+        self.min = snap.get("min")
+        self.max = snap.get("max")
+        return self
+
     @classmethod
     def from_snapshot(cls, snap):
-        hist = cls()
-        counts = list(snap.get("counts", ()))
-        for i, n in enumerate(counts[:len(hist.counts)]):
-            hist.counts[i] = int(n)
-        hist.count = int(snap.get("count", sum(hist.counts)))
-        hist.total = float(snap.get("sum", 0.0))
-        hist.min = snap.get("min")
-        hist.max = snap.get("max")
-        return hist
+        return cls()._restore(snap)
 
     def __repr__(self):
         return "Histogram(count=%d, mean=%.3gs, max=%s)" % (
@@ -190,14 +211,12 @@ class WindowedHistogram(Histogram):
     """A histogram that also answers "over the last W seconds".
 
     The cumulative-since-process-start statistics a plain
-    :class:`Histogram` keeps cannot drive control decisions: the
-    ROADMAP's adaptive-linger rung needs *recent* queue-wait
-    percentiles, and an SLO dashboard needs p99 over the trailing
-    minute, not the trailing week.  A ``WindowedHistogram`` keeps both:
-    it *is* a cumulative :class:`Histogram` (so every existing
-    consumer — merge, snapshot, ``format_histograms`` — keeps working),
-    plus a fixed ring of ``slices`` sub-histograms, each covering
-    ``window_s / slices`` seconds of wall time.
+    :class:`Histogram` keeps cannot drive control decisions: an
+    adaptive-linger policy needs *recent* queue-wait percentiles, and an
+    SLO dashboard needs p99 over the trailing minute, not the trailing
+    week.  A ``WindowedHistogram`` keeps both: it *is* a cumulative
+    :class:`Histogram`, plus a fixed ring of ``slices`` sub-histograms,
+    each covering ``window_s / slices`` seconds of wall time.
 
     Rotation is lazy and O(1): each observation computes its slice
     sequence number ``seq = int(now / slice_span)``; the ring slot
@@ -215,17 +234,20 @@ class WindowedHistogram(Histogram):
     __slots__ = ("window_s", "slices", "_slice_span", "_ring", "_seqs",
                  "_clock")
 
-    def __init__(self, window_s=60.0, slices=6, clock=None):
-        super().__init__()
+    def __init__(self, window_s=60.0, slices=6, clock=None, lock=None):
         if slices < 1:
             raise ValueError("WindowedHistogram needs >= 1 slice")
         self.window_s = float(window_s)
         self.slices = int(slices)
         self._slice_span = self.window_s / self.slices
-        self._ring = [Histogram() for _ in range(self.slices)]
-        self._seqs = [None] * self.slices
         #: Injectable for tests; perf_counter in production.
         self._clock = clock if clock is not None else _perf_counter
+        super().__init__(lock)
+
+    def _reset(self):
+        super()._reset()
+        self._ring = [Histogram() for _ in range(self.slices)]
+        self._seqs = [None] * self.slices
 
     # -- recording -----------------------------------------------------------
 
@@ -270,205 +292,309 @@ class WindowedHistogram(Histogram):
         histogram reports the window as of when the snapshot was taken.
         """
         snap = super().snapshot()
-        win = self.window()
         snap["window"] = {"window_s": self.window_s,
                           "slices": self.slices,
-                          "merged": Histogram.snapshot(win)}
+                          "merged": Histogram.snapshot(self.window())}
         return snap
 
-    @classmethod
-    def from_snapshot(cls, snap):
-        win_meta = (snap or {}).get("window") or {}
-        hist = cls(window_s=win_meta.get("window_s", 60.0),
-                   slices=win_meta.get("slices", 6))
-        counts = list(snap.get("counts", ()))
-        for i, n in enumerate(counts[:len(hist.counts)]):
-            hist.counts[i] = int(n)
-        hist.count = int(snap.get("count", sum(hist.counts)))
-        hist.total = float(snap.get("sum", 0.0))
-        hist.min = snap.get("min")
-        hist.max = snap.get("max")
-        merged = win_meta.get("merged")
+    def _restore(self, snap):
+        super()._restore(snap)
+        merged = (snap.get("window") or {}).get("merged")
         if merged:
             # Park the restored window in slot 0 at the current seq so
             # window() reproduces the snapshot-time view for one span.
-            seq = int(hist._clock() / hist._slice_span)
-            hist._ring[0] = Histogram.from_snapshot(merged)
-            hist._seqs[0] = seq
-        return hist
+            self._ring[0] = Histogram.from_snapshot(merged)
+            self._seqs[0] = int(self._clock() / self._slice_span)
+        return self
+
+    @classmethod
+    def from_snapshot(cls, snap):
+        meta = snap.get("window") or {}
+        return cls(window_s=meta.get("window_s", 60.0),
+                   slices=meta.get("slices", 6))._restore(snap)
 
     def __repr__(self):
         return "WindowedHistogram(count=%d, window=%gs/%d slices)" % (
             self.count, self.window_s, self.slices)
 
 
-class _ScopedObservation:
-    """Context manager observing its elapsed wall time into a histogram."""
+class Family:
+    """One declared instrument: a name, a kind, and a child per label
+    set.  Created through :class:`Registry`; never replaced."""
 
-    __slots__ = ("_registry", "_name", "_start")
+    def __init__(self, name, kind, help, unit, labelnames, lock, sample,
+                 window):
+        self.name = name
+        self.kind = kind
+        self.help = help
+        self.unit = unit
+        self.labelnames = tuple(labelnames)
+        #: ``(window_s, slices)`` of a windowed family's children.
+        self.window = window
+        self._lock = lock               # shared by the children, or None
+        self._sample = sample           # gauge callback, or None
+        self._children = {}
+        self._create_lock = threading.Lock()
+        if not self.labelnames and sample is None:
+            self.labels()               # an unlabelled child starts at 0
 
-    def __init__(self, registry, name):
-        self._registry = registry
-        self._name = name
+    def labels(self, *values):
+        """The child recording under these label values (strings, one
+        per declared label name); created on first use."""
+        child = self._children.get(values)
+        if child is None:
+            if len(values) != len(self.labelnames):
+                raise ValueError("%s takes labels %r, got %r"
+                                 % (self.name, self.labelnames, values))
+            with self._create_lock:
+                child = self._children.get(values)
+                if child is None:
+                    child = self._children[values] = self._new_child()
+        return child
 
-    def __enter__(self):
-        self._start = _perf_counter()
-        return self
+    def _new_child(self):
+        if self.kind == HISTOGRAM:
+            return Histogram(self._lock)
+        if self.kind == WINDOWED:
+            return WindowedHistogram(*self.window, lock=self._lock)
+        return Scalar(self._lock)
 
-    def __exit__(self, exc_type, exc, tb):
-        self._registry.observe(self._name, _perf_counter() - self._start)
-        return False
+    def samples(self):
+        """``[(label values, value)]`` sorted by label values: a number
+        for counters and gauges, the histogram child itself otherwise.
+        Labelled counters never incremented and histograms never
+        observed are left out."""
+        if self._sample is not None:
+            return sorted(self._sample().items())
+        with self._create_lock:
+            children = sorted(self._children.items())
+        if self.kind in (HISTOGRAM, WINDOWED):
+            return [(values, child) for values, child in children
+                    if child.count]
+        return [(values, child.value) for values, child in children
+                if child.value or self.kind == GAUGE or not values]
+
+    def _reset(self):
+        with self._create_lock:
+            children = list(self._children.values())
+        for child in children:
+            with child._lock:
+                child._reset()
 
 
-class _NullObservation:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_OBSERVATION = _NullObservation()
-
-
-class MetricsRegistry:
-    """Named histograms behind one cheap ``enabled`` gate.
-
-    ``observe`` on a disabled registry returns immediately; hot
-    instrumentation sites additionally pre-check ``METRICS.enabled``
-    before taking timestamps, so a disabled site never calls
-    ``perf_counter`` at all.  Enabled observations go through each
-    histogram's internal lock, so concurrent callers never lose an
-    increment — required now that N serving threads observe into the
-    same histograms (the old plain-store fast path lost increments
-    exactly the way the executor's retired ``_MEMO_COUNTS`` global did).
-    """
+class Registry:
+    """Typed, labelled instruments behind one cheap ``enabled`` gate."""
 
     def __init__(self, enabled=False):
-        #: Plain attribute read by every instrumentation site.
+        #: Plain attribute read by every latency/health site.
         self.enabled = bool(enabled)
-        self._hists = {}
-        self._lock = threading.Lock()
+        self._families = {}
+        self._views = {}
+        #: RLock: creating a view declares its families.
+        self._lock = threading.RLock()
 
-    # -- recording -----------------------------------------------------------
+    # -- declaring -----------------------------------------------------------
 
-    def observe(self, name, value):
-        """Record one observation (no-op while disabled)."""
-        if not self.enabled:
-            return
-        hist = self._hists.get(name)
-        if hist is None:
-            with self._lock:
-                hist = self._hists.setdefault(name, Histogram())
-        hist.observe(value)
+    def _declare(self, kind, name, help, unit, labels, lock, sample=None,
+                 window=None):
+        if (kind == COUNTER) != name.endswith("_total"):
+            raise ValueError("%s: counters, and only counters, are named "
+                             "*_total" % name)
+        if kind == WINDOWED and not name.endswith("_seconds"):
+            raise ValueError("%s: windowed histograms are named *_seconds"
+                             % name)
+        with self._lock:
+            family = self._families.get(name)
+            if family is None:
+                family = self._families[name] = Family(
+                    name, kind, help, unit, labels, lock, sample, window)
+            elif family.kind != kind \
+                    or family.labelnames != tuple(labels):
+                raise ValueError(
+                    "%s is already declared as a %s with labels %r"
+                    % (name, family.kind, family.labelnames))
+        return family
 
-    def observe_windowed(self, name, value, window_s=60.0, slices=6):
-        """Like :meth:`observe` but the histogram is windowed.
+    def counter(self, name, help, unit="", labels=(), lock=None):
+        return self._declare(COUNTER, name, help, unit, labels, lock)
 
-        First caller of a name fixes its window geometry; a name
-        already registered as a plain histogram stays plain (the
-        cumulative view is a superset, so mixed callers never lose
-        data).
-        """
-        if not self.enabled:
-            return
-        hist = self._hists.get(name)
-        if hist is None:
-            with self._lock:
-                hist = self._hists.setdefault(
-                    name, WindowedHistogram(window_s=window_s,
-                                            slices=slices))
-        hist.observe(value)
+    def gauge(self, name, help, unit="", labels=(), lock=None,
+              sample=None):
+        """A stored gauge, or with *sample* one computed on read:
+        ``sample()`` returns ``{label values tuple: value}``.  A family
+        that already exists (a restored one holds stored values) keeps
+        how it reads."""
+        return self._declare(GAUGE, name, help, unit, labels, lock,
+                             sample)
 
-    def timer(self, name):
-        """Scoped timer observing a block's wall time (null if disabled)."""
-        if not self.enabled:
-            return _NULL_OBSERVATION
-        return _ScopedObservation(self, name)
+    def histogram(self, name, help, unit="seconds", labels=(), lock=None):
+        return self._declare(HISTOGRAM, name, help, unit, labels, lock)
+
+    def windowed(self, name, help, unit="seconds", labels=(), lock=None,
+                 window_s=60.0, slices=6):
+        return self._declare(WINDOWED, name, help, unit, labels, lock,
+                             window=(window_s, slices))
 
     # -- inspection ----------------------------------------------------------
 
-    def get(self, name):
-        """The named histogram, or None if nothing was observed."""
-        return self._hists.get(name)
-
-    def names(self):
-        return sorted(self._hists)
-
-    def percentiles(self, name):
-        """p50/p95/p99 dict for one histogram ({} when absent)."""
-        hist = self._hists.get(name)
-        return hist.percentiles() if hist is not None else {}
-
-    # -- aggregation ---------------------------------------------------------
-
-    def merge(self, other):
-        """Accumulate *other*'s histograms into this registry."""
+    def families(self):
+        """Every declared family, sorted by name."""
         with self._lock:
-            for name, hist in other._hists.items():
-                mine = self._hists.get(name)
-                if mine is None:
-                    self._hists[name] = Histogram.from_snapshot(
-                        hist.snapshot())
-                else:
-                    mine.merge(hist)
-        return self
+            return [self._families[name]
+                    for name in sorted(self._families)]
+
+    def get(self, name):
+        """The named family, or None."""
+        return self._families.get(name)
+
+    def histograms(self):
+        """``(family, label values, histogram)`` for every histogram,
+        windowed or not, that has observations."""
+        return [(family, values, hist) for family in self.families()
+                if family.kind in (HISTOGRAM, WINDOWED)
+                for values, hist in family.samples()]
+
+    def view(self, cls):
+        """The one *cls* view over this registry (created on first use):
+        ``registry.view(ServingStats).rejection_rate``."""
+        with self._lock:
+            view = self._views.get(cls)
+            if view is None:
+                view = self._views[cls] = cls(self)
+            return view
+
+    # -- serialization -------------------------------------------------------
 
     def snapshot(self):
-        """``{name: histogram snapshot dict}`` — JSON round-trippable."""
-        return {name: hist.snapshot()
-                for name, hist in sorted(self._hists.items())}
+        """``{family name: {kind, help, unit, labels, samples}}`` for the
+        families that have something to report — JSON round-trippable."""
+        snap = {}
+        for family in self.families():
+            samples = family.samples()
+            if not samples:
+                continue
+            if family.kind in (HISTOGRAM, WINDOWED):
+                samples = [(values, hist.snapshot())
+                           for values, hist in samples]
+            snap[family.name] = {
+                "kind": family.kind, "help": family.help,
+                "unit": family.unit, "labels": list(family.labelnames),
+                "samples": [[list(values), value]
+                            for values, value in samples]}
+        return snap
 
     @classmethod
     def from_snapshot(cls, snap):
-        registry = cls(enabled=False)
-        for name, hist_snap in (snap or {}).items():
-            if isinstance(hist_snap, dict) and "window" in hist_snap:
-                registry._hists[name] = WindowedHistogram.from_snapshot(
-                    hist_snap)
-            else:
-                registry._hists[name] = Histogram.from_snapshot(hist_snap)
+        """A disabled registry holding what *snap* recorded; sampled
+        gauges come back as stored ones."""
+        registry = cls()
+        for name, meta in (snap or {}).items():
+            samples = meta["samples"]
+            window = None
+            if meta["kind"] == WINDOWED:
+                geometry = samples[0][1].get("window") or {}
+                window = (geometry.get("window_s", 60.0),
+                          geometry.get("slices", 6))
+            family = registry._declare(
+                meta["kind"], name, meta["help"], meta["unit"],
+                meta["labels"], None, window=window)
+            for values, value in samples:
+                child = family.labels(*values)
+                if isinstance(child, Scalar):
+                    child.value = value
+                else:
+                    child._restore(value)
         return registry
 
-    # -- control -------------------------------------------------------------
-
-    def set_enabled(self, enabled):
-        self.enabled = bool(enabled)
-
     def clear(self):
+        """Zero every child in place — handles stay bound — and reset
+        the views' event logs."""
+        for family in self.families():
+            family._reset()
         with self._lock:
-            self._hists.clear()
-
-    def __len__(self):
-        return len(self._hists)
+            views = list(self._views.values())
+        for view in views:
+            view.reset_log()
 
     def __repr__(self):
-        return "MetricsRegistry(%s, %d histograms)" % (
-            "enabled" if self.enabled else "disabled", len(self._hists))
+        return "Registry(%s, %d families)" % (
+            "enabled" if self.enabled else "disabled", len(self._families))
 
 
-def format_histograms(registry, unit_scale=1e3, unit="ms"):
-    """Text table of every histogram: count / mean / p50 / p95 / p99 / max.
+class View:
+    """Base of the registry views (health, serving, disk cache): a table
+    of scalar instruments declared under one lock and read back as
+    plain attributes — ``view.requests`` is the value of the child of
+    ``<PREFIX>requests_total`` this view is bound to."""
+
+    #: ``(family name, help[, unit])`` rows.  The name carries the rest:
+    #: ``*_total`` is a counter, anything else a gauge, and the
+    #: attribute is the name without :attr:`PREFIX` and ``_total``.
+    SCALARS = ()
+    PREFIX = ""
+    #: Label names shared by the :attr:`SCALARS` families.
+    LABELS = ()
+
+    @classmethod
+    def declare(cls, registry, lock):
+        """Declare :attr:`SCALARS` in *registry*, every child guarded
+        by *lock*; returns ``{attribute: family}``."""
+        families = {}
+        for name, help, *unit in cls.SCALARS:
+            attr, kind = name[len(cls.PREFIX):], GAUGE
+            if attr.endswith("_total"):
+                attr, kind = attr[:-len("_total")], COUNTER
+            families[attr] = registry._declare(
+                kind, name, help, unit[0] if unit else "", cls.LABELS,
+                lock)
+        return families
+
+    def _bind(self, families, *labelvalues):
+        """Read ``self.<attribute>`` from, and :meth:`_add` to, the
+        children of *families* under *labelvalues*."""
+        self._scalars = {attr: family.labels(*labelvalues)
+                         for attr, family in families.items()}
+
+    def _add(self, attr, amount=1):
+        """Bump one bound scalar; the caller holds the view's lock."""
+        self._scalars[attr].value += amount
+
+    def __getattr__(self, attr):
+        scalars = self.__dict__.get("_scalars")
+        if scalars is not None and attr in scalars:
+            return scalars[attr].value
+        raise AttributeError(attr)
+
+    def reset_log(self):
+        """Drop state the registry does not hold (none by default)."""
+
+
+def format_histograms(registry):
+    """Text table of every histogram with observations: count / mean /
+    p50 / p95 / p99 / max (seconds shown as ms; other units as is).
 
     Used by both ``text_summary`` and the ``janus-stats`` CLI; returns
     [] when nothing was observed.
     """
     lines = []
-    for name in registry.names():
-        hist = registry.get(name)
-        if hist is None or not hist.count:
-            continue
+    for family, values, hist in registry.histograms():
+        scale, unit = (1e3, "ms") if family.unit == "seconds" \
+            else (1.0, family.unit)
         pct = hist.percentiles()
         lines.append(
-            "  %-24s %7d obs  mean %9.3f  p50 %9.3f  p95 %9.3f  "
+            "  %-40s %7d obs  mean %9.3f  p50 %9.3f  p95 %9.3f  "
             "p99 %9.3f  max %9.3f %s"
-            % (name, hist.count, hist.mean * unit_scale,
-               pct["p50"] * unit_scale, pct["p95"] * unit_scale,
-               pct["p99"] * unit_scale, (hist.max or 0.0) * unit_scale,
-               unit))
+            % (sample_name(family, values), hist.count,
+               hist.mean * scale, pct["p50"] * scale, pct["p95"] * scale,
+               pct["p99"] * scale, (hist.max or 0.0) * scale, unit))
     return lines
+
+
+def sample_name(family, values):
+    """``name`` or ``name{v1,v2}`` — the report's label for one child."""
+    if not values:
+        return family.name
+    return "%s{%s}" % (family.name, ",".join(str(v) for v in values))
 
 
 def _env_enabled():
@@ -476,23 +602,30 @@ def _env_enabled():
     return raw not in ("", "0", "false", "off", "no")
 
 
-#: The process-wide metrics registry.  Hot paths hold module-level
-#: references; it is never replaced, only toggled or cleared.
-METRICS = MetricsRegistry(enabled=_env_enabled())
+#: The process-wide registry.  Hot paths hold module-level references;
+#: it is never replaced, only toggled or cleared.
+METRICS = Registry(enabled=_env_enabled())
+
+#: Flat runtime event counters: ``COUNTERS.labels("cache.hits").inc()``.
+COUNTERS = METRICS.counter("janus_counter_total",
+                           "Flat runtime counters by name.",
+                           labels=("name",))
 
 
-def get_metrics():
-    return METRICS
-
-
-def metrics_enabled():
-    return METRICS.enabled
+def counter_values(registry=None):
+    """``{name: value}`` of *registry*'s flat ``janus_counter_total``
+    family (default: :data:`COUNTERS`) — what the text summary prints,
+    tests diff and benchmarks embed."""
+    family = COUNTERS if registry is None \
+        else registry.get("janus_counter_total")
+    if family is None:
+        return {}
+    return {values[0]: value for values, value in family.samples()}
 
 
 def set_metrics_enabled(enabled):
-    """Toggle histogram/health collection; returns the previous setting."""
-    previous = METRICS.enabled
-    METRICS.set_enabled(enabled)
+    """Toggle latency/health collection; returns the previous setting."""
+    previous, METRICS.enabled = METRICS.enabled, bool(enabled)
     return previous
 
 
@@ -507,7 +640,7 @@ def disabled_site_cost(iterations=200_000):
     step time; if a future change makes the disabled path allocate or
     lock, this number jumps and the gate fails.
     """
-    registry = MetricsRegistry(enabled=False)
+    registry = Registry(enabled=False)
     r = range(iterations)
     start = _perf_counter()
     for _ in r:

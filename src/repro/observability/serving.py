@@ -18,19 +18,24 @@ capacity questions a serving deployment adds on top:
   ``rejected``) submit → resolve latency over a trailing window,
   stamped where the request is resolved.
 
-Queue-wait, batch-size, and request-latency histograms are
-:class:`~repro.observability.metrics.WindowedHistogram`\\ s: cumulative
+Queue-wait and request-latency histograms are *windowed*
+(:class:`~repro.observability.metrics.WindowedHistogram`): cumulative
 since start *and* answering "what was p95 over the last minute" — the
-observed-percentile signal the ROADMAP's adaptive-linger rung trades
-``batch_linger_s`` against.  Queue depth and batch size are unitless
-counts in second-valued buckets, which is fine: percentile estimates
-clamp to the observed min/max and the fixed buckets keep snapshots
-mergeable.  Everything is thread-safe (the whole point of the layer):
-one lock guards the counters *and* every histogram, so the server folds
-a whole dispatch — batch size, queue waits, per-outcome latencies — in
-one :meth:`ServingStats.record_batch` call under one acquisition.
-Snapshot/restore round-trips through the ``janus-stats`` bundle like
-the other registries.
+observed-percentile signal an adaptive ``batch_linger_s`` would trade
+against.  Queue depth and batch size are unitless counts in
+second-valued buckets, which is fine: percentile estimates clamp to the
+observed min/max.
+
+:class:`ServingStats` is a *view* over the metrics registry
+(:mod:`repro.observability.metrics`): every number lives in a
+``janus_serving_*`` instrument, declared with the view's one lock, so
+the server folds a whole dispatch — batch size, queue waits,
+per-outcome latencies — in one :meth:`ServingStats.record_batch` call
+under one acquisition, and the registry's snapshot, bundle and
+exposition carry the section without serving-specific code.
+``ServingStats(registry)`` over a restored registry answers the same
+derived questions (``rejection_rate``, ``recompiles_in_flight``) the
+live view does.
 
 Rejected requests are first-class: ``ServerOverloaded`` leaves no
 queue-wait trace (it never enqueued), so admission control shows up
@@ -38,79 +43,103 @@ only in ``request_latency{outcome="rejected"}`` and the
 :attr:`ServingStats.rejection_rate` — an overload you can alert on even
 though the rejected work consumed almost no time.
 
-The process-wide singleton is :data:`SERVING`; like the health registry
-it is populated by the serving layer regardless of ``METRICS.enabled``
-— a server that is up wants its admission stats even with latency
-histograms off.
+The process-wide view is :data:`SERVING`, populated by the serving
+layer regardless of ``METRICS.enabled`` — a server that is up wants its
+admission stats even with latency histograms off.
 """
 
 import threading
 import weakref
 
-from .metrics import Histogram, WindowedHistogram
+from .metrics import METRICS, Registry, View
 
-__all__ = ["SERVING", "ServingStats", "format_serving_table",
-           "get_serving"]
+__all__ = ["SERVING", "ServingStats", "format_serving_table"]
 
 #: Request outcomes tracked by the per-outcome latency histograms.
 OUTCOMES = ("ok", "error", "rejected")
 
-#: Trailing-window geometry for the serving SLO histograms.
-WINDOW_S = 60.0
-WINDOW_SLICES = 6
 
+class ServingStats(View):
+    """Serving-layer signals: a view over one metrics registry.
 
-def _windowed():
-    return WindowedHistogram(window_s=WINDOW_S, slices=WINDOW_SLICES)
+    Every instrument is declared with this view's lock, so a
+    ``record_*`` call takes it once and folds the counters and the
+    histograms it touches under that one acquisition.
+    """
 
+    PREFIX = "janus_serving_"
+    SCALARS = (
+        ("janus_serving_requests_total",
+         "Requests accepted into an endpoint queue.", "requests"),
+        ("janus_serving_rejected_total",
+         "Requests refused at the admission bound.", "requests"),
+        ("janus_serving_batches_total",
+         "Dispatches (each coalescing >= 1 request).", "dispatches"),
+        ("janus_serving_batched_requests_total",
+         "Requests that shared a dynamic batch.", "requests"),
+        ("janus_serving_active_clients",
+         "Client threads currently blocked in Server.call.", "threads"),
+        ("janus_serving_peak_clients",
+         "Peak concurrent client threads.", "threads"),
+    )
 
-class ServingStats:
-    """Aggregated serving-layer signals for one process."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
+    def __init__(self, registry=None):
+        registry = Registry() if registry is None else registry
+        self._lock = lock = threading.Lock()
         #: Live servers, asked for their compile tickets on read.
         self._servers = weakref.WeakSet()
-        self._reset()
-
-    def _reset(self):
-        self.active_clients = 0      # gauge: blocked in Server.call
-        self.peak_clients = 0
-        self._recompiles_restored = 0
-        self.requests = 0            # accepted into the queue
-        self.rejected = 0            # refused at the queue bound
-        self.batches = 0             # dispatches (1 batch >= 1 request)
-        self.batched_requests = 0    # requests that shared their batch
-        self.queue_depth = self._own(Histogram())   # depth at enqueue
-        self.batch_size = self._own(_windowed())    # requests/dispatch
-        self.queue_wait = self._own(_windowed())    # seconds queued
-        #: End-to-end submit → resolve latency, split by outcome.
-        self.request_latency = {outcome: self._own(_windowed())
+        self._bind(self.declare(registry, lock))
+        #: Bound once: the per-request path skips the table lookup.
+        scalars = self._scalars
+        self._requests = scalars["requests"]
+        self._batches = scalars["batches"]
+        self._batched = scalars["batched_requests"]
+        self._active = scalars["active_clients"]
+        self._peak = scalars["peak_clients"]
+        self.queue_depth = registry.histogram(
+            "janus_serving_queue_depth",
+            "Queue depth seen by each accepted request.",
+            unit="requests", lock=lock).labels()
+        self.batch_size = registry.histogram(
+            "janus_serving_batch_size", "Requests coalesced per dispatch.",
+            unit="requests", lock=lock).labels()
+        self.queue_wait = registry.windowed(
+            "janus_serving_queue_wait_seconds",
+            "Seconds each request waited before dispatch.",
+            lock=lock).labels()
+        latency = registry.windowed(
+            "janus_serving_request_latency_seconds",
+            "End-to-end request latency by outcome "
+            "(ok / error / rejected).", labels=("outcome",), lock=lock)
+        #: End-to-end submit -> resolve latency, split by outcome.
+        self.request_latency = {outcome: latency.labels(outcome)
                                 for outcome in OUTCOMES}
-
-    def _own(self, hist):
-        """Guard *hist* with this object's lock: one acquisition then
-        covers the counters and every histogram a record_* call
-        touches, and readers of the histogram serialize with it."""
-        hist._lock = self._lock
-        return hist
+        self._recompiles = registry.gauge(
+            "janus_serving_recompiles_in_flight",
+            "Compile tickets currently owned across endpoints.",
+            unit="tickets", sample=self._sample_recompiles)
+        registry.gauge(
+            "janus_serving_rejection_rate",
+            "Rejected / offered requests since start.", unit="ratio",
+            sample=lambda: {(): self.rejection_rate})
 
     # -- recording (driven by repro.serving) --------------------------------
 
     def client_started(self):
+        active, peak = self._active, self._peak
         with self._lock:
-            self.active_clients += 1
-            if self.active_clients > self.peak_clients:
-                self.peak_clients = self.active_clients
+            active.value += 1
+            if active.value > peak.value:
+                peak.value = active.value
 
     def client_finished(self):
         with self._lock:
-            self.active_clients -= 1
+            self._active.value -= 1
 
     def record_enqueue(self, depth):
         """One request accepted; *depth* is the queue depth it saw."""
         with self._lock:
-            self.requests += 1
+            self._requests.value += 1
             self.queue_depth._observe(depth)
 
     def record_reject(self, duration=0.0):
@@ -121,7 +150,7 @@ class ServingStats:
         in the same windowed family operators alert on.
         """
         with self._lock:
-            self.rejected += 1
+            self._add("rejected")
             self.request_latency["rejected"]._observe(duration)
 
     def record_batch(self, size, waits=(), latencies=()):
@@ -132,9 +161,9 @@ class ServingStats:
         end-to-end latency of each request the dispatch resolved.
         """
         with self._lock:
-            self.batches += 1
+            self._batches.value += 1
             if size > 1:
-                self.batched_requests += size
+                self._batched.value += size
             self.batch_size._observe(size)
             observe = self.queue_wait._observe
             for wait in waits:
@@ -162,18 +191,17 @@ class ServingStats:
         with self._lock:
             self._servers.discard(server)
 
-    @property
-    def recompiles_in_flight(self):
-        """Compile tickets owned across the live servers' endpoints
-        (plus the value a restored snapshot carried)."""
+    def _sample_recompiles(self):
         with self._lock:
             servers = list(self._servers)
-        return self._recompiles_restored + sum(
-            server.recompiles_in_flight() for server in servers)
+        return {(): sum(server.recompiles_in_flight()
+                        for server in servers)}
 
-    def set_recompiles_in_flight(self, value):
-        """The gauge of a stats object restored from a snapshot."""
-        self._recompiles_restored = int(value)
+    @property
+    def recompiles_in_flight(self):
+        """Compile tickets owned across the live servers' endpoints (the
+        value a restored registry carried, for a restored view)."""
+        return dict(self._recompiles.samples()).get((), 0)
 
     # -- derived -------------------------------------------------------------
 
@@ -183,70 +211,27 @@ class ServingStats:
         offered = self.requests + self.rejected
         return self.rejected / offered if offered else 0.0
 
-    # -- serialization -------------------------------------------------------
-
-    def snapshot(self):
-        recompiles = self.recompiles_in_flight
-        with self._lock:
-            snap = {
-                "requests": self.requests,
-                "rejected": self.rejected,
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "active_clients": self.active_clients,
-                "peak_clients": self.peak_clients,
-                "recompiles_in_flight": recompiles,
-            }
-        snap["queue_depth"] = self.queue_depth.snapshot()
-        snap["batch_size"] = self.batch_size.snapshot()
-        snap["queue_wait"] = self.queue_wait.snapshot()
-        snap["request_latency"] = {
-            outcome: hist.snapshot()
-            for outcome, hist in self.request_latency.items()}
-        return snap
-
-    @classmethod
-    def from_snapshot(cls, snap):
-        stats = cls()
-        snap = snap or {}
-        for field in ("requests", "rejected", "batches",
-                      "batched_requests", "active_clients", "peak_clients"):
-            setattr(stats, field, int(snap.get(field, 0)))
-        stats.set_recompiles_in_flight(snap.get("recompiles_in_flight", 0))
-        for field in ("queue_depth", "batch_size", "queue_wait"):
-            if snap.get(field):
-                setattr(stats, field,
-                        stats._own(_hist_from_snapshot(snap[field])))
-        # Legacy janus-stats/1 bundles predate request_latency: the
-        # per-outcome histograms stay empty.
-        for outcome, hist_snap in (snap.get("request_latency")
-                                   or {}).items():
-            if outcome in stats.request_latency and hist_snap:
-                stats.request_latency[outcome] = stats._own(
-                    _hist_from_snapshot(hist_snap))
-        return stats
-
-    def clear(self):
-        """Zero everything recorded; live servers stay watched."""
-        with self._lock:
-            self._reset()
+    def summary(self):
+        """The serving half of ``/health``: admission totals plus the
+        trailing-window SLO percentiles."""
+        summary = {key: getattr(self, key) for key in (
+            "requests", "rejected", "rejection_rate", "batches",
+            "active_clients", "recompiles_in_flight")}
+        for name, hist in (
+                ("queue_wait", self.queue_wait),
+                ("request_latency_ok", self.request_latency["ok"]),
+                ("request_latency_rejected",
+                 self.request_latency["rejected"])):
+            summary["%s_window" % name] = hist.window_percentiles()
+        return summary
 
     def __repr__(self):
         return ("ServingStats(requests=%d, batches=%d, active=%d)"
                 % (self.requests, self.batches, self.active_clients))
 
 
-def _hist_from_snapshot(snap):
-    """Windowed when the snapshot carries a window; legacy plain else."""
-    if isinstance(snap, dict) and "window" in snap:
-        return WindowedHistogram.from_snapshot(snap)
-    return Histogram.from_snapshot(snap)
-
-
 def _fmt_window(hist, unit_scale=1e3):
     """``p50/p95 (n)`` triple over the trailing window, or None if idle."""
-    if not isinstance(hist, WindowedHistogram):
-        return None
     stats = hist.window_percentiles()
     if not stats["count"]:
         return None
@@ -285,8 +270,8 @@ def format_serving_table(stats):
             % (size.count, size.mean, pct["p50"], pct["p95"],
                size.max or 0.0, stats.batched_requests))
     for outcome in OUTCOMES:
-        hist = stats.request_latency.get(outcome)
-        if hist is None or not hist.count:
+        hist = stats.request_latency[outcome]
+        if not hist.count:
             continue
         pct = hist.percentiles()
         line = ("  request latency[%s]: %d obs  p50 %.3f ms  p95 %.3f ms  "
@@ -306,9 +291,5 @@ def format_serving_table(stats):
     return lines
 
 
-#: The process-wide serving stats; populated by :mod:`repro.serving`.
-SERVING = ServingStats()
-
-
-def get_serving():
-    return SERVING
+#: The process-wide serving view; populated by :mod:`repro.serving`.
+SERVING = METRICS.view(ServingStats)

@@ -53,11 +53,12 @@ _OBS = None
 
 
 def _obs():
-    """Lazy (COUNTERS, TRACER) import — tensor is below observability."""
+    """Lazy (cow-copy counter, TRACER) import — tensor is below
+    observability."""
     global _OBS
     if _OBS is None:
         from ..observability import COUNTERS, TRACER
-        _OBS = (COUNTERS, TRACER)
+        _OBS = (COUNTERS.labels("tensor.cow_copies"), TRACER)
     return _OBS
 
 
@@ -179,9 +180,9 @@ class TensorValue:
             arr = arr.copy()
             self.array = arr
             self._mode = _PRIVATE
-            counters, tracer = _obs()
+            cow_copies, tracer = _obs()
             if tracer.level:
-                counters.inc("tensor.cow_copies")
+                cow_copies.inc()
         write(arr)
         self.version += 1
         return self

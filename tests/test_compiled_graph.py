@@ -12,7 +12,7 @@ from repro.graph import AnalysisContext, GraphBuilder, PassManager
 from repro.janus import CompiledGraph
 from repro.janus.config import JanusConfig
 from repro.janus.specialization import CALLABLE_REGISTRY, observe
-from repro.observability import COUNTERS
+from repro.observability import counter_values
 from repro.ops import api
 
 
@@ -147,9 +147,9 @@ class TestSharedPassAnalyses:
         graph = self._graph()
         PassManager().run(graph)     # reach the fixed point + stamp
         graph._executor_cache["nested"] = object()
-        before = COUNTERS.snapshot()["counters"]
+        before = counter_values()
         PassManager().run(graph)     # steady state: stamped, skipped
-        after = COUNTERS.snapshot()["counters"]
+        after = counter_values()
         computed = after.get("passes.topo_computed", 0) \
             - before.get("passes.topo_computed", 0)
         skipped = after.get("passes.graphs_skipped", 0) \
@@ -169,9 +169,9 @@ class TestSharedPassAnalyses:
         node.constant_value = TensorValue.of(np.float32(3.0))
         node.add_output(node.constant_value.shape,
                         node.constant_value.dtype)
-        before = COUNTERS.snapshot()["counters"]
+        before = counter_values()
         PassManager().run(graph)
-        after = COUNTERS.snapshot()["counters"]
+        after = counter_values()
         computed = after.get("passes.topo_computed", 0) \
             - before.get("passes.topo_computed", 0)
         reused = after.get("passes.topo_reused", 0) \

@@ -41,7 +41,7 @@ import pytest
 import repro as R
 from repro import janus
 from repro.janus.concurrency import RWLock, TicketTable, recompile_pool
-from repro.observability import COUNTERS, SERVING, clear
+from repro.observability import SERVING, clear, counter_values
 from repro.serving import Server, ServingConfig
 
 #: Generated differential programs; each runs THREADS x CALLS calls.
@@ -63,7 +63,7 @@ def warm(jf, *args, n=5):
 
 
 def counters():
-    return dict(COUNTERS.snapshot()["counters"])
+    return counter_values()
 
 
 @pytest.fixture(autouse=True)
@@ -409,7 +409,6 @@ class TestServingLeaderFollower:
         for cols, seen in dispatched.items():
             assert seen == sorted(seen), "family %d left FIFO order" % cols
         assert sorted(dispatched[3] + dispatched[5]) == list(range(total))
-        snap = SERVING.snapshot()
-        assert snap["requests"] == total
-        assert snap["request_latency"]["ok"]["count"] == total
-        assert snap["queue_wait"]["count"] == total
+        assert SERVING.requests == total
+        assert SERVING.request_latency["ok"].count == total
+        assert SERVING.queue_wait.count == total

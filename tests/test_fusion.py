@@ -26,7 +26,7 @@ from repro.graph import GraphBuilder, GraphExecutor, autodiff
 from repro.graph.passes import (ELEMENTWISE_OPS,
                                 CommonSubexpressionElimination, fuse_graph)
 from repro.errors import AssumptionFailed
-from repro.observability import COUNTERS
+from repro.observability import counter_values
 from repro.ops import api
 
 
@@ -35,7 +35,7 @@ def count_ops(graph, name):
 
 
 def counters():
-    return dict(COUNTERS.snapshot()["counters"])
+    return counter_values()
 
 
 def strict(**kw):

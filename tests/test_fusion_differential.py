@@ -29,7 +29,8 @@ import pytest
 import repro as R
 from repro import janus
 from repro.janus import compiled as compiled_mod
-from repro.observability import COUNTERS, clear, set_trace_level, trace_level
+from repro.observability import (clear, counter_values, set_trace_level,
+                                 trace_level)
 
 from progen import (apply_mutation as _apply_mutation,
                     gen_program as _gen_program,
@@ -40,7 +41,7 @@ SEEDS = 30
 
 
 def counters():
-    return dict(COUNTERS.snapshot()["counters"])
+    return counter_values()
 
 
 @pytest.fixture(autouse=True)

@@ -16,7 +16,7 @@ import pytest
 import repro as R
 from repro import janus
 from repro.janus.fragments import Fragment, FragmentCache, FragmentRecorder
-from repro.observability import COUNTERS
+from repro.observability import counter_values
 
 
 def strict(**kw):
@@ -25,7 +25,7 @@ def strict(**kw):
 
 
 def counters():
-    return dict(COUNTERS.snapshot()["counters"])
+    return counter_values()
 
 
 def delta(before, key):

@@ -8,7 +8,7 @@ import pytest
 
 import repro as R
 from repro import janus, observability as obs
-from repro.observability.counters import CounterRegistry
+from repro.observability.metrics import Registry
 from repro.observability.tracer import Tracer
 
 
@@ -139,49 +139,43 @@ class TestTracer:
         assert obs.trace_level() == 0
 
 
+def _counters(registry):
+    return registry.counter("janus_counter_total",
+                            "Flat runtime counters by name.",
+                            labels=("name",))
+
+
 class TestCounters:
-    def test_inc_and_get(self):
-        reg = CounterRegistry()
-        reg.inc("a")
-        reg.inc("a", 4)
-        assert reg.get("a") == 5
-        assert reg.get("missing") == 0
+    def test_inc_and_read(self):
+        counters = _counters(Registry())
+        counters.labels("a").inc()
+        counters.labels("a").inc(4)
+        assert counters.labels("a").value == 5
+        assert obs.counter_values(Registry()) == {}
 
-    def test_scoped_timer(self):
-        reg = CounterRegistry()
-        with reg.timer("work"):
-            time.sleep(0.005)
-        count, total = reg.timer_stats("work")
-        assert count == 1
-        assert total >= 0.002
+    def test_timer_sites_are_histograms(self):
+        """The former ``janus.compile`` / ``graphgen.optimize`` timers:
+        count + sum is what a timer was, and a histogram has both."""
 
-    def test_merge_accumulates(self):
-        a = CounterRegistry()
-        b = CounterRegistry()
-        a.inc("shared", 2)
-        a.inc("only_a")
-        b.inc("shared", 3)
-        b.inc("only_b", 7)
-        a.add_time("t", 1.0)
-        b.add_time("t", 0.5)
-        b.add_time("u", 0.25)
-        merged = a.merge(b)
-        assert merged is a
-        assert a.get("shared") == 5
-        assert a.get("only_a") == 1
-        assert a.get("only_b") == 7
-        assert a.timer_stats("t") == (2, 1.5)
-        assert a.timer_stats("u") == (1, 0.25)
+        @janus.function(config=strict())
+        def f(x):
+            return x * 2.0 + 1.0
+
+        for _ in range(5):
+            f(R.constant(np.float32(2.0)))
+        for name in ("janus_compile_seconds",
+                     "janus_graphgen_optimize_seconds"):
+            hist = obs.METRICS.get(name).labels()
+            assert hist.count >= 1 and hist.total > 0.0, name
 
     def test_snapshot_is_plain_data(self):
-        reg = CounterRegistry()
-        reg.inc("n", 3)
-        reg.add_time("t", 0.125)
-        snap = reg.snapshot()
-        assert snap["counters"] == {"n": 3}
-        assert snap["timers"] == {"t": (1, 0.125)}
-        # round-trips through json
-        json.loads(json.dumps(snap))
+        registry = Registry()
+        _counters(registry).labels("n").inc(3)
+        registry.histogram("janus_t_seconds", "t").labels().observe(0.125)
+        snap = json.loads(json.dumps(registry.snapshot()))
+        assert snap["janus_counter_total"]["samples"] == [[["n"], 3]]
+        assert snap["janus_counter_total"]["kind"] == "counter"
+        assert snap["janus_t_seconds"]["samples"][0][1]["sum"] == 0.125
 
 
 class TestChromeTraceExport:
@@ -218,8 +212,7 @@ class TestChromeTraceExport:
         tracer = Tracer(level=1)
         tracer.instant("fallback", "f", reason="assumption_failed")
         tracer.complete("pass", "dce", 0.0, 0.001)
-        summary = obs.text_summary(tracer=tracer,
-                                   counters=CounterRegistry())
+        summary = obs.text_summary(tracer=tracer, registry=Registry())
         assert "fallback" in summary
         assert "pass" in summary
 
@@ -227,20 +220,21 @@ class TestChromeTraceExport:
         """The memo/write-barrier counters print even at zero: a zero
         memo_hit row on a tensor-attr workload is itself the signal."""
         summary = obs.text_summary(tracer=Tracer(level=1),
-                                   counters=CounterRegistry())
+                                   registry=Registry())
         assert "-- heap-read memo / write barrier --" in summary
         for name in ("executor.memo_hit", "executor.memo_stale",
                      "tensor.cow_copies"):
             assert name in summary
 
     def test_write_barrier_counters_not_duplicated_in_generic_block(self):
-        counters = CounterRegistry()
-        counters.inc("executor.memo_hit", 7)
-        counters.inc("executor.memo_stale", 2)
-        counters.inc("tensor.cow_copies", 1)
-        counters.inc("eager.dispatches", 3)
+        registry = Registry()
+        counters = _counters(registry)
+        counters.labels("executor.memo_hit").inc(7)
+        counters.labels("executor.memo_stale").inc(2)
+        counters.labels("tensor.cow_copies").inc(1)
+        counters.labels("eager.dispatches").inc(3)
         summary = obs.text_summary(tracer=Tracer(level=1),
-                                   counters=counters)
+                                   registry=registry)
         assert summary.count("executor.memo_hit") == 1
         assert summary.count("tensor.cow_copies") == 1
         barrier_block = summary.split(
@@ -283,11 +277,12 @@ class TestJanusLifecycleEvents:
         def f(x):
             return R.reduce_sum(x * holder.weights)
 
-        before = obs.COUNTERS.get("executor.memo_hit")
+        memo_hits = obs.COUNTERS.labels("executor.memo_hit")
+        before = memo_hits.value
         for _ in range(8):
             f(R.constant(np.ones(4, np.float32)))
         assert f.stats["graph_runs"] > 1
-        hits = obs.COUNTERS.get("executor.memo_hit") - before
+        hits = memo_hits.value - before
         assert hits > 0                          # steady-state heap reads
         summary = obs.text_summary()
         assert "executor.memo_hit" in summary
@@ -356,8 +351,8 @@ class TestJanusLifecycleEvents:
         obs.clear()
         obs.set_trace_level(1)
         R.add(R.constant(1.0), R.constant(2.0))
-        assert obs.get_counters().get("eager.dispatch") >= 1
-        assert obs.get_counters().get("eager.dispatch.add") >= 1
+        assert obs.COUNTERS.labels("eager.dispatch").value >= 1
+        assert obs.COUNTERS.labels("eager.dispatch.add").value >= 1
 
     def test_tracing_off_emits_nothing(self):
         obs.clear()
@@ -370,7 +365,7 @@ class TestJanusLifecycleEvents:
         for _ in range(5):
             f(R.constant(np.float32(1.0)))
         assert len(obs.TRACER) == 0
-        assert obs.get_counters().get("eager.dispatch") == 0
+        assert obs.COUNTERS.labels("eager.dispatch").value == 0
 
 
 class TestDemo:

@@ -21,7 +21,7 @@ Four concerns, each with its own class:
   cache dir all succeed with identical outputs (atomic publication; no
   torn reads), leaving exactly one entry, and a late worker warm-starts.
 
-Plus the observability contract: DiskCacheStats snapshot round-trip,
+Plus the observability contract: DiskCacheStats bundle round-trip,
 the janus-stats bundle carrying (and tolerating the absence of) the
 ``diskcache`` section.
 """
@@ -47,6 +47,7 @@ from repro.janus.compiled import (ARTIFACT_FORMAT, UnportableArtifact,
 from repro.janus.config import JanusConfig
 from repro.observability import DISKCACHE, clear
 from repro.observability.cli import load_stats, write_stats_json
+from repro.observability.metrics import Registry
 from repro.observability.diskcache import (DiskCacheStats,
                                            format_diskcache_table)
 
@@ -196,8 +197,7 @@ class TestWarmStartDifferential:
                 f(x, w)
             assert f.stats["graphs_generated"] == 1
             assert f.stats["warm_starts"] == 0
-            snap = DISKCACHE.snapshot()
-            assert snap["loads"] == 0 and snap["stores"] == 0
+            assert DISKCACHE.loads == 0 and DISKCACHE.stores == 0
             assert not any(name.endswith(dc.SUFFIX)
                            for name in os.listdir(str(tmp_path)))
         finally:
@@ -255,7 +255,7 @@ class TestTolerance:
         return dc.DiskGraphStore(str(tmp_path), max_bytes)
 
     def _miss_count(self, reason):
-        return DISKCACHE.snapshot()["miss_reasons"].get(reason, 0)
+        return DISKCACHE.miss_reasons.get(reason, 0)
 
     def test_absent_entry_is_a_miss(self, tmp_path):
         store = self._store(tmp_path)
@@ -382,7 +382,7 @@ class TestTolerance:
         assert store.store(self.OTHER, payload)
         assert not os.path.exists(old), "oldest entry must be evicted"
         assert os.path.exists(store._entry_path(self.OTHER))
-        assert DISKCACHE.snapshot()["evictions"] >= 1
+        assert DISKCACHE.evictions >= 1
 
 
 # -- portability boundary ----------------------------------------------------
@@ -410,7 +410,7 @@ class TestPortability:
         assert not _entries(tmp_path)
         compiled = with_state.cache.entries()[0][1].compiled
         assert compiled.portable_skip == "variable"
-        assert DISKCACHE.snapshot()["store_skips"] == 1
+        assert DISKCACHE.store_skips == 1
 
     def test_heap_read_blocks_persistence(self, tmp_path):
         class Holder:
@@ -440,9 +440,8 @@ class TestPortability:
         for _ in range(5):
             apply(x, lambda t: t * 2.0)
         assert not _entries(tmp_path)
-        snap = DISKCACHE.snapshot()
-        assert snap["hits"] == 0
-        assert snap["miss_reasons"].get("unportable", 0) >= 1
+        assert DISKCACHE.hits == 0
+        assert DISKCACHE.miss_reasons.get("unportable", 0) >= 1
 
     def test_serialize_raises_unportable_for_identity_prechecks(self):
         class Gen:
@@ -548,7 +547,7 @@ def main():
         "graphs_generated": step.stats["graphs_generated"],
         "graph_runs": step.stats["graph_runs"],
         "warm_starts": step.stats["warm_starts"],
-        "disk": DISKCACHE.snapshot(),
+        "disk_hits": DISKCACHE.hits,
         "sum": float(out.numpy().sum()),
     }))
 
@@ -597,7 +596,7 @@ class TestMultiProcess:
         assert late["imperative_runs"] == 0
         assert late["graphs_generated"] == 0
         assert late["warm_starts"] == 1
-        assert late["disk"]["hits"] == 1
+        assert late["disk_hits"] == 1
         assert late["sum"] == results[0]["sum"]
 
 
@@ -605,8 +604,8 @@ class TestMultiProcess:
 
 class TestDiskCacheStats:
 
-    def _populated(self):
-        stats = DiskCacheStats()
+    def _populated(self, registry=None):
+        stats = DiskCacheStats(registry)
         stats.record_hit(0.002)
         stats.record_miss("absent")
         stats.record_miss("corrupt")
@@ -616,11 +615,6 @@ class TestDiskCacheStats:
         stats.record_evictions(3)
         stats.set_disk_usage(4096, 2)
         return stats
-
-    def test_snapshot_round_trip(self):
-        stats = self._populated()
-        clone = DiskCacheStats.from_snapshot(stats.snapshot())
-        assert clone.snapshot() == stats.snapshot()
 
     def test_format_table_idle_and_populated(self):
         assert format_diskcache_table(DiskCacheStats()) == []
@@ -634,21 +628,12 @@ class TestDiskCacheStats:
 
     def test_stats_bundle_round_trip(self, tmp_path):
         path = str(tmp_path / "stats.json")
-        write_stats_json(path, diskcache=self._populated())
-        _, _, _, _, diskcache = load_stats(path)
+        registry = Registry()
+        self._populated(registry)
+        write_stats_json(path, registry=registry)
+        diskcache = load_stats(path).diskcache
         assert diskcache.hits == 1
         assert diskcache.miss_reasons == {"absent": 1, "corrupt": 2}
         assert diskcache.store_bytes == 2048
+        assert diskcache.entries_on_disk == 2
         assert diskcache.load_latency.count == 1
-
-    def test_legacy_bundle_without_diskcache_section_loads(self, tmp_path):
-        path = str(tmp_path / "legacy.json")
-        write_stats_json(path)
-        with open(path) as fh:
-            payload = json.load(fh)
-        del payload["diskcache"]
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        _, _, _, _, diskcache = load_stats(path)
-        assert diskcache.loads == 0
-        assert format_diskcache_table(diskcache) == []

@@ -15,7 +15,13 @@ activity, counters with dotted names) — and enforces:
 * sample values parse as floats (``+Inf`` allowed),
 * histogram families end each ``le`` series with ``+Inf`` and their
   cumulative bucket counts are monotonically non-decreasing per label
-  set.
+  set,
+* a family named ``*_total`` has TYPE ``counter`` and no other kind uses
+  that suffix; quantile gauges end in ``_window_seconds``.
+
+It also pins, as literals captured before the one-registry change, the
+families (with label names) an operator scrapes from this fixture and
+the ``/health`` key set: nothing served may disappear.
 """
 
 import math
@@ -24,11 +30,11 @@ import re
 import pytest
 
 from repro import observability as obs
-from repro.observability import COUNTERS
 from repro.observability.cli import prometheus_text
 from repro.observability.diskcache import DiskCacheStats
 from repro.observability.health import HealthRegistry
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.httpstat import health_payload
+from repro.observability.metrics import Registry
 from repro.observability.reqtrace import (FlightRecorder,
                                           RequestContext)
 from repro.observability.serving import ServingStats
@@ -71,15 +77,20 @@ def _family_of(name):
 
 
 def _populated_state():
-    """Every registry section exercised, including awkward label values."""
-    metrics = MetricsRegistry(enabled=True)
+    """One registry with every section exercised, including awkward
+    label values; returns ``(registry, recorder)``."""
+    registry = Registry(enabled=True)
+    graph_run = registry.histogram(
+        "janus_graph_run_seconds", "Graph executions.").labels()
+    dispatch = registry.windowed(
+        "janus_dispatch_latency_seconds", "Dispatch latency.").labels()
     for value in (0.001, 0.002, 0.5):
-        metrics.observe("graph.run", value)
-        metrics.observe_windowed("dispatch.latency", value)
-    metrics.observe("graph.generate", 0.12)
+        graph_run.observe(value)
+        dispatch.observe(value)
+    registry.histogram("janus_graph_generate_seconds",
+                       "Graph generation.").labels().observe(0.12)
 
-    health = HealthRegistry()
-    fn = health.function("model.predict")
+    fn = registry.view(HealthRegistry).function("model.predict")
     fn.record_call()
     fn.record_profile_run()
     fn.record_call()
@@ -90,11 +101,13 @@ def _populated_state():
                        kind="assumption")
     fn.record_generation(0.2, regeneration=True)
 
-    counters = COUNTERS.__class__()
-    counters.inc("cache.hits", 3)
-    counters.inc("diskcache.misses.absent", 2)
+    counters = registry.counter("janus_counter_total",
+                                "Flat runtime counters by name.",
+                                labels=("name",))
+    counters.labels("cache.hits").inc(3)
+    counters.labels("diskcache.store_errors").inc(2)
 
-    serving = ServingStats()
+    serving = registry.view(ServingStats)
     for _ in range(4):
         serving.record_enqueue(1)
     serving.record_batch(3, (0.002, 0.003, 0.001))
@@ -102,7 +115,7 @@ def _populated_state():
     serving.record_request(0.050, "error")
     serving.record_reject(0.0002)
 
-    diskcache = DiskCacheStats()
+    diskcache = registry.view(DiskCacheStats)
     diskcache.record_hit(0.003)
     diskcache.record_miss("absent")
     diskcache.record_miss("corrupt")
@@ -117,13 +130,111 @@ def _populated_state():
         ctx.duration = 0.01
         recorder.record(ctx)
 
-    return dict(metrics=metrics, health=health, counters=counters,
-                serving=serving, diskcache=diskcache, requests=recorder)
+    return registry, recorder
 
 
 @pytest.fixture()
 def exposition():
-    return prometheus_text(**_populated_state())
+    return prometheus_text(*_populated_state())
+
+
+def _families(text):
+    """``{family: (TYPE, sorted label names)}`` of an exposition."""
+    types, labels = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, family, mtype = line.split()
+            types[family] = mtype
+            labels[family] = set()
+            continue
+        match = _SAMPLE_RE.match(line)
+        if not match:
+            continue
+        name = match.group(1)
+        family = name if name in types else _family_of(name)
+        labels[family].update(_parse_labels(match.group(2)))
+        labels[family].discard("le")
+    return {family: (types[family], sorted(labels[family]))
+            for family in types}
+
+
+#: What ``prometheus_text`` emitted for this fixture before the
+#: one-registry change: family -> label names.  One documented rename:
+#: ``janus_dispatch_latency_seconds_window`` now follows the
+#: ``*_window_seconds`` form of the serving families.
+_SCRAPED_BEFORE = {
+    "janus_counter_total": ["name"],
+    "janus_diskcache_bytes_on_disk": [],
+    "janus_diskcache_entries_on_disk": [],
+    "janus_diskcache_evictions_total": [],
+    "janus_diskcache_hits_total": [],
+    "janus_diskcache_load_seconds": [],
+    "janus_diskcache_loads_total": [],
+    "janus_diskcache_misses_total": ["reason"],
+    "janus_diskcache_store_bytes_total": [],
+    "janus_diskcache_store_skips_total": [],
+    "janus_diskcache_stores_total": [],
+    "janus_dispatch_latency_seconds": [],
+    "janus_dispatch_latency_window_seconds": ["quantile"],
+    "janus_function_calls_total": ["function"],
+    "janus_function_fallbacks_total": ["function"],
+    "janus_function_graph_hit_ratio": ["function"],
+    "janus_function_graph_runs_total": ["function"],
+    "janus_function_recompiles_total": ["function"],
+    "janus_function_state": ["function", "state"],
+    "janus_graph_generate_seconds": [],
+    "janus_graph_run_seconds": [],
+    "janus_requests_failed_total": [],
+    "janus_requests_recorded_total": [],
+    "janus_serving_active_clients": [],
+    "janus_serving_batch_size": [],
+    "janus_serving_batched_requests_total": [],
+    "janus_serving_batches_total": [],
+    "janus_serving_peak_clients": [],
+    "janus_serving_queue_depth": [],
+    "janus_serving_queue_wait_seconds": [],
+    "janus_serving_queue_wait_window_seconds": ["quantile"],
+    "janus_serving_recompiles_in_flight": [],
+    "janus_serving_rejected_total": [],
+    "janus_serving_rejection_rate": [],
+    "janus_serving_request_latency_seconds": ["outcome"],
+    "janus_serving_request_latency_window_seconds":
+        ["outcome", "quantile"],
+    "janus_serving_requests_total": [],
+    "janus_site_failures_total": ["function", "kind", "site"],
+}
+
+_HEALTH_KEYS_BEFORE = {
+    "": {"status", "functions", "serving", "requests_recorded",
+         "requests_failed"},
+    "functions": {"name", "state", "diagnosis", "calls", "graph_runs",
+                  "graph_hit_ratio", "fallbacks", "recompiles"},
+    "serving": {"requests", "rejected", "rejection_rate", "batches",
+                "active_clients", "recompiles_in_flight",
+                "queue_wait_window", "request_latency_ok_window",
+                "request_latency_rejected_window"},
+}
+
+
+class TestNothingScrapedDisappeared:
+    def test_every_family_with_its_label_names(self, exposition):
+        assert len(_SCRAPED_BEFORE) == 38
+        served = _families(exposition)
+        for family, label_names in _SCRAPED_BEFORE.items():
+            assert family in served, family
+            assert served[family][1] == label_names, family
+
+    def test_health_key_set(self):
+        obs.clear()
+        obs.HEALTH.function("f").record_call()
+        try:
+            payload = health_payload()
+        finally:
+            obs.clear()
+        assert set(payload) == _HEALTH_KEYS_BEFORE[""]
+        assert set(payload["functions"][0]) == \
+            _HEALTH_KEYS_BEFORE["functions"]
+        assert set(payload["serving"]) == _HEALTH_KEYS_BEFORE["serving"]
 
 
 class TestExpositionLint:
@@ -243,6 +354,19 @@ class TestExpositionLint:
         for key, total in inf_buckets.items():
             assert key in counts, "no _count for %r" % (key,)
             assert counts[key] == total, key
+
+    def test_total_suffix_means_counter(self, exposition):
+        for family, (mtype, _) in _families(exposition).items():
+            assert (mtype == "counter") == family.endswith("_total"), \
+                "%s is a %s" % (family, mtype)
+
+    def test_quantile_gauges_are_window_seconds(self, exposition):
+        quantile = {family for family, (_, labels)
+                    in _families(exposition).items()
+                    if "quantile" in labels}
+        assert quantile, "windowed families must expose quantile gauges"
+        for family in quantile:
+            assert family.endswith("_window_seconds"), family
 
     def test_awkward_label_values_are_escaped(self, exposition):
         # The failure site contains a backslash, quotes, and a newline;

@@ -8,7 +8,7 @@ fragment/gap spans parented under the dispatch span.  Around it:
 ``WindowedHistogram`` rotation and percentile math (injectable clock,
 no sleeps), flight-recorder retention of the slowest and all
 failed/fallback/rejected requests, rejected-request latency accounting,
-the :class:`StatsBundle` tuple-compat contract, and a live HTTP scrape
+the :class:`StatsBundle` named views, and a live HTTP scrape
 of ``/metrics`` + ``/health``.
 """
 
@@ -24,11 +24,10 @@ import repro as R
 from repro import janus
 from repro import observability as obs
 from repro.observability import reqtrace
-from repro.observability.cli import (StatsBundle, load_stats,
+from repro.observability.cli import (load_stats,
                                      write_stats_json)
 from repro.observability.httpstat import StatsServer
-from repro.observability.metrics import (METRICS, Histogram,
-                                         MetricsRegistry,
+from repro.observability.metrics import (METRICS, Registry,
                                          WindowedHistogram)
 from repro.observability.reqtrace import (RECORDER, FlightRecorder,
                                           RequestContext)
@@ -121,22 +120,24 @@ class TestWindowedHistogram:
         assert restored.window().count == 1
         assert restored.window_s == 6.0 and restored.slices == 3
 
-    def test_registry_restores_windowed_type(self):
-        registry = MetricsRegistry(enabled=True)
-        registry.observe_windowed("dispatch.latency", 0.001)
-        registry.observe("graph.run", 0.002)
-        restored = MetricsRegistry.from_snapshot(registry.snapshot())
-        assert isinstance(restored.get("dispatch.latency"),
-                          WindowedHistogram)
-        assert not isinstance(restored.get("graph.run"),
+    def test_registry_restores_windowed_type_and_geometry(self):
+        registry = Registry()
+        registry.windowed("janus_a_seconds", "a", window_s=12.0,
+                          slices=4).labels().observe(0.001)
+        registry.histogram("janus_b_seconds", "b").labels().observe(0.002)
+        restored = Registry.from_snapshot(registry.snapshot())
+        windowed = restored.get("janus_a_seconds").labels()
+        assert isinstance(windowed, WindowedHistogram)
+        assert (windowed.window_s, windowed.slices) == (12.0, 4)
+        assert windowed.window().count == 1
+        assert not isinstance(restored.get("janus_b_seconds").labels(),
                               WindowedHistogram)
 
-    def test_mixed_name_stays_plain(self):
-        registry = MetricsRegistry(enabled=True)
-        registry.observe("x", 0.001)
-        registry.observe_windowed("x", 0.002)   # name already plain
-        assert not isinstance(registry.get("x"), WindowedHistogram)
-        assert registry.get("x").count == 2
+    def test_the_declaration_fixes_the_kind(self):
+        registry = Registry()
+        registry.histogram("janus_x_seconds", "x")
+        with pytest.raises(ValueError, match="already declared"):
+            registry.windowed("janus_x_seconds", "x")
 
 
 # ---------------------------------------------------------------------------
@@ -406,47 +407,23 @@ class TestRejectedRequests:
 
 
 # ---------------------------------------------------------------------------
-# StatsBundle (satellite)
+# StatsBundle
 # ---------------------------------------------------------------------------
 
 class TestStatsBundle:
-    def test_tuple_unpacking_compat(self, tmp_path):
+    def test_named_views_over_the_restored_registry(self, tmp_path):
         obs.set_metrics_enabled(True)
-        METRICS.observe("graph.run", 0.001)
+        METRICS.get("janus_graph_run_seconds").labels().observe(0.001)
+        SERVING.record_enqueue(0)
+        SERVING.record_reject()
         path = write_stats_json(str(tmp_path / "stats.json"))
         bundle = load_stats(path)
-        metrics, health, counters, serving, diskcache = bundle
-        assert metrics is bundle.metrics
-        assert serving is bundle.serving
-        assert len(bundle) == 5
-        assert bundle[4] is bundle.diskcache
-        assert metrics.get("graph.run").count == 1
+        assert bundle.serving is bundle.registry.view(ServingStats)
+        assert bundle.serving.rejection_rate == SERVING.rejection_rate
+        assert bundle.registry.get(
+            "janus_graph_run_seconds").labels().count == 1
         assert isinstance(bundle.requests, FlightRecorder)
-
-    def test_legacy_bundle_loads_with_empty_new_sections(self, tmp_path):
-        legacy = {
-            "format": "janus-stats/1",
-            "metrics": {"graph.run": Histogram().snapshot()},
-            "health": {},
-            "counters": {"counters": {"x": 3}, "timers": {}},
-            # no serving / diskcache / requests keys at all
-        }
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(legacy))
-        bundle = load_stats(str(path))
-        assert bundle.serving.requests == 0
-        assert bundle.requests.completed == 0
-        assert bundle.counters.get("x") == 3
-        for hist in bundle.serving.request_latency.values():
-            assert hist.count == 0
-
-    def test_legacy_serving_snapshot_without_latency(self):
-        snap = {"requests": 4, "rejected": 1,
-                "queue_wait": Histogram().snapshot()}
-        stats = ServingStats.from_snapshot(snap)
-        assert stats.requests == 4
-        assert stats.request_latency["ok"].count == 0
-        assert stats.rejection_rate == pytest.approx(0.2)
+        assert not bundle.requests.enabled
 
 
 # ---------------------------------------------------------------------------

@@ -89,11 +89,10 @@ class TestBatching:
             expect = np.full((2, 3), i * 2.0 + 1.0, np.float32)
             assert np.array_equal(results[i].numpy(), expect), i
 
-        snap = SERVING.snapshot()
-        assert snap["requests"] == 8
-        assert snap["rejected"] == 0
-        assert snap["batches"] <= 8
-        assert snap["peak_clients"] >= 2
+        assert SERVING.requests == 8
+        assert SERVING.rejected == 0
+        assert SERVING.batches <= 8
+        assert SERVING.peak_clients >= 2
 
     def test_batched_dispatch_splits_rows_exactly(self):
         calls = []
@@ -186,7 +185,7 @@ class TestBatching:
 
             assert not _run_clients(4, client)
         assert sizes and all(s == 2 for s in sizes)
-        assert SERVING.snapshot()["batched_requests"] == 0
+        assert SERVING.batched_requests == 0
 
     def test_scalar_args_bypass_batching(self):
         def square(x):
@@ -221,13 +220,13 @@ class TestAdmissionAndLifecycle:
             workers[1].start()
             workers[2].start()
             deadline = time.time() + 5.0
-            while SERVING.snapshot()["requests"] < 3 \
+            while SERVING.requests < 3 \
                     and time.time() < deadline:
                 time.sleep(0.005)
             # Queue holds 2; a fourth client is refused at admission.
             with pytest.raises(ServerOverloaded):
                 server.call("slow", _rows(9))
-            assert SERVING.snapshot()["rejected"] == 1
+            assert SERVING.rejected == 1
         finally:
             release.set()
             for w in workers:
@@ -276,7 +275,7 @@ class TestAdmissionAndLifecycle:
             server.register("f", _Fn(), batchable=False)
             server.call("f", _rows(0))
             assert server.recompiles_in_flight() == 2
-            assert SERVING.snapshot()["recompiles_in_flight"] == 2
+            assert SERVING.recompiles_in_flight == 2
 
 
 class _Dying(BaseException):
@@ -328,9 +327,8 @@ class TestLeaderFollowerDispatch:
                 assert request.wait(0) and request.error is None
                 assert np.array_equal(request.result.numpy(),
                                       _rows(i).numpy() + 1.0), i
-        snap = SERVING.snapshot()
-        assert snap["batches"] == 1 and snap["requests"] == 8
-        assert snap["batched_requests"] == 8
+        assert SERVING.batches == 1 and SERVING.requests == 8
+        assert SERVING.batched_requests == 8
 
     def test_submitted_requests_reach_recorder_and_latency(self):
         # Regression: requests entered through the endpoint object used
@@ -352,8 +350,7 @@ class TestLeaderFollowerDispatch:
             assert all({e["cat"] for e in s["events"]}
                        == {"serve_queue", "serve_dispatch"}
                        for s in recent)
-            latency = SERVING.snapshot()["request_latency"]
-            assert latency["ok"]["count"] == 8
+            assert SERVING.request_latency["ok"].count == 8
         finally:
             RECORDER.set_enabled(saved)
 
@@ -372,9 +369,9 @@ class TestLeaderFollowerDispatch:
             assert bad.done.is_set()
             assert isinstance(bad.error, ValueError)
             assert bad.result is None
-        latency = SERVING.snapshot()["request_latency"]
-        assert latency["ok"]["count"] == 1
-        assert latency["error"]["count"] == 1
+        latency = SERVING.request_latency
+        assert latency["ok"].count == 1
+        assert latency["error"].count == 1
 
     @pytest.mark.parametrize("batchable", [False, True])
     def test_dying_leader_fails_its_batch_and_frees_the_lead(
@@ -412,7 +409,7 @@ class TestLeaderFollowerDispatch:
             assert request.wait(0)
             assert isinstance(request.error, ServerClosed)
         assert not endpoint.queue
-        assert SERVING.snapshot()["request_latency"]["error"]["count"] == 3
+        assert SERVING.request_latency["error"].count == 3
         with pytest.raises(ServerClosed):
             endpoint.submit((_rows(9),))
 
@@ -534,6 +531,8 @@ class TestServingObservability:
         assert "janus_serving_batch_size_count" in text
         assert "janus_serving_queue_wait_seconds_count" in text
 
-    def test_idle_serving_section_omitted(self):
+    def test_idle_serving_section_omitted_from_report(self):
         assert "-- serving --" not in render_report()
-        assert "janus_serving_requests_total" not in prometheus_text()
+        # /metrics has no sections: an unlabelled counter is declared,
+        # so it is scraped from the start, at a visible 0.
+        assert "janus_serving_requests_total 0" in prometheus_text()

@@ -20,16 +20,13 @@ import pytest
 import repro as R
 from repro import janus, observability as obs
 from repro.janus import fragments
-from repro.observability import COUNTERS
+from repro.observability import counter_values as counters
 from repro.observability.cli import (load_stats, main as stats_main,
                                      prometheus_text, render_report,
                                      write_stats_json)
-from repro.observability.counters import CounterRegistry
 from repro.observability.health import (CONVERGED_RUNS, HEALTH,
-                                        HealthRegistry, SpeculationHealth,
-                                        site_key)
-from repro.observability.metrics import (METRICS, Histogram,
-                                         MetricsRegistry)
+                                        HealthRegistry, site_key)
+from repro.observability.metrics import METRICS, Histogram, Registry
 from repro.tensor import TensorValue
 
 
@@ -48,8 +45,9 @@ def strict(**kw):
                              parallel_execution=False, **kw)
 
 
-def counters():
-    return dict(COUNTERS.snapshot()["counters"])
+def hist(name, registry=METRICS):
+    """The one child of an unlabelled histogram family."""
+    return registry.get(name).labels()
 
 
 # -- histogram unit behaviour -------------------------------------------------
@@ -107,16 +105,21 @@ class TestHistogram:
         assert restored.counts == hist.counts
         assert restored.percentiles() == hist.percentiles()
 
-    def test_registry_disabled_is_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.observe("x", 1.0)
-        with registry.timer("x"):
-            pass
-        assert len(registry) == 0
-        registry.set_enabled(True)
-        with registry.timer("x"):
-            pass
-        assert registry.get("x").count == 1
+    def test_disabled_sites_record_nothing(self):
+        """``METRICS.enabled`` gates the latency and health *sites*:
+        disabled, a dispatched function leaves both empty."""
+        obs.set_metrics_enabled(False)
+
+        @janus.function(config=strict())
+        def quiet(x):
+            return x + 1.0
+
+        for _ in range(6):
+            quiet(R.constant(np.float32(1.0)))
+        assert quiet.stats["graph_runs"] > 0
+        assert hist("janus_graph_run_seconds").count == 0
+        assert hist("janus_dispatch_latency_seconds").count == 0
+        assert HEALTH.get("quiet") is None
 
 
 # -- the state model, driven by real forced failures --------------------------
@@ -178,11 +181,11 @@ class TestLifecycleStates:
         assert worst.last_guard and "scale" in worst.last_guard
         assert worst.relaxations >= 1
         assert worst.relax_chain and worst.relax_chain[0]["action"]
-        assert worst.fallback_count == 1 and worst.fallback_total > 0.0
+        assert worst.fallback.count == 1 and worst.fallback.total > 0.0
 
         g(x)                                   # regenerate + graph run
         assert health.recompiles == 1
-        assert worst.recompile_count == 1 and worst.recompile_total > 0.0
+        assert worst.recompile.count == 1 and worst.recompile.total > 0.0
         entry = health.failure_chain[0]
         assert entry["site"] == site_key(worst.site)
         assert entry["kind"] == "attr"
@@ -208,16 +211,19 @@ class TestLifecycleStates:
         for _ in range(4):
             h(x)
 
-        for name in ("graph.run", "graphgen.initial",
-                     "graphgen.recompile", "fallback.imperative",
-                     "profile.run", "guard.precheck"):
-            hist = METRICS.get(name)
-            assert hist is not None and hist.count > 0, name
-            pct = hist.percentiles()
+        for name in ("janus_graph_run_seconds",
+                     "janus_graphgen_initial_seconds",
+                     "janus_graphgen_recompile_seconds",
+                     "janus_fallback_imperative_seconds",
+                     "janus_profile_run_seconds",
+                     "janus_guard_precheck_seconds"):
+            latency = hist(name)
+            assert latency.count > 0, name
+            pct = latency.percentiles()
             assert 0.0 <= pct["p50"] <= pct["p95"] <= pct["p99"], name
-            assert pct["p99"] <= hist.max, name
-        assert METRICS.get("fallback.imperative").count == 1
-        assert METRICS.get("graphgen.recompile").count == 1
+            assert pct["p99"] <= latency.max, name
+        assert hist("janus_fallback_imperative_seconds").count == 1
+        assert hist("janus_graphgen_recompile_seconds").count == 1
 
     def test_thrashing_under_cache_churn(self):
         """Two alternating signatures with a one-entry cache: every call
@@ -243,7 +249,7 @@ class TestLifecycleStates:
         # Graph runs still happen each call; the ratio reflects that the
         # cache never serves them for free.
         assert 0.0 < health.graph_hit_ratio < 1.0
-        assert METRICS.get("graphgen.recompile").count >= 4
+        assert hist("janus_graphgen_recompile_seconds").count >= 4
 
     def test_imperative_only_state(self):
         # no fail_on_not_convertible; coexecution off so the verdict is
@@ -266,8 +272,9 @@ class TestLifecycleStates:
 # -- snapshot / restore -------------------------------------------------------
 
 class TestSnapshots:
-    def test_health_snapshot_roundtrip(self):
-        health = SpeculationHealth("f")
+    def test_health_roundtrip_through_registry_and_log(self):
+        view = HealthRegistry()
+        health = view.function("f")
         health.record_call()
         health.record_profile_run()
         health.record_failure(("fk", "attr", "h.scale"), kind="attr",
@@ -277,20 +284,23 @@ class TestSnapshots:
         health.record_relax(("fk", "attr", "h.scale"), "relax_attr_spec",
                             detail="const -> tensor", kind="attr")
         health.record_generation(0.01, regeneration=True)
-        snap = json.loads(json.dumps(health.snapshot()))
-        restored = SpeculationHealth.from_snapshot(snap)
+        registry_snap, log = json.loads(json.dumps(
+            [view.registry.snapshot(), view.snapshot()]))
+        restored_view = HealthRegistry(Registry.from_snapshot(registry_snap))
+        restored_view.restore_log(log)
+        restored = restored_view.get("f")
         assert restored.state == health.state
         assert restored.fallbacks == 1 and restored.recompiles == 1
         key = site_key(("fk", "attr", "h.scale"))
         site = restored.sites[key]
         assert site.failures == 1 and site.kind == "attr"
         assert site.relax_chain[0]["detail"] == "const -> tensor"
-        assert site.recompile_total == pytest.approx(0.01)
+        assert site.recompile.total == pytest.approx(0.01)
         assert restored.failure_chain[0]["fallback_s"] == \
             pytest.approx(0.002)
 
     def test_recompile_resets_convergence_streak(self):
-        health = SpeculationHealth("f")
+        health = HealthRegistry().function("f")
         health.record_generation(0.01, regeneration=False)
         for _ in range(CONVERGED_RUNS):
             health.record_graph_run()
@@ -328,22 +338,23 @@ class TestStatsCli:
         assert "-- latency histograms --" in report
         assert "-- post-mortem --" in report
         assert "step" in report and "converged" in report
-        assert "graph.run" in report
+        assert "janus_graph_run_seconds" in report
         assert "relax:" in report
         assert "fallback cost:" in report
 
     def test_saved_bundle_roundtrip_and_check(self, tmp_path, capsys):
         _drive_failing_function()
         live_state = HEALTH.get("step").state
-        live_count = METRICS.get("graph.run").count
+        live_count = hist("janus_graph_run_seconds").count
         path = str(tmp_path / "stats.json")
         write_stats_json(path)
         obs.clear()                            # post-mortem: live data gone
 
-        metrics, health, _counters, _serving, _diskcache = load_stats(path)
-        assert health.get("step").state == live_state
-        assert metrics.get("graph.run").count == live_count
-        assert health.get("step").worst_site().failures == 1
+        bundle = load_stats(path)
+        assert bundle.health.get("step").state == live_state
+        assert hist("janus_graph_run_seconds",
+                    bundle.registry).count == live_count
+        assert bundle.health.get("step").worst_site().failures == 1
 
         assert stats_main(["--input", path, "--check"]) == 0
         out = capsys.readouterr()
@@ -358,13 +369,16 @@ class TestStatsCli:
         SERVING.record_enqueue(3)
         SERVING.record_reject()
         SERVING.record_batch(2, [0.001, 0.004])
-        SERVING.set_recompiles_in_flight(1)
         SERVING.client_finished()
+        compiling = type("S", (), {"recompiles_in_flight": lambda self: 1})()
+        SERVING.watch(compiling)
         path = str(tmp_path / "stats.json")
         write_stats_json(path)
+        SERVING.unwatch(compiling)
         obs.clear()
 
-        _metrics, _health, _counters, serving, _diskcache = load_stats(path)
+        bundle = load_stats(path)
+        serving = bundle.serving
         assert serving.requests == 2
         assert serving.rejected == 1
         assert serving.batches == 1
@@ -373,22 +387,10 @@ class TestStatsCli:
         assert serving.recompiles_in_flight == 1
         assert serving.queue_depth.count == 2
         assert serving.queue_wait.count == 2
-        report = render_report(serving=serving)
+        assert serving.rejection_rate == pytest.approx(1 / 3)
+        report = render_report(bundle.registry)
         assert "-- serving --" in report
         assert "1 rejected" in report
-
-    def test_legacy_bundle_without_serving_section_loads(self, tmp_path):
-        _drive_failing_function()
-        path = tmp_path / "stats.json"
-        write_stats_json(str(path))
-        payload = json.loads(path.read_text())
-        payload.pop("serving", None)           # bundle from an older build
-        path.write_text(json.dumps(payload))
-        _metrics, health, _counters, serving, _diskcache = \
-            load_stats(str(path))
-        assert health.get("step") is not None
-        assert serving.requests == 0
-        assert "-- serving --" not in render_report(serving=serving)
 
     def test_function_filter_limits_post_mortem(self, tmp_path, capsys):
         _drive_failing_function()
@@ -408,9 +410,8 @@ class TestStatsCli:
             in text
         assert 'kind="attr"' in text
         # Bucket counts are cumulative: the +Inf bucket equals _count.
-        hist = METRICS.get("graph.run")
         assert ('janus_graph_run_seconds_bucket{le="+Inf"} %d'
-                % hist.count) in text
+                % hist("janus_graph_run_seconds").count) in text
         assert stats_main(["--prometheus"]) == 0
         assert "janus_counter_total" in capsys.readouterr().out
 
@@ -420,12 +421,25 @@ class TestStatsCli:
         assert stats_main(["--input", str(path)]) == 2
         assert "not a janus-stats file" in capsys.readouterr().err
 
-    def test_check_fails_on_empty_registries(self, tmp_path, capsys):
-        path = str(tmp_path / "empty.json")
-        write_stats_json(path, metrics=MetricsRegistry(),
-                         health=HealthRegistry(),
-                         counters=CounterRegistry())
-        assert stats_main(["--input", path, "--check"]) == 1
+    def test_format_1_bundle_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format": "janus-stats/1",
+                                    "metrics": {}, "health": {}}))
+        assert stats_main(["--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "janus-stats/1" in err and "janus-stats/2" in err
+
+    def test_explicit_empty_registry_is_not_replaced_by_live(
+            self, tmp_path, capsys):
+        """Regression: ``metrics or METRICS`` saved the *live* registries
+        when handed an empty one (both defined ``__len__``)."""
+        _drive_failing_function()              # the live registry is full
+        assert HEALTH.get("step") is not None
+        path = tmp_path / "empty.json"
+        write_stats_json(str(path), registry=Registry())
+        payload = json.loads(path.read_text())
+        assert payload["registry"] == {} and payload["health_log"] == {}
+        assert stats_main(["--input", str(path), "--check"]) == 1
         assert "FAILED" in capsys.readouterr().err
 
 
@@ -479,8 +493,7 @@ class TestPartialStateCli:
         write_stats_json(path)
         obs.clear()                            # post-mortem: live data gone
 
-        _metrics, health, _counters, _serving, _diskcache = load_stats(path)
-        restored = health.get("pstep")
+        restored = load_stats(path).health.get("pstep")
         assert restored.state == "partial"
         assert restored.coexec_runs == live_runs
         assert restored.coexec_fragment_runs == live_frag_runs
@@ -491,32 +504,6 @@ class TestPartialStateCli:
         out = capsys.readouterr().out
         assert "pstep [partial]" in out
         del f
-
-    def test_legacy_bundle_without_coexec_fields_loads(self, tmp_path):
-        """A bundle written before co-execution existed has no
-        coexec_runs / coexec_fragment_runs / converted_ratio keys: it
-        must restore with the 0/None defaults and never report partial."""
-        _drive_partial_function()
-        path = tmp_path / "stats.json"
-        write_stats_json(str(path))
-        payload = json.loads(path.read_text())
-        snap = payload["health"]["pstep"]
-        for key in ("coexec_runs", "coexec_fragment_runs",
-                    "converted_ratio"):
-            snap.pop(key, None)
-        path.write_text(json.dumps(payload))
-
-        _metrics, health, _counters, _serving, _diskcache = \
-            load_stats(str(path))
-        restored = health.get("pstep")
-        assert restored is not None
-        assert restored.coexec_runs == 0
-        assert restored.coexec_fragment_runs == 0
-        assert restored.converted_ratio is None
-        assert restored.state != "partial"
-        # The restored model is still render- and diagnose-able.
-        assert restored.diagnosis()
-        assert "pstep" in render_report(health=health)
 
 
 # -- digest-flip regression: fragment reuse across sealing --------------------

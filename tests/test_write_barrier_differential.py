@@ -37,7 +37,8 @@ import pytest
 
 import repro as R
 from repro import janus
-from repro.observability import COUNTERS, clear, set_trace_level, trace_level
+from repro.observability import (clear, counter_values, set_trace_level,
+                                 trace_level)
 from repro.tensor import TensorValue, set_write_barrier
 
 #: Generated programs per matrix arm; 4 arms -> >= 200 programs total.
@@ -50,7 +51,7 @@ MATRIX = pytest.mark.parametrize(
 
 
 def counters():
-    return dict(COUNTERS.snapshot()["counters"])
+    return counter_values()
 
 
 def delta(before, key):
