@@ -29,6 +29,8 @@
 #                      client with 8 outstanding submits >= 1.0x) and
 #                      the warm-start gate (disk-cache warm start >= 5x
 #                      faster to first graph hit than a cold compile)
+#                      and the schedule gate (same-run +PARL/+SPCN
+#                      throughput ratio >= 0.95 on LSTM, PPO, Inception)
 #   make test-persistence - the persistent compile-cache suite (warm
 #                      start bit-for-bit, corruption tolerance,
 #                      multi-process sharing), run once with the cache
@@ -150,6 +152,7 @@ bench-check:
 	$(PYTHON) benchmarks/bench_observability_overhead.py --check
 	$(PYTHON) benchmarks/bench_serving.py --check
 	$(PYTHON) benchmarks/bench_warm_start.py --check
+	$(PYTHON) benchmarks/bench_fig7_ablation.py --check
 
 ci: test test-nocoexec test-concurrency test-coexec test-differential \
 	test-persistence stats-demo stats-serve bench-check

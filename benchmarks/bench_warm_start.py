@@ -15,7 +15,8 @@ that boundary, in real subprocesses:
 
 Timing happens **inside** each worker, from the first call to the first
 call that executes as a graph — interpreter/numpy startup (identical in
-both arms) is excluded.  Medians over ``REPEATS`` workers per arm.
+both arms; the tokenizer's one-time regex compilation included) is
+excluded.  Medians over ``REPEATS`` workers per arm.
 
 ``--check`` gates the headline: warm time-to-first-graph-hit must be at
 least ``--threshold`` (default 5x) faster than cold.  Run standalone or
@@ -46,8 +47,10 @@ LAYERS = 24
 FEATURES = 64
 
 _WORKER_SRC = """\
+import io
 import json
 import time
+import tokenize
 
 import numpy as np
 
@@ -67,6 +70,11 @@ def main():
     rng = np.random.RandomState(3)
     x = rng.rand(%(features)d, %(features)d).astype(np.float32) * 0.1
     w = rng.rand(%(features)d, %(features)d).astype(np.float32) * 0.1
+    # The first tokenize of a process compiles the tokenizer's regexes
+    # (~3 ms), and the first call's source hash tokenizes.  That is
+    # interpreter start-up like the imports, identical in both arms;
+    # `import repro` used to pay it by accident, through scipy's import.
+    list(tokenize.generate_tokens(io.StringIO("pass\\n").readline))
     start = time.perf_counter()
     elapsed = None
     for _ in range(64):

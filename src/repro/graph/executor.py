@@ -24,19 +24,21 @@ Four properties reproduce the paper's execution model:
   bound feeds before any kernel runs, so a program driven directly
   (bypassing the api-level prechecks) still fails before any effect.
 * **Inter-op parallelism** (+PARL of figure 7) — an optional level-wise
-  schedule submits the same closures to a thread pool (numpy kernels
-  release the GIL for the heavy lifting).
+  schedule runs the same closures on a thread pool (numpy kernels
+  release the GIL for the heavy lifting), but only for the levels where
+  the executor *measured* the fan-out to be clearly faster than running
+  the level in order; everywhere else it stands aside.
 
 See docs/compilation.md ("Mechanism 4: the executed form").
 """
 
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
+from .. import host
 from ..errors import AssumptionFailed, ExecutionError, GraphError
 from ..observability import COUNTERS, METRICS, TRACER
 from ..tensor import TensorValue, PyRef
@@ -47,18 +49,20 @@ _POOL = None
 
 def _shared_pool():
     global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            workers = max(2, (os.cpu_count() or 2))
-            _POOL = ThreadPoolExecutor(max_workers=workers,
-                                       thread_name_prefix="repro-graph")
-        return _POOL
+    pool = _POOL
+    if pool is None:
+        with _POOL_LOCK:
+            if _POOL is None:
+                _POOL = ThreadPoolExecutor(max_workers=host.usable_cpus(),
+                                           thread_name_prefix="repro-graph")
+            pool = _POOL
+    return pool
 
 
 class RunState:
     """Per-top-level-run mutable state shared with nested subgraph runs."""
 
-    __slots__ = ("var_local", "py_local", "while_records", "stats",
+    __slots__ = ("var_local", "py_local", "while_records",
                  "invoke_memo", "py_read_cache", "memo_counts")
 
     def __init__(self):
@@ -83,7 +87,6 @@ class RunState:
         #: cache), so repeated reads — e.g. during gradient-side forward
         #: recomputation — skip getattr/convert/assumption checking.
         self.py_read_cache = {}
-        self.stats = {"nodes_executed": 0}
 
     def commit(self, py_objects):
         """Write local copies back to variables and the Python heap."""
@@ -130,6 +133,9 @@ _MEMO_SAFE = None
 
 _MEMO_HIT = COUNTERS.labels("executor.memo_hit")
 _MEMO_STALE = COUNTERS.labels("executor.memo_stale")
+#: Bumped once per candidate level, when its measured verdict lands.
+_LEVELS_PARALLEL = COUNTERS.labels("executor.levels_parallel")
+_LEVELS_SEQUENTIAL = COUNTERS.labels("executor.levels_sequential")
 _GRAPH_RUN = METRICS.histogram(
     "janus_graph_run_seconds",
     "Top-level compiled-graph executions.").labels()
@@ -180,61 +186,138 @@ def _memo_safe_types():
     return _MEMO_SAFE
 
 
-def _internalize(value):
-    """Convert a heap/user value into executor-internal form."""
-    if type(value) is np.ndarray:
-        return value
-    tensor_cls, variable_cls = _lazy_types()
-    if isinstance(value, tensor_cls):
-        return value.value.array
-    if isinstance(value, TensorValue):
-        return value.array
-    if isinstance(value, PyRef):
-        return value
-    if isinstance(value, variable_cls):
+def _internalize_sequence(value):
+    try:
+        arr = np.asarray(value)
+    except (ValueError, TypeError):
         return PyRef(value)
-    if isinstance(value, bool):
-        return np.asarray(value, np.bool_)
-    if isinstance(value, int):
-        return np.asarray(value, np.int64)
-    if isinstance(value, float):
-        # Framework conversion rules: python floats are float32.
-        return np.asarray(value, np.float32)
-    if isinstance(value, (np.bool_, np.integer, np.floating)):
-        return np.asarray(value)
-    if isinstance(value, np.ndarray):
-        return value
-    if isinstance(value, (list, tuple)):
-        try:
-            arr = np.asarray(value)
-        except (ValueError, TypeError):
-            return PyRef(value)
-        if arr.dtype.kind in "bif":
-            if arr.dtype == np.float64:
-                arr = arr.astype(np.float32)
-            return arr
-        return PyRef(value)
+    if arr.dtype.kind in "bif":
+        if arr.dtype == np.float64:
+            arr = arr.astype(np.float32)
+        return arr
     return PyRef(value)
+
+
+def _same(value):
+    return value
+
+
+#: ``(exact-type dict, isinstance tuple, ordered chain)`` over the same
+#: ``(base, converter)`` pairs; one object, so a reader sees all three or
+#: none.  Built on first use: the eager types import lazily.
+_CONVERSIONS = None
+
+
+def _build_conversions():
+    global _CONVERSIONS
+    tensor_cls, variable_cls = _lazy_types()
+    asarray = np.asarray
+    # Precedence order: ``bool`` before ``int``; python ``float`` —
+    # which ``np.float64`` subclasses — before the numpy scalars.
+    chain = (
+        (tensor_cls, lambda v: v.value.array),
+        (TensorValue, lambda v: v.array),
+        (PyRef, _same),
+        (variable_cls, PyRef),
+        (bool, lambda v: asarray(v, np.bool_)),
+        (int, lambda v: asarray(v, np.int64)),
+        # Framework conversion rules: python floats are float32.
+        (float, lambda v: asarray(v, np.float32)),
+        (np.bool_, asarray),
+        (np.integer, asarray),
+        (np.floating, asarray),
+        (np.ndarray, _same),
+        (list, _internalize_sequence),
+        (tuple, _internalize_sequence),
+    )
+    _CONVERSIONS = (dict(chain), tuple(base for base, _ in chain), chain)
+    return _CONVERSIONS
+
+
+def _internalize(value):
+    """Convert a heap/user value into executor-internal form.
+
+    Dispatches on the exact type; a subclass of a convertible type takes
+    the first ``isinstance`` match in precedence order, and anything
+    else — the common case on dynamic heap reads, e.g. a tree node — is
+    wrapped in a :class:`PyRef` after one ``isinstance`` call.
+    """
+    exact, bases, chain = _CONVERSIONS or _build_conversions()
+    convert = exact.get(type(value))
+    if convert is not None:
+        return convert(value)
+    if isinstance(value, bases):
+        for base, convert in chain:
+            if isinstance(value, base):
+                return convert(value)
+    return PyRef(value)
+
+
+def _truth(pred):
+    """``bool(np.all(pred))`` without its three ``fromnumeric`` frames."""
+    return bool(pred) if pred.size == 1 else bool(pred.all())
+
+
+#: Exact types that already are executor-internal form.
+_INTERNAL = (np.ndarray, PyRef)
+
+#: Adjacent (in order, fanned out) timings a candidate level gets, and
+#: the share of the in-order time the fan-out has to save in every one
+#: of them to be kept — above this host's run-to-run noise.
+_TRIALS = 3
+_MARGIN = 0.30
+
+
+class _Level:
+    """One candidate fan-out level: its closures and the evidence."""
+
+    __slots__ = ("fns", "verdict", "trials", "seq")
+
+    def __init__(self, fns):
+        self.fns = fns
+        #: None while measuring; then whether the fan-out is kept.
+        self.verdict = None
+        self.trials = 0
+        #: In-order time of the pair being measured.
+        self.seq = 0.0
+
+
+def _run_level(fns, fan_out, values, run_state):
+    if not fan_out:
+        for fn in fns:
+            fn(values, run_state)
+        return
+    pool = _shared_pool()
+    futures = [pool.submit(fn, values, run_state) for fn in fns]
+    wait(futures)
+    # Submission order is schedule order: when several closures of one
+    # level fail, raise what the sequential schedule would have raised.
+    for future in futures:
+        exc = future.exception()
+        if exc is not None:
+            raise exc
 
 
 class GraphExecutor:
     """A compiled, reusable flat closure program for one graph."""
 
     def __init__(self, graph, parallel=False, _nested=False,
-                 heavy_threshold=2, tensor_write_barrier=True):
+                 tensor_write_barrier=True):
         self.graph = graph
-        # Inter-op parallelism needs real cores; on a single-CPU host the
-        # level-parallel schedule only adds synchronization overhead.
-        self.parallel = (parallel and not _nested
-                         and (os.cpu_count() or 1) > 1)
+        #: Whether runs go level by level.  A request, not a
+        #: promise: it needs more than one usable CPU and a level with
+        #: two heavy ops to start with, and turns False for good once
+        #: every such level has been measured and none kept its fan-out.
+        self.parallel = parallel and not _nested \
+            and host.usable_cpus() > 1
         self._nested = _nested
-        #: Heavy ops per level required before the level fans out across
-        #: threads; see ``JanusConfig.parallel_heavy_ops_threshold``.
-        self.heavy_threshold = max(1, int(heavy_threshold))
         #: Whether py_get memos may cover Tensor-typed heap reads, keyed
         #: on identity + TensorValue.version (JanusConfig flag; nested
         #: executors inherit it through ``_function_executor``).
         self.tensor_write_barrier = bool(tensor_write_barrier)
+        #: The levels the schedule measures (:class:`_Level`); empty
+        #: unless ``parallel`` was asked for and possible.
+        self._candidates = ()
         self._compile()
 
     @property
@@ -242,8 +325,11 @@ class GraphExecutor:
         return len(self._program)
 
     def __repr__(self):
-        return "GraphExecutor(%s, %d instructions, %d guards)" % (
-            self.graph.name, len(self._program), len(self.preamble))
+        return "GraphExecutor(%s, %d instructions, %d guards, " \
+            "%d/%d levels parallel)" % (
+                self.graph.name, len(self._program), len(self.preamble),
+                sum(1 for level in self._candidates if level.verdict),
+                len(self._candidates))
 
     # -- compilation -------------------------------------------------------
 
@@ -535,7 +621,8 @@ class GraphExecutor:
                     for slot, r in zip(out_slots, cached):
                         values[slot] = r
                     return
-            results = _function_executor(func, barrier).run(args, run_state)
+            results = _function_executor(func, barrier)._run_nested(
+                args, run_state)
             if memo_key is not None:
                 run_state.invoke_memo[memo_key] = results
             for slot, r in zip(out_slots, results):
@@ -549,9 +636,9 @@ class GraphExecutor:
         arg_slots = in_slots[1:]
 
         def run_cond(values, run_state):
-            branch = branches["true" if bool(np.all(values[pred_slot]))
+            branch = branches["true" if _truth(values[pred_slot])
                               else "false"]
-            results = _function_executor(branch, barrier).run(
+            results = _function_executor(branch, barrier)._run_nested(
                 [values[s] for s in arg_slots], run_state)
             for slot, r in zip(out_slots, results):
                 values[slot] = r
@@ -565,18 +652,17 @@ class GraphExecutor:
         barrier = self.tensor_write_barrier
 
         def run_while(values, run_state):
-            cond_exec = _function_executor(cond_func, barrier)
-            body_exec = _function_executor(body_func, barrier)
+            cond_step = _function_executor(cond_func, barrier)._run_nested
+            body_step = _function_executor(body_func, barrier)._run_nested
             state = [values[s] for s in in_slots]
             record = [] if record_grad else None
             iteration = 0
             while True:
-                keep_going = cond_exec.run(state, run_state)[0]
-                if not bool(np.all(keep_going)):
+                if not _truth(cond_step(state, run_state)[0]):
                     break
                 if record is not None:
                     record.append(list(state))
-                state = body_exec.run(state, run_state)
+                state = body_step(state, run_state)
                 iteration += 1
                 if iteration > max_iters:
                     raise ExecutionError("while_loop exceeded %d iterations"
@@ -599,12 +685,13 @@ class GraphExecutor:
             if not stack:
                 raise ExecutionError("while_grad has no recorded iterations")
             record = stack.pop()
-            body_grad = _function_executor(body_grad_func, barrier)
+            grad_step = _function_executor(body_grad_func,
+                                           barrier)._run_nested
             state_grads = [values[s] for s in in_slots]
             var_totals = [None] * grad_var_count
             for iteration_state in reversed(record):
-                results = body_grad.run(list(iteration_state) + state_grads,
-                                        run_state)
+                results = grad_step(list(iteration_state) + state_grads,
+                                    run_state)
                 state_grads = results[:n_float]
                 for i, g in enumerate(results[n_float:]):
                     var_totals[i] = g if var_totals[i] is None \
@@ -657,7 +744,8 @@ class GraphExecutor:
             checks.append(check)
         return checks
 
-    #: Ops heavy enough to amortize a thread-pool submission.
+    #: Ops heavy enough that a level holding two of them is worth
+    #: measuring fanned out.
     _HEAVY_OPS = frozenset([
         "matmul", "conv2d", "conv2d_transpose", "conv2d_input_grad",
         "conv2d_filter_grad", "max_pool", "max_pool_grad", "avg_pool",
@@ -667,14 +755,13 @@ class GraphExecutor:
     def _compile_levels(self, order, scheduled):
         """Group the program's closures into dependency levels.
 
-        A level only runs on the thread pool when it contains at least
-        ``heavy_threshold`` *heavy* instructions (default 2, tunable via
-        ``JanusConfig.parallel_heavy_ops_threshold``) — scattering
-        sub-microsecond elementwise ops across threads costs far more
-        than it saves.  This mirrors how a
-        real dataflow runtime's inter-op parallelism only pays off for
-        coarse kernels (paper section 6.3.1: +PARL gains are largest for
-        TreeNNs with many concurrently executable matmuls).
+        A level with at least two *heavy* instructions is a candidate
+        for the thread pool, not a fan-out: inter-op parallelism only
+        pays for coarse, concurrently executable kernels (paper section
+        6.3.1), and neither the CPU count nor the op names say whether
+        these are — so each candidate is measured both ways over its
+        first runs (:meth:`_trial`) and fans out only if that clearly
+        won.  Every other level runs in order.
         """
         node_level = {}
         for node in order:
@@ -686,76 +773,155 @@ class GraphExecutor:
         levels = {}
         for node, fn in scheduled:
             levels.setdefault(node_level[node], []).append((node, fn))
-        #: ``[(fan_out, [closure, ...]), ...]`` in dependency order.
+        #: In dependency order: a closure list (runs in order) or a
+        #: candidate :class:`_Level`.
         self._levels = []
         for key in sorted(levels):
-            members = levels[key]
-            heavy = sum(1 for node, _ in members
+            fns = [fn for _, fn in levels[key]]
+            heavy = sum(1 for node, _ in levels[key]
                         if node.op_name in self._HEAVY_OPS)
-            self._levels.append(
-                (heavy >= self.heavy_threshold and len(members) > 1,
-                 [fn for _, fn in members]))
-        if not any(fan_out for fan_out, _ in self._levels):
+            self._levels.append(_Level(fns) if heavy >= 2 else fns)
+        self._candidates = [level for level in self._levels
+                            if type(level) is _Level]
+        if not self._candidates:
             self.parallel = False
 
     # -- execution ------------------------------------------------------------
 
-    def run(self, feeds=(), run_state=None):
-        """Execute the graph.
+    def run(self, feeds=()):
+        """Execute the graph as one top-level run.
 
         ``feeds`` is a sequence of values bound positionally to the
         graph's placeholders.  Returns the list of output values
         (numpy arrays, or the wrapped object for PyRef outputs is kept as
-        PyRef — callers externalize).  A fresh top-level run commits
-        deferred state updates on success; nested runs share
-        ``run_state`` and never commit.
+        PyRef — callers externalize) and commits the deferred state
+        updates on success.  Nested bodies go through
+        :meth:`_run_nested`, which shares the caller's run state and
+        never commits.
         """
-        top_level = run_state is None
-        if top_level:
-            run_state = RunState()
+        run_state = RunState()
         run_start = time.perf_counter() \
-            if (top_level and (TRACER.level or METRICS.enabled)) else 0.0
-        values = [None] * self._slot_count
-        ph_slots = self._ph_slot_order
-        if len(feeds) != len(ph_slots):
-            raise ExecutionError("graph %s expects %d feeds, got %d"
-                                 % (self.graph.name, len(ph_slots),
-                                    len(feeds)))
-        for slot, value in zip(ph_slots, feeds):
-            values[slot] = value if type(value) is np.ndarray \
-                else _internalize(value)
+            if (TRACER.level or METRICS.enabled) else 0.0
+        values = self._bind(feeds)
         for check in self.preamble:
             check(values)
 
         if self.parallel:
-            self._run_parallel(values, run_state)
+            self._run_levels(values, run_state)
         elif TRACER.level >= 2:
-            perf = time.perf_counter
-            for fn, (op_name, debug_name) in zip(self._program,
-                                                 self._labels):
-                start = perf()
-                fn(values, run_state)
-                TRACER.complete("op", op_name, start, perf() - start,
-                                level=2, node=debug_name,
-                                graph=self.graph.name)
+            self._run_traced(values, run_state)
         else:
             for fn in self._program:
                 fn(values, run_state)
 
         outputs = [values[s] for s in self._output_slots]
-        if top_level:
-            run_state.commit(self._py_objects_transitive())
-            run_state.stats["nodes_executed"] += len(self._program)
-            _flush_memo(run_state)
-            if TRACER.level:
-                TRACER.complete("op", "run:%s" % self.graph.name,
-                                run_start,
-                                time.perf_counter() - run_start,
-                                instructions=len(self._program),
-                                parallel=self.parallel)
-            if METRICS.enabled and run_start:
-                _GRAPH_RUN.observe(time.perf_counter() - run_start)
+        run_state.commit(self._py_objects_transitive())
+        _flush_memo(run_state)
+        if TRACER.level:
+            TRACER.complete("op", "run:%s" % self.graph.name,
+                            run_start,
+                            time.perf_counter() - run_start,
+                            instructions=len(self._program),
+                            parallel=self.parallel)
+        if METRICS.enabled and run_start:
+            _GRAPH_RUN.observe(time.perf_counter() - run_start)
         return outputs
+
+    def _run_nested(self, feeds, run_state):
+        """What :meth:`run` does for a nested body, and nothing else.
+
+        Same feed-count check, bind, run the program in order (nested
+        bodies have no level schedule and no preamble), return the outputs;
+        state stays in the caller's ``run_state`` for its commit.
+        """
+        values = self._bind(feeds)
+        if TRACER.level >= 2:
+            self._run_traced(values, run_state)
+        else:
+            for fn in self._program:
+                fn(values, run_state)
+        return [values[s] for s in self._output_slots]
+
+    def _bind(self, feeds):
+        """Fresh slots with ``feeds`` internalized on the placeholders."""
+        ph_slots = self._ph_slot_order
+        if len(feeds) != len(ph_slots):
+            raise ExecutionError("graph %s expects %d feeds, got %d"
+                                 % (self.graph.name, len(ph_slots),
+                                    len(feeds)))
+        values = [None] * self._slot_count
+        for slot, value in zip(ph_slots, feeds):
+            values[slot] = value if type(value) in _INTERNAL \
+                else _internalize(value)
+        return values
+
+    def _run_traced(self, values, run_state):
+        """The in-order loop with one level-2 ``op`` event per closure."""
+        perf = time.perf_counter
+        for fn, (op_name, debug_name) in zip(self._program, self._labels):
+            start = perf()
+            fn(values, run_state)
+            TRACER.complete("op", op_name, start, perf() - start,
+                            level=2, node=debug_name,
+                            graph=self.graph.name)
+
+    def _run_levels(self, values, run_state):
+        """Run level by level; level-2 tracing gets one ``level`` event
+        per level (trials carry ``trial="seq"|"par"``)."""
+        trace = TRACER.level >= 2
+        for index, level in enumerate(self._levels):
+            start = time.perf_counter() if trace else 0.0
+            trial = {}
+            if type(level) is list:
+                fns, fan_out = level, False
+            else:
+                fns, fan_out = level.fns, level.verdict
+            if fan_out is None:
+                fan_out = self._trial(level, values, run_state)
+                trial = {"trial": "par" if fan_out else "seq"}
+            else:
+                _run_level(fns, fan_out, values, run_state)
+            if trace:
+                TRACER.complete("level", "L%d" % index, start,
+                                time.perf_counter() - start, level=2,
+                                graph=self.graph.name,
+                                instructions=len(fns), parallel=fan_out,
+                                **trial)
+
+    def _trial(self, level, values, run_state):
+        """One timed run of an undecided level.
+
+        Returns whether this one fanned out: trials alternate, in
+        schedule order first, and each fanned-out one is compared with
+        the in-order one before it.  The first pair the fan-out does not
+        win by the margin settles the level in order; ``_TRIALS`` pairs
+        won keep the fan-out.  The verdict state is plain attributes
+        without a lock: concurrent runs may repeat or lose a trial (and,
+        landing one verdict at once, count it twice), never get a wrong
+        result — both schedules run the same closures on the same
+        slots.  A trial in which a closure raised never reaches the
+        bookkeeping, so it is not counted.
+        """
+        fan_out = bool(level.trials & 1)
+        start = time.perf_counter()
+        _run_level(level.fns, fan_out, values, run_state)
+        elapsed = time.perf_counter() - start
+        level.trials += 1
+        if not fan_out:
+            level.seq = elapsed
+        elif elapsed >= level.seq * (1.0 - _MARGIN):
+            self._decide(level, False)
+        elif level.trials >= 2 * _TRIALS:
+            self._decide(level, True)
+        return fan_out
+
+    def _decide(self, level, keep):
+        if level.verdict is None:
+            level.verdict = keep
+            (_LEVELS_PARALLEL if keep else _LEVELS_SEQUENTIAL).inc()
+        # No level measuring or kept: leave the level schedule for good.
+        if all(level.verdict is False for level in self._candidates):
+            self.parallel = False
 
     def _py_objects_transitive(self):
         """Python objects referenced here and in nested subgraphs."""
@@ -784,32 +950,6 @@ class GraphExecutor:
                     if func is not None and func.graph is not None:
                         stack.append(func.graph)
         return objs
-
-    def _run_parallel(self, values, run_state):
-        pool = _shared_pool()
-        trace_levels = TRACER.level >= 2
-        for index, (fan_out, level) in enumerate(self._levels):
-            start = time.perf_counter() if trace_levels else 0.0
-            if fan_out:
-                futures = [pool.submit(fn, values, run_state)
-                           for fn in level]
-                wait(futures)
-                # Submission order is schedule order: when several
-                # closures of one level fail, raise what the sequential
-                # schedule would have raised, not whichever hashes first.
-                for future in futures:
-                    exc = future.exception()
-                    if exc is not None:
-                        raise exc
-            else:
-                for fn in level:
-                    fn(values, run_state)
-            if trace_levels:
-                TRACER.complete("level", "L%d" % index, start,
-                                time.perf_counter() - start, level=2,
-                                graph=self.graph.name,
-                                instructions=len(level),
-                                parallel=fan_out)
 
 
 def _run_check(check, raw):

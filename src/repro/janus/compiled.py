@@ -297,7 +297,6 @@ def compile_generated(generated, config, signature=None, persist=False):
         fused_ops = fuse_graph(generated.graph)
     executor = GraphExecutor(
         generated.graph, parallel=config.parallel_execution,
-        heavy_threshold=getattr(config, "parallel_heavy_ops_threshold", 2),
         tensor_write_barrier=getattr(config, "tensor_write_barrier", True))
     elapsed = time.perf_counter() - start
     COUNTERS.labels("janus.graphs_compiled").inc()

@@ -32,9 +32,10 @@ All three are deliberately free of JANUS imports so every runtime layer
 (cache, dispatch, serving) can use them without cycles.
 """
 
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+
+from .. import host
 
 
 class RWLock:
@@ -173,7 +174,7 @@ def recompile_pool(workers):
     with _POOL_LOCK:
         if _POOL is None or workers > _POOL_WORKERS:
             _POOL = ThreadPoolExecutor(
-                max_workers=max(workers, min(4, (os.cpu_count() or 1))),
+                max_workers=max(workers, min(4, host.usable_cpus())),
                 thread_name_prefix="janus-recompile")
             _POOL_WORKERS = workers
         return _POOL

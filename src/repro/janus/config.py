@@ -7,7 +7,12 @@ The flags map one-to-one onto the optimization stages of paper figure 7:
   profile shows a single stable direction / trip count,
 * +SPCN   ``specialize_types``: burn profiled shapes and stable values
   into the graph and run the optimization passes,
-* +PARL   ``parallel_execution``: level-parallel graph schedule.
+* +PARL   ``parallel_execution``: level-parallel graph schedule.  A
+  request, with nothing to tune: the executor times every level that
+  holds two heavy ops both ways over its first runs and fans out only
+  the levels where that was measurably faster; with one usable CPU, or
+  where no level wins, it runs the +SPCN loop (docs/compilation.md,
+  "The level schedule").
 """
 
 import copy
@@ -30,7 +35,6 @@ class JanusConfig:
                  trace_level=None,
                  graph_cache_entries=64,
                  incremental_regeneration=True,
-                 parallel_heavy_ops_threshold=2,
                  tensor_write_barrier=True,
                  coexecution=None,
                  recompile_workers=0,
@@ -69,15 +73,6 @@ class JanusConfig:
         #: failure (§4.3 recovery).  Off = every regeneration reconverts
         #: the full AST, the behaviour before the fragment cache existed.
         self.incremental_regeneration = incremental_regeneration
-        #: Minimum number of "heavy" ops (matmul/conv-class, see
-        #: ``repro.graph.executor._HEAVY_OPS``) in a schedule level
-        #: before the executor fans that level out across threads.
-        #: Tune from a ``JANUS_TRACE=2`` trace: each ``level`` event
-        #: records its op count and wall time — if wide levels of cheap
-        #: ops dominate, raise the threshold to keep them serial (thread
-        #: handoff costs ~10-50 µs); if single heavy levels show
-        #: multi-ms serial times on a multi-core host, lower it to 1.
-        self.parallel_heavy_ops_threshold = parallel_heavy_ops_threshold
         #: Extend the executor's py_get identity memo to Tensor-typed
         #: heap reads, keyed on ``(identity, TensorValue.version)``.
         #: Memoized values are sealed (numpy buffer frozen) so

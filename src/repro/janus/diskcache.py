@@ -61,8 +61,7 @@ SUFFIX = ".jgc"
 _CONFIG_KEY_FIELDS = (
     "profile_runs", "unroll_stable_control_flow", "specialize_types",
     "optimize_graph", "parallel_execution", "deferred_state_update",
-    "max_unroll", "max_recursion_inline", "parallel_heavy_ops_threshold",
-    "tensor_write_barrier",
+    "max_unroll", "max_recursion_inline", "tensor_write_barrier",
 )
 
 

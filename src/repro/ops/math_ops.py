@@ -85,14 +85,20 @@ TANH = _unary("tanh", np.tanh, dtype_fn=_float_promote)
 FLOOR = _unary("floor", np.floor)
 
 
-try:
-    from scipy.special import expit as _expit
-except ImportError:  # pragma: no cover - scipy is an install requirement
-    _expit = None
+#: ``scipy.special.expit``, resolved by the first sigmoid call (False
+#: without scipy).  Importing ``scipy.special`` costs more than the rest
+#: of ``import repro``, so only programs that run a sigmoid pay for it.
+_expit = None
 
 
 def _sigmoid(a):
-    if _expit is not None:
+    global _expit
+    if _expit is None:
+        try:
+            from scipy.special import expit as _expit
+        except ImportError:  # scipy is the optional ``fast`` extra
+            _expit = False
+    if _expit:
         out = _expit(a)
         if out.dtype == np.float64 and np.asarray(a).dtype == np.float32:
             out = out.astype(np.float32)

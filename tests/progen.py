@@ -29,6 +29,12 @@ dict mutation through a sourceless helper, third-party-style sourceless
 calls feeding values back into the tensor flow, and generator
 expressions.  All injection draws happen on a *separate* rng stream, so
 enabling injection never perturbs the base program generation.
+
+``Mix.heavy`` plants statements from :data:`HEAVY` the same way (own
+rng stream): each holds two matmuls on one dependency level — a fan-out
+candidate of the executor's level schedule — and some commit a heavy
+result to the heap or a Variable.  The schedule differential suite
+(test_schedule_differential.py) is its consumer.
 """
 
 import linecache
@@ -40,7 +46,8 @@ import repro as R
 
 __all__ = [
     "Mix", "Model", "WRITE_BARRIER_MIX", "CONCURRENCY_MIX",
-    "COEXEC_MIX", "GUARDED_ON", "GUARDED_OFF", "INJECTIONS",
+    "COEXEC_MIX", "SCHEDULE_MIX", "GUARDED_ON", "GUARDED_OFF", "INJECTIONS",
+    "HEAVY",
     "gen_program", "mutation_pool", "apply_mutation", "vec",
 ]
 
@@ -83,6 +90,24 @@ INJECTIONS = {
                   "        m.log.append(max(gvals))"],
 }
 
+#: Heavy statements: in each, both matmuls depend only on ``h`` and a
+#: heap tensor, so they land on one dependency level.  ``heap_write``
+#: and ``var_write`` defer a heavy result into the commit phase and
+#: read it back through the run's local copy.
+HEAVY = {
+    "pair": ["    h = R.reshape(y, (1, 4))",
+             "    y = y + R.reshape(R.matmul(h, m.p) + R.matmul(h, m.q),"
+             " (4,))"],
+    "heap_write": ["    h = R.reshape(y, (1, 4))",
+                   "    m.acc = R.matmul(h, m.p)",
+                   "    y = y * 0.5 + R.reshape(R.matmul(h, m.q), (4,))",
+                   "    y = y + R.reshape(m.acc, (4,)) * 0.25"],
+    "var_write": ["    h = R.reshape(y, (1, 4))",
+                  "    m.state.assign(R.reshape(R.matmul(h, m.q), (4,)))",
+                  "    y = y * 0.5 + R.reshape(R.matmul(h, m.p), (4,))",
+                  "    y = y + m.state.value() * 0.25"],
+}
+
 _HELPER_SRC = """
 def opaque_record(d, key, v):
     d[key] = d.get(key, 0.0) + float(R.reduce_sum(v).numpy())
@@ -102,18 +127,22 @@ class Mix:
     so it is part of stream compatibility); ``filename_prefix`` — the
     linecache pseudo-filename family; ``inject`` — unsupported
     constructs from :data:`INJECTIONS` planted at random positions
-    (1..min(2, len(inject)) of them per program).
+    (1..min(2, len(inject)) of them per program); ``heavy`` — plant
+    1..3 statements of :data:`HEAVY` (not combinable with ``inject``,
+    whose multi-line entries a second planting could split).
     """
 
     def __init__(self, kinds=None, nprng_offset=10_000, aliasing=True,
                  model_order=("w", "t", "t2", "gain", "var"),
-                 filename_prefix="progen", inject=()):
+                 filename_prefix="progen", inject=(), heavy=False):
         self.kinds = sorted(STMTS if kinds is None else kinds)
         self.nprng_offset = nprng_offset
         self.aliasing = aliasing
         self.model_order = tuple(model_order)
         self.filename_prefix = filename_prefix
         self.inject = tuple(inject)
+        self.heavy = bool(heavy)
+        assert not (self.inject and self.heavy)
 
 
 #: Stream-identical to the historical test_write_barrier_differential
@@ -131,6 +160,12 @@ CONCURRENCY_MIX = Mix(kinds=("t", "w", "gain", "var"),
 #: construct class (test_coexec_differential.py).
 COEXEC_MIX = Mix(nprng_offset=70_000, filename_prefix="coexdiff",
                  inject=tuple(sorted(INJECTIONS)))
+
+
+#: The schedule mix: full statement pool plus heavy two-matmul levels
+#: (test_schedule_differential.py).
+SCHEDULE_MIX = Mix(nprng_offset=100_000, filename_prefix="scheddiff",
+                   heavy=True)
 
 
 def vec(nprng, n=4):
@@ -186,6 +221,14 @@ def gen_program(seed, tag=None, mix=WRITE_BARRIER_MIX):
         for name in picks[:irng.randint(1, min(2, len(picks)))]:
             at = irng.randint(0, len(body))
             body[at:at] = INJECTIONS[name]
+    if mix.heavy:
+        hrng = random.Random(120_000 + seed)
+        picks = sorted(HEAVY)
+        hrng.shuffle(picks)
+        for name in picks[:hrng.randint(1, len(picks))]:
+            at = hrng.randint(0, len(body))
+            body[at:at] = HEAVY[name]
+        used = used + ["heavy"]
     lines = ["def prog(x):", "    y = x * 1.0"] + body
     if has_branch:
         lines += BRANCH
@@ -196,6 +239,12 @@ def gen_program(seed, tag=None, mix=WRITE_BARRIER_MIX):
     if mix.inject:
         m.log = []
         m.metrics = {}
+    if mix.heavy:
+        hnprng = np.random.default_rng(mix.nprng_offset + 500_000 + seed)
+        m.p = R.constant(hnprng.normal(size=(4, 4)).astype(np.float32) / 2)
+        m.q = R.constant(hnprng.normal(size=(4, 4)).astype(np.float32) / 2)
+        m.acc = R.constant(np.zeros((1, 4), np.float32))
+        m.state = R.Variable(np.zeros(4, np.float32))
 
     filename = "<%s-%d>" % (mix.filename_prefix, seed) if tag is None \
         else "<%s-%s-%d>" % (mix.filename_prefix, tag, seed)
@@ -235,6 +284,8 @@ def mutation_pool(used, has_branch):
         pool.append("var_assign")
     if has_branch:
         pool.append("x_flip")
+    if "heavy" in used:
+        pool += ["p_rebind", "q_inplace"]
     return pool
 
 
@@ -257,5 +308,9 @@ def apply_mutation(kind, m, nprng, state):
         m.var.assign(R.constant(vec(nprng)))
     elif kind == "x_flip":
         state["x"] = state["x_neg"]
+    elif kind == "p_rebind":
+        m.p = R.constant(nprng.normal(size=(4, 4)).astype(np.float32) / 2)
+    elif kind == "q_inplace":
+        m.q.add_(0.125)
     else:  # pragma: no cover - generator bug
         raise AssertionError(kind)

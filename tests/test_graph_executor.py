@@ -1,16 +1,22 @@
 """Graph executor: feeds, commits, all-or-nothing aborts, parallelism."""
 
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import repro as R
+from repro import host
 from repro.errors import AssumptionFailed, ExecutionError
 from repro.graph import GraphBuilder, GraphExecutor, autodiff
+from repro.graph import executor as executor_mod
 from repro.graph.core import GraphFunction
+from repro.observability import TRACER, counter_values, override_level
 from repro.ops import api
-from repro.tensor import PyRef
+from repro.tensor import PyRef, TensorValue
 
 
 class TestBasicExecution:
@@ -245,12 +251,6 @@ class TestFunctionalControlFlow:
         assert out == pytest.approx(4 + 3 + 2 + 1)
 
 
-@pytest.fixture
-def two_cores(monkeypatch):
-    """+PARL needs real cores; pretend, so one-core CI runs it too."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-
-
 _LADDER_DEPTH = 14
 
 
@@ -266,13 +266,22 @@ def _ladder(x, rng, depth=_LADDER_DEPTH):
     return heads
 
 
+def _pin(executor, verdict=True):
+    """Give every candidate level its verdict without measuring."""
+    assert executor._candidates
+    for level in executor._candidates:
+        level.verdict = verdict
+    return executor
+
+
 def _fanned_out(executor, op_name):
-    """Whether every ``op_name`` closure sits in a thread-pool level."""
+    """Whether every ``op_name`` closure sits in a level whose verdict
+    is fan-out."""
     fns = [fn for fn, (name, _) in zip(executor._program, executor._labels)
            if name == op_name]
     assert fns, "graph has no %s instruction" % op_name
-    pooled = {id(fn) for fan_out, level in executor._levels if fan_out
-              for fn in level}
+    pooled = {id(fn) for level in executor._candidates if level.verdict
+              for fn in level.fns}
     return all(id(fn) in pooled for fn in fns)
 
 
@@ -361,6 +370,12 @@ class _Kinds:
         return [outs[1], grads[w]], lambda: None
 
 
+@pytest.fixture
+def two_cores(monkeypatch):
+    """+PARL needs two usable CPUs; pretend, so a one-CPU CI runs it too."""
+    monkeypatch.setattr(host, "usable_cpus", lambda: 2)
+
+
 class TestParallelExecution:
     @pytest.mark.parametrize("kind", [
         "var_assign", "py_get_attr", "py_set_attr", "py_call", "invoke",
@@ -386,7 +401,7 @@ class TestParallelExecution:
             ex = GraphExecutor(b.graph, parallel=parallel)
             assert ex.parallel is parallel
             if parallel:
-                assert _fanned_out(ex, kind)
+                assert _fanned_out(_pin(ex), kind)
             feeds = [feed] + [np.bool_(True)] * (kind == "cond")
             results[parallel] = ([o.copy() for o in ex.run(feeds)],
                                  observe())
@@ -411,29 +426,40 @@ class TestParallelExecution:
             b.mark_outputs([total])
         feed = [rng.normal(size=(4, 16)).astype(np.float32)]
         seq = GraphExecutor(b.graph, parallel=False).run(list(feed))[0]
-        par = GraphExecutor(b.graph, parallel=True).run(list(feed))[0]
-        assert np.array_equal(seq, par)
+        par = _pin(GraphExecutor(b.graph, parallel=True))
+        assert np.array_equal(seq, par.run(list(feed))[0])
+        # Left to measure, every trial and whatever it settles on agree.
+        measured = GraphExecutor(b.graph, parallel=True)
+        for _ in range(2 * executor_mod._TRIALS):
+            assert np.array_equal(seq, measured.run(list(feed))[0])
+        assert all(level.verdict is not None
+                   for level in measured._candidates)
 
     def test_parallel_assert_failure_still_aborts(self, two_cores):
         v = R.Variable(np.float32(1.0))
         b = GraphBuilder()
         with b:
             x = b.placeholder("x", shape=(8, 8), dtype=R.float32)
+            ok = b.placeholder("ok", shape=(), dtype=R.bool_)
             m1 = api.matmul(x, x)
-            m2 = api.matmul(x, api.neg(x))
-            api.assert_that(b.convert(False), message="always fails")
+            m2 = api.matmul(x, b.convert(np.eye(8, dtype=np.float32)))
+            api.assert_that(ok, message="fails on request")
             b.assign_variable(v, 2.0)
             b.mark_outputs([api.add(m1, m2)])
-        ex = GraphExecutor(b.graph, parallel=True)
+        ex = _pin(GraphExecutor(b.graph, parallel=True))
+        assert _fanned_out(ex, "assert")
         with pytest.raises(AssumptionFailed):
-            ex.run([np.zeros((8, 8), np.float32)])
+            ex.run([np.zeros((8, 8), np.float32), np.bool_(False)])
         assert float(v.numpy()) == 1.0
+        ex.run([np.zeros((8, 8), np.float32), np.bool_(True)])
+        assert float(v.numpy()) == 2.0
 
     def test_level_with_two_failures_raises_the_schedule_first(
             self, two_cores):
-        """Regression: ``for future in done`` iterated a *set*, so which
-        of two failing instructions surfaced depended on object hashes
-        and differed run to run."""
+        """Every closure of a fanned-out level is joined, the
+        schedule-first error is raised every time, nothing is committed.
+        (Regression: ``for future in done`` iterated a *set*, so which
+        of two failing instructions surfaced differed run to run.)"""
         v = R.Variable(np.float32(1.0))
         b = GraphBuilder()
         with b:
@@ -446,7 +472,7 @@ class TestParallelExecution:
                 "b", shape=(8, 2), dtype=R.float32))
             b.assign_variable(v, 2.0)
             b.mark_outputs([first, second])
-        ex = GraphExecutor(b.graph, parallel=True)
+        ex = _pin(GraphExecutor(b.graph, parallel=True))
         assert ex.parallel and _fanned_out(ex, "matmul")
         seq = GraphExecutor(b.graph, parallel=False)
         seq.preamble = ex.preamble = []   # bad shapes reach the kernels
@@ -462,17 +488,37 @@ class TestParallelExecution:
             assert str(err.value) == want
             assert float(v.numpy()) == 1.0
 
+    def test_an_interrupt_on_the_pool_is_raised_after_every_join(
+            self, two_cores):
+        """A ``BaseException`` from user code on a pool thread reaches
+        the caller only once the level's other closures are done."""
+        done = []
+
+        def stop(t):
+            raise KeyboardInterrupt
+
+        def slow(t):
+            time.sleep(0.05)
+            done.append(True)
+            return t
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(4, 8), dtype=R.float32)
+            b.mark_outputs([b.py_call(stop, [x]), b.py_call(slow, [x])]
+                           + _ladder(x, np.random.default_rng(1), depth=1))
+        ex = _pin(GraphExecutor(b.graph, parallel=True))
+        assert _fanned_out(ex, "py_call")
+        with pytest.raises(KeyboardInterrupt):
+            ex.run([np.ones((4, 8), np.float32)])
+        assert done == [True]
+
     def test_level2_tracing_per_op_sequential_per_level_parallel(
             self, two_cores):
-        from repro.observability import TRACER, override_level
         b = GraphBuilder()
         with b:
             x = b.placeholder("x", shape=(4, 8), dtype=R.float32)
             b.mark_outputs(_ladder(x, np.random.default_rng(1), depth=3))
         feed = [np.ones((4, 8), np.float32)]
-        seq = GraphExecutor(b.graph, parallel=False)
-        par = GraphExecutor(b.graph, parallel=True)
-        assert par.parallel
 
         def traced(executor):
             TRACER.clear()
@@ -484,11 +530,442 @@ class TestParallelExecution:
             finally:
                 TRACER.clear()
 
+        seq = GraphExecutor(b.graph, parallel=False)
         events = traced(seq)
         assert [e.category for e in events] \
             == ["op"] * seq.instruction_count
         assert [e.name for e in events] == [n for n, _ in seq._labels]
+
+        # A live level schedule: one event per level.
+        par = _pin(GraphExecutor(b.graph, parallel=True))
+        assert par.parallel and len(par._candidates) == 3
         events = traced(par)
         assert [e.category for e in events] == ["level"] * len(par._levels)
         assert [e.args["parallel"] for e in events] \
-            == [fan_out for fan_out, _ in par._levels]
+            == [type(level) is not list for level in par._levels]
+        assert [e.args["instructions"] for e in events] \
+            == [len(level if type(level) is list else level.fns)
+                for level in par._levels]
+        assert not any("trial" in e.args for e in events)
+
+        # Trials say which schedule they timed: in order first.
+        measuring = GraphExecutor(b.graph, parallel=True)
+        for want in ("seq", "par"):
+            events = traced(measuring)
+            assert len(events) == len(measuring._levels)
+            trials = [e for e in events if "trial" in e.args]
+            assert [e.args["trial"] for e in trials] == [want] * 3
+            assert [e.args["parallel"] for e in trials] \
+                == [want == "par"] * 3
+
+
+class _ScriptedClock:
+    """A ``time`` stand-in: readings come in (start, end) pairs, each
+    pair as far apart as the next scripted duration."""
+
+    def __init__(self, durations):
+        self.durations = list(durations)
+        self.now = 0.0
+        self.started = False
+
+    def perf_counter(self):
+        if self.started:
+            self.now += self.durations.pop(0)
+        self.started = not self.started
+        return self.now
+
+
+class TestMeasuredSchedule:
+    """The verdict is a measurement: adjacent (in order, fanned out)
+    pairs, fan-out kept only if it won every pair by the margin."""
+
+    @pytest.fixture(autouse=True)
+    def _untimed_run(self, monkeypatch, two_cores):
+        # The trial's two clock readings must be the run's only ones.
+        from repro.observability import METRICS
+        monkeypatch.setattr(METRICS, "enabled", False)
+        with override_level(0):
+            yield
+
+    @staticmethod
+    def _one_candidate():
+        rng = np.random.default_rng(3)
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(4, 8), dtype=R.float32)
+            w = [b.placeholder(n, shape=(8, 8), dtype=R.float32)
+                 for n in "ab"]
+            b.mark_outputs([api.add(api.matmul(x, w[0]),
+                                    api.matmul(x, w[1]))])
+        feeds = [rng.normal(size=(4, 8)).astype(np.float32),
+                 rng.normal(size=(8, 8)).astype(np.float32),
+                 rng.normal(size=(8, 8)).astype(np.float32)]
+        ex = GraphExecutor(b.graph, parallel=True)
+        level, = ex._candidates
+        return ex, level, feeds
+
+    def _measure(self, monkeypatch, durations):
+        ex, level, feeds = self._one_candidate()
+        clock = _ScriptedClock(durations)
+        monkeypatch.setattr(executor_mod, "time", clock)
+        want = GraphExecutor(ex.graph).run(list(feeds))[0]
+        before = counter_values()
+        for n in range(len(durations)):
+            assert level.verdict is None and ex.parallel
+            assert level.trials == n
+            assert np.array_equal(ex.run(list(feeds))[0], want)
+        assert not clock.durations      # nothing is timed but trials
+        assert level.verdict is not None
+        assert np.array_equal(ex.run(list(feeds))[0], want)
+        after = counter_values()
+        landed = {name: after.get(name, 0) - before.get(name, 0)
+                  for name in ("executor.levels_parallel",
+                               "executor.levels_sequential")}
+        return ex, level, landed
+
+    def test_fan_out_40_percent_faster_every_time_is_kept(
+            self, monkeypatch):
+        ex, level, landed = self._measure(
+            monkeypatch, [1.0, 0.6] * executor_mod._TRIALS)
+        assert level.verdict is True and ex.parallel
+        assert landed == {"executor.levels_parallel": 1,
+                          "executor.levels_sequential": 0}
+        assert "1/1 levels parallel" in repr(ex)
+
+    def test_fan_out_20_percent_faster_is_dropped_at_once(
+            self, monkeypatch):
+        ex, level, landed = self._measure(monkeypatch, [1.0, 0.8])
+        assert level.verdict is False
+        assert landed == {"executor.levels_parallel": 0,
+                          "executor.levels_sequential": 1}
+        # After the last verdict there is no schedule left: runs take
+        # the sequential loop over the flat program.
+        assert ex.parallel is False
+        assert "0/1 levels parallel" in repr(ex)
+
+    def test_one_lost_pair_drops_a_fan_out_that_won_the_others(
+            self, monkeypatch):
+        # Each fanned-out time is held against the in-order time just
+        # before it, not against the best so far.
+        _, level, _ = self._measure(monkeypatch,
+                                    [1.0, 0.5, 1.0, 0.5, 0.6, 0.5])
+        assert level.verdict is False
+
+    def test_a_raising_trial_is_not_counted(self, monkeypatch):
+        ex, level, feeds = self._one_candidate()
+        ex.preamble = []
+        bad = list(feeds)
+        bad[1] = np.zeros((5, 8), np.float32)
+        for _ in range(6):
+            with pytest.raises(ValueError):
+                ex.run(bad)
+        assert level.trials == 0 and level.verdict is None
+        ex.run(list(feeds))
+        assert level.trials == 1
+
+    def test_a_kept_level_keeps_the_schedule_for_the_others(self):
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(4, 8), dtype=R.float32)
+            b.mark_outputs(_ladder(x, np.random.default_rng(1), depth=4))
+        ex = GraphExecutor(b.graph, parallel=True)
+        assert len(ex._candidates) == 4
+        for level, keep in zip(ex._candidates, (False, True, False, False)):
+            ex._decide(level, keep)
+        assert ex.parallel and "1/4 levels parallel" in repr(ex)
+        feed = [np.ones((4, 8), np.float32)]
+        for want, got in zip(GraphExecutor(b.graph).run(list(feed)),
+                             ex.run(list(feed))):
+            assert np.array_equal(want, got)
+
+    def test_eight_threads_share_one_executor_through_its_trials(self):
+        """Verdict state is unlocked on purpose: concurrent runs may
+        repeat a trial, never compute a different result, and the level
+        list a run is iterating is never changed under it."""
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(4, 8), dtype=R.float32)
+            b.mark_outputs(_ladder(x, np.random.default_rng(1), depth=3))
+        feed = np.random.default_rng(5).normal(size=(4, 8)) \
+            .astype(np.float32)
+        want = GraphExecutor(b.graph).run([feed])
+        ex = GraphExecutor(b.graph, parallel=True)
+        assert len(ex._candidates) == 3
+        levels = ex._levels
+        was = [list(level) if type(level) is list else list(level.fns)
+               for level in levels]
+
+        before = counter_values()
+        errors = []
+        start = threading.Barrier(8)
+
+        def client():
+            try:
+                start.wait(timeout=30)
+                for _ in range(25):
+                    for w, got in zip(want, ex.run([feed])):
+                        assert np.array_equal(w, got)
+            except BaseException as exc:    # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert all(level.verdict is not None for level in ex._candidates)
+        after = counter_values()
+        assert sum(after.get(name, 0) - before.get(name, 0)
+                   for name in ("executor.levels_parallel",
+                                "executor.levels_sequential")) >= 3
+        assert ex._levels is levels
+        assert was == [list(level) if type(level) is list
+                       else list(level.fns) for level in levels]
+
+
+class TestUsableCpus:
+    def test_affinity_mask_wins_over_the_machine_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert host.usable_cpus() == 3
+
+    def test_platform_without_affinity_asks_the_machine(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert host.usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert host.usable_cpus() == 1
+
+    def test_one_usable_cpu_no_candidate_no_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(executor_mod, "_POOL", None)
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(4, 8), dtype=R.float32)
+            b.mark_outputs(_ladder(x, np.random.default_rng(1), depth=3))
+        ex = GraphExecutor(b.graph, parallel=True)
+        assert ex.parallel is False and not ex._candidates
+        assert "0/0 levels parallel" in repr(ex)
+        ex.run([np.ones((4, 8), np.float32)])
+        assert executor_mod._POOL is None
+
+        from repro.janus import concurrency
+        monkeypatch.setattr(concurrency, "_POOL", None)
+        monkeypatch.setattr(concurrency, "_POOL_WORKERS", 0)
+        pool = concurrency.recompile_pool(1)
+        try:
+            assert pool._max_workers == 1
+        finally:
+            pool.shutdown(wait=False)
+
+
+class TestNestedRun:
+    def test_rejects_a_wrong_feed_count(self):
+        body = executor_mod._function_executor(_unary_fn(api.neg, "body"))
+        with pytest.raises(ExecutionError, match="expects 1 feeds, got 2"):
+            body._run_nested([np.zeros((4, 8), np.float32)] * 2,
+                             executor_mod.RunState())
+
+    def test_binds_runs_returns_and_commits_nothing(self):
+        v = R.Variable(np.float32(1.0))
+        b = GraphBuilder(name="body")
+        with b:
+            x = b.placeholder("x", shape=(), dtype=R.float32)
+            b.assign_variable(v, api.mul(x, 3.0))
+            b.mark_outputs([api.add(x, 1.0)])
+        body = executor_mod._function_executor(b.finalize_function("body"))
+        run_state = executor_mod.RunState()
+        # A python float is internalized like a top-level feed would be.
+        out, = body._run_nested([2.0], run_state)
+        assert out.dtype == np.float32 and out == 3.0
+        assert float(v.numpy()) == 1.0          # the caller commits
+        assert run_state.var_local[v] == 6.0
+        ref = PyRef(object())
+        values = body._bind([ref])
+        assert values[body._ph_slot_order[0]] is ref
+
+    def test_emits_per_op_events_at_level_2(self):
+        f = _unary_fn(lambda t: api.tanh(api.mul(t, 0.5)), "callee")
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(4, 8), dtype=R.float32)
+            b.mark_outputs([b.invoke(f, [x],
+                                     [(R.Shape((4, 8)), R.float32)])])
+        ex = GraphExecutor(b.graph)
+        body = executor_mod._function_executor(f)
+        TRACER.clear()
+        try:
+            with override_level(2):
+                ex.run([np.ones((4, 8), np.float32)])
+            nested = [e for e in TRACER.events if e.args
+                      and e.args.get("graph") == f.graph.name]
+        finally:
+            TRACER.clear()
+        assert [e.category for e in nested] \
+            == ["op"] * body.instruction_count
+        assert [e.name for e in nested] == [n for n, _ in body._labels]
+
+
+def _legacy_internalize(value):
+    """The ``isinstance`` chain ``_internalize`` was before it became a
+    table; kept as the reference the table is compared against."""
+    if type(value) is np.ndarray:
+        return value
+    if isinstance(value, R.Tensor):
+        return value.value.array
+    if isinstance(value, TensorValue):
+        return value.array
+    if isinstance(value, PyRef):
+        return value
+    if isinstance(value, R.Variable):
+        return PyRef(value)
+    if isinstance(value, bool):
+        return np.asarray(value, np.bool_)
+    if isinstance(value, int):
+        return np.asarray(value, np.int64)
+    if isinstance(value, float):
+        return np.asarray(value, np.float32)
+    if isinstance(value, (np.bool_, np.integer, np.floating)):
+        return np.asarray(value)
+    if isinstance(value, np.ndarray):
+        return value
+    if isinstance(value, (list, tuple)):
+        try:
+            arr = np.asarray(value)
+        except (ValueError, TypeError):
+            return PyRef(value)
+        if arr.dtype.kind in "bif":
+            if arr.dtype == np.float64:
+                arr = arr.astype(np.float32)
+            return arr
+        return PyRef(value)
+    return PyRef(value)
+
+
+class _MyInt(int):
+    pass
+
+
+class _MyFloat(float):
+    pass
+
+
+class _MyList(list):
+    pass
+
+
+class _MyTuple(tuple):
+    pass
+
+
+class _MyTensor(R.Tensor):
+    pass
+
+
+class _MyValue(TensorValue):
+    pass
+
+
+class _MyVariable(R.Variable):
+    pass
+
+
+class _MyRef(PyRef):
+    pass
+
+
+class _MyArray(np.ndarray):
+    pass
+
+
+class _TreeNode:
+    pass
+
+
+_ARRAY = np.arange(6, dtype=np.float32).reshape(2, 3)
+
+#: value, and what it must become: an ``(dtype, shape)`` for a fresh
+#: array, ``"same"`` / a callable picking the existing object the result
+#: must *be*, or ``"ref"`` for a PyRef around the value itself.
+_INTERNALIZE_CASES = [
+    (True, ("bool", ())),                       # bool before int
+    (7, ("int64", ())),
+    (2.5, ("float32", ())),                     # python floats are float32
+    ([1.0, 2.5], ("float32", (2,))),            # float64 list -> float32
+    ((1.5, 2.5), ("float32", (2,))),
+    ([1, 2, 3], ("int64", (3,))),
+    ([True, False], ("bool", (2,))),
+    ([[1.0, 2.0], [3.0, 4.0]], ("float32", (2, 2))),
+    ([[1, 2], [3]], "ref"),                     # ragged
+    (["a", "b"], "ref"),
+    ([], ("float32", (0,))),
+    (np.float32(1.5), ("float32", ())),
+    (np.float64(1.5), ("float32", ())),         # a python-float subclass
+    (np.int32(3), ("int32", ())),
+    (np.int64(3), ("int64", ())),
+    (np.uint8(3), ("uint8", ())),
+    (np.bool_(True), ("bool", ())),
+    (_ARRAY, "same"),
+    (_ARRAY.view(_MyArray), "same"),
+    (R.constant(_ARRAY), lambda t: t.value.array),
+    (TensorValue.of(_ARRAY), lambda tv: tv.array),
+    (_MyTensor(TensorValue.of(_ARRAY)), lambda t: t.value.array),
+    (_MyValue(_ARRAY, R.float32), lambda tv: tv.array),
+    (PyRef(_TreeNode()), "same"),
+    (_MyRef(_TreeNode()), "same"),
+    (R.Variable(_ARRAY), "ref"),
+    (_MyVariable(_ARRAY), "ref"),
+    (_MyInt(7), ("int64", ())),
+    (_MyFloat(2.5), ("float32", ())),
+    (_MyList([1.0, 2.0]), ("float32", (2,))),
+    (_MyTuple((1, 2)), ("int64", (2,))),
+    (_MyList([[1], [2, 3]]), "ref"),
+    (_TreeNode(), "ref"),
+    (None, "ref"),
+    ("text", "ref"),
+    ({"k": 1}, "ref"),
+    (1 + 2j, "ref"),
+]
+
+
+class TestInternalize:
+    @pytest.mark.parametrize(
+        "value, want", _INTERNALIZE_CASES,
+        ids=["%d-%s" % (n, type(v).__name__)
+             for n, (v, _) in enumerate(_INTERNALIZE_CASES)])
+    def test_every_branch_converts_as_the_isinstance_chain_did(
+            self, value, want):
+        got = executor_mod._internalize(value)
+        ref = _legacy_internalize(value)
+        assert type(got) is type(ref)
+        if want == "ref":
+            assert type(got) is PyRef and got.obj is value
+            assert ref.obj is value
+        elif want == "same":
+            assert got is value and ref is value
+        elif callable(want):
+            assert got is want(value) and ref is got
+        else:
+            dtype, shape = want
+            assert isinstance(got, np.ndarray)
+            assert (got.dtype, got.shape) == (np.dtype(dtype), shape)
+            assert (ref.dtype, ref.shape) == (got.dtype, got.shape)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("pred", [
+        np.bool_(True), np.array(False), np.array([True]),
+        np.array([[0.0]]), np.array([1, 1, 1]), np.array([1, 0, 1]),
+        np.array([], np.bool_), np.array(2.5, np.float32)])
+    def test_truth_is_bool_of_np_all(self, pred):
+        pred = np.asarray(pred)
+        assert executor_mod._truth(pred) is bool(np.all(pred))

@@ -94,6 +94,17 @@ class TestJanusConfig:
             JanusConfig(lowering=False)
         assert not hasattr(JanusConfig(), "lowering")
 
+    def test_retired_heavy_ops_threshold_is_an_ordinary_unknown_kwarg(self):
+        """+PARL measures each level; there is no number to tune, and
+        the knob does not split the disk cache either."""
+        import inspect
+        from repro.janus.diskcache import _CONFIG_KEY_FIELDS
+        with pytest.raises(TypeError):
+            JanusConfig(parallel_heavy_ops_threshold=2)
+        assert not hasattr(JanusConfig(), "parallel_heavy_ops_threshold")
+        assert "parallel_heavy_ops_threshold" not in _CONFIG_KEY_FIELDS
+        assert len(inspect.signature(JanusConfig).parameters) == 18
+
     def test_default_profile_runs_matches_paper(self):
         # Paper section 3.1 footnote: 3 iterations suffice.
         assert JanusConfig().profile_runs == 3

@@ -60,6 +60,55 @@ class TestActivations:
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-6)
         assert not np.isnan(out).any()
 
+    def test_sigmoid_numpy_fallback_matches_expit(self, monkeypatch):
+        """Without scipy (the optional ``fast`` extra) the op runs the
+        piecewise numpy kernel: same dtype and shape, same values to
+        float32 rounding, no overflow at the extremes."""
+        expit = pytest.importorskip("scipy.special").expit
+        from repro.ops import math_ops
+        rng = np.random.default_rng(0)
+        for x in (np.array([-1e4, -100.0, -20.0, -1.0, -0.0, 0.0, 1e-8,
+                            1.0, 20.0, 100.0, 1e4], np.float32),
+                  rng.normal(scale=8.0, size=(5, 7)).astype(np.float32),
+                  np.array(0.25, np.float32),
+                  np.zeros((0, 3), np.float32)):
+            fast = run("sigmoid", x)
+            with monkeypatch.context() as patch, np.errstate(over="raise"):
+                patch.setattr(math_ops, "_expit", False)
+                slow = run("sigmoid", x)
+            assert slow.dtype == fast.dtype == np.float32
+            assert slow.shape == fast.shape == x.shape
+            np.testing.assert_allclose(slow, fast, rtol=1e-6, atol=1e-30)
+            np.testing.assert_allclose(fast, expit(x), rtol=0, atol=0)
+            assert ((slow >= 0) & (slow <= 1)).all()
+
+    def test_sigmoid_resolves_scipy_on_first_call_only(self, monkeypatch):
+        import builtins
+        from repro.ops import math_ops
+        monkeypatch.setattr(math_ops, "_expit", None)
+        real_import = builtins.__import__
+
+        def no_scipy(name, *args, **kwargs):
+            if name.startswith("scipy"):
+                raise ImportError(name)
+            return real_import(name, *args, **kwargs)
+        monkeypatch.setattr(builtins, "__import__", no_scipy)
+        out = run("sigmoid", np.array([-100.0, 0.0, 100.0], np.float32))
+        assert math_ops._expit is False
+        np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-6)
+
+    def test_import_repro_does_not_import_scipy(self):
+        import os
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        code = ("import sys, repro, repro.serving; "
+                "assert not any(m.split('.')[0] == 'scipy' "
+                "for m in sys.modules), 'scipy imported'")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                       timeout=60)
+
     def test_relu(self):
         np.testing.assert_array_equal(
             run("relu", np.array([-1.0, 2.0])), [0.0, 2.0])
