@@ -38,11 +38,10 @@
 #                      explicitly unset to prove the default path is
 #                      unchanged
 #   make ci          - everything CI runs, and nothing CI runs is
-#                      outside it: tier-1 tests (then again with
-#                      JANUS_COEXEC=0), the concurrency, co-execution,
-#                      write-barrier and persistence suites standalone,
-#                      the stats-demo and stats-serve smokes, and the
-#                      gated benchmark
+#                      outside it: tier-1 tests (once), the concurrency,
+#                      co-execution, write-barrier and persistence
+#                      suites standalone, the stats-demo and
+#                      stats-serve smokes, and the gated benchmark
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -55,7 +54,7 @@ GATE_LABELS := $(shell seq 1 $(GATE_RUNS))
 GATE_FILES := $(foreach n,$(GATE_LABELS),\
 	benchmarks/results/table3_throughput-gate-run$(n).json)
 
-.PHONY: test test-nocoexec test-differential \
+.PHONY: test test-differential \
 	test-concurrency test-coexec test-persistence trace-demo \
 	stats-demo stats-serve bench bench-check ci
 
@@ -66,15 +65,10 @@ STATS_DEMO_DIR ?= /tmp/janus-stats-demo
 test:
 	$(PYTHON) -m pytest -x -q
 
-# The same tier-1 suite with co-execution disabled: every function that
-# would run under a partial plan must fall back to the classic
-# whole-function imperative verdict and stay green (docs/coexecution.md).
-test-nocoexec:
-	JANUS_COEXEC=0 $(PYTHON) -m pytest -x -q
-
 # The randomized write-barrier differential suite (>= 200 generated
-# programs across the barrier x regeneration matrix).  Part of the
-# tier-1 run too; this target re-runs it standalone and untraced:
+# programs, each mutated between calls and checked against the
+# imperative oracle).  Part of the tier-1 run too; this target re-runs
+# it standalone and untraced:
 # JANUS_TRACE=0 keeps the atexit trace dump out of the logs and
 # exercises the suite's own counter plumbing (it raises the trace level
 # itself for the runs that need memo-counter flushes).
@@ -154,5 +148,5 @@ bench-check:
 	$(PYTHON) benchmarks/bench_warm_start.py --check
 	$(PYTHON) benchmarks/bench_fig7_ablation.py --check
 
-ci: test test-nocoexec test-concurrency test-coexec test-differential \
+ci: test test-concurrency test-coexec test-differential \
 	test-persistence stats-demo stats-serve bench-check

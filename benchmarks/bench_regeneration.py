@@ -2,9 +2,10 @@
 
 When a runtime assumption breaks (figure 2 E), JANUS falls back, relaxes
 the assumption, and regenerates the graph.  This bench measures that
-regeneration with the fragment cache off (every region reconverted from
-the AST) and on (unchanged cond/loop regions spliced from the previous
-conversion, argument specs seeded from the retired artifact).
+regeneration from an empty fragment cache (every region reconverted
+from the AST) and from the function's own (unchanged cond/loop regions
+spliced from the previous conversion, argument specs seeded from the
+retired artifact).
 
 The workload is shaped like the recovery case the optimisation targets:
 one speculated heap attribute feeding a chain of six dynamic branches

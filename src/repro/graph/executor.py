@@ -301,8 +301,7 @@ def _run_level(fns, fan_out, values, run_state):
 class GraphExecutor:
     """A compiled, reusable flat closure program for one graph."""
 
-    def __init__(self, graph, parallel=False, _nested=False,
-                 tensor_write_barrier=True):
+    def __init__(self, graph, parallel=False, _nested=False):
         self.graph = graph
         #: Whether runs go level by level.  A request, not a
         #: promise: it needs more than one usable CPU and a level with
@@ -311,10 +310,6 @@ class GraphExecutor:
         self.parallel = parallel and not _nested \
             and host.usable_cpus() > 1
         self._nested = _nested
-        #: Whether py_get memos may cover Tensor-typed heap reads, keyed
-        #: on identity + TensorValue.version (JanusConfig flag; nested
-        #: executors inherit it through ``_function_executor``).
-        self.tensor_write_barrier = bool(tensor_write_barrier)
         #: The levels the schedule measures (:class:`_Level`); empty
         #: unless ``parallel`` was asked for and possible.
         self._candidates = ()
@@ -495,7 +490,6 @@ class GraphExecutor:
         local_key = (id(obj), kind, key)
         memo_safe = _memo_safe_types()
         tensor_cls, _ = _lazy_types()
-        barrier = self.tensor_write_barrier
         # Single-cell publication: the memo holds one immutable tuple
         # (value, raw, None | (tv-or-None, version, shape, dtype)) or
         # None.  Concurrent runs share this closure, so the entry is
@@ -547,7 +541,7 @@ class GraphExecutor:
                         t = type(value)
                         if t in memo_safe:
                             memo[0] = (value, raw, None)
-                        elif barrier:
+                        else:
                             if t is tensor_cls:
                                 tv = value.value
                             elif t is TensorValue:
@@ -610,7 +604,6 @@ class GraphExecutor:
 
     def _compile_invoke(self, node, in_slots, out_slots):
         func = node.func
-        barrier = self.tensor_write_barrier
 
         def run_invoke(values, run_state):
             args = [values[s] for s in in_slots]
@@ -621,8 +614,7 @@ class GraphExecutor:
                     for slot, r in zip(out_slots, cached):
                         values[slot] = r
                     return
-            results = _function_executor(func, barrier)._run_nested(
-                args, run_state)
+            results = _function_executor(func)._run_nested(args, run_state)
             if memo_key is not None:
                 run_state.invoke_memo[memo_key] = results
             for slot, r in zip(out_slots, results):
@@ -631,14 +623,13 @@ class GraphExecutor:
 
     def _compile_cond(self, node, in_slots, out_slots):
         branches = node.branches
-        barrier = self.tensor_write_barrier
         pred_slot = in_slots[0]
         arg_slots = in_slots[1:]
 
         def run_cond(values, run_state):
             branch = branches["true" if _truth(values[pred_slot])
                               else "false"]
-            results = _function_executor(branch, barrier)._run_nested(
+            results = _function_executor(branch)._run_nested(
                 [values[s] for s in arg_slots], run_state)
             for slot, r in zip(out_slots, results):
                 values[slot] = r
@@ -649,11 +640,10 @@ class GraphExecutor:
         body_func = node.attrs["body_func"]
         record_grad = bool(node.attrs.get("record_grad"))
         max_iters = node.attrs.get("max_iterations", 1_000_000)
-        barrier = self.tensor_write_barrier
 
         def run_while(values, run_state):
-            cond_step = _function_executor(cond_func, barrier)._run_nested
-            body_step = _function_executor(body_func, barrier)._run_nested
+            cond_step = _function_executor(cond_func)._run_nested
+            body_step = _function_executor(body_func)._run_nested
             state = [values[s] for s in in_slots]
             record = [] if record_grad else None
             iteration = 0
@@ -678,15 +668,13 @@ class GraphExecutor:
         body_grad_func = node.attrs["body_grad_func"]
         grad_var_count = node.attrs["grad_var_count"]
         n_float = sum(node.attrs["float_mask"])
-        barrier = self.tensor_write_barrier
 
         def run_while_grad(values, run_state):
             stack = run_state.while_records.get(forward)
             if not stack:
                 raise ExecutionError("while_grad has no recorded iterations")
             record = stack.pop()
-            grad_step = _function_executor(body_grad_func,
-                                           barrier)._run_nested
+            grad_step = _function_executor(body_grad_func)._run_nested
             state_grads = [values[s] for s in in_slots]
             var_totals = [None] * grad_var_count
             for iteration_state in reversed(record):
@@ -1082,24 +1070,20 @@ def _invoke_memo_key(func, args):
     return tuple(parts)
 
 
-def _function_executor(func, tensor_write_barrier=True):
+def _function_executor(func):
     """Compiled (sequential) executor for a GraphFunction, cached.
 
-    Cached in ``func.graph._executor_cache`` (graph mutation clears it)
-    per barrier setting: the parent executor's flag decides whether
-    nested py_get closures may memoize Tensor reads, and both variants
-    can coexist (e.g. tests flipping the config).  Nested bodies are
-    never fused (fused OpDefs carry no ``grad_fn`` and bodies may be
-    re-differentiated) and carry no preamble.
+    Cached in ``func.graph._executor_cache`` (graph mutation clears
+    it).  Nested bodies are never fused (fused OpDefs carry no
+    ``grad_fn`` and bodies may be re-differentiated) and carry no
+    preamble.
     """
     if func.graph is None:
         raise GraphError("function %s invoked before finalization"
                          % func.name)
     cache = func.graph._executor_cache
-    cache_key = "nested" if tensor_write_barrier else "nested-nobarrier"
-    executor = cache.get(cache_key)
+    executor = cache.get("nested")
     if executor is None:
-        executor = GraphExecutor(func.graph, parallel=False, _nested=True,
-                                 tensor_write_barrier=tensor_write_barrier)
-        cache[cache_key] = executor
+        executor = GraphExecutor(func.graph, parallel=False, _nested=True)
+        cache["nested"] = executor
     return executor

@@ -45,7 +45,7 @@ import time
 from ..errors import AssumptionFailed, NotConvertible
 from ..imperative.tape import GradientTape
 from ..observability import COUNTERS, DISKCACHE, HEALTH, METRICS, \
-    TRACER, override_level, reqtrace
+    TRACER, reqtrace
 from . import coexec as coexec_mod
 from . import diskcache as diskcache_mod
 from .cache import CacheEntry, GraphCache
@@ -153,13 +153,6 @@ class JanusFunction:
     # -- the execution model (figure 2) ---------------------------------------
 
     def __call__(self, *args):
-        cfg_level = self.config.trace_level
-        if cfg_level is not None and cfg_level != TRACER.level:
-            with override_level(cfg_level):
-                return self._dispatch(args)
-        return self._dispatch(args)
-
-    def _dispatch(self, args):
         """One metrics wrapper around the whole dispatch decision.
 
         ``dispatch.latency`` is windowed: the trailing-minute p95 over
@@ -261,12 +254,7 @@ class JanusFunction:
                         health.record_imperative_only()
                     health.record_imperative_run()
                 return self._run_imperative(args, profile=False)
-            entry = CacheEntry(compiled)
-            self.cache.max_entries = self.config.graph_cache_entries
-            with self._artifact_lock.write():
-                self.cache.store(signature, entry)
-            self._inc("graphs_generated")
-            self._publish_disk(signature, compiled)
+            entry = self._install(signature, compiled)
         finally:
             self._tickets.release(signature)
         if not self._checked_preconditions(compiled, args):
@@ -288,6 +276,17 @@ class JanusFunction:
             return compiled.check_preconditions(args)
         finally:
             _PRECHECK_SECONDS.observe(time.perf_counter() - start)
+
+    def _install(self, signature, compiled):
+        """Publish a freshly generated artifact: one write-locked
+        pointer swap into the in-memory cache, then the disk tier."""
+        entry = CacheEntry(compiled)
+        self.cache.max_entries = self.config.graph_cache_entries
+        with self._artifact_lock.write():
+            self.cache.store(signature, entry)
+        self._inc("graphs_generated")
+        self._publish_disk(signature, compiled)
+        return entry
 
     def _retire_entry(self, signature):
         """Invalidate a cache entry, keeping its artifact as a seed.
@@ -409,9 +408,7 @@ class JanusFunction:
         with TRACER.span("graphgen", self.__name__,
                          regeneration=regeneration):
             try:
-                incremental = self.config.incremental_regeneration
-                seed = self.cache.take_seed(signature) \
-                    if incremental else None
+                seed = self.cache.take_seed(signature)
                 with self._dirty_lock:
                     dirty_snapshot = frozenset(self._dirty_sites)
                 dirty = dirty_snapshot
@@ -420,7 +417,7 @@ class JanusFunction:
                 generator = GraphGenerator(
                     self.func, self.profiler, self.config,
                     optimizer=self.optimizer, signature=signature,
-                    fragments=self._fragment_cache if incremental else None,
+                    fragments=self._fragment_cache,
                     dirty_sites=dirty, seed=seed)
                 generated = generator.generate()
                 # The reconverted graph no longer embeds the relaxed
@@ -596,12 +593,7 @@ class JanusFunction:
             with self._generate_lock:
                 compiled = self._generate(signature)
             if compiled is not None:
-                entry = CacheEntry(compiled)
-                self.cache.max_entries = self.config.graph_cache_entries
-                with self._artifact_lock.write():
-                    self.cache.store(signature, entry)
-                self._inc("graphs_generated")
-                self._publish_disk(signature, compiled)
+                self._install(signature, compiled)
         finally:
             self._tickets.release(signature)
 

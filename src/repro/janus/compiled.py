@@ -295,9 +295,8 @@ def compile_generated(generated, config, signature=None, persist=False):
     # kernels' closures, and nothing may mutate the graph afterwards.
     with TRACER.span("janus", "fuse", graph=generated.graph.name):
         fused_ops = fuse_graph(generated.graph)
-    executor = GraphExecutor(
-        generated.graph, parallel=config.parallel_execution,
-        tensor_write_barrier=getattr(config, "tensor_write_barrier", True))
+    executor = GraphExecutor(generated.graph,
+                             parallel=config.parallel_execution)
     elapsed = time.perf_counter() - start
     COUNTERS.labels("janus.graphs_compiled").inc()
     _COMPILE_SECONDS.observe(elapsed)

@@ -13,9 +13,17 @@ The flags map one-to-one onto the optimization stages of paper figure 7:
   the levels where that was measurably faster; with one usable CPU, or
   where no level wins, it runs the +SPCN loop (docs/compilation.md,
   "The level schedule").
+
+Everything else either reproduces another paper result
+(``deferred_state_update``: the section 4.2.3 ablation; ``coexecution``:
+off is Table 4's all-or-nothing coverage), bounds a resource, or
+describes a deployment.  A switch that only selected an older code path
+is not kept: a removed keyword is a ``TypeError``.  The README's
+"Configuration" table lists every field and environment variable.
 """
 
 import copy
+import inspect
 import os
 
 
@@ -26,17 +34,12 @@ class JanusConfig:
                  profile_runs=3,
                  unroll_stable_control_flow=True,
                  specialize_types=True,
-                 optimize_graph=True,
                  parallel_execution=True,
                  deferred_state_update=True,
                  max_unroll=256,
-                 max_recursion_inline=0,
                  fail_on_not_convertible=False,
-                 trace_level=None,
                  graph_cache_entries=64,
-                 incremental_regeneration=True,
-                 tensor_write_barrier=True,
-                 coexecution=None,
+                 coexecution=True,
                  recompile_workers=0,
                  serving=None,
                  cache_dir=None,
@@ -46,7 +49,6 @@ class JanusConfig:
         self.profile_runs = profile_runs
         self.unroll_stable_control_flow = unroll_stable_control_flow
         self.specialize_types = specialize_types
-        self.optimize_graph = optimize_graph
         self.parallel_execution = parallel_execution
         #: When False, heap writes go through immediate py_call mutation —
         #: the "naive PyFuncOp" strategy the paper rejects (section 4.2.3);
@@ -54,46 +56,23 @@ class JanusConfig:
         self.deferred_state_update = deferred_state_update
         #: Loops with stable trip counts above this stay dynamic.
         self.max_unroll = max_unroll
-        self.max_recursion_inline = max_recursion_inline
         #: Raise instead of silently falling back when a program cannot be
         #: converted (useful in tests).
         self.fail_on_not_convertible = fail_on_not_convertible
-        #: Per-function observability override: None inherits the global
-        #: tracer level (the JANUS_TRACE env var); 0 forces tracing off
-        #: for this function, 1 records lifecycle events, 2 adds per-op
-        #: timing.  See :mod:`repro.observability`.
-        self.trace_level = trace_level
         #: Bound on live per-function GraphCache entries (LRU eviction
         #: beyond it; None = unbounded).  Novel-structure workloads like
         #: TreeNN generate one graph per input topology (§6.3.2) and
         #: would otherwise grow the cache without limit.
         self.graph_cache_entries = graph_cache_entries
-        #: Reuse unchanged conversion fragments and seed specs from the
-        #: previous CompiledGraph when regenerating after an assumption
-        #: failure (§4.3 recovery).  Off = every regeneration reconverts
-        #: the full AST, the behaviour before the fragment cache existed.
-        self.incremental_regeneration = incremental_regeneration
-        #: Extend the executor's py_get identity memo to Tensor-typed
-        #: heap reads, keyed on ``(identity, TensorValue.version)``.
-        #: Memoized values are sealed (numpy buffer frozen) so
-        #: unsanctioned in-place mutation raises instead of bypassing a
-        #: guard; sanctioned writes (``Tensor.add_`` etc.) copy-on-write
-        #: and bump the version so stale memo entries miss.  Off keeps
-        #: the memo restricted to immutable scalars / PyRefs (the PR-2
-        #: behaviour).  See docs/compilation.md#write-barrier.
-        self.tensor_write_barrier = tensor_write_barrier
         #: Terra-style imperative–symbolic co-execution
         #: (docs/coexecution.md).  When whole-function conversion fails
         #: on an unsupported construct, split the function into guarded
         #: symbolic fragments and imperative gaps instead of permanently
-        #: falling back.  None defers to the JANUS_COEXEC env var
-        #: (default on; ``JANUS_COEXEC=0`` disables — the CI knob that
-        #: keeps the all-or-nothing path green on its own).  Has no
-        #: effect on functions that convert whole, and never changes
-        #: results: any boundary trouble falls back whole-function
-        #: imperative.
-        self.coexecution = (os.environ.get("JANUS_COEXEC", "1") != "0") \
-            if coexecution is None else bool(coexecution)
+        #: falling back.  False is the paper's all-or-nothing verdict
+        #: (Table 4).  Has no effect on functions that convert whole,
+        #: and never changes results: any boundary trouble falls back
+        #: whole-function imperative.
+        self.coexecution = bool(coexecution)
         #: Background regeneration workers (docs/serving.md).  0 (the
         #: default) keeps the historical inline behaviour: the caller
         #: that wins the recompile ticket pays for regeneration on its
@@ -144,7 +123,7 @@ class JanusConfig:
     def copy(self, **overrides):
         new = copy.copy(self)
         for key, value in overrides.items():
-            if not hasattr(new, key):
+            if key not in FIELDS:
                 raise AttributeError("unknown JanusConfig field %r" % key)
             setattr(new, key, value)
         return new
@@ -160,16 +139,20 @@ class JanusConfig:
         return "BASE"
 
 
+#: What a JanusConfig holds — its constructor's parameter names.  The
+#: one list ``copy()`` validates against and the README table is pinned to.
+FIELDS = tuple(inspect.signature(JanusConfig).parameters)
+
 #: Ablation presets, cumulative as in figure 7.
 ABLATION_STAGES = {
     "BASE": dict(unroll_stable_control_flow=False, specialize_types=False,
-                 optimize_graph=False, parallel_execution=False),
+                 parallel_execution=False),
     "+UNRL": dict(unroll_stable_control_flow=True, specialize_types=False,
-                  optimize_graph=False, parallel_execution=False),
+                  parallel_execution=False),
     "+SPCN": dict(unroll_stable_control_flow=True, specialize_types=True,
-                  optimize_graph=True, parallel_execution=False),
+                  parallel_execution=False),
     "+PARL": dict(unroll_stable_control_flow=True, specialize_types=True,
-                  optimize_graph=True, parallel_execution=True),
+                  parallel_execution=True),
 }
 
 _default_config = JanusConfig()

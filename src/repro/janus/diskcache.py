@@ -60,8 +60,7 @@ SUFFIX = ".jgc"
 #: cache and a codegen-relevant one is a conscious decision.
 _CONFIG_KEY_FIELDS = (
     "profile_runs", "unroll_stable_control_flow", "specialize_types",
-    "optimize_graph", "parallel_execution", "deferred_state_update",
-    "max_unroll", "max_recursion_inline", "tensor_write_barrier",
+    "parallel_execution", "deferred_state_update", "max_unroll",
 )
 
 

@@ -347,13 +347,11 @@ _PY_CMP = {
 class GeneratedGraph:
     """The product of conversion: graph + binding plan + assumptions."""
 
-    def __init__(self, graph, arg_plan, output_structure, prechecks,
-                 variables):
+    def __init__(self, graph, arg_plan, output_structure, prechecks):
         self.graph = graph
         self.arg_plan = arg_plan          # list of ("arg", i) / ("item", i, j)
         self.output_structure = output_structure
         self.prechecks = prechecks        # list of (describe, check_fn)
-        self.variables = variables
         #: Node count before the optimization passes ran (compile-time
         #: metadata surfaced through CompiledGraph / trace events).
         self.nodes_raw = len(graph.nodes)
@@ -414,9 +412,11 @@ class GraphGenerator:
         self.prechecks = []
         self.graph_functions = {}    # function_key -> GraphFunction
         self.recursive_keys = self._find_recursive_keys()
-        #: FragmentCache for incremental regeneration (None = full
-        #: reconversion, the pre-fragment behaviour).
-        self.fragments = fragments
+        #: FragmentCache the conversion splices from and records into.
+        #: None is a fresh, empty one: nothing to splice, so the whole
+        #: AST reconverts — an empty cache *is* the full rebuild.
+        self.fragments = fragments if fragments is not None \
+            else frag_mod.FragmentCache()
         #: Profiler sites whose assumptions were just relaxed: fragments
         #: depending on them must reconvert.
         self.dirty_sites = frozenset(dirty_sites)
@@ -478,32 +478,29 @@ class GraphGenerator:
             self.builder.mark_outputs(flat)
         graph = self.builder.graph
         nodes_before = len(graph.nodes)
-        if self.config.optimize_graph:
+        if self.config.specialize_types:
             start = time.perf_counter()
             PassManager().run(graph)
             _OPTIMIZE_SECONDS.observe(time.perf_counter() - start)
         COUNTERS.labels("janus.graphs_generated").inc()
-        if self.fragments is not None:
-            COUNTERS.labels("graphgen.fragments_reused").inc(
-                self.fragments_reused)
-            COUNTERS.labels("graphgen.fragments_reconverted").inc(
-                self.fragments_reconverted)
-            COUNTERS.labels("graphgen.specs_seeded").inc(self.specs_seeded)
-            if TRACER.level:
-                TRACER.instant("graphgen", "incremental", graph=graph.name,
-                               fragments_reused=self.fragments_reused,
-                               fragments_reconverted=
-                               self.fragments_reconverted,
-                               specs_seeded=self.specs_seeded,
-                               dirty_sites=len(self.dirty_sites))
+        COUNTERS.labels("graphgen.fragments_reused").inc(
+            self.fragments_reused)
+        COUNTERS.labels("graphgen.fragments_reconverted").inc(
+            self.fragments_reconverted)
+        COUNTERS.labels("graphgen.specs_seeded").inc(self.specs_seeded)
         if TRACER.level:
+            TRACER.instant("graphgen", "incremental", graph=graph.name,
+                           fragments_reused=self.fragments_reused,
+                           fragments_reconverted=
+                           self.fragments_reconverted,
+                           specs_seeded=self.specs_seeded,
+                           dirty_sites=len(self.dirty_sites))
             TRACER.instant("graphgen", "generated", graph=graph.name,
                            nodes_raw=nodes_before,
                            nodes_optimized=len(graph.nodes),
                            prechecks=len(self.prechecks),
                            training=self.optimizer is not None)
-        generated = GeneratedGraph(graph, arg_plan, structure,
-                                   self.prechecks, graph.outputs and None)
+        generated = GeneratedGraph(graph, arg_plan, structure, self.prechecks)
         generated.nodes_raw = nodes_before
         generated.bound_arg_specs = getattr(self, "_bound_specs", None)
         return generated
@@ -538,10 +535,7 @@ class GraphGenerator:
             specs = self.profiler.arg_specs or []
         specs = self._seed_arg_specs(specs)
         self._bound_specs = list(specs)
-        if self.is_method():
-            names = [a.arg for a in args.args]
-        else:
-            names = [a.arg for a in args.args]
+        names = [a.arg for a in args.args]
         if len(specs) != len(names):
             raise NotConvertible("profiled arity %d != signature %d"
                                  % (len(specs), len(names)),
@@ -550,9 +544,6 @@ class GraphGenerator:
         for i, (name, sp) in enumerate(zip(names, specs)):
             env[name] = self._bind_one_arg(i, name, sp, arg_plan)
         return env
-
-    def is_method(self):
-        return hasattr(self.func, "__self__")
 
     def _bind_one_arg(self, index, name, sp, arg_plan):
         cfg = self.config
@@ -675,17 +666,13 @@ class GraphGenerator:
     # -- incremental fragment machinery --------------------------------------
 
     def _begin_fragment(self):
-        """Push a dependency recorder for a region conversion (or None
-        when incremental regeneration is disabled)."""
-        if self.fragments is None:
-            return None
+        """Push a dependency recorder for a region conversion."""
         rec = frag_mod.FragmentRecorder(precheck_start=len(self.prechecks))
         self._frag_stack.append(rec)
         return rec
 
-    def _end_fragment(self, rec):
-        if rec is not None:
-            self._frag_stack.pop()
+    def _end_fragment(self):
+        self._frag_stack.pop()
 
     def _dep(self, label, fetch, digest, site=None, keep=None):
         """Record a dependency into every active fragment recorder, so
@@ -2143,7 +2130,7 @@ class _FunctionConverter:
             f_func, f_struct, captured2 = self._build_branch(
                 orelse, None, "false", captured_plan=captured)
         finally:
-            gen._end_fragment(rec)
+            gen._end_fragment()
         if not structures_compatible(t_struct, f_struct):
             raise NotConvertible("branches return different structures "
                                  "(section 4.3.1 type rule)",
@@ -2189,7 +2176,7 @@ class _FunctionConverter:
                                                      "false",
                                                      captured_plan=captured)
         finally:
-            gen._end_fragment(rec)
+            gen._end_fragment()
         if not structures_compatible(t_struct, f_struct):
             raise NotConvertible("branches assign incompatible values",
                                  feature="control-flow")
@@ -2301,7 +2288,7 @@ class _FunctionConverter:
 
     def _splice_cond(self, key, pred, body, orelse, out_names):
         gen = self.gen
-        if gen.fragments is None or key[1] is None:
+        if key[1] is None:
             return None
         for frag in gen.fragments.lookup(key):
             if frag.out_names != out_names:
@@ -2329,8 +2316,6 @@ class _FunctionConverter:
     def _store_cond_fragment(self, key, rec, body, orelse, out_names,
                              t_func, f_func, structure, captured):
         gen = self.gen
-        if rec is None:
-            return
         gen.fragments_reconverted += 1
         gen._record_fragment_health(key, reused=False)
         if rec.poisoned or key[1] is None:
@@ -2724,7 +2709,7 @@ class _FunctionConverter:
                     body_sub.mark_outputs(outputs)
                 body_func = body_sub.finalize_function("loop_body")
             finally:
-                self.gen._end_fragment(rec)
+                self.gen._end_fragment()
             self._store_loop_fragment(key, rec, test_stmts, body,
                                       loop_names, structures, all_inits,
                                       count_expr is not None, cond_func,
@@ -2755,8 +2740,6 @@ class _FunctionConverter:
     def _splice_loop(self, key, loop_names, structures, all_inits,
                      has_bound):
         gen = self.gen
-        if gen.fragments is None:
-            return None
         init_specs = [(e.shape.dims, e.dtype) for e in all_inits]
         for frag in gen.fragments.lookup(key):
             if frag.loop_names != tuple(loop_names) or \
@@ -2781,8 +2764,6 @@ class _FunctionConverter:
                              structures, all_inits, has_bound, cond_func,
                              body_func):
         gen = self.gen
-        if rec is None:
-            return
         gen.fragments_reconverted += 1
         gen._record_fragment_health(key, reused=False)
         if rec.poisoned:

@@ -254,8 +254,11 @@ def set_trace_level(level):
 class override_level:
     """Temporarily run the global tracer at a different level.
 
-    Used by :class:`repro.janus.api.JanusFunction` when its config sets
-    an explicit ``trace_level`` — the override spans one call.
+    A single-threaded scoped helper (tests use it): it writes the
+    *process-global* level, so every thread traces at the override for
+    the duration and overlapping overrides restore out of order.  The
+    runtime never calls it; ``JANUS_TRACE`` / :func:`set_trace_level`
+    are the way to set a level.
     """
 
     __slots__ = ("_level", "_saved")

@@ -26,23 +26,6 @@ from . import dtype as dtypes
 from .dtype import DType
 from .shape import Shape
 
-#: Process-wide write-barrier switch.  Off restores the pre-barrier
-#: behaviour: ``track()`` refuses to seal, so executors never extend
-#: their identity memo to tensors and digests never use version tokens.
-_WRITE_BARRIER = [True]
-
-
-def set_write_barrier(enabled):
-    """Toggle the global write barrier; returns the previous setting."""
-    previous = _WRITE_BARRIER[0]
-    _WRITE_BARRIER[0] = bool(enabled)
-    return previous
-
-
-def write_barrier_enabled():
-    return _WRITE_BARRIER[0]
-
-
 #: Ownership modes.  UNKNOWN: provenance unclear (may alias a caller's
 #: ndarray), in-place writes copy unless the buffer is demonstrably ours.
 #: PRIVATE: exclusively owned (post-COW), writes go straight through.
@@ -146,14 +129,12 @@ class TensorValue:
         from here on: the buffer is frozen (unsanctioned in-place writes
         raise ``ValueError: assignment destination is read-only``) and
         every sanctioned write copies first.  Refuses — returning False,
-        leaving the value unmemoizable — when the barrier is globally
-        off or when the array is a view (a frozen view still sees writes
-        through its writable base, so freezing it would pin nothing).
+        leaving the value unmemoizable — when the array is a view (a
+        frozen view still sees writes through its writable base, so
+        freezing it would pin nothing).
         """
         if self._mode == _SEALED:
             return True
-        if not _WRITE_BARRIER[0]:
-            return False
         arr = self.array
         if arr.base is not None or not arr.flags.owndata:
             return False

@@ -46,8 +46,7 @@ import repro as R
 
 __all__ = [
     "Mix", "Model", "WRITE_BARRIER_MIX", "CONCURRENCY_MIX",
-    "COEXEC_MIX", "SCHEDULE_MIX", "GUARDED_ON", "GUARDED_OFF", "INJECTIONS",
-    "HEAVY",
+    "COEXEC_MIX", "SCHEDULE_MIX", "GUARDED", "INJECTIONS", "HEAVY",
     "gen_program", "mutation_pool", "apply_mutation", "vec",
 ]
 
@@ -260,14 +259,10 @@ def gen_program(seed, tag=None, mix=WRITE_BARRIER_MIX):
 
 # -- mutations ---------------------------------------------------------------
 
-#: Kinds whose mutation must produce a guard/stale signal when the
-#: write barrier is ON (tensor reads memoized + sealed).
-GUARDED_ON = {"t_inplace", "t_rebind_same", "t_rebind_shape", "t2_rebind",
-              "gain_change", "x_flip"}
-#: With the barrier OFF tensor reads are re-internalized every run, so
-#: only spec guards (shape change), burned constants, and branch
-#: assertions still fire.
-GUARDED_OFF = {"t_rebind_shape", "gain_change", "x_flip"}
+#: Kinds whose mutation must produce a guard/stale signal (tensor
+#: reads are memoized + sealed behind the write barrier).
+GUARDED = {"t_inplace", "t_rebind_same", "t_rebind_shape", "t2_rebind",
+           "gain_change", "x_flip"}
 
 
 def mutation_pool(used, has_branch):

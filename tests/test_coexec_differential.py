@@ -222,7 +222,7 @@ class TestPartialHealth:
         assert "partially converted" in health.diagnosis()
 
     def test_coexec_off_reaches_imperative_only(self, _metrics_on):
-        """Same shape of function with JANUS_COEXEC-style opt-out: the
+        """Same shape of function with ``coexecution=False``: the
         classic whole-function verdict and health state."""
         log = []
 

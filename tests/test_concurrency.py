@@ -159,6 +159,13 @@ def _gen_program(seed):
     return prog, filename
 
 
+def _settle(f):
+    """Wait for any background regeneration of *f* to publish."""
+    deadline = time.time() + 10.0
+    while f.recompiles_in_flight and time.time() < deadline:
+        time.sleep(0.01)
+
+
 def _differential_one(seed, recompile_workers):
     prog, filename = _gen_program(seed)
     nprng = np.random.default_rng(50_000 + seed)
@@ -184,7 +191,15 @@ def _differential_one(seed, recompile_workers):
         errors = _run_threads(THREADS, client)
         assert not errors, (seed, errors)
 
-        total = THREADS * CALLS_PER_THREAD * len(inputs)
+        # With background workers the client calls can all finish
+        # before the regeneration publishes: wait for it, then one more
+        # oracle-checked call per input runs whatever was published.
+        _settle(f)
+        assert f.recompiles_in_flight == 0
+        for x, expect in zip(inputs, oracle):
+            assert np.array_equal(f(x).numpy(), expect), seed
+
+        total = (THREADS * CALLS_PER_THREAD + 1) * len(inputs)
         stats = f.stats
         # Exact conservation: every call ran a graph, the fallback, or
         # a co-execution plan (zero here — these programs convert
@@ -194,10 +209,7 @@ def _differential_one(seed, recompile_workers):
             + stats["coexec_runs"] == total, stats
         assert stats["graph_runs"] > 0, stats
     finally:
-        # Let any background regeneration publish before teardown.
-        deadline = time.time() + 10.0
-        while f.recompiles_in_flight and time.time() < deadline:
-            time.sleep(0.01)
+        _settle(f)      # nothing may still be converting at teardown
         linecache.cache.pop(filename, None)
 
 
@@ -287,9 +299,7 @@ class TestFailureStorm:
         assert g.stats["fallbacks"] >= 1
 
         # Wait for the background publish, then the relaxed graph serves.
-        deadline = time.time() + 10.0
-        while g.recompiles_in_flight and time.time() < deadline:
-            time.sleep(0.01)
+        _settle(g)
         assert g.recompiles_in_flight == 0
         assert g.stats["graphs_generated"] == base_generated + 1, g.stats
 

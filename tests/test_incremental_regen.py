@@ -1,17 +1,16 @@
 """Incremental regeneration after assumption failures.
 
 When an assumption breaks, the runtime relaxes it and regenerates the
-graph.  With ``incremental_regeneration`` on, unchanged cond/loop
-regions splice from the fragment cache and argument specs seed from the
-retired artifact; with it off, every region reconverts from the AST.
-Either way the regenerated graph must match pure imperative execution
-bit-for-bit — these tests force branch, loop, and attribute failures
-and check exactly that, plus that the fragment machinery engages (or
-stays idle) when configured.
+graph: unchanged cond/loop regions splice from the fragment cache and
+argument specs seed from the retired artifact; whatever the cache does
+not hold (everything, when it is empty) reconverts from the AST.  The
+regenerated graph must match pure imperative execution bit-for-bit —
+these tests force branch, loop, and attribute failures and check
+exactly that, plus that splicing engages when there is something to
+splice and changes no result.
 """
 
 import numpy as np
-import pytest
 
 import repro as R
 from repro import janus
@@ -32,16 +31,9 @@ def delta(before, key):
     return counters().get(key, 0) - before.get(key, 0)
 
 
-BOTH_MODES = pytest.mark.parametrize("incremental", [True, False],
-                                     ids=["incremental", "full"])
-
-
-@BOTH_MODES
 class TestForcedFailuresMatchImperative:
-    def test_branch_failure(self, incremental):
-        cfg = strict(incremental_regeneration=incremental)
-
-        @janus.function(config=cfg)
+    def test_branch_failure(self):
+        @janus.function(config=strict())
         def f(x, gate):
             if R.reduce_sum(gate) > 0.0:
                 y = x * 2.0 + 1.0
@@ -73,10 +65,8 @@ class TestForcedFailuresMatchImperative:
         ops = {n.op_name for n in entry.generated.graph.nodes}
         assert "cond" in ops                  # the dirty region went dynamic
 
-    def test_loop_failure(self, incremental):
-        cfg = strict(incremental_regeneration=incremental)
-
-        @janus.function(config=cfg)
+    def test_loop_failure(self):
+        @janus.function(config=strict())
         def f(x, n):
             i = R.constant(0.0)
             total = x * 0.0
@@ -105,12 +95,11 @@ class TestForcedFailuresMatchImperative:
         assert np.array_equal(out5.numpy(), f.func(x, five).numpy())
         assert np.array_equal(out3.numpy(), f.func(x, three).numpy())
 
-    def test_attr_failure(self, incremental):
-        cfg = strict(incremental_regeneration=incremental)
+    def test_attr_failure(self):
         knob = type("K", (), {})()
         knob.gain = 1.5
 
-        @janus.function(config=cfg)
+        @janus.function(config=strict())
         def f(x):
             return R.tanh(x * knob.gain) + x
 
@@ -132,12 +121,11 @@ class TestForcedFailuresMatchImperative:
 
 
 class TestFragmentReuse:
-    def _build(self, incremental):
-        cfg = strict(incremental_regeneration=incremental)
+    def _build(self):
         knob = type("K", (), {})()
         knob.gain = 1.0
 
-        @janus.function(config=cfg)
+        @janus.function(config=strict())
         def f(x, gate):
             h = R.tanh(x * knob.gain)
             if R.reduce_sum(gate) > 0.0:
@@ -156,7 +144,7 @@ class TestFragmentReuse:
             f(x, R.constant(np.full(1, sign * (1.0 + k), np.float32)))
 
     def test_unrelated_relaxation_reuses_branch_fragment(self):
-        f, knob = self._build(incremental=True)
+        f, knob = self._build()
         x = R.constant(np.linspace(-1, 1, 8).astype(np.float32))
         self._warm_dynamic_branch(f, x)
         assert f.stats["graphs_generated"] == 1
@@ -177,7 +165,7 @@ class TestFragmentReuse:
 
     def test_dirty_branch_is_reconverted_not_spliced(self):
         """A fragment whose own site failed must not be reused."""
-        f, _knob = self._build(incremental=True)
+        f, _knob = self._build()
         x = R.constant(np.linspace(-1, 1, 8).astype(np.float32))
         # Stable positive gates: the branch speculates (no fragment).
         for k in range(5):
@@ -192,34 +180,31 @@ class TestFragmentReuse:
         assert delta(before, "graphgen.fragments_reconverted") >= 1
         assert np.array_equal(out.numpy(), f.func(x, neg).numpy())
 
-    def test_off_mode_keeps_fragment_machinery_idle(self):
-        f, knob = self._build(incremental=False)
-        x = R.constant(np.linspace(-1, 1, 8).astype(np.float32))
-        before = counters()
-        self._warm_dynamic_branch(f, x)
-        knob.gain = 2.0
-        gate = R.constant(np.ones(1, np.float32))
-        f(x, gate)
-        out = f(x, gate)                      # full regeneration
-        assert f.stats["graphs_generated"] == 2
-        assert len(f._fragment_cache) == 0
-        assert delta(before, "graphgen.fragments_reused") == 0
-        assert delta(before, "graphgen.fragments_reconverted") == 0
-        assert delta(before, "graphgen.specs_seeded") == 0
-        assert np.array_equal(out.numpy(), f.func(x, gate).numpy())
-
-    def test_modes_agree_bit_for_bit(self):
-        """The config gate changes latency, never results."""
+    def test_spliced_and_rebuilt_agree_bit_for_bit(self):
+        """Splicing changes latency, never results: a regeneration that
+        finds its fragment cache empty rebuilds every region from the
+        AST and produces what the spliced one does."""
         outs = {}
-        for incremental in (True, False):
-            f, knob = self._build(incremental)
+        for arm in ("spliced", "rebuilt"):
+            f, knob = self._build()
             x = R.constant(np.linspace(-1, 1, 8).astype(np.float32))
             self._warm_dynamic_branch(f, x)
             knob.gain = 2.0
             gate = R.constant(np.ones(1, np.float32))
-            f(x, gate)
-            outs[incremental] = f(x, gate).numpy()
-        assert np.array_equal(outs[True], outs[False])
+            f(x, gate)                        # fallback + relax
+            if arm == "rebuilt":
+                f._fragment_cache.clear()     # nothing left to splice
+            before = counters()
+            outs[arm] = f(x, gate).numpy()    # regeneration
+            assert f.stats["graphs_generated"] == 2
+            reused = delta(before, "graphgen.fragments_reused")
+            if arm == "spliced":
+                assert reused >= 1
+            else:
+                assert reused == 0
+                assert delta(before, "graphgen.fragments_reconverted") >= 1
+            assert np.array_equal(outs[arm], f.func(x, gate).numpy())
+        assert np.array_equal(outs["spliced"], outs["rebuilt"])
 
 
 class TestFragmentCacheMechanics:
@@ -272,11 +257,10 @@ class TestFragmentCacheMechanics:
         the program is convertible and bit-exact — but the build-time
         ``SymSeq.append`` still poisons the active cond recorder.
         """
-        cfg = strict(incremental_regeneration=True)
         knob = type("K", (), {})()
         knob.gain = 1.0
 
-        @janus.function(config=cfg)
+        @janus.function(config=strict())
         def f(x, gate):
             h = R.tanh(x * knob.gain)
             if R.reduce_sum(gate) > 0.0:

@@ -1,5 +1,9 @@
 """GraphCache, JanusConfig, whitelist, and error-type behaviours."""
 
+import inspect
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -8,9 +12,11 @@ from repro import janus
 from repro.errors import (AssumptionFailed, NotConvertible, ReproError,
                           ShapeError, GraphError, ExecutionError)
 from repro.janus.cache import CacheEntry, GraphCache
-from repro.janus.config import JanusConfig, ABLATION_STAGES
+from repro.janus.config import ABLATION_STAGES, FIELDS, JanusConfig
+from repro.janus.diskcache import _CONFIG_KEY_FIELDS
 from repro.janus import whitelist
 from repro.ops import api
+from repro.serving import ServingConfig
 
 
 class TestGraphCache:
@@ -88,6 +94,16 @@ class TestJanusConfig:
         with pytest.raises(AttributeError):
             JanusConfig().copy(bogus=True)
 
+    @pytest.mark.parametrize("method", ["ablation_stage", "copy",
+                                        "resolved_cache_dir"])
+    def test_copy_rejects_method_names(self, method):
+        """A field is a constructor parameter, not any attribute: a
+        method name must not be replaced on the copy."""
+        cfg = JanusConfig()
+        with pytest.raises(AttributeError):
+            cfg.copy(**{method: None})
+        assert callable(getattr(cfg.copy(), method))
+
     def test_retired_lowering_flag_is_an_ordinary_unknown_kwarg(self):
         """One execution tier: no switch selects another."""
         with pytest.raises(TypeError):
@@ -97,28 +113,51 @@ class TestJanusConfig:
     def test_retired_heavy_ops_threshold_is_an_ordinary_unknown_kwarg(self):
         """+PARL measures each level; there is no number to tune, and
         the knob does not split the disk cache either."""
-        import inspect
-        from repro.janus.diskcache import _CONFIG_KEY_FIELDS
         with pytest.raises(TypeError):
             JanusConfig(parallel_heavy_ops_threshold=2)
         assert not hasattr(JanusConfig(), "parallel_heavy_ops_threshold")
         assert "parallel_heavy_ops_threshold" not in _CONFIG_KEY_FIELDS
-        assert len(inspect.signature(JanusConfig).parameters) == 18
+
+    @pytest.mark.parametrize("kwarg", [
+        "tensor_write_barrier", "incremental_regeneration",
+        "optimize_graph", "max_recursion_inline", "trace_level"])
+    def test_retired_path_switch(self, kwarg):
+        """One path per mechanism: the write barrier, fragment splicing
+        and the +SPCN passes are not options; nothing read the inline
+        bound; a trace level is process-wide (JANUS_TRACE)."""
+        with pytest.raises(TypeError):
+            JanusConfig(**{kwarg: True})
+        assert not hasattr(JanusConfig(), kwarg)
+        assert kwarg not in _CONFIG_KEY_FIELDS
+
+    def test_surface_is_thirteen_fields(self):
+        """Six paper switches, three bounds, three deployment fields,
+        one test aid (README "Configuration")."""
+        assert len(inspect.signature(JanusConfig).parameters) == 13
+        cfg = JanusConfig()
+        assert all(hasattr(cfg, name) for name in FIELDS)
+        # The disk-cache key lists only fields that exist.
+        assert len(_CONFIG_KEY_FIELDS) == 6
+        assert set(_CONFIG_KEY_FIELDS) <= set(FIELDS)
+
+    def test_coexecution_is_not_read_from_the_environment(
+            self, monkeypatch):
+        monkeypatch.setenv("JANUS_COEXEC", "0")
+        assert JanusConfig().coexecution is True
+        assert JanusConfig(coexecution=False).coexecution is False
 
     def test_default_profile_runs_matches_paper(self):
         # Paper section 3.1 footnote: 3 iterations suffice.
         assert JanusConfig().profile_runs == 3
 
     def test_ablation_stages_are_cumulative(self):
-        base = ABLATION_STAGES["BASE"]
-        unrl = ABLATION_STAGES["+UNRL"]
-        spcn = ABLATION_STAGES["+SPCN"]
-        parl = ABLATION_STAGES["+PARL"]
-        assert not base["unroll_stable_control_flow"]
-        assert unrl["unroll_stable_control_flow"]
-        assert not unrl["specialize_types"]
-        assert spcn["specialize_types"] and spcn["optimize_graph"]
-        assert parl["parallel_execution"]
+        flags = ("unroll_stable_control_flow", "specialize_types",
+                 "parallel_execution")
+        # Stage k switches on exactly the first k figure-7 flags.
+        for k, name in enumerate(("BASE", "+UNRL", "+SPCN", "+PARL")):
+            stage = ABLATION_STAGES[name]
+            assert stage == {flag: i < k for i, flag in enumerate(flags)}
+            assert JanusConfig(**stage).ablation_stage() == name
 
     def test_global_config_swap(self):
         original = janus.get_config()
@@ -127,6 +166,42 @@ class TestJanusConfig:
             assert janus.get_config().profile_runs == 1
         finally:
             janus.set_config(original)
+
+
+class TestConfigurationReference:
+    """README "Configuration" is the one reference; it is pinned here."""
+
+    KINDS = ("paper figure: ", "deployment", "resource bound", "test aid")
+
+    def _rows(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md") \
+            .read_text(encoding="utf-8")
+        section = readme.split("## Configuration\n", 1)[1] \
+            .split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            match = re.match(r"\| `(\w+)` \| `?(\w+)`? \| (.+?) \| (.+?) \|",
+                             line)
+            if match:
+                name, where, default, kind = match.groups()
+                assert kind.startswith(self.KINDS), line
+                rows.setdefault(where, {})[name] = default.strip("`")
+        return rows
+
+    @pytest.mark.parametrize("cls", [JanusConfig, ServingConfig])
+    def test_kwargs_match(self, cls):
+        params = inspect.signature(cls).parameters
+        assert self._rows()[cls.__name__] == {
+            name: repr(param.default) for name, param in params.items()}
+
+    def test_environment_variables_match(self):
+        src = pathlib.Path(R.__file__).parent
+        read = set()
+        for path in src.rglob("*.py"):
+            read.update(re.findall(r"JANUS_[A-Z_]+",
+                                   path.read_text(encoding="utf-8")))
+        assert set(self._rows()["environment"]) == read
+        assert len(read) == 6
 
 
 class TestWhitelist:

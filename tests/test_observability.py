@@ -333,20 +333,6 @@ class TestJanusLifecycleEvents:
         assert per_op, "expected per-node op events at level 2"
         assert all(e.ph == "X" for e in per_op)
 
-    def test_config_trace_level_override(self):
-        obs.clear()
-        obs.set_trace_level(0)
-
-        @janus.function(config=strict(trace_level=1))
-        def f(x):
-            return x + 1.0
-
-        for _ in range(5):
-            f(R.constant(np.float32(1.0)))
-        counts = obs.TRACER.category_counts()
-        assert counts.get("graphgen", 0) >= 1
-        assert obs.trace_level() == 0   # global level untouched after calls
-
     def test_eager_dispatch_counters(self):
         obs.clear()
         obs.set_trace_level(1)

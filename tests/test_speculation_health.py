@@ -530,7 +530,7 @@ class TestDigestStableAcrossSealing:
         knob = type("K", (), {})()
         knob.gain = 2.0
 
-        @janus.function(config=strict(incremental_regeneration=True))
+        @janus.function(config=strict())
         def f(x, gate):
             if R.reduce_sum(gate) > 0.0:
                 y = x * weights

@@ -21,12 +21,8 @@ the JANUS result must match the pure imperative oracle (``f.func``)
 bit-for-bit, and every mutation of guarded state must trip a guard
 (``fallbacks``) or stale the memo (``executor.memo_stale``).
 
-The full matrix runs barrier on/off x ``incremental_regeneration``
-on/off: ``SEEDS`` programs per arm, 4 arms, >= 200 programs total.
-With the barrier off, tensor-content mutations legitimately produce no
-guard signal (nothing was memoized or sealed), so only the
-spec/constant guards are asserted there — equality is asserted
-everywhere, always.
+There is one path (the barrier and incremental regeneration are not
+options), so ``SEEDS`` distinct programs run on it: >= 200 programs.
 """
 
 import linecache
@@ -39,15 +35,10 @@ import repro as R
 from repro import janus
 from repro.observability import (clear, counter_values, set_trace_level,
                                  trace_level)
-from repro.tensor import TensorValue, set_write_barrier
+from repro.tensor import TensorValue
 
-#: Generated programs per matrix arm; 4 arms -> >= 200 programs total.
-SEEDS = 52
-
-MATRIX = pytest.mark.parametrize(
-    "barrier,incremental",
-    [(True, True), (True, False), (False, True), (False, False)],
-    ids=["barrier-incr", "barrier-full", "nobarrier-incr", "nobarrier-full"])
+#: Generated programs, each a distinct seed: >= 200.
+SEEDS = 208
 
 
 def counters():
@@ -71,15 +62,9 @@ def _traced():
         clear()
 
 
-@pytest.fixture
-def _barrier(request):
-    yield
-
-
 # -- program generator / mutations (shared; see tests/progen.py) ------------
 
-from progen import (GUARDED_OFF as _GUARDED_OFF,        # noqa: E402
-                    GUARDED_ON as _GUARDED_ON,
+from progen import (GUARDED as _GUARDED,                # noqa: E402
                     apply_mutation as _apply_mutation,
                     gen_program as _gen_program,
                     mutation_pool as _mutation_pool, vec as _vec)
@@ -91,15 +76,13 @@ def _assert_matches_oracle(f, out, x, ctx):
     assert np.array_equal(out.numpy(), expect.numpy()), ctx
 
 
-def _run_program(seed, tag, barrier, incremental):
-    prog, m, used, has_branch, filename = _gen_program(seed, tag)
+def _run_program(seed):
+    prog, m, used, has_branch, filename = _gen_program(seed)
     rng = random.Random(7_000 + seed)
     nprng = np.random.default_rng(20_000 + seed)
     cfg = janus.JanusConfig(fail_on_not_convertible=True,
                             parallel_execution=False,
-                            profile_runs=2,
-                            incremental_regeneration=incremental,
-                            tensor_write_barrier=barrier)
+                            profile_runs=2)
     f = janus.function(config=cfg)(prog)
 
     x_pos = R.constant(np.abs(_vec(nprng)) + 0.1)
@@ -110,15 +93,13 @@ def _run_program(seed, tag, barrier, incremental):
         # with a stable branch direction.
         for k in range(4):
             out = f(state["x"])
-            _assert_matches_oracle(f, out, state["x"],
-                                   (seed, "warm", k, barrier, incremental))
+            _assert_matches_oracle(f, out, state["x"], (seed, "warm", k))
         assert f.stats["graph_runs"] > 0, (seed, f.stats)
 
         tracked_after_warm = m.t.value.tracked if "t" in used else None
 
         pool = _mutation_pool(used, has_branch)
         rng.shuffle(pool)
-        required = _GUARDED_ON if barrier else _GUARDED_OFF
         for kind in pool[:rng.randint(1, min(3, len(pool)))]:
             before_counters = counters()
             before_fallbacks = f.stats["fallbacks"]
@@ -128,9 +109,7 @@ def _run_program(seed, tag, barrier, incremental):
             # the second runs (and flushes) the regenerated graph.
             for k in range(2):
                 out = f(state["x"])
-                _assert_matches_oracle(
-                    f, out, state["x"],
-                    (seed, kind, k, barrier, incremental))
+                _assert_matches_oracle(f, out, state["x"], (seed, kind, k))
             # A caught mutation shows up as a runtime fallback, a stale
             # memo transition, or a re-specialization (bound-arg
             # prechecks reroute to a fresh graph before any assert op
@@ -138,40 +117,25 @@ def _run_program(seed, tag, barrier, incremental):
             signal = (f.stats["fallbacks"] - before_fallbacks
                       + f.stats["graphs_generated"] - before_generated
                       + delta(before_counters, "executor.memo_stale"))
-            if kind in required:
-                assert signal >= 1, (seed, kind, barrier, incremental,
-                                     f.stats)
+            if kind in _GUARDED:
+                assert signal >= 1, (seed, kind, f.stats)
     finally:
         linecache.cache.pop(filename, None)
     return tracked_after_warm
 
 
-@MATRIX
-def test_generated_programs_match_imperative(barrier, incremental):
-    prev = set_write_barrier(barrier)
+def test_generated_programs_match_imperative():
     before = counters()
     tracked_any = False
-    try:
-        for seed in range(SEEDS):
-            tracked = _run_program(
-                seed, "%s-%s" % (int(barrier), int(incremental)),
-                barrier, incremental)
-            tracked_any = tracked_any or bool(tracked)
-    finally:
-        set_write_barrier(prev)
+    for seed in range(SEEDS):
+        tracked_any = bool(_run_program(seed)) or tracked_any
 
-    if barrier:
-        # The memo must actually engage across the arm: hits on steady
-        # state, stale transitions on mutations, and at least one
-        # program whose Tensor attribute got sealed.
-        assert delta(before, "executor.memo_hit") > 0
-        assert delta(before, "executor.memo_stale") > 0
-        assert tracked_any
-    else:
-        # Nothing is sealed, so no copy-on-write can ever trigger and
-        # no Tensor attribute may end up tracked.
-        assert delta(before, "tensor.cow_copies") == 0
-        assert not tracked_any
+    # The memo must actually engage across the run: hits on steady
+    # state, stale transitions on mutations, and at least one program
+    # whose Tensor attribute got sealed.
+    assert delta(before, "executor.memo_hit") > 0
+    assert delta(before, "executor.memo_stale") > 0
+    assert tracked_any
 
 
 # -- targeted mechanics ------------------------------------------------------
@@ -208,15 +172,6 @@ class TestWriteBarrierMechanics:
         tv.inplace_write(lambda dst: np.add(dst, 1.0, out=dst))
         assert tv.array is buf
         assert tv.version == 1
-
-    def test_barrier_off_never_tracks(self):
-        prev = set_write_barrier(False)
-        try:
-            tv = TensorValue.of(np.arange(4, dtype=np.float32))
-            assert not tv.track()
-            assert tv.array.flags.writeable
-        finally:
-            set_write_barrier(prev)
 
     def test_copy_is_private_and_writable(self):
         tv = TensorValue.of(np.arange(4, dtype=np.float32))
