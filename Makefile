@@ -67,14 +67,17 @@ test:
 
 # The randomized write-barrier differential suite (>= 200 generated
 # programs, each mutated between calls and checked against the
-# imperative oracle).  Part of the tier-1 run too; this target re-runs
-# it standalone and untraced:
+# imperative oracle) and its clean-up sibling (100 programs with
+# try/finally, with, continue and sum(.., start) planted in them,
+# checked on outputs *and* the model heap).  Part of the tier-1 run
+# too; this target re-runs them standalone and untraced:
 # JANUS_TRACE=0 keeps the atexit trace dump out of the logs and
 # exercises the suite's own counter plumbing (it raises the trace level
 # itself for the runs that need memo-counter flushes).
 test-differential:
 	JANUS_TRACE=0 $(PYTHON) -m pytest \
-		tests/test_write_barrier_differential.py -q
+		tests/test_write_barrier_differential.py \
+		tests/test_cleanup_differential.py -q
 
 # The concurrency-safe dispatch + multi-tenant serving suites: threaded
 # differential runs against the imperative oracle, cold-start stampede

@@ -26,8 +26,10 @@ from ..observability import COUNTERS, METRICS, TRACER
 from ..tensor import PyRef, TensorValue
 
 #: Bump when the pickled GeneratedGraph layout changes incompatibly;
-#: the disk cache treats any other value as a miss.
-ARTIFACT_FORMAT = 1
+#: the disk cache treats any other value as a miss.  (2: the class moved
+#: to ``graphgen.generator`` and takes ``nodes_raw``/``bound_arg_specs``
+#: at construction.)
+ARTIFACT_FORMAT = 2
 
 _COMPILE_SECONDS = METRICS.histogram(
     "janus_compile_seconds",

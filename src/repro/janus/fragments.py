@@ -22,8 +22,9 @@ original conversion is unchanged:
 * the symbolic environment it read, summarized per name as external /
   graph-structure / burned-constant (``env_summary``), checked against
   the current environment before splicing;
-* the capture plan and the exact shape/dtype of every captured edge and
-  loop-init (checked structurally by the caller).
+* the names it binds and the exact shape/dtype of every loop-init
+  (the fragment's ``interface``), and the capture plan of a branch
+  (checked against the current edges by the caller).
 
 The dirty set — profiler sites whose assumptions were just relaxed —
 fast-rejects any fragment that recorded a dependency on a relaxed site,
@@ -48,7 +49,7 @@ __all__ = [
     "FragmentCache",
     "FragmentRecorder",
     "attr_digest",
-    "deps_valid",
+    "env_summary",
     "value_digest",
 ]
 
@@ -156,19 +157,34 @@ class FragmentRecorder:
         self.precheck_start = precheck_start
 
 
+#: How :func:`env_summary` records a name the environment does not bind
+#: (a global, closure cell or builtin — covered by value deps instead).
+EXTERNAL = ("ext",)
+
+
+def env_summary(env, names, token_of, keep):
+    """How each name a region's conversion read resolved:
+    ``token_of(value, keep)`` for bound names, :data:`EXTERNAL`
+    otherwise."""
+    return {name: token_of(env[name], keep) if name in env else EXTERNAL
+            for name in sorted(names)}
+
+
 class Fragment:
     """One cached conversion artifact for an AST region.
 
-    ``kind`` is ``"cond"`` or ``"loop"``; the remaining payload fields
-    are whatever the splice site needs to rebuild its builder call
-    (branch/loop sub-``GraphFunction``s, output structure, capture plan,
-    exact edge specs).  Validation data: ``deps``/``dep_sites`` from the
-    recorder, ``env_summary`` mapping read names to how they resolved,
-    and the precheck entries minted during the original conversion.
+    ``kind`` labels the region (``"cond_ret"``, ``"cond_set"``,
+    ``"loop"``); ``payload`` is whatever the splice site needs to
+    rebuild its builder call (branch/loop sub-``GraphFunction``s, output
+    structure, capture plan) and is opaque here.  Validation data:
+    ``interface`` (the names and exact edge specs the region was built
+    against), ``deps``/``dep_sites`` from the recorder, ``env_summary``
+    mapping read names to how they resolved, and the precheck entries
+    minted during the original conversion.
     """
 
     def __init__(self, kind, key, recorder, env_summary, prechecks,
-                 **payload):
+                 interface=None, payload=None):
         self.kind = kind
         self.key = key
         self.deps = recorder.deps
@@ -176,25 +192,43 @@ class Fragment:
         self.keepalive = recorder.keepalive
         self.env_summary = env_summary
         self.precheck_entries = prechecks
-        self.__dict__.update(payload)
+        self.interface = interface
+        self.payload = payload
 
+    def valid(self, interface, dirty_sites, env, token_of):
+        """Whether everything that influenced the conversion still holds.
 
-def deps_valid(frag, dirty_sites):
-    """Whether every recorded dependency still holds.
-
-    Dirty sites (just-relaxed assumptions) reject without re-querying:
-    the whole point of the dirty set is that those regions *must*
-    reconvert.  Everything else re-fetches and compares digests.
-    """
-    if dirty_sites and not frag.dep_sites.isdisjoint(dirty_sites):
-        return False
-    for _label, fetch, digest in frag.deps:
-        try:
-            if fetch() != digest:
-                return False
-        except Exception:
+        Dirty sites (just-relaxed assumptions) reject without
+        re-querying: the whole point of the dirty set is that those
+        regions *must* reconvert.  Every other dependency re-fetches and
+        compares digests, and every name the region read must resolve
+        in *env* the way it did.
+        """
+        if self.interface != interface:
             return False
-    return True
+        if dirty_sites and not self.dep_sites.isdisjoint(dirty_sites):
+            return False
+        for _label, fetch, digest in self.deps:
+            try:
+                if fetch() != digest:
+                    return False
+            except Exception:
+                return False
+        for name, token in self.env_summary.items():
+            now = token_of(env[name]) if name in env else EXTERNAL
+            if now != token:
+                return False
+        return True
+
+    def adopt(self, prechecks, recorders):
+        """Re-enter this record into a new generation on a splice: its
+        prechecks join the new graph's list, and its deps flow into the
+        outer regions still being recorded."""
+        prechecks.extend(self.precheck_entries)
+        for rec in recorders:
+            rec.deps.extend(self.deps)
+            rec.dep_sites.update(self.dep_sites)
+            rec.keepalive.extend(self.keepalive)
 
 
 class FragmentCache:

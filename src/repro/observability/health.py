@@ -22,7 +22,7 @@ A *site* is the profiler's site key — a tuple rooted at the function
 key with the AST path appended (e.g. ``(fkey, "attr", "h.scale")``) — or
 a guard debug name when no profiler site is attached.  The runtime
 (``janus/api.py``, ``janus/profiler.py``, ``janus/cache.py``,
-``janus/graphgen.py``) records only when ``METRICS`` is enabled, so the
+``janus/graphgen/``) records only when ``METRICS`` is enabled, so the
 level-0 cost is one attribute load per site.
 
 State model per function (reported by :attr:`SpeculationHealth.state`):

@@ -35,6 +35,13 @@ rng stream): each holds two matmuls on one dependency level — a fan-out
 candidate of the executor's level schedule — and some commit a heavy
 result to the heap or a Variable.  The schedule differential suite
 (test_schedule_differential.py) is its consumer.
+
+``Mix.cleanup`` plants constructs from :data:`CLEANUP` (own rng stream
+again): clean-up code around non-local exits — ``try/finally`` with a
+heap or Variable write around an early ``return``, a ``with`` over the
+model-owned :class:`Gate`, ``continue`` inside ``try/finally`` — and a
+``sum`` with a start value.  test_cleanup_differential.py compares the
+outputs *and* the model heap against the imperative oracle.
 """
 
 import linecache
@@ -46,13 +53,32 @@ import repro as R
 
 __all__ = [
     "Mix", "Model", "WRITE_BARRIER_MIX", "CONCURRENCY_MIX",
-    "COEXEC_MIX", "SCHEDULE_MIX", "GUARDED", "INJECTIONS", "HEAVY",
-    "gen_program", "mutation_pool", "apply_mutation", "vec",
+    "COEXEC_MIX", "SCHEDULE_MIX", "CLEANUP_MIX", "GUARDED", "INJECTIONS",
+    "HEAVY", "CLEANUP", "Gate", "gen_program", "mutation_pool",
+    "apply_mutation", "vec",
 ]
 
 
 class Model:
     """Heap object whose attributes the generated programs read."""
+
+
+class Gate:
+    """Model-owned context manager of the clean-up mix: entering and
+    leaving count themselves on the heap."""
+
+    def __init__(self):
+        self.entered = R.constant(np.float32(0.0))
+        self.exits = R.constant(np.float32(0.0))
+        self.scale = 0.75
+
+    def __enter__(self):
+        self.entered = self.entered + 1.0
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.exits = self.exits + 1.0
+        return False
 
 
 #: Statement pool, keyed by the attribute each statement exercises.
@@ -107,6 +133,39 @@ HEAVY = {
                   "    y = y + m.state.value() * 0.25"],
 }
 
+#: Clean-up constructs: each entry is ONE planted chunk (its lines stay
+#: together).  ``m.gain`` is a burned scalar, so the early ``return``
+#: resolves at build time — taken in some programs, not in others, and
+#: flipped mid-run by the ``gain_change`` mutation.
+CLEANUP = {
+    "finally_heap": ["    try:",
+                     "        if m.gain > 1.25:",
+                     "            return R.reduce_sum(y) * 0.5",
+                     "        y = y + m.gain",
+                     "    finally:",
+                     "        m.ticks = m.ticks + 1.0"],
+    "finally_var": ["    try:",
+                    "        if m.gain <= 1.0:",
+                    "            return R.reduce_sum(y * m.gain)",
+                    "    finally:",
+                    "        m.seen.assign_add(y * 0.125)"],
+    "with_gate": ["    with m.gate as g:",
+                  "        y = y * g.scale"],
+    "with_return": ["    with m.gate:",
+                    "        if m.gain > 1.5:",
+                    "            return R.reduce_sum(y) + 1.0",
+                    "        y = y * 0.75"],
+    "continue_finally": ["    for k in range(3):",
+                         "        try:",
+                         "            if k == 1:",
+                         "                continue",
+                         "            y = y + m.w * 0.5",
+                         "        finally:",
+                         "            m.ticks = m.ticks + 1.0"],
+    "sum_start": ["    parts = [y * 0.5, y * 0.25]",
+                  "    y = sum(parts, y)"],
+}
+
 _HELPER_SRC = """
 def opaque_record(d, key, v):
     d[key] = d.get(key, 0.0) + float(R.reduce_sum(v).numpy())
@@ -128,12 +187,14 @@ class Mix:
     constructs from :data:`INJECTIONS` planted at random positions
     (1..min(2, len(inject)) of them per program); ``heavy`` — plant
     1..3 statements of :data:`HEAVY` (not combinable with ``inject``,
-    whose multi-line entries a second planting could split).
+    whose multi-line entries a second planting could split);
+    ``cleanup`` — plant 1..3 chunks of :data:`CLEANUP` (on its own).
     """
 
     def __init__(self, kinds=None, nprng_offset=10_000, aliasing=True,
                  model_order=("w", "t", "t2", "gain", "var"),
-                 filename_prefix="progen", inject=(), heavy=False):
+                 filename_prefix="progen", inject=(), heavy=False,
+                 cleanup=False):
         self.kinds = sorted(STMTS if kinds is None else kinds)
         self.nprng_offset = nprng_offset
         self.aliasing = aliasing
@@ -141,7 +202,8 @@ class Mix:
         self.filename_prefix = filename_prefix
         self.inject = tuple(inject)
         self.heavy = bool(heavy)
-        assert not (self.inject and self.heavy)
+        self.cleanup = bool(cleanup)
+        assert bool(self.inject) + self.heavy + self.cleanup <= 1
 
 
 #: Stream-identical to the historical test_write_barrier_differential
@@ -165,6 +227,12 @@ COEXEC_MIX = Mix(nprng_offset=70_000, filename_prefix="coexdiff",
 #: (test_schedule_differential.py).
 SCHEDULE_MIX = Mix(nprng_offset=100_000, filename_prefix="scheddiff",
                    heavy=True)
+
+
+#: The clean-up mix: full statement pool plus clean-up constructs around
+#: non-local exits (test_cleanup_differential.py).
+CLEANUP_MIX = Mix(nprng_offset=160_000, filename_prefix="cleandiff",
+                  cleanup=True)
 
 
 def vec(nprng, n=4):
@@ -228,6 +296,15 @@ def gen_program(seed, tag=None, mix=WRITE_BARRIER_MIX):
             at = hrng.randint(0, len(body))
             body[at:at] = HEAVY[name]
         used = used + ["heavy"]
+    if mix.cleanup:
+        crng = random.Random(150_000 + seed)
+        picks = sorted(CLEANUP)
+        crng.shuffle(picks)
+        chunks = [[line] for line in body]
+        for name in picks[:crng.randint(1, 3)]:
+            chunks.insert(crng.randint(0, len(chunks)), CLEANUP[name])
+        body = [line for chunk in chunks for line in chunk]
+        used = used + ["cleanup"]
     lines = ["def prog(x):", "    y = x * 1.0"] + body
     if has_branch:
         lines += BRANCH
@@ -244,6 +321,10 @@ def gen_program(seed, tag=None, mix=WRITE_BARRIER_MIX):
         m.q = R.constant(hnprng.normal(size=(4, 4)).astype(np.float32) / 2)
         m.acc = R.constant(np.zeros((1, 4), np.float32))
         m.state = R.Variable(np.zeros(4, np.float32))
+    if mix.cleanup:
+        m.ticks = R.constant(np.float32(0.0))
+        m.seen = R.Variable(np.zeros(4, np.float32))
+        m.gate = Gate()
 
     filename = "<%s-%d>" % (mix.filename_prefix, seed) if tag is None \
         else "<%s-%s-%d>" % (mix.filename_prefix, tag, seed)
@@ -281,6 +362,11 @@ def mutation_pool(used, has_branch):
         pool.append("x_flip")
     if "heavy" in used:
         pool += ["p_rebind", "q_inplace"]
+    if "cleanup" in used:
+        pool.append("ticks_rebind")
+        if "gain" not in used:
+            # Every clean-up program reads m.gain (the early returns).
+            pool.append("gain_change")
     return pool
 
 
@@ -307,5 +393,7 @@ def apply_mutation(kind, m, nprng, state):
         m.p = R.constant(nprng.normal(size=(4, 4)).astype(np.float32) / 2)
     elif kind == "q_inplace":
         m.q.add_(0.125)
+    elif kind == "ticks_rebind":
+        m.ticks = R.constant(np.float32(10.0))
     else:  # pragma: no cover - generator bug
         raise AssertionError(kind)

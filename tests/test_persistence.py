@@ -311,6 +311,18 @@ class TestTolerance:
         self._write_record(store, self._record(format=ARTIFACT_FORMAT + 1))
         assert store.load(self.KEY) is None
         assert self._miss_count("version") == 1
+        # A format-1 record (GeneratedGraph pickled from the one-module
+        # graphgen) that ended up under a current key: refused on its
+        # stamp, before anything tries to unpickle its payload.
+        assert ARTIFACT_FORMAT == 2
+
+        def never(payload):
+            raise AssertionError("a format-1 payload was unpickled")
+
+        self._write_record(store, self._record(format=1))
+        assert store.load(self.KEY, rebuild=never) is None
+        assert self._miss_count("version") == 2
+        assert self._miss_count("rebuild") == 0
 
     def test_version_skew_is_a_version_miss(self, tmp_path):
         store = self._store(tmp_path)
