@@ -25,7 +25,7 @@
 #                      (<2% of the quickstart step) and the two serving
 #                      gates (same-run ratios
 #                      against a direct call of the warm function,
-#                      any host: one blocking client >= 0.35x, one
+#                      any host: one blocking client >= 0.53x, one
 #                      client with 8 outstanding submits >= 1.0x) and
 #                      the warm-start gate (disk-cache warm start >= 5x
 #                      faster to first graph hit than a cold compile)

@@ -73,28 +73,59 @@ class Scalar:
         self.value = 0
 
 
+def _folded(field):
+    """A read of *field* that counts the buffered observations first."""
+    def read(self):
+        with self._lock:
+            self._fold()
+            return getattr(self, field)
+    return property(read)
+
+
 class Histogram:
     """Fixed log-bucket histogram with exact count/sum/min/max.
+
+    An observation is buffered — one list append — and counted into its
+    bucket when the histogram is read or :attr:`FOLD_AT` of them have
+    piled up, so a hot path pays for the bucket search in batches.
+    Every read (``count``, ``counts``, ``total``, ``min``, ``max``, a
+    percentile, a snapshot) folds the buffer first, under the lock:
+    nothing observed before a read is missing from it.
 
     Thread-safe: ``observe``/``merge``/``snapshot`` serialize on the
     histogram's lock so concurrent callers never lose counts or read a
     torn count/sum pair.
     """
 
-    __slots__ = ("counts", "count", "total", "min", "max", "_lock")
+    __slots__ = ("_counts", "_count", "_total", "_min", "_max",
+                 "_pending", "_lock", "_feed")
 
     BOUNDS = BUCKET_BOUNDS
+    #: Buffered observations that trigger a fold on the recording path:
+    #: enough to count them in one warm loop, few enough that the
+    #: observation that pays for the fold is delayed by microseconds.
+    FOLD_AT = 32
 
-    def __init__(self, lock=None):
+    counts = _folded("_counts")
+    count = _folded("_count")
+    total = _folded("_total")
+    min = _folded("_min")
+    max = _folded("_max")
+
+    def __init__(self, lock=None, feed=None):
         self._lock = lock if lock is not None else threading.Lock()
+        #: Called, lock held, before the buffer is counted: an owner
+        #: that logs whole events and observes them later does so now.
+        self._feed = feed
         self._reset()
 
     def _reset(self):
-        self.counts = [0] * (len(self.BOUNDS) + 1)   # +1 overflow bucket
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
+        self._counts = [0] * (len(self.BOUNDS) + 1)  # +1 overflow bucket
+        self._count = 0
+        self._total = 0.0
+        self._min = None
+        self._max = None
+        self._pending = []
 
     # -- recording -----------------------------------------------------------
 
@@ -106,20 +137,32 @@ class Histogram:
         """:meth:`observe` for a caller that already holds the lock
         guarding this histogram (an owner folding several observations
         under one acquisition)."""
-        value = float(value)
-        # bisect_right: value == bound goes to the next bucket, so bucket
-        # i holds (BOUNDS[i-1], BOUNDS[i]].  Negative/zero clamps to 0.
-        self._add(bisect_right(self.BOUNDS, value) if value > 0.0 else 0,
-                  value)
+        pending = self._pending
+        pending.append(float(value))
+        if len(pending) >= self.FOLD_AT:
+            self._fold()
 
-    def _add(self, bucket, value):
-        self.counts[bucket] += 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+    def _fold(self):
+        """Count the buffered observations; the caller holds the lock."""
+        if self._feed is not None:
+            self._feed()
+        if self._pending:
+            self._absorb(self._pending)
+            self._pending.clear()
+
+    def _absorb(self, values):
+        # bisect_right: value == bound goes to the next bucket, so bucket
+        # i holds [BOUNDS[i-1], BOUNDS[i]).  Negative/zero clamps to 0.
+        counts, bounds = self._counts, self.BOUNDS
+        for value in values:
+            counts[bisect_right(bounds, value) if value > 0.0 else 0] += 1
+        self._count += len(values)
+        self._total += sum(values)
+        low, high = min(values), max(values)
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
 
     # -- statistics ----------------------------------------------------------
 
@@ -170,32 +213,35 @@ class Histogram:
         """Accumulate *other* into this histogram (same fixed buckets)."""
         snap = other.snapshot()
         with self._lock:
+            self._fold()
             for i, n in enumerate(snap["counts"]):
-                self.counts[i] += n
-            self.count += snap["count"]
-            self.total += snap["sum"]
-            if snap["min"] is not None and (self.min is None
-                                            or snap["min"] < self.min):
-                self.min = snap["min"]
-            if snap["max"] is not None and (self.max is None
-                                            or snap["max"] > self.max):
-                self.max = snap["max"]
+                self._counts[i] += n
+            self._count += snap["count"]
+            self._total += snap["sum"]
+            if snap["min"] is not None and (self._min is None
+                                            or snap["min"] < self._min):
+                self._min = snap["min"]
+            if snap["max"] is not None and (self._max is None
+                                            or snap["max"] > self._max):
+                self._max = snap["max"]
         return self
 
     def snapshot(self):
         """Plain-dict copy, JSON-serializable and restorable."""
         with self._lock:
-            return {"counts": list(self.counts), "count": self.count,
-                    "sum": self.total, "min": self.min, "max": self.max}
+            self._fold()
+            return {"counts": list(self._counts), "count": self._count,
+                    "sum": self._total, "min": self._min,
+                    "max": self._max}
 
     def _restore(self, snap):
         counts = list(snap.get("counts", ()))
-        for i, n in enumerate(counts[:len(self.counts)]):
-            self.counts[i] = int(n)
-        self.count = int(snap.get("count", sum(self.counts)))
-        self.total = float(snap.get("sum", 0.0))
-        self.min = snap.get("min")
-        self.max = snap.get("max")
+        for i, n in enumerate(counts[:len(self._counts)]):
+            self._counts[i] = int(n)
+        self._count = int(snap.get("count", sum(self._counts)))
+        self._total = float(snap.get("sum", 0.0))
+        self._min = snap.get("min")
+        self._max = snap.get("max")
         return self
 
     @classmethod
@@ -226,15 +272,16 @@ class WindowedHistogram(Histogram):
     idle histogram decays to empty without a background thread.
 
     Memory is bounded at ``(slices + 1)`` bucket arrays.  The inherited
-    lock guards the cumulative counts, the ring and every slice in it:
-    an observation finds its bucket once and lands in both views under
-    that one acquisition.
+    lock guards the cumulative counts, the ring and every slice in it;
+    the buffered observations all fell into one slice (a new slice
+    folds the buffer first) and are counted into both views together.
     """
 
     __slots__ = ("window_s", "slices", "_slice_span", "_ring", "_seqs",
-                 "_clock")
+                 "_seq", "_clock")
 
-    def __init__(self, window_s=60.0, slices=6, clock=None, lock=None):
+    def __init__(self, window_s=60.0, slices=6, clock=None, lock=None,
+                 feed=None):
         if slices < 1:
             raise ValueError("WindowedHistogram needs >= 1 slice")
         self.window_s = float(window_s)
@@ -242,25 +289,35 @@ class WindowedHistogram(Histogram):
         self._slice_span = self.window_s / self.slices
         #: Injectable for tests; perf_counter in production.
         self._clock = clock if clock is not None else _perf_counter
-        super().__init__(lock)
+        super().__init__(lock, feed)
 
     def _reset(self):
         super()._reset()
         self._ring = [Histogram() for _ in range(self.slices)]
         self._seqs = [None] * self.slices
+        #: The slice the buffered observations fell into.
+        self._seq = None
 
     # -- recording -----------------------------------------------------------
 
-    def _observe(self, value):
-        value = float(value)
-        bucket = bisect_right(self.BOUNDS, value) if value > 0.0 else 0
-        self._add(bucket, value)                 # cumulative view
-        seq = int(self._clock() / self._slice_span)
+    def _observe(self, value, now=None):
+        """*now*: a reading of the clock the caller has already taken
+        (an owner stamping several windowed histograms at once)."""
+        seq = int((self._clock() if now is None else now)
+                  / self._slice_span)
+        if seq != self._seq:
+            self._fold()
+            self._seq = seq
+        super()._observe(value)
+
+    def _absorb(self, values):
+        seq = self._seq
         slot = seq % self.slices
         if self._seqs[slot] != seq:
             self._ring[slot] = Histogram()       # expired: start fresh
             self._seqs[slot] = seq
-        self._ring[slot]._add(bucket, value)
+        self._ring[slot]._absorb(values)
+        super()._absorb(values)                  # cumulative view
 
     # -- trailing-window view ------------------------------------------------
 
@@ -269,6 +326,7 @@ class WindowedHistogram(Histogram):
         now_seq = int(self._clock() / self._slice_span)
         merged = Histogram()
         with self._lock:
+            self._fold()
             for i in range(self.slices):
                 if self._seqs[i] is not None \
                         and now_seq - self._seqs[i] < self.slices:
@@ -323,7 +381,7 @@ class Family:
     set.  Created through :class:`Registry`; never replaced."""
 
     def __init__(self, name, kind, help, unit, labelnames, lock, sample,
-                 window):
+                 window, feed=None):
         self.name = name
         self.kind = kind
         self.help = help
@@ -333,6 +391,7 @@ class Family:
         self.window = window
         self._lock = lock               # shared by the children, or None
         self._sample = sample           # gauge callback, or None
+        self._feed = feed               # histogram children's, or None
         self._children = {}
         self._create_lock = threading.Lock()
         if not self.labelnames and sample is None:
@@ -354,9 +413,10 @@ class Family:
 
     def _new_child(self):
         if self.kind == HISTOGRAM:
-            return Histogram(self._lock)
+            return Histogram(self._lock, self._feed)
         if self.kind == WINDOWED:
-            return WindowedHistogram(*self.window, lock=self._lock)
+            return WindowedHistogram(*self.window, lock=self._lock,
+                                     feed=self._feed)
         return Scalar(self._lock)
 
     def samples(self):
@@ -396,7 +456,7 @@ class Registry:
     # -- declaring -----------------------------------------------------------
 
     def _declare(self, kind, name, help, unit, labels, lock, sample=None,
-                 window=None):
+                 window=None, feed=None):
         if (kind == COUNTER) != name.endswith("_total"):
             raise ValueError("%s: counters, and only counters, are named "
                              "*_total" % name)
@@ -407,7 +467,8 @@ class Registry:
             family = self._families.get(name)
             if family is None:
                 family = self._families[name] = Family(
-                    name, kind, help, unit, labels, lock, sample, window)
+                    name, kind, help, unit, labels, lock, sample, window,
+                    feed)
             elif family.kind != kind \
                     or family.labelnames != tuple(labels):
                 raise ValueError(
@@ -427,13 +488,17 @@ class Registry:
         return self._declare(GAUGE, name, help, unit, labels, lock,
                              sample)
 
-    def histogram(self, name, help, unit="seconds", labels=(), lock=None):
-        return self._declare(HISTOGRAM, name, help, unit, labels, lock)
+    def histogram(self, name, help, unit="seconds", labels=(), lock=None,
+                  feed=None):
+        """*feed* (also of :meth:`windowed`): called with *lock* held
+        before a child counts its buffer — see :class:`Histogram`."""
+        return self._declare(HISTOGRAM, name, help, unit, labels, lock,
+                             feed=feed)
 
     def windowed(self, name, help, unit="seconds", labels=(), lock=None,
-                 window_s=60.0, slices=6):
+                 window_s=60.0, slices=6, feed=None):
         return self._declare(WINDOWED, name, help, unit, labels, lock,
-                             window=(window_s, slices))
+                             window=(window_s, slices), feed=feed)
 
     # -- inspection ----------------------------------------------------------
 

@@ -1,49 +1,50 @@
 """Request-scoped causal tracing and the flight recorder.
 
 The tracer answers "what happened, in order"; this module answers "what
-happened *to this request*".  A :class:`RequestContext` is created when
-a request enters the serving layer (``Endpoint.submit``, which
-``Server.call`` goes through) and
-travels with it through queueing, batch dispatch, ``janus.function``
-dispatch (warm hit / stampede loss / ticket win / background recompile /
-imperative fallback), disk-cache probes, and co-execution fragment/gap
-handoffs — Dapper-style causal propagation with the *request*, not the
-process, as the unit of observability.
+happened *to this request*".  The serving layer gives every request a
+:class:`RequestContext` that travels with it through queueing, batch
+dispatch, ``janus.function`` dispatch (warm hit / stampede loss /
+ticket win / background recompile / imperative fallback), disk-cache
+probes, and co-execution fragment/gap handoffs — Dapper-style causal
+propagation with the *request*, not the process, as the unit of
+observability.
 
-Two cooperating mechanisms:
+**Stamps first.**  A context is born as a name and ``started``;
+resolving it (:meth:`RequestContext.close`) adds when it was dispatched,
+with how many companions, how it ended and how long it took — clock
+readings the serving layer takes anyway, and all an uneventful request
+ever holds.  The capture list and the flag set are allocated by the
+first site that records into the context (:func:`note`, :func:`flag`,
+:func:`span`, the tracer hook), and the ``serve_queue`` /
+``serve_dispatch`` spans are never recorded: they are rebuilt from the
+stamps when a summary is read, or streamed into the tracer, when it is
+on, as the request resolves.
 
 1. **Trace-event annotation.**  :func:`_annotate` is installed as the
-   tracer's request hook (:func:`repro.observability.tracer.set_request_hook`)
-   and runs once per *recorded* event — never on the ``JANUS_TRACE=0``
-   path.  While a request context is active on the emitting thread it
-   stamps ``trace_id``/``span_id``/``parent_span`` into the event args
-   and mirrors the event into the request's bounded capture, so every
-   existing instrumentation site (``cache_hit``, ``assumption_fail``,
-   ``diskcache_*``, …) joins the request's causal flow without being
-   rewritten.  Request contexts cross threads explicitly: whichever
-   client thread dispatches a request re-activates the context it
-   pulled off the queue with :func:`using`.
+   tracer's request hook and runs once per *recorded* event — never on
+   the ``JANUS_TRACE=0`` path.  While a context is active on the
+   emitting thread it stamps ``trace_id``/``span_id``/``parent_span``
+   into the event args and mirrors the event into the request's bounded
+   capture, so every existing instrumentation site (``cache_hit``,
+   ``assumption_fail``, ``diskcache_*``, …) joins the request's flow
+   unchanged.  Contexts cross threads explicitly: whichever client
+   thread dispatches a request activates its context around the
+   endpoint function (:func:`activate`; :func:`using` as a ``with``).
 
 2. **The flight recorder.**  Every finished request hands its context
-   (trace id, outcome, duration, captured spans) to :data:`RECORDER`,
-   which retains the N slowest plus *all* failed/fallback/rejected
-   requests as post-mortem exemplars, dumpable via ``janus-stats
-   --requests`` and the ``/requests`` endpoint of
-   ``python -m repro.observability.httpstat``.  The recorder keeps the
-   contexts themselves; the JSON summary of one is built when somebody
-   reads it, not when the request finishes.
+   to :data:`RECORDER`, which retains the N slowest, *all*
+   failed/flagged/rejected ones and the last 32 of any kind, dumpable
+   via ``janus-stats --requests`` and ``/requests`` of
+   ``python -m repro.observability.httpstat``.  It keeps the contexts;
+   a JSON summary is built when read, not when the request finishes.
 
-Cost model, mirroring the tracer's:
-
-* ``JANUS_TRACE=0`` and recorder disabled → :func:`new_request` returns
-  None and every site degenerates to one attribute load / contextvar
-  read; no allocation, no timestamps.
-* Recorder enabled (the default for the serving layer) → one small
-  context object per request plus one tuple per captured span (turned
-  into JSON-ready dicts when read); captures are bounded by
-  :attr:`RequestContext.MAX_EVENTS`.
-
-Standard library only, importable from any subsystem without cycles.
+Cost: with ``JANUS_TRACE=0`` and the recorder disabled
+:func:`new_request` returns None and a site is one contextvar read.
+With the recorder on (the serving default) a request is one small
+object, one contextvar set/reset around its dispatch and one recorder
+append; only a request that falls back, co-executes or is noted pays
+for a capture — one tuple per event, rendered when read, at most
+:attr:`RequestContext.MAX_EVENTS`.  Standard library only.
 """
 
 import contextvars
@@ -53,13 +54,14 @@ import threading
 import time
 from bisect import insort
 from collections import deque
+from contextlib import contextmanager
 
 from . import tracer as tracer_mod
 from .tracer import TRACER, TraceEvent
 
-__all__ = ["RECORDER", "FlightRecorder", "RequestContext", "current",
-           "finish", "flag", "new_request", "note", "record_span",
-           "span", "span_in", "using", "get_flight_recorder"]
+__all__ = ["RECORDER", "FlightRecorder", "RequestContext", "activate",
+           "current", "deactivate", "flag", "new_request", "note", "span",
+           "using", "get_flight_recorder"]
 
 _perf_counter = time.perf_counter
 
@@ -81,38 +83,46 @@ if hasattr(os, "register_at_fork"):
 #: The active request context for this thread/task (None = no request).
 _CURRENT = contextvars.ContextVar("janus_request", default=None)
 
+#: Span ids of a served request's queue wait and of its dispatch — the
+#: parent of everything captured while the endpoint function runs.
+_QUEUE_SPAN, _DISPATCH_SPAN = 1, 2
+
 
 class RequestContext:
-    """One request's causal trace: id, open span, bounded capture."""
-
-    __slots__ = ("name", "started", "_seq", "_captured", "dropped",
-                 "_flags", "outcome", "detail", "duration", "_ids",
-                 "_open")
+    """One request's causal trace: stamps, and a capture on demand."""
 
     #: Per-request capture bound; events beyond it are counted, not kept.
     MAX_EVENTS = 200
 
-    def __init__(self, name):
-        # What a request that nobody looks at pays for is kept small:
-        # the id is formatted, the flag set allocated and the captured
-        # events rendered only when read.
+    # A served request nobody looks at holds its name, ``started`` and
+    # its number; the rest reads these defaults until `close` or a
+    # recording site writes the instance's own.
+    #: [(category, name, ph, ts, dur, args, span_id, parent_span)]; the
+    #: ids are None when *args* already carries them (tracer events).
+    _captured = None
+    dropped = 0
+    _flags = None
+    outcome = detail = duration = None
+    #: Pickup by the dispatching thread (None: it never ran) and the
+    #: requests that dispatch coalesced (None: not a served request).
+    dispatched = None
+    batch = 1
+    #: Last span id handed out, and the innermost span still open: the
+    #: parent of whatever is recorded next (spans nest as ``with``
+    #: blocks, each restoring its own parent on exit).
+    _last_id = _open = _DISPATCH_SPAN
+
+    def __init__(self, name, started=None):
+        """*started*: the ``perf_counter`` reading at which the serving
+        layer accepted the request; None for a free-standing context,
+        which has no serving spans."""
         self.name = name
-        self.started = _perf_counter()
         self._seq = next(_TRACE_IDS)
-        #: (category, name, ph, ts, dur, args, span_id, parent_span)
-        #: per captured event; the ids are None when *args* already
-        #: carries them (events mirrored from the tracer).
-        self._captured = []
-        self.dropped = 0
-        self._flags = None
-        self.outcome = None
-        self.detail = None
-        self.duration = None
-        self._ids = itertools.count(1)
-        #: Id of the innermost span still open (None outside any span):
-        #: the parent of whatever is recorded next.  Spans nest as
-        #: ``with`` blocks, so each restores its own parent on exit.
-        self._open = None
+        if started is None:
+            started = _perf_counter()
+            self.batch = self._open = None
+            self._last_id = 0
+        self.started = started
 
     @property
     def trace_id(self):
@@ -131,29 +141,59 @@ class RequestContext:
 
     # -- capture -------------------------------------------------------------
 
-    def _capture(self, category, name, ph, ts, dur, args, span_id=None,
-                 parent=None):
-        """Keep one event in the bounded capture.  *args* is kept, not
-        copied: callers hand over a dict nobody mutates afterwards."""
+    def _next_id(self):
+        self._last_id = span_id = self._last_id + 1
+        return span_id
+
+    def _capture(self, *event):
+        """Keep one event tuple in the bounded capture.  Its *args* is
+        kept, not copied: callers hand over a dict nobody mutates
+        afterwards."""
+        if self._captured is None:
+            self._captured = []
         if len(self._captured) >= self.MAX_EVENTS:
             self.dropped += 1
-            return
-        self._captured.append((category, name, ph, ts, dur, args,
-                               span_id, parent))
+        else:
+            self._captured.append(event)
 
-    def close(self, outcome, now, detail=None):
-        """Stamp how and when (``perf_counter`` *now*) the request ended."""
+    def close(self, outcome, now, detail=None, dispatched=None, batch=1):
+        """Stamp how and when (``perf_counter`` *now*) the request
+        ended, and for a served one the dispatch that ran it."""
         self.outcome = outcome
         self.detail = detail
         self.duration = now - self.started
+        if self.batch is not None:
+            self.dispatched = dispatched
+            self.batch = batch
+            if TRACER.level:
+                for event in self._serving_spans():
+                    _trace(self, *event)
+
+    def _serving_spans(self):
+        """The queue wait and the dispatch of a served request, as
+        capture tuples rebuilt from its stamps."""
+        if self.batch is None:
+            return []
+        name = self.name.partition(".")[2] or self.name
+        args = {"batch": self.batch}
+        start = self.started
+        end = start + (self.duration or 0.0)
+        picked = end if self.dispatched is None else self.dispatched
+        spans = [("serve_queue", name, "X", start, picked - start, args,
+                  _QUEUE_SPAN, None)]
+        if picked is not end:
+            spans.append(("serve_dispatch", name, "X", picked,
+                          end - picked, args, _DISPATCH_SPAN, None))
+        return spans
 
     @property
     def events(self):
-        """The captured events as JSON-serializable dicts."""
+        """The serving spans and the captured events as
+        JSON-serializable dicts."""
         events = []
         trace_id = self.trace_id
         for category, name, ph, ts, dur, args, span_id, parent \
-                in self._captured:
+                in self._serving_spans() + (self._captured or []):
             args = dict(args) if args else {}
             if span_id is not None:
                 args["trace_id"] = trace_id
@@ -181,17 +221,14 @@ class RequestContext:
 
     def __repr__(self):
         return "RequestContext(%s, %s, %d events)" % (
-            self.trace_id, self.name, len(self._captured))
+            self.trace_id, self.name, len(self._captured or ()))
 
 
 def _annotate(event):
     """The tracer's request hook: stamp causal ids + mirror to capture.
-
-    Runs only when an event is actually recorded (trace level > 0), so
-    the disabled path never reaches it.  Events that already carry a
-    ``trace_id`` (pre-stamped by :func:`record_span` / :class:`_ReqSpan`)
-    are captured without re-stamping.
-    """
+    Runs only when an event is actually recorded (trace level > 0);
+    events that already carry a ``trace_id`` (:func:`_trace`) are
+    captured without re-stamping."""
     ctx = _CURRENT.get()
     if ctx is None:
         return
@@ -201,11 +238,11 @@ def _annotate(event):
         event.args = args
     if "trace_id" not in args:
         args["trace_id"] = ctx.trace_id
-        args["span_id"] = next(ctx._ids)
+        args["span_id"] = ctx._next_id()
         if ctx._open is not None:
             args["parent_span"] = ctx._open
     ctx._capture(event.category, event.name, event.ph, event.ts,
-                 event.dur, args)
+                 event.dur, args, None, None)
 
 
 tracer_mod.set_request_hook(_annotate)
@@ -213,16 +250,12 @@ tracer_mod.set_request_hook(_annotate)
 
 # -- request lifecycle -------------------------------------------------------
 
-def _active():
-    return TRACER.level > 0 or RECORDER.enabled
-
-
-def new_request(name):
+def new_request(name, started=None):
     """A fresh :class:`RequestContext`, or None when request tracing is
     fully off (``JANUS_TRACE=0`` and the flight recorder disabled)."""
-    if not _active():
-        return None
-    return RequestContext(name)
+    if TRACER.level > 0 or RECORDER.enabled:
+        return RequestContext(name, started)
+    return None
 
 
 def current():
@@ -230,158 +263,95 @@ def current():
     return _CURRENT.get()
 
 
-class using:
-    """Activate *ctx* on the current thread for the ``with`` body.
-
-    The serving layer uses this to continue, on the thread that
-    dispatches a request, the trace its submitter started;
-    ``using(None)`` is a no-op context manager.
-    """
-
-    __slots__ = ("_ctx", "_token")
-
-    def __init__(self, ctx):
-        self._ctx = ctx
-
-    def __enter__(self):
-        self._token = _CURRENT.set(self._ctx) \
-            if self._ctx is not None else None
-        return self._ctx
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._token is not None:
-            _CURRENT.reset(self._token)
-        return False
+#: ``token = activate(ctx)`` makes *ctx* the current request of this
+#: thread until ``deactivate(token)``: what the serving layer does
+#: around an endpoint function to continue, on the dispatching thread,
+#: the trace the submitter started.
+activate = _CURRENT.set
+deactivate = _CURRENT.reset
 
 
-def finish(ctx, outcome, detail=None):
-    """Close out a request: stamp outcome + duration, feed the recorder."""
-    if ctx is None:
-        return
-    ctx.close(outcome, _perf_counter(), detail)
-    RECORDER.record(ctx)
+@contextmanager
+def using(ctx):
+    """:func:`activate` *ctx* (None: no request) for the ``with`` body."""
+    token = activate(ctx)
+    try:
+        yield ctx
+    finally:
+        deactivate(token)
 
 
 # -- span recording ----------------------------------------------------------
 
-class _ReqSpan:
-    """Timed span inside a request (parented on the span open around
-    it); with *activate* the request is also made current for the body.
-    """
-
-    __slots__ = ("_ctx", "_category", "_name", "_args", "_span_id",
-                 "_parent", "_start", "_token")
-
-    def __init__(self, ctx, category, name, args, activate=False):
-        self._ctx = ctx
-        self._category = category
-        self._name = name
-        self._args = args
-        #: False: leave the current request alone.  True: make *ctx*
-        #: current on enter, when this becomes the token to reset with.
-        self._token = activate
-
-    def __enter__(self):
-        ctx = self._ctx
-        if self._token:
-            self._token = _CURRENT.set(ctx)
-        self._span_id = next(ctx._ids)
-        self._parent = ctx._open
-        ctx._open = self._span_id
-        self._start = _perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        end = _perf_counter()
-        ctx = self._ctx
-        if self._token:
-            _CURRENT.reset(self._token)
-        ctx._open = self._parent
-        args = self._args
-        if exc_type is not None:
-            args = dict(args, error=exc_type.__name__)
-        _emit(ctx, self._category, self._name, "X", self._start,
-              end - self._start, args, self._span_id, self._parent)
-        return False
+@contextmanager
+def _req_span(ctx, category, name, args):
+    """Timed span inside a request, parented on the span open around
+    it."""
+    span_id = ctx._next_id()
+    parent, ctx._open = ctx._open, span_id
+    start = _perf_counter()
+    try:
+        yield
+    except BaseException as exc:
+        args = dict(args, error=type(exc).__name__)
+        raise
+    finally:
+        ctx._open = parent
+        _emit(ctx, category, name, "X", start, _perf_counter() - start,
+              args, span_id, parent)
 
 
-def _emit(ctx, category, name, ph, ts, dur, args, span_id, parent):
-    """One request-scoped event: into the tracer when it is on (its
-    hook mirrors the event into *ctx*), else straight into *ctx*'s
-    capture, where the ids ride beside *args* instead of in a copy."""
+def _trace(ctx, category, name, ph, ts, dur, args, span_id, parent):
+    """One request-scoped event into the tracer, ids in its args (its
+    hook mirrors the event into whichever context is current)."""
+    args = dict(args, trace_id=ctx.trace_id, span_id=span_id)
+    if parent is not None:
+        args["parent_span"] = parent
+    TRACER._append(TraceEvent(category, name, ph, ts, dur,
+                              threading.get_ident(), args))
+
+
+def _emit(ctx, *event):
+    """One event recorded inside *ctx*: into the tracer when it is on,
+    else straight into the capture, where the ids ride beside the args
+    instead of in a copy."""
     if TRACER.level:
-        args = dict(args, trace_id=ctx.trace_id, span_id=span_id)
-        if parent is not None:
-            args["parent_span"] = parent
-        TRACER._append(TraceEvent(category, name, ph, ts, dur,
-                                  threading.get_ident(), args))
+        _trace(ctx, *event)
     else:
-        ctx._capture(category, name, ph, ts, dur, args, span_id, parent)
+        ctx._capture(*event)
 
 
 def span(category, name, **args):
-    """Context manager for a request-scoped span.
-
-    With an active request context the span joins its causal flow (and
-    its bounded capture, even at ``JANUS_TRACE=0``).  Without one it
-    degrades to a plain ``TRACER.span`` — visible in ordinary traces,
-    free when tracing is off.
-    """
+    """Context manager for a request-scoped span: with an active
+    request context it joins that flow (and its bounded capture, even at
+    ``JANUS_TRACE=0``); without one it is a plain ``TRACER.span`` —
+    visible in ordinary traces, free when tracing is off."""
     ctx = _CURRENT.get()
     if ctx is None:
         return TRACER.span(category, name, **args)
-    return _ReqSpan(ctx, category, name, args)
-
-
-def span_in(ctx, category, name, args):
-    """:func:`using` and :func:`span` in one context manager: activate
-    *ctx* on this thread for the body and time a span in it.  The
-    serving layer enters one per dispatch; *args* is a dict it may
-    share between the spans of a batch (never mutated here)."""
-    if ctx is None:
-        return TRACER.span(category, name, **args)
-    return _ReqSpan(ctx, category, name, args, activate=True)
-
-
-def record_span(ctx, category, name, start, duration, args):
-    """Record an externally-timed span into *ctx* (no activation needed).
-
-    Used for spans measured on another thread's clock — e.g. the queue
-    wait, timed from the submitting thread's enqueue to the dispatching
-    thread's pickup.  *args* may be shared between calls (never mutated
-    here).
-    """
-    if ctx is not None:
-        _emit(ctx, category, name, "X", start, duration, args,
-              next(ctx._ids), None)
+    return _req_span(ctx, category, name, args)
 
 
 def flag(name):
-    """Tag the active request (no event) so the recorder retains it.
-
-    Used next to pre-existing ``TRACER.instant`` sites whose events the
-    hook already captures — the tag adds retention without a duplicate
-    event.
-    """
+    """Tag the active request (no event) so the recorder retains it:
+    for ``TRACER.instant`` sites whose event the hook already captures,
+    the tag adds retention without a duplicate event."""
     ctx = _CURRENT.get()
     if ctx is not None:
         ctx.flags.add(name)
 
 
 def note(category, name, flag=None, **args):
-    """Mark an instant on the active request (no-op without one).
-
-    *flag* additionally tags the request itself ("fallback",
-    "stampede_loss", …) so the flight recorder retains it as an
-    exemplar regardless of outcome.
-    """
+    """Mark an instant on the active request (no-op without one);
+    *flag* also tags the request itself ("fallback", "stampede_loss",
+    …) so the flight recorder retains it whatever its outcome."""
     ctx = _CURRENT.get()
     if ctx is None:
         return
     if flag is not None:
         ctx.flags.add(flag)
     _emit(ctx, category, name, "i", _perf_counter(), 0.0, args,
-          next(ctx._ids), ctx._open)
+          ctx._next_id(), ctx._open)
 
 
 # -- the flight recorder -----------------------------------------------------
@@ -400,9 +370,8 @@ class FlightRecorder:
     :meth:`record` only files the finished context — no summary dict,
     and an ``insort`` into *slowest* only for a request slower than the
     fastest one kept there.  The views build the summaries when read.
-
     Thread-safe; snapshot/restore round-trips through the
-    ``janus-stats`` bundle like the other registries.
+    ``janus-stats`` bundle.
     """
 
     def __init__(self, keep_slowest=8, keep_failed=32, keep_recent=32):
@@ -439,40 +408,30 @@ class FlightRecorder:
                     if len(slowest) > self.keep_slowest:
                         slowest.pop(0)
 
-    # -- inspection ----------------------------------------------------------
-
-    def slowest(self):
-        """Summaries, slowest first."""
-        with self._lock:
-            kept = [item[2] for item in reversed(self._slowest)]
-        return _summaries(kept)
-
-    def failed(self):
-        """Failed/flagged summaries, oldest first."""
-        with self._lock:
-            kept = list(self._failed)
-        return _summaries(kept)
-
-    def recent(self):
-        with self._lock:
-            kept = list(self._recent)
-        return _summaries(kept)
-
-    # -- serialization -------------------------------------------------------
+    # -- inspection and serialization ----------------------------------------
 
     def snapshot(self):
+        """Counts and the three views as summaries (JSON-serializable):
+        slowest first, failed and recent oldest first."""
         with self._lock:
-            completed, failures = self.completed, self.failures
-            slowest = [item[2] for item in reversed(self._slowest)]
-            failed = list(self._failed)
-            recent = list(self._recent)
-        return {
-            "completed": completed,
-            "failures": failures,
-            "slowest": _summaries(slowest),
-            "failed": _summaries(failed),
-            "recent": _summaries(recent),
-        }
+            snap = {"completed": self.completed, "failures": self.failures}
+            kept = (("slowest", [item[2] for item in reversed(self._slowest)]),
+                    ("failed", list(self._failed)),
+                    ("recent", list(self._recent)))
+        # Finished contexts, or the summary dicts a restored one holds.
+        snap.update((view, [item.summary()
+                            if isinstance(item, RequestContext) else item
+                            for item in items]) for view, items in kept)
+        return snap
+
+    def slowest(self):
+        return self.snapshot()["slowest"]
+
+    def failed(self):
+        return self.snapshot()["failed"]
+
+    def recent(self):
+        return self.snapshot()["recent"]
 
     @classmethod
     def from_snapshot(cls, snap):
@@ -481,11 +440,10 @@ class FlightRecorder:
         snap = snap or {}
         recorder.completed = int(snap.get("completed", 0))
         recorder.failures = int(snap.get("failures", 0))
-        for summary in reversed(snap.get("slowest") or ()):
-            recorder._slowest.append(
-                (summary.get("duration_s") or 0.0,
-                 next(recorder._seq), summary))
-        recorder._slowest.sort(key=lambda item: (item[0], item[1]))
+        recorder._slowest = sorted(
+            ((summary.get("duration_s") or 0.0, next(recorder._seq), summary)
+             for summary in reversed(snap.get("slowest") or ())),
+            key=lambda item: item[:2])
         recorder._failed.extend(snap.get("failed") or ())
         recorder._recent.extend(snap.get("recent") or ())
         return recorder
@@ -507,13 +465,6 @@ class FlightRecorder:
             self.failures)
 
 
-def _summaries(kept):
-    """Summaries of what a recorder keeps: finished contexts, or the
-    summary dicts a restored snapshot holds."""
-    return [item.summary() if isinstance(item, RequestContext) else item
-            for item in kept]
-
-
 def _env_enabled():
     raw = os.environ.get("JANUS_FLIGHT_RECORDER", "").strip().lower()
     return raw not in ("0", "false", "off", "no")
@@ -530,13 +481,10 @@ def get_flight_recorder():
 
 
 def disabled_request_cost(iterations=200_000):
-    """Measured per-site cost (seconds) of an *inactive* request gate.
-
-    Times the exact operation every request-scoped site performs with no
-    request in flight — one contextvar read returning None — minus empty
-    loop overhead.  Reported (informationally) by
-    ``benchmarks/bench_observability_overhead.py``.
-    """
+    """Measured per-site cost (seconds) of an *inactive* request gate:
+    what every request-scoped site does with no request in flight — one
+    contextvar read returning None — minus empty-loop overhead.
+    Reported by ``benchmarks/bench_observability_overhead.py``."""
     get = _CURRENT.get
     r = range(iterations)
     start = _perf_counter()

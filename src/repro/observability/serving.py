@@ -9,47 +9,46 @@ capacity questions a serving deployment adds on top:
 * **queueing** — queue depth seen by each arriving request and the wall
   time it waited before execution,
 * **batching** — how many shape-compatible requests each dispatch
-  coalesced (the dynamic-batching win is exactly this histogram's mean),
+  coalesced (the dynamic-batching win is exactly this histogram's
+  mean), and how many batches had to be re-run request by request,
 * **tenancy** — active / peak concurrent client threads,
 * **recompiles in flight** — compile tickets currently owned, sampled
-  from the live servers' endpoints when the gauge is *read* (the §4.3
-  recovery machinery under load),
+  from the live servers' endpoints when the gauge is *read*,
 * **end-to-end latency** — per-outcome (``ok`` / ``error`` /
   ``rejected``) submit → resolve latency over a trailing window,
   stamped where the request is resolved.
 
 Queue-wait and request-latency histograms are *windowed*
 (:class:`~repro.observability.metrics.WindowedHistogram`): cumulative
-since start *and* answering "what was p95 over the last minute" — the
-observed-percentile signal an adaptive ``batch_linger_s`` would trade
-against.  Queue depth and batch size are unitless counts in
-second-valued buckets, which is fine: percentile estimates clamp to the
-observed min/max.
+since start *and* answering "what was p95 over the last minute".
+Queue depth and batch size are unitless counts in second-valued
+buckets, which is fine: percentile estimates clamp to the observed
+min/max.
 
 :class:`ServingStats` is a *view* over the metrics registry
 (:mod:`repro.observability.metrics`): every number lives in a
 ``janus_serving_*`` instrument, declared with the view's one lock, so
-the server folds a whole dispatch — batch size, queue waits,
-per-outcome latencies — in one :meth:`ServingStats.record_batch` call
-under one acquisition, and the registry's snapshot, bundle and
-exposition carry the section without serving-specific code.
+the server folds a whole dispatch (:meth:`~ServingStats.record_batch`)
+or a whole uncontended call (:meth:`~ServingStats.record_solo`) under
+one acquisition, and the registry's snapshot, bundle and exposition
+carry the section without serving-specific code.  Whatever is read —
+through :data:`SERVING`, a registry snapshot, ``/metrics`` or
+``/health`` — reflects every request resolved before the read.
 ``ServingStats(registry)`` over a restored registry answers the same
-derived questions (``rejection_rate``, ``recompiles_in_flight``) the
-live view does.
+derived questions the live view does.
 
-Rejected requests are first-class: ``ServerOverloaded`` leaves no
-queue-wait trace (it never enqueued), so admission control shows up
-only in ``request_latency{outcome="rejected"}`` and the
-:attr:`ServingStats.rejection_rate` — an overload you can alert on even
-though the rejected work consumed almost no time.
+Rejected requests are first-class: ``ServerOverloaded`` never
+enqueued, so admission control shows up only in
+``request_latency{outcome="rejected"}`` and
+:attr:`ServingStats.rejection_rate` — an overload you can alert on.
 
 The process-wide view is :data:`SERVING`, populated by the serving
-layer regardless of ``METRICS.enabled`` — a server that is up wants its
-admission stats even with latency histograms off.
+layer regardless of ``METRICS.enabled``.
 """
 
 import threading
 import weakref
+from collections import deque
 
 from .metrics import METRICS, Registry, View
 
@@ -57,6 +56,10 @@ __all__ = ["SERVING", "ServingStats", "format_serving_table"]
 
 #: Request outcomes tracked by the per-outcome latency histograms.
 OUTCOMES = ("ok", "error", "rejected")
+
+#: Logged solo requests that trigger their replay on the recording
+#: path: fewer than one call in a hundred pays for it.
+_REPLAY_AT = 256
 
 
 class ServingStats(View):
@@ -76,11 +79,10 @@ class ServingStats(View):
         ("janus_serving_batches_total",
          "Dispatches (each coalescing >= 1 request).", "dispatches"),
         ("janus_serving_batched_requests_total",
-         "Requests that shared a dynamic batch.", "requests"),
-        ("janus_serving_active_clients",
-         "Client threads currently blocked in Server.call.", "threads"),
-        ("janus_serving_peak_clients",
-         "Peak concurrent client threads.", "threads"),
+         "Requests answered from a run they shared.", "requests"),
+        ("janus_serving_batch_fallbacks_total",
+         "Batches re-run request by request: the stacked call raised "
+         "or its result did not split.", "dispatches"),
     )
 
     def __init__(self, registry=None):
@@ -88,53 +90,88 @@ class ServingStats(View):
         self._lock = lock = threading.Lock()
         #: Live servers, asked for their compile tickets on read.
         self._servers = weakref.WeakSet()
+        #: One entry per thread inside ``Server.call``: entering is one
+        #: (thread-safe) append and no lock.  The peak is taken, under
+        #: the lock, when a client leaves or the gauge is read — the
+        #: count falls only at a departure, so no peak is missed.
+        self._clients = deque()
+        self._peak = 0
+        #: ``(now, latency, outcome)`` of solo requests not yet observed:
+        #: replayed before any histogram is read (its ``feed``), or when
+        #: `_REPLAY_AT` of them have piled up.
+        self._solo = []
         self._bind(self.declare(registry, lock))
         #: Bound once: the per-request path skips the table lookup.
         scalars = self._scalars
         self._requests = scalars["requests"]
         self._batches = scalars["batches"]
         self._batched = scalars["batched_requests"]
-        self._active = scalars["active_clients"]
-        self._peak = scalars["peak_clients"]
+        self._fallbacks = scalars["batch_fallbacks"]
         self.queue_depth = registry.histogram(
             "janus_serving_queue_depth",
             "Queue depth seen by each accepted request.",
-            unit="requests", lock=lock).labels()
+            unit="requests", lock=lock, feed=self._replay).labels()
         self.batch_size = registry.histogram(
             "janus_serving_batch_size", "Requests coalesced per dispatch.",
-            unit="requests", lock=lock).labels()
+            unit="requests", lock=lock, feed=self._replay).labels()
         self.queue_wait = registry.windowed(
             "janus_serving_queue_wait_seconds",
             "Seconds each request waited before dispatch.",
-            lock=lock).labels()
+            lock=lock, feed=self._replay).labels()
         latency = registry.windowed(
             "janus_serving_request_latency_seconds",
             "End-to-end request latency by outcome "
-            "(ok / error / rejected).", labels=("outcome",), lock=lock)
+            "(ok / error / rejected).", labels=("outcome",), lock=lock,
+            feed=self._replay)
         #: End-to-end submit -> resolve latency, split by outcome.
         self.request_latency = {outcome: latency.labels(outcome)
                                 for outcome in OUTCOMES}
-        self._recompiles = registry.gauge(
-            "janus_serving_recompiles_in_flight",
-            "Compile tickets currently owned across endpoints.",
-            unit="tickets", sample=self._sample_recompiles)
-        registry.gauge(
-            "janus_serving_rejection_rate",
-            "Rejected / offered requests since start.", unit="ratio",
-            sample=lambda: {(): self.rejection_rate})
+        #: Gauges computed when read (stored, in a restored registry).
+        self._sampled = {attr: registry.gauge(
+            self.PREFIX + attr, help, unit=unit,
+            sample=lambda sample=sample: {(): sample()})
+            for attr, help, unit, sample in (
+                ("active_clients",
+                 "Client threads currently blocked in Server.call.",
+                 "threads", self._clients.__len__),
+                ("peak_clients", "Peak concurrent client threads.",
+                 "threads", self._sample_peak),
+                ("recompiles_in_flight",
+                 "Compile tickets currently owned across endpoints.",
+                 "tickets", self._sample_recompiles),
+                ("rejection_rate",
+                 "Rejected / offered requests since start.", "ratio",
+                 lambda: self.rejection_rate))}
+
+    def __getattr__(self, attr):
+        sampled = self.__dict__.get("_sampled", ())
+        if attr in sampled:
+            return dict(sampled[attr].samples()).get((), 0)
+        return super().__getattr__(attr)
+
+    def reset_log(self):
+        with self._lock:
+            self._peak = 0
+            self._solo = []
 
     # -- recording (driven by repro.serving) --------------------------------
 
     def client_started(self):
-        active, peak = self._active, self._peak
-        with self._lock:
-            active.value += 1
-            if active.value > peak.value:
-                peak.value = active.value
+        self._clients.append(None)
 
     def client_finished(self):
         with self._lock:
-            self._active.value -= 1
+            self._client_gone()
+
+    def _client_gone(self):
+        clients = self._clients
+        if len(clients) > self._peak:
+            self._peak = len(clients)
+        clients.pop()
+
+    def _sample_peak(self):
+        with self._lock:
+            return max(self._peak, len(self._clients))
 
     def record_enqueue(self, depth):
         """One request accepted; *depth* is the queue depth it saw."""
@@ -153,25 +190,56 @@ class ServingStats(View):
             self._add("rejected")
             self.request_latency["rejected"]._observe(duration)
 
-    def record_batch(self, size, waits=(), latencies=()):
+    def record_batch(self, size, waits=(), latencies=(), now=None,
+                     fallback=False):
         """One dispatch of *size* coalesced requests, folded at once.
 
         *waits* are the per-request queue-wait seconds (enqueue →
         dispatch); *latencies* are ``(outcome, seconds)`` pairs, the
-        end-to-end latency of each request the dispatch resolved.
+        end-to-end latency of each request the dispatch resolved at
+        ``perf_counter`` *now*.  *fallback*: the batch did not run as
+        one and was re-run request by request.
         """
         with self._lock:
             self._batches.value += 1
-            if size > 1:
+            if fallback:
+                self._fallbacks.value += 1
+            elif size > 1:
                 self._batched.value += size
             self.batch_size._observe(size)
             observe = self.queue_wait._observe
             for wait in waits:
-                observe(wait)
+                observe(wait, now)
             by_outcome = self.request_latency
             for outcome, duration in latencies:
                 (by_outcome.get(outcome)
-                 or by_outcome["error"])._observe(duration)
+                 or by_outcome["error"])._observe(duration, now)
+
+    def record_solo(self, latency, outcome, now):
+        """One uncontended ``Server.call`` in one fold: accepted at
+        depth 0, dispatched alone after no wait, resolved after
+        *latency* seconds at ``perf_counter`` *now*, its client gone."""
+        with self._lock:
+            self._requests.value += 1
+            self._batches.value += 1
+            solo = self._solo
+            solo.append((now, latency, outcome))
+            if len(solo) >= _REPLAY_AT:
+                self._replay()
+            self._client_gone()
+
+    def _replay(self):
+        """Observe the logged solo requests; the caller holds the lock."""
+        solo = self._solo
+        if solo:
+            self._solo = []
+            depth, size = self.queue_depth._observe, self.batch_size._observe
+            wait, by_outcome = self.queue_wait._observe, self.request_latency
+            for now, latency, outcome in solo:
+                depth(0.0)
+                size(1.0)
+                wait(0.0, now)
+                by_outcome[outcome]._observe(latency, now)
 
     def record_request(self, duration, outcome="ok"):
         """One request resolved outside a dispatch (failed at close)."""
@@ -194,14 +262,7 @@ class ServingStats(View):
     def _sample_recompiles(self):
         with self._lock:
             servers = list(self._servers)
-        return {(): sum(server.recompiles_in_flight()
-                        for server in servers)}
-
-    @property
-    def recompiles_in_flight(self):
-        """Compile tickets owned across the live servers' endpoints (the
-        value a restored registry carried, for a restored view)."""
-        return dict(self._recompiles.samples()).get((), 0)
+        return sum(server.recompiles_in_flight() for server in servers)
 
     # -- derived -------------------------------------------------------------
 
@@ -266,9 +327,10 @@ def format_serving_table(stats):
         pct = size.percentiles()
         lines.append(
             "  batch size: %d dispatches, mean %.2f  p50 %.1f  p95 %.1f  "
-            "max %.0f  (%d requests rode a shared batch)"
-            % (size.count, size.mean, pct["p50"], pct["p95"],
-               size.max or 0.0, stats.batched_requests))
+            "max %.0f  (%d requests rode a shared batch, %d batches fell "
+            "back)" % (size.count, size.mean, pct["p50"], pct["p95"],
+                       size.max or 0.0, stats.batched_requests,
+                       stats.batch_fallbacks))
     for outcome in OUTCOMES:
         hist = stats.request_latency[outcome]
         if not hist.count:

@@ -2,40 +2,40 @@
 
 A :class:`Server` exposes registered janus functions to N concurrent
 client threads.  Each endpoint owns a bounded request queue and no
-thread: arriving calls are admission-checked and queued, and the
-client thread that *waits* on a request is the dispatcher — it takes
-the endpoint's lead, runs the queue FIFO on its own thread until its
-own request is resolved, then hands the lead to the oldest waiting
-client (leader/follower; see :class:`_Endpoint`).  An uncontended call
-therefore crosses no thread boundary.  Requests are dispatched either
-singly or as a **dynamically batched** group — shape-compatible
-requests (same per-argument dtype and trailing shape) are stacked
-along axis 0, executed as one graph run, and the outputs are split
-back per request.  The batch window is bounded by
+thread: the client thread that *waits* on a request is the dispatcher —
+it takes the endpoint's lead, runs the queue FIFO on its own thread
+until its own request is resolved, then hands the lead to the oldest
+waiting client (leader/follower; see :class:`_Endpoint`).  A
+``Server.call`` that would lead a batch of exactly itself — the lead is
+free, nothing is queued, no linger is configured — skips the queue as
+well: it takes the lead, runs its own arguments and hands the lead on.
+The lead is marked with its thread, so a call to an endpoint from
+inside that endpoint's function runs inline instead of queueing behind
+itself.  Requests that do queue are dispatched singly or as a
+**dynamically batched** group: shape-compatible requests (same
+per-argument dtype and trailing shape) are stacked along axis 0, run as
+one graph run, and the outputs split back per request, within
 ``ServingConfig.max_batch_size`` and the ``batch_linger_s`` wait.
 
 Correctness contract for batching: a batchable endpoint must be
 *batch-polymorphic* — ``f(stack([a, b]))`` must equal
 ``stack([f(a), f(b)])`` row-for-row, which holds for the standard
-per-example model functions the paper serves (inference and per-example
-losses).  The server additionally verifies the stacked output's leading
-dimension; if the endpoint returns anything that does not split back
-into per-request rows, the batch is transparently re-executed
-request-by-request, so a non-conforming endpoint is slower, never
-wrong.  Endpoints registered with ``batchable=False`` (reductions,
-scalar outputs, optimizer steps that must see single examples) always
-dispatch singly.
+per-example model functions the paper serves.  The server verifies the
+stacked output's leading dimension; if the result does not split back
+into per-request rows (or the stacked call raises), the batch is re-run
+request by request — counted (``janus_serving_batch_fallbacks_total``)
+and flagged on its requests, so a non-conforming endpoint is slower,
+never wrong, and never silently so.  Endpoints registered with
+``batchable=False`` (reductions, scalar outputs, optimizer steps that
+must see single examples) always dispatch singly.
 
-The runtime below the server is the concurrency-safe dispatch layer of
-:mod:`repro.janus.api`: warm requests execute the shared compiled
-artifact in parallel, an assumption-failure storm elects one recompile
-ticket, and with ``JanusConfig.recompile_workers > 0`` regeneration
-happens on background workers while queued requests are served by the
-imperative fallback.  Admission, queue-depth, batch-size,
-queue-wait and per-outcome latency metrics land in
+Below the server is the concurrency-safe dispatch layer of
+:mod:`repro.janus.api` (docs/serving.md).  Admission, queue-depth,
+batch-size, queue-wait and per-outcome latency metrics land in
 :data:`repro.observability.SERVING` — folded once per dispatch, stamped
-where a request is resolved — and surface through ``janus-stats`` (text
-and Prometheus).
+where a request is resolved — and every request leaves its stamps, and
+whatever was noted on its way, with the flight recorder; both surface
+through ``janus-stats`` (text and Prometheus).
 """
 
 import threading
@@ -80,12 +80,10 @@ class ServingConfig:
 
 
 def _group_key(args):
-    """Batch-compatibility key, or None when the call cannot batch.
-
-    Two requests may share a batch iff every argument position agrees on
-    (dtype, trailing shape) and every argument is a tensor with a batch
-    (leading) dimension.  Returns ``(key, rows)``.
-    """
+    """``(key, rows)``: the batch-compatibility key, None when the call
+    cannot batch.  Two requests may share a batch iff every argument
+    position agrees on (dtype, trailing shape) and every argument is a
+    tensor with a batch (leading) dimension."""
     if not args:
         return None, 0
     key = []
@@ -106,32 +104,31 @@ def _group_key(args):
 #: ``_Request.key`` until a leader first has to compare the request.
 _UNKEYED = object()
 
-#: Span args of a request executed on its own (shared, never mutated).
-_ALONE = {"batch": 1}
+_perf_counter = time.perf_counter
+_get_ident = threading.get_ident
 
 
 class _Request:
     """One submitted client call: the handle ``submit`` returns.
 
-    Timestamps are stamped on it as it moves — ``enqueued`` at submit,
-    ``resolved`` once its dispatch has been accounted — so the whole
-    batch is folded into the stats in one call.  ``result`` / ``error``
-    are final once :meth:`wait` has returned True.
+    Stamped as it moves — ``enqueued`` at submit, ``resolved`` once its
+    dispatch has been accounted — so a whole batch is folded into the
+    stats in one call.  ``result`` / ``error`` are final once
+    :meth:`wait` has returned True.
     """
 
     __slots__ = ("endpoint", "args", "key", "rows", "ctx", "enqueued",
                  "outcome", "result", "error", "resolved", "waiter")
 
-    def __init__(self, endpoint, args, ctx):
+    def __init__(self, endpoint, args, started, ctx):
         self.endpoint = endpoint
         self.args = args
         self.key = _UNKEYED
         self.rows = 0
-        #: Request-trace context; whichever client thread dispatches
-        #: this request re-activates it around the endpoint function.
+        #: Request-trace context, activated around the endpoint function
+        #: by whichever client thread dispatches this request.
         self.ctx = ctx
-        self.enqueued = ctx.started if ctx is not None \
-            else time.perf_counter()
+        self.enqueued = started
         self.outcome = None         # "ok" / "error" once executed
         self.result = None
         self.error = None
@@ -143,8 +140,7 @@ class _Request:
     @property
     def done(self):
         """Event-style view of the handle (``done.wait()``,
-        ``done.is_set()``): the request itself, so no second object and
-        no reference cycle per request."""
+        ``done.is_set()``): the request itself, so no second object."""
         return self
 
     def is_set(self):
@@ -159,12 +155,9 @@ class _Request:
         return self.key
 
     def wait(self, timeout=None):
-        """Block until the request is resolved; True if it is.
-
-        The waiting thread does the endpoint's work while it waits: if
-        no other client is dispatching, it runs queued batches itself
-        until this request is resolved (see :meth:`_Endpoint._lead`).
-        """
+        """Block until the request is resolved; True if it is.  If no
+        other client is dispatching, the waiting thread runs queued
+        batches itself meanwhile (see :meth:`_Endpoint._lead`)."""
         return self.resolved is not None \
             or self.endpoint._await(self, timeout)
 
@@ -172,17 +165,18 @@ class _Request:
 class _Endpoint:
     """One registered function plus its queue; dispatch is caller-runs.
 
-    There is no dispatcher thread.  ``submit`` only enqueues.  The first
-    client that *waits* on an unresolved request takes the endpoint's
-    lead and serves the queue FIFO on its own thread until its own
-    request is resolved; clients that wait meanwhile sleep on a
-    per-request Event.  A departing leader promotes the oldest queued
-    request with a sleeping waiter — one wake-up per contended batch.
+    ``submit`` only enqueues.  The first client that *waits* on an
+    unresolved request takes the endpoint's lead and serves the queue
+    FIFO on its own thread until its own request is resolved; clients
+    that wait meanwhile sleep on a per-request Event.  A departing
+    leader promotes the oldest queued request with a sleeping waiter —
+    one wake-up per contended batch.  A blocking :meth:`call` that would
+    lead a batch of exactly itself skips the queue altogether.
 
-    ``lock`` guards ``queue``, ``leader``, ``lingering`` and every
-    request's ``waiter``; results are written and accounted outside it,
-    then published (``_wake``) under it.  ``cond`` is a condition on
-    the same lock that only a lingering leader waits on.
+    ``lock`` guards ``queue``, ``leader``, ``leading``, ``lingering``
+    and every request's ``waiter``; results are written and accounted
+    outside it, then published (``_wake``) under it.  ``cond`` is a
+    condition on the same lock that only a lingering leader waits on.
     """
 
     def __init__(self, name, fn, batchable, server):
@@ -194,7 +188,9 @@ class _Endpoint:
         self.queue = []
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
-        self.leader = None          # the leading client's own request
+        #: The lead marker — ident of the thread holding the lead —
+        #: and the queued request it leads for (None for a solo call).
+        self.leader = self.leading = None
         self.lingering = False      # leader is waiting on cond
 
     # -- submitting ----------------------------------------------------------
@@ -202,8 +198,9 @@ class _Endpoint:
     def submit(self, args):
         """Enqueue one call; returns its handle without running it."""
         config = self.server.config
-        ctx = reqtrace.new_request(self.trace_name)
-        request = _Request(self, args, ctx)
+        started = _perf_counter()
+        ctx = reqtrace.new_request(self.trace_name, started)
+        request = _Request(self, args, started, ctx)
         with self.lock:
             if self.server.closed:
                 raise ServerClosed("server is shut down")
@@ -214,31 +211,81 @@ class _Endpoint:
                 if self.lingering:
                     self.cond.notify()
         if rejected:
-            duration = time.perf_counter() - request.enqueued
-            SERVING.record_reject(duration)
+            now = _perf_counter()
+            SERVING.record_reject(now - started)
             if ctx is not None:
                 ctx.flags.add("rejected")
-                reqtrace.record_span(ctx, "serve_queue", "rejected",
-                                     request.enqueued, duration,
-                                     {"endpoint": self.name})
-                reqtrace.finish(ctx, "rejected", detail="queue full")
+                ctx.close("rejected", now, "queue full")
+                RECORDER.record(ctx)
             raise ServerOverloaded(
                 "endpoint %r queue is full (%d requests)"
                 % (self.name, depth))
         SERVING.record_enqueue(depth)
         return request
 
+    # -- one blocking call ---------------------------------------------------
+
+    def call(self, args):
+        """Run one call to completion on the calling thread.
+
+        It runs alone — no request object, no queue — when it would
+        lead a batch of exactly itself anyway (the lead is free, nothing
+        is queued and :meth:`_fill` would not wait) or when its thread
+        holds the lead already (a call from inside the endpoint
+        function, which would otherwise queue behind itself), and is
+        accounted as a batch of 1 dispatched after no wait, in one fold.
+        Anything else queues: ``submit`` + ``wait``.
+        """
+        started = _perf_counter()
+        ident = _get_ident()
+        SERVING.client_started()
+        with self.lock:
+            lead = self.leader is None and not self.queue \
+                and not TRACER.level and not self._coalesces()
+            solo = (lead or self.leader == ident) \
+                and not self.server.closed
+            if solo and lead:
+                self.leader = ident
+        if not solo:
+            try:
+                request = self.submit(args)
+                request.wait()
+            finally:
+                SERVING.client_finished()
+            if request.error is not None:
+                raise request.error
+            return request.result
+        ctx = reqtrace.new_request(self.trace_name, started)
+        token = reqtrace.activate(ctx)
+        detail = None
+        try:
+            return self.fn(*args)
+        except BaseException as exc:
+            detail = type(exc).__name__
+            raise
+        finally:
+            reqtrace.deactivate(token)
+            now = _perf_counter()
+            if lead:
+                with self.lock:
+                    self._hand_on()
+            outcome = "ok" if detail is None else "error"
+            SERVING.record_solo(now - started, outcome, now)
+            if ctx is not None:
+                ctx.close(outcome, now, detail, started)
+                RECORDER.record(ctx)
+
     # -- waiting: lead or follow ---------------------------------------------
 
     def _await(self, request, timeout):
         deadline = None if timeout is None \
-            else time.perf_counter() + timeout
+            else _perf_counter() + timeout
         while True:
             with self.lock:
                 if request.resolved is not None:
                     return True
                 remaining = None if deadline is None \
-                    else deadline - time.perf_counter()
+                    else deadline - _perf_counter()
                 waiter = request.waiter
                 if remaining is not None and remaining <= 0:
                     # Leaving unresolved: nobody sleeps on this request
@@ -250,7 +297,8 @@ class _Endpoint:
                     return False
                 lead = self.leader is None
                 if lead:
-                    self.leader = request
+                    self.leader = _get_ident()
+                    self.leading = request
                 elif waiter is None:
                     waiter = request.waiter = threading.Event()
                 else:
@@ -272,13 +320,13 @@ class _Endpoint:
                     batch = []
                     if own.resolved is not None or (
                             deadline is not None
-                            and time.perf_counter() >= deadline):
+                            and _perf_counter() >= deadline):
                         self._hand_on()
                         return
                     self._fill(batch)
-                dispatched = time.perf_counter()
-                self._run(batch, dispatched)
-                self._account(batch, dispatched)
+                dispatched = _perf_counter()
+                fallback = self._run(batch)
+                self._account(batch, dispatched, fallback)
         except BaseException:
             # This thread is dying mid-batch (say a KeyboardInterrupt
             # out of the endpoint function): fail what it took instead
@@ -299,7 +347,7 @@ class _Endpoint:
     def _hand_on(self):
         """Give up the lead; wake the oldest queued request's sleeping
         waiter to take it."""
-        self.leader = None
+        self.leader = self.leading = None
         for request in self.queue:
             if request.waiter is not None:
                 request.waiter.set()
@@ -307,29 +355,36 @@ class _Endpoint:
 
     # -- batch assembly (under lock) -----------------------------------------
 
+    def _coalesces(self):
+        """Does the oldest request have companions to take or to wait
+        for — those queued behind it, or with ``batch_linger_s > 0``
+        those that may yet arrive?"""
+        config = self.server.config
+        return self.batchable and config.max_batch_size > 1 \
+            and (self.queue or config.batch_linger_s > 0)
+
     def _fill(self, batch):
         """Pop the oldest request into *batch*, then its shape-compatible
         companions: those already queued, and with ``batch_linger_s > 0``
         those that arrive while the leader waits on ``cond``."""
-        config = self.server.config
         first = self.queue.pop(0)
         batch.append(first)
-        limit = config.max_batch_size
-        linger = config.batch_linger_s
-        if not self.batchable or limit <= 1 \
-                or not (self.queue or linger > 0):
+        if not self._coalesces():
             return
         key = first.group()
         if key is None:
             return
+        config = self.server.config
+        limit = config.max_batch_size
+        linger = config.batch_linger_s
         self._take_compatible(key, batch, limit)
         if len(batch) >= limit or linger <= 0:
             return
-        deadline = time.perf_counter() + linger
+        deadline = _perf_counter() + linger
         self.lingering = True
         try:
             while len(batch) < limit and not self.server.closed:
-                remaining = deadline - time.perf_counter()
+                remaining = deadline - _perf_counter()
                 if remaining <= 0:
                     break
                 self.cond.wait(remaining)
@@ -349,83 +404,57 @@ class _Endpoint:
 
     # -- execution (no lock held) --------------------------------------------
 
-    def _run(self, batch, dispatched):
-        """Execute *batch*: every request leaves with an outcome."""
+    def _run(self, batch):
+        """Execute *batch*: every request leaves with an outcome.  True
+        if it was stacked and had to be re-run request by request."""
         size = len(batch)
-        span_args = {"batch": size}
-        # The queue wait becomes a span on each request's trace, timed
-        # from the submitting thread's enqueue to this pickup.
-        for request in batch:
-            reqtrace.record_span(request.ctx, "serve_queue", self.name,
-                                 request.enqueued,
-                                 dispatched - request.enqueued, span_args)
         if TRACER.level:
             TRACER.instant("serve_dispatch", self.name, batch=size,
                            queued=len(self.queue))
-        if size == 1 or not self._run_stacked(batch):
-            # Also the fallback when the endpoint is not
-            # batch-polymorphic for this input (or raised): batching
-            # can only cost latency, never correctness.
-            for request in batch:
-                self._run_single(request)
+        if size > 1:
+            try:
+                # Whatever the shared run notes lands in the lead's trace.
+                parts = _split_result(
+                    self._call(batch[0], _stacked(batch)),
+                    [request.rows for request in batch])
+            except Exception:
+                parts = None
+            if parts is not None:
+                for request, part in zip(batch, parts):
+                    request.result = part
+                    request.outcome = "ok"
+                return False
+        # Also the fallback when the endpoint is not batch-polymorphic
+        # for this input (or raised): batching costs latency at worst.
+        for request in batch:
+            try:
+                request.result = self._call(request, request.args)
+                request.outcome = "ok"
+            except Exception as exc:           # delivered to its client
+                request.error = exc
+                request.outcome = "error"
+        return size > 1
 
-    def _run_stacked(self, batch):
-        """One stacked call for the whole batch; False if it did not
-        split back row-for-row."""
-        lead = batch[0]
-        size = len(batch)
-        start = time.perf_counter()
+    def _call(self, request, args):
+        """The endpoint function on *args*, inside *request*'s trace."""
+        token = reqtrace.activate(request.ctx)
         try:
-            # Re-wrap each stacked buffer in the type of the first
-            # request's argument so the batched call produces the same
-            # ValueSpec signature family as its constituents.
-            stacked = []
-            for position, proto in enumerate(lead.args):
-                merged = np.concatenate(
-                    [_as_array(request.args[position])
-                     for request in batch], axis=0)
-                stacked.append(Tensor(merged)
-                               if isinstance(proto, Tensor) else merged)
-            # The lead request's trace carries the shared execution;
-            # companions get the same interval recorded post-hoc.
-            with reqtrace.span_in(lead.ctx, "serve_dispatch", self.name,
-                                  {"batch": size}):
-                result = self.fn(*stacked)
-            parts = _split_result(result, [r.rows for r in batch])
-        except Exception:
-            return False
-        if parts is None:
-            return False
-        duration = time.perf_counter() - start
-        shared = {"batch": size, "shared": True}
-        for request, part in zip(batch, parts):
-            if request is not lead:
-                reqtrace.record_span(request.ctx, "serve_dispatch",
-                                     self.name, start, duration, shared)
-            request.result = part
-            request.outcome = "ok"
-        return True
-
-    def _run_single(self, request):
-        try:
-            with reqtrace.span_in(request.ctx, "serve_dispatch", self.name,
-                                  _ALONE):
-                request.result = self.fn(*request.args)
-            request.outcome = "ok"
-        except Exception as exc:               # delivered to its client
-            request.error = exc
-            request.outcome = "error"
+            return self.fn(*args)
+        finally:
+            reqtrace.deactivate(token)
 
     # -- accounting: once per dispatch ---------------------------------------
 
-    def _account(self, requests, dispatched=None):
+    def _account(self, requests, dispatched=None, fallback=False):
         """Resolve *requests*: one SERVING fold, one RECORDER call.
 
         *dispatched* is the pickup time of the dispatch that ran them;
         None for requests that never ran (failed at close, or taken by
         a leader that died), which count no batch and no queue wait.
+        *fallback*: the batch was re-run singly, and its requests say so.
         """
-        now = time.perf_counter()
+        now = _perf_counter()
+        size = len(requests)
         latencies = []
         contexts = []
         for request in requests:
@@ -436,15 +465,17 @@ class _Endpoint:
             latencies.append((request.outcome, now - request.enqueued))
             ctx = request.ctx
             if ctx is not None:
+                if fallback:
+                    ctx.flags.add("batch_fallback")
                 error = request.error
                 ctx.close(request.outcome, now, None if error is None
-                          else type(error).__name__)
+                          else type(error).__name__, dispatched, size)
                 contexts.append(ctx)
         if dispatched is not None:
             SERVING.record_batch(
-                len(requests),
+                size,
                 [dispatched - request.enqueued for request in requests],
-                latencies)
+                latencies, now, fallback)
         else:
             for outcome, duration in latencies:
                 SERVING.record_request(duration, outcome)
@@ -462,7 +493,7 @@ class _Endpoint:
         with self.lock:
             for request in self.queue:
                 (orphans if request.waiter is None
-                 and request is not self.leader else served).append(request)
+                 and request is not self.leading else served).append(request)
             self.queue[:] = served
             if self.lingering:
                 self.cond.notify()
@@ -477,13 +508,25 @@ def _as_array(arg):
     return arg.numpy() if isinstance(arg, Tensor) else np.asarray(arg)
 
 
-def _split_result(result, row_counts):
-    """Split a batched endpoint result back into per-request pieces.
+def _stacked(batch):
+    """The arguments of one call for the whole *batch*: each position
+    concatenated along axis 0 and re-wrapped in the type of the first
+    request's argument, so the batched call produces the same ValueSpec
+    signature family as its constituents."""
+    stacked = []
+    for position, proto in enumerate(batch[0].args):
+        merged = np.concatenate([_as_array(request.args[position])
+                                 for request in batch], axis=0)
+        stacked.append(Tensor(merged) if isinstance(proto, Tensor)
+                       else merged)
+    return stacked
 
-    Returns None when the result does not decompose row-for-row (wrong
-    leading dimension, scalar output, unknown type) — the caller then
-    re-executes the batch singly.
-    """
+
+def _split_result(result, row_counts):
+    """Split a batched endpoint result back into per-request pieces;
+    None when it does not decompose row-for-row (wrong leading
+    dimension, scalar output, unknown type) — the caller then
+    re-executes the batch singly."""
     total = sum(row_counts)
     if isinstance(result, (tuple, list)):
         split_parts = [_split_result(item, row_counts) for item in result]
@@ -559,15 +602,7 @@ class Server:
         if endpoint is None:
             raise KeyError("no endpoint %r (have %s)"
                            % (name, self.endpoints()))
-        SERVING.client_started()
-        try:
-            request = endpoint.submit(args)
-            request.wait()
-        finally:
-            SERVING.client_finished()
-        if request.error is not None:
-            raise request.error
-        return request.result
+        return endpoint.call(args)
 
     # -- introspection / lifecycle -------------------------------------------
 
@@ -577,11 +612,9 @@ class Server:
                    for endpoint in self._endpoints.values())
 
     def close(self):
-        """Reject further calls and fail queued requests nobody waits on.
-
-        Requests a client is blocked on are still served — by the
-        client leading its endpoint, then by the waiters it promotes.
-        """
+        """Reject further calls and fail queued requests nobody waits
+        on; those a client is blocked on are still served — by the
+        client leading its endpoint, then by the waiters it promotes."""
         with self._lock:
             if self.closed:
                 return

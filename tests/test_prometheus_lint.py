@@ -111,6 +111,7 @@ def _populated_state():
     for _ in range(4):
         serving.record_enqueue(1)
     serving.record_batch(3, (0.002, 0.003, 0.001))
+    serving.record_batch(2, (0.001, 0.001), fallback=True)
     serving.record_request(0.010, "ok")
     serving.record_request(0.050, "error")
     serving.record_reject(0.0002)
@@ -223,6 +224,15 @@ class TestNothingScrapedDisappeared:
         for family, label_names in _SCRAPED_BEFORE.items():
             assert family in served, family
             assert served[family][1] == label_names, family
+
+    def test_families_added_since_are_scraped_too(self, exposition):
+        served = _families(exposition)
+        assert served["janus_serving_batch_fallbacks_total"] == \
+            ("counter", [])
+        assert "janus_serving_batch_fallbacks_total 1" in exposition
+        # The fallback batch counts a dispatch, not shared-run requests.
+        assert "janus_serving_batched_requests_total 3" in exposition
+        assert "janus_serving_batches_total 2" in exposition
 
     def test_health_key_set(self):
         obs.clear()

@@ -16,6 +16,7 @@ These tests pin down:
 * the serving section of the ``janus-stats`` report and Prometheus text.
 """
 
+import sys
 import threading
 import time
 
@@ -26,6 +27,7 @@ import repro as R
 from repro import janus
 from repro.observability import RECORDER, SERVING, clear
 from repro.observability.cli import prometheus_text, render_report
+from repro.observability.serving import format_serving_table
 from repro.serving import (Server, ServerClosed, ServerOverloaded,
                            ServingConfig)
 
@@ -46,7 +48,7 @@ def _rows(i, rows=2, cols=3):
     return R.constant(np.full((rows, cols), float(i), np.float32))
 
 
-def _run_clients(n, target):
+def _run_clients(n, target, timeout=30.0):
     barrier = threading.Barrier(n)
     errors = []
 
@@ -62,7 +64,7 @@ def _run_clients(n, target):
     for t in threads:
         t.start()
     for t in threads:
-        t.join(30.0)
+        t.join(timeout)
         assert not t.is_alive(), "client thread hung"
     return errors
 
@@ -536,3 +538,384 @@ class TestServingObservability:
         # /metrics has no sections: an unlabelled counter is declared,
         # so it is scraped from the start, at a visible 0.
         assert "janus_serving_requests_total 0" in prometheus_text()
+
+
+class TestSoloCall:
+    """An uncontended ``Server.call`` runs on the lead it takes, with no
+    request object - and accounts exactly as the queued path does."""
+
+    N = 12
+
+    @pytest.fixture(autouse=True)
+    def _recorder_on(self):
+        saved = RECORDER.enabled
+        RECORDER.set_enabled(True)
+        yield
+        RECORDER.set_enabled(saved)
+
+    def _accounts(self):
+        latency = SERVING.request_latency
+        recent = RECORDER.recent()
+        return {
+            "requests": SERVING.requests, "batches": SERVING.batches,
+            "queue_depth": SERVING.queue_depth.count,
+            "batch_size": SERVING.batch_size.count,
+            "queue_wait": SERVING.queue_wait.count,
+            "latency_ok": latency["ok"].count,
+            "completed": RECORDER.completed,
+            "recent": len(recent),
+            "keys": {frozenset(s) for s in recent},
+            "spans": {frozenset(e["cat"] for e in s["events"])
+                      for s in recent},
+            "outcomes": {s["outcome"] for s in recent},
+        }
+
+    def test_solo_and_queued_paths_account_identically(self):
+        seen = {}
+        for path in ("solo", "queued"):
+            clear()
+            with Server(ServingConfig(batch_linger_s=0.0)) as server:
+                endpoint = server.register("id", lambda x: x,
+                                           batchable=False)
+                for i in range(self.N):
+                    if path == "solo":
+                        out = server.call("id", _rows(i))
+                    else:
+                        handle = endpoint.submit((_rows(i),))
+                        assert handle.wait(10.0) and handle.error is None
+                        out = handle.result
+                    assert np.array_equal(out.numpy(), _rows(i).numpy())
+                assert endpoint.leader is None and not endpoint.queue
+            seen[path] = self._accounts()
+        assert seen["solo"] == seen["queued"]
+        assert seen["solo"]["requests"] == self.N
+        assert seen["solo"]["batches"] == self.N
+        assert seen["solo"]["spans"] == {
+            frozenset(("serve_queue", "serve_dispatch"))}
+        assert SERVING.active_clients == 0
+
+    def test_solo_call_allocates_no_request(self, monkeypatch):
+        from repro.serving import server as server_mod
+        made = []
+        real = server_mod._Request
+
+        def counting(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(server_mod, "_Request", counting)
+        with Server(ServingConfig(batch_linger_s=0.0)) as server:
+            endpoint = server.register("id", lambda x: x)
+            server.call("id", _rows(1))
+            assert made == []
+            endpoint.submit((_rows(2),)).wait(10.0)
+            assert len(made) == 1
+
+    @pytest.mark.parametrize("kind", [ValueError, _Dying])
+    def test_solo_error_is_delivered_counted_and_frees_the_lead(self, kind):
+        def boom(x):
+            raise kind("no")
+
+        with Server(ServingConfig(batch_linger_s=0.0)) as server:
+            endpoint = server.register("boom", boom, batchable=False)
+            with pytest.raises(kind):
+                server.call("boom", _rows(0))
+            assert endpoint.leader is None and not endpoint.queue
+            # ... and the endpoint keeps answering.
+            with pytest.raises(kind):
+                server.call("boom", _rows(1))
+        assert SERVING.requests == 2 and SERVING.batches == 2
+        assert SERVING.request_latency["error"].count == 2
+        assert SERVING.request_latency["ok"].count == 0
+        assert SERVING.active_clients == 0
+        failed = RECORDER.failed()
+        assert [s["outcome"] for s in failed] == ["error", "error"]
+        assert failed[0]["detail"] == kind.__name__
+
+    def test_lone_caller_still_lingers_on_a_batchable_endpoint(self):
+        with Server(ServingConfig(max_batch_size=4,
+                                  batch_linger_s=0.08)) as server:
+            server.register("id", lambda x: x)
+            begin = time.perf_counter()
+            server.call("id", _rows(1))
+            assert time.perf_counter() - begin >= 0.07
+            # Nothing to wait for on an endpoint that never batches.
+            server.register("single", lambda x: x, batchable=False)
+            begin = time.perf_counter()
+            server.call("single", _rows(1))
+            assert time.perf_counter() - begin < 0.07
+
+    def test_arrivals_during_a_solo_run_queue_and_are_promoted(self):
+        slow, started, release = _gated()
+        with Server(ServingConfig(batch_linger_s=0.0)) as server:
+            endpoint = server.register("slow", slow, batchable=False)
+            results = {}
+            first = threading.Thread(target=lambda: results.update(
+                a=server.call("slow", _rows(1))))
+            first.start()
+            assert started.wait(5.0)
+            assert endpoint.leader == first.ident and not endpoint.queue
+            second = threading.Thread(target=lambda: results.update(
+                b=server.call("slow", _rows(2))))
+            second.start()
+            deadline = time.time() + 5.0
+            while time.time() < deadline:
+                with endpoint.lock:
+                    if endpoint.queue \
+                            and endpoint.queue[0].waiter is not None:
+                        break
+                time.sleep(0.005)
+            assert SERVING.active_clients == 2
+            release.set()
+            for thread in (first, second):
+                thread.join(10.0)
+                assert not thread.is_alive()
+            assert np.array_equal(results["b"].numpy(), _rows(2).numpy())
+            assert endpoint.leader is None and not endpoint.queue
+        assert SERVING.peak_clients == 2 and SERVING.active_clients == 0
+
+    def test_traced_call_takes_the_queued_path_with_linked_events(self):
+        from repro import observability as obs
+        obs.set_trace_level(1)
+        try:
+            with Server(ServingConfig(batch_linger_s=0.0)) as server:
+                server.register("id", lambda x: x, batchable=False)
+                server.call("id", _rows(1))
+            spans = {e.category: e for e in obs.TRACER.events
+                     if e.ph == "X" and (e.args or {}).get("trace_id")}
+        finally:
+            obs.set_trace_level(0)
+        assert set(spans) == {"serve_queue", "serve_dispatch"}
+        assert spans["serve_queue"].args["trace_id"] == \
+            spans["serve_dispatch"].args["trace_id"]
+        assert spans["serve_queue"].args["span_id"] != \
+            spans["serve_dispatch"].args["span_id"]
+        assert spans["serve_dispatch"].args["batch"] == 1
+
+
+class TestReentrantCall:
+    """Regression: an endpoint function calling ``server.call`` on an
+    endpoint whose lead its own thread holds used to queue behind
+    itself and sleep forever."""
+
+    def _call_in_thread(self, server, name, arg):
+        out = {}
+        thread = threading.Thread(
+            target=lambda: out.update(result=server.call(name, arg)),
+            daemon=True)
+        thread.start()
+        thread.join(5.0)
+        assert not thread.is_alive(), "re-entrant call hung"
+        return out["result"]
+
+    @pytest.mark.parametrize("queued", [False, True])
+    def test_endpoint_calling_itself(self, queued):
+        server = Server(ServingConfig(batch_linger_s=0.0))
+
+        def countdown(x):
+            n = float(x.numpy()[0, 0])
+            return x if n <= 0 else server.call("down", _rows(n - 1))
+
+        endpoint = server.register("down", countdown, batchable=False)
+        if queued:      # the outer call leads from the queued path
+            endpoint.submit((_rows(0),))
+        out = self._call_in_thread(server, "down", _rows(3))
+        assert np.array_equal(out.numpy(), _rows(0).numpy())
+        assert endpoint.leader is None and not endpoint.queue
+        server.close()
+        assert SERVING.requests == 4 + queued
+        assert SERVING.request_latency["ok"].count == 4 + queued
+        assert SERVING.active_clients == 0
+
+    def test_a_calls_b_calls_a(self):
+        server = Server(ServingConfig(batch_linger_s=0.0))
+
+        def a(x):
+            n = float(x.numpy()[0, 0])
+            return x if n <= 0 else server.call("b", _rows(n - 1))
+
+        server.register("a", a, batchable=False)
+        server.register("b", lambda x: server.call("a", x),
+                        batchable=False)
+        out = self._call_in_thread(server, "a", _rows(2))
+        assert np.array_equal(out.numpy(), _rows(0).numpy())
+        server.close()
+        assert SERVING.requests == 5       # a(2) b(1) a(1) b(0) a(0)
+        assert SERVING.active_clients == 0
+
+
+class TestBatchFallback:
+    """Regression: a batch that does not split used to be invisible (no
+    counter, no flag) and counted as if its requests had shared a run."""
+
+    N = 4
+
+    def _drive(self, fn):
+        saved = RECORDER.enabled
+        RECORDER.set_enabled(True)
+        try:
+            with Server(ServingConfig(max_batch_size=8,
+                                      batch_linger_s=0.0)) as server:
+                endpoint = server.register("fn", fn)
+                pending = [endpoint.submit((_rows(i, rows=1),))
+                           for i in range(self.N)]
+                for handle in pending:
+                    assert handle.wait(10.0) and handle.error is None
+                return pending
+        finally:
+            RECORDER.set_enabled(saved)
+
+    def _check_accounting(self, calls):
+        assert calls == [self.N] + [1] * self.N
+        assert SERVING.batch_fallbacks == 1
+        assert SERVING.batches == 1 and SERVING.requests == self.N
+        assert SERVING.batched_requests == 0
+        assert SERVING.batch_size.max == self.N
+        kept = RECORDER.failed()
+        assert len(kept) == self.N
+        for summary in kept:
+            assert summary["outcome"] == "ok"
+            assert summary["flags"] == ["batch_fallback"]
+            assert [e["cat"] for e in summary["events"]] == \
+                ["serve_queue", "serve_dispatch"]
+        assert "%d batches fell back" % 1 in "\n".join(
+            format_serving_table(SERVING))
+        assert "janus_serving_batch_fallbacks_total 1" in prometheus_text()
+
+    def test_scalar_returning_endpoint(self):
+        calls = []
+
+        def total(x):
+            calls.append(x.shape[0])
+            return R.reduce_sum(x)
+
+        pending = self._drive(total)
+        for i, handle in enumerate(pending):
+            assert float(handle.result.numpy()) == pytest.approx(i * 3.0)
+        self._check_accounting(calls)
+
+    def test_endpoint_raising_on_the_stacked_call(self):
+        calls = []
+
+        def single_rows_only(x):
+            calls.append(x.shape[0])
+            if x.shape[0] > 1:
+                raise ValueError("one row at a time")
+            return x
+
+        pending = self._drive(single_rows_only)
+        for i, handle in enumerate(pending):
+            assert np.array_equal(handle.result.numpy(),
+                                  _rows(i, rows=1).numpy())
+        self._check_accounting(calls)
+
+    def test_a_batch_that_splits_counts_no_fallback(self):
+        self._drive(lambda x: x)
+        assert SERVING.batch_fallbacks == 0
+        assert SERVING.batched_requests == self.N
+        assert RECORDER.failed() == []
+
+
+class TestLeadProtocolUnderContention:
+    THREADS = 8
+
+    def test_spinning_callers_lose_nothing(self):
+        per_thread = 2000
+        baseline = threading.active_count()
+
+        def double(x):
+            return R.constant(x.numpy() * 2.0)
+
+        wrong = []
+        server = Server(ServingConfig(max_batch_size=4, batch_linger_s=0.0,
+                                      max_queue_depth=64))
+        endpoint = server.register("double", double)
+        rejected = [0] * self.THREADS
+
+        def client(index):
+            x = _rows(index)
+            expect = double(x).numpy()
+            for _ in range(per_thread):
+                try:
+                    out = server.call("double", x)
+                except ServerOverloaded:
+                    rejected[index] += 1
+                    continue
+                if not np.array_equal(out.numpy(), expect):
+                    wrong.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            assert not _run_clients(self.THREADS, client, timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        total = self.THREADS * per_thread
+        assert not wrong
+        assert SERVING.requests + SERVING.rejected == total
+        assert SERVING.rejected == sum(rejected)
+        assert SERVING.request_latency["ok"].count == SERVING.requests
+        assert SERVING.queue_wait.count == SERVING.requests
+        assert SERVING.batch_size.total == SERVING.requests
+        assert SERVING.batch_size.count == SERVING.batches
+        assert SERVING.active_clients == 0
+        assert 1 <= SERVING.peak_clients <= self.THREADS
+        assert endpoint.leader is None and not endpoint.queue
+        server.close()
+        assert threading.active_count() == baseline
+
+    def test_solo_runs_do_not_starve_batching(self):
+        def slow(x):
+            time.sleep(0.001)
+            return x
+
+        with Server(ServingConfig(max_batch_size=8,
+                                  batch_linger_s=0.0)) as server:
+            server.register("slow", slow)
+
+            def client(index):
+                for _ in range(25):
+                    out = server.call("slow", _rows(index))
+                    assert np.array_equal(out.numpy(),
+                                          _rows(index).numpy())
+
+            assert not _run_clients(self.THREADS, client)
+        assert SERVING.requests == self.THREADS * 25
+        assert SERVING.batch_size.max > 1
+        assert SERVING.batched_requests > 0
+
+    def test_close_racing_calls_never_hangs(self):
+        for _ in range(5):
+            server = Server(ServingConfig(max_batch_size=4,
+                                          batch_linger_s=0.0))
+            endpoint = server.register("id", lambda x: x)
+            outcomes = []
+
+            def client(index):
+                x = _rows(index)
+                for k in range(300):
+                    try:
+                        if (index + k) % 2:
+                            out = server.call("id", x)
+                        else:
+                            handle = endpoint.submit((x,))
+                            assert handle.wait(10.0)
+                            if handle.error is not None:
+                                raise handle.error
+                            out = handle.result
+                    except ServerClosed:
+                        outcomes.append("closed")
+                        return
+                    assert np.array_equal(out.numpy(), x.numpy())
+                outcomes.append("done")
+
+            closer = threading.Timer(0.01, server.close)
+            closer.start()
+            try:
+                assert not _run_clients(self.THREADS, client)
+            finally:
+                closer.join(10.0)
+                server.close()
+            assert len(outcomes) == self.THREADS
+            assert endpoint.leader is None and not endpoint.queue
+            assert SERVING.active_clients == 0
