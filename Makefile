@@ -1,6 +1,8 @@
 # Convenience targets for the JANUS reproduction.
 #
-#   make test        - the tier-1 test suite
+#   make test        - the tier-1 test suite (hash seed pinned, so the
+#                      generated programs of the differential suites
+#                      reproduce run-to-run)
 #   make trace-demo  - run a traced training loop, write trace.json,
 #                      print the text summary (docs/observability.md)
 #   make stats-demo  - run the demo with metrics/health on, save a
@@ -9,12 +11,13 @@
 #                      on an ephemeral port, drive a small serving
 #                      workload, scrape /metrics + /health + /requests
 #                      over HTTP, assert all three are populated
-#   make test-concurrency - the threaded dispatch + serving suites
-#                      (hash seed pinned so generated programs and any
-#                      dict-order-sensitive interleavings reproduce)
-#   make test-coexec - the three-way co-execution differential suite
-#                      (co-executed vs whole-function imperative vs
-#                      full-graph; docs/coexecution.md)
+#   make test-concurrency, test-coexec, test-differential,
+#   make test-persistence - one part of tier-1 on its own, for local
+#                      use: the threaded dispatch + serving suites; the
+#                      three-way co-execution differential suite
+#                      (docs/coexecution.md); the write-barrier and
+#                      clean-up differential suites; the persistent
+#                      compile-cache suite plus the default-path smoke
 #   make bench       - regenerate the paper-evaluation tables/figures
 #   make bench-check - run Table 3 three times and fail on >10% median
 #                      regression vs benchmarks/results/baseline_table3.json
@@ -31,17 +34,11 @@
 #                      faster to first graph hit than a cold compile)
 #                      and the schedule gate (same-run +PARL/+SPCN
 #                      throughput ratio >= 0.95 on LSTM, PPO, Inception)
-#   make test-persistence - the persistent compile-cache suite (warm
-#                      start bit-for-bit, corruption tolerance,
-#                      multi-process sharing), run once with the cache
-#                      enabled per-test and once with JANUS_CACHE_DIR
-#                      explicitly unset to prove the default path is
-#                      unchanged
 #   make ci          - everything CI runs, and nothing CI runs is
-#                      outside it: tier-1 tests (once), the concurrency,
-#                      co-execution, write-barrier and persistence
-#                      suites standalone, the stats-demo and
-#                      stats-serve smokes, and the gated benchmark
+#                      outside it, each suite once: tier-1, then only
+#                      what tier-1 is not — the default-path smoke with
+#                      JANUS_CACHE_DIR explicitly unset, the stats-demo
+#                      and stats-serve smokes, and the gated benchmark
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -54,8 +51,8 @@ GATE_LABELS := $(shell seq 1 $(GATE_RUNS))
 GATE_FILES := $(foreach n,$(GATE_LABELS),\
 	benchmarks/results/table3_throughput-gate-run$(n).json)
 
-.PHONY: test test-differential \
-	test-concurrency test-coexec test-persistence trace-demo \
+.PHONY: test test-differential test-concurrency test-coexec \
+	test-persistence test-default-path trace-demo \
 	stats-demo stats-serve bench bench-check ci
 
 #: Where the stats-demo smoke step writes its artifacts (kept out of the
@@ -63,7 +60,7 @@ GATE_FILES := $(foreach n,$(GATE_LABELS),\
 STATS_DEMO_DIR ?= /tmp/janus-stats-demo
 
 test:
-	$(PYTHON) -m pytest -x -q
+	PYTHONHASHSEED=0 $(PYTHON) -m pytest -x -q
 
 # The randomized write-barrier differential suite (>= 200 generated
 # programs, each mutated between calls and checked against the
@@ -98,12 +95,15 @@ test-coexec:
 	PYTHONHASHSEED=0 $(PYTHON) -m pytest \
 		tests/test_coexec_differential.py -q
 
-# The persistent compile-cache suite.  Run twice: the suite itself
-# (each test opts into a private cache dir), then the default-path
-# smoke with JANUS_CACHE_DIR forced unset — persistence must be
-# invisible unless configured (docs/compilation.md).
-test-persistence:
+# The persistent compile-cache suite (each test opts into a private
+# cache dir), after the default-path smoke.
+test-persistence: test-default-path
 	$(PYTHON) -m pytest tests/test_persistence.py -q
+
+# JANUS_CACHE_DIR forced unset: persistence must be invisible unless
+# configured (docs/compilation.md).  The one leg of test-persistence
+# whose environment tier-1 cannot simply have.
+test-default-path:
 	env -u JANUS_CACHE_DIR $(PYTHON) -m pytest \
 		tests/test_persistence.py -q \
 		-k "default_config_never_touches_disk"
@@ -151,5 +151,4 @@ bench-check:
 	$(PYTHON) benchmarks/bench_warm_start.py --check
 	$(PYTHON) benchmarks/bench_fig7_ablation.py --check
 
-ci: test test-concurrency test-coexec test-differential \
-	test-persistence stats-demo stats-serve bench-check
+ci: test test-default-path stats-demo stats-serve bench-check

@@ -147,3 +147,17 @@ class GradientTape:
             else:
                 results.append(grad_by_id.get(id(source)))
         return results
+
+
+def training_step(loss_fn, args, optimizer):
+    """One eager training step: run ``loss_fn(*args)`` under a tape,
+    differentiate its (first) result with respect to the trainable
+    variables it read, apply the gradients; returns what it returned."""
+    with GradientTape() as tape:
+        result = loss_fn(*args)
+    target = result[0] if isinstance(result, (tuple, list)) else result
+    variables = list({id(v): v for v, _ in tape._var_reads}.values())
+    grads = tape.gradient(target, variables)
+    optimizer.apply_gradients(
+        [(g, v) for g, v in zip(grads, variables) if g is not None])
+    return result

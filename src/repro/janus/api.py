@@ -13,6 +13,15 @@ A decorated function follows the execution model of paper figure 2:
    (all-or-nothing), falls back to the imperative executor, relaxes the
    broken assumption, and regenerates (E).
 
+**One path, one count.**  After the cheap exits (imperative-only,
+co-execution plan, profiling with no disk store) ``_call`` looks the
+signature up and prechecks under the read lock; with no entry it
+*obtains* one from exactly one source — ``_load`` (disk tier, while
+profiling) or ``_compile`` (generator), both publishing through
+``_install`` — and one tail serves them all: hit → ``_run_graph``, miss
+→ retire + profile.  A run is counted where it runs, whether it returns
+or raises; every event has one emitting site (docs/architecture.md).
+
 ``@janus.function(optimizer=opt)`` marks a *training* function: the body
 returns a loss, and JANUS automatically appends gradient computation and
 parameter-update operations to the generated graph (and uses a gradient
@@ -43,7 +52,7 @@ import threading
 import time
 
 from ..errors import AssumptionFailed, NotConvertible
-from ..imperative.tape import GradientTape
+from ..imperative.tape import training_step
 from ..observability import COUNTERS, DISKCACHE, HEALTH, METRICS, \
     TRACER, reqtrace
 from . import coexec as coexec_mod
@@ -74,10 +83,8 @@ _FALLBACK_SECONDS = METRICS.histogram(
     "janus_fallback_imperative_seconds",
     "Imperative re-runs forced by a failed runtime assumption.").labels()
 
-#: Sentinels: "not yet computed" for the source-hash memo and "no warm
-#: start happened" for the disk-probe fast path.
+#: Sentinel: "not yet computed" for the source-hash memo.
 _UNSET = object()
-_WARM_MISS = object()
 
 
 class JanusFunction:
@@ -171,34 +178,27 @@ class JanusFunction:
         with self._stats_lock:
             self.stats[key] += amount
 
+    def _count(self, key):
+        """One dispatch event, one call for both of its counts: the
+        function's ``stats[key]`` and the flat ``dispatch.<key>``."""
+        self._inc(key)
+        COUNTERS.labels("dispatch." + key).inc()
+
     def _call(self, args):
         args = tuple(_ensure_tensor(a) for a in args)
         self._inc("calls")
-        health = HEALTH.function(self.__name__) if METRICS.enabled \
-            else None
-        if health is not None:
-            health.record_call()
         if self.imperative_only:
-            if health is not None:
-                health.record_imperative_run()
-            return self._run_imperative(args, profile=False)
+            return self._run_imperative(args, "imperative")
         plan = self._coexec_plan
         if plan is not None:
-            return self._run_coexec(plan, args, health)
-        if self.profiler.runs < self.config.profile_runs:
-            # Warm start: with a disk cache configured, probe it (once
-            # per signature) before paying a single profiling run — a
-            # warm worker's first call goes straight to _run_graph.
-            # With no cache dir configured this branch is one None
-            # check, byte-identical to the historical profiling path.
-            store = self._disk_store()
-            if store is not None:
-                result = self._warm_start(store, args, health)
-                if result is not _WARM_MISS:
-                    return result
-            if health is not None:
-                health.record_profile_run()
-            return self._run_imperative(args, profile=True)
+            return self._run_coexec(plan, args)
+        # Warm start: with a disk cache configured the profiling phase
+        # dispatches too — a warm worker's first call loads the artifact
+        # (one probe per signature) and runs it, zero profiling runs.
+        # With no cache dir this is one None check on the profiling path.
+        profiling = self.profiler.runs < self.config.profile_runs
+        if profiling and self._disk_store() is None:
+            return self._run_imperative(args, "profile")
 
         signature = self.cache.signature_of(args)
         # Read-side critical section: lookup + precheck only.  The
@@ -207,64 +207,30 @@ class JanusFunction:
         # swap never delays other warm callers.
         with self._artifact_lock.read():
             entry = self.cache.lookup(signature)
-            fresh = entry is not None and not entry.dirty
-            valid = fresh and self._checked_preconditions(entry.compiled,
-                                                          args)
-        if fresh:
-            if valid:
-                self.cache.record_hit(entry)
-                if TRACER.level:
-                    TRACER.instant("cache_hit", self.__name__,
-                                   hits=entry.hits)
-                return self._run_graph(entry, args, signature, health)
-            # Cache miss on precheck: relax + regenerate on the next call.
-            self.cache.record_miss(entry)
+            valid = entry is not None and \
+                self._checked_preconditions(entry.compiled, args)
+        if entry is None:
+            obtain = self._load if profiling else self._compile
+            entry, outcome = obtain(signature)
+            if entry is None:
+                # Neither source has one for this call.
+                return self._run_imperative(args, outcome)
+            valid = self._checked_preconditions(entry.compiled, args)
+        if valid:
+            self.cache.record_hit(entry)
             if TRACER.level:
-                TRACER.instant("cache_miss", self.__name__,
-                               reason="precheck_failed")
-            self._retire_entry(signature)
-            self.profiler.record_args(list(args))
-            if health is not None:
-                health.record_profile_run()
-            return self._run_imperative(args, profile=True)
-
+                TRACER.instant("cache_hit", self.__name__, hits=entry.hits)
+            return self._run_graph(entry, args, signature)
+        # Cache miss on precheck (for a loaded artifact: its burned-in
+        # assumptions don't hold here, e.g. a changed module global):
+        # relax + regenerate on the next call.
+        self.cache.record_miss(entry)
         if TRACER.level:
             TRACER.instant("cache_miss", self.__name__,
-                           reason="no_entry", signature=repr(signature))
-        if not self._tickets.claim(signature):
-            # Another caller already owns the compile for this signature
-            # (cold-start stampede or a background regeneration still in
-            # flight): serve imperatively, do not duplicate the work.
-            self._inc("stampede_fallbacks")
-            COUNTERS.labels("dispatch.stampede_fallbacks").inc()
-            reqtrace.note("fallback", "stampede_loss",
-                          flag="stampede_loss", function=self.__name__)
-            if health is not None:
-                health.record_imperative_run()
-            return self._run_imperative(args, profile=False)
-        try:
-            with self._generate_lock:
-                compiled = self._generate(signature)
-            if compiled is None:
-                # A co-execution plan may have been installed instead of
-                # the imperative-only verdict; this call still serves
-                # imperatively, the next one dispatches the plan.
-                if health is not None:
-                    if self._coexec_plan is None:
-                        health.record_imperative_only()
-                    health.record_imperative_run()
-                return self._run_imperative(args, profile=False)
-            entry = self._install(signature, compiled)
-        finally:
-            self._tickets.release(signature)
-        if not self._checked_preconditions(compiled, args):
-            self.cache.record_miss(entry)
-            self.profiler.record_args(list(args))
-            if health is not None:
-                health.record_profile_run()
-            return self._run_imperative(args, profile=True)
-        self.cache.record_hit(entry)
-        return self._run_graph(entry, args, signature, health)
+                           reason="precheck_failed")
+        self._retire_entry(signature)
+        self.profiler.record_args(list(args))
+        return self._run_imperative(args, "profile")
 
     @staticmethod
     def _checked_preconditions(compiled, args):
@@ -277,15 +243,45 @@ class JanusFunction:
         finally:
             _PRECHECK_SECONDS.observe(time.perf_counter() - start)
 
+    def _compile(self, signature):
+        """Obtain an entry from the generator: ``(entry, None)``, or
+        ``(None, "imperative")`` when this call gets no graph."""
+        if TRACER.level:
+            TRACER.instant("cache_miss", self.__name__,
+                           reason="no_entry", signature=repr(signature))
+        if not self._tickets.claim(signature):
+            # Another caller already owns the compile for this signature
+            # (cold-start stampede or a background regeneration still in
+            # flight): serve imperatively, do not duplicate the work.
+            self._count("stampede_fallbacks")
+            reqtrace.note("fallback", "stampede_loss",
+                          flag="stampede_loss", function=self.__name__)
+            return None, "imperative"
+        try:
+            with self._generate_lock:
+                compiled = self._generate(signature)
+            if compiled is None:
+                # Imperative-only, or a co-execution plan was installed
+                # instead: this call still serves imperatively, the next
+                # one dispatches the plan.
+                return None, "imperative"
+            return self._install(signature, compiled), None
+        finally:
+            self._tickets.release(signature)
+
     def _install(self, signature, compiled):
-        """Publish a freshly generated artifact: one write-locked
-        pointer swap into the in-memory cache, then the disk tier."""
+        """Publish an obtained artifact: one write-locked pointer swap
+        into the in-memory cache; a generated one (not one loaded from
+        the disk tier) is then published there too."""
         entry = CacheEntry(compiled)
         self.cache.max_entries = self.config.graph_cache_entries
         with self._artifact_lock.write():
             self.cache.store(signature, entry)
-        self._inc("graphs_generated")
-        self._publish_disk(signature, compiled)
+        if compiled.from_disk:
+            self._count("warm_starts")
+        else:
+            self._inc("graphs_generated")
+            self._publish_disk(signature, compiled)
         return entry
 
     def _retire_entry(self, signature):
@@ -348,55 +344,28 @@ class JanusFunction:
             # The producer never needs to probe its own publication.
             self._disk_probed.add(signature)
 
-    def _warm_start(self, store, args, health):
-        """Dispatch against the in-memory/disk tiers while still in the
-        profiling phase.
-
-        Returns ``_WARM_MISS`` when the caller should fall through to a
-        normal profiling run.  The disk store is probed at most once
-        per signature; a hit is compiled back into a full artifact,
-        published to the in-memory cache, and run — zero profiling runs.
-        """
-        signature = self.cache.signature_of(args)
-        with self._artifact_lock.read():
-            entry = self.cache.lookup(signature)
-            valid = entry is not None and not entry.dirty and \
-                self._checked_preconditions(entry.compiled, args)
-        if valid:
-            self.cache.record_hit(entry)
-            return self._run_graph(entry, args, signature, health)
+    def _load(self, signature):
+        """Obtain an entry from the disk tier while still profiling:
+        ``(entry, None)`` — zero profiling runs — or ``(None,
+        "profile")``.  The store is probed at most once per signature;
+        a hit is compiled back into a full artifact and installed."""
         with self._disk_lock:
             probed = signature in self._disk_probed
             self._disk_probed.add(signature)
         if probed:
-            return _WARM_MISS
+            return None, "profile"
         key = self._disk_key(signature)
         if key is None:
             # Identity-bearing signature or unknowable source: this
             # function/specialization can never live on disk.
             DISKCACHE.record_miss("unportable")
-            return _WARM_MISS
-        compiled = store.load(
+            return None, "profile"
+        compiled = self._disk_store().load(
             key, rebuild=lambda payload: load_compiled(
                 payload, self.config, signature=signature))
         if compiled is None:
-            return _WARM_MISS
-        entry = CacheEntry(compiled)
-        self.cache.max_entries = self.config.graph_cache_entries
-        with self._artifact_lock.write():
-            self.cache.store(signature, entry)
-        self._inc("warm_starts")
-        COUNTERS.labels("dispatch.warm_starts").inc()
-        if TRACER.level:
-            TRACER.instant("cache_hit", self.__name__, source="disk",
-                           signature=repr(signature))
-        if not self._checked_preconditions(compiled, args):
-            # Loaded but its burned-in assumptions don't hold here (e.g.
-            # a changed module global): profile imperatively; the normal
-            # dispatch will retire the entry and regenerate.
-            return _WARM_MISS
-        self.cache.record_hit(entry)
-        return self._run_graph(entry, args, signature, health)
+            return None, "profile"
+        return self._install(signature, compiled), None
 
     def _generate(self, signature=None):
         """Generate and compile: returns a CompiledGraph artifact (or
@@ -437,9 +406,8 @@ class JanusFunction:
                     elapsed = time.perf_counter() - gen_start
                     (_GRAPHGEN_RECOMPILE if regeneration
                      else _GRAPHGEN_INITIAL).observe(elapsed)
-                    health = HEALTH.function(self.__name__)
-                    health.record_generation(elapsed, regeneration,
-                                             compiled.fused_ops)
+                    HEALTH.function(self.__name__).record_generation(
+                        elapsed, regeneration, compiled.fused_ops)
                 return compiled
             except NotConvertible as exc:
                 if not self.config.fail_on_not_convertible \
@@ -453,9 +421,7 @@ class JanusFunction:
                         self._coexec_plan = plan
                         self.not_convertible_reason = str(exc)
                         return None
-                # Figure 2 (C): permanently imperative-only.
-                self.imperative_only = True
-                self.not_convertible_reason = str(exc)
+                self._give_up(str(exc))
                 if TRACER.level:
                     TRACER.instant("fallback", self.__name__,
                                    reason="not_convertible",
@@ -464,74 +430,80 @@ class JanusFunction:
                     raise
                 return None
 
-    def _run_graph(self, entry, args, signature, health=None):
+    def _give_up(self, reason):
+        """Figure 2 (C): permanently imperative-only — conversion found
+        no graph for the function, or its co-execution plan failed."""
+        plan, self._coexec_plan = self._coexec_plan, None
+        if plan is not None:
+            plan.invalidate()
+        self.imperative_only = True
+        self.not_convertible_reason = reason
+        if METRICS.enabled:
+            HEALTH.function(self.__name__).record_imperative_only()
+
+    def _run_graph(self, entry, args, signature):
         compiled = entry.compiled
-        feeds = compiled.bind_feeds(args)
+        failure = None
         try:
-            flat = compiled.run_flat(feeds)
+            flat = compiled.run_flat(compiled.bind_feeds(args))
         except AssumptionFailed as exc:
-            # Figure 2 (E): no state was committed; fall back, relax,
-            # regenerate with the broken assumption removed.  Under
-            # concurrency every caller pinned to the failing artifact
-            # observes the failure, but exactly one wins the recompile
-            # ticket and owns relax + retire + regeneration; the rest
-            # go straight to the imperative fallback.
-            self.cache.record_failure(entry)
-            self._inc("fallbacks")
-            self.last_assumption_failure = str(exc)
-            if TRACER.level:
-                TRACER.instant("assumption_fail", self.__name__,
-                               guard=str(exc), site=repr(exc.site))
-                TRACER.instant("fallback", self.__name__,
-                               reason="assumption_failed", guard=str(exc))
-                reqtrace.flag("fallback")
-            else:
-                reqtrace.note("fallback", self.__name__, flag="fallback",
-                              reason="assumption_failed")
-            site, kind = _failure_site(exc)
-            if health is not None:
-                health.record_failure(site, kind=kind, guard=str(exc))
-            if self._tickets.claim(signature):
-                self._inc("recompile_tickets")
-                COUNTERS.labels("dispatch.recompile_tickets").inc()
-                reqtrace.note("graphgen", "recompile_ticket",
-                              flag="recompile", function=self.__name__)
-                background = self.config.recompile_workers > 0
-                try:
-                    self._relax(exc)
-                    self._retire_entry(signature)
-                finally:
-                    if not background:
-                        # Inline mode: the next call regenerates (under
-                        # its own cold-path ticket) — the historical
-                        # single-caller behaviour.
-                        self._tickets.release(signature)
-                if background:
-                    # The ticket travels with the background job; cold
-                    # callers for this signature keep falling back until
-                    # the regenerated artifact is published.
-                    COUNTERS.labels(
-                        "dispatch.background_recompiles").inc()
-                    reqtrace.note("graphgen", "background_recompile",
-                                  function=self.__name__)
-                    recompile_pool(self.config.recompile_workers).submit(
-                        self._background_regenerate, signature)
-            # The measured fallback cost: the imperative re-run this
-            # guard failure forced (attributed to the failing site).
-            fallback_start = time.perf_counter() if health is not None \
-                else 0.0
-            result = self._run_imperative(args, profile=True)
-            if health is not None:
-                elapsed = time.perf_counter() - fallback_start
-                _FALLBACK_SECONDS.observe(elapsed)
-                health.record_fallback(site, elapsed, kind=kind)
-            return result
-        self._inc("graph_runs")
-        if health is not None:
-            health.record_graph_run()
+            failure = exc
+        finally:
+            # A graph run whether it returned or the program raised; a
+            # failed assumption is counted by the fallback it forces.
+            if failure is None:
+                self._inc("graph_runs")
+                if METRICS.enabled:
+                    HEALTH.function(self.__name__).record_graph_run()
+        if failure is not None:
+            return self._fall_back(entry, args, signature, failure)
         return compiled.repack_outputs(flat)
 
-    def _run_coexec(self, plan, args, health):
+    def _fall_back(self, entry, args, signature, exc):
+        """Figure 2 (E): no state was committed; fall back, relax,
+        regenerate with the broken assumption removed.  Under
+        concurrency every caller pinned to the failing artifact observes
+        the failure, but exactly one wins the recompile ticket and owns
+        relax + retire + regeneration; the rest go straight to the
+        imperative fallback."""
+        self.cache.record_failure(entry)
+        self._inc("fallbacks")
+        self.last_assumption_failure = str(exc)
+        if TRACER.level:
+            TRACER.instant("assumption_fail", self.__name__,
+                           guard=str(exc), site=repr(exc.site))
+        reqtrace.note("fallback", self.__name__, flag="fallback",
+                      reason="assumption_failed", guard=str(exc))
+        if METRICS.enabled:
+            site, kind = _failure_site(exc)
+            HEALTH.function(self.__name__).record_failure(
+                site, kind=kind, guard=str(exc))
+        if self._tickets.claim(signature):
+            self._count("recompile_tickets")
+            reqtrace.note("graphgen", "recompile_ticket",
+                          flag="recompile", function=self.__name__)
+            background = self.config.recompile_workers > 0
+            try:
+                self._relax(exc)
+                self._retire_entry(signature)
+            finally:
+                if not background:
+                    # Inline mode: the next call regenerates (under its
+                    # own cold-path ticket) — the historical
+                    # single-caller behaviour.
+                    self._tickets.release(signature)
+            if background:
+                # The ticket travels with the background job; cold
+                # callers for this signature keep falling back until
+                # the regenerated artifact is published.
+                COUNTERS.labels("dispatch.background_recompiles").inc()
+                reqtrace.note("graphgen", "background_recompile",
+                              function=self.__name__)
+                recompile_pool(self.config.recompile_workers).submit(
+                    self._background_regenerate, signature)
+        return self._run_imperative(args, "fallback", exc)
+
+    def _run_coexec(self, plan, args):
         """Dispatch one call through the co-execution plan.
 
         The plan runs symbolic fragments and imperative gaps in
@@ -541,42 +513,30 @@ class JanusFunction:
         and refinement degenerating to an all-gap schedule (no partial
         win left; classic imperative-only).
         """
-        self._inc("coexec_runs")
-        COUNTERS.labels("dispatch.coexec_runs").inc()
+        mismatch, frag_runs = None, 0
         try:
             result, frag_runs, alive = plan.run(args)
         except coexec_mod.BoundaryMismatch as exc:
-            # This call is re-counted as an imperative run, not a
-            # co-executed one, so counter conservation holds:
+            mismatch = exc
+        finally:
+            # Co-executed whether it returned or the program raised; a
+            # mismatched call is an imperative run instead, so that
             # calls == graph_runs + imperative_runs + coexec_runs.
-            self._inc("coexec_runs", -1)
+            if mismatch is None:
+                self._count("coexec_runs")
+                if frag_runs:
+                    self._inc("coexec_fragment_runs", frag_runs)
+                if METRICS.enabled:
+                    HEALTH.function(self.__name__).record_coexec_run(
+                        frag_runs, plan.converted_ratio)
+        if mismatch is not None:
             COUNTERS.labels("coexec.boundary_fallbacks").inc()
-            self._coexec_plan = None
-            plan.invalidate()
-            self.imperative_only = True
-            self.not_convertible_reason = \
-                "co-execution boundary mismatch: %s" % exc
-            if TRACER.level:
-                TRACER.instant("fallback", self.__name__,
-                               reason="coexec_boundary", detail=str(exc))
-                reqtrace.flag("fallback")
-            else:
-                reqtrace.note("fallback", self.__name__, flag="fallback",
-                              reason="coexec_boundary")
-            if health is not None:
-                health.record_imperative_only()
-                health.record_imperative_run()
-            return self._run_imperative(args, profile=False)
-        if frag_runs:
-            self._inc("coexec_fragment_runs", frag_runs)
-        if health is not None:
-            health.record_coexec_run(frag_runs, plan.converted_ratio)
+            self._give_up("co-execution boundary mismatch: %s" % mismatch)
+            reqtrace.note("fallback", self.__name__, flag="fallback",
+                          reason="coexec_boundary", detail=str(mismatch))
+            return self._run_imperative(args, "imperative")
         if not alive:
-            self._coexec_plan = None
-            plan.invalidate()
-            self.imperative_only = True
-            if health is not None:
-                health.record_imperative_only()
+            self._give_up(self.not_convertible_reason)
         return result
 
     def _background_regenerate(self, signature):
@@ -613,26 +573,34 @@ class JanusFunction:
             elif kind in ("attr", "subscr"):
                 self.profiler.relax_attr_spec(prof_site, failure.observed)
 
-    def _run_imperative(self, args, profile):
+    def _run_imperative(self, args, outcome, failure=None):
+        """The imperative executor, and the one place its runs are
+        counted (before running: a raising program still ran).
+        *outcome*: ``"profile"`` — under the Profiler; ``"imperative"``
+        — the plain function; ``"fallback"`` — the profiled re-run the
+        assumption *failure* forced, timed as that site's guard cost."""
         self._inc("imperative_runs")
-        if self.optimizer is not None:
-            return self._imperative_training_step(args, profile)
-        if profile:
-            return self.profiler.profile_call(self.func, list(args))
-        return self.func(*args)
+        health = HEALTH.function(self.__name__) if METRICS.enabled \
+            else None
+        timed = health is not None and outcome == "fallback"
+        if health is not None and not timed:
+            (health.record_profile_run if outcome == "profile"
+             else health.record_imperative_run)()
+        start = time.perf_counter() if timed else 0.0
+        try:
+            run = self.func if outcome == "imperative" else self._profiled
+            if self.optimizer is None:
+                return run(*args)
+            return training_step(run, args, self.optimizer)
+        finally:
+            if timed:
+                elapsed = time.perf_counter() - start
+                _FALLBACK_SECONDS.observe(elapsed)
+                site, kind = _failure_site(failure)
+                health.record_fallback(site, elapsed, kind=kind)
 
-    def _imperative_training_step(self, args, profile):
-        with GradientTape() as tape:
-            if profile:
-                loss = self.profiler.profile_call(self.func, list(args))
-            else:
-                loss = self.func(*args)
-        target = loss[0] if isinstance(loss, (tuple, list)) else loss
-        variables = list({id(v): v for v, _ in tape._var_reads}.values())
-        grads = tape.gradient(target, variables)
-        pairs = [(g, v) for g, v in zip(grads, variables) if g is not None]
-        self.optimizer.apply_gradients(pairs)
-        return loss
+    def _profiled(self, *args):
+        return self.profiler.profile_call(self.func, list(args))
 
     # -- introspection -------------------------------------------------------------
 

@@ -40,10 +40,6 @@ from ..observability import COUNTERS, HEALTH, METRICS, TRACER
 from ..tensor import TensorValue
 from . import specialization as spec
 
-#: Bound on the per-cache tensor-signature memo (cleared wholesale
-#: beyond it — entries are a handful of words, so this is generous).
-_SIG_MEMO_MAX = 4096
-
 #: The two per-call counters, bound once (docs/observability.md).
 _HITS = COUNTERS.labels("cache.hits")
 _MISSES = COUNTERS.labels("cache.misses")
@@ -52,14 +48,17 @@ _MISSES = COUNTERS.labels("cache.misses")
 class CacheEntry:
     """One compiled graph artifact plus its per-entry retrieval counts."""
 
-    __slots__ = ("compiled", "hits", "misses", "failures", "dirty")
+    __slots__ = ("compiled", "hits", "misses", "failures")
+
+    #: Invalidation removes an entry (RCU), it never marks one: constant,
+    #: kept readable for callers that walk the warm path by hand.
+    dirty = False
 
     def __init__(self, compiled):
         self.compiled = compiled
         self.hits = 0
         self.misses = 0
         self.failures = 0
-        self.dirty = False
 
     @property
     def generated(self):
@@ -99,11 +98,6 @@ class GraphCache:
         self.stores = 0
         self.evictions = 0
         self.invalidations = 0
-        #: id(TensorValue) -> (token, version, dtype, ndim): memoized
-        #: signature tokens for *tracked* (write-barrier-sealed) values.
-        #: The validation triple fully determines the token, so an id
-        #: reused by a different value can never yield a wrong result.
-        self._sig_memo = {}
 
     def signature_of(self, args):
         """The type-level cache key for a positional-argument tuple.
@@ -116,30 +110,12 @@ class GraphCache:
         """
         out = []
         for a in args:
-            if type(a) is Tensor:
-                out.append(self._tensor_signature(a.value))
-            elif type(a) is TensorValue:
-                out.append(self._tensor_signature(a))
+            tv = a.value if type(a) is Tensor else a
+            if type(tv) is TensorValue:
+                out.append(("T", tv.dtype.name, tv.array.ndim))
             else:
                 out.append(spec.observe(a).signature())
         return tuple(out)
-
-    def _tensor_signature(self, tv):
-        if tv.tracked:
-            # Sealed values: (identity, version) pins content, so the
-            # memoized token is valid while both match (and the triple
-            # re-derives it even across id reuse).
-            memo = self._sig_memo
-            hit = memo.get(id(tv))
-            if hit is not None and hit[1] == tv.version \
-                    and hit[2] is tv.dtype and hit[3] == tv.array.ndim:
-                return hit[0]
-            token = ("T", tv.dtype.name, tv.array.ndim)
-            if len(memo) >= _SIG_MEMO_MAX:
-                memo.clear()
-            memo[id(tv)] = (token, tv.version, tv.dtype, tv.array.ndim)
-            return token
-        return ("T", tv.dtype.name, tv.array.ndim)
 
     def lookup(self, signature):
         with self._lock:

@@ -24,7 +24,8 @@ from .graph.executor import GraphExecutor, _externalize
 from .graph import autodiff
 from .graph.passes import PassManager
 from .imperative.eager import Tensor
-from .imperative.tape import GradientTape
+from .imperative.tape import training_step
+from .janus.api import _ensure_tensor
 from .tensor import TensorValue
 
 MODES = ("imperative", "janus", "symbolic", "tracing")
@@ -38,18 +39,10 @@ class ImperativeStep:
         self.optimizer = optimizer
 
     def __call__(self, *args):
-        from .janus.api import _ensure_tensor
         args = tuple(_ensure_tensor(a) for a in args)
         if self.optimizer is None:
             return self.loss_fn(*args)
-        with GradientTape() as tape:
-            result = self.loss_fn(*args)
-        target = result[0] if isinstance(result, (tuple, list)) else result
-        variables = list({id(v): v for v, _ in tape._var_reads}.values())
-        grads = tape.gradient(target, variables)
-        self.optimizer.apply_gradients(
-            [(g, v) for g, v in zip(grads, variables) if g is not None])
-        return result
+        return training_step(self.loss_fn, args, self.optimizer)
 
 
 class SymbolicStep:

@@ -267,28 +267,26 @@ class SpeculationHealth(View):
 
     # -- event recording (driven by the runtime) -----------------------------
 
-    def record_call(self):
-        with self._lock:
-            self._add("calls")
+    def _outcome(self, outcome, *counts):
+        """How one call ended.  The call is counted here, with its
+        outcome, so a call takes the lock once; the caller holds it."""
+        for attr in ("calls",) + counts:
+            self._add(attr)
+        self.consecutive_graph_runs = \
+            self.consecutive_graph_runs + 1 if outcome == "graph" else 0
+        self.recent.append(outcome)
 
     def record_graph_run(self):
         with self._lock:
-            self._add("graph_runs")
-            self.consecutive_graph_runs += 1
-            self.recent.append("graph")
+            self._outcome("graph", "graph_runs")
 
     def record_profile_run(self):
         with self._lock:
-            self._add("profile_runs")
-            self._add("imperative_runs")
-            self.consecutive_graph_runs = 0
-            self.recent.append("profile")
+            self._outcome("profile", "profile_runs", "imperative_runs")
 
     def record_imperative_run(self):
         with self._lock:
-            self._add("imperative_runs")
-            self.consecutive_graph_runs = 0
-            self.recent.append("imperative")
+            self._outcome("imperative", "imperative_runs")
 
     def record_failure(self, site, kind=None, guard=None):
         with self._lock:
@@ -307,10 +305,7 @@ class SpeculationHealth(View):
     def record_fallback(self, site, seconds, kind=None):
         with self._lock:
             self.site(site, kind).fallback._observe(seconds)
-            self._add("fallbacks")
-            self._add("imperative_runs")
-            self.consecutive_graph_runs = 0
-            self.recent.append("fallback")
+            self._outcome("fallback", "fallbacks", "imperative_runs")
             self._stamp_failure(site_key(site), "fallback_s", seconds)
 
     def _stamp_failure(self, key, field, seconds):
@@ -357,12 +352,10 @@ class SpeculationHealth(View):
         plan's current converted-op ratio (refinement shrinks it).
         """
         with self._lock:
-            self._add("coexec_runs")
+            self._outcome("coexec", "coexec_runs")
             self._add("coexec_fragment_runs", int(fragment_graph_runs))
             if ratio is not None:
                 self.converted_ratio = float(ratio)
-            self.consecutive_graph_runs = 0
-            self.recent.append("coexec")
 
     def record_imperative_only(self):
         with self._lock:

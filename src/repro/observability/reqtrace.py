@@ -60,8 +60,8 @@ from . import tracer as tracer_mod
 from .tracer import TRACER, TraceEvent
 
 __all__ = ["RECORDER", "FlightRecorder", "RequestContext", "activate",
-           "current", "deactivate", "flag", "new_request", "note", "span",
-           "using", "get_flight_recorder"]
+           "current", "deactivate", "new_request", "note", "span", "using",
+           "get_flight_recorder"]
 
 _perf_counter = time.perf_counter
 
@@ -332,22 +332,16 @@ def span(category, name, **args):
     return _req_span(ctx, category, name, args)
 
 
-def flag(name):
-    """Tag the active request (no event) so the recorder retains it:
-    for ``TRACER.instant`` sites whose event the hook already captures,
-    the tag adds retention without a duplicate event."""
-    ctx = _CURRENT.get()
-    if ctx is not None:
-        ctx.flags.add(name)
-
-
 def note(category, name, flag=None, **args):
-    """Mark an instant on the active request (no-op without one);
-    *flag* also tags the request itself ("fallback", "stampede_loss",
-    …) so the flight recorder retains it whatever its outcome."""
+    """Mark an instant: on the active request (captured even at
+    ``JANUS_TRACE=0``), or without one as a plain ``TRACER.instant`` —
+    like :func:`span`, so a site reports an event once whoever is
+    listening.  *flag* also tags the request itself ("fallback",
+    "stampede_loss", …) so the flight recorder retains it whatever its
+    outcome."""
     ctx = _CURRENT.get()
     if ctx is None:
-        return
+        return TRACER.instant(category, name, **args)
     if flag is not None:
         ctx.flags.add(flag)
     _emit(ctx, category, name, "i", _perf_counter(), 0.0, args,

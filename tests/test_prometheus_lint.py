@@ -91,9 +91,6 @@ def _populated_state():
                        "Graph generation.").labels().observe(0.12)
 
     fn = registry.view(HealthRegistry).function("model.predict")
-    fn.record_call()
-    fn.record_profile_run()
-    fn.record_call()
     fn.record_graph_run()
     fn.record_failure('guard "shape" at line 3\nwith\\newline',
                       kind="assumption")
@@ -236,7 +233,7 @@ class TestNothingScrapedDisappeared:
 
     def test_health_key_set(self):
         obs.clear()
-        obs.HEALTH.function("f").record_call()
+        obs.HEALTH.function("f").record_graph_run()
         try:
             payload = health_payload()
         finally:

@@ -275,7 +275,6 @@ class TestSnapshots:
     def test_health_roundtrip_through_registry_and_log(self):
         view = HealthRegistry()
         health = view.function("f")
-        health.record_call()
         health.record_profile_run()
         health.record_failure(("fk", "attr", "h.scale"), kind="attr",
                               guard="const changed")
