@@ -29,7 +29,7 @@
 #                      gates (same-run ratios
 #                      against a direct call of the warm function,
 #                      any host: one blocking client >= 0.53x, one
-#                      client with 8 outstanding submits >= 1.0x) and
+#                      client with 8 outstanding submits >= 1.34x) and
 #                      the warm-start gate (disk-cache warm start >= 5x
 #                      faster to first graph hit than a cold compile)
 #                      and the schedule gate (same-run +PARL/+SPCN

@@ -40,6 +40,7 @@ import os
 import threading
 import time
 from bisect import bisect_right
+from itertools import groupby
 
 _perf_counter = time.perf_counter
 
@@ -114,7 +115,7 @@ class Histogram:
 
     def __init__(self, lock=None, feed=None):
         self._lock = lock if lock is not None else threading.Lock()
-        #: Called, lock held, before the buffer is counted: an owner
+        #: Called, lock held, before a read counts the buffer: an owner
         #: that logs whole events and observes them later does so now.
         self._feed = feed
         self._reset()
@@ -140,12 +141,30 @@ class Histogram:
         pending = self._pending
         pending.append(float(value))
         if len(pending) >= self.FOLD_AT:
-            self._fold()
+            self._flush()
+
+    def _observe_all(self, values):
+        """A loop of :meth:`_observe` over *values*, one list extend per
+        :attr:`FOLD_AT`, counted where the loop counts: the state, float
+        sum included, is bit-for-bit the loop's.  Lock held by caller."""
+        pending = self._pending
+        values = [float(value) for value in values]
+        while values:
+            room = self.FOLD_AT - len(pending)
+            pending.extend(values[:room])
+            del values[:room]
+            if len(pending) >= self.FOLD_AT:
+                self._flush()
 
     def _fold(self):
-        """Count the buffered observations; the caller holds the lock."""
+        """Count everything observed, the owner's log too: a read's
+        first step; the caller holds the lock."""
         if self._feed is not None:
             self._feed()
+        self._flush()
+
+    def _flush(self):
+        """Count the buffer; the owner's log waits for the next read."""
         if self._pending:
             self._absorb(self._pending)
             self._pending.clear()
@@ -303,12 +322,25 @@ class WindowedHistogram(Histogram):
     def _observe(self, value, now=None):
         """*now*: a reading of the clock the caller has already taken
         (an owner stamping several windowed histograms at once)."""
+        self._observe_all((value,), now)
+
+    def _observe_all(self, values, now=None):
+        """A loop of :meth:`_observe` over *values*, bit-for-bit, with one
+        reading of the clock (*now*, or read here); a list or tuple *now*
+        stamps each value, and each run in one slice is then one step."""
+        if isinstance(now, (list, tuple)):
+            span = self._slice_span
+            for _, run in groupby(zip(now, values),
+                                  lambda stamped: int(stamped[0] / span)):
+                stamps, run_values = zip(*run)
+                self._observe_all(run_values, stamps[0])
+            return
         seq = int((self._clock() if now is None else now)
                   / self._slice_span)
-        if seq != self._seq:
-            self._fold()
+        if seq != self._seq:            # a new slice counts the buffer
+            self._flush()
             self._seq = seq
-        super()._observe(value)
+        super()._observe_all(values)
 
     def _absorb(self, values):
         seq = self._seq

@@ -190,13 +190,14 @@ class ServingStats(View):
             self._add("rejected")
             self.request_latency["rejected"]._observe(duration)
 
-    def record_batch(self, size, waits=(), latencies=(), now=None,
+    def record_batch(self, size, waits=(), latencies=None, now=None,
                      fallback=False):
-        """One dispatch of *size* coalesced requests, folded at once.
+        """One dispatch of *size* coalesced requests, folded at once:
+        one bulk observe per histogram it touches.
 
         *waits* are the per-request queue-wait seconds (enqueue →
-        dispatch); *latencies* are ``(outcome, seconds)`` pairs, the
-        end-to-end latency of each request the dispatch resolved at
+        dispatch); *latencies* maps an outcome to the end-to-end
+        latencies of the requests the dispatch resolved with it at
         ``perf_counter`` *now*.  *fallback*: the batch did not run as
         one and was re-run request by request.
         """
@@ -207,13 +208,11 @@ class ServingStats(View):
             elif size > 1:
                 self._batched.value += size
             self.batch_size._observe(size)
-            observe = self.queue_wait._observe
-            for wait in waits:
-                observe(wait, now)
+            self.queue_wait._observe_all(waits, now)
             by_outcome = self.request_latency
-            for outcome, duration in latencies:
+            for outcome, durations in (latencies or {}).items():
                 (by_outcome.get(outcome)
-                 or by_outcome["error"])._observe(duration, now)
+                 or by_outcome["error"])._observe_all(durations, now)
 
     def record_solo(self, latency, outcome, now):
         """One uncontended ``Server.call`` in one fold: accepted at
@@ -229,17 +228,19 @@ class ServingStats(View):
             self._client_gone()
 
     def _replay(self):
-        """Observe the logged solo requests; the caller holds the lock."""
+        """Observe the logged solo requests, one bulk observe per
+        histogram, each at its own stamp; the caller holds the lock."""
         solo = self._solo
         if solo:
             self._solo = []
-            depth, size = self.queue_depth._observe, self.batch_size._observe
-            wait, by_outcome = self.queue_wait._observe, self.request_latency
-            for now, latency, outcome in solo:
-                depth(0.0)
-                size(1.0)
-                wait(0.0, now)
-                by_outcome[outcome]._observe(latency, now)
+            zeros = [0.0] * len(solo)
+            self.queue_depth._observe_all(zeros)
+            self.batch_size._observe_all([1.0] * len(solo))
+            self.queue_wait._observe_all(zeros, [entry[0] for entry in solo])
+            for outcome, hist in self.request_latency.items():
+                logged = [entry for entry in solo if entry[2] == outcome]
+                hist._observe_all([entry[1] for entry in logged],
+                                  [entry[0] for entry in logged])
 
     def record_request(self, duration, outcome="ok"):
         """One request resolved outside a dispatch (failed at close)."""

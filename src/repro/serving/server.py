@@ -40,11 +40,13 @@ through ``janus-stats`` (text and Prometheus).
 
 import threading
 import time
+from itertools import accumulate
 
 import numpy as np
 
 from ..imperative.eager import Tensor
 from ..observability import RECORDER, SERVING, TRACER, reqtrace
+from ..tensor import TensorValue
 
 __all__ = ["Server", "ServingConfig", "ServerClosed", "ServerOverloaded"]
 
@@ -82,22 +84,22 @@ class ServingConfig:
 def _group_key(args):
     """``(key, rows)``: the batch-compatibility key, None when the call
     cannot batch.  Two requests may share a batch iff every argument
-    position agrees on (dtype, trailing shape) and every argument is a
-    tensor with a batch (leading) dimension."""
+    position agrees on (numpy dtype, trailing shape) and every argument
+    is a tensor with a batch (leading) dimension."""
     if not args:
         return None, 0
     key = []
     rows = None
     for arg in args:
-        arr = arg.numpy() if isinstance(arg, Tensor) \
+        arr = arg.value.array if isinstance(arg, Tensor) \
             else arg if isinstance(arg, np.ndarray) else None
-        if arr is None or arr.ndim == 0:
+        if arr is None or not arr.shape:
             return None, 0
         if rows is None:
             rows = arr.shape[0]
         elif arr.shape[0] != rows:
             return None, 0
-        key.append((arr.dtype.str, arr.shape[1:]))
+        key.append((arr.dtype, arr.shape[1:]))
     return tuple(key), rows
 
 
@@ -455,14 +457,15 @@ class _Endpoint:
         """
         now = _perf_counter()
         size = len(requests)
-        latencies = []
+        latencies = {}              # outcome -> [seconds]
         contexts = []
         for request in requests:
             if request.outcome is None:
                 request.outcome = "error"
                 request.error = RuntimeError(
                     "the client thread dispatching this request died")
-            latencies.append((request.outcome, now - request.enqueued))
+            latencies.setdefault(request.outcome, []).append(
+                now - request.enqueued)
             ctx = request.ctx
             if ctx is not None:
                 if fallback:
@@ -477,8 +480,9 @@ class _Endpoint:
                 [dispatched - request.enqueued for request in requests],
                 latencies, now, fallback)
         else:
-            for outcome, duration in latencies:
-                SERVING.record_request(duration, outcome)
+            for outcome, durations in latencies.items():
+                for duration in durations:
+                    SERVING.record_request(duration, outcome)
         if contexts:
             RECORDER.record_all(contexts)
         for request in requests:
@@ -504,44 +508,45 @@ class _Endpoint:
             self._account(orphans)
 
 
-def _as_array(arg):
-    return arg.numpy() if isinstance(arg, Tensor) else np.asarray(arg)
-
-
 def _stacked(batch):
     """The arguments of one call for the whole *batch*: each position
     concatenated along axis 0 and re-wrapped in the type of the first
     request's argument, so the batched call produces the same ValueSpec
-    signature family as its constituents."""
+    signature family as its constituents (a Tensor of the known dtype)."""
     stacked = []
     for position, proto in enumerate(batch[0].args):
-        merged = np.concatenate([_as_array(request.args[position])
-                                 for request in batch], axis=0)
-        stacked.append(Tensor(merged) if isinstance(proto, Tensor)
-                       else merged)
+        merged = np.concatenate([
+            arg.value.array if isinstance(arg, Tensor) else arg
+            for arg in (request.args[position] for request in batch)])
+        stacked.append(Tensor(TensorValue.private(merged, proto.dtype))
+                       if isinstance(proto, Tensor) else merged)
     return stacked
 
 
 def _split_result(result, row_counts):
-    """Split a batched endpoint result back into per-request pieces;
-    None when it does not decompose row-for-row (wrong leading
-    dimension, scalar output, unknown type) — the caller then
-    re-executes the batch singly."""
-    total = sum(row_counts)
-    if isinstance(result, (tuple, list)):
-        split_parts = [_split_result(item, row_counts) for item in result]
-        if any(part is None for part in split_parts):
+    """Split a batched endpoint result back into per-request pieces, or
+    None when it does not decompose row-for-row (wrong leading dimension,
+    scalar output, unknown type) and the batch must re-run singly.
+    Tuples, lists and namedtuples split per item, dicts per key, an
+    array at the running row offsets into copies each reply owns."""
+    if isinstance(result, (tuple, list, dict)):
+        keyed = isinstance(result, dict)
+        columns = [_split_result(item, row_counts)
+                   for item in (result.values() if keyed else result)]
+        if any(column is None for column in columns):
             return None
-        return [type(result)(items) for items in zip(*split_parts)]
-    arr = result.numpy() if isinstance(result, Tensor) \
-        else result if isinstance(result, np.ndarray) else None
-    if arr is None or arr.ndim == 0 or arr.shape[0] != total:
+        build = getattr(result, "_make", type(result))
+        rows = zip(*columns) if columns else [()] * len(row_counts)
+        return [build(zip(result, row) if keyed else row) for row in rows]
+    value = result.value if isinstance(result, Tensor) else None
+    arr = result if value is None else value.array
+    if not isinstance(arr, np.ndarray) or not arr.shape \
+            or arr.shape[0] != sum(row_counts):
         return None
-    offsets = np.cumsum(row_counts)[:-1]
-    pieces = np.split(arr, offsets, axis=0)
-    if isinstance(result, Tensor):
-        return [Tensor(piece.copy()) for piece in pieces]
-    return [piece.copy() for piece in pieces]
+    pieces = [arr[end - rows:end].copy()
+              for rows, end in zip(row_counts, accumulate(row_counts))]
+    return pieces if value is None else [
+        Tensor(TensorValue.private(piece, value.dtype)) for piece in pieces]
 
 
 class Server:

@@ -70,6 +70,16 @@ class TensorValue:
         self.dtype = dtype
 
     @classmethod
+    def private(cls, array, dtype):
+        """A value owning *array* — a fresh ndarray already of *dtype*'s
+        numpy type that nothing else holds: no coercion, no dtype lookup,
+        and in-place writes go straight through."""
+        value = cls.__new__(cls)
+        value.array, value.dtype = array, dtype
+        value.version, value._mode = 0, _PRIVATE
+        return value
+
+    @classmethod
     def of(cls, value, dtype=None):
         """Coerce scalars, lists, numpy arrays, or TensorValues."""
         if isinstance(value, TensorValue) and dtype is None:
@@ -107,7 +117,7 @@ class TensorValue:
         return TensorValue(self.array.astype(dtype.np_dtype), dtype)
 
     def copy(self):
-        return TensorValue(self.array.copy(), self.dtype).mark_private()
+        return TensorValue.private(self.array.copy(), self.dtype)
 
     # -- write barrier -----------------------------------------------------
 

@@ -9,12 +9,15 @@
 * **Concurrency** — concurrent ``inc``/``observe`` on one child of each
   kind lose nothing while ``snapshot()`` races them; ``clear()`` may
   race them too; handles bound before a clear keep recording after it.
+* **Bulk observe** — one ``_observe_all`` is exactly a loop of
+  ``_observe``: buckets, count, sum, min, max and window slices.
 * **The catalogue** — the instrument table in docs/observability.md
   lists exactly the families a process registers.
 """
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -27,8 +30,8 @@ from repro import observability as obs
 from repro.observability.cli import (load_stats, prometheus_text,
                                      render_report, write_stats_json)
 from repro.observability.health import HealthRegistry
-from repro.observability.metrics import (COUNTERS, METRICS, Registry,
-                                         WindowedHistogram)
+from repro.observability.metrics import (COUNTERS, METRICS, Histogram,
+                                         Registry, WindowedHistogram)
 from repro.observability.serving import ServingStats
 
 from test_prometheus_lint import _families, _populated_state
@@ -233,6 +236,75 @@ class TestConcurrency:
         assert obs.counter_values()["test.bound_before_clear"] == 1
         assert 'janus_graph_run_seconds_count 1' in prometheus_text()
         obs.clear()
+
+
+class TestBulkObserve:
+    """``_observe_all`` leaves bit-for-bit the state a loop of
+    ``_observe`` over the same values leaves — the float sum too, which
+    depends on where the buffer is counted."""
+
+    #: Observed in these sizes: the buffer is part-full when a list
+    #: crosses FOLD_AT, and one list crosses it twice.
+    SIZES = (5, 40, 30, 70, 1)
+
+    def _values(self):
+        rng = random.Random(7)
+        values = [rng.lognormvariate(-7.0, 2.0) for _ in range(sum(
+            self.SIZES))]
+        start = 0
+        for size in self.SIZES:
+            yield values[start:start + size]
+            start += size
+
+    @staticmethod
+    def _state(hist):
+        state = {"snapshot": hist.snapshot()}
+        if isinstance(hist, WindowedHistogram):
+            state["window"] = hist.window_percentiles()
+            state["slices"] = (list(hist._seqs),
+                               [ring.snapshot() for ring in hist._ring])
+        return state
+
+    def _compare(self, make, stamps):
+        """Observe the same lists into two histograms, in bulk and in a
+        loop; stamp ``i`` is the clock when list ``i`` is observed."""
+        clock = [0.0]
+        bulk, loop = make(lambda: clock[0]), make(lambda: clock[0])
+        for values, stamp in zip(self._values(), stamps):
+            clock[0] = stamp
+            with bulk._lock:
+                bulk._observe_all(values)
+            with loop._lock:
+                for value in values:
+                    loop._observe(value)
+        assert sum(self.SIZES) > 3 * Histogram.FOLD_AT
+        assert bulk.count == loop.count == sum(self.SIZES)
+        assert self._state(bulk) == self._state(loop)
+
+    def test_histogram(self):
+        self._compare(lambda clock: Histogram(), [0.0] * len(self.SIZES))
+
+    def test_windowed_across_slices(self):
+        # 1 s slices; the fourth list opens a new slice and the last one
+        # comes back to a ring slot after it expired.
+        self._compare(
+            lambda clock: WindowedHistogram(window_s=3.0, slices=3,
+                                            clock=clock),
+            [0.2, 0.7, 0.9, 1.3, 4.5])
+
+    def test_windowed_with_a_stamp_per_value(self):
+        """A log observed after the fact: the stamps cross slice
+        boundaries inside the list."""
+        values = [value for chunk in self._values() for value in chunk]
+        stamps = [0.5 + 0.015 * i for i in range(len(values))]
+        bulk, loop = (WindowedHistogram(window_s=3.0, slices=3,
+                                        clock=lambda: stamps[-1])
+                      for _ in range(2))
+        bulk._observe_all(values, stamps)
+        for value, stamp in zip(values, stamps):
+            loop._observe(value, stamp)
+        assert len({int(stamp) for stamp in stamps}) == 3
+        assert self._state(bulk) == self._state(loop)
 
 
 class TestCatalogue:

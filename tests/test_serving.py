@@ -16,6 +16,7 @@ These tests pin down:
 * the serving section of the ``janus-stats`` report and Prometheus text.
 """
 
+import collections
 import sys
 import threading
 import time
@@ -814,6 +815,81 @@ class TestBatchFallback:
         assert SERVING.batch_fallbacks == 0
         assert SERVING.batched_requests == self.N
         assert RECORDER.failed() == []
+
+
+_Pair = collections.namedtuple("_Pair", "double plus")
+
+
+class TestBatchedReplies:
+    """A stacked reply is split into private, typed pieces — whatever
+    container the endpoint returns them in."""
+
+    def _submit_all(self, fn, count):
+        with Server(ServingConfig(max_batch_size=8,
+                                  batch_linger_s=0.0)) as server:
+            endpoint = server.register("fn", fn)
+            pending = [endpoint.submit((_rows(i),)) for i in range(count)]
+            for handle in pending:
+                assert handle.wait(10.0) and handle.error is None
+        return [handle.result for handle in pending]
+
+    @pytest.mark.parametrize("container", [tuple, dict, _Pair])
+    def test_structured_output_batches(self, container):
+        # Regression: a dict or a namedtuple output did not split, so
+        # every such batch was re-run one request at a time.
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape[0])
+            double = R.constant(x.numpy() * 2.0)
+            plus = R.constant(x.numpy() + 1.0)
+            if container is dict:
+                return {"double": double, "plus": plus}
+            if container is tuple:
+                return double, plus
+            return _Pair(double, plus)
+
+        replies = self._submit_all(fn, 4)
+        assert calls == [8]
+        assert SERVING.batch_fallbacks == 0
+        assert SERVING.batched_requests == 4
+        for i, reply in enumerate(replies):
+            assert type(reply) is container
+            double, plus = (reply["double"], reply["plus"]) \
+                if container is dict else reply
+            assert np.array_equal(double.numpy(), _rows(i).numpy() * 2.0)
+            assert np.array_equal(plus.numpy(), _rows(i).numpy() + 1.0)
+
+    @pytest.mark.parametrize("empty", [(), [], {}],
+                             ids=["tuple", "list", "dict"])
+    def test_empty_container_output(self, empty):
+        # Regression: an empty output split into no pieces at all, and
+        # its requests failed as if their dispatching thread had died.
+        assert self._submit_all(lambda x: type(empty)(), 3) == [empty] * 3
+        assert SERVING.batched_requests == 3
+
+    def test_replies_are_private_and_typed(self):
+        @janus.function(config=strict(profile_runs=1))
+        def affine(x):
+            return x * 2.0 + 1.0
+
+        dtype = affine(_rows(0)).dtype
+        replies = self._submit_all(affine, 8)
+        assert all(isinstance(reply, R.Tensor) and reply.dtype is dtype
+                   for reply in replies)
+        # Written in place before anything seals it: a piece that shared
+        # its buffer with a sibling would change the sibling too.
+        replies[0].add_(100.0)
+        assert np.array_equal(replies[0].numpy(),
+                              _rows(0).numpy() * 2.0 + 101.0)
+        for i, reply in enumerate(replies[1:], 1):
+            assert np.array_equal(reply.numpy(),
+                                  _rows(i).numpy() * 2.0 + 1.0), i
+        assert all(reply.value.track() for reply in replies)
+        assert SERVING.batched_requests == 8
+        assert SERVING.queue_wait.count == 8
+        assert SERVING.request_latency["ok"].count == 8
+        assert SERVING.batch_size.total == 8
 
 
 class TestLeadProtocolUnderContention:
