@@ -63,15 +63,9 @@ class RunState:
     """Per-top-level-run mutable state shared with nested subgraph runs."""
 
     __slots__ = ("var_local", "py_local", "while_records",
-                 "invoke_memo", "py_read_cache", "memo_counts")
+                 "invoke_memo", "py_read_cache")
 
     def __init__(self):
-        #: [memo hits, stale revalidations] for this run's py_get
-        #: closures.  Private to the run (nested executors share the
-        #: RunState), so increments need no lock even under concurrent
-        #: top-level runs; merged into COUNTERS by ``_flush_memo`` when
-        #: the run finishes.
-        self.memo_counts = [0, 0]
         self.var_local = {}        # Variable -> np.ndarray (local copy)
         self.py_local = {}         # (id(obj), kind, key) -> raw value
         self.while_records = {}    # Node -> stack of per-execution records
@@ -131,6 +125,7 @@ _MEMO_MISS = object()
 _MEMO_SAFE = None
 
 
+#: Counted where the memo is consulted: a counter takes no lock.
 _MEMO_HIT = COUNTERS.labels("executor.memo_hit")
 _MEMO_STALE = COUNTERS.labels("executor.memo_stale")
 #: Bumped once per candidate level, when its measured verdict lands.
@@ -142,25 +137,6 @@ _GRAPH_RUN = METRICS.histogram(
 _GUARD_CHECK = METRICS.histogram(
     "janus_guard_check_seconds",
     "Individual runtime assumption checks inside the executor.").labels()
-
-
-def _flush_memo(run_state):
-    """Merge one run's private memo tallies into COUNTERS.
-
-    The tallies live on the :class:`RunState` — private to the run, so
-    the hot closures increment a plain list without locking — and merge
-    here through the bound counter children (each takes its lock) once
-    per top-level run.  This replaces the old module-global tally list,
-    which lost increments when concurrent runs raced the unlocked
-    read-modify-write and the flush's read-then-zero.
-    """
-    hits, stale = run_state.memo_counts
-    if hits:
-        _MEMO_HIT.inc(hits)
-        run_state.memo_counts[0] = 0
-    if stale:
-        _MEMO_STALE.inc(stale)
-        run_state.memo_counts[1] = 0
 
 
 def _memo_safe_types():
@@ -507,7 +483,8 @@ class GraphExecutor:
                 return obj[key]
 
         def run_get(values, run_state, fetch=fetch, local_key=local_key,
-                    check=check, memo=memo, out_slot=out_slot):
+                    check=check, memo=memo, out_slot=out_slot,
+                    hit=_MEMO_HIT.inc, stale=_MEMO_STALE.inc):
             raw = run_state.py_local.get(local_key)
             if raw is None:
                 raw = run_state.py_read_cache.get(local_key)
@@ -518,7 +495,7 @@ class GraphExecutor:
                         state = entry[2]
                         if state is None:
                             raw = entry[1]
-                            run_state.memo_counts[0] += 1
+                            hit()
                         else:
                             tv = state[0]
                             arr = value if tv is None else tv.array
@@ -529,11 +506,11 @@ class GraphExecutor:
                                     and arr.shape == state[2] \
                                     and arr.dtype is state[3]:
                                 raw = arr
-                                run_state.memo_counts[0] += 1
+                                hit()
                             else:
-                                run_state.memo_counts[1] += 1
+                                stale()
                     elif entry is not None:
-                        run_state.memo_counts[1] += 1
+                        stale()
                     if raw is None:
                         raw = internalize(value)
                         if check is not None:
@@ -804,7 +781,6 @@ class GraphExecutor:
 
         outputs = [values[s] for s in self._output_slots]
         run_state.commit(self._py_objects_transitive())
-        _flush_memo(run_state)
         if TRACER.level:
             TRACER.complete("op", "run:%s" % self.graph.name,
                             run_start,

@@ -20,7 +20,8 @@ signature up and prechecks under the read lock; with no entry it
 profiling) or ``_compile`` (generator), both publishing through
 ``_install`` — and one tail serves them all: hit → ``_run_graph``, miss
 → retire + profile.  A run is counted where it runs, whether it returns
-or raises; every event has one emitting site (docs/architecture.md).
+or raises; every event has one emitting site and one count per scope,
+into per-thread cells that take no lock (docs/architecture.md).
 
 ``@janus.function(optimizer=opt)`` marks a *training* function: the body
 returns a loss, and JANUS automatically appends gradient computation and
@@ -55,6 +56,7 @@ from ..errors import AssumptionFailed, NotConvertible
 from ..imperative.tape import training_step
 from ..observability import COUNTERS, DISKCACHE, HEALTH, METRICS, \
     TRACER, reqtrace
+from ..observability.metrics import Counter, Tally
 from . import coexec as coexec_mod
 from . import diskcache as diskcache_mod
 from .cache import CacheEntry, GraphCache
@@ -82,6 +84,14 @@ _GRAPHGEN_RECOMPILE = METRICS.histogram(
 _FALLBACK_SECONDS = METRICS.histogram(
     "janus_fallback_imperative_seconds",
     "Imperative re-runs forced by a failed runtime assumption.").labels()
+#: The process-wide count of warm hits, bound once.
+_HITS = COUNTERS.labels("cache.hits")
+
+#: The keys of ``f.stats``, one per-thread counter each.
+STATS = ("calls", "imperative_runs", "graph_runs", "fallbacks",
+         "graphs_generated", "recompile_tickets", "stampede_fallbacks",
+         "warm_starts", "coexec_runs", "coexec_fragment_runs",
+         "precheck_misses")
 
 #: Sentinel: "not yet computed" for the source-hash memo.
 _UNSET = object()
@@ -107,13 +117,10 @@ class JanusFunction:
         #: Human-readable description of the most recent failed runtime
         #: assumption (None until a fallback happens).
         self.last_assumption_failure = None
-        self.stats = {
-            "calls": 0, "imperative_runs": 0, "graph_runs": 0,
-            "fallbacks": 0, "graphs_generated": 0,
-            "recompile_tickets": 0, "stampede_fallbacks": 0,
-            "warm_starts": 0, "coexec_runs": 0,
-            "coexec_fragment_runs": 0,
-        }
+        #: This function's dispatch counts — the instance scope, never
+        #: cleared (docs/architecture.md) — and their read-only view.
+        self._counts = {key: Counter() for key in STATS}
+        self.stats = Tally(self._counts)
         #: Terra-style co-execution schedule (docs/coexecution.md),
         #: installed when whole-function conversion fails on an
         #: unsupported construct but the body can be partitioned into
@@ -128,8 +135,7 @@ class JanusFunction:
         #: Serializes graph generation (the generator reads and splices
         #: shared profiler/fragment state); never held on the warm path.
         self._generate_lock = threading.RLock()
-        #: Narrow locks for the shared mutable scalars.
-        self._stats_lock = threading.Lock()
+        #: Narrow lock for the relaxed-site set.
         self._dirty_lock = threading.Lock()
         #: Warm-start bookkeeping (docs/compilation.md#persistence--warm-start):
         #: signatures whose disk probe already happened (probe once, then
@@ -174,19 +180,15 @@ class JanusFunction:
         finally:
             _DISPATCH_LATENCY.observe(time.perf_counter() - start)
 
-    def _inc(self, key, amount=1):
-        with self._stats_lock:
-            self.stats[key] += amount
-
     def _count(self, key):
         """One dispatch event, one call for both of its counts: the
         function's ``stats[key]`` and the flat ``dispatch.<key>``."""
-        self._inc(key)
+        self._counts[key].inc()
         COUNTERS.labels("dispatch." + key).inc()
 
     def _call(self, args):
         args = tuple(_ensure_tensor(a) for a in args)
-        self._inc("calls")
+        self._counts["calls"].inc()
         if self.imperative_only:
             return self._run_imperative(args, "imperative")
         plan = self._coexec_plan
@@ -217,14 +219,16 @@ class JanusFunction:
                 return self._run_imperative(args, outcome)
             valid = self._checked_preconditions(entry.compiled, args)
         if valid:
-            self.cache.record_hit(entry)
+            # A hit ends in a graph run or a fallback, which count it.
+            _HITS.inc()
             if TRACER.level:
-                TRACER.instant("cache_hit", self.__name__, hits=entry.hits)
+                TRACER.instant("cache_hit", self.__name__)
             return self._run_graph(entry, args, signature)
         # Cache miss on precheck (for a loaded artifact: its burned-in
         # assumptions don't hold here, e.g. a changed module global):
         # relax + regenerate on the next call.
-        self.cache.record_miss(entry)
+        self._counts["precheck_misses"].inc()
+        COUNTERS.labels("cache.misses").inc()
         if TRACER.level:
             TRACER.instant("cache_miss", self.__name__,
                            reason="precheck_failed")
@@ -280,7 +284,7 @@ class JanusFunction:
         if compiled.from_disk:
             self._count("warm_starts")
         else:
-            self._inc("graphs_generated")
+            self._counts["graphs_generated"].inc()
             self._publish_disk(signature, compiled)
         return entry
 
@@ -452,22 +456,22 @@ class JanusFunction:
             # A graph run whether it returned or the program raised; a
             # failed assumption is counted by the fallback it forces.
             if failure is None:
-                self._inc("graph_runs")
+                self._counts["graph_runs"].inc()
                 if METRICS.enabled:
                     HEALTH.function(self.__name__).record_graph_run()
         if failure is not None:
-            return self._fall_back(entry, args, signature, failure)
+            return self._fall_back(args, signature, failure)
         return compiled.repack_outputs(flat)
 
-    def _fall_back(self, entry, args, signature, exc):
+    def _fall_back(self, args, signature, exc):
         """Figure 2 (E): no state was committed; fall back, relax,
         regenerate with the broken assumption removed.  Under
         concurrency every caller pinned to the failing artifact observes
         the failure, but exactly one wins the recompile ticket and owns
         relax + retire + regeneration; the rest go straight to the
         imperative fallback."""
-        self.cache.record_failure(entry)
-        self._inc("fallbacks")
+        self._counts["fallbacks"].inc()
+        COUNTERS.labels("cache.assumption_failures").inc()
         self.last_assumption_failure = str(exc)
         if TRACER.level:
             TRACER.instant("assumption_fail", self.__name__,
@@ -524,8 +528,7 @@ class JanusFunction:
             # calls == graph_runs + imperative_runs + coexec_runs.
             if mismatch is None:
                 self._count("coexec_runs")
-                if frag_runs:
-                    self._inc("coexec_fragment_runs", frag_runs)
+                self._counts["coexec_fragment_runs"].inc(frag_runs)
                 if METRICS.enabled:
                     HEALTH.function(self.__name__).record_coexec_run(
                         frag_runs, plan.converted_ratio)
@@ -579,7 +582,7 @@ class JanusFunction:
         *outcome*: ``"profile"`` — under the Profiler; ``"imperative"``
         — the plain function; ``"fallback"`` — the profiled re-run the
         assumption *failure* forced, timed as that site's guard cost."""
-        self._inc("imperative_runs")
+        self._counts["imperative_runs"].inc()
         health = HEALTH.function(self.__name__) if METRICS.enabled \
             else None
         timed = health is not None and outcome == "fallback"
@@ -605,8 +608,14 @@ class JanusFunction:
     # -- introspection -------------------------------------------------------------
 
     def cache_stats(self):
+        """``stats`` plus the cache's structural counts and the retrieval
+        outcomes, derived: every hit ends in exactly one graph run or
+        one fallback."""
         stats = dict(self.stats)
-        stats.update(self.cache.stats())
+        stats.update(self.cache.stats(),
+                     hits=stats["graph_runs"] + stats["fallbacks"],
+                     misses=stats["precheck_misses"],
+                     assumption_failures=stats["fallbacks"])
         plan = self._coexec_plan
         if plan is not None:
             stats["coexec"] = plan.artifact().stats()

@@ -12,11 +12,12 @@ Two properties matter for long-running programs:
   (e.g. TreeNN, one graph per parse-tree topology; paper §6.3.2) would
   otherwise grow the cache without limit.  The cache is an LRU: storing
   past ``max_entries`` evicts the least-recently-retrieved artifact.
-* **Lifetime accounting** — hit/miss/assumption-failure totals live on
-  the cache itself, updated through ``record_hit`` / ``record_miss`` /
-  ``record_failure``.  Per-entry counts still exist for introspection,
-  but invalidating or evicting an entry no longer erases history, so
-  ``cache_stats()`` reflects everything that ever happened.
+* **Lifetime accounting of what it does itself** — ``stores``,
+  ``evictions`` and ``invalidations`` survive invalidate/evict/clear.
+  Retrieval outcomes are not the cache's to count: a hit, a precheck
+  miss and an assumption failure are dispatch events, counted once in
+  the owning function's ``stats``, and ``cache_stats()`` derives its
+  ``hits`` / ``misses`` / ``assumption_failures`` from those.
 
 Population and eviction emit ``cache_store`` / ``cache_evict`` /
 ``cache_invalidate`` trace events (retrieval outcomes — ``cache_hit`` /
@@ -24,9 +25,9 @@ Population and eviction emit ``cache_store`` / ``cache_evict`` /
 precheck result); see :mod:`repro.observability`.
 
 The cache is **thread-safe**: every structural operation (lookup / store
-/ invalidate / seed bookkeeping) and every lifetime-total update runs
-under one narrow internal lock, so N concurrent callers share a
-function's cache without torn LRU state or lost counts.  Entries handed
+/ invalidate / seed bookkeeping) and its count runs under one narrow
+internal lock, so N concurrent callers share a function's cache without
+torn LRU state or lost counts.  Entries handed
 out by ``lookup`` stay valid after a concurrent ``invalidate`` — the
 caller pins the artifact it retrieved (RCU-style; see
 :mod:`repro.janus.concurrency`), it just won't be found again.
@@ -40,15 +41,11 @@ from ..observability import COUNTERS, HEALTH, METRICS, TRACER
 from ..tensor import TensorValue
 from . import specialization as spec
 
-#: The two per-call counters, bound once (docs/observability.md).
-_HITS = COUNTERS.labels("cache.hits")
-_MISSES = COUNTERS.labels("cache.misses")
-
 
 class CacheEntry:
-    """One compiled graph artifact plus its per-entry retrieval counts."""
+    """One compiled graph artifact, as the cache holds it."""
 
-    __slots__ = ("compiled", "hits", "misses", "failures")
+    __slots__ = ("compiled",)
 
     #: Invalidation removes an entry (RCU), it never marks one: constant,
     #: kept readable for callers that walk the warm path by hand.
@@ -56,9 +53,6 @@ class CacheEntry:
 
     def __init__(self, compiled):
         self.compiled = compiled
-        self.hits = 0
-        self.misses = 0
-        self.failures = 0
 
     @property
     def generated(self):
@@ -80,7 +74,7 @@ class GraphCache:
         #: Owning janus.function name for health attribution (set by
         #: the JanusFunction constructor; None for standalone use).
         self.owner = None
-        #: One lock for entries, seeds, and lifetime totals.  RLock:
+        #: One lock for entries, seeds, and their counts.  RLock:
         #: ``store`` may evict (and record health) while already inside
         #: the critical section.
         self._lock = threading.RLock()
@@ -91,10 +85,7 @@ class GraphCache:
         #: Maximum live entries (None = unbounded).  May be adjusted at
         #: any time; enforced on the next ``store``.
         self.max_entries = max_entries
-        # Lifetime totals — survive invalidate/evict/clear.
-        self.total_hits = 0
-        self.total_misses = 0
-        self.total_failures = 0
+        # Lifetime counts: survive invalidation and eviction.
         self.stores = 0
         self.evictions = 0
         self.invalidations = 0
@@ -124,28 +115,6 @@ class GraphCache:
                 self._entries.move_to_end(signature)
             return entry
 
-    # -- outcome accounting -------------------------------------------------
-
-    def record_hit(self, entry):
-        with self._lock:
-            entry.hits += 1
-            self.total_hits += 1
-        _HITS.inc()
-
-    def record_miss(self, entry=None):
-        with self._lock:
-            if entry is not None:
-                entry.misses += 1
-            self.total_misses += 1
-        _MISSES.inc()
-
-    def record_failure(self, entry=None):
-        with self._lock:
-            if entry is not None:
-                entry.failures += 1
-            self.total_failures += 1
-        COUNTERS.labels("cache.assumption_failures").inc()
-
     # -- population ----------------------------------------------------------
 
     def store(self, signature, entry):
@@ -169,13 +138,10 @@ class GraphCache:
                         TRACER.instant("cache_evict",
                                        evicted.generated.graph.name,
                                        signature=repr(evicted_sig),
-                                       hits=evicted.hits,
                                        entries=len(self._entries))
 
     def invalidate(self, signature):
-        """Drop one entry.  Lifetime totals are unaffected (they are
-        accumulated through ``record_*`` at outcome time, not summed over
-        live entries), so invalidation no longer erases history."""
+        """Drop one entry, counting the drop."""
         with self._lock:
             entry = self._entries.pop(signature, None)
             if entry is not None:
@@ -186,9 +152,7 @@ class GraphCache:
                 if TRACER.level:
                     TRACER.instant("cache_invalidate",
                                    entry.generated.graph.name,
-                                   signature=repr(signature),
-                                   hits=entry.hits, misses=entry.misses,
-                                   failures=entry.failures)
+                                   signature=repr(signature))
             return entry
 
     # -- regeneration seeds ---------------------------------------------------
@@ -213,21 +177,13 @@ class GraphCache:
             return self._seeds.pop(signature, None)
 
     def invalidate_all(self):
-        """Drop every live entry, with per-entry invalidation accounting.
-
-        Used by the co-execution planner when a plan is torn down (all
-        fragment artifacts become unreachable at once); unlike
-        :meth:`clear` this counts each drop so lifetime stats and trace
-        events stay truthful.
+        """Drop every live entry, each counted and traced as one
+        invalidation.  Used by the co-execution planner when a plan is
+        torn down (all fragment artifacts become unreachable at once).
         """
         with self._lock:
             for signature in list(self._entries):
                 self.invalidate(signature)
-            self._seeds.clear()
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
             self._seeds.clear()
 
     def __len__(self):
@@ -243,9 +199,6 @@ class GraphCache:
         with self._lock:
             return {
                 "entries": len(self._entries),
-                "hits": self.total_hits,
-                "misses": self.total_misses,
-                "assumption_failures": self.total_failures,
                 "stores": self.stores,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,

@@ -5,8 +5,8 @@ latency histograms, per-function speculation health, serving SLOs,
 disk-cache traffic — is an *instrument* declared once in a
 :class:`Registry` (name, help, unit, label names) and used through a
 handle: ``family.labels(*values)`` is the child that records.  Four
-kinds: ``counter`` (``inc``; named ``*_total``), ``gauge`` (``set`` /
-``inc``, or *sampled* by a callback when read), ``histogram``
+kinds: ``counter`` (``inc``; named ``*_total``), ``gauge`` (``inc``,
+or *sampled* by a callback when read), ``histogram``
 (``observe``; log-2 buckets, exact count/sum/min/max, p50/p95/p99) and
 ``windowed`` (a histogram that also answers "over the last W seconds";
 named ``*_seconds``).  docs/observability.md, "Instruments", is the
@@ -15,7 +15,9 @@ guide and the catalogue of families.
 *One locking rule.*  A child owns a lock unless its declaration is
 given one; a view that folds several instruments per event declares
 them with its own lock, takes it once, and mutates ``child.value`` /
-calls ``child._observe`` under that one acquisition.
+calls ``child._observe`` under that one acquisition.  A counter child
+declared without a lock takes none to count: it is a :class:`Counter`,
+one cell per thread, and only a read locks.
 
 *One snapshot.*  :meth:`Registry.snapshot` is self-describing (kind,
 help, unit and label names travel with the values), so a restored
@@ -39,7 +41,9 @@ record regardless.  Standard library only.
 import os
 import threading
 import time
+import weakref
 from bisect import bisect_right
+from collections.abc import Mapping
 from itertools import groupby
 
 _perf_counter = time.perf_counter
@@ -54,7 +58,8 @@ COUNTER, GAUGE, HISTOGRAM, WINDOWED = ("counter", "gauge", "histogram",
 
 
 class Scalar:
-    """A counter or gauge child: one number behind a lock."""
+    """A gauge child, or a counter child declared with a view's lock:
+    one number behind a lock."""
 
     __slots__ = ("value", "_lock")
 
@@ -66,12 +71,77 @@ class Scalar:
         with self._lock:
             self.value += amount
 
-    def set(self, value):
-        with self._lock:
-            self.value = value
-
     def _reset(self):
         self.value = 0
+
+
+class Counter:
+    """A counter child declared without a lock (every :data:`COUNTERS`
+    child): one cell per counting thread, which only that thread writes.
+    A read, and a thread's first count, fold finished threads' cells
+    into the base, so the cells are those of live threads; a read sums
+    them.  :meth:`_reset` lowers the base, so a racing count survives."""
+
+    __slots__ = ("_local", "_cells", "_base", "_lock")
+
+    def __init__(self):
+        self._local = threading.local()
+        self._cells = []        # (weak ref to the counting thread, cell)
+        self._base = 0
+        self._lock = threading.RLock()  # ``_reset`` reads under it
+
+    def inc(self, amount=1):
+        try:
+            self._local.cell[0] += amount
+        except AttributeError:          # this thread's first count
+            self._local.cell = cell = [amount]
+            with self._lock:
+                self._fold()
+                self._cells.append(
+                    (weakref.ref(threading.current_thread()), cell))
+
+    @property
+    def value(self):
+        with self._lock:
+            self._fold()
+            return self._base + sum(cell[0] for _, cell in self._cells)
+
+    def _fold(self):
+        """Move finished threads' cells into the base; lock held."""
+        live = []
+        for entry in self._cells:
+            thread = entry[0]()
+            if thread is None or not thread.is_alive():
+                self._base += entry[1][0]
+            else:
+                live.append(entry)
+        self._cells = live
+
+    def _reset(self):
+        """Zero the count; the caller holds the lock."""
+        value = self.value              # folds into the base first
+        self._base -= value
+
+
+class Tally(Mapping):
+    """A read-only ``{key: count}`` view of named :class:`Counter` s."""
+
+    __slots__ = ("_counters",)
+
+    def __init__(self, counters):
+        self._counters = counters
+
+    def __getitem__(self, key):
+        return self._counters[key].value
+
+    def __iter__(self):
+        return iter(self._counters)
+
+    def __len__(self):
+        return len(self._counters)
+
+    def __repr__(self):
+        return repr(dict(self))
 
 
 def _folded(field):
@@ -449,6 +519,8 @@ class Family:
         if self.kind == WINDOWED:
             return WindowedHistogram(*self.window, lock=self._lock,
                                      feed=self._feed)
+        if self.kind == COUNTER and self._lock is None:
+            return Counter()
         return Scalar(self._lock)
 
     def samples(self):
@@ -597,10 +669,10 @@ class Registry:
                 meta["labels"], None, window=window)
             for values, value in samples:
                 child = family.labels(*values)
-                if isinstance(child, Scalar):
-                    child.value = value
-                else:
+                if isinstance(child, Histogram):
                     child._restore(value)
+                else:               # a fresh counter or gauge counts up
+                    child.inc(value)
         return registry
 
     def clear(self):

@@ -9,10 +9,10 @@ waiting client (leader/follower; see :class:`_Endpoint`).  A
 ``Server.call`` that would lead a batch of exactly itself — the lead is
 free, nothing is queued, no linger is configured — skips the queue as
 well: it takes the lead, runs its own arguments and hands the lead on.
-The lead is marked with its thread, so a call to an endpoint from
-inside that endpoint's function runs inline instead of queueing behind
-itself.  Requests that do queue are dispatched singly or as a
-**dynamically batched** group: shape-compatible requests (same
+The lead is marked with its thread, so a request waited on from inside
+that endpoint's function (a nested ``call`` too) runs inline instead of
+queueing behind itself.  Requests that do queue are dispatched singly
+or as a **dynamically batched** group: shape-compatible requests (same
 per-argument dtype and trailing shape) are stacked along axis 0, run as
 one graph run, and the outputs split back per request, within
 ``ServingConfig.max_batch_size`` and the ``batch_linger_s`` wait.
@@ -232,22 +232,19 @@ class _Endpoint:
 
         It runs alone — no request object, no queue — when it would
         lead a batch of exactly itself anyway (the lead is free, nothing
-        is queued and :meth:`_fill` would not wait) or when its thread
-        holds the lead already (a call from inside the endpoint
-        function, which would otherwise queue behind itself), and is
-        accounted as a batch of 1 dispatched after no wait, in one fold.
-        Anything else queues: ``submit`` + ``wait``.
+        is queued and :meth:`_fill` would not wait), and is accounted as
+        a batch of 1 dispatched after no wait, in one fold.  Anything
+        else queues: ``submit`` + ``wait`` — which, for a call from
+        inside the endpoint function, serves it inline (:meth:`_await`).
         """
         started = _perf_counter()
-        ident = _get_ident()
         SERVING.client_started()
         with self.lock:
-            lead = self.leader is None and not self.queue \
-                and not TRACER.level and not self._coalesces()
-            solo = (lead or self.leader == ident) \
+            solo = self.leader is None and not self.queue \
+                and not TRACER.level and not self._coalesces() \
                 and not self.server.closed
-            if solo and lead:
-                self.leader = ident
+            if solo:
+                self.leader = _get_ident()
         if not solo:
             try:
                 request = self.submit(args)
@@ -268,9 +265,8 @@ class _Endpoint:
         finally:
             reqtrace.deactivate(token)
             now = _perf_counter()
-            if lead:
-                with self.lock:
-                    self._hand_on()
+            with self.lock:
+                self._hand_on()
             outcome = "ok" if detail is None else "error"
             SERVING.record_solo(now - started, outcome, now)
             if ctx is not None:
@@ -298,9 +294,15 @@ class _Endpoint:
                         self._hand_on()
                     return False
                 lead = self.leader is None
+                # Waited on from inside the endpoint function: this
+                # thread holds the lead, and no one else would serve it.
+                inline = self.leader == _get_ident() \
+                    and request in self.queue
                 if lead:
                     self.leader = _get_ident()
                     self.leading = request
+                elif inline:
+                    self.queue.remove(request)
                 elif waiter is None:
                     waiter = request.waiter = threading.Event()
                 else:
@@ -309,6 +311,14 @@ class _Endpoint:
                 self._lead(request, deadline)
                 if request.resolved is not None:
                     return True
+            elif inline:
+                # A batch of 1 on the lead this thread already holds.
+                dispatched = _perf_counter()
+                try:
+                    self._run([request])
+                finally:
+                    self._account([request], dispatched)
+                return True
             else:
                 waiter.wait(remaining)      # resolved, or promoted
 
@@ -506,6 +516,10 @@ class _Endpoint:
             request.error = ServerClosed("server is shut down")
         if orphans:
             self._account(orphans)
+            with self.lock:
+                # A client may have begun waiting on one since it was
+                # taken off the queue.
+                self._wake(orphans)
 
 
 def _stacked(batch):

@@ -326,7 +326,12 @@ class TestFailureStorm:
 # -- accounting under contention ----------------------------------------------
 
 class TestNoLostUpdates:
+    THREADS = 8
+    PER_THREAD = 2_000
+
     def test_stats_and_cache_totals_conserved(self):
+        """Warm hits count without a lock; a switch interval this short
+        makes an unguarded shared ``+= 1`` lose counts."""
         holder = type("H", (), {})()
         holder.state = R.constant(np.ones(4, np.float32))
 
@@ -338,23 +343,23 @@ class TestNoLostUpdates:
         warm(f, x, n=4)
         expect = f.func(x).numpy()
 
-        per_thread = 25
-
         def client(_):
-            for _ in range(per_thread):
+            for _ in range(self.PER_THREAD):
                 assert np.array_equal(f(x).numpy(), expect)
 
-        assert not _run_threads(6, client)
-        stats = f.stats
-        total = 4 + 6 * per_thread
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert not _run_threads(self.THREADS, client)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = dict(f.stats)
+        total = 4 + self.THREADS * self.PER_THREAD
         assert stats["calls"] == total, stats
-        assert stats["graph_runs"] + stats["imperative_runs"] == total, \
-            stats
-        # Cache totals are locked too: hits were recorded once per
-        # warm-path graph dispatch.
-        cache_stats = f.cache.stats()
-        assert cache_stats["hits"] == stats["graph_runs"] \
-            + stats["fallbacks"], (cache_stats, stats)
+        assert stats["graph_runs"] == total - 2, stats
+        assert stats["imperative_runs"] == 2, stats
+        # The process scope counted every hit once too.
+        assert counters()["cache.hits"] == stats["graph_runs"]
 
 
 # -- serving: leader/follower dispatch under contention --------------------------

@@ -1,8 +1,9 @@
 """Dispatch accounting: one outcome per call, one count per event.
 
-``JanusFunction._call`` reports into four stores — the function's
-``stats``, its ``GraphCache`` totals, the flat process-wide counters and
-(with ``METRICS`` on) the ``HEALTH`` model.  :func:`test_stores_agree`
+``JanusFunction._call`` reports into three scopes — the function's
+``stats`` (``cache_stats()`` derives its outcome counts from them), the
+flat process-wide counters and (with ``METRICS`` on) the ``HEALTH``
+model of the function's name.  :func:`test_stores_agree`
 drives a function down every exit of the dispatch path, including the
 ones where the user's program raises, and holds the stores to each
 other at quiescence; the tests after it pin the individual corrections.
@@ -125,7 +126,7 @@ def precheck_miss(tmp_path):
     for _ in range(4):
         f(_x(4))
     f(_x(6))                     # same signature, other shape
-    assert f.cache.stats()["misses"] == 1
+    assert f.cache_stats()["misses"] == 1
     for _ in range(3):
         f(_x(6))
     return [f]
@@ -268,9 +269,6 @@ def test_stores_agree(drive, tmp_path, metrics_on, check_conservation):
     flat = counter_values()
     for f in functions:
         check_conservation(f.__name__, f)
-        # A graph run that raises is still a graph run, and a hit.
-        assert f.cache.stats()["hits"] == \
-            f.stats["graph_runs"] + f.stats["fallbacks"], f.cache_stats()
     for key in TWINS:
         assert flat.get("dispatch." + key, 0) == \
             sum(f.stats[key] for f in functions), key
@@ -281,6 +279,34 @@ def test_stores_agree(drive, tmp_path, metrics_on, check_conservation):
             assert getattr(health, key) == sum(
                 f.stats[key] for f in functions
                 if f.__name__ == name), (name, key)
+
+
+def test_warm_hit_takes_no_accounting_lock():
+    """With metrics off a warm hit's only locks are the read side of the
+    artifact RWLock (a Condition) and the LRU lookup: every count lands
+    in a per-thread cell.  A lock's release is a profiled C call."""
+    previous = obs.set_metrics_enabled(False)
+    f, _ = _scaled()
+    x = _x()
+    for _ in range(4):
+        f(x)
+    holders = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "__exit__" \
+                and type(getattr(arg, "__self__", None)).__name__ in (
+                    "lock", "RLock"):
+            holders.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        f(x)
+    finally:
+        sys.setprofile(None)
+        obs.set_metrics_enabled(previous)
+    assert f.stats["graph_runs"] == 3
+    assert set(holders) == {"Condition.__exit__", "GraphCache.lookup"}, \
+        holders
 
 
 # -- the corrections, one by one (each fails at the parent) -------------------
@@ -307,7 +333,7 @@ def test_warm_start_precheck_failure_is_a_cache_miss(tmp_path):
                                    R.constant(other)).numpy())
     assert warm.stats["warm_starts"] == 1
     assert warm.stats["imperative_runs"] == 1
-    assert warm.cache.stats()["misses"] == 1
+    assert warm.cache_stats()["misses"] == 1
     assert counter_values()["cache.misses"] == 1
 
 

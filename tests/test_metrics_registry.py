@@ -23,15 +23,18 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
-import repro.janus  # noqa: F401 — declares the runtime's families
+import repro as R
+from repro import janus  # declares the runtime's families
 from repro import observability as obs
 from repro.observability.cli import (load_stats, prometheus_text,
                                      render_report, write_stats_json)
 from repro.observability.health import HealthRegistry
-from repro.observability.metrics import (COUNTERS, METRICS, Histogram,
-                                         Registry, WindowedHistogram)
+from repro.observability.metrics import (COUNTERS, METRICS, Counter,
+                                         Histogram, Registry,
+                                         WindowedHistogram)
 from repro.observability.serving import ServingStats
 
 from test_prometheus_lint import _families, _populated_state
@@ -236,6 +239,91 @@ class TestConcurrency:
         assert obs.counter_values()["test.bound_before_clear"] == 1
         assert 'janus_graph_run_seconds_count 1' in prometheus_text()
         obs.clear()
+
+    def test_counter_lossless_while_clear_and_snapshot_race(self):
+        """A counter counts into per-thread cells a clear never writes:
+        with the recording threads still alive, their cells hold every
+        increment, and the clear's baseline survives their folding.  The
+        racer pauses between rounds so that the recorders also preempt
+        each other, which a shared unlocked count would not survive."""
+        registry = Registry()
+        counter = registry.counter("janus_test_events_total", "c").labels()
+        assert isinstance(counter, Counter)
+        recorded, release = threading.Barrier(self.THREADS + 1), \
+            threading.Event()
+        stop = threading.Event()
+
+        def record():
+            for _ in range(self.PER_THREAD):
+                counter.inc()
+            recorded.wait(60.0)
+            release.wait(60.0)
+
+        def race():
+            while not stop.wait(1e-4):
+                registry.snapshot()
+                registry.clear()
+
+        threads = [threading.Thread(target=record)
+                   for _ in range(self.THREADS)]
+        side = threading.Thread(target=race)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            side.start()
+            for thread in threads:
+                thread.start()
+            recorded.wait(120.0)
+        finally:
+            stop.set()
+            side.join(30.0)
+            sys.setswitchinterval(interval)
+        assert not side.is_alive()
+        total = self.THREADS * self.PER_THREAD
+        assert sum(cell[0] for _, cell in counter._cells) == total
+        registry.clear()
+        release.set()
+        for thread in threads:
+            thread.join(30.0)
+            assert not thread.is_alive()
+        assert counter.value == 0 and not counter._cells  # folded, still 0
+        counter.inc()
+        assert counter.value == 1
+
+    def test_short_lived_threads_fold_into_the_base(self):
+        """One thread per increment: every one is read, and the counter
+        keeps cells only for threads that are still alive — whether or
+        not anything read it in between."""
+        counter = Registry().counter("janus_test_events_total",
+                                     "c").labels()
+        for _ in range(20):
+            threads = [threading.Thread(target=counter.inc)
+                       for _ in range(50)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        assert len(counter._cells) <= 50    # enrolling folds, unread too
+        assert counter.value == 1000
+        assert counter._cells == []
+
+    def test_obs_clear_leaves_function_stats(self):
+        """The function's counts are the instance scope: ``obs.clear()``
+        zeroes the process scope only."""
+        @janus.function(config=janus.JanusConfig(
+            profile_runs=1, parallel_execution=False))
+        def f(x):
+            return x * 2.0
+
+        x = R.constant(np.ones(4, np.float32))
+        for _ in range(4):
+            f(x)
+        before = dict(f.stats)
+        assert before["graph_runs"] == 3
+        obs.clear()
+        assert dict(f.stats) == before
+        assert obs.counter_values().get("cache.hits", 0) == 0
 
 
 class TestBulkObserve:

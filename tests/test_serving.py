@@ -728,6 +728,36 @@ class TestReentrantCall:
         assert SERVING.request_latency["ok"].count == 4 + queued
         assert SERVING.active_clients == 0
 
+    @pytest.mark.parametrize("timeout", [2.0, None])
+    @pytest.mark.parametrize("queued", [False, True])
+    def test_wait_from_inside_the_endpoint(self, queued, timeout):
+        """Regression: ``submit`` + ``wait`` from inside the endpoint
+        function waited for the lead its own thread holds: ``wait(2.0)``
+        returned False and ``wait()`` never returned."""
+        server = Server(ServingConfig(batch_linger_s=0.0))
+        waited = []
+
+        def countdown(x):
+            n = float(x.numpy()[0, 0])
+            if n <= 0:
+                return x
+            handle = endpoint.submit((_rows(n - 1),))
+            waited.append(handle.wait(timeout))
+            return handle.result
+
+        endpoint = server.register("down", countdown, batchable=False)
+        if queued:
+            endpoint.submit((_rows(0),))
+        out = self._call_in_thread(server, "down", _rows(2))
+        assert waited == [True, True]
+        assert np.array_equal(out.numpy(), _rows(0).numpy())
+        assert endpoint.leader is None and not endpoint.queue
+        server.close()
+        # Every enqueued request completed, each accounted once.
+        assert SERVING.requests == 3 + queued
+        assert SERVING.request_latency["ok"].count == 3 + queued
+        assert SERVING.active_clients == 0
+
     def test_a_calls_b_calls_a(self):
         server = Server(ServingConfig(batch_linger_s=0.0))
 

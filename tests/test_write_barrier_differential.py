@@ -51,8 +51,7 @@ def delta(before, key):
 
 @pytest.fixture(autouse=True)
 def _traced():
-    # The executor flushes its memo tallies to COUNTERS only on traced
-    # runs; level 1 is the cheap lifecycle tier.
+    # Run traced at level 1, the cheap lifecycle tier.
     prev = trace_level()
     set_trace_level(max(prev, 1))
     try:
