@@ -8,7 +8,7 @@ heap access, variable access, functional control flow — is a pre-bound
 ``for fn in program: fn(values, run_state)``: all instruction-kind
 dispatch happens once at compile time, none per run.  This is the one
 execution tier; the JANUS path and the symbolic baseline share it.
-Four properties reproduce the paper's execution model:
+Three properties reproduce the paper's execution model:
 
 * **Low per-op overhead** — running a node costs one closure call plus
   list indexing, unlike the eager executor's full dispatch path.  This
@@ -19,10 +19,6 @@ Four properties reproduce the paper's execution model:
   Python heap is only mutated in the commit phase after every assertion
   has passed, so an :class:`~repro.errors.AssumptionFailed` abort never
   leaves partial state behind and fallback is always safe.
-* **Guard preamble** — the argument assumptions a top-level graph was
-  specialized under (placeholder dtype/shape specs) are checked on the
-  bound feeds before any kernel runs, so a program driven directly
-  (bypassing the api-level prechecks) still fails before any effect.
 * **Inter-op parallelism** (+PARL of figure 7) — an optional level-wise
   schedule runs the same closures on a thread pool (numpy kernels
   release the GIL for the heavy lifting), but only for the levels where
@@ -277,15 +273,13 @@ def _run_level(fns, fan_out, values, run_state):
 class GraphExecutor:
     """A compiled, reusable flat closure program for one graph."""
 
-    def __init__(self, graph, parallel=False, _nested=False):
+    def __init__(self, graph, parallel=False):
         self.graph = graph
         #: Whether runs go level by level.  A request, not a
         #: promise: it needs more than one usable CPU and a level with
         #: two heavy ops to start with, and turns False for good once
         #: every such level has been measured and none kept its fan-out.
-        self.parallel = parallel and not _nested \
-            and host.usable_cpus() > 1
-        self._nested = _nested
+        self.parallel = parallel and host.usable_cpus() > 1
         #: The levels the schedule measures (:class:`_Level`); empty
         #: unless ``parallel`` was asked for and possible.
         self._candidates = ()
@@ -296,9 +290,9 @@ class GraphExecutor:
         return len(self._program)
 
     def __repr__(self):
-        return "GraphExecutor(%s, %d instructions, %d guards, " \
+        return "GraphExecutor(%s, %d instructions, " \
             "%d/%d levels parallel)" % (
-                self.graph.name, len(self._program), len(self.preamble),
+                self.graph.name, len(self._program),
                 sum(1 for level in self._candidates if level.verdict),
                 len(self._candidates))
 
@@ -337,9 +331,6 @@ class GraphExecutor:
             for node in graph.placeholders]
         self._output_slots = [self._slots[(id(o.node), o.index)]
                               for o in graph.outputs]
-        #: Feed guards; nested bodies read already-validated slots, not
-        #: user feeds, and carry none.
-        self.preamble = [] if self._nested else self._build_preamble()
         if self.parallel:
             self._compile_levels(order, scheduled)
 
@@ -668,47 +659,6 @@ class GraphExecutor:
                 values[slot] = value
         return run_while_grad
 
-    def _build_preamble(self):
-        """Slot-checked argument guards derived from placeholder specs.
-
-        One closure per tensor placeholder, validating that the bound
-        feed is an ndarray of the specialized dtype whose shape matches
-        the (possibly partial) specialized shape.  PyRef placeholders
-        (``dtype is None``) carry no tensor assumption and are skipped.
-        """
-        ndarray = np.ndarray
-        checks = []
-        for node in self.graph.placeholders:
-            out = node.outputs[0]
-            if out.dtype is None:
-                continue
-            slot = self._placeholder_slots[node.attrs["ph_name"]]
-            np_dtype = out.dtype.np_dtype
-            shape_obj = out.shape if out.shape.dims is not None else None
-            name = node.debug_name
-
-            def check(values, slot=slot, np_dtype=np_dtype,
-                      shape_obj=shape_obj, name=name):
-                arr = values[slot]
-                if arr.__class__ is not ndarray:
-                    raise AssumptionFailed(
-                        "feed %s: expected a tensor, got %s"
-                        % (name, type(arr).__name__), site=name,
-                        observed=arr)
-                if arr.dtype != np_dtype:
-                    raise AssumptionFailed(
-                        "feed %s: dtype %s != specialized %s"
-                        % (name, arr.dtype, np_dtype), site=name,
-                        observed=arr)
-                if shape_obj is not None \
-                        and not shape_obj.matches_value(arr.shape):
-                    raise AssumptionFailed(
-                        "feed %s: shape %s violates assumption %s"
-                        % (name, arr.shape, shape_obj), site=name,
-                        observed=arr)
-            checks.append(check)
-        return checks
-
     #: Ops heavy enough that a level holding two of them is worth
     #: measuring fanned out.
     _HEAVY_OPS = frozenset([
@@ -768,9 +718,6 @@ class GraphExecutor:
         run_start = time.perf_counter() \
             if (TRACER.level or METRICS.enabled) else 0.0
         values = self._bind(feeds)
-        for check in self.preamble:
-            check(values)
-
         if self.parallel:
             self._run_levels(values, run_state)
         elif TRACER.level >= 2:
@@ -795,7 +742,7 @@ class GraphExecutor:
         """What :meth:`run` does for a nested body, and nothing else.
 
         Same feed-count check, bind, run the program in order (nested
-        bodies have no level schedule and no preamble), return the outputs;
+        bodies have no level schedule), return the outputs;
         state stays in the caller's ``run_state`` for its commit.
         """
         values = self._bind(feeds)
@@ -1051,8 +998,7 @@ def _function_executor(func):
 
     Cached in ``func.graph._executor_cache`` (graph mutation clears
     it).  Nested bodies are never fused (fused OpDefs carry no
-    ``grad_fn`` and bodies may be re-differentiated) and carry no
-    preamble.
+    ``grad_fn`` and bodies may be re-differentiated).
     """
     if func.graph is None:
         raise GraphError("function %s invoked before finalization"
@@ -1060,6 +1006,6 @@ def _function_executor(func):
     cache = func.graph._executor_cache
     executor = cache.get("nested")
     if executor is None:
-        executor = GraphExecutor(func.graph, parallel=False, _nested=True)
+        executor = GraphExecutor(func.graph, parallel=False)
         cache["nested"] = executor
     return executor

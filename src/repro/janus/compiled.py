@@ -5,11 +5,11 @@ specialization cost once and then executing a cheap specialized graph
 many times.  :class:`CompiledGraph` is the unit that bet is made on: it
 bundles everything produced at graph-generation time — the converted
 :class:`~repro.janus.graphgen.GeneratedGraph` (graph + binding plan +
-prechecks), the compiled :class:`~repro.graph.executor.GraphExecutor`
-(the fused graph's flat closure program with its guard preamble and
-specialized per-node guard closures), and the compile-time metadata
-used to audit the amortization — so nothing is re-derived on the hot
-path.
+prechecks, the one place a tensor argument's dtype and shape are
+checked), the compiled :class:`~repro.graph.executor.GraphExecutor`
+(the fused graph's flat closure program with its specialized per-node
+guard closures), and the compile-time metadata used to audit the
+amortization — so nothing is re-derived on the hot path.
 
 ``compile_generated`` is the single construction point, called from
 :mod:`repro.janus.api` inside the ``graphgen`` trace span; the artifact
@@ -121,8 +121,7 @@ def serialize_generated(generated):
 def deserialize_generated(payload):
     """Inverse of :func:`serialize_generated` (raises on corrupt input)."""
     generated = pickle.loads(payload)
-    if not isinstance(generated, object) or \
-            not hasattr(generated, "graph") or \
+    if not hasattr(generated, "graph") or \
             not hasattr(generated, "prechecks"):
         raise ValueError("payload is not a GeneratedGraph")
     return generated

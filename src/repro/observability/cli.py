@@ -105,7 +105,7 @@ def load_stats(path):
     Raises ``ValueError`` on a file that is not a bundle of
     :data:`STATS_FORMAT` — a raw chrome trace, or a bundle of the
     format before the one-registry change; the message names the
-    format found.
+    format found — and on a bundle missing a key, naming the key.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -117,6 +117,10 @@ def load_stats(path):
             "save stats with observability.cli.write_stats_json)"
             % (path, STATS_FORMAT,
                "format %r" % found if found else "no format tag"))
+    for key in ("registry", "requests", "health_log"):
+        if key not in payload:
+            raise ValueError("%s is a truncated janus-stats file (no %r)"
+                             % (path, key))
     bundle = StatsBundle(Registry.from_snapshot(payload["registry"]),
                          FlightRecorder.from_snapshot(payload["requests"]))
     bundle.health.restore_log(payload["health_log"])

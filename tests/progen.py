@@ -42,6 +42,10 @@ heap or Variable write around an early ``return``, a ``with`` over the
 model-owned :class:`Gate`, ``continue`` inside ``try/finally`` — and a
 ``sum`` with a start value.  test_cleanup_differential.py compares the
 outputs *and* the model heap against the imperative oracle.
+
+:func:`assert_arguments_prechecked` is the suites' coverage check on
+what a program compiled to: every tensor argument of a generated graph
+is checked at cache retrieval, the one place it is checked.
 """
 
 import linecache
@@ -50,12 +54,13 @@ import random
 import numpy as np
 
 import repro as R
+from repro.janus.specialization import ArgItemMatches, ArgSpecMatches
 
 __all__ = [
     "Mix", "Model", "WRITE_BARRIER_MIX", "CONCURRENCY_MIX",
     "COEXEC_MIX", "SCHEDULE_MIX", "CLEANUP_MIX", "GUARDED", "INJECTIONS",
     "HEAVY", "CLEANUP", "Gate", "gen_program", "mutation_pool",
-    "apply_mutation", "vec",
+    "apply_mutation", "vec", "assert_arguments_prechecked",
 ]
 
 
@@ -397,3 +402,32 @@ def apply_mutation(kind, m, nprng, state):
         m.ticks = R.constant(np.float32(10.0))
     else:  # pragma: no cover - generator bug
         raise AssertionError(kind)
+
+
+def assert_arguments_prechecked(generated):
+    """Every tensor placeholder of ``generated``'s top-level graph has a
+    precheck of the same dtype and ``shape.dims``: an
+    :class:`ArgSpecMatches` for an ``("arg", i)`` path, an
+    :class:`ArgItemMatches` for an ``("item", i, j)`` path.  Nothing
+    else checks a feed, so a missing one lets any shape reach the
+    kernels.  Returns the number of tensor placeholders checked.
+    """
+    specs = {}
+    for _desc, check in generated.prechecks:
+        if type(check) is ArgSpecMatches:
+            specs[("arg", check.index)] = check.spec
+        elif type(check) is ArgItemMatches:
+            specs[("item", check.index, check.item)] = check.spec
+    placeholders = generated.graph.placeholders
+    assert len(placeholders) == len(generated.arg_plan)
+    checked = 0
+    for node, path in zip(placeholders, generated.arg_plan):
+        out = node.outputs[0]
+        if out.dtype is None:       # a PyRef argument: no tensor spec
+            continue
+        sp = specs.get(tuple(path))
+        assert sp is not None, ("no precheck", path, node.debug_name)
+        assert sp.dtype == out.dtype \
+            and sp.shape.dims == out.shape.dims, (path, sp, out.shape)
+        checked += 1
+    return checked

@@ -1,6 +1,6 @@
-"""The executed form: fusion boundaries, the flat program, feed guards.
+"""The executed form: fusion boundaries, the flat program.
 
-The compile step (docs/compilation.md, "Mechanism 4") has three
+The compile step (docs/compilation.md, "Mechanism 4") has two
 separately testable properties:
 
 * **Fusion is boundary-respecting** — a producer is absorbed into a
@@ -12,9 +12,9 @@ separately testable properties:
 * **A fused program is bit-for-bit the unfused one** — fusion and the
   flat closure loop are encoding changes, not semantic ones, for every
   instruction kind including nested control flow and loop gradients.
-* **The guard preamble fails before any kernel runs** — top-level
-  executors check bound feeds against the placeholder specs; nested
-  bodies carry no preamble.
+
+The executor checks no feed: a tensor argument's dtype and shape are
+checked once, by the cache-retrieval prechecks (``TestEndToEnd``).
 """
 
 import numpy as np
@@ -25,9 +25,10 @@ from repro import janus
 from repro.graph import GraphBuilder, GraphExecutor, autodiff
 from repro.graph.passes import (ELEMENTWISE_OPS,
                                 CommonSubexpressionElimination, fuse_graph)
-from repro.errors import AssumptionFailed
 from repro.observability import counter_values
 from repro.ops import api
+
+from progen import assert_arguments_prechecked
 
 
 def count_ops(graph, name):
@@ -241,40 +242,12 @@ class TestFlatProgram:
 
     def test_repr_names_program(self):
         text = repr(GraphExecutor(self._graph()))
-        assert "instructions" in text and "1 guards" in text
-
-
-# -- guard preamble ----------------------------------------------------------
-
-class TestPreamble:
-    def _graph(self):
-        b = GraphBuilder()
-        with b:
-            x = b.placeholder("x", shape=(2, 3), dtype=R.float32)
-            b.mark_outputs([api.reduce_sum(api.tanh(x))])
-        return b.graph
-
-    def _executor(self):
-        return GraphExecutor(self._graph())
-
-    def test_one_guard_per_tensor_placeholder(self):
-        assert len(self._executor().preamble) == 1
+        assert "instructions" in text and "levels parallel" in text
 
     def test_good_feed_passes(self):
-        out, = self._executor().run([np.ones((2, 3), np.float32)])
-        assert out == pytest.approx(np.tanh(1.0) * 6)
-
-    def test_dtype_violation_raises_assumption_failed(self):
-        with pytest.raises(AssumptionFailed, match="dtype"):
-            self._executor().run([np.ones((2, 3), np.float64)])
-
-    def test_shape_violation_raises_assumption_failed(self):
-        with pytest.raises(AssumptionFailed, match="shape"):
-            self._executor().run([np.ones((4, 3), np.float32)])
-
-    def test_nested_bodies_carry_no_preamble(self):
-        """Their inputs are already-validated slots, not user feeds."""
-        assert GraphExecutor(self._graph(), _nested=True).preamble == []
+        out, = GraphExecutor(self._graph()).run(
+            [np.ones((2, 3), np.float32)])
+        assert out == pytest.approx(np.tanh(2.5) ** 2 * 6)
 
 
 # -- end to end through janus.function ---------------------------------------
@@ -300,6 +273,22 @@ class TestEndToEnd:
         assert compiled.fused_ops >= 2
         assert "ops fused" in repr(compiled)
         assert any(n.op_name == "fused" for n in compiled.graph.nodes)
+
+    def test_one_precheck_per_tensor_placeholder(self):
+        @janus.function(config=strict())
+        def f(x, pair):
+            return R.reduce_sum(x * pair[0]) + R.reduce_sum(pair[1])
+
+        rng = np.random.default_rng(0)
+
+        def vec(n):
+            return R.constant(rng.normal(size=(n,)).astype(np.float32))
+
+        for _ in range(4):
+            f(vec(3), [vec(3), vec(2)])
+        assert f.stats["graph_runs"] > 0
+        (_sig, entry), = f.cache.entries()
+        assert assert_arguments_prechecked(entry.generated) == 3
 
     def test_nested_control_flow_runs_unfused_bodies(self):
         @janus.function(config=strict(profile_runs=2))

@@ -475,7 +475,6 @@ class TestParallelExecution:
         ex = _pin(GraphExecutor(b.graph, parallel=True))
         assert ex.parallel and _fanned_out(ex, "matmul")
         seq = GraphExecutor(b.graph, parallel=False)
-        seq.preamble = ex.preamble = []   # bad shapes reach the kernels
         feeds = [np.zeros((4, 8), np.float32), np.zeros((5, 2), np.float32),
                  np.zeros((7, 2), np.float32)]
         with pytest.raises(ValueError) as err:
@@ -653,7 +652,6 @@ class TestMeasuredSchedule:
 
     def test_a_raising_trial_is_not_counted(self, monkeypatch):
         ex, level, feeds = self._one_candidate()
-        ex.preamble = []
         bad = list(feeds)
         bad[1] = np.zeros((5, 8), np.float32)
         for _ in range(6):

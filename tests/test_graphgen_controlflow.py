@@ -137,6 +137,45 @@ class TestSpeculativeUnrolling:
         out = f(R.constant(np.ones((6, 2), np.float32)))
         assert float(out.numpy()) == pytest.approx(12.0)
 
+    # A tensor argument is checked once, at cache retrieval: a same-rank
+    # shape change misses the entry's precheck before any kernel runs —
+    # a miss served imperatively, neither a graph run nor a fallback.
+
+    def _assert_precheck_miss(self, f, *args):
+        before = dict(f.stats)
+        out = f(*args)
+        np.testing.assert_array_equal(out.numpy(), f.func(*args).numpy())
+        assert f.stats["precheck_misses"] == before["precheck_misses"] + 1
+        assert f.stats["fallbacks"] == before["fallbacks"]
+        assert f.stats["graph_runs"] == before["graph_runs"]
+
+    def test_same_rank_shape_change_is_a_precheck_miss(self):
+        @janus.function(config=strict())
+        def f(x):
+            return R.reduce_sum(R.tanh(x), axis=0)
+
+        rng = np.random.default_rng(0)
+        for _ in range(5):      # fresh values: a shape spec, not a constant
+            f(R.constant(rng.normal(size=(2, 3)).astype(np.float32)))
+        assert f.stats["graph_runs"] > 0
+        self._assert_precheck_miss(
+            f, R.constant(rng.normal(size=(4, 3)).astype(np.float32)))
+
+    def test_list_item_shape_change_is_a_precheck_miss(self):
+        @janus.function(config=strict())
+        def f(xs):
+            return xs[0] * 2.0 + R.reduce_sum(xs[1])
+
+        rng = np.random.default_rng(1)
+
+        def item(*shape):
+            return R.constant(rng.normal(size=shape).astype(np.float32))
+
+        for _ in range(5):
+            f([item(3), item(2, 2)])
+        assert f.stats["graph_runs"] > 0
+        self._assert_precheck_miss(f, [item(3), item(5, 2)])
+
 
 class TestDynamicLoops:
     def test_unstable_trip_count_becomes_while(self):

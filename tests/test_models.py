@@ -12,6 +12,8 @@ import repro as R
 from repro import janus, nn, data, envs, models
 from repro.modes import make_step
 
+from progen import assert_arguments_prechecked
+
 
 def strict():
     return janus.JanusConfig(fail_on_not_convertible=True)
@@ -27,6 +29,11 @@ def run_pair(make_model_and_loss, batches, n=6, rtol=1e-3):
             out.numpy() if hasattr(out, "numpy") else out)))
     assert not j_step.imperative_only, j_step.not_convertible_reason
     assert j_step.stats["graph_runs"] > 0, j_step.cache_stats()
+    # The step's tensor arguments are checked at cache retrieval only.
+    entries = j_step.cache.entries()
+    assert entries
+    for _sig, entry in entries:
+        assert_arguments_prechecked(entry.generated)
 
     im, i_loss = make_model_and_loss(seed=1)
     i_step = make_step(i_loss, nn.SGD(0.01), "imperative")

@@ -420,6 +420,12 @@ class TestStatsCli:
         assert stats_main(["--input", str(path)]) == 2
         assert "not a janus-stats file" in capsys.readouterr().err
 
+    def test_truncated_bundle_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "truncated.json"
+        path.write_text(json.dumps({"format": "janus-stats/2"}))
+        assert stats_main(["--input", str(path)]) == 2
+        assert "'registry'" in capsys.readouterr().err
+
     def test_format_1_bundle_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"format": "janus-stats/1",

@@ -19,7 +19,9 @@ shape-changing attribute rebinding, scalar rebinding, Variable
 assignment, branch-direction flips) between calls.  After every call
 the JANUS result must match the pure imperative oracle (``f.func``)
 bit-for-bit, and every mutation of guarded state must trip a guard
-(``fallbacks``) or stale the memo (``executor.memo_stale``).
+(``fallbacks``) or stale the memo (``executor.memo_stale``).  Every
+graph a program compiles to must precheck each tensor argument
+(:func:`progen.assert_arguments_prechecked`).
 
 There is one path (the barrier and incremental regeneration are not
 options), so ``SEEDS`` distinct programs run on it: >= 200 programs.
@@ -65,6 +67,7 @@ def _traced():
 
 from progen import (GUARDED as _GUARDED,                # noqa: E402
                     apply_mutation as _apply_mutation,
+                    assert_arguments_prechecked,
                     gen_program as _gen_program,
                     mutation_pool as _mutation_pool, vec as _vec)
 
@@ -73,6 +76,12 @@ from progen import (GUARDED as _GUARDED,                # noqa: E402
 def _assert_matches_oracle(f, out, x, ctx):
     expect = f.func(x)
     assert np.array_equal(out.numpy(), expect.numpy()), ctx
+
+
+def _assert_entries_prechecked(f):
+    """Returns how many tensor arguments the live entries check."""
+    return sum(assert_arguments_prechecked(entry.generated)
+               for _sig, entry in f.cache.entries())
 
 
 def _run_program(seed):
@@ -94,6 +103,7 @@ def _run_program(seed):
             out = f(state["x"])
             _assert_matches_oracle(f, out, state["x"], (seed, "warm", k))
         assert f.stats["graph_runs"] > 0, (seed, f.stats)
+        checked = _assert_entries_prechecked(f)
 
         tracked_after_warm = m.t.value.tracked if "t" in used else None
 
@@ -109,6 +119,7 @@ def _run_program(seed):
             for k in range(2):
                 out = f(state["x"])
                 _assert_matches_oracle(f, out, state["x"], (seed, kind, k))
+            checked += _assert_entries_prechecked(f)
             # A caught mutation shows up as a runtime fallback, a stale
             # memo transition, or a re-specialization (bound-arg
             # prechecks reroute to a fresh graph before any assert op
@@ -120,14 +131,17 @@ def _run_program(seed):
                 assert signal >= 1, (seed, kind, f.stats)
     finally:
         linecache.cache.pop(filename, None)
-    return tracked_after_warm
+    return tracked_after_warm, checked
 
 
 def test_generated_programs_match_imperative():
     before = counters()
     tracked_any = False
+    checked = 0
     for seed in range(SEEDS):
-        tracked_any = bool(_run_program(seed)) or tracked_any
+        tracked, n = _run_program(seed)
+        tracked_any = bool(tracked) or tracked_any
+        checked += n
 
     # The memo must actually engage across the run: hits on steady
     # state, stale transitions on mutations, and at least one program
@@ -135,6 +149,9 @@ def test_generated_programs_match_imperative():
     assert delta(before, "executor.memo_hit") > 0
     assert delta(before, "executor.memo_stale") > 0
     assert tracked_any
+    # A stable input is burned in as a constant; the flipped ones are
+    # tensor placeholders, each with its precheck.
+    assert checked > 0
 
 
 # -- targeted mechanics ------------------------------------------------------
