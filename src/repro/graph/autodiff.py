@@ -201,6 +201,8 @@ def grad_function(func, var_order=None):
     branch gradients agree); the default is ``func.variables``.
     The gradient function *recomputes* the forward body internally, which
     sidesteps forward-value bookkeeping across recursive invocations.
+    It runs only after that forward ran in the same run, so its graph is
+    marked ``recomputes_forward``: recomputed guards are not kept live.
     """
     if var_order is None:
         var_order = func.variables
@@ -233,6 +235,7 @@ def grad_function(func, var_order=None):
         "out_specs": out_specs,
     }
     builder = GraphBuilder(name=gfunc.name)
+    builder.graph.recomputes_forward = True
     with builder:
         arg_phs = []
         for i, ph in enumerate(fwd.placeholders):

@@ -27,10 +27,28 @@ SPECIAL_OPS = frozenset([
     "cond_grad", "while_grad", "invoke_grad", "group",
 ])
 
-#: Special ops with side effects: never pruned, folded, or deduplicated.
+#: Ops with side effects: never pruned, folded, deduplicated or memoized.
 EFFECT_OPS = frozenset([
     "var_assign", "py_set_attr", "py_set_subscr", "py_call", "group",
+    "print",
 ])
+
+
+def _is_effect(node):
+    return node.op_name in EFFECT_OPS
+
+
+def _is_guard(node):
+    """A check of a speculative assumption whose output may be unused: a
+    constant-guard heap read or an ``assert``."""
+    if node.op_name in ("py_get_attr", "py_get_subscr"):
+        expected = node.attrs.get("expected")
+        return bool(expected) and expected[0] == "const"
+    return node.op_name == "assert"
+
+
+def _must_run(node):
+    return _is_effect(node) or _is_guard(node)
 
 
 class NodeOutput:
@@ -188,33 +206,29 @@ class Node:
 
     @property
     def has_effects(self):
-        """True if the node must execute even when its outputs are unused."""
-        return self._has_effects(set())
+        """True if running the node changes state (a variable or heap
+        write, a Python call, a print), here or in a nested body."""
+        return self._any_within(_is_effect, set())
 
-    def _has_effects(self, seen_graphs):
-        if self.op_name in EFFECT_OPS:
+    @property
+    def must_run(self):
+        """True if the node must execute even when its outputs are
+        unused: it has effects or it is, or nests, a guard."""
+        return self._any_within(_must_run, set())
+
+    def _any_within(self, test, seen_graphs):
+        """``test`` holds for this node or for a node of a nested body
+        (the visited set guards against recursive functions)."""
+        if test(self):
             return True
-        if self.op_name in ("py_get_attr", "py_get_subscr"):
-            expected = self.attrs.get("expected")
-            # Constant-value guards must run even though their output is
-            # unused: they validate a speculative assumption.
-            return bool(expected) and expected[0] == "const"
-        if self.op_def is not None and self.op_def.stateful:
-            # random ops are stateful but side-effect free; asserts and
-            # prints must always run.
-            return self.op_name in ("assert", "print")
-        # Functional control flow may contain effects inside its bodies
-        # (visited set guards against recursive functions).
-        if self.op_name in ("cond", "while_loop", "invoke"):
-            for func in self._nested_functions():
-                if func is None or func.graph is None:
-                    continue
-                if id(func.graph) in seen_graphs:
-                    continue
-                seen_graphs.add(id(func.graph))
-                if any(n._has_effects(seen_graphs)
-                       for n in func.graph.nodes):
-                    return True
+        for func in self._nested_functions():
+            if func is None or func.graph is None \
+                    or id(func.graph) in seen_graphs:
+                continue
+            seen_graphs.add(id(func.graph))
+            if any(n._any_within(test, seen_graphs)
+                   for n in func.graph.nodes):
+                return True
         return False
 
     def _nested_functions(self):
@@ -255,6 +269,12 @@ class Node:
 
 class Graph:
     """A dataflow graph: nodes plus designated placeholder/output lists."""
+
+    #: Set on the body of a gradient function (``autodiff.grad_function``):
+    #: the forward it recomputes has already run, with its guards, in the
+    #: same run.  A class default, so a graph pickled before the flag
+    #: existed loads with the forward-graph liveness.
+    recomputes_forward = False
 
     def __init__(self, name="graph"):
         self.name = name
@@ -332,9 +352,17 @@ class Graph:
         return order
 
     def live_nodes(self):
-        """Ancestors of graph outputs plus all effectful nodes."""
+        """Ancestors of graph outputs plus the nodes that must run.
+
+        A gradient body roots only nodes with effects: a guard it
+        recomputes already ran in the forward, and a second read in one
+        run is served from the run's read cache and checks nothing.
+        """
         roots = [o.node for o in self.outputs]
-        roots += [n for n in self.nodes if n.has_effects]
+        if self.recomputes_forward:
+            roots += [n for n in self.nodes if n.has_effects]
+        else:
+            roots += [n for n in self.nodes if n.must_run]
         roots += self.placeholders  # feeds bind positionally: keep them all
         return set(self.topological_order(roots))
 
@@ -437,10 +465,11 @@ class GraphFunction:
 
     @property
     def has_effects(self):
+        """True if a call changes state; guards alone do not count."""
         if self.graph is None:
             return False
         seen = {id(self.graph)}
-        return any(n._has_effects(seen) for n in self.graph.nodes)
+        return any(n._any_within(_is_effect, seen) for n in self.graph.nodes)
 
     @property
     def arg_outputs(self):

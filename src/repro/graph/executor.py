@@ -38,6 +38,7 @@ from .. import host
 from ..errors import AssumptionFailed, ExecutionError, GraphError
 from ..observability import COUNTERS, METRICS, TRACER
 from ..tensor import TensorValue, PyRef
+from .core import EFFECT_OPS
 
 _POOL_LOCK = threading.Lock()
 _POOL = None
@@ -65,12 +66,14 @@ class RunState:
         self.var_local = {}        # Variable -> np.ndarray (local copy)
         self.py_local = {}         # (id(obj), kind, key) -> raw value
         self.while_records = {}    # Node -> stack of per-execution records
-        #: (id(func), arg identities) -> outputs, for effect-free invokes.
-        #: Gradient functions recompute their forward bodies (see
-        #: graph.autodiff); memoizing pure recursive calls within one run
-        #: collapses that recomputation from O(n * depth) to O(n) — the
-        #: executor-side counterpart of the InvokeOp bookkeeping in the
-        #: paper's reference [20].
+        #: (id(func), arg identities) -> outputs, for invokes of callees
+        #: without effects (a guard is not one: on the same arguments and
+        #: state it checks the same thing).  Gradient functions recompute
+        #: their forward bodies (see graph.autodiff); memoizing pure
+        #: recursive calls within one run collapses that recomputation
+        #: from O(n * depth) to O(n) — the executor-side counterpart of
+        #: the InvokeOp bookkeeping in the paper's reference [20].  Every
+        #: state write of the run empties it.
         self.invoke_memo = {}
         #: (id(obj), kind, key) -> internalized heap read.  Heap state is
         #: stable within a run (writes go to py_local, which shadows this
@@ -124,6 +127,7 @@ _MEMO_SAFE = None
 #: Counted where the memo is consulted: a counter takes no lock.
 _MEMO_HIT = COUNTERS.labels("executor.memo_hit")
 _MEMO_STALE = COUNTERS.labels("executor.memo_stale")
+_INVOKE_MEMO_HIT = COUNTERS.labels("executor.invoke_memo_hit")
 #: Bumped once per candidate level, when its measured verdict lands.
 _LEVELS_PARALLEL = COUNTERS.labels("executor.levels_parallel")
 _LEVELS_SEQUENTIAL = COUNTERS.labels("executor.levels_sequential")
@@ -368,6 +372,7 @@ class GraphExecutor:
             def run_assign(values, run_state):
                 value = values[in_slot]
                 run_state.var_local[variable] = value
+                run_state.invoke_memo.clear()
                 values[out_slot] = value
             return run_assign
         if op in ("py_get_attr", "py_get_subscr"):
@@ -544,6 +549,7 @@ class GraphExecutor:
             obj = static_obj if static_obj is not None \
                 else values[dyn_slot].obj
             run_state.py_local[(id(obj), kind, key)] = values[value_slot]
+            run_state.invoke_memo.clear()
             py_objects[id(obj)] = obj
             values[out_slot] = PyRef(obj)
         return run_set
@@ -558,6 +564,7 @@ class GraphExecutor:
             # An arbitrary Python call may mutate the heap (the naive
             # state-update ablation does): cached reads are now stale.
             run_state.py_read_cache.clear()
+            run_state.invoke_memo.clear()
             if single is not None:
                 values[single] = _internalize(result)
             else:
@@ -573,12 +580,13 @@ class GraphExecutor:
     def _compile_invoke(self, node, in_slots, out_slots):
         func = node.func
 
-        def run_invoke(values, run_state):
+        def run_invoke(values, run_state, hit=_INVOKE_MEMO_HIT.inc):
             args = [values[s] for s in in_slots]
             memo_key = _invoke_memo_key(func, args)
             if memo_key is not None:
                 cached = run_state.invoke_memo.get(memo_key)
                 if cached is not None:
+                    hit()
                     for slot, r in zip(out_slots, cached):
                         values[slot] = r
                     return
@@ -677,13 +685,29 @@ class GraphExecutor:
         these are — so each candidate is measured both ways over its
         first runs (:meth:`_trial`) and fans out only if that clearly
         won.  Every other level runs in order.
+
+        Levels follow state as well as edges (TensorFlow's automatic
+        control dependencies): a write of a state lands after every
+        earlier access of it in program order and before every later
+        one, so no level reorders a write past a read, either way.
         """
         node_level = {}
+        last_write = {}     # state -> level of its latest write
+        last_access = {}    # state -> highest level touching it so far
         for node in order:
             deps = [i.node for i in node.inputs] + list(node.control_inputs)
             lvl = 0
             for dep in deps:
                 lvl = max(lvl, node_level.get(dep, -1) + 1)
+            reads, writes = _state_accesses(node, set())
+            for state in reads:
+                lvl = max(lvl, last_write.get(state, -1) + 1)
+            for state in writes:
+                lvl = max(lvl, last_access.get(state, -1) + 1)
+            for state in reads | writes:
+                last_access[state] = max(last_access.get(state, -1), lvl)
+            for state in writes:
+                last_write[state] = lvl
             node_level[node] = lvl
         levels = {}
         for node, fn in scheduled:
@@ -972,11 +996,44 @@ def _compile_expected_check(expected, node):
     return None
 
 
+def _state_accesses(node, seen_graphs):
+    """``(reads, writes)``: the state a node and its nested bodies touch.
+
+    A state is a Variable or a heap slot ``(kind, key)``.  A slot is
+    named by its key alone: a dynamic receiver is known only at run
+    time, so accesses of one key on any two receivers are ordered.
+    """
+    reads, writes = set(), set()
+    op = node.op_name
+    if op in ("var_read", "var_assign"):
+        state = node.variable
+    elif op in ("py_get_attr", "py_set_attr"):
+        state = ("attr", node.attrs["name"])
+    elif op in ("py_get_subscr", "py_set_subscr"):
+        state = ("subscr", node.attrs["key"])
+    else:
+        state = None
+    if state is not None:
+        (writes if op in EFFECT_OPS else reads).add(state)
+    for func in (*node._nested_functions(),
+                 node.attrs.get("body_grad_func")):
+        if func is None or func.graph is None \
+                or id(func.graph) in seen_graphs:
+            continue
+        seen_graphs.add(id(func.graph))
+        for inner in func.graph.nodes:
+            inner_reads, inner_writes = _state_accesses(inner, seen_graphs)
+            reads |= inner_reads
+            writes |= inner_writes
+    return reads, writes
+
+
 def _invoke_memo_key(func, args):
     """Memo key for a pure invoke, or None when not memoizable.
 
-    Safe only for effect-free callees and identity-keyable arguments:
-    PyRefs key by object identity, tiny arrays by content.
+    Safe only for callees without effects (a guard is not one: see
+    ``RunState.invoke_memo``) and identity-keyable arguments: PyRefs key
+    by object identity, tiny arrays by content.
     """
     if getattr(func, "_memo_effects", None) is None:
         func._memo_effects = func.has_effects

@@ -4,11 +4,18 @@ The TreeNN pattern: recursion + base-case branching + heap reads on tree
 nodes, including gradients through the recursion.
 """
 
+import collections
+import os
+import sys
+
 import numpy as np
 import pytest
 
 import repro as R
 from repro import janus, nn
+from repro.graph import GraphExecutor
+from repro.graph import executor as executor_mod
+from repro.observability import COUNTERS
 
 
 def strict(**kw):
@@ -155,3 +162,52 @@ class TestRecursiveConversion:
                                  axis=1))
         want = [float(R.reduce_sum(ref(t)).numpy()) for t in (t1, t2)]
         assert outs == [pytest.approx(w, rel=1e-5) for w in want]
+
+
+_LEDGER = os.path.join(os.path.dirname(__file__), os.pardir,
+                       "benchmarks", "ledger")
+
+
+class TestRecursiveGradientCost:
+    def test_treernn_pass_runs_each_body_once_per_tree_node(
+            self, monkeypatch):
+        """A warm pass over the ledger's seed-1 trees (176 tree nodes,
+        80 internal, 96 leaves).  The gradient bodies call ``encode`` on
+        both children of each internal node again; those calls are
+        memo hits, so ``encode``'s body runs once per tree node, O(n),
+        not once per tree node per ancestor."""
+        sys.path.insert(0, _LEDGER)
+        try:
+            import programs
+        finally:
+            sys.path.remove(_LEDGER)
+        program = programs.TRAIN_PROGRAMS["TreeRNN"]
+        batches = program.make_batches(1)
+        step = program.build("janus")
+        for _ in range(3):
+            for batch in batches:
+                step(*batch)
+
+        runs = collections.Counter()
+        invokes = collections.Counter()
+        run_nested = GraphExecutor._run_nested
+        memo_key = executor_mod._invoke_memo_key
+
+        def counting_run(executor, feeds, run_state):
+            runs[executor.graph.name] += 1
+            return run_nested(executor, feeds, run_state)
+
+        def counting_key(func, args):
+            invokes[func.name] += 1
+            return memo_key(func, args)
+        monkeypatch.setattr(GraphExecutor, "_run_nested", counting_run)
+        monkeypatch.setattr(executor_mod, "_invoke_memo_key", counting_key)
+        hits = COUNTERS.labels("executor.invoke_memo_hit")
+        before = (hits.value, step.stats["graph_runs"])
+        for batch in batches:
+            step(*batch)
+        assert step.stats["graph_runs"] - before[1] == len(batches) == 16
+        assert invokes["encode"] == 336
+        assert hits.value - before[0] == 160
+        assert runs["encode"] == 176
+        assert runs["branch_true"] == 96
