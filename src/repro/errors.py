@@ -50,7 +50,3 @@ class NotConvertible(ReproError):
         #: attribute one.  The co-execution planner uses it to split the
         #: function at the failing statement (docs/coexecution.md).
         self.lineno = lineno
-
-
-class FallbackRequested(ReproError):
-    """Internal signal: abandon graph execution and rerun imperatively."""

@@ -26,9 +26,6 @@ class Frame:
         self.loop_name = loop_name
         self.iteration = iteration
 
-    def child_tag(self):
-        return (self.loop_name, self.iteration)
-
     def next_iteration(self):
         return Frame(self.parent, self.loop_name, self.iteration + 1)
 

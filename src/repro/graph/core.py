@@ -62,10 +62,6 @@ class NodeOutput:
         self.shape = Shape.of(shape) if shape is not None else Shape.unknown()
         self.dtype = dtype  # DType, or None for PyRef edges
 
-    @property
-    def is_tensor(self):
-        return self.dtype is not None
-
     def __repr__(self):
         dt = self.dtype.name if self.dtype else "pyref"
         return "%s:%d<%s, %s>" % (self.node.debug_name, self.index, dt,
@@ -444,10 +440,6 @@ class GraphFunction:
         state["janus_meta"] = None
         return state
 
-    @property
-    def is_finalized(self):
-        return self.graph is not None
-
     def finalize(self, graph):
         if self.graph is not None:
             raise GraphError("function %s already finalized" % self.name)
@@ -470,10 +462,6 @@ class GraphFunction:
             return False
         seen = {id(self.graph)}
         return any(n._any_within(_is_effect, seen) for n in self.graph.nodes)
-
-    @property
-    def arg_outputs(self):
-        return [ph.outputs[0] for ph in self.graph.placeholders]
 
     def __repr__(self):
         status = "%d nodes" % len(self.graph.nodes) if self.graph else \

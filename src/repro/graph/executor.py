@@ -59,12 +59,15 @@ def _shared_pool():
 class RunState:
     """Per-top-level-run mutable state shared with nested subgraph runs."""
 
-    __slots__ = ("var_local", "py_local", "while_records",
+    __slots__ = ("var_local", "py_local", "receivers", "while_records",
                  "invoke_memo", "py_read_cache")
 
     def __init__(self):
         self.var_local = {}        # Variable -> np.ndarray (local copy)
         self.py_local = {}         # (id(obj), kind, key) -> raw value
+        #: id(obj) -> obj for every receiver of a ``py_local`` write,
+        #: whichever (nested) executor ran it; held for this run only.
+        self.receivers = {}
         self.while_records = {}    # Node -> stack of per-execution records
         #: (id(func), arg identities) -> outputs, for invokes of callees
         #: without effects (a guard is not one: on the same arguments and
@@ -81,13 +84,14 @@ class RunState:
         #: recomputation — skip getattr/convert/assumption checking.
         self.py_read_cache = {}
 
-    def commit(self, py_objects):
+    def commit(self):
         """Write local copies back to variables and the Python heap."""
         for variable, array in self.var_local.items():
             variable.storage = TensorValue(array, variable.dtype)
             variable.version += 1
+        receivers = self.receivers
         for (obj_id, kind, key), raw in self.py_local.items():
-            obj = py_objects[obj_id]
+            obj = receivers[obj_id]
             value = _externalize(raw)
             if kind == "attr":
                 setattr(obj, key, value)
@@ -313,7 +317,6 @@ class GraphExecutor:
                 self._slots[(id(node), out.index)] = slot_count
                 slot_count += 1
         self._slot_count = slot_count
-        self._py_objects = {}
 
         scheduled = []   # (node, closure), in schedule order
         self._placeholder_slots = {}
@@ -458,7 +461,6 @@ class GraphExecutor:
         if node.py_object is None:
             return _dynamic_py_get(kind, in_slots[0], key, check, out_slot)
         obj = node.py_object.obj
-        self._py_objects[id(obj)] = obj
         local_key = (id(obj), kind, key)
         memo_safe = _memo_safe_types()
         tensor_cls, _ = _lazy_types()
@@ -534,23 +536,17 @@ class GraphExecutor:
     def _compile_py_set(self, node, in_slots, out_slots):
         kind = "attr" if node.op_name == "py_set_attr" else "subscr"
         key = node.attrs["name"] if kind == "attr" else node.attrs["key"]
-        static_obj = None
+        static_obj = None if node.py_object is None else node.py_object.obj
         dyn_slot = in_slots[0]
         value_slot = in_slots[-1]
         out_slot = out_slots[0]
-        # Receivers first met at run time register here too, so commit's
-        # transitive object collection can reach them.
-        py_objects = self._py_objects
-        if node.py_object is not None:
-            static_obj = node.py_object.obj
-            py_objects[id(static_obj)] = static_obj
 
         def run_set(values, run_state):
             obj = static_obj if static_obj is not None \
                 else values[dyn_slot].obj
             run_state.py_local[(id(obj), kind, key)] = values[value_slot]
+            run_state.receivers[id(obj)] = obj
             run_state.invoke_memo.clear()
-            py_objects[id(obj)] = obj
             values[out_slot] = PyRef(obj)
         return run_set
 
@@ -751,7 +747,7 @@ class GraphExecutor:
                 fn(values, run_state)
 
         outputs = [values[s] for s in self._output_slots]
-        run_state.commit(self._py_objects_transitive())
+        run_state.commit()
         if TRACER.level:
             TRACER.complete("op", "run:%s" % self.graph.name,
                             run_start,
@@ -857,34 +853,6 @@ class GraphExecutor:
         # No level measuring or kept: leave the level schedule for good.
         if all(level.verdict is False for level in self._candidates):
             self.parallel = False
-
-    def _py_objects_transitive(self):
-        """Python objects referenced here and in nested subgraphs."""
-        cached = getattr(self, "_py_objects_cache", None)
-        if cached is not None:
-            # py_set on dynamic objects adds entries at run time; merge.
-            cached.update(self._py_objects)
-            return cached
-        objs = self._collect_py_objects()
-        self._py_objects_cache = objs
-        return objs
-
-    def _collect_py_objects(self):
-        objs = dict(self._py_objects)
-        seen = set()
-        stack = [self.graph]
-        while stack:
-            graph = stack.pop()
-            if id(graph) in seen:
-                continue
-            seen.add(id(graph))
-            for node in graph.nodes:
-                if node.py_object is not None:
-                    objs[id(node.py_object.obj)] = node.py_object.obj
-                for func in node._nested_functions():
-                    if func is not None and func.graph is not None:
-                        stack.append(func.graph)
-        return objs
 
 
 def _run_check(check, raw):

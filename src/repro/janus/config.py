@@ -18,8 +18,10 @@ Everything else either reproduces another paper result
 (``deferred_state_update``: the section 4.2.3 ablation; ``coexecution``:
 off is Table 4's all-or-nothing coverage), bounds a resource, or
 describes a deployment.  A switch that only selected an older code path
-is not kept: a removed keyword is a ``TypeError``.  The README's
-"Configuration" table lists every field and environment variable.
+is not kept: a removed keyword is a ``TypeError``.  Serving is
+configured apart, by the :class:`repro.serving.ServingConfig` a
+``Server`` takes.  The README's "Configuration" table lists every field
+and environment variable.
 """
 
 import copy
@@ -41,7 +43,6 @@ class JanusConfig:
                  graph_cache_entries=64,
                  coexecution=True,
                  recompile_workers=0,
-                 serving=None,
                  cache_dir=None,
                  cache_max_bytes=None):
         #: Imperative profiling iterations before generating a graph
@@ -81,12 +82,6 @@ class JanusConfig:
         #: callers are served by the imperative fallback until the new
         #: artifact is published.
         self.recompile_workers = int(recompile_workers)
-        #: Serving-layer configuration: None, or a
-        #: :class:`repro.serving.ServingConfig` consumed by
-        #: ``repro.serving.Server`` (max batch size, linger window,
-        #: queue bounds).  Held here so one JanusConfig fully describes
-        #: a deployment; the core runtime ignores it.
-        self.serving = serving
         #: Directory for the persistent cross-process compile cache
         #: (docs/compilation.md#persistence--warm-start).  None defers
         #: to the JANUS_CACHE_DIR env var at dispatch time; both unset

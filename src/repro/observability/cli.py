@@ -3,10 +3,11 @@
 Run as ``python -m repro.observability.stats``.  The report answers the
 questions flat counters cannot: per-function graph-hit ratio and
 convergence state, per-site assumption-failure counts with their relax
-chains, measured fallback/recompile cost, and p50/p95/p99 latency for
-graph runs, fallbacks, and recompiles — plus the serving layer's
-windowed SLO view and the flight recorder's slowest/failed request
-exemplars.
+chains and measured fallback/recompile cost (from the health view's
+event log), the flight recorder's slowest/failed request exemplars —
+then every sample of the registry, by kind: counters, gauges, and
+histograms with their p50/p95/p99 and, for a windowed family, the
+trailing window.
 
 Input is either the **live registry** (rendered in-process — useful from
 a REPL or when a training script calls :func:`render_report` directly)
@@ -44,12 +45,12 @@ import argparse
 import json
 import sys
 
-from .diskcache import DiskCacheStats, format_diskcache_table
+from .diskcache import DiskCacheStats
 from .health import HealthRegistry, format_health_table
 from .metrics import (COUNTER, GAUGE, HISTOGRAM, METRICS, WINDOWED,
-                      Registry, format_histograms, sample_name)
+                      Registry, sample_name)
 from .reqtrace import RECORDER, FlightRecorder
-from .serving import ServingStats, format_serving_table
+from .serving import ServingStats
 
 #: Saved-stats file format tag (bump on incompatible change).
 STATS_FORMAT = "janus-stats/2"
@@ -216,48 +217,89 @@ def format_requests_table(recorder):
     return lines
 
 
-def render_report(registry=None, function=None, recorder=None):
-    """The full ``janus-stats`` text report."""
-    bundle = StatsBundle(METRICS if registry is None else registry,
-                         RECORDER if recorder is None else recorder)
-    lines = ["== janus-stats =="]
+def _number(value):
+    return ("%g" if isinstance(value, float) else "%d") % value
 
-    health_lines = format_health_table(bundle.health)
-    lines.append("-- speculation health --")
-    if health_lines:
-        lines.extend(health_lines)
-    else:
-        lines.append("  (no functions recorded — enable metrics with "
-                     "JANUS_METRICS=1 or set_metrics_enabled(True))")
 
-    for heading, section in (
-            ("-- serving --", format_serving_table(bundle.serving)),
-            ("-- disk cache --", format_diskcache_table(bundle.diskcache)),
-            ("-- flight recorder --",
-             format_requests_table(bundle.requests))):
-        if section:
+def _histogram_rows(name, family, hist):
+    """count / mean / p50 / p95 / p99 / max of one histogram (seconds
+    shown as ms, other units as is), and a windowed one's trailing-window
+    p50 / p95 / count when the window holds observations."""
+    scale, unit = (1e3, "ms") if family.unit == "seconds" \
+        else (1.0, family.unit)
+    pct = hist.percentiles()
+    rows = ["  %-44s %7d obs  mean %9.3f  p50 %9.3f  p95 %9.3f  "
+            "p99 %9.3f  max %9.3f %s"
+            % (name, hist.count, hist.mean * scale, pct["p50"] * scale,
+               pct["p95"] * scale, pct["p99"] * scale,
+               (hist.max or 0.0) * scale, unit)]
+    if family.kind == WINDOWED:
+        window = hist.window_percentiles()
+        if window["count"]:
+            rows.append("    %-42s %7d obs  p50 %9.3f  p95 %9.3f %s"
+                        % ("last %gs" % hist.window_s, window["count"],
+                           window["p50"] * scale, window["p95"] * scale,
+                           unit))
+    return rows
+
+
+#: The registry section's headings, in report order.
+_KIND_HEADINGS = ((COUNTER, "-- counters --"), (GAUGE, "-- gauges --"),
+                  (HISTOGRAM, "-- latency histograms --"))
+
+
+def registry_lines(registry, skip=()):
+    """The report's registry section: one walk over
+    ``registry.families()`` — the walk :func:`prometheus_text` does —
+    with every sample under its exposition name (:func:`sample_name`),
+    except those named in *skip*.  A counter or gauge sample is one
+    ``name value`` row, a histogram the rows of :func:`_histogram_rows`;
+    each kind under its heading, left out when it has no rows."""
+    rows = {kind: [] for kind, _ in _KIND_HEADINGS}
+    for family in registry.families():
+        for values, value in family.samples():
+            name = sample_name(family, values)
+            if name in skip:
+                continue
+            if family.kind in (COUNTER, GAUGE):
+                rows[family.kind].append("  %-52s %s"
+                                         % (name, _number(value)))
+            else:
+                rows[HISTOGRAM].extend(_histogram_rows(name, family, value))
+    lines = []
+    for kind, heading in _KIND_HEADINGS:
+        if rows[kind]:
             lines.append(heading)
-            lines.extend(section)
+            lines.extend(rows[kind])
+    return lines
 
-    lines.append("-- latency histograms --")
-    lines.extend(format_histograms(bundle.registry)
-                 or ["  (no observations recorded)"])
 
-    mortem = post_mortem(bundle.health, function)
+def report_lines(registry, recorder, function=None, skip=()):
+    """Every section of the report: the speculation-health table and
+    the post-mortem (from the health view's event log), the flight
+    recorder's exemplars, then :func:`registry_lines`."""
+    health = registry.view(HealthRegistry)
+    lines = ["-- speculation health --"]
+    lines.extend(format_health_table(health) or [
+        "  (no functions recorded — enable metrics with "
+        "JANUS_METRICS=1 or set_metrics_enabled(True))"])
+    mortem = post_mortem(health, function)
     if mortem:
         lines.append("-- post-mortem --")
         lines.extend("  " + line if line and not line.startswith(" ")
                      else line for line in mortem)
+    requests = format_requests_table(recorder)
+    if requests:
+        lines.append("-- flight recorder --")
+        lines.extend(requests)
+    return lines + registry_lines(registry, skip)
 
-    counter_lines = [
-        "  %-52s %d" % (sample_name(family, values), value)
-        for family in bundle.registry.families()
-        if family.kind == COUNTER
-        for values, value in family.samples() if value]
-    if counter_lines:
-        lines.append("-- counters --")
-        lines.extend(counter_lines)
-    return "\n".join(lines)
+
+def render_report(registry=None, function=None, recorder=None):
+    """The full ``janus-stats`` text report."""
+    return "\n".join(["== janus-stats =="] + report_lines(
+        METRICS if registry is None else registry,
+        RECORDER if recorder is None else recorder, function))
 
 
 # -- Prometheus text exposition ----------------------------------------------
@@ -272,8 +314,7 @@ def _sample(lines, name, value, labels=None):
     if labels:
         label_text = "{%s}" % ",".join(
             '%s="%s"' % (k, _prom_escape(v)) for k, v in labels.items())
-    lines.append(("%s%s %g" if isinstance(value, float) else "%s%s %d")
-                 % (name, label_text, value))
+    lines.append("%s%s %s" % (name, label_text, _number(value)))
 
 
 def _histogram(lines, base, hist, labels):
@@ -363,7 +404,7 @@ def _selfcheck(registry):
     problems = []
     if not registry.view(HealthRegistry).functions():
         problems.append("health table is empty (no functions recorded)")
-    if not format_histograms(registry):
+    if not registry.histograms():
         problems.append("no histogram has a non-zero observation count")
     return problems
 

@@ -29,7 +29,7 @@ import threading
 
 from .metrics import METRICS, Registry, View
 
-__all__ = ["DISKCACHE", "DiskCacheStats", "format_diskcache_table"]
+__all__ = ["DISKCACHE", "DiskCacheStats"]
 
 
 class DiskCacheStats(View):
@@ -107,41 +107,6 @@ class DiskCacheStats(View):
     def __repr__(self):
         return ("DiskCacheStats(loads=%d, hits=%d, stores=%d)"
                 % (self.loads, self.hits, self.stores))
-
-
-def format_diskcache_table(stats):
-    """Text lines for the ``janus-stats`` disk-cache section.
-
-    Returns [] when the process never touched a disk cache (section
-    omitted, keeping default-off runs identical to older reports).
-    """
-    if not (stats.loads or stats.stores or stats.store_skips):
-        return []
-    misses = sum(stats.miss_reasons.values())
-    lines = [
-        "  loads: %d (%d hits, %d misses) | stores: %d (%.1f KiB, "
-        "%d skipped unportable) | evictions: %d"
-        % (stats.loads, stats.hits, misses, stats.stores,
-           stats.store_bytes / 1024.0, stats.store_skips,
-           stats.evictions)]
-    if stats.miss_reasons:
-        reasons = ", ".join(
-            "%s: %d" % (kind, count) for kind, count in
-            sorted(stats.miss_reasons.items(),
-                   key=lambda item: (-item[1], item[0])))
-        lines.append("  miss reasons: %s" % reasons)
-    if stats.bytes_on_disk or stats.entries_on_disk:
-        lines.append("  on disk: %d entries, %.1f KiB"
-                     % (stats.entries_on_disk,
-                        stats.bytes_on_disk / 1024.0))
-    latency = stats.load_latency
-    if latency.count:
-        pct = latency.percentiles()
-        lines.append(
-            "  load latency: p50 %.2f ms  p95 %.2f ms  max %.2f ms"
-            % (pct["p50"] * 1e3, pct["p95"] * 1e3,
-               (latency.max or 0.0) * 1e3))
-    return lines
 
 
 #: The process-wide disk-cache view; populated by

@@ -7,17 +7,17 @@ a top-level object with a ``traceEvents`` list whose entries carry
 ``name``/``cat``/``ph``/``ts`` (µs) and, for complete events, ``dur``.
 
 The text summary is the quick look: event counts per category, the
-hottest ops by cumulative time, the health and histogram tables, and
-counter totals.
+hottest ops by cumulative time and the write-barrier counters, followed
+by the ``janus-stats`` report's sections.
 """
 
 import json
 import os
 import threading
 
-from .cli import stats_payload
-from .health import HealthRegistry, format_health_table
-from .metrics import METRICS, counter_values, format_histograms
+from .cli import report_lines, stats_payload
+from .metrics import METRICS, counter_values
+from .reqtrace import RECORDER
 from .tracer import TRACER
 
 _PID = os.getpid()
@@ -81,13 +81,16 @@ def write_chrome_trace(path, tracer=None, registry=None, recorder=None):
     return path
 
 
-def text_summary(tracer=None, top=12, registry=None):
-    """A human-readable digest of the buffered trace + counters.
+#: Heap-read memo / write-barrier health is always reported (zeros
+#: included): a zero memo_hit row on a tensor-attr workload is itself
+#: the signal that the barrier is off or tracking is refusing.
+_BARRIER = ("executor.memo_hit", "executor.memo_stale", "tensor.cow_copies")
 
-    When latency histograms or speculation-health models were recorded
-    (``JANUS_METRICS=1`` / ``set_metrics_enabled``), the summary also
-    renders their tables; ``janus-stats`` renders the full post-mortem.
-    """
+
+def text_summary(tracer=None, top=12, registry=None, recorder=None):
+    """A human-readable digest of the buffered trace, then the
+    ``janus-stats`` report's sections (:func:`.cli.report_lines`) for
+    *registry* and *recorder* (default: the live ones)."""
     tracer = tracer or TRACER
     registry = METRICS if registry is None else registry
     events = tracer.events
@@ -119,29 +122,13 @@ def text_summary(tracer=None, top=12, registry=None):
                          % ("%s:%s" % (category, name), count, total * 1e3,
                             total / count * 1e6))
 
-    health_lines = format_health_table(registry.view(HealthRegistry))
-    if health_lines:
-        lines.append("-- speculation health --")
-        lines.extend(health_lines)
-    hist_lines = format_histograms(registry)
-    if hist_lines:
-        lines.append("-- latency histograms --")
-        lines.extend(hist_lines)
-
     counters = counter_values(registry)
-    # Heap-read memo / write-barrier health is always reported (zeros
-    # included): a zero memo_hit row on a tensor-attr workload is itself
-    # the signal that the barrier is off or tracking is refusing.
-    barrier = ("executor.memo_hit", "executor.memo_stale",
-               "tensor.cow_copies")
     lines.append("-- heap-read memo / write barrier --")
-    for name in barrier:
+    for name in _BARRIER:
         lines.append("  %-40s %d" % (name, counters.get(name, 0)))
-    generic = sorted(set(counters).difference(barrier))
-    if generic:
-        lines.append("-- counters --")
-        for name in generic:
-            lines.append("  %-40s %d" % (name, counters[name]))
+    lines.extend(report_lines(
+        registry, RECORDER if recorder is None else recorder,
+        skip={"janus_counter_total{%s}" % name for name in _BARRIER}))
     return "\n".join(lines)
 
 

@@ -738,27 +738,6 @@ class View:
         """Drop state the registry does not hold (none by default)."""
 
 
-def format_histograms(registry):
-    """Text table of every histogram with observations: count / mean /
-    p50 / p95 / p99 / max (seconds shown as ms; other units as is).
-
-    Used by both ``text_summary`` and the ``janus-stats`` CLI; returns
-    [] when nothing was observed.
-    """
-    lines = []
-    for family, values, hist in registry.histograms():
-        scale, unit = (1e3, "ms") if family.unit == "seconds" \
-            else (1.0, family.unit)
-        pct = hist.percentiles()
-        lines.append(
-            "  %-40s %7d obs  mean %9.3f  p50 %9.3f  p95 %9.3f  "
-            "p99 %9.3f  max %9.3f %s"
-            % (sample_name(family, values), hist.count,
-               hist.mean * scale, pct["p50"] * scale, pct["p95"] * scale,
-               pct["p99"] * scale, (hist.max or 0.0) * scale, unit))
-    return lines
-
-
 def sample_name(family, values):
     """``name`` or ``name{v1,v2}`` — the report's label for one child."""
     if not values:

@@ -52,7 +52,7 @@ from collections import deque
 
 from .metrics import METRICS, Registry, View
 
-__all__ = ["SERVING", "ServingStats", "format_serving_table"]
+__all__ = ["SERVING", "ServingStats"]
 
 #: Request outcomes tracked by the per-outcome latency histograms.
 OUTCOMES = ("ok", "error", "rejected")
@@ -290,68 +290,6 @@ class ServingStats(View):
     def __repr__(self):
         return ("ServingStats(requests=%d, batches=%d, active=%d)"
                 % (self.requests, self.batches, self.active_clients))
-
-
-def _fmt_window(hist, unit_scale=1e3):
-    """``p50/p95 (n)`` triple over the trailing window, or None if idle."""
-    stats = hist.window_percentiles()
-    if not stats["count"]:
-        return None
-    return (stats["p50"] * unit_scale, stats["p95"] * unit_scale,
-            stats["count"])
-
-
-def format_serving_table(stats):
-    """Text lines for the ``janus-stats`` serving section.
-
-    Returns [] when the server never saw a request (section omitted).
-    """
-    if not (stats.requests or stats.rejected or stats.active_clients):
-        return []
-    lines = [
-        "  clients: %d active (peak %d) | requests: %d accepted, "
-        "%d rejected (%.1f%% rejection) | recompiles in flight: %d"
-        % (stats.active_clients, stats.peak_clients, stats.requests,
-           stats.rejected, stats.rejection_rate * 100.0,
-           stats.recompiles_in_flight)]
-    depth = stats.queue_depth
-    if depth.count:
-        pct = depth.percentiles()
-        lines.append(
-            "  queue depth: p50 %.1f  p95 %.1f  max %.0f   queue wait: "
-            "p50 %.3f ms  p95 %.3f ms"
-            % (pct["p50"], pct["p95"], depth.max or 0.0,
-               stats.queue_wait.percentile(50) * 1e3,
-               stats.queue_wait.percentile(95) * 1e3))
-    size = stats.batch_size
-    if size.count:
-        pct = size.percentiles()
-        lines.append(
-            "  batch size: %d dispatches, mean %.2f  p50 %.1f  p95 %.1f  "
-            "max %.0f  (%d requests rode a shared batch, %d batches fell "
-            "back)" % (size.count, size.mean, pct["p50"], pct["p95"],
-                       size.max or 0.0, stats.batched_requests,
-                       stats.batch_fallbacks))
-    for outcome in OUTCOMES:
-        hist = stats.request_latency[outcome]
-        if not hist.count:
-            continue
-        pct = hist.percentiles()
-        line = ("  request latency[%s]: %d obs  p50 %.3f ms  p95 %.3f ms  "
-                "p99 %.3f ms"
-                % (outcome, hist.count, pct["p50"] * 1e3,
-                   pct["p95"] * 1e3, pct["p99"] * 1e3))
-        recent = _fmt_window(hist)
-        if recent is not None:
-            line += ("   window: p50 %.3f ms  p95 %.3f ms (%d obs)"
-                     % recent)
-        lines.append(line)
-    wait_recent = _fmt_window(stats.queue_wait)
-    if wait_recent is not None:
-        lines.append(
-            "  windowed queue wait: p50 %.3f ms  p95 %.3f ms (%d obs)"
-            % wait_recent)
-    return lines
 
 
 #: The process-wide serving view; populated by :mod:`repro.serving`.

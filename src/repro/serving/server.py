@@ -60,7 +60,7 @@ class ServerClosed(RuntimeError):
 
 
 class ServingConfig:
-    """Tunables of the serving layer (``JanusConfig.serving`` slot)."""
+    """Tunables of the serving layer, given to :class:`Server`."""
 
     def __init__(self, max_batch_size=8, batch_linger_s=0.002,
                  max_queue_depth=64):

@@ -126,12 +126,6 @@ class TensorValue:
         """Whether this value is sealed behind the write barrier."""
         return self._mode == _SEALED
 
-    def mark_private(self):
-        """Claim exclusive buffer ownership (fresh, unaliased arrays)."""
-        if self._mode == _UNKNOWN:
-            self._mode = _PRIVATE
-        return self
-
     def track(self):
         """Seal the buffer for enrollment in a guarded identity memo.
 

@@ -1,6 +1,8 @@
 """Graph IR: construction, topological order, liveness, signatures."""
 
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -283,6 +285,85 @@ class TestHeapWriteOrdering:
             a, b = step(root)
             assert (float(a.numpy()), float(b.numpy())) == (3.0, 5.0)
         assert step.stats["graph_runs"] >= 5
+
+
+class _OutNode:
+    def __init__(self, v, left=None, right=None):
+        self.v, self.left, self.right = v, left, right
+        self.is_leaf, self.out = left is None, 0.0
+
+
+def _visit(node):
+    if node.is_leaf:
+        r = R.constant(node.v) * 2.0
+    else:
+        r = _visit(node.left) + _visit(node.right)
+    node.out = r
+    return r
+
+
+def _visit_step(root):
+    return _visit(root)
+
+
+def _out_tree():
+    return _OutNode(0., _OutNode(1.), _OutNode(2., _OutNode(3.),
+                                                _OutNode(4.)))
+
+
+def _nodes(root):
+    return [root] + ([] if root.is_leaf
+                     else _nodes(root.left) + _nodes(root.right))
+
+
+def _bits(value):
+    array = np.asarray(value.numpy())
+    return array.dtype, array.tobytes()
+
+
+class _Receiver:
+    def __init__(self):
+        self.left = _Holder()
+
+
+class TestHeapWriteReceivers:
+    """A graph run commits its heap writes to the receivers it wrote,
+    whichever nested body wrote them, and keeps none of them after."""
+
+    @pytest.mark.parametrize("parallel", [True, False],
+                             ids=["default", "sequential"])
+    def test_nested_write_matches_imperative(self, parallel):
+        expected_root = _out_tree()
+        expected = _visit_step(expected_root)
+        config = janus.JanusConfig() if parallel \
+            else janus.JanusConfig(parallel_execution=False)
+        step = janus.function(_visit_step, config=config)
+        for _ in range(8):
+            root = _out_tree()
+            out = step(root)
+            assert _bits(out) == _bits(expected)
+            assert [_bits(n.out) for n in _nodes(root)] == \
+                [_bits(n.out) for n in _nodes(expected_root)]
+        assert step.stats["graph_runs"] > 0
+
+    def test_written_receiver_is_not_kept_alive(self):
+        @janus.function(config=janus.JanusConfig(parallel_execution=False))
+        def write(root, x):
+            root.left.out = x * 2.0
+            return x
+
+        x = R.constant(np.float32(1.5))
+        for _ in range(4):
+            write(_Receiver(), x)
+        root = _Receiver()
+        receiver = weakref.ref(root.left)
+        graph_runs = write.stats["graph_runs"]
+        write(root, x)
+        assert write.stats["graph_runs"] == graph_runs + 1
+        assert float(root.left.out.numpy()) == 3.0
+        del root
+        gc.collect()
+        assert receiver() is None
 
 
 class TestSignatures:

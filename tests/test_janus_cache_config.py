@@ -110,20 +110,21 @@ class TestJanusConfig:
 
     @pytest.mark.parametrize("kwarg", [
         "tensor_write_barrier", "incremental_regeneration",
-        "optimize_graph", "max_recursion_inline", "trace_level"])
+        "optimize_graph", "max_recursion_inline", "trace_level", "serving"])
     def test_retired_path_switch(self, kwarg):
         """One path per mechanism: the write barrier, fragment splicing
         and the +SPCN passes are not options; nothing read the inline
-        bound; a trace level is process-wide (JANUS_TRACE)."""
+        bound; a trace level is process-wide (JANUS_TRACE); a ``Server``
+        takes its own ``ServingConfig``."""
         with pytest.raises(TypeError):
             JanusConfig(**{kwarg: True})
         assert not hasattr(JanusConfig(), kwarg)
         assert kwarg not in _CONFIG_KEY_FIELDS
 
-    def test_surface_is_thirteen_fields(self):
-        """Six paper switches, three bounds, three deployment fields,
+    def test_surface_is_twelve_fields(self):
+        """Six paper switches, three bounds, two deployment fields,
         one test aid (README "Configuration")."""
-        assert len(inspect.signature(JanusConfig).parameters) == 13
+        assert len(inspect.signature(JanusConfig).parameters) == 12
         cfg = JanusConfig()
         assert all(hasattr(cfg, name) for name in FIELDS)
         # The disk-cache key lists only fields that exist.

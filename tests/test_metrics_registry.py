@@ -34,7 +34,7 @@ from repro.observability.cli import (load_stats, prometheus_text,
 from repro.observability.health import HealthRegistry
 from repro.observability.metrics import (COUNTERS, METRICS, Counter,
                                          Histogram, Registry,
-                                         WindowedHistogram)
+                                         WindowedHistogram, sample_name)
 from repro.observability.serving import ServingStats
 
 from test_prometheus_lint import _families, _populated_state
@@ -393,6 +393,64 @@ class TestBulkObserve:
             loop._observe(value, stamp)
         assert len({int(stamp) for stamp in stamps}) == 3
         assert self._state(bulk) == self._state(loop)
+
+
+def report_rows(report):
+    """``{exposition name: first value column}`` of a report's registry
+    rows — a counter's or gauge's value, a histogram's count."""
+    rows = {}
+    for line in report.splitlines():
+        if line.startswith("  janus_"):
+            name, value = line.split()[:2]
+            assert name not in rows, "%s reported twice" % name
+            rows[name] = value
+    return rows
+
+
+class TestReportWalk:
+    """The report renders the registry by one walk: every sample once,
+    under its exposition name, live and restored alike."""
+
+    def _drive(self):
+        from repro.serving import Server, ServingConfig
+
+        @janus.function(config=janus.JanusConfig(profile_runs=1))
+        def double(x):
+            return x * 2.0
+
+        x = R.constant(np.ones(3, np.float32))
+        for _ in range(4):
+            double(x)
+        with Server(ServingConfig(max_batch_size=2)) as server:
+            server.register("double", double)
+            for _ in range(3):
+                server.call("double", x)
+
+    def test_every_sample_is_reported_by_its_exposition_name(
+            self, tmp_path):
+        obs.clear()
+        previous = obs.set_metrics_enabled(True)
+        try:
+            self._drive()
+        finally:
+            obs.set_metrics_enabled(previous)
+        path = write_stats_json(str(tmp_path / "stats.json"))
+        try:
+            for registry in (METRICS, load_stats(path).registry):
+                rows = report_rows(render_report(registry))
+                for family in registry.families():
+                    for values, value in family.samples():
+                        name = sample_name(family, values)
+                        assert name in rows, name
+                        if isinstance(value, Histogram):
+                            value = value.count
+                        assert rows[name] == ("%g" if isinstance(
+                            value, float) else "%d") % value, name
+                assert rows["janus_serving_rejection_rate"] == "0"
+                assert "janus_function_graph_hit_ratio{double}" in rows
+                assert "janus_serving_queue_wait_seconds" in rows
+        finally:
+            obs.clear()
 
 
 class TestCatalogue:

@@ -46,10 +46,12 @@ from repro.janus.compiled import (ARTIFACT_FORMAT, UnportableArtifact,
                                   portability_blockers, serialize_generated)
 from repro.janus.config import JanusConfig
 from repro.observability import DISKCACHE, clear
-from repro.observability.cli import load_stats, write_stats_json
+from repro.observability.cli import (load_stats, render_report,
+                                     write_stats_json)
 from repro.observability.metrics import Registry
-from repro.observability.diskcache import (DiskCacheStats,
-                                           format_diskcache_table)
+from repro.observability.diskcache import DiskCacheStats
+
+from test_metrics_registry import report_rows
 
 
 @pytest.fixture(autouse=True)
@@ -629,14 +631,23 @@ class TestDiskCacheStats:
         return stats
 
     def test_format_table_idle_and_populated(self):
-        assert format_diskcache_table(DiskCacheStats()) == []
-        lines = format_diskcache_table(self._populated())
-        joined = "\n".join(lines)
-        assert "loads: 4 (1 hits, 3 misses)" in joined
-        assert "corrupt: 2" in joined
-        assert "absent: 1" in joined
-        assert "on disk: 2 entries" in joined
-        assert "load latency" in joined
+        registry = Registry()
+        DiskCacheStats(registry)
+        rows = report_rows(render_report(registry))
+        assert rows["janus_diskcache_loads_total"] == "0"
+        assert rows["janus_diskcache_bytes_on_disk"] == "0"
+        assert not [name for name in rows if name.startswith(
+            ("janus_diskcache_misses_total", "janus_diskcache_load_"))]
+        registry = Registry()
+        self._populated(registry)
+        rows = report_rows(render_report(registry))
+        assert rows["janus_diskcache_loads_total"] == "4"
+        assert rows["janus_diskcache_hits_total"] == "1"
+        assert rows["janus_diskcache_misses_total{corrupt}"] == "2"
+        assert rows["janus_diskcache_misses_total{absent}"] == "1"
+        assert rows["janus_diskcache_entries_on_disk"] == "2"
+        assert rows["janus_diskcache_bytes_on_disk"] == "4096"
+        assert rows["janus_diskcache_load_seconds"] == "1"
 
     def test_stats_bundle_round_trip(self, tmp_path):
         path = str(tmp_path / "stats.json")

@@ -13,7 +13,7 @@ These tests pin down:
 * client accounting, exception propagation, and close semantics,
 * leader/follower dispatch: no server thread, the waiting client runs
   the queue, a failing or dying leader strands nobody,
-* the serving section of the ``janus-stats`` report and Prometheus text.
+* the serving rows of the ``janus-stats`` report and Prometheus text.
 """
 
 import collections
@@ -28,9 +28,10 @@ import repro as R
 from repro import janus
 from repro.observability import RECORDER, SERVING, clear
 from repro.observability.cli import prometheus_text, render_report
-from repro.observability.serving import format_serving_table
 from repro.serving import (Server, ServerClosed, ServerOverloaded,
                            ServingConfig)
+
+from test_metrics_registry import report_rows
 
 
 @pytest.fixture(autouse=True)
@@ -520,10 +521,14 @@ class TestServingObservability:
     def test_report_has_serving_section(self):
         self._drive()
         report = render_report()
-        assert "-- serving --" in report
-        assert "requests: 6 accepted" in report
-        assert "queue depth:" in report
-        assert "batch size:" in report
+        rows = report_rows(report)
+        assert rows["janus_serving_requests_total"] == "6"
+        assert rows["janus_serving_rejection_rate"] == "0"
+        assert rows["janus_serving_queue_depth"] == "6"
+        assert rows["janus_serving_batch_size"] == "%d" % SERVING.batches
+        assert rows["janus_serving_request_latency_seconds{ok}"] == "6"
+        # One row per family: the windowed view is the row's second line.
+        assert report.count("janus_serving_queue_wait_seconds") == 1
 
     def test_prometheus_exports_serving_gauges(self):
         self._drive()
@@ -535,9 +540,15 @@ class TestServingObservability:
         assert "janus_serving_queue_wait_seconds_count" in text
 
     def test_idle_serving_section_omitted_from_report(self):
-        assert "-- serving --" not in render_report()
-        # /metrics has no sections: an unlabelled counter is declared,
-        # so it is scraped from the start, at a visible 0.
+        # An unlabelled counter and a gauge are declared, so the report
+        # and /metrics show them from the start, at a visible 0; a
+        # histogram has no row before its first observation.
+        rows = report_rows(render_report())
+        assert rows["janus_serving_requests_total"] == "0"
+        assert rows["janus_serving_active_clients"] == "0"
+        assert not [name for name in rows if name.startswith(
+            ("janus_serving_queue", "janus_serving_batch_size",
+             "janus_serving_request_latency"))]
         assert "janus_serving_requests_total 0" in prometheus_text()
 
 
@@ -809,8 +820,8 @@ class TestBatchFallback:
             assert summary["flags"] == ["batch_fallback"]
             assert [e["cat"] for e in summary["events"]] == \
                 ["serve_queue", "serve_dispatch"]
-        assert "%d batches fell back" % 1 in "\n".join(
-            format_serving_table(SERVING))
+        assert report_rows(render_report())[
+            "janus_serving_batch_fallbacks_total"] == "1"
         assert "janus_serving_batch_fallbacks_total 1" in prometheus_text()
 
     def test_scalar_returning_endpoint(self):

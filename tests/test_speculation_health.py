@@ -29,6 +29,8 @@ from repro.observability.health import (CONVERGED_RUNS, HEALTH,
 from repro.observability.metrics import METRICS, Histogram, Registry
 from repro.tensor import TensorValue
 
+from test_metrics_registry import report_rows
+
 
 @pytest.fixture(autouse=True)
 def _metrics_on():
@@ -387,9 +389,12 @@ class TestStatsCli:
         assert serving.queue_depth.count == 2
         assert serving.queue_wait.count == 2
         assert serving.rejection_rate == pytest.approx(1 / 3)
-        report = render_report(bundle.registry)
-        assert "-- serving --" in report
-        assert "1 rejected" in report
+        rows = report_rows(render_report(bundle.registry))
+        assert rows["janus_serving_rejected_total"] == "1"
+        assert rows["janus_serving_peak_clients"] == "1"
+        assert rows["janus_serving_recompiles_in_flight"] == "1"
+        assert rows["janus_serving_rejection_rate"] == "%g" % (1 / 3)
+        assert rows["janus_serving_queue_wait_seconds"] == "2"
 
     def test_function_filter_limits_post_mortem(self, tmp_path, capsys):
         _drive_failing_function()
