@@ -14,10 +14,16 @@ Functional control flow is differentiated compositionally:
 * ``cond`` — gradient is a ``cond`` over the two branch-gradient
   functions, built with a *shared* variable ordering so either branch
   produces grads for the union of variables (zeros for the untouched).
-* ``while_loop`` — the forward node records per-iteration loop-variable
-  snapshots; a ``while_grad`` node replays them in reverse through the
-  body-gradient function, threading loop-variable adjoints and summing
-  per-iteration variable gradients.
+* ``while_loop`` — the forward node records, per iteration, the values
+  of its body register file that the body-gradient function reads; a
+  ``while_grad`` node replays the records in reverse through it,
+  threading loop-variable adjoints and summing per-iteration variable
+  gradients.
+
+A recomputed forward would repeat its state writes, so the gradient of
+an invoke or cond whose callee has effects is refused
+(``NotConvertible``, feature ``gradient_through_effects``): the function
+runs imperatively instead.
 
 Because models read parameters through ``var_read`` nodes (possibly deep
 inside nested functions), gradients are reported per-:class:`Variable` —
@@ -26,7 +32,7 @@ this is what the JANUS training path uses to append optimizer update ops.
 
 import numpy as np
 
-from ..errors import GraphError
+from ..errors import GraphError, NotConvertible
 from ..ops import api
 from ..ops.registry import GradContext
 from .builder import GraphBuilder
@@ -121,7 +127,20 @@ def _filled_out_grads(node, out_grads, float_outputs):
     return grads
 
 
+def _refuse_effects(*funcs):
+    """An invoke/cond gradient recomputes its callee's forward, so a
+    callee that writes state would write it twice (a guard is no
+    effect: re-checking it is harmless)."""
+    for func in funcs:
+        if func.has_effects:
+            raise NotConvertible(
+                "gradient_through_effects: the gradient of %s would "
+                "re-run its state writes" % func.name,
+                feature="gradient_through_effects")
+
+
 def _invoke_grad(builder, node, out_grads, acc, var_grads):
+    _refuse_effects(node.func)
     gfunc = grad_function(node.func)
     meta = gfunc.grad_meta
     inputs = list(node.inputs) + _filled_out_grads(node, out_grads, None)
@@ -148,6 +167,7 @@ def _scatter_grad_results(node, meta, results, acc, var_grads):
 def _cond_grad(builder, node, out_grads, acc, var_grads):
     true_f = node.branches["true"]
     false_f = node.branches["false"]
+    _refuse_effects(true_f, false_f)
     union_vars = sorted(set(true_f.variables) | set(false_f.variables),
                         key=lambda v: v.uid)
     tg = grad_function(true_f, var_order=union_vars)
@@ -166,9 +186,17 @@ def _cond_grad(builder, node, out_grads, acc, var_grads):
 
 def _while_grad(builder, node, out_grads, acc, var_grads):
     body_f = node.attrs["body_func"]
-    node.attrs["record_grad"] = True
     bg = grad_function(body_f)
+    # The loop records what a replay of ``bg`` reads of each iteration.
+    node.attrs["record_grad"] = bg
     meta = bg.grad_meta
+    # The body gradient replays the forward body, so a loop it
+    # differentiates inside the body reads the forward loop's record.
+    for clone, forward in meta["forward_of"].items():
+        if clone.attrs.get("record_grad") \
+                and not forward.attrs.get("record_grad"):
+            forward.attrs["record_grad"] = clone.attrs["record_grad"]
+            body_f.graph._executor_cache.clear()
     float_idx = meta["float_arg_indices"]
     float_mask = tuple(1 if i in set(float_idx) else 0
                        for i in range(len(node.inputs)))
@@ -181,7 +209,6 @@ def _while_grad(builder, node, out_grads, acc, var_grads):
                                    name="while_grad")
     gnode.attrs["forward_node"] = node
     gnode.attrs["body_grad_func"] = bg
-    gnode.attrs["grad_var_count"] = len(meta["var_list"])
     gnode.attrs["float_mask"] = float_mask
     for shape, dtype in meta["out_specs"]:
         gnode.add_output(shape, dtype)
@@ -199,10 +226,17 @@ def grad_function(func, var_order=None):
 
     ``var_order`` overrides the variable ordering (used by cond so both
     branch gradients agree); the default is ``func.variables``.
-    The gradient function *recomputes* the forward body internally, which
-    sidesteps forward-value bookkeeping across recursive invocations.
-    It runs only after that forward ran in the same run, so its graph is
-    marked ``recomputes_forward``: recomputed guards are not kept live.
+    The gradient body is a clone of the forward body followed by
+    backprop, and ``grad_meta["forward_of"]`` maps each clone to its
+    forward node.  A loop gradient replays it: each clone whose forward
+    node ran in the loop body takes its value from the iteration's
+    record and never runs (``executor._ReplayExecutor``).  An invoke or
+    cond gradient
+    *recomputes* the clones, which sidesteps forward-value bookkeeping
+    across recursive invocations; its callee must have no effects (see
+    ``_refuse_effects``).  Either way the gradient runs only after that
+    forward ran in the same run, so its graph is marked
+    ``recomputes_forward``: recomputed guards are not kept live.
     """
     if var_order is None:
         var_order = func.variables
@@ -233,6 +267,7 @@ def grad_function(func, var_order=None):
         "var_list": list(var_order),
         "arg_offset": 0,
         "out_specs": out_specs,
+        "forward_of": {},
     }
     builder = GraphBuilder(name=gfunc.name)
     builder.graph.recomputes_forward = True
@@ -246,7 +281,9 @@ def grad_function(func, var_order=None):
         value_map = {}
         for ph, new in zip(fwd.placeholders, arg_phs):
             value_map[_key(ph.outputs[0])] = new
-        copy_graph_into(fwd, builder, value_map)
+        node_map = copy_graph_into(fwd, builder, value_map)
+        gfunc.grad_meta["forward_of"] = {
+            clone: node for node, clone in node_map.items()}
         fwd_outs = [value_map[_key(o)] for o in fwd.outputs]
 
         grad_phs = []
@@ -283,7 +320,8 @@ def copy_graph_into(src_graph, builder, value_map):
 
     ``value_map`` maps ``_key(src NodeOutput) -> dst NodeOutput`` and must
     already contain entries for every source placeholder.  It is updated
-    in place with every copied output and returned.
+    in place with every copied output.  Returns the map from each source
+    node to its clone (a placeholder to the one its value maps to).
     """
     dst = builder.graph
     node_map = {}
@@ -310,7 +348,7 @@ def copy_graph_into(src_graph, builder, value_map):
             new_out = clone.add_output(out.shape, out.dtype)
             value_map[_key(out)] = new_out
         node_map[node] = clone
-    return value_map
+    return node_map
 
 
 def add_training_gradients(builder, loss, variables=None):

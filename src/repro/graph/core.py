@@ -267,7 +267,7 @@ class Graph:
     """A dataflow graph: nodes plus designated placeholder/output lists."""
 
     #: Set on the body of a gradient function (``autodiff.grad_function``):
-    #: the forward it recomputes has already run, with its guards, in the
+    #: the forward it clones has already run, with its guards, in the
     #: same run.  A class default, so a graph pickled before the flag
     #: existed loads with the forward-graph liveness.
     recomputes_forward = False
@@ -278,7 +278,9 @@ class Graph:
         self.placeholders = []      # Nodes, in positional-argument order
         self.outputs = []           # NodeOutputs returned by execution
         self._next_id = 0
-        self._executor_cache = {}   # config key -> compiled executor
+        #: config key -> compiled executor (and a gradient body's record
+        #: layout, see ``executor._record_layout``)
+        self._executor_cache = {}
         #: Monotonic structural version: bumped on node addition/removal.
         #: Cached whole-graph analyses (see graph.passes.AnalysisContext)
         #: key off it so they can never serve a stale order.

@@ -59,8 +59,8 @@ def _shared_pool():
 class RunState:
     """Per-top-level-run mutable state shared with nested subgraph runs."""
 
-    __slots__ = ("var_local", "py_local", "receivers", "while_records",
-                 "invoke_memo", "py_read_cache")
+    __slots__ = ("var_local", "py_local", "receivers", "invoke_memo",
+                 "py_read_cache")
 
     def __init__(self):
         self.var_local = {}        # Variable -> np.ndarray (local copy)
@@ -68,11 +68,10 @@ class RunState:
         #: id(obj) -> obj for every receiver of a ``py_local`` write,
         #: whichever (nested) executor ran it; held for this run only.
         self.receivers = {}
-        self.while_records = {}    # Node -> stack of per-execution records
         #: (id(func), arg identities) -> outputs, for invokes of callees
         #: without effects (a guard is not one: on the same arguments and
-        #: state it checks the same thing).  Gradient functions recompute
-        #: their forward bodies (see graph.autodiff); memoizing pure
+        #: state it checks the same thing).  An invoke's gradient function
+        #: recomputes its forward body (see graph.autodiff); memoizing pure
         #: recursive calls within one run collapses that recomputation
         #: from O(n * depth) to O(n) — the executor-side counterpart of
         #: the InvokeOp bookkeeping in the paper's reference [20].  Every
@@ -80,8 +79,8 @@ class RunState:
         self.invoke_memo = {}
         #: (id(obj), kind, key) -> internalized heap read.  Heap state is
         #: stable within a run (writes go to py_local, which shadows this
-        #: cache), so repeated reads — e.g. during gradient-side forward
-        #: recomputation — skip getattr/convert/assumption checking.
+        #: cache), so repeated reads — e.g. during an invoke gradient's
+        #: forward recomputation — skip getattr/convert/assumption checking.
         self.py_read_cache = {}
 
     def commit(self):
@@ -306,21 +305,46 @@ class GraphExecutor:
 
     # -- compilation -------------------------------------------------------
 
+    #: Nodes whose values a replayed forward iteration supplies (see
+    #: :class:`_ReplayExecutor`): they get no closure and no new slot.
+    _bound = {}
+
+    def _live(self):
+        return self.graph.live_nodes()
+
+    def _computed_outputs(self):
+        return self.graph.outputs
+
+    def _bound_slots(self):
+        """``(slot map, slot count)`` before the program's own slots."""
+        return {}, 0
+
     def _compile(self):
         graph = self.graph
-        live = graph.live_nodes()
+        live = self._live()
         order = [n for n in graph.topological_order() if n in live]
-        self._slots = {}
-        slot_count = 0
+        #: The nodes this program computes or binds; a replay of this
+        #: executor's iterations binds only clones of these.
+        self._live_nodes = live
+        bound = self._bound
+        self._slots, slot_count = self._bound_slots()
         for node in order:
-            for out in node.outputs:
-                self._slots[(id(node), out.index)] = slot_count
+            if node in bound:
+                continue
+            keys = [(id(node), out.index) for out in node.outputs]
+            if node.op_name == "while_loop" \
+                    and node.attrs.get("record_grad"):
+                keys.append((id(node), _RECORD))
+            for key in keys:
+                self._slots[key] = slot_count
                 slot_count += 1
         self._slot_count = slot_count
 
         scheduled = []   # (node, closure), in schedule order
         self._placeholder_slots = {}
         for node in order:
+            if node in bound:
+                continue
             in_slots = tuple(self._slots[(id(i.node), i.index)]
                              for i in node.inputs)
             out_slots = tuple(self._slots[(id(node), out.index)]
@@ -335,9 +359,9 @@ class GraphExecutor:
                         for node, _ in scheduled]
         self._ph_slot_order = [
             self._placeholder_slots[node.attrs["ph_name"]]
-            for node in graph.placeholders]
+            for node in graph.placeholders if node not in bound]
         self._output_slots = [self._slots[(id(o.node), o.index)]
-                              for o in graph.outputs]
+                              for o in self._computed_outputs()]
         if self.parallel:
             self._compile_levels(order, scheduled)
 
@@ -608,60 +632,93 @@ class GraphExecutor:
         return run_cond
 
     def _compile_while(self, node, in_slots, out_slots):
+        """A loop.  One whose gradient is taken keeps, in its record
+        slot, ``(body executor, [record per iteration])``; a record holds
+        the values of the iteration's body register file that a replay
+        of the body gradient ``record_grad`` reads (:func:`_record_layout`)."""
         cond_func = node.attrs["cond_func"]
         body_func = node.attrs["body_func"]
-        record_grad = bool(node.attrs.get("record_grad"))
+        grad_body = node.attrs.get("record_grad")
+        record_slot = self._slots.get((id(node), _RECORD))
         max_iters = node.attrs.get("max_iterations", 1_000_000)
 
         def run_while(values, run_state):
             cond_step = _function_executor(cond_func)._run_nested
-            body_step = _function_executor(body_func)._run_nested
+            body = _function_executor(body_func)
+            layout = None if record_slot is None \
+                else _record_layout(grad_body, body)
+            records = []
             state = [values[s] for s in in_slots]
-            record = [] if record_grad else None
             iteration = 0
-            while True:
-                if not _truth(cond_step(state, run_state)[0]):
-                    break
-                if record is not None:
-                    record.append(list(state))
-                state = body_step(state, run_state)
+            while _truth(cond_step(state, run_state)[0]):
+                file = body._run_values(body._bind(state), run_state)
+                if layout is not None:
+                    records.append([file[s] for s in layout])
+                state = [file[s] for s in body._output_slots]
                 iteration += 1
                 if iteration > max_iters:
                     raise ExecutionError("while_loop exceeded %d iterations"
                                          % max_iters)
-            if record is not None:
-                run_state.while_records.setdefault(node, []).append(record)
+            if layout is not None:
+                values[record_slot] = (body, records)
             for slot, value in zip(out_slots, state):
                 values[slot] = value
         return run_while
 
     def _compile_while_grad(self, node, in_slots, out_slots):
-        forward = node.attrs["forward_node"]
+        """Backprop through a loop: the body gradient runs once per
+        recorded iteration, last first, over that iteration's record
+        (:class:`_ReplayExecutor`).  It computes only the
+        outputs something reads, plus the loop-carried adjoints those
+        depend on; the others stay unset."""
         body_grad_func = node.attrs["body_grad_func"]
-        grad_var_count = node.attrs["grad_var_count"]
         n_float = sum(node.attrs["float_mask"])
+        record_slot = self._slots.get((id(node.attrs["forward_node"]),
+                                       _RECORD))
+        wanted = _adjoint_closure(
+            body_grad_func.graph, len(node.attrs["float_mask"]), n_float,
+            self._read_outputs(node))
+        # Result position -> loop-carried adjoint, or -> variable total.
+        carried = [(k, i) for k, i in enumerate(wanted) if i < n_float]
+        summed = [(k, i - n_float) for k, i in enumerate(wanted)
+                  if i >= n_float]
+        var_list = body_grad_func.grad_meta["var_list"]
+        # A loop that ran zero times adds nothing: zeros of the
+        # variable's own shape, so a scalar Variable stays a scalar.
+        zeros = [(out_slots[n_float + j], var_list[j].shape.as_tuple(),
+                  var_list[j].dtype.np_dtype) for _, j in summed]
+        carried_slots = [(out_slots[i], i) for _, i in carried]
 
         def run_while_grad(values, run_state):
-            stack = run_state.while_records.get(forward)
-            if not stack:
+            record = None if record_slot is None else values[record_slot]
+            if record is None:
                 raise ExecutionError("while_grad has no recorded iterations")
-            record = stack.pop()
-            grad_step = _function_executor(body_grad_func)._run_nested
+            body, records = record
+            step = _replay_executor(body_grad_func, body, wanted)._run_replay
             state_grads = [values[s] for s in in_slots]
-            var_totals = [None] * grad_var_count
-            for iteration_state in reversed(record):
-                results = grad_step(list(iteration_state) + state_grads,
-                                    run_state)
-                state_grads = results[:n_float]
-                for i, g in enumerate(results[n_float:]):
-                    var_totals[i] = g if var_totals[i] is None \
-                        else var_totals[i] + g
-            outputs = list(state_grads) + [
-                g if g is not None else np.zeros(1, np.float32)
-                for g in var_totals]
-            for slot, value in zip(out_slots, outputs):
-                values[slot] = value
+            totals = [None] * len(summed)
+            for kept in reversed(records):
+                results = step(kept, state_grads, run_state)
+                for k, i in carried:
+                    state_grads[i] = results[k]
+                for j, (k, _) in enumerate(summed):
+                    g = results[k]
+                    totals[j] = g if totals[j] is None else totals[j] + g
+            for slot, i in carried_slots:
+                values[slot] = state_grads[i]
+            for total, (slot, shape, dtype) in zip(totals, zeros):
+                values[slot] = total if total is not None \
+                    else np.zeros(shape, dtype)
         return run_while_grad
+
+    def _read_outputs(self, node):
+        """Indices of ``node``'s outputs that a live node or a graph
+        output of this program reads."""
+        reads = {out.index for out in self._computed_outputs()
+                 if out.node is node}
+        for consumer in self._live_nodes:
+            reads.update(i.index for i in consumer.inputs if i.node is node)
+        return reads
 
     #: Ops heavy enough that a level holding two of them is worth
     #: measuring fanned out.
@@ -765,13 +822,18 @@ class GraphExecutor:
         bodies have no level schedule), return the outputs;
         state stays in the caller's ``run_state`` for its commit.
         """
-        values = self._bind(feeds)
+        values = self._run_values(self._bind(feeds), run_state)
+        return [values[s] for s in self._output_slots]
+
+    def _run_values(self, values, run_state):
+        """The program in order over the register file ``values``,
+        returned."""
         if TRACER.level >= 2:
             self._run_traced(values, run_state)
         else:
             for fn in self._program:
                 fn(values, run_state)
-        return [values[s] for s in self._output_slots]
+        return values
 
     def _bind(self, feeds):
         """Fresh slots with ``feeds`` internalized on the placeholders."""
@@ -1016,6 +1078,164 @@ def _invoke_memo_key(func, args):
         else:
             return None
     return tuple(parts)
+
+
+#: Slot-map key of a recording ``while_loop``'s record, beside the
+#: indices of its outputs.
+_RECORD = "record"
+
+
+class _ReplayExecutor(GraphExecutor):
+    """A loop body's gradient, run over one recorded forward iteration.
+
+    The gradient body (``autodiff.grad_function``) is a clone of the
+    forward body followed by backprop, and ``grad_meta["forward_of"]``
+    maps each clone to its forward node.  A clone whose forward node is
+    in ``forward``'s program is *bound*: it gets no closure, and the
+    value it has, if the replay reads it, is at the front of the
+    register file, copied from the iteration's record.  Closures are
+    compiled only for the rest: backprop nodes, and clones of forward
+    nodes a pass removed, which recompute.  The body's heap writes,
+    variable writes and random draws therefore happen once, in the
+    forward.  A loop nested in the body is matched by structure: its
+    bound clone's record slot is the forward loop's.  Only the outputs
+    ``wanted`` names are computed, in order.
+    """
+
+    def __init__(self, func, forward, wanted):
+        self.forward = forward
+        self.wanted = wanted
+        self._bound = _bound_clones(func, forward)
+        self._layout = _record_layout(func, forward)
+        super().__init__(func.graph)
+        self._tail = [None] * (self._slot_count - len(self._layout))
+
+    def _live(self):
+        return _replay_live(self.graph, self._bound,
+                            self._computed_outputs())
+
+    def _computed_outputs(self):
+        outputs = self.graph.outputs
+        return [outputs[i] for i in self.wanted]
+
+    def _bound_slots(self):
+        """A bound clone's value is at its forward slot's position in
+        the record."""
+        position = {slot: k for k, slot in enumerate(self._layout)}
+        forward_slots = self.forward._slots
+        slots = {}
+        for clone, node in self._bound.items():
+            for index in [out.index for out in clone.outputs] + [_RECORD]:
+                slot = forward_slots.get((id(node), index))
+                if slot in position:
+                    slots[(id(clone), index)] = position[slot]
+        return slots, len(self._layout)
+
+    def _run_replay(self, kept, grads, run_state):
+        """The wanted outputs for one iteration: its record ``kept`` and
+        the adjoints ``grads`` of the body's float outputs."""
+        values = kept + self._tail
+        for slot, grad in zip(self._ph_slot_order, grads):
+            values[slot] = grad
+        self._run_values(values, run_state)
+        return [values[s] for s in self._output_slots]
+
+
+def _bound_clones(func, forward):
+    """Clone -> forward node, for each clone in gradient body ``func``
+    whose forward node ``forward``'s program computes."""
+    live = forward._live_nodes
+    forward_of = func.grad_meta["forward_of"]
+    return {clone: node for clone, node in forward_of.items()
+            if node in live}
+
+
+def _replay_live(graph, bound, outputs):
+    """Ancestors of ``outputs``, plus the placeholders, that a replay
+    needs: a bound clone roots nothing, its value is recorded."""
+    live = set()
+    stack = [o.node for o in outputs] + list(graph.placeholders)
+    while stack:
+        node = stack.pop()
+        if node in live:
+            continue
+        live.add(node)
+        if node not in bound:
+            stack.extend(i.node for i in node.inputs)
+            stack.extend(node.control_inputs)
+    return live
+
+
+def _record_layout(func, forward):
+    """The slots of ``forward``'s register file a loop records per
+    iteration: those a replay of gradient body ``func`` reads when it
+    computes every output, so a replay of any of them finds its values.
+    Cached in ``func.graph``'s executor cache while ``forward`` is the
+    one it was computed against (a recompiled forward body lays its
+    slots out anew)."""
+    cache = func.graph._executor_cache
+    cached = cache.get("record")
+    if cached is not None and cached[0] is forward:
+        return cached[1]
+    bound = _bound_clones(func, forward)
+    forward_slots = forward._slots
+    reads = set()
+
+    def read(node, index):
+        if node in bound:
+            reads.add(forward_slots[(id(bound[node]), index)])
+
+    graph = func.graph
+    for node in _replay_live(graph, bound, graph.outputs):
+        if node in bound:
+            continue
+        for inp in node.inputs:
+            read(inp.node, inp.index)
+        if node.op_name == "while_grad":
+            read(node.attrs["forward_node"], _RECORD)
+    for out in graph.outputs:
+        read(out.node, out.index)
+    layout = tuple(sorted(reads))
+    cache["record"] = (forward, layout)
+    return layout
+
+
+def _replay_executor(func, forward, wanted):
+    """The :class:`_ReplayExecutor` of gradient body ``func`` over
+    ``forward``'s records, cached like :func:`_record_layout`."""
+    cache = func.graph._executor_cache
+    key = ("replay", wanted)
+    executor = cache.get(key)
+    if executor is None or executor.forward is not forward:
+        executor = _ReplayExecutor(func, forward, wanted)
+        cache[key] = executor
+    return executor
+
+
+def _adjoint_closure(graph, n_args, n_float, reads):
+    """The body-gradient outputs a loop gradient computes: ``reads``,
+    plus every loop-carried adjoint they depend on.  An output that
+    depends on placeholder ``out_grad_k`` needs output ``k`` of the
+    iteration after it, and so on to a fixed point."""
+    grad_bits = {id(ph): 1 << k
+                 for k, ph in enumerate(graph.placeholders[n_args:])}
+    needs = {}
+    for node in graph.topological_order():
+        mask = grad_bits.get(id(node), 0)
+        for inp in node.inputs:
+            mask |= needs[id(inp.node)]
+        for dep in node.control_inputs:
+            mask |= needs[id(dep)]
+        needs[id(node)] = mask
+    wanted = set(reads)
+    stack = list(wanted)
+    while stack:
+        mask = needs[id(graph.outputs[stack.pop()].node)]
+        for k in range(n_float):
+            if mask >> k & 1 and k not in wanted:
+                wanted.add(k)
+                stack.append(k)
+    return tuple(sorted(wanted))
 
 
 def _function_executor(func):

@@ -28,8 +28,11 @@ from ..tensor import PyRef, TensorValue
 #: Bump when the pickled GeneratedGraph layout changes incompatibly;
 #: the disk cache treats any other value as a miss.  (2: the class moved
 #: to ``graphgen.generator`` and takes ``nodes_raw``/``bound_arg_specs``
-#: at construction.)
-ARTIFACT_FORMAT = 2
+#: at construction.  3: a loop's gradient body keeps
+#: ``grad_meta["forward_of"]`` and replays its forward from the loop's
+#: record, which a format-2 graph would recompute, re-running its state
+#: writes and random draws.)
+ARTIFACT_FORMAT = 3
 
 _COMPILE_SECONDS = METRICS.histogram(
     "janus_compile_seconds",

@@ -268,6 +268,10 @@ def _for(conv, stmt, rest):
         dynamic = _as_dynamic_iterable(conv, iterable)
         if dynamic is not None:
             count, helpers, elem_fn, salt = dynamic
+            # In a loop body the enclosing loop's helpers are in the env
+            # under the same names: shadow them, then put them back.
+            shadowed = {name: conv.env[name] for name in helpers
+                        if name in conv.env}
             conv.env.update(helpers)
             try:
                 _dynamic_loop(conv, conv.site(stmt, "for"), stmt.body,
@@ -277,6 +281,7 @@ def _for(conv, stmt, rest):
             finally:
                 for name in helpers:
                     conv.env.pop(name, None)
+                conv.env.update(shadowed)
             return
         if items is None:
             raise NotConvertible("iterable %r is not convertible"

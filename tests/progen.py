@@ -43,6 +43,14 @@ model-owned :class:`Gate`, ``continue`` inside ``try/finally`` — and a
 ``sum`` with a start value.  test_cleanup_differential.py compares the
 outputs *and* the model heap against the imperative oracle.
 
+:data:`LOOP_GRAD_MIX` is a different program shape, built by
+:func:`gen_loop_grad_program`: a training loss that loops ``for t in
+range(len(xs))`` over its batch, its body drawn from :data:`LOOP_BODY` —
+a ``Dense`` on Variables, a heap-counter write, a heap read, dropout, a
+``Variable.assign_add`` and a nested ``for k in range(2)`` loop.
+test_loop_grad_differential.py trains it under SGD beside the
+imperative step and compares loss, parameters and heap.
+
 :func:`assert_arguments_prechecked` is the suites' coverage check on
 what a program compiled to: every tensor argument of a generated graph
 is checked at cache retrieval, the one place it is checked.
@@ -54,12 +62,14 @@ import random
 import numpy as np
 
 import repro as R
+from repro import nn
 from repro.janus.specialization import ArgItemMatches, ArgSpecMatches
 
 __all__ = [
     "Mix", "Model", "WRITE_BARRIER_MIX", "CONCURRENCY_MIX",
-    "COEXEC_MIX", "SCHEDULE_MIX", "CLEANUP_MIX", "GUARDED", "INJECTIONS",
-    "HEAVY", "CLEANUP", "Gate", "gen_program", "mutation_pool",
+    "COEXEC_MIX", "SCHEDULE_MIX", "CLEANUP_MIX", "LOOP_GRAD_MIX",
+    "GUARDED", "INJECTIONS", "HEAVY", "CLEANUP", "LOOP_BODY", "Gate",
+    "gen_program", "gen_loop_grad_program", "mutation_pool",
     "apply_mutation", "vec", "assert_arguments_prechecked",
 ]
 
@@ -171,6 +181,19 @@ CLEANUP = {
                   "    y = sum(parts, y)"],
 }
 
+#: Loop-body statements of the loop-gradient mix, over the (1, 4) row
+#: ``h`` of one step.  Every chunk is indented for the loop body.
+LOOP_BODY = {
+    "dense": ["        h = m.dense(h)"],
+    "counter": ["        m.count = m.count + 1.0",
+                "        h = h * (1.0 + m.count * 0.125)"],
+    "heap_read": ["        h = h + m.shift"],
+    "dropout": ["        h = R.dropout(h, 0.25)"],
+    "assign_add": ["        m.acc.assign_add(R.reduce_sum(h) * 0.5)"],
+    "nested": ["        for k in range(2):",
+               "            h = R.tanh(h * 0.75 + m.shift)"],
+}
+
 _HELPER_SRC = """
 def opaque_record(d, key, v):
     d[key] = d.get(key, 0.0) + float(R.reduce_sum(v).numpy())
@@ -238,6 +261,12 @@ SCHEDULE_MIX = Mix(nprng_offset=100_000, filename_prefix="scheddiff",
 #: non-local exits (test_cleanup_differential.py).
 CLEANUP_MIX = Mix(nprng_offset=160_000, filename_prefix="cleandiff",
                   cleanup=True)
+
+
+#: The loop-gradient mix: a training loop over the batch whose body
+#: draws from :data:`LOOP_BODY` (test_loop_grad_differential.py).
+LOOP_GRAD_MIX = Mix(kinds=LOOP_BODY, nprng_offset=220_000,
+                    filename_prefix="loopgrad")
 
 
 def vec(nprng, n=4):
@@ -341,6 +370,42 @@ def gen_program(seed, tag=None, mix=WRITE_BARRIER_MIX):
                      "exec"), ns)
     exec(compile(src, filename, "exec"), ns)
     return ns["prog"], m, used, has_branch, filename
+
+
+def gen_loop_grad_program(seed, tag=None, mix=LOOP_GRAD_MIX):
+    """One loop-gradient training loss + its model, with retrievable
+    source.  The model is built from the seed alone, whatever the body
+    uses, so two calls with one seed give identical arms.  Returns
+    ``(loss, model, used_kinds, filename)``.
+    """
+    rng = random.Random(mix.nprng_offset + seed)
+    nprng = np.random.default_rng(mix.nprng_offset + seed)
+    kinds = list(mix.kinds)
+    rng.shuffle(kinds)
+    used = kinds[:rng.randint(2, 4)]
+    lines = ["def loss(xs):",
+             "    total = R.constant(0.0)",
+             "    for t in range(len(xs)):",
+             "        h = R.reshape(xs[t], (1, 4))"]
+    lines += [line for kind in used for line in LOOP_BODY[kind]]
+    lines += ["        total = total + R.reduce_sum(h * h)",
+              "    return total"]
+    src = "\n".join(lines) + "\n"
+
+    m = Model()
+    nn.init.seed(mix.nprng_offset + seed)
+    m.dense = nn.Dense(4, 4, activation=R.tanh)
+    m.count = R.constant(np.float32(0.0))
+    m.shift = R.constant(vec(nprng).reshape(1, 4) * 0.5)
+    m.acc = R.Variable(np.float32(0.0))
+
+    filename = "<%s-%d>" % (mix.filename_prefix, seed) if tag is None \
+        else "<%s-%s-%d>" % (mix.filename_prefix, tag, seed)
+    linecache.cache[filename] = (len(src), None, src.splitlines(True),
+                                 filename)
+    ns = {"R": R, "m": m}
+    exec(compile(src, filename, "exec"), ns)
+    return ns["loss"], m, used, filename
 
 
 # -- mutations ---------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import repro as R
 from repro import host, janus
-from repro.errors import GraphError
+from repro.errors import GraphError, NotConvertible
 from repro.graph import Graph, GraphBuilder, GraphExecutor, autodiff
 from repro.graph import executor as executor_mod
 from repro.graph.core import GraphFunction, collect_variables
@@ -232,6 +232,28 @@ class TestEffectModel:
         live = grad.graph.live_nodes()
         assert any(n.op_name == "py_set_attr" for n in live)
         assert not any(n.op_name == "assert" for n in live)
+
+    @pytest.mark.parametrize("kind", ["invoke", "cond"])
+    def test_gradient_through_an_effectful_callee_is_refused(self, kind):
+        """An invoke or cond gradient recomputes its callee, so a callee
+        that writes state would write it twice; one that only guards is
+        differentiated."""
+        def grad_through(callee):
+            b = GraphBuilder()
+            with b:
+                x = b.placeholder("x", shape=(), dtype=R.float32)
+                spec = [(R.Shape(()), R.float32)]
+                if kind == "invoke":
+                    out = b.invoke(callee, [x], spec)
+                else:
+                    out = b.cond(api.greater(x, 0.0), callee, callee, [x],
+                                 spec)
+                return autodiff.gradients(b, [out], [x])[0]
+
+        assert grad_through(_guarded_body("guarded")) is not None
+        with pytest.raises(NotConvertible) as refused:
+            grad_through(_guarded_body("writes", effect=_Holder()))
+        assert refused.value.feature == "gradient_through_effects"
 
     def test_unpickled_graph_without_the_flag_keeps_its_guards(self):
         grad = autodiff.grad_function(_guarded_body("guarded"))

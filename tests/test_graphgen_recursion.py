@@ -15,6 +15,7 @@ import repro as R
 from repro import janus, nn
 from repro.graph import GraphExecutor
 from repro.graph import executor as executor_mod
+from repro.modes import ImperativeStep
 from repro.observability import COUNTERS
 
 
@@ -162,6 +163,53 @@ class TestRecursiveConversion:
                                  axis=1))
         want = [float(R.reduce_sum(ref(t)).numpy()) for t in (t1, t2)]
         assert outs == [pytest.approx(w, rel=1e-5) for w in want]
+
+
+class _Counter(nn.Module):
+    """A recursive model that counts its visits on the heap."""
+
+    def __init__(self):
+        super().__init__("Counter")
+        nn.init.seed(2)
+        self.visits = R.constant(np.float32(0.0))
+        self.leaf = nn.Dense(1, 1)
+
+    def visit(self, node):
+        self.visits = self.visits + 1.0
+        if node.is_leaf:
+            return R.reduce_sum(self.leaf(R.reshape(node.value, (1, 1))))
+        return self.visit(node.left) + self.visit(node.right)
+
+
+class TestGradientThroughEffects:
+    def test_recursive_writer_under_gradient_serves_imperatively(self):
+        """The gradient of an invoke recomputes its callee, so one that
+        writes the heap would write it twice per node (37 visits after 4
+        calls on a 5-node tree, not 20).  The conversion is refused and
+        every call matches the imperative step."""
+        def tree():
+            return Node(left=leaf(1), right=Node(left=leaf(2),
+                                                 right=leaf(3)))
+
+        traces, steps = {}, {}
+        for arm in ("janus", "oracle"):
+            model = _Counter()
+
+            def loss(root):
+                return model.visit(root) * 1.0
+            opt = nn.SGD(0.01)
+            step = steps[arm] = janus.function(loss, optimizer=opt) \
+                if arm == "janus" else ImperativeStep(loss, opt)
+            traces[arm] = [
+                (float(step(tree()).numpy()), float(model.visits.numpy()),
+                 model.leaf.kernel.numpy().copy())
+                for _ in range(4)]
+        for got, want in zip(traces["janus"], traces["oracle"]):
+            assert got[:2] == want[:2]
+            assert np.allclose(got[2], want[2], rtol=1e-5)
+        assert traces["oracle"][-1][1] == 20.0
+        assert "gradient_through_effects" \
+            in steps["janus"].not_convertible_reason
 
 
 _LEDGER = os.path.join(os.path.dirname(__file__), os.pardir,

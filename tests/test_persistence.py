@@ -313,17 +313,20 @@ class TestTolerance:
         self._write_record(store, self._record(format=ARTIFACT_FORMAT + 1))
         assert store.load(self.KEY) is None
         assert self._miss_count("version") == 1
-        # A format-1 record (GeneratedGraph pickled from the one-module
-        # graphgen) that ended up under a current key: refused on its
-        # stamp, before anything tries to unpickle its payload.
-        assert ARTIFACT_FORMAT == 2
+        # Older records that ended up under a current key — format 1
+        # (GeneratedGraph pickled from the one-module graphgen), format
+        # 2 (loop gradients without the map to their forward, which
+        # recompute it) — are refused on their stamp, before anything
+        # tries to unpickle their payload.
+        assert ARTIFACT_FORMAT == 3
 
         def never(payload):
-            raise AssertionError("a format-1 payload was unpickled")
+            raise AssertionError("an old-format payload was unpickled")
 
-        self._write_record(store, self._record(format=1))
-        assert store.load(self.KEY, rebuild=never) is None
-        assert self._miss_count("version") == 2
+        for misses, old in enumerate((1, 2), start=2):
+            self._write_record(store, self._record(format=old))
+            assert store.load(self.KEY, rebuild=never) is None
+            assert self._miss_count("version") == misses
         assert self._miss_count("rebuild") == 0
 
     def test_version_skew_is_a_version_miss(self, tmp_path):
