@@ -19,12 +19,7 @@
 #                      clean-up differential suites; the persistent
 #                      compile-cache suite plus the default-path smoke
 #   make bench       - regenerate the paper-evaluation tables/figures
-#   make bench-check - run Table 3 three times and fail on >10% median
-#                      regression vs benchmarks/results/baseline_table3.json
-#                      (absolute JANUS throughput, then the host-drift-
-#                      immune JANUS/imperative ratio, then the
-#                      JANUS-vs-symbolic parity gate on the lagging
-#                      models), then gate level-0 observability overhead
+#   make bench-check - gate level-0 observability overhead
 #                      (<2% of the quickstart step) and the two serving
 #                      gates (same-run ratios
 #                      against a direct call of the warm function,
@@ -42,14 +37,6 @@
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
-
-#: Number of Table-3 reruns the gate medians over.  Host noise on shared
-#: machines swings single runs by +/-15-20%, so one run trips the 10%
-#: threshold spuriously; three runs gate each model on its median.
-GATE_RUNS ?= 3
-GATE_LABELS := $(shell seq 1 $(GATE_RUNS))
-GATE_FILES := $(foreach n,$(GATE_LABELS),\
-	benchmarks/results/table3_throughput-gate-run$(n).json)
 
 .PHONY: test test-differential test-concurrency test-coexec \
 	test-persistence test-default-path trace-demo \
@@ -136,16 +123,6 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-check:
-	for n in $(GATE_LABELS); do \
-		BENCH_LABEL=gate-run$$n $(PYTHON) -m pytest \
-			benchmarks/bench_table3_throughput.py \
-			--benchmark-only -q || exit $$?; \
-	done
-	$(PYTHON) benchmarks/check_regression.py --current $(GATE_FILES)
-	$(PYTHON) benchmarks/check_regression.py --relative \
-		--current $(GATE_FILES)
-	$(PYTHON) benchmarks/check_regression.py --symbolic-parity \
-		--current $(GATE_FILES)
 	$(PYTHON) benchmarks/bench_observability_overhead.py --check
 	$(PYTHON) benchmarks/bench_serving.py --check
 	$(PYTHON) benchmarks/bench_warm_start.py --check

@@ -86,8 +86,8 @@ def test_zz_report(benchmark):
     save_results("table3_throughput", payload)
     label = os.environ.get("BENCH_LABEL")
     if label:
-        # Per-PR snapshot: kept under version control so `make
-        # bench-check` regressions are attributable to a specific change.
+        # A labelled snapshot beside the default results file, so two
+        # runs (e.g. before and after a change) can be compared.
         save_results("table3_throughput-%s" % label, payload)
     # Shape assertions on the models whose gains are robust to this
     # host's single-core timing noise: JANUS beats imperative execution

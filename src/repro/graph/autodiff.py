@@ -5,38 +5,31 @@ topological order and invoking the mode-polymorphic gradient registry
 under a :class:`~repro.graph.builder.GraphBuilder` context, so gradient
 *subgraphs* are appended to the same graph.
 
-Functional control flow is differentiated compositionally:
-
-* ``invoke`` (recursive functions, ref. [20] of the paper) — the callee's
-  gradient is itself a :class:`GraphFunction` that recomputes the forward
-  body and backpropagates through it; a recursive callee yields a
-  recursive gradient function.
-* ``cond`` — gradient is a ``cond`` over the two branch-gradient
-  functions, built with a *shared* variable ordering so either branch
-  produces grads for the union of variables (zeros for the untouched).
-* ``while_loop`` — the forward node records, per iteration, the values
-  of its body register file that the body-gradient function reads; a
-  ``while_grad`` node replays the records in reverse through it,
-  threading loop-variable adjoints and summing per-iteration variable
-  gradients.
-
-A recomputed forward would repeat its state writes, so the gradient of
-an invoke or cond whose callee has effects is refused
-(``NotConvertible``, feature ``gradient_through_effects``): the function
-runs imperatively instead.
+Functional control flow is differentiated by replaying its forward.
+An ``invoke`` (recursive functions, ref. [20] of the paper), ``cond`` or
+``while_loop`` whose gradient is taken carries ``record_grad``, the
+gradient function of its callee (per branch for a cond): when it runs,
+it keeps in a record slot of its graph's register file the callee
+register-file values that gradient reads — one record for a call, one
+per iteration for a loop.  Its gradient is a ``replay_grad`` node that
+runs the callee's gradient over the records, last first, and never
+computes a forward value again (``executor._ReplayExecutor``).  A loop
+threads loop-variable adjoints from one replay to the one before and
+sums per-iteration variable gradients.  Cond gradients share one
+variable ordering, so either branch produces grads for the union of
+variables (zeros for the untouched); a recursive callee yields a
+recursive gradient function.
 
 Because models read parameters through ``var_read`` nodes (possibly deep
 inside nested functions), gradients are reported per-:class:`Variable` —
 this is what the JANUS training path uses to append optimizer update ops.
 """
 
-import numpy as np
-
-from ..errors import GraphError, NotConvertible
+from ..errors import GraphError
 from ..ops import api
 from ..ops.registry import GradContext
 from .builder import GraphBuilder
-from .core import Graph, GraphFunction
+from .core import GraphFunction
 
 
 def _key(node_output):
@@ -94,12 +87,8 @@ def backprop(builder, seeds, var_grads=None):
         elif op in ("placeholder", "constant", "var_assign",
                     "py_get_attr", "py_get_subscr", "py_call"):
             continue
-        elif op == "invoke":
-            _invoke_grad(builder, node, out_grads, acc, var_grads)
-        elif op == "cond":
-            _cond_grad(builder, node, out_grads, acc, var_grads)
-        elif op == "while_loop":
-            _while_grad(builder, node, out_grads, acc, var_grads)
+        elif op in ("invoke", "cond", "while_loop"):
+            _replay_grad(builder, node, out_grads, acc, var_grads)
         elif node.op_def is not None:
             _op_grad(builder, node, out_grads, acc)
         # everything else (assert, print, set ops) terminates gradients
@@ -118,7 +107,7 @@ def _op_grad(builder, node, out_grads, acc):
         acc.add(inp, grad)
 
 
-def _filled_out_grads(node, out_grads, float_outputs):
+def _filled_out_grads(node, out_grads):
     grads = []
     for out, g in zip(node.outputs, out_grads):
         if not _is_float(out):
@@ -127,94 +116,38 @@ def _filled_out_grads(node, out_grads, float_outputs):
     return grads
 
 
-def _refuse_effects(*funcs):
-    """An invoke/cond gradient recomputes its callee's forward, so a
-    callee that writes state would write it twice (a guard is no
-    effect: re-checking it is harmless)."""
-    for func in funcs:
-        if func.has_effects:
-            raise NotConvertible(
-                "gradient_through_effects: the gradient of %s would "
-                "re-run its state writes" % func.name,
-                feature="gradient_through_effects")
-
-
-def _invoke_grad(builder, node, out_grads, acc, var_grads):
-    _refuse_effects(node.func)
-    gfunc = grad_function(node.func)
-    meta = gfunc.grad_meta
-    inputs = list(node.inputs) + _filled_out_grads(node, out_grads, None)
-    out_specs = meta["out_specs"]
-    results = builder.invoke(gfunc, inputs, out_specs,
-                             name="invoke_grad_%s" % node.func.name)
-    if not isinstance(results, tuple):
-        results = (results,)
-    _scatter_grad_results(node, meta, results, acc, var_grads)
-
-
-def _scatter_grad_results(node, meta, results, acc, var_grads):
-    i = 0
-    for arg_idx in meta["float_arg_indices"]:
-        acc.add(node.inputs[meta["arg_offset"] + arg_idx], results[i])
-        i += 1
-    for variable in meta["var_list"]:
-        g = results[i]
-        i += 1
-        prior = var_grads.get(variable)
-        var_grads[variable] = g if prior is None else api.add(prior, g)
-
-
-def _cond_grad(builder, node, out_grads, acc, var_grads):
-    true_f = node.branches["true"]
-    false_f = node.branches["false"]
-    _refuse_effects(true_f, false_f)
-    union_vars = sorted(set(true_f.variables) | set(false_f.variables),
-                        key=lambda v: v.uid)
-    tg = grad_function(true_f, var_order=union_vars)
-    fg = grad_function(false_f, var_order=union_vars)
-    meta = tg.grad_meta
-    pred = node.inputs[0]
-    captured = list(node.inputs[1:])
-    args = captured + _filled_out_grads(node, out_grads, None)
-    results = builder.cond(pred, tg, fg, args, meta["out_specs"])
-    if not isinstance(results, tuple):
-        results = (results,)
-    # arg_offset=1 because cond inputs are [pred, *captured]
-    meta = dict(meta, arg_offset=1)
-    _scatter_grad_results(node, meta, results, acc, var_grads)
-
-
-def _while_grad(builder, node, out_grads, acc, var_grads):
-    body_f = node.attrs["body_func"]
-    bg = grad_function(body_f)
-    # The loop records what a replay of ``bg`` reads of each iteration.
-    node.attrs["record_grad"] = bg
-    meta = bg.grad_meta
-    # The body gradient replays the forward body, so a loop it
-    # differentiates inside the body reads the forward loop's record.
-    for clone, forward in meta["forward_of"].items():
-        if clone.attrs.get("record_grad") \
-                and not forward.attrs.get("record_grad"):
-            forward.attrs["record_grad"] = clone.attrs["record_grad"]
-            body_f.graph._executor_cache.clear()
-    float_idx = meta["float_arg_indices"]
-    float_mask = tuple(1 if i in set(float_idx) else 0
-                       for i in range(len(node.inputs)))
-    in_grads = []
-    for i in float_idx:
-        g = out_grads[i]
-        in_grads.append(g if g is not None
-                        else api.zeros_like(node.outputs[i]))
-    gnode = builder.graph.new_node("while_grad", inputs=in_grads,
-                                   name="while_grad")
+def _replay_grad(builder, node, out_grads, acc, var_grads):
+    """An invoke, cond or loop records for its gradient (``record_grad``)
+    and gets one ``replay_grad`` node, fed the adjoints of its float
+    outputs."""
+    if node.op_name == "cond":
+        union_vars = sorted(
+            set(node.branches["true"].variables)
+            | set(node.branches["false"].variables), key=lambda v: v.uid)
+        record = {taken: grad_function(func, var_order=union_vars)
+                  for taken, func in node.branches.items()}
+        grad_funcs = tuple(record.values())
+        args = node.inputs[1:]      # after the predicate
+    else:
+        callee = node.func if node.op_name == "invoke" \
+            else node.attrs["body_func"]
+        record = grad_function(callee)
+        grad_funcs = (record,)
+        args = node.inputs
+    meta = grad_funcs[0].grad_meta
+    node.attrs["record_grad"] = record
+    gnode = builder.graph.new_node("replay_grad",
+                                   inputs=_filled_out_grads(node, out_grads))
     gnode.attrs["forward_node"] = node
-    gnode.attrs["body_grad_func"] = bg
-    gnode.attrs["float_mask"] = float_mask
+    gnode.attrs["grad_funcs"] = grad_funcs
     for shape, dtype in meta["out_specs"]:
         gnode.add_output(shape, dtype)
-    results = gnode.outputs
-    meta = dict(meta, arg_offset=0)
-    _scatter_grad_results(node, meta, results, acc, var_grads)
+    grads = iter(gnode.outputs)
+    for arg_idx in meta["float_arg_indices"]:
+        acc.add(args[arg_idx], next(grads))
+    for variable, g in zip(meta["var_list"], grads):
+        prior = var_grads.get(variable)
+        var_grads[variable] = g if prior is None else api.add(prior, g)
 
 
 def grad_function(func, var_order=None):
@@ -228,15 +161,15 @@ def grad_function(func, var_order=None):
     branch gradients agree); the default is ``func.variables``.
     The gradient body is a clone of the forward body followed by
     backprop, and ``grad_meta["forward_of"]`` maps each clone to its
-    forward node.  A loop gradient replays it: each clone whose forward
-    node ran in the loop body takes its value from the iteration's
-    record and never runs (``executor._ReplayExecutor``).  An invoke or
-    cond gradient
-    *recomputes* the clones, which sidesteps forward-value bookkeeping
-    across recursive invocations; its callee must have no effects (see
-    ``_refuse_effects``).  Either way the gradient runs only after that
-    forward ran in the same run, so its graph is marked
-    ``recomputes_forward``: recomputed guards are not kept live.
+    forward node.  It only ever runs as a replay of a record of ``func``:
+    each clone whose forward node ran takes its value from the record and
+    never runs (``executor._ReplayExecutor``), so no guard or effect of
+    the forward runs twice.  A call or loop the body differentiates
+    replays in turn, from the record its forward node kept: so once
+    backprop is done, each clone's ``record_grad`` is copied to its
+    forward node, and the forward records too.  Doing it last lets a
+    recursive gradient, unfinished while its own clones are
+    differentiated, propagate as well.
     """
     if var_order is None:
         var_order = func.variables
@@ -265,12 +198,10 @@ def grad_function(func, var_order=None):
     gfunc.grad_meta = {
         "float_arg_indices": fwd_float_args,
         "var_list": list(var_order),
-        "arg_offset": 0,
         "out_specs": out_specs,
         "forward_of": {},
     }
     builder = GraphBuilder(name=gfunc.name)
-    builder.graph.recomputes_forward = True
     with builder:
         arg_phs = []
         for i, ph in enumerate(fwd.placeholders):
@@ -312,6 +243,11 @@ def grad_function(func, var_order=None):
         builder.mark_outputs(outputs)
 
     gfunc.finalize(builder.graph)
+    for node, clone in node_map.items():
+        if clone.attrs.get("record_grad") \
+                and not node.attrs.get("record_grad"):
+            node.attrs["record_grad"] = clone.attrs["record_grad"]
+            fwd._executor_cache.clear()
     return gfunc
 
 

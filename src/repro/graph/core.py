@@ -23,11 +23,10 @@ from ..tensor.shape import Shape
 SPECIAL_OPS = frozenset([
     "placeholder", "constant", "var_read", "var_assign",
     "py_get_attr", "py_set_attr", "py_get_subscr", "py_set_subscr",
-    "py_call", "cond", "while_loop", "invoke",
-    "cond_grad", "while_grad", "invoke_grad", "group",
+    "py_call", "cond", "while_loop", "invoke", "replay_grad", "group",
 ])
 
-#: Ops with side effects: never pruned, folded, deduplicated or memoized.
+#: Ops with side effects: never pruned, folded or deduplicated.
 EFFECT_OPS = frozenset([
     "var_assign", "py_set_attr", "py_set_subscr", "py_call", "group",
     "print",
@@ -237,6 +236,7 @@ class Node:
             f = self.attrs.get(key)
             if f is not None:
                 yield f
+        yield from self.attrs.get("grad_funcs", ())
 
     def add_output(self, shape, dtype):
         out = NodeOutput(self, len(self.outputs), shape, dtype)
@@ -265,12 +265,6 @@ class Node:
 
 class Graph:
     """A dataflow graph: nodes plus designated placeholder/output lists."""
-
-    #: Set on the body of a gradient function (``autodiff.grad_function``):
-    #: the forward it clones has already run, with its guards, in the
-    #: same run.  A class default, so a graph pickled before the flag
-    #: existed loads with the forward-graph liveness.
-    recomputes_forward = False
 
     def __init__(self, name="graph"):
         self.name = name
@@ -350,17 +344,9 @@ class Graph:
         return order
 
     def live_nodes(self):
-        """Ancestors of graph outputs plus the nodes that must run.
-
-        A gradient body roots only nodes with effects: a guard it
-        recomputes already ran in the forward, and a second read in one
-        run is served from the run's read cache and checks nothing.
-        """
+        """Ancestors of graph outputs plus the nodes that must run."""
         roots = [o.node for o in self.outputs]
-        if self.recomputes_forward:
-            roots += [n for n in self.nodes if n.has_effects]
-        else:
-            roots += [n for n in self.nodes if n.must_run]
+        roots += [n for n in self.nodes if n.must_run]
         roots += self.placeholders  # feeds bind positionally: keep them all
         return set(self.topological_order(roots))
 
@@ -428,17 +414,14 @@ class GraphFunction:
         self._grad = None           # lazily-built gradient GraphFunction
         self.grad_meta = None       # set on gradient functions
         self.janus_meta = None      # set by the JANUS graph generator
-        self._memo_effects = None   # cached has_effects (executor memo)
 
     def __getstate__(self):
-        # Variables, gradient functions, and effect memos are lazily
-        # derived (or, for janus_meta, conversion-time only) and may
-        # capture process-local identity; rebuild them on demand in the
-        # loading process.
+        # Variables and gradient functions are lazily derived (or, for
+        # janus_meta, conversion-time only) and may capture process-local
+        # identity; rebuild them on demand in the loading process.
         state = self.__dict__.copy()
         state["_variables"] = None
         state["_grad"] = None
-        state["_memo_effects"] = None
         state["janus_meta"] = None
         return state
 

@@ -59,8 +59,7 @@ def _shared_pool():
 class RunState:
     """Per-top-level-run mutable state shared with nested subgraph runs."""
 
-    __slots__ = ("var_local", "py_local", "receivers", "invoke_memo",
-                 "py_read_cache")
+    __slots__ = ("var_local", "py_local", "receivers", "py_read_cache")
 
     def __init__(self):
         self.var_local = {}        # Variable -> np.ndarray (local copy)
@@ -68,19 +67,11 @@ class RunState:
         #: id(obj) -> obj for every receiver of a ``py_local`` write,
         #: whichever (nested) executor ran it; held for this run only.
         self.receivers = {}
-        #: (id(func), arg identities) -> outputs, for invokes of callees
-        #: without effects (a guard is not one: on the same arguments and
-        #: state it checks the same thing).  An invoke's gradient function
-        #: recomputes its forward body (see graph.autodiff); memoizing pure
-        #: recursive calls within one run collapses that recomputation
-        #: from O(n * depth) to O(n) — the executor-side counterpart of
-        #: the InvokeOp bookkeeping in the paper's reference [20].  Every
-        #: state write of the run empties it.
-        self.invoke_memo = {}
         #: (id(obj), kind, key) -> internalized heap read.  Heap state is
         #: stable within a run (writes go to py_local, which shadows this
-        #: cache), so repeated reads — e.g. during an invoke gradient's
-        #: forward recomputation — skip getattr/convert/assumption checking.
+        #: cache), so a slot read again in the run — by every iteration of
+        #: a loop body, or every call of a recursive function that reads
+        #: one model attribute — skips getattr/convert/assumption checking.
         self.py_read_cache = {}
 
     def commit(self):
@@ -130,7 +121,6 @@ _MEMO_SAFE = None
 #: Counted where the memo is consulted: a counter takes no lock.
 _MEMO_HIT = COUNTERS.labels("executor.memo_hit")
 _MEMO_STALE = COUNTERS.labels("executor.memo_stale")
-_INVOKE_MEMO_HIT = COUNTERS.labels("executor.invoke_memo_hit")
 #: Bumped once per candidate level, when its measured verdict lands.
 _LEVELS_PARALLEL = COUNTERS.labels("executor.levels_parallel")
 _LEVELS_SEQUENTIAL = COUNTERS.labels("executor.levels_sequential")
@@ -332,8 +322,7 @@ class GraphExecutor:
             if node in bound:
                 continue
             keys = [(id(node), out.index) for out in node.outputs]
-            if node.op_name == "while_loop" \
-                    and node.attrs.get("record_grad"):
+            if node.attrs.get("record_grad"):
                 keys.append((id(node), _RECORD))
             for key in keys:
                 self._slots[key] = slot_count
@@ -399,7 +388,6 @@ class GraphExecutor:
             def run_assign(values, run_state):
                 value = values[in_slot]
                 run_state.var_local[variable] = value
-                run_state.invoke_memo.clear()
                 values[out_slot] = value
             return run_assign
         if op in ("py_get_attr", "py_get_subscr"):
@@ -408,14 +396,12 @@ class GraphExecutor:
             return self._compile_py_set(node, in_slots, out_slots)
         if op == "py_call":
             return self._compile_py_call(node, in_slots, out_slots)
-        if op == "invoke":
-            return self._compile_invoke(node, in_slots, out_slots)
-        if op == "cond":
-            return self._compile_cond(node, in_slots, out_slots)
+        if op in ("invoke", "cond"):
+            return self._compile_call(node, in_slots, out_slots)
         if op == "while_loop":
             return self._compile_while(node, in_slots, out_slots)
-        if op == "while_grad":
-            return self._compile_while_grad(node, in_slots, out_slots)
+        if op == "replay_grad":
+            return self._compile_replay_grad(node, in_slots, out_slots)
         if op == "group":
             return None
         if node.op_def is not None:
@@ -570,7 +556,6 @@ class GraphExecutor:
                 else values[dyn_slot].obj
             run_state.py_local[(id(obj), kind, key)] = values[value_slot]
             run_state.receivers[id(obj)] = obj
-            run_state.invoke_memo.clear()
             values[out_slot] = PyRef(obj)
         return run_set
 
@@ -584,7 +569,6 @@ class GraphExecutor:
             # An arbitrary Python call may mutate the heap (the naive
             # state-update ablation does): cached reads are now stale.
             run_state.py_read_cache.clear()
-            run_state.invoke_memo.clear()
             if single is not None:
                 values[single] = _internalize(result)
             else:
@@ -597,45 +581,42 @@ class GraphExecutor:
     # finalized yet when its caller compiles, and graph mutation clears
     # ``_executor_cache`` underneath long-lived parents.
 
-    def _compile_invoke(self, node, in_slots, out_slots):
-        func = node.func
+    def _compile_call(self, node, in_slots, out_slots):
+        """An invoke, or a cond: a call of the branch its predicate
+        picks.  One whose gradient is taken keeps, in its record slot,
+        ``(callee executor, [record], gradient of the callee)``; the
+        record holds the values of the callee's register file that the
+        gradient ``record_grad`` reads (per branch for a cond;
+        :func:`_record_layout`)."""
+        record_slot = self._slots.get((id(node), _RECORD))
+        grads = node.attrs.get("record_grad")
+        if node.op_name == "cond":
+            pred_slot, arg_slots = in_slots[0], in_slots[1:]
+            callees = node.branches
+        else:
+            pred_slot, arg_slots = None, in_slots
+            callees = {"true": node.func}
+            grads = {"true": grads}
 
-        def run_invoke(values, run_state, hit=_INVOKE_MEMO_HIT.inc):
-            args = [values[s] for s in in_slots]
-            memo_key = _invoke_memo_key(func, args)
-            if memo_key is not None:
-                cached = run_state.invoke_memo.get(memo_key)
-                if cached is not None:
-                    hit()
-                    for slot, r in zip(out_slots, cached):
-                        values[slot] = r
-                    return
-            results = _function_executor(func)._run_nested(args, run_state)
-            if memo_key is not None:
-                run_state.invoke_memo[memo_key] = results
-            for slot, r in zip(out_slots, results):
-                values[slot] = r
-        return run_invoke
-
-    def _compile_cond(self, node, in_slots, out_slots):
-        branches = node.branches
-        pred_slot = in_slots[0]
-        arg_slots = in_slots[1:]
-
-        def run_cond(values, run_state):
-            branch = branches["true" if _truth(values[pred_slot])
-                              else "false"]
-            results = _function_executor(branch)._run_nested(
-                [values[s] for s in arg_slots], run_state)
-            for slot, r in zip(out_slots, results):
-                values[slot] = r
-        return run_cond
+        def run_call(values, run_state):
+            taken = "true" if pred_slot is None \
+                or _truth(values[pred_slot]) else "false"
+            callee = _function_executor(callees[taken])
+            file = callee._run_values(
+                callee._bind([values[s] for s in arg_slots]), run_state)
+            if record_slot is not None:
+                grad = grads[taken]
+                layout = _record_layout(grad, callee)
+                values[record_slot] = (callee, [[file[s] for s in layout]],
+                                       grad)
+            for slot, s in zip(out_slots, callee._output_slots):
+                values[slot] = file[s]
+        return run_call
 
     def _compile_while(self, node, in_slots, out_slots):
         """A loop.  One whose gradient is taken keeps, in its record
-        slot, ``(body executor, [record per iteration])``; a record holds
-        the values of the iteration's body register file that a replay
-        of the body gradient ``record_grad`` reads (:func:`_record_layout`)."""
+        slot, ``(body executor, [record per iteration], body gradient)``
+        (as :meth:`_compile_call` does for one call)."""
         cond_func = node.attrs["cond_func"]
         body_func = node.attrs["body_func"]
         grad_body = node.attrs.get("record_grad")
@@ -660,56 +641,65 @@ class GraphExecutor:
                     raise ExecutionError("while_loop exceeded %d iterations"
                                          % max_iters)
             if layout is not None:
-                values[record_slot] = (body, records)
+                values[record_slot] = (body, records, grad_body)
             for slot, value in zip(out_slots, state):
                 values[slot] = value
         return run_while
 
-    def _compile_while_grad(self, node, in_slots, out_slots):
-        """Backprop through a loop: the body gradient runs once per
-        recorded iteration, last first, over that iteration's record
-        (:class:`_ReplayExecutor`).  It computes only the
-        outputs something reads, plus the loop-carried adjoints those
-        depend on; the others stay unset."""
-        body_grad_func = node.attrs["body_grad_func"]
-        n_float = sum(node.attrs["float_mask"])
-        record_slot = self._slots.get((id(node.attrs["forward_node"]),
-                                       _RECORD))
-        wanted = _adjoint_closure(
-            body_grad_func.graph, len(node.attrs["float_mask"]), n_float,
-            self._read_outputs(node))
-        # Result position -> loop-carried adjoint, or -> variable total.
-        carried = [(k, i) for k, i in enumerate(wanted) if i < n_float]
-        summed = [(k, i - n_float) for k, i in enumerate(wanted)
-                  if i >= n_float]
-        var_list = body_grad_func.grad_meta["var_list"]
+    def _compile_replay_grad(self, node, in_slots, out_slots):
+        """Backprop through an invoke, cond or loop: the callee's
+        gradient runs once per record its forward node kept, last first
+        (:class:`_ReplayExecutor`), fed the adjoints of the float outputs.
+        It computes only the outputs something reads; the others stay
+        unset.  Only a loop threads adjoints: output ``k`` of the
+        gradient of one iteration, for each loop variable ``k`` it
+        depends on, is the incoming adjoint ``k`` of the one before
+        (:func:`_adjoint_closure`), and a loop that ran zero times gives
+        zero variable gradients."""
+        forward = node.attrs["forward_node"]
+        record_slot = self._slots.get((id(forward), _RECORD))
+        reads = self._read_outputs(node)
+        if forward.op_name == "while_loop":
+            n_carried = len(in_slots)
+            wanted = _adjoint_closure(forward.attrs["record_grad"].graph,
+                                      len(forward.inputs), n_carried, reads)
+        else:
+            n_carried = 0
+            wanted = tuple(sorted(reads))
+        # Result position -> loop-carried adjoint, or -> summed output.
+        carried = [(k, i) for k, i in enumerate(wanted) if i < n_carried]
+        summed = [(k, out_slots[i]) for k, i in enumerate(wanted)
+                  if i >= n_carried]
+        carried_slots = [(out_slots[i], i) for _, i in carried]
         # A loop that ran zero times adds nothing: zeros of the
         # variable's own shape, so a scalar Variable stays a scalar.
-        zeros = [(out_slots[n_float + j], var_list[j].shape.as_tuple(),
-                  var_list[j].dtype.np_dtype) for _, j in summed]
-        carried_slots = [(out_slots[i], i) for _, i in carried]
+        zeros = [(node.outputs[i].shape.as_tuple(),
+                  node.outputs[i].dtype.np_dtype)
+                 for i in wanted if i >= n_carried] if n_carried else ()
 
-        def run_while_grad(values, run_state):
+        def run_replay_grad(values, run_state):
             record = None if record_slot is None else values[record_slot]
             if record is None:
-                raise ExecutionError("while_grad has no recorded iterations")
-            body, records = record
-            step = _replay_executor(body_grad_func, body, wanted)._run_replay
-            state_grads = [values[s] for s in in_slots]
+                raise ExecutionError("replay_grad has no record of %s"
+                                     % forward.debug_name)
+            callee, records, grad = record
+            step = _replay_executor(grad, callee, wanted)._run_replay
+            grads = [values[s] for s in in_slots]
             totals = [None] * len(summed)
             for kept in reversed(records):
-                results = step(kept, state_grads, run_state)
+                results = step(kept, grads, run_state)
                 for k, i in carried:
-                    state_grads[i] = results[k]
+                    grads[i] = results[k]
                 for j, (k, _) in enumerate(summed):
                     g = results[k]
                     totals[j] = g if totals[j] is None else totals[j] + g
             for slot, i in carried_slots:
-                values[slot] = state_grads[i]
-            for total, (slot, shape, dtype) in zip(totals, zeros):
-                values[slot] = total if total is not None \
-                    else np.zeros(shape, dtype)
-        return run_while_grad
+                values[slot] = grads[i]
+            if not records:
+                totals = [np.zeros(shape, dtype) for shape, dtype in zeros]
+            for total, (_, slot) in zip(totals, summed):
+                values[slot] = total
+        return run_replay_grad
 
     def _read_outputs(self, node):
         """Indices of ``node``'s outputs that a live node or a graph
@@ -1045,8 +1035,7 @@ def _state_accesses(node, seen_graphs):
         state = None
     if state is not None:
         (writes if op in EFFECT_OPS else reads).add(state)
-    for func in (*node._nested_functions(),
-                 node.attrs.get("body_grad_func")):
+    for func in node._nested_functions():
         if func is None or func.graph is None \
                 or id(func.graph) in seen_graphs:
             continue
@@ -1058,48 +1047,28 @@ def _state_accesses(node, seen_graphs):
     return reads, writes
 
 
-def _invoke_memo_key(func, args):
-    """Memo key for a pure invoke, or None when not memoizable.
-
-    Safe only for callees without effects (a guard is not one: see
-    ``RunState.invoke_memo``) and identity-keyable arguments: PyRefs key
-    by object identity, tiny arrays by content.
-    """
-    if getattr(func, "_memo_effects", None) is None:
-        func._memo_effects = func.has_effects
-    if func._memo_effects:
-        return None
-    parts = [id(func)]
-    for a in args:
-        if isinstance(a, PyRef):
-            parts.append(("r", id(a.obj)))
-        elif isinstance(a, np.ndarray) and a.nbytes <= 64:
-            parts.append(("v", a.dtype.str, a.shape, a.tobytes()))
-        else:
-            return None
-    return tuple(parts)
-
-
-#: Slot-map key of a recording ``while_loop``'s record, beside the
+#: Slot-map key of a recording invoke, cond or loop's record, beside the
 #: indices of its outputs.
 _RECORD = "record"
 
 
 class _ReplayExecutor(GraphExecutor):
-    """A loop body's gradient, run over one recorded forward iteration.
+    """A callee's gradient, run over one record of its forward: one
+    call, or one loop iteration.
 
     The gradient body (``autodiff.grad_function``) is a clone of the
     forward body followed by backprop, and ``grad_meta["forward_of"]``
     maps each clone to its forward node.  A clone whose forward node is
     in ``forward``'s program is *bound*: it gets no closure, and the
     value it has, if the replay reads it, is at the front of the
-    register file, copied from the iteration's record.  Closures are
-    compiled only for the rest: backprop nodes, and clones of forward
-    nodes a pass removed, which recompute.  The body's heap writes,
+    register file, copied from the record.  Closures are compiled only
+    for the rest: backprop nodes, and clones of forward nodes a pass
+    removed, which recompute.  The callee's guards, heap writes,
     variable writes and random draws therefore happen once, in the
-    forward.  A loop nested in the body is matched by structure: its
-    bound clone's record slot is the forward loop's.  Only the outputs
-    ``wanted`` names are computed, in order.
+    forward.  A call or loop nested in the body is matched by structure:
+    its bound clone's record slot is the forward node's, so a recursive
+    gradient replays each call from that call's own record.  Only the
+    outputs ``wanted`` names are computed, in order.
     """
 
     def __init__(self, func, forward, wanted):
@@ -1167,9 +1136,9 @@ def _replay_live(graph, bound, outputs):
 
 
 def _record_layout(func, forward):
-    """The slots of ``forward``'s register file a loop records per
-    iteration: those a replay of gradient body ``func`` reads when it
-    computes every output, so a replay of any of them finds its values.
+    """The slots of ``forward``'s register file a record keeps: those
+    a replay of gradient body ``func`` reads when it computes every
+    output, so a replay of any of them finds its values.
     Cached in ``func.graph``'s executor cache while ``forward`` is the
     one it was computed against (a recompiled forward body lays its
     slots out anew)."""
@@ -1191,7 +1160,7 @@ def _record_layout(func, forward):
             continue
         for inp in node.inputs:
             read(inp.node, inp.index)
-        if node.op_name == "while_grad":
+        if node.op_name == "replay_grad":
             read(node.attrs["forward_node"], _RECORD)
     for out in graph.outputs:
         read(out.node, out.index)

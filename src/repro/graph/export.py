@@ -21,7 +21,7 @@ _NODE_STYLE = {
     "assert": ("octagon", "salmon"),
     "cond": ("diamond", "plum"),
     "while_loop": ("diamond", "orchid"),
-    "while_grad": ("diamond", "thistle"),
+    "replay_grad": ("diamond", "thistle"),
     "invoke": ("component", "lightpink"),
 }
 

@@ -31,8 +31,10 @@ from ..tensor import PyRef, TensorValue
 #: at construction.  3: a loop's gradient body keeps
 #: ``grad_meta["forward_of"]`` and replays its forward from the loop's
 #: record, which a format-2 graph would recompute, re-running its state
-#: writes and random draws.)
-ARTIFACT_FORMAT = 3
+#: writes and random draws.  4: an invoke or cond gradient is a
+#: ``replay_grad`` of the call's record too; a format-3 graph invokes
+#: its gradient body, which would recompute the callee.)
+ARTIFACT_FORMAT = 4
 
 _COMPILE_SECONDS = METRICS.histogram(
     "janus_compile_seconds",

@@ -9,12 +9,22 @@ paper reuses TensorFlow's gradient registry in both execution modes.
 """
 
 from ..errors import ShapeError
+from ..graph.core import NodeOutput
 from . import api
 from .registry import register_gradient
 
 
 def _bg(grad, ref):
-    """Reduce a broadcast gradient back onto ``ref``'s shape."""
+    """Reduce a broadcast gradient back onto ``ref``'s shape.
+
+    In a graph, a gradient whose static shape is fully known and already
+    ``ref``'s reduces nothing: it is returned as is, so no node reads
+    ``ref`` only for its shape, and a loop or call record need not keep
+    ``ref``'s value for the gradient.  The imperative tape always reduces.
+    """
+    if type(grad) is NodeOutput and grad.shape.is_fully_known \
+            and grad.shape == ref.shape:
+        return grad
     return api.broadcast_grad(grad, ref)
 
 

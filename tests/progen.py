@@ -50,6 +50,12 @@ a ``Dense`` on Variables, a heap-counter write, a heap read, dropout, a
 ``Variable.assign_add`` and a nested ``for k in range(2)`` loop.
 test_loop_grad_differential.py trains it under SGD beside the
 imperative step and compares loss, parameters and heap.
+:data:`RECURSE_GRAD_MIX` (:func:`gen_recurse_grad_program`) is its
+recursive sibling: a loss over a recursive ``visit`` of a tree, with an
+``if`` on the heap flag ``node.is_leaf`` and the same statements (bar
+the nested loop) planted in the leaf branch, the internal branch or
+after the ``if``; test_recurse_grad_differential.py trains it the same
+way on trees from :func:`random_tree`.
 
 :func:`assert_arguments_prechecked` is the suites' coverage check on
 what a program compiled to: every tensor argument of a generated graph
@@ -68,9 +74,11 @@ from repro.janus.specialization import ArgItemMatches, ArgSpecMatches
 __all__ = [
     "Mix", "Model", "WRITE_BARRIER_MIX", "CONCURRENCY_MIX",
     "COEXEC_MIX", "SCHEDULE_MIX", "CLEANUP_MIX", "LOOP_GRAD_MIX",
-    "GUARDED", "INJECTIONS", "HEAVY", "CLEANUP", "LOOP_BODY", "Gate",
-    "gen_program", "gen_loop_grad_program", "mutation_pool",
-    "apply_mutation", "vec", "assert_arguments_prechecked",
+    "RECURSE_GRAD_MIX", "GUARDED", "INJECTIONS", "HEAVY", "CLEANUP",
+    "LOOP_BODY", "RECURSE_BODY", "Gate", "TreeNode", "gen_program",
+    "gen_loop_grad_program", "gen_recurse_grad_program", "random_tree",
+    "mutation_pool", "apply_mutation", "vec",
+    "assert_arguments_prechecked",
 ]
 
 
@@ -194,6 +202,11 @@ LOOP_BODY = {
                "            h = R.tanh(h * 0.75 + m.shift)"],
 }
 
+#: Statements of the recursion-gradient mix, over the (1, 4) row ``h``
+#: of one tree node; indented for an ``if`` branch of the visit.
+RECURSE_BODY = {kind: lines for kind, lines in LOOP_BODY.items()
+                if kind != "nested"}
+
 _HELPER_SRC = """
 def opaque_record(d, key, v):
     d[key] = d.get(key, 0.0) + float(R.reduce_sum(v).numpy())
@@ -267,6 +280,12 @@ CLEANUP_MIX = Mix(nprng_offset=160_000, filename_prefix="cleandiff",
 #: draws from :data:`LOOP_BODY` (test_loop_grad_differential.py).
 LOOP_GRAD_MIX = Mix(kinds=LOOP_BODY, nprng_offset=220_000,
                     filename_prefix="loopgrad")
+
+
+#: The recursion-gradient mix: a recursive visit whose statements draw
+#: from :data:`RECURSE_BODY` (test_recurse_grad_differential.py).
+RECURSE_GRAD_MIX = Mix(kinds=RECURSE_BODY, nprng_offset=260_000,
+                       filename_prefix="recursegrad")
 
 
 def vec(nprng, n=4):
@@ -390,6 +409,72 @@ def gen_loop_grad_program(seed, tag=None, mix=LOOP_GRAD_MIX):
     lines += [line for kind in used for line in LOOP_BODY[kind]]
     lines += ["        total = total + R.reduce_sum(h * h)",
               "    return total"]
+    src = "\n".join(lines) + "\n"
+
+    m = Model()
+    nn.init.seed(mix.nprng_offset + seed)
+    m.dense = nn.Dense(4, 4, activation=R.tanh)
+    m.count = R.constant(np.float32(0.0))
+    m.shift = R.constant(vec(nprng).reshape(1, 4) * 0.5)
+    m.acc = R.Variable(np.float32(0.0))
+
+    filename = "<%s-%d>" % (mix.filename_prefix, seed) if tag is None \
+        else "<%s-%s-%d>" % (mix.filename_prefix, tag, seed)
+    linecache.cache[filename] = (len(src), None, src.splitlines(True),
+                                 filename)
+    ns = {"R": R, "m": m}
+    exec(compile(src, filename, "exec"), ns)
+    return ns["loss"], m, used, filename
+
+
+class TreeNode:
+    """A node of a :func:`random_tree`: a leaf holds a (4,) Tensor."""
+
+    def __init__(self, x=None, left=None, right=None):
+        self.x, self.left, self.right = x, left, right
+        self.is_leaf = left is None
+
+
+def random_tree(nprng, leaves):
+    """A binary tree with ``leaves`` leaves, split at random."""
+    if leaves == 1:
+        return TreeNode(x=R.constant(vec(nprng)))
+    left = int(nprng.integers(1, leaves))
+    return TreeNode(left=random_tree(nprng, left),
+                    right=random_tree(nprng, leaves - left))
+
+
+def gen_recurse_grad_program(seed, tag=None, mix=RECURSE_GRAD_MIX):
+    """One recursion-gradient training loss + its model, with
+    retrievable source (a module-level ``visit``, as the recursion
+    converter needs).  Each statement lands in the leaf branch, the
+    internal branch or after the ``if``.  The model is built as in
+    :func:`gen_loop_grad_program`.  Returns ``(loss, model, used_kinds,
+    filename)``; ``used_kinds`` pairs each kind with its place.
+    """
+    rng = random.Random(mix.nprng_offset + seed)
+    nprng = np.random.default_rng(mix.nprng_offset + seed)
+    kinds = list(mix.kinds)
+    rng.shuffle(kinds)
+    used = [(kind, rng.choice(("leaf", "internal", "after")))
+            for kind in kinds[:rng.randint(2, 4)]]
+
+    def planted(place):
+        return [line for kind, at in used if at == place
+                for line in RECURSE_BODY[kind]]
+    lines = ["def visit(node):",
+             "    if node.is_leaf:",
+             "        h = R.reshape(node.x, (1, 4))"]
+    lines += planted("leaf")
+    lines += ["    else:",
+              "        h = visit(node.left) * 0.5 + visit(node.right) * 0.5"]
+    lines += planted("internal")
+    lines += [line[4:] for line in planted("after")]
+    lines += ["    return h",
+              "",
+              "def loss(root):",
+              "    h = visit(root)",
+              "    return R.reduce_sum(h * h)"]
     src = "\n".join(lines) + "\n"
 
     m = Model()

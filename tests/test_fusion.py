@@ -214,7 +214,7 @@ class TestFlatProgram:
         assert fused.instruction_count < unfused.instruction_count
 
     def test_while_loop_and_gradient(self):
-        """while + while_grad: the loop's record reaches its gradient."""
+        """while + replay_grad: the loop's record reaches its gradient."""
         w = R.Variable(np.float32(2.0))
         cb = GraphBuilder()
         with cb:

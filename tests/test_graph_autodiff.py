@@ -18,6 +18,27 @@ def build_and_run(build_fn, feeds=()):
 
 
 class TestStaticGradients:
+    @pytest.mark.parametrize("rows", [2, None], ids=["static", "dynamic"])
+    def test_broadcast_grad_only_where_it_reduces(self, rows):
+        """``(x + y) + z`` with ``z`` broadcast: only ``z``'s gradient is
+        reduced when the static shapes are fully known and equal (so no
+        node reads ``x``, ``y`` or ``x + y`` for its shape); with an
+        unknown dimension every operand's gradient goes through
+        ``broadcast_grad``."""
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(rows, 3), dtype=R.float32)
+            y = b.placeholder("y", shape=(rows, 3), dtype=R.float32)
+            z = b.placeholder("z", shape=(3,), dtype=R.float32)
+            out = api.reduce_sum(api.add(api.add(x, y), z))
+            b.mark_outputs(autodiff.gradients(b, [out], [x, y, z]))
+        reduces = [n for n in b.graph.nodes if n.op_name == "broadcast_grad"]
+        assert len(reduces) == (1 if rows else 4)
+        ones = np.ones((2, 3), np.float32)
+        gx, gy, gz = GraphExecutor(b.graph).run([ones, ones, ones[0]])
+        assert gx.tolist() == gy.tolist() == ones.tolist()
+        assert gz.tolist() == [2.0, 2.0, 2.0]
+
     def test_matches_tape(self):
         w = R.Variable(np.array([[1.5]], np.float32))
         x = np.random.randn(5, 1).astype(np.float32)

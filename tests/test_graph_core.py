@@ -1,7 +1,6 @@
 """Graph IR: construction, topological order, liveness, signatures."""
 
 import gc
-import pickle
 import weakref
 
 import numpy as np
@@ -9,11 +8,9 @@ import pytest
 
 import repro as R
 from repro import host, janus
-from repro.errors import GraphError, NotConvertible
+from repro.errors import GraphError
 from repro.graph import Graph, GraphBuilder, GraphExecutor, autodiff
-from repro.graph import executor as executor_mod
 from repro.graph.core import GraphFunction, collect_variables
-from repro.observability import COUNTERS
 from repro.ops import api
 from repro.tensor import PyRef
 
@@ -135,48 +132,18 @@ class TestLiveness:
 
 
 class TestEffectModel:
-    """Effects change state; guards only check it.  Both must run in a
-    forward graph, only effects in a gradient body, and only effects
-    keep a call out of the invoke memo."""
+    """Effects change state; guards only check it.  Both run in a
+    forward graph, and neither runs again in a gradient body."""
 
     def test_guard_is_not_an_effect(self):
         guarded = _guarded_body("guarded")
         assert not guarded.has_effects
         assert _guarded_body("writes", effect=_Holder()).has_effects
 
-    def test_guarded_body_memoizable_effectful_not(self):
-        args = [np.asarray(3.0, np.float32)]
-        assert executor_mod._invoke_memo_key(
-            _guarded_body("guarded"), args) is not None
-        assert executor_mod._invoke_memo_key(
-            _guarded_body("writes", effect=_Holder()), args) is None
-
-    def test_guarded_body_runs_once_per_argument(self, monkeypatch):
-        body = _guarded_body("guarded")
-        b = GraphBuilder()
-        with b:
-            x = b.placeholder("x", shape=(), dtype=R.float32)
-            spec = [(R.Shape(()), R.float32)]
-            first = b.invoke(body, [x], spec)
-            second = b.invoke(body, [x], spec)
-            b.mark_outputs([api.add(first, second)])
-        runs = []
-        run_nested = GraphExecutor._run_nested
-
-        def counting(executor, feeds, run_state):
-            runs.append(executor.graph.name)
-            return run_nested(executor, feeds, run_state)
-        monkeypatch.setattr(GraphExecutor, "_run_nested", counting)
-        hits = COUNTERS.labels("executor.invoke_memo_hit")
-        before = hits.value
-        out, = GraphExecutor(b.graph).run([np.float32(3.0)])
-        assert float(out) == 12.0
-        assert runs == ["guarded"] and hits.value - before == 1
-
     @pytest.mark.parametrize("write", ["var_assign", "py_call"])
     def test_a_write_empties_the_invoke_memo(self, write):
-        """The same pure call before and after a write of the state it
-        reads computes twice (``py_set`` is the probe below)."""
+        """The same call before and after a write of the state it reads
+        sees the write (``py_call`` empties the run's heap-read cache)."""
         holder = _Holder()
         v = R.Variable(np.float32(1.0))
         body = GraphBuilder(name="reads")
@@ -204,63 +171,32 @@ class TestEffectModel:
         outs = GraphExecutor(b.graph).run([np.float32(2.0)])
         assert [float(o) for o in outs] == [2.0, 6.0]
 
-    def test_gradient_body_drops_recomputed_guarded_cond(self):
-        """The forward keeps a ``cond`` whose branches only guard; the
-        gradient body that recomputes it does not."""
-        guarded = _guarded_body("guarded")
-        b = GraphBuilder(name="f")
+    @pytest.mark.parametrize("kind", ["invoke", "cond"])
+    def test_gradient_body_runs_no_guard_or_effect(self, kind):
+        """The gradient of a call replays the call's record: the
+        callee's guards and writes ran in the forward, once, and the
+        gradient body runs only backprop."""
+        holder = _Holder()
+        callee = _guarded_body("writes", effect=holder)
+        b = GraphBuilder()
         with b:
             x = b.placeholder("x", shape=(), dtype=R.float32)
-            b.cond(api.greater(x, 0.0), guarded, guarded, [x],
-                   [(R.Shape(()), R.float32)])
-            b.mark_outputs([api.mul(x, x)])
-        forward = b.finalize_function("f")
-        assert any(n.op_name == "cond" for n in b.graph.live_nodes())
-
-        grad = autodiff.grad_function(forward)
-        assert grad.graph.recomputes_forward
-        assert any(n.op_name == "cond" for n in grad.graph.nodes)
-        assert not any(n.op_name == "cond"
-                       for n in grad.graph.live_nodes())
-        dx, = GraphExecutor(grad.graph).run([np.float32(3.0),
-                                             np.float32(1.0)])
-        assert float(dx) == 6.0
-
-    def test_gradient_body_keeps_effects(self):
-        grad = autodiff.grad_function(_guarded_body("writes",
-                                                    effect=_Holder()))
-        live = grad.graph.live_nodes()
-        assert any(n.op_name == "py_set_attr" for n in live)
-        assert not any(n.op_name == "assert" for n in live)
-
-    @pytest.mark.parametrize("kind", ["invoke", "cond"])
-    def test_gradient_through_an_effectful_callee_is_refused(self, kind):
-        """An invoke or cond gradient recomputes its callee, so a callee
-        that writes state would write it twice; one that only guards is
-        differentiated."""
-        def grad_through(callee):
-            b = GraphBuilder()
-            with b:
-                x = b.placeholder("x", shape=(), dtype=R.float32)
-                spec = [(R.Shape(()), R.float32)]
-                if kind == "invoke":
-                    out = b.invoke(callee, [x], spec)
-                else:
-                    out = b.cond(api.greater(x, 0.0), callee, callee, [x],
-                                 spec)
-                return autodiff.gradients(b, [out], [x])[0]
-
-        assert grad_through(_guarded_body("guarded")) is not None
-        with pytest.raises(NotConvertible) as refused:
-            grad_through(_guarded_body("writes", effect=_Holder()))
-        assert refused.value.feature == "gradient_through_effects"
-
-    def test_unpickled_graph_without_the_flag_keeps_its_guards(self):
-        grad = autodiff.grad_function(_guarded_body("guarded"))
-        old = pickle.loads(pickle.dumps(grad.graph))
-        del old.recomputes_forward    # as pickled before the flag existed
-        assert not old.recomputes_forward
-        assert any(n.op_name == "assert" for n in old.live_nodes())
+            spec = [(R.Shape(()), R.float32)]
+            if kind == "invoke":
+                out = b.invoke(callee, [x], spec)
+            else:
+                out = b.cond(api.greater(x, 0.0), callee, callee, [x], spec)
+            gx, = autodiff.gradients(b, [out], [x])
+            b.mark_outputs([out, gx])
+        out, gx = GraphExecutor(b.graph).run([np.float32(3.0)])
+        assert (float(out), float(gx)) == (6.0, 2.0)
+        assert float(holder.seen.numpy()) == 3.0
+        grad, = {func for node in b.graph.nodes
+                 for func in node.attrs.get("grad_funcs", ())}
+        replay, = [ex for key, ex in grad.graph._executor_cache.items()
+                   if key[0] == "replay"]
+        ran = {op for op, _ in replay._labels}
+        assert ran and not ran & {"py_get_attr", "assert", "py_set_attr"}
 
 
 class _ProbeNode:
@@ -286,19 +222,14 @@ def _probe_step(root):
 
 class TestHeapWriteOrdering:
     """A write between two calls of a pure recursive function: the
-    second call must see it, on every run — in order, on the level
-    schedule's trials, and whether or not the invoke memo may fire."""
+    second call must see it, on every run — in order and on the level
+    schedule's trials."""
 
     @pytest.mark.parametrize("parallel", [True, False],
                              ids=["default", "sequential"])
-    @pytest.mark.parametrize("memo", [True, False],
-                             ids=["memo", "no_memo"])
     def test_probe_matches_imperative_on_every_run(
-            self, parallel, memo, monkeypatch):
+            self, parallel, monkeypatch):
         monkeypatch.setattr(host, "usable_cpus", lambda: 2)
-        if not memo:
-            monkeypatch.setattr(executor_mod, "_invoke_memo_key",
-                                lambda func, args: None)
         config = janus.JanusConfig() if parallel \
             else janus.JanusConfig(parallel_execution=False)
         step = janus.function(_probe_step, config=config)

@@ -14,9 +14,7 @@ import pytest
 import repro as R
 from repro import janus, nn
 from repro.graph import GraphExecutor
-from repro.graph import executor as executor_mod
 from repro.modes import ImperativeStep
-from repro.observability import COUNTERS
 
 
 def strict(**kw):
@@ -181,49 +179,80 @@ class _Counter(nn.Module):
         return self.visit(node.left) + self.visit(node.right)
 
 
+class _LeafCounter(_Counter):
+    """... that counts only its leaves, so the write is in a cond branch."""
+
+    def visit(self, node):
+        if node.is_leaf:
+            self.visits = self.visits + 1.0
+            return R.reduce_sum(self.leaf(R.reshape(node.value, (1, 1))))
+        return self.visit(node.left) + self.visit(node.right)
+
+
 class TestGradientThroughEffects:
-    def test_recursive_writer_under_gradient_serves_imperatively(self):
-        """The gradient of an invoke recomputes its callee, so one that
-        writes the heap would write it twice per node (37 visits after 4
-        calls on a 5-node tree, not 20).  The conversion is refused and
-        every call matches the imperative step."""
+    """A recursive model that writes the heap trains as a graph: its
+    gradient replays each call from the forward's record, so a write
+    happens once per visit, as imperatively (a gradient that recomputed
+    the callee would count 37 visits after 4 calls on a 5-node tree,
+    not 20)."""
+
+    @pytest.mark.parametrize("model, visits", [(_Counter, 20.0),
+                                               (_LeafCounter, 12.0)],
+                             ids=["invoke", "cond"])
+    def test_recursive_writer_under_gradient_converts(self, model, visits):
         def tree():
             return Node(left=leaf(1), right=Node(left=leaf(2),
                                                  right=leaf(3)))
 
         traces, steps = {}, {}
         for arm in ("janus", "oracle"):
-            model = _Counter()
+            m = model()
 
             def loss(root):
-                return model.visit(root) * 1.0
+                return m.visit(root) * 1.0
             opt = nn.SGD(0.01)
             step = steps[arm] = janus.function(loss, optimizer=opt) \
                 if arm == "janus" else ImperativeStep(loss, opt)
             traces[arm] = [
-                (float(step(tree()).numpy()), float(model.visits.numpy()),
-                 model.leaf.kernel.numpy().copy())
+                (float(step(tree()).numpy()), float(m.visits.numpy()),
+                 m.leaf.kernel.numpy().copy())
                 for _ in range(4)]
         for got, want in zip(traces["janus"], traces["oracle"]):
             assert got[:2] == want[:2]
             assert np.allclose(got[2], want[2], rtol=1e-5)
-        assert traces["oracle"][-1][1] == 20.0
-        assert "gradient_through_effects" \
-            in steps["janus"].not_convertible_reason
+        assert traces["oracle"][-1][1] == visits
+        assert steps["janus"].not_convertible_reason is None
+        assert steps["janus"].stats["graph_runs"] > 0
 
 
 _LEDGER = os.path.join(os.path.dirname(__file__), os.pardir,
                        "benchmarks", "ledger")
 
 
+def _gradient_functions(step):
+    """Every gradient function a replay_grad of ``step``'s graphs runs,
+    recursively."""
+    found, stack = {}, [entry[-1].compiled.executor.graph
+                        for entry in step.cache.entries()]
+    while stack:
+        graph = stack.pop()
+        for node in graph.nodes:
+            for func in node.attrs.get("grad_funcs", ()):
+                if func.name not in found:
+                    found[func.name] = func
+                    stack.append(func.graph)
+    return found
+
+
 class TestRecursiveGradientCost:
     def test_treernn_pass_runs_each_body_once_per_tree_node(
             self, monkeypatch):
         """A warm pass over the ledger's seed-1 trees (176 tree nodes,
-        80 internal, 96 leaves).  The gradient bodies call ``encode`` on
-        both children of each internal node again; those calls are
-        memo hits, so ``encode``'s body runs once per tree node, O(n),
-        not once per tree node per ancestor."""
+        80 internal, 96 leaves).  Each body runs once per tree node it
+        is called on, and each gradient body replays that call's record
+        once: ``encode`` is invoked 176 times (336 when the gradient
+        bodies called it again on both children of each internal
+        node)."""
         sys.path.insert(0, _LEDGER)
         try:
             import programs
@@ -237,25 +266,38 @@ class TestRecursiveGradientCost:
                 step(*batch)
 
         runs = collections.Counter()
-        invokes = collections.Counter()
-        run_nested = GraphExecutor._run_nested
-        memo_key = executor_mod._invoke_memo_key
+        run_values = GraphExecutor._run_values
 
-        def counting_run(executor, feeds, run_state):
-            runs[executor.graph.name] += 1
-            return run_nested(executor, feeds, run_state)
-
-        def counting_key(func, args):
-            invokes[func.name] += 1
-            return memo_key(func, args)
-        monkeypatch.setattr(GraphExecutor, "_run_nested", counting_run)
-        monkeypatch.setattr(executor_mod, "_invoke_memo_key", counting_key)
-        hits = COUNTERS.labels("executor.invoke_memo_hit")
-        before = (hits.value, step.stats["graph_runs"])
+        def counting_run(executor, values, run_state):
+            runs[type(executor).__name__, executor.graph.name] += 1
+            return run_values(executor, values, run_state)
+        monkeypatch.setattr(GraphExecutor, "_run_values", counting_run)
+        before = step.stats["graph_runs"]
         for batch in batches:
             step(*batch)
-        assert step.stats["graph_runs"] - before[1] == len(batches) == 16
-        assert invokes["encode"] == 336
-        assert hits.value - before[0] == 160
-        assert runs["encode"] == 176
-        assert runs["branch_true"] == 96
+        assert step.stats["graph_runs"] - before == len(batches) == 16
+        assert runs == {
+            ("GraphExecutor", "encode"): 176,
+            ("GraphExecutor", "branch_true"): 96,
+            ("GraphExecutor", "branch_false"): 80,
+            ("_ReplayExecutor", "encode_grad"): 176,
+            ("_ReplayExecutor", "branch_true_grad"): 96,
+            ("_ReplayExecutor", "branch_false_grad"): 80,
+        }
+        # No gradient body runs a clone of a forward node that has a
+        # slot in the recorded file: it runs backprop only.
+        grads = _gradient_functions(step)
+        assert set(grads) == {"encode_grad", "branch_true_grad",
+                              "branch_false_grad"}
+        for func in grads.values():
+            replays = [ex for key, ex in func.graph._executor_cache.items()
+                       if key[0] == "replay"]
+            assert replays
+            for replay in replays:
+                recorded = {
+                    clone.name for clone, forward
+                    in func.grad_meta["forward_of"].items()
+                    if any((id(forward), out.index) in replay.forward._slots
+                           for out in forward.outputs)}
+                assert recorded
+                assert not recorded & {name for _, name in replay._labels}

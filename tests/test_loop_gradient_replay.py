@@ -125,14 +125,14 @@ class TestLoopBodyEffectsRunOnce:
         assert step.stats["graph_runs"] > 0
         # The inner loop is a while of the outer body, and the outer
         # gradient body binds its clone instead of running it again.
-        outer = _only(step, "while_grad")
+        outer = _only(step, "replay_grad")
         body = outer.attrs["forward_node"].attrs["body_func"].graph
         assert any(n.op_name == "while_loop" for n in body.nodes)
         replay = _replays(outer)
         assert replay and all(ex._bound for ex in replay)
         for ex in replay:
             assert "while_loop" not in {op for op, _ in ex._labels}
-            assert "while_grad" in {op for op, _ in ex._labels}
+            assert "replay_grad" in {op for op, _ in ex._labels}
 
     def test_zero_trip_loop_keeps_a_scalar_variable_scalar(self):
         """A loop that never ran filled the gradient of a scalar Variable
@@ -153,8 +153,8 @@ def _only(step, op_name):
     return nodes[0]
 
 
-def _replays(while_grad):
-    cache = while_grad.attrs["body_grad_func"].graph._executor_cache
+def _replays(replay_grad):
+    cache = replay_grad.attrs["grad_funcs"][0].graph._executor_cache
     return [ex for key, ex in cache.items() if key[0] == "replay"]
 
 
@@ -195,8 +195,8 @@ def _trained_loop(w, c=None):
     return b.graph
 
 
-def _while_grad_of(graph):
-    return next(n for n in graph.nodes if n.op_name == "while_grad")
+def _replay_grad_of(graph):
+    return next(n for n in graph.nodes if n.op_name == "replay_grad")
 
 
 class TestReplay:
@@ -208,7 +208,7 @@ class TestReplay:
         val, grad = GraphExecutor(graph).run([np.float32(0.5)])
         assert val == pytest.approx(1.0)
         assert grad == pytest.approx(1.5)
-        replay, = _replays(_while_grad_of(graph))
+        replay, = _replays(_replay_grad_of(graph))
         # Outputs: d_acc, d_c, d_w.
         assert replay.wanted == (0, 2)
 
@@ -220,7 +220,7 @@ class TestReplay:
         graph = _trained_loop(w)
         val, grad = GraphExecutor(graph).run([])
         assert (val, grad) == (pytest.approx(8.0), pytest.approx(12.0))
-        replay, = _replays(_while_grad_of(graph))
+        replay, = _replays(_replay_grad_of(graph))
         forward = replay.forward
         kept = {node.attrs.get("ph_name", node.op_name)
                 for node in forward._live_nodes for out in node.outputs
@@ -232,7 +232,7 @@ class TestReplay:
         graph = _trained_loop(w)
         executor = GraphExecutor(graph)
         executor.run([])
-        replay, = _replays(_while_grad_of(graph))
+        replay, = _replays(_replay_grad_of(graph))
         TRACER.clear()
         try:
             with override_level(2):
@@ -265,15 +265,15 @@ class TestA3CGradientCost:
         for _ in range(3):
             for batch in program.make_batches(1):
                 step(*batch)
-        node = _only(step, "while_grad")
+        node = _only(step, "replay_grad")
         replay, = _replays(node)
         assert len(replay._program) <= 65
-        meta = node.attrs["body_grad_func"].grad_meta
+        meta = node.attrs["grad_funcs"][0].grad_meta
         recorded = {clone.name for clone, forward in
                     meta["forward_of"].items()
                     if forward in replay.forward._live_nodes}
         assert recorded and recorded <= {c.name for c in replay._bound}
         assert not recorded & {name for _, name in replay._labels}
-        n_float = sum(node.attrs["float_mask"])
+        n_float = len(node.inputs)
         assert len(replay.wanted) < len(node.outputs)
         assert [i for i in replay.wanted if i < n_float] == [0]

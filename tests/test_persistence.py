@@ -316,14 +316,15 @@ class TestTolerance:
         # Older records that ended up under a current key — format 1
         # (GeneratedGraph pickled from the one-module graphgen), format
         # 2 (loop gradients without the map to their forward, which
-        # recompute it) — are refused on their stamp, before anything
-        # tries to unpickle their payload.
-        assert ARTIFACT_FORMAT == 3
+        # recompute it), format 3 (invoke and cond gradients that
+        # recompute their callee) — are refused on their stamp, before
+        # anything tries to unpickle their payload.
+        assert ARTIFACT_FORMAT == 4
 
         def never(payload):
             raise AssertionError("an old-format payload was unpickled")
 
-        for misses, old in enumerate((1, 2), start=2):
+        for misses, old in enumerate((1, 2, 3), start=2):
             self._write_record(store, self._record(format=old))
             assert store.load(self.KEY, rebuild=never) is None
             assert self._miss_count("version") == misses
