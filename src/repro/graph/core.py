@@ -200,12 +200,6 @@ class Node:
             "constant", "placeholder")
 
     @property
-    def has_effects(self):
-        """True if running the node changes state (a variable or heap
-        write, a Python call, a print), here or in a nested body."""
-        return self._any_within(_is_effect, set())
-
-    @property
     def must_run(self):
         """True if the node must execute even when its outputs are
         unused: it has effects or it is, or nests, a guard."""
@@ -439,14 +433,6 @@ class GraphFunction:
             self._variables = sorted(collect_variables(self.graph),
                                      key=lambda v: v.uid)
         return self._variables
-
-    @property
-    def has_effects(self):
-        """True if a call changes state; guards alone do not count."""
-        if self.graph is None:
-            return False
-        seen = {id(self.graph)}
-        return any(n._any_within(_is_effect, seen) for n in self.graph.nodes)
 
     def __repr__(self):
         status = "%d nodes" % len(self.graph.nodes) if self.graph else \

@@ -233,7 +233,6 @@ class JanusFunction:
             TRACER.instant("cache_miss", self.__name__,
                            reason="precheck_failed")
         self._retire_entry(signature)
-        self.profiler.record_args(list(args))
         return self._run_imperative(args, "profile")
 
     @staticmethod
@@ -248,11 +247,15 @@ class JanusFunction:
             _PRECHECK_SECONDS.observe(time.perf_counter() - start)
 
     def _compile(self, signature):
-        """Obtain an entry from the generator: ``(entry, None)``, or
+        """Obtain an entry from the generator: ``(entry, None)``;
+        ``(None, "profile")`` when *signature* was never profiled — an
+        entry is generated only from its own signature's profile — or
         ``(None, "imperative")`` when this call gets no graph."""
         if TRACER.level:
             TRACER.instant("cache_miss", self.__name__,
                            reason="no_entry", signature=repr(signature))
+        if self.profiler.arg_specs_for(signature) is None:
+            return None, "profile"
         if not self._tickets.claim(signature):
             # Another caller already owns the compile for this signature
             # (cold-start stampede or a background regeneration still in

@@ -5,10 +5,11 @@ specialization cost once and then executing a cheap specialized graph
 many times.  :class:`CompiledGraph` is the unit that bet is made on: it
 bundles everything produced at graph-generation time — the converted
 :class:`~repro.janus.graphgen.GeneratedGraph` (graph + binding plan +
-prechecks, the one place a tensor argument's dtype and shape are
-checked), the compiled :class:`~repro.graph.executor.GraphExecutor`
-(the fused graph's flat closure program with its specialized per-node
-guard closures), and the compile-time metadata used to audit the
+prechecks, which with the cache key are the one place a tensor
+argument's dtype and shape are checked), the compiled
+:class:`~repro.graph.executor.GraphExecutor` (the fused graph's flat
+closure program with its specialized per-node guard closures), and the
+compile-time metadata used to audit the
 amortization — so nothing is re-derived on the hot path.
 
 ``compile_generated`` is the single construction point, called from
@@ -33,8 +34,11 @@ from ..tensor import PyRef, TensorValue
 #: record, which a format-2 graph would recompute, re-running its state
 #: writes and random draws.  4: an invoke or cond gradient is a
 #: ``replay_grad`` of the call's record too; a format-3 graph invokes
-#: its gradient body, which would recompute the callee.)
-ARTIFACT_FORMAT = 4
+#: its gradient body, which would recompute the callee.  5: prechecks
+#: test only what the signature leaves open (``ArgShape`` replaced the
+#: per-kind argument checks a format-4 payload pickles), and an entry is
+#: generated only from its own signature's profile.)
+ARTIFACT_FORMAT = 5
 
 _COMPILE_SECONDS = METRICS.histogram(
     "janus_compile_seconds",

@@ -44,19 +44,10 @@ _PROFILE_QUERIES = {
     "return_spec": (spec.spec_digest, False),
 }
 
-#: Argument kinds bound as build-time constants -> (what the cache-
-#: retrieval precheck pins, the precheck).
-_BURNED_ARGS = {
-    spec.CONST_PY: ("const", spec.ArgEquals),
-    spec.CALLABLE: ("callee identity", spec.ArgCallableIs),
-    spec.VARIABLE: ("variable identity", spec.ArgIsObject),
-    spec.PYOBJ: ("object identity", spec.ArgIsObject),
-}
-
-
-def _tensor_type(sp):
-    """The dtype/shape assumption of a tensor argument spec."""
-    return spec.ValueSpec(spec.TENSOR, dtype=sp.dtype, shape=sp.shape)
+#: Argument kinds bound as build-time constants (a PYOBJ spec only when
+#: it pins one object).
+_BURNED_ARGS = frozenset([spec.CONST_PY, spec.CALLABLE, spec.VARIABLE,
+                          spec.PYOBJ])
 
 
 class GeneratedGraph:
@@ -235,11 +226,10 @@ class GraphGenerator:
         if args.vararg or args.kwarg or args.kwonlyargs or args.posonlyargs:
             raise NotConvertible("*args/**kwargs signatures are "
                                  "imperative-only", feature="signature")
-        specs = None
-        if self.signature is not None:
-            specs = self.profiler.arg_specs_for(self.signature)
+        specs = self.profiler.arg_specs_for(self.signature)
         if specs is None:
-            specs = self.profiler.arg_specs or []
+            raise NotConvertible("signature %r was never profiled"
+                                 % (self.signature,), feature="signature")
         specs = self._seed_arg_specs(specs)
         names = [a.arg for a in args.args]
         if len(specs) != len(names):
@@ -255,48 +245,47 @@ class GraphGenerator:
         if sp is None or sp.kind == spec.BOTTOM:
             raise NotConvertible("argument %r has no stable spec" % name,
                                  feature="argument")
-        if sp.kind == spec.CONST_TENSOR and self.config.specialize_types:
-            self.add_precheck("arg %d constant" % index,
-                              spec.ArgConstTensor(index, sp.value))
+        # +SPCN burns stable tensor *values* into the graph as constants;
+        # otherwise a tensor is a placeholder of its dtype and shape.
+        if sp.kind == spec.CONST_TENSOR and not self.config.specialize_types:
+            sp = spec.relax_constants(sp)
+        self._precheck_arg(("arg", index), sp)
+        if sp.kind == spec.CONST_TENSOR:
             return self.builder.constant(TensorValue.of(sp.value))
-        if sp.is_tensor_like:
-            # Shapes are part of the basic type assumption (checked at
-            # cache retrieval); +SPCN additionally burns stable *values*
-            # into the graph as constants.
-            check = spec.ArgSpecMatches(index, _tensor_type(sp))
-            self.add_precheck("arg %d tensor spec" % index, check)
+        if sp.kind == spec.TENSOR:
             return self._arg_placeholder("arg_%d_%s" % (index, name), sp,
                                          ("arg", index), arg_plan)
         if sp.kind == spec.NONE:
             return Const(None)
         if sp.kind == spec.PYOBJ and sp.value is None:
-            self.add_precheck("arg %d object type" % index,
-                              spec.ArgTypeIs(index, sp.py_type))
             arg_plan.append(("arg", index))
             return self.builder.placeholder("arg_%d_%s" % (index, name),
                                             shape=(), dtype=None)
         if sp.kind in _BURNED_ARGS:
-            what, check = _BURNED_ARGS[sp.kind]
-            self.add_precheck("arg %d %s" % (index, what),
-                              check(index, sp.value))
             return Const(sp.value)
         if sp.kind == spec.LIST:
             elements = []
-            self.add_precheck("arg %d sequence length" % index,
-                              spec.ArgSeqLen(index, len(sp.elements)))
             for j, esp in enumerate(sp.elements):
                 if not esp.is_tensor_like:
                     raise NotConvertible(
                         "argument %r: non-tensor sequence elements are "
                         "imperative-only" % name, feature="argument")
-                check = spec.ArgItemMatches(index, j, _tensor_type(esp))
-                self.add_precheck("arg %d item %d" % (index, j), check)
+                path = ("item", index, j)
+                esp = spec.relax_constants(esp)
+                self._precheck_arg(path, esp)
                 elements.append(self._arg_placeholder(
-                    "arg_%d_%s_%d" % (index, name, j), esp,
-                    ("item", index, j), arg_plan))
+                    "arg_%d_%s_%d" % (index, name, j), esp, path, arg_plan))
             return SymSeq(elements, is_tuple=sp.is_tuple)
         raise NotConvertible("argument %r spec %r not convertible"
                              % (name, sp), feature="argument")
+
+    def _precheck_arg(self, path, sp):
+        """Add the precheck of what the cache key leaves open about the
+        argument at *path* (:meth:`ValueSpec.precheck`), if any."""
+        check = sp.precheck(path)
+        if check is not None:
+            self.add_precheck("%s %s" % (" ".join(map(str, path)),
+                                         type(check).__name__), check)
 
     def _arg_placeholder(self, label, sp, path, arg_plan):
         arg_plan.append(path)

@@ -196,10 +196,11 @@ class Profiler:
                 self.return_specs.get(func_key), spec.observe(value))
         return value
 
-    def record_args(self, args, signature=None):
+    def record_args(self, args):
+        """Merge one call's argument specs into its signature's; returns
+        the signature."""
         observed = [spec.observe(a) for a in args]
-        if signature is None:
-            signature = tuple(o.signature() for o in observed)
+        signature = tuple(o.signature() for o in observed)
         with self._lock:
             prior = self._arg_specs.get(signature)
             if prior is None:
@@ -210,14 +211,9 @@ class Profiler:
         return signature
 
     def arg_specs_for(self, signature):
+        """The merged argument specs of the calls profiled under
+        *signature*, or None when none was."""
         return self._arg_specs.get(signature)
-
-    @property
-    def arg_specs(self):
-        """Specs of the most recently profiled signature (legacy)."""
-        if not self._arg_specs:
-            return None
-        return next(reversed(self._arg_specs.values()))
 
     # -- instrumentation of callees ----------------------------------------------
 

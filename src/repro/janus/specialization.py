@@ -34,7 +34,7 @@ from ..tensor.shape import Shape
 # Spec kinds, ordered roughly top (most specific) to bottom.
 CONST_TENSOR = "const_tensor"   # same numeric value every observation
 TENSOR = "tensor"               # dtype + (possibly partial) shape
-CONST_PY = "const_py"           # identical non-numeric Python value
+CONST_PY = "const_py"           # a string, by value
 CALLABLE = "callable"           # a function / method (by underlying func)
 VARIABLE = "variable"           # a repro Variable (by identity)
 PYOBJ = "pyobj"                 # arbitrary object, stable type
@@ -165,18 +165,14 @@ class ValueSpec:
     def signature(self):
         """Hashable cache-key component: type-level info only.
 
-        Two calls with the same signature may share a cache entry; shape
-        and value assumptions within the entry are prechecked separately.
+        Two calls with the same signature may share a cache entry; what
+        the key leaves open is prechecked by :meth:`precheck`.
         """
         if self.kind in (CONST_TENSOR, TENSOR):
             rank = None if self.shape is None or self.shape.dims is None \
                 else len(self.shape.dims)
             return ("T", self.dtype.name, rank)
         if self.kind == CONST_PY:
-            try:
-                hash(self.value)
-            except TypeError:
-                return ("P", type(self.value).__qualname__)
             return ("C", self.value)
         if self.kind == CALLABLE:
             # Registry token, not raw id(): a GC'd-then-reallocated
@@ -193,6 +189,31 @@ class ValueSpec:
             return ("N",)
         return ("_",)
 
+    def precheck(self, path):
+        """The cache-retrieval check of an argument bound from this spec
+        at ``arg_plan`` *path*, or None when :meth:`signature` proves it.
+
+        The key pins a tensor's dtype and rank, a string's value, a
+        callable's identity and a sequence's kind, length and element
+        types.  It leaves open a constant tensor's value (a CONST_TENSOR
+        spec is burned in; a placeholder is bound from a TENSOR one), a
+        tensor's known dims, an object's exact type (the key holds only
+        its ``__qualname__``) and the identity of a burned-in object or
+        Variable (a deep copy keeps a Variable's ``uid``).
+        """
+        if self.kind == CONST_TENSOR:
+            return ArgConstTensor(path[1], self.value)
+        if self.kind == TENSOR:
+            dims = self.shape.dims if self.shape is not None else None
+            if dims and any(d is not None for d in dims):
+                return ArgShape(path, self.shape)
+            return None
+        if self.kind == PYOBJ and self.value is None:
+            return ArgTypeIs(path[1], self.py_type)
+        if self.kind in (PYOBJ, VARIABLE):
+            return ArgIsObject(path[1], self.value)
+        return None
+
     def __getstate__(self):
         # ``source`` pins a live TensorValue so write-barrier digests can
         # use (identity, version); identity is meaningless in another
@@ -207,15 +228,7 @@ class ValueSpec:
             setattr(self, s, state.get(s))
 
     def __repr__(self):
-        if self.kind == TENSOR:
-            return "Spec(tensor %s %s)" % (self.dtype.name, self.shape)
-        if self.kind == CONST_TENSOR:
-            return "Spec(const tensor %s %s)" % (self.dtype.name, self.shape)
-        if self.kind == LIST:
-            return "Spec(%s of %d)" % ("tuple" if self.is_tuple else "list",
-                                       len(self.elements))
-        return "Spec(%s %r)" % (self.kind, self.value if self.value is not
-                                None else self.py_type)
+        return "Spec(%s)" % describe(self)
 
 
 def observe(value):
@@ -257,8 +270,7 @@ def describe(spec):
     if spec is None:
         return "none"
     if spec.is_tensor_like:
-        label = "%s[%s %s]" % (spec.kind, spec.dtype.name, spec.shape)
-        return label
+        return "%s[%s %s]" % (spec.kind, spec.dtype.name, spec.shape)
     if spec.kind == LIST:
         return "%s(%s)" % ("tuple" if spec.is_tuple else "list",
                            ", ".join(describe(e) for e in spec.elements))
@@ -319,9 +331,7 @@ def _merge(a, b):
         return a
     if a.kind == CONST_PY:
         return a if a.value == b.value else ValueSpec.bottom()
-    if a.kind == CALLABLE:
-        return a if a.value is b.value else ValueSpec.bottom()
-    if a.kind == VARIABLE:
+    if a.kind in (CALLABLE, VARIABLE):
         return a if a.value is b.value else ValueSpec.bottom()
     if a.kind == PYOBJ:
         if a.py_type is b.py_type:
@@ -349,45 +359,6 @@ def relax_constants(spec):
     return spec
 
 
-def matches(spec, value):
-    """Precheck: does a concrete value satisfy the spec's assumptions?
-
-    This is the cache-retrieval validation of paper figure 2 (1): cheap
-    checks performed *before* graph execution.
-    """
-    if spec is None or spec.kind == BOTTOM:
-        return False
-    if spec.kind == NONE:
-        return value is None
-    if spec.is_tensor_like:
-        arr = _as_array(value)
-        if arr is None or arr.dtype != spec.dtype.np_dtype:
-            return False
-        if spec.kind == CONST_TENSOR:
-            return arr.shape == spec.value.shape and \
-                np.array_equal(arr, spec.value)
-        return spec.shape.matches_value(arr.shape)
-    if spec.kind == CONST_PY:
-        return type(value) is type(spec.value) and value == spec.value
-    if spec.kind == CALLABLE:
-        return getattr(value, "__func__", value) is spec.value
-    if spec.kind == VARIABLE:
-        return value is spec.value
-    if spec.kind == PYOBJ:
-        if type(value) is not spec.py_type:
-            return False
-        return spec.value is None or value is spec.value
-    if spec.kind == LIST:
-        if spec.is_tuple and not isinstance(value, tuple):
-            return False
-        if not spec.is_tuple and not isinstance(value, list):
-            return False
-        if len(value) != len(spec.elements):
-            return False
-        return all(matches(e, v) for e, v in zip(spec.elements, value))
-    return False
-
-
 def _as_array(value):
     if isinstance(value, Tensor):
         return value.value.array
@@ -405,11 +376,10 @@ def _as_array(value):
 class Precheck:
     """Base for cache-retrieval prechecks (paper figure 2 (1)).
 
-    Prechecks used to be closures; they are small callable *objects* so
-    that persisted artifacts (:mod:`repro.janus.diskcache`) can pickle
-    them alongside the graph — closures don't pickle, data does.  Each
-    instance is called with the positional-argument tuple and returns
-    whether the burned-in assumption still holds.
+    Prechecks are small callable *objects*, not closures, so persisted
+    artifacts (:mod:`repro.janus.diskcache`) can pickle them alongside
+    the graph.  Each is called with the positional-argument tuple and
+    returns whether the burned-in assumption still holds.
 
     ``portable`` marks whether the check is meaningful in a different
     process: value/shape/type checks are, identity (``is``) checks pin
@@ -465,9 +435,7 @@ class ArgConstTensor(Precheck):
                 return True
             arr = tv.array
         else:
-            arr = _as_array(value)
-            if arr is None:
-                return False
+            arr = _as_array(value)    # the key proves it is tensor-like
         ok = arr.dtype == self.value.dtype \
             and arr.shape == self.value.shape \
             and np.array_equal(arr, self.value)
@@ -476,49 +444,25 @@ class ArgConstTensor(Precheck):
         return ok
 
 
-class ArgSpecMatches(Precheck):
-    """Argument ``index`` satisfies a dtype/shape spec."""
+class ArgShape(Precheck):
+    """The tensor at ``arg_plan`` *path* (``("arg", i)`` or ``("item",
+    i, j)``, read as ``bind_feeds`` reads it) has the known dims of
+    *shape*; dtype and rank are the cache key's to check."""
 
-    __slots__ = ("index", "spec")
+    __slots__ = ("path", "dims")
 
-    def __init__(self, index, spec):
-        self.index = index
-        self.spec = spec
-
-    @property
-    def portable(self):
-        return self.spec.kind in (TENSOR, CONST_TENSOR)
+    def __init__(self, path, shape):
+        self.path = tuple(path)
+        self.dims = Shape.of(shape).dims
 
     def __call__(self, args):
-        return matches(self.spec, args[self.index])
-
-
-class ArgEquals(Precheck):
-    """Argument ``index`` compares equal to a burned-in Python value."""
-
-    __slots__ = ("index", "value")
-
-    def __init__(self, index, value):
-        self.index = index
-        self.value = value
-
-    def __call__(self, args):
-        return args[self.index] == self.value
-
-
-class ArgCallableIs(Precheck):
-    """Argument ``index`` is the same underlying function (identity)."""
-
-    __slots__ = ("index", "target")
-    portable = False
-
-    def __init__(self, index, target):
-        self.index = index
-        self.target = target
-
-    def __call__(self, args):
-        value = args[self.index]
-        return getattr(value, "__func__", value) is self.target
+        value = args[self.path[1]]
+        if len(self.path) == 3:
+            value = value[self.path[2]]
+        for want, got in zip(self.dims, _as_array(value).shape):
+            if want is not None and want != got:
+                return False
+        return True
 
 
 class ArgIsObject(Precheck):
@@ -547,39 +491,6 @@ class ArgTypeIs(Precheck):
 
     def __call__(self, args):
         return type(args[self.index]) is self.py_type
-
-
-class ArgSeqLen(Precheck):
-    """Argument ``index`` is a sequence of a burned-in length."""
-
-    __slots__ = ("index", "length")
-
-    def __init__(self, index, length):
-        self.index = index
-        self.length = length
-
-    def __call__(self, args):
-        value = args[self.index]
-        return isinstance(value, (list, tuple)) \
-            and len(value) == self.length
-
-
-class ArgItemMatches(Precheck):
-    """Element ``item`` of sequence argument ``index`` satisfies a spec."""
-
-    __slots__ = ("index", "item", "spec")
-
-    def __init__(self, index, item, spec):
-        self.index = index
-        self.item = item
-        self.spec = spec
-
-    @property
-    def portable(self):
-        return self.spec.kind in (TENSOR, CONST_TENSOR)
-
-    def __call__(self, args):
-        return matches(self.spec, args[self.index][self.item])
 
 
 class GlobalEquals(Precheck):
@@ -672,12 +583,7 @@ def spec_digest(spec):
         dims = None if spec.shape is None else spec.shape.dims
         return (spec.kind, spec.dtype.name, dims)
     if spec.kind == CONST_PY:
-        try:
-            hash(spec.value)
-        except TypeError:
-            return (spec.kind, type(spec.value).__qualname__,
-                    id(spec.value))
-        return (spec.kind, type(spec.value).__name__, spec.value)
+        return (spec.kind, spec.value)
     if spec.kind == CALLABLE:
         return (spec.kind, CALLABLE_REGISTRY.token_for(spec.value))
     if spec.kind == VARIABLE:

@@ -69,7 +69,7 @@ import numpy as np
 
 import repro as R
 from repro import nn
-from repro.janus.specialization import ArgItemMatches, ArgSpecMatches
+from repro.janus.specialization import ArgShape
 
 __all__ = [
     "Mix", "Model", "WRITE_BARRIER_MIX", "CONCURRENCY_MIX",
@@ -554,20 +554,19 @@ def apply_mutation(kind, m, nprng, state):
         raise AssertionError(kind)
 
 
-def assert_arguments_prechecked(generated):
-    """Every tensor placeholder of ``generated``'s top-level graph has a
-    precheck of the same dtype and ``shape.dims``: an
-    :class:`ArgSpecMatches` for an ``("arg", i)`` path, an
-    :class:`ArgItemMatches` for an ``("item", i, j)`` path.  Nothing
+def assert_arguments_prechecked(entry):
+    """Every tensor placeholder of the cache *entry*'s top-level graph is
+    checked at retrieval, by the key and by the prechecks together: the
+    entry's ``compiled.signature`` pins the placeholder's dtype and
+    rank, and an :class:`ArgShape` on its ``arg_plan`` path pins exactly
+    its known dims — there is none when every dim is ``?``.  Nothing
     else checks a feed, so a missing one lets any shape reach the
     kernels.  Returns the number of tensor placeholders checked.
     """
-    specs = {}
-    for _desc, check in generated.prechecks:
-        if type(check) is ArgSpecMatches:
-            specs[("arg", check.index)] = check.spec
-        elif type(check) is ArgItemMatches:
-            specs[("item", check.index, check.item)] = check.spec
+    generated = entry.compiled.generated
+    signature = entry.compiled.signature
+    shapes = {check.path: check.dims for _desc, check in generated.prechecks
+              if type(check) is ArgShape}
     placeholders = generated.graph.placeholders
     assert len(placeholders) == len(generated.arg_plan)
     checked = 0
@@ -575,9 +574,15 @@ def assert_arguments_prechecked(generated):
         out = node.outputs[0]
         if out.dtype is None:       # a PyRef argument: no tensor spec
             continue
-        sp = specs.get(tuple(path))
-        assert sp is not None, ("no precheck", path, node.debug_name)
-        assert sp.dtype == out.dtype \
-            and sp.shape.dims == out.shape.dims, (path, sp, out.shape)
+        key = signature[path[1]]
+        if path[0] == "item":
+            key = key[2][path[2]]
+        assert key == ("T", out.dtype.name, len(out.shape.dims)), \
+            (path, key, out.dtype, out.shape)
+        if any(d is not None for d in out.shape.dims):
+            assert shapes.get(tuple(path)) == out.shape.dims, \
+                ("no ArgShape pins", path, node.debug_name, out.shape)
+        else:
+            assert tuple(path) not in shapes, (path, out.shape)
         checked += 1
     return checked

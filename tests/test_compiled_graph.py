@@ -1,6 +1,7 @@
 """Compile-once artifact behaviours: guard closures, shared pass
 analyses, the bounded LRU graph cache, and the callable registry."""
 
+import copy
 import gc
 
 import numpy as np
@@ -222,14 +223,20 @@ class TestBoundedGraphCache:
             return [R.constant(np.ones((2,), np.float32))
                     for _ in range(length)]
 
-        f(batch(1))
-        f(batch(1))   # generate + cache len-1
-        f(batch(2))   # cache len-2
+        def lengths():
+            return [len(sig[0][2]) for sig, _entry in f.cache.entries()]
+
+        for length in (1, 2):
+            f(batch(length))   # profile this length
+            f(batch(length))   # generate + cache it
+        assert lengths() == [1, 2]
         f(batch(1))   # refresh len-1: len-2 becomes LRU
+        f(batch(3))   # profile len-3
         generated = f.stats["graphs_generated"]
-        f(batch(3))   # evicts len-2
+        f(batch(3))   # generate len-3, evicting len-2
         f(batch(1))   # still cached: no regeneration
         assert f.stats["graphs_generated"] == generated + 1
+        assert lengths() == [3, 1]
 
     def test_compiled_artifact_is_exposed(self):
         @janus.function(config=_cfg())
@@ -243,6 +250,97 @@ class TestBoundedGraphCache:
         assert entry.compiled.node_count == len(entry.generated.graph.nodes)
         assert entry.compiled.executor is entry.executor
         assert entry.compiled.compile_seconds >= 0.0
+
+
+def _twice(t):
+    return t * 2.0
+
+
+def _thrice(t):
+    return t * 3.0
+
+
+def _tagged(x, tag):
+    return x * 2.0
+
+
+def _applied(x, fn):
+    return fn(x)
+
+
+def _summed(x, xs):
+    total = x
+    for item in xs:
+        total = total + item
+    return total
+
+
+def _gated(x, flag):
+    if flag is None:
+        return x * 2.0
+    return x * flag
+
+
+def _scaled_by(x, var):
+    return x * var.value()
+
+
+class TestOneProfilePerKey:
+    """A cache entry is generated only from its own signature's profile,
+    and its prechecks test only what the signature leaves open."""
+
+    def _x(self):
+        return R.constant(np.ones((2,), np.float32))
+
+    def test_unprofiled_signature_not_compiled_from_another(self):
+        """Profiled with ``flag=None`` only, ``f(x, 3.0)`` is a new key:
+        it must not run a graph with ``None`` burned in."""
+        f = janus.function(config=_cfg(profile_runs=1))(_gated)
+        x = self._x()
+        f(x, None)
+        for _ in range(4):
+            np.testing.assert_array_equal(f(x, 3.0).numpy(),
+                                          f.func(x, 3.0).numpy())
+        assert f.stats["graph_runs"] == 3
+        assert f.stats["precheck_misses"] == 0
+
+    @pytest.mark.parametrize("fn, first, second", [
+        (_tagged, "a", "b"),
+        (_applied, _twice, _thrice),
+        (_summed, [1.0], [1.0, 2.0]),
+        (_summed, [1.0, 2.0], (1.0, 2.0)),
+    ], ids=["str", "callable", "list_length", "list_vs_tuple"])
+    def test_new_key_profiles_then_generates(self, fn, first, second):
+        """A key never profiled costs one profile run, then its own
+        generation — nothing generated from another key's profile only
+        to miss its precheck."""
+        f = janus.function(config=_cfg(profile_runs=1))(fn)
+        x = self._x()
+        f(x, first)
+        f(x, first)
+        assert f.stats["graphs_generated"] == 1
+        runs = f.stats["imperative_runs"]
+        for _ in range(3):
+            np.testing.assert_array_equal(f(x, second).numpy(),
+                                          fn(x, second).numpy())
+        assert f.stats["imperative_runs"] == runs + 1
+        assert f.stats["graphs_generated"] == 2
+        assert f.stats["precheck_misses"] == 0
+
+    def test_deep_copied_variable_is_a_precheck_miss(self):
+        """``copy.deepcopy`` keeps a Variable's ``uid``, so the key
+        cannot tell the copy apart: the identity precheck must."""
+        f = janus.function(config=_cfg())(_scaled_by)
+        x = self._x()
+        v = R.Variable(np.array([1.0, 2.0], np.float32))
+        for _ in range(4):
+            f(x, v)
+        assert f.stats["graph_runs"] == 1
+        w = copy.deepcopy(v)
+        w.assign(np.array([5.0, 7.0], np.float32))
+        assert f.cache.signature_of((x, w)) == f.cache.signature_of((x, v))
+        np.testing.assert_array_equal(f(x, w).numpy(), [5.0, 7.0])
+        assert f.stats["precheck_misses"] == 1
 
 
 class TestCallableRegistry:

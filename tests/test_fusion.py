@@ -288,7 +288,7 @@ class TestEndToEnd:
             f(vec(3), [vec(3), vec(2)])
         assert f.stats["graph_runs"] > 0
         (_sig, entry), = f.cache.entries()
-        assert assert_arguments_prechecked(entry.generated) == 3
+        assert assert_arguments_prechecked(entry) == 3
 
     def test_nested_control_flow_runs_unfused_bodies(self):
         @janus.function(config=strict(profile_runs=2))

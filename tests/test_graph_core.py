@@ -128,17 +128,12 @@ class TestLiveness:
             guard = _const_guard(b, _Holder())
             b.mark_outputs([x])
         assert guard.node in b.graph.live_nodes()
-        assert guard.node.must_run and not guard.node.has_effects
+        assert guard.node.must_run
 
 
 class TestEffectModel:
     """Effects change state; guards only check it.  Both run in a
     forward graph, and neither runs again in a gradient body."""
-
-    def test_guard_is_not_an_effect(self):
-        guarded = _guarded_body("guarded")
-        assert not guarded.has_effects
-        assert _guarded_body("writes", effect=_Holder()).has_effects
 
     @pytest.mark.parametrize("write", ["var_assign", "py_call"])
     def test_a_write_empties_the_invoke_memo(self, write):
@@ -354,16 +349,6 @@ class TestSignatures:
 
 
 class TestGraphFunction:
-    def test_recursive_function_has_effects_terminates(self):
-        f = GraphFunction("rec")
-        b = GraphBuilder()
-        with b:
-            x = b.placeholder("x", shape=(), dtype=R.float32)
-            out = b.invoke(f, [x], [(R.Shape(()), R.float32)])
-            b.mark_outputs([out])
-        f.finalize(b.graph)
-        assert f.has_effects in (True, False)  # terminates
-
     def test_collect_variables_through_recursion(self):
         v = R.Variable(np.float32(1.0))
         f = GraphFunction("rec")

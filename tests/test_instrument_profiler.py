@@ -200,8 +200,9 @@ class TestRecordedFacts:
 
         prof = Profiler()
         prof.profile_call(f, [np.zeros((4, 2), np.float32)])
-        prof.profile_call(f, [np.zeros((3, 2), np.float32)])
-        assert prof.arg_specs[0].shape == R.Shape((None, 2))
+        signature = prof.record_args([np.zeros((3, 2), np.float32)])
+        assert prof.arg_specs_for(signature)[0].shape == \
+            R.Shape((None, 2))
 
 
 class TestRelaxationHooks:

@@ -33,7 +33,7 @@ def run_pair(make_model_and_loss, batches, n=6, rtol=1e-3):
     entries = j_step.cache.entries()
     assert entries
     for _sig, entry in entries:
-        assert_arguments_prechecked(entry.generated)
+        assert_arguments_prechecked(entry)
 
     im, i_loss = make_model_and_loss(seed=1)
     i_step = make_step(i_loss, nn.SGD(0.01), "imperative")

@@ -317,14 +317,16 @@ class TestTolerance:
         # (GeneratedGraph pickled from the one-module graphgen), format
         # 2 (loop gradients without the map to their forward, which
         # recompute it), format 3 (invoke and cond gradients that
-        # recompute their callee) — are refused on their stamp, before
-        # anything tries to unpickle their payload.
-        assert ARTIFACT_FORMAT == 4
+        # recompute their callee), format 4 (the per-kind argument
+        # prechecks, maybe generated from another signature's profile)
+        # — are refused on their stamp, before anything tries to
+        # unpickle their payload.
+        assert ARTIFACT_FORMAT == 5
 
         def never(payload):
             raise AssertionError("an old-format payload was unpickled")
 
-        for misses, old in enumerate((1, 2, 3), start=2):
+        for misses, old in enumerate((1, 2, 3, 4), start=2):
             self._write_record(store, self._record(format=old))
             assert store.load(self.KEY, rebuild=never) is None
             assert self._miss_count("version") == misses
@@ -473,8 +475,8 @@ class TestPortability:
         arr = np.arange(4, dtype=np.float32)
         checks = [
             spec.ArgConstTensor(0, arr),
-            spec.ArgEquals(0, 3),
-            spec.ArgSeqLen(0, 2),
+            spec.ArgShape(("arg", 0), (None, 4)),
+            spec.ArgShape(("item", 0, 1), (2,)),
         ]
         for check in checks:
             clone = pickle.loads(pickle.dumps(check))
@@ -482,15 +484,18 @@ class TestPortability:
         clone = pickle.loads(pickle.dumps(spec.ArgConstTensor(0, arr)))
         assert clone((R.constant(arr.copy()),))
         assert not clone((R.constant(arr + 1),))
-        assert pickle.loads(pickle.dumps(spec.ArgEquals(0, 3)))((3,))
-        assert pickle.loads(pickle.dumps(spec.ArgSeqLen(0, 2)))(([1, 2],))
+        rows = pickle.loads(pickle.dumps(checks[1]))
+        assert rows((R.constant(np.zeros((3, 4), np.float32)),))
+        assert not rows((R.constant(np.zeros((3, 5), np.float32)),))
+        item = pickle.loads(pickle.dumps(checks[2]))
+        assert item(([arr, np.zeros(2, np.float32)],))
+        assert not item(([arr, np.zeros(3, np.float32)],))
 
     def test_identity_prechecks_flagged_unportable(self):
-        assert spec.ArgCallableIs(0, _module_func).portable is False
         assert spec.ArgIsObject(0, object()).portable is False
         assert spec.ArgTypeIs(0, int).portable is False
         assert spec.ArgConstTensor(0, np.ones(2)).portable is True
-        assert spec.ArgEquals(0, 1).portable is True
+        assert spec.ArgShape(("arg", 0), (None, 2)).portable is True
 
     def test_global_equals_portable_round_trip(self, monkeypatch):
         check = spec.GlobalEquals(_module_func, "_PANEL_GAIN", _PANEL_GAIN)

@@ -13,6 +13,15 @@ class Thing:
     pass
 
 
+def admits(sp, value):
+    """Would a graph bound from *sp* serve *value*: the cache key and
+    the argument's precheck together (figure 2, check 1)."""
+    if spec.observe(value).signature() != sp.signature():
+        return False
+    check = sp.precheck(("arg", 0))
+    return check is None or check((value,))
+
+
 class TestObserve:
     def test_tensor(self):
         s = spec.observe(R.constant(np.zeros((4, 8), np.float32)))
@@ -74,8 +83,8 @@ class TestMerge:
         b = spec.observe(np.zeros((3, 8), np.float32))
         merged = spec.merge(a, b)
         assert merged.shape == Shape((None, 8))
-        assert spec.matches(merged, np.zeros((2, 8), np.float32))
-        assert spec.matches(merged, np.zeros((6, 8), np.float32))
+        assert admits(merged, np.zeros((2, 8), np.float32))
+        assert admits(merged, np.zeros((6, 8), np.float32))
 
     def test_dtype_conflict_is_bottom(self):
         a = spec.observe(np.zeros(2, np.float32))
@@ -108,15 +117,17 @@ class TestMerge:
         b = spec.observe([1.0, 2.0])
         assert spec.merge(a, b).kind == spec.BOTTOM
 
-    @given(st.lists(st.integers(1, 5), min_size=1, max_size=3),
-           st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                    min_size=1, max_size=3))
     @settings(max_examples=25, deadline=None)
-    def test_merged_spec_matches_both_inputs(self, d1, d2):
-        a_val = np.zeros(tuple(d1), np.float32)
-        b_val = np.zeros(tuple(d2), np.float32)
+    def test_merged_spec_matches_both_inputs(self, dims):
+        # Same rank: calls of different ranks have different keys, so
+        # their specs never merge.
+        a_val = np.zeros(tuple(a for a, _ in dims), np.float32)
+        b_val = np.ones(tuple(b for _, b in dims), np.float32)
         merged = spec.merge(spec.observe(a_val), spec.observe(b_val))
-        assert spec.matches(merged, a_val)
-        assert spec.matches(merged, b_val)
+        assert admits(merged, a_val)
+        assert admits(merged, b_val)
 
     def test_merge_is_commutative_on_tensors(self):
         a = spec.observe(np.zeros((2, 3), np.float32))
@@ -126,31 +137,51 @@ class TestMerge:
 
 
 class TestMatches:
-    """Cache-retrieval prechecks (figure 2, check 1)."""
+    """Cache-retrieval prechecks (figure 2, check 1): the key proves the
+    types, the precheck what the key leaves open."""
 
     def test_const_tensor_requires_equal_value(self):
         s = spec.observe(np.array([1.0, 2.0], np.float32))
-        assert spec.matches(s, np.array([1.0, 2.0], np.float32))
-        assert not spec.matches(s, np.array([1.0, 3.0], np.float32))
+        assert admits(s, np.array([1.0, 2.0], np.float32))
+        assert not admits(s, np.array([1.0, 3.0], np.float32))
 
     def test_tensor_shape_check(self):
         s = spec.ValueSpec(spec.TENSOR, dtype=R.float32,
                            shape=Shape((None, 8)))
-        assert spec.matches(s, np.zeros((4, 8), np.float32))
-        assert not spec.matches(s, np.zeros((4, 9), np.float32))
-        assert not spec.matches(s, np.zeros((4, 8), np.float64))
+        assert admits(s, np.zeros((4, 8), np.float32))
+        assert not admits(s, np.zeros((4, 9), np.float32))
+        assert not admits(s, np.zeros((4, 8), np.float64))
+        check = s.precheck(("item", 0, 1))
+        assert check.dims == (None, 8)
+        assert check(([None, np.zeros((3, 8), np.float32)],))
+        assert not check(([None, np.zeros((3, 7), np.float32)],))
 
     def test_eager_tensor_accepted(self):
         s = spec.ValueSpec(spec.TENSOR, dtype=R.float32, shape=Shape((2,)))
-        assert spec.matches(s, R.constant(np.zeros(2, np.float32)))
+        assert admits(s, R.constant(np.zeros(2, np.float32)))
 
     def test_bottom_matches_nothing(self):
-        assert not spec.matches(spec.ValueSpec.bottom(), 1.0)
+        bottom = spec.ValueSpec.bottom()
+        for value in (1.0, None, "s", Thing(), [1.0], len):
+            assert not admits(bottom, value)
 
     def test_object_type_check(self):
         s = spec.merge(spec.observe(Thing()), spec.observe(Thing()))
-        assert spec.matches(s, Thing())
-        assert not spec.matches(s, object())
+        assert admits(s, Thing())
+        assert not admits(s, object())
+
+    def test_key_proves_what_it_pins(self):
+        """No precheck where the key pins everything: unknown dims, a
+        string, a callable, None, a sequence (its items are prechecked
+        on their own paths)."""
+        free = spec.ValueSpec(spec.TENSOR, dtype=R.float32,
+                              shape=Shape((None, None)))
+        assert free.precheck(("arg", 0)) is None
+        for value in ("s", len, None, [np.zeros(2, np.float32)]):
+            assert spec.observe(value).precheck(("arg", 0)) is None
+        assert not admits(spec.observe("a"), "b")
+        assert not admits(spec.observe([1.0]), (1.0,))
+        assert not admits(spec.observe([1.0]), [1.0, 2.0])
 
     def test_signature_type_level_only(self):
         a = spec.observe(np.zeros((4, 8), np.float32))

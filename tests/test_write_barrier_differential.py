@@ -80,7 +80,7 @@ def _assert_matches_oracle(f, out, x, ctx):
 
 def _assert_entries_prechecked(f):
     """Returns how many tensor arguments the live entries check."""
-    return sum(assert_arguments_prechecked(entry.generated)
+    return sum(assert_arguments_prechecked(entry)
                for _sig, entry in f.cache.entries())
 
 
