@@ -353,8 +353,8 @@ _FUSED_COUNTER = itertools.count()
 #: cost of fusing a recompile-heavy workload.  Bounded crudely: emptied,
 #: together with the sources it registered in :mod:`linecache`, when it
 #: outgrows _CODE_CACHE_MAX distinct shapes.  Guarded by a lock:
-#: background recompiles can fuse concurrently, and the clear-then-store
-#: sequence must not interleave.
+#: different functions compile concurrently (each under its own compile
+#: lock), and the clear-then-store sequence must not interleave.
 _CODE_CACHE = {}
 _CODE_CACHE_MAX = 512
 _CODE_CACHE_LOCK = threading.Lock()

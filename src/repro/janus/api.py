@@ -38,14 +38,12 @@ lookup-and-precheck, pin the :class:`CompiledGraph` they retrieved, and
 execute it outside the lock, so warm callers never serialize on each
 other.  Artifact transitions (retiring a failed entry, publishing a
 regenerated one) take the write side — a pointer swap, never a compile.
-Compilation itself is single-flight: per-signature tickets
-(:class:`~repro.janus.concurrency.TicketTable`) guarantee that a
-cold-start stampede produces one compile and an assumption-failure
-storm produces one regeneration; every other caller is served by the
-imperative fallback (§4.3 recovery) in the meantime.  With
-``JanusConfig.recompile_workers > 0`` the ticket winner hands the
-regeneration to a shared background pool and *also* falls back
-imperatively, so the request path never blocks on graph generation.
+Building or loading an artifact, and relaxing a failed one, take the
+function's one compile lock, ``_compiling``, which is only ever *tried*:
+a cold-start stampede produces one compile and an assumption-failure
+storm one relaxation, and every caller that does not get the lock is
+served by the imperative fallback (§4.3 recovery) — no call waits on a
+compile, whichever signature it is for.
 """
 
 import functools
@@ -61,7 +59,7 @@ from . import coexec as coexec_mod
 from . import diskcache as diskcache_mod
 from .cache import CacheEntry, GraphCache
 from .compiled import RegenerationSeed, compile_generated, load_compiled
-from .concurrency import RWLock, TicketTable, recompile_pool
+from .concurrency import RWLock
 from .config import get_config
 from .fragments import FragmentCache
 from .graphgen import GraphGenerator
@@ -110,8 +108,9 @@ class JanusFunction:
         #: (incremental regeneration, §4.3 recovery).
         self._fragment_cache = FragmentCache()
         #: Profiler sites relaxed since the last successful generate —
-        #: the dirty set handed to the incremental generator.
-        self._dirty_sites = set()
+        #: the dirty set handed to the incremental generator.  Rebound
+        #: only under ``_compiling``; read without a lock.
+        self._dirty_sites = frozenset()
         self.imperative_only = False
         self.not_convertible_reason = None
         #: Human-readable description of the most recent failed runtime
@@ -130,19 +129,17 @@ class JanusFunction:
         #: lookup + precheck and execute the pinned artifact outside it;
         #: writers hold it only for the retire/publish pointer swaps.
         self._artifact_lock = RWLock()
-        #: Per-signature single-flight compile tickets.
-        self._tickets = TicketTable()
-        #: Serializes graph generation (the generator reads and splices
-        #: shared profiler/fragment state); never held on the warm path.
-        self._generate_lock = threading.RLock()
-        #: Narrow lock for the relaxed-site set.
-        self._dirty_lock = threading.Lock()
+        #: The one compile lock: its holder is the one caller building,
+        #: loading or relaxing one of this function's artifacts.  Only
+        #: ever tried, never waited on: whoever does not get it serves
+        #: the call imperatively.  Never touched on the warm path.
+        self._compiling = threading.Lock()
         #: Warm-start bookkeeping (docs/compilation.md#persistence--warm-start):
         #: signatures whose disk probe already happened (probe once, then
-        #: the in-memory tiers own the signature) and the memoized source
-        #: hash keying this function's disk entries.
+        #: the in-memory tiers own the signature; marked under
+        #: ``_compiling``) and the memoized source hash keying this
+        #: function's disk entries.
         self._disk_probed = set()
-        self._disk_lock = threading.Lock()
         self._src_hash = _UNSET
         functools.update_wrapper(self, func)
         # Speculation-health attribution (populated only while METRICS
@@ -232,7 +229,7 @@ class JanusFunction:
         if TRACER.level:
             TRACER.instant("cache_miss", self.__name__,
                            reason="precheck_failed")
-        self._retire_entry(signature)
+        self._retire_entry(signature, entry)
         return self._run_imperative(args, "profile")
 
     @staticmethod
@@ -256,17 +253,19 @@ class JanusFunction:
                            reason="no_entry", signature=repr(signature))
         if self.profiler.arg_specs_for(signature) is None:
             return None, "profile"
-        if not self._tickets.claim(signature):
-            # Another caller already owns the compile for this signature
-            # (cold-start stampede or a background regeneration still in
-            # flight): serve imperatively, do not duplicate the work.
+        if not self._compiling.acquire(blocking=False):
+            # Another caller is compiling, loading or relaxing (for this
+            # signature or another): serve imperatively, never wait.
             self._count("stampede_fallbacks")
             reqtrace.note("fallback", "stampede_loss",
                           flag="stampede_loss", function=self.__name__)
             return None, "imperative"
         try:
-            with self._generate_lock:
-                compiled = self._generate(signature)
+            # The caller that held the lock may have just published one.
+            entry = self.cache.lookup(signature)
+            if entry is not None:
+                return entry, None
+            compiled = self._generate(signature)
             if compiled is None:
                 # Imperative-only, or a co-execution plan was installed
                 # instead: this call still serves imperatively, the next
@@ -274,7 +273,7 @@ class JanusFunction:
                 return None, "imperative"
             return self._install(signature, compiled), None
         finally:
-            self._tickets.release(signature)
+            self._compiling.release()
 
     def _install(self, signature, compiled):
         """Publish an obtained artifact: one write-locked pointer swap
@@ -291,8 +290,9 @@ class JanusFunction:
             self._publish_disk(signature, compiled)
         return entry
 
-    def _retire_entry(self, signature):
-        """Invalidate a cache entry, keeping its artifact as a seed.
+    def _retire_entry(self, signature, entry):
+        """Invalidate *entry* while it is still the one cached for
+        *signature*, keeping its artifact as a seed; True if it was.
 
         Called after an assumption failure or failed precheck: the old
         CompiledGraph still holds the bound arg specs the regeneration
@@ -301,13 +301,13 @@ class JanusFunction:
         under the artifact write lock so concurrent readers see either
         the old entry or none — never a half-retired state.
         """
-        with self._dirty_lock:
-            dirty = frozenset(self._dirty_sites)
         with self._artifact_lock.write():
-            entry = self.cache.invalidate(signature)
-            if entry is not None:
-                self.cache.remember_seed(
-                    signature, RegenerationSeed(entry.compiled, dirty))
+            if self.cache.invalidate(signature, entry) is None:
+                return False
+            self.cache.remember_seed(
+                signature, RegenerationSeed(entry.compiled,
+                                            self._dirty_sites))
+        return True
 
     # -- persistent cross-process cache (warm start) -------------------------
 
@@ -347,47 +347,50 @@ class JanusFunction:
         if key is None:
             return
         store.store(key, payload, graph_name=compiled.graph.name)
-        with self._disk_lock:
-            # The producer never needs to probe its own publication.
-            self._disk_probed.add(signature)
+        # The producer never needs to probe its own publication.
+        self._disk_probed.add(signature)
 
     def _load(self, signature):
         """Obtain an entry from the disk tier while still profiling:
         ``(entry, None)`` — zero profiling runs — or ``(None,
         "profile")``.  The store is probed at most once per signature;
-        a hit is compiled back into a full artifact and installed."""
-        with self._disk_lock:
-            probed = signature in self._disk_probed
+        a hit is compiled back into a full artifact and installed.  A
+        call that finds the compile lock taken profiles instead."""
+        if signature in self._disk_probed \
+                or not self._compiling.acquire(blocking=False):
+            return None, "profile"
+        try:
+            if signature in self._disk_probed:
+                return None, "profile"
             self._disk_probed.add(signature)
-        if probed:
-            return None, "profile"
-        key = self._disk_key(signature)
-        if key is None:
-            # Identity-bearing signature or unknowable source: this
-            # function/specialization can never live on disk.
-            DISKCACHE.record_miss("unportable")
-            return None, "profile"
-        compiled = self._disk_store().load(
-            key, rebuild=lambda payload: load_compiled(
-                payload, self.config, signature=signature))
-        if compiled is None:
-            return None, "profile"
-        return self._install(signature, compiled), None
+            key = self._disk_key(signature)
+            if key is None:
+                # Identity-bearing signature or unknowable source: this
+                # function/specialization can never live on disk.
+                DISKCACHE.record_miss("unportable")
+                return None, "profile"
+            compiled = self._disk_store().load(
+                key, rebuild=lambda payload: load_compiled(
+                    payload, self.config, signature=signature))
+            if compiled is None:
+                return None, "profile"
+            return self._install(signature, compiled), None
+        finally:
+            self._compiling.release()
 
     def _generate(self, signature=None):
         """Generate and compile: returns a CompiledGraph artifact (or
         None when the function is imperative-only).  Conversion and
         executor compilation happen together, inside one ``graphgen``
-        span — the compile-once point of the pipeline."""
+        span — the compile-once point of the pipeline.  Runs only under
+        ``_compiling``."""
         regeneration = self.stats["graphs_generated"] > 0
         gen_start = time.perf_counter() if METRICS.enabled else 0.0
         with TRACER.span("graphgen", self.__name__,
                          regeneration=regeneration):
             try:
                 seed = self.cache.take_seed(signature)
-                with self._dirty_lock:
-                    dirty_snapshot = frozenset(self._dirty_sites)
-                dirty = dirty_snapshot
+                dirty = self._dirty_sites
                 if seed is not None:
                     dirty |= seed.dirty_sites
                 generator = GraphGenerator(
@@ -397,15 +400,10 @@ class JanusFunction:
                     dirty_sites=dirty, seed=seed)
                 generated = generator.generate()
                 # The reconverted graph no longer embeds the relaxed
-                # assumptions; retiring them from the dirty set lets
-                # fragments recorded during THIS conversion (which
-                # legitimately depend on the now-relaxed sites) be
-                # reused next time.  Only the snapshot is removed:
-                # sites relaxed by a *concurrent* failure while this
-                # generation ran were not consumed and must stay dirty
-                # (a plain clear() would lose them).
-                with self._dirty_lock:
-                    self._dirty_sites -= dirty_snapshot
+                # assumptions; clearing the dirty set lets fragments
+                # recorded during THIS conversion (which legitimately
+                # depend on the now-relaxed sites) be reused next time.
+                self._dirty_sites = frozenset()
                 compiled = compile_generated(
                     generated, self.config, signature=signature,
                     persist=self._should_persist(signature))
@@ -463,16 +461,17 @@ class JanusFunction:
                 if METRICS.enabled:
                     HEALTH.function(self.__name__).record_graph_run()
         if failure is not None:
-            return self._fall_back(args, signature, failure)
+            return self._fall_back(entry, args, signature, failure)
         return compiled.repack_outputs(flat)
 
-    def _fall_back(self, args, signature, exc):
-        """Figure 2 (E): no state was committed; fall back, relax,
-        regenerate with the broken assumption removed.  Under
-        concurrency every caller pinned to the failing artifact observes
-        the failure, but exactly one wins the recompile ticket and owns
-        relax + retire + regeneration; the rest go straight to the
-        imperative fallback."""
+    def _fall_back(self, entry, args, signature, exc):
+        """Figure 2 (E): no state was committed; fall back, relax the
+        broken assumption and retire *entry*, so the next call
+        regenerates without it.  Under concurrency every caller pinned
+        to the failing artifact observes the failure, but only the one
+        holding the compile lock while *entry* is still cached relaxes
+        and retires it (counted as the recompile ticket); the rest go
+        straight to the imperative fallback."""
         self._counts["fallbacks"].inc()
         COUNTERS.labels("cache.assumption_failures").inc()
         self.last_assumption_failure = str(exc)
@@ -485,29 +484,19 @@ class JanusFunction:
             site, kind = _failure_site(exc)
             HEALTH.function(self.__name__).record_failure(
                 site, kind=kind, guard=str(exc))
-        if self._tickets.claim(signature):
-            self._count("recompile_tickets")
-            reqtrace.note("graphgen", "recompile_ticket",
-                          flag="recompile", function=self.__name__)
-            background = self.config.recompile_workers > 0
+        if self._compiling.acquire(blocking=False):
             try:
-                self._relax(exc)
-                self._retire_entry(signature)
+                # A caller pinned to an already retired graph must not
+                # relax again or retire the graph that replaced it.
+                if self.cache.lookup(signature) is entry:
+                    self._relax(exc)
+                    if self._retire_entry(signature, entry):
+                        self._count("recompile_tickets")
+                        reqtrace.note("graphgen", "recompile_ticket",
+                                      flag="recompile",
+                                      function=self.__name__)
             finally:
-                if not background:
-                    # Inline mode: the next call regenerates (under its
-                    # own cold-path ticket) — the historical
-                    # single-caller behaviour.
-                    self._tickets.release(signature)
-            if background:
-                # The ticket travels with the background job; cold
-                # callers for this signature keep falling back until
-                # the regenerated artifact is published.
-                COUNTERS.labels("dispatch.background_recompiles").inc()
-                reqtrace.note("graphgen", "background_recompile",
-                              function=self.__name__)
-                recompile_pool(self.config.recompile_workers).submit(
-                    self._background_regenerate, signature)
+                self._compiling.release()
         return self._run_imperative(args, "fallback", exc)
 
     def _run_coexec(self, plan, args):
@@ -545,35 +534,16 @@ class JanusFunction:
             self._give_up(self.not_convertible_reason)
         return result
 
-    def _background_regenerate(self, signature):
-        """Regenerate off the request path (recompile_workers > 0).
-
-        Runs on the shared daemon pool while callers are served by the
-        imperative fallback; the regenerated artifact is published with
-        one write-locked pointer swap.  The signature's single-flight
-        ticket — claimed by the failure that scheduled this job — is
-        released only here, so no caller duplicates the compile while
-        it is in flight.
-        """
-        try:
-            with self._generate_lock:
-                compiled = self._generate(signature)
-            if compiled is not None:
-                self._install(signature, compiled)
-        finally:
-            self._tickets.release(signature)
-
     @property
     def recompiles_in_flight(self):
-        """Signatures whose compile/regeneration is currently owned."""
-        return len(self._tickets)
+        """1 while a caller holds the compile lock, else 0."""
+        return int(self._compiling.locked())
 
     def _relax(self, failure):
         site = failure.site
         if isinstance(site, tuple) and len(site) == 2:
             kind, prof_site = site
-            with self._dirty_lock:
-                self._dirty_sites.add(prof_site)
+            self._dirty_sites = self._dirty_sites | {prof_site}
             if kind in ("branch", "loop"):
                 self.profiler.force_dynamic(prof_site)
             elif kind in ("attr", "subscr"):

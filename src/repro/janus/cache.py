@@ -140,9 +140,14 @@ class GraphCache:
                                        signature=repr(evicted_sig),
                                        entries=len(self._entries))
 
-    def invalidate(self, signature):
-        """Drop one entry, counting the drop."""
+    def invalidate(self, signature, entry=None):
+        """Drop one entry, counting the drop.  With *entry*, drop it only
+        while it is still the one cached (compare-and-pop): a caller
+        pinned to a retired artifact must not retire its replacement."""
         with self._lock:
+            if entry is not None and \
+                    self._entries.get(signature) is not entry:
+                return None
             entry = self._entries.pop(signature, None)
             if entry is not None:
                 self.invalidations += 1

@@ -268,12 +268,10 @@ class CoExecPlan:
         #: AST-node weight per top-level statement (converted-op ratio).
         self._weights = [sum(1 for _ in ast.walk(s)) for s in self.body]
         # Fragment configs run the same pipeline, minus recursion into
-        # co-execution; NotConvertible must surface (that is the
-        # refinement signal) and regeneration must stay inline so the
-        # signal is raised on the calling thread.
+        # co-execution; NotConvertible must surface: that is the
+        # refinement signal.
         self._frag_config = parent.config.copy(
-            coexecution=False, fail_on_not_convertible=True,
-            recompile_workers=0)
+            coexecution=False, fail_on_not_convertible=True)
 
     # -- partition bookkeeping ----------------------------------------------
 

@@ -42,7 +42,6 @@ class JanusConfig:
                  fail_on_not_convertible=False,
                  graph_cache_entries=64,
                  coexecution=True,
-                 recompile_workers=0,
                  cache_dir=None,
                  cache_max_bytes=None):
         #: Imperative profiling iterations before generating a graph
@@ -74,14 +73,6 @@ class JanusConfig:
         #: and never changes results: any boundary trouble falls back
         #: whole-function imperative.
         self.coexecution = bool(coexecution)
-        #: Background regeneration workers (docs/serving.md).  0 (the
-        #: default) keeps the historical inline behaviour: the caller
-        #: that wins the recompile ticket pays for regeneration on its
-        #: next call.  > 0 hands regenerations to a shared daemon pool
-        #: so the request path never blocks on graph generation —
-        #: callers are served by the imperative fallback until the new
-        #: artifact is published.
-        self.recompile_workers = int(recompile_workers)
         #: Directory for the persistent cross-process compile cache
         #: (docs/compilation.md#persistence--warm-start).  None defers
         #: to the JANUS_CACHE_DIR env var at dispatch time; both unset

@@ -36,8 +36,6 @@ list append/pop, stacked-list growth) are *poisoned* and never cached:
 splicing them would skip the mutation replay.
 """
 
-import threading
-
 import numpy as np
 
 from ..imperative.eager import Tensor
@@ -238,50 +236,35 @@ class FragmentCache:
     whose body burned in iteration parameters); each key holds a short
     MRU list of variants because the same site can convert differently
     under different environments (e.g. different capture shapes across
-    call signatures).
+    call signatures).  Only a generation reads or writes it, and a
+    function generates under its one compile lock, so it takes no lock
+    of its own.
     """
 
     #: Variants kept per region key.
     MAX_VARIANTS = 4
 
     def __init__(self):
-        # Regenerations are serialized per function, but fragment reads
-        # can race a concurrent profiler-driven store under multi-tenant
-        # dispatch; one narrow lock keeps the MRU lists and hit/miss
-        # tallies consistent.
-        self._lock = threading.Lock()
         self._by_key = {}
-        self.stats = {"hits": 0, "misses": 0, "stores": 0}
 
     def lookup(self, key):
         """All cached variants for *key* (MRU first, copied)."""
-        with self._lock:
-            return tuple(self._by_key.get(key, ()))
+        return tuple(self._by_key.get(key, ()))
 
     def touch(self, key, frag):
         """Move *frag* to the front of its variant list after a hit."""
-        with self._lock:
-            variants = self._by_key.get(key)
-            if variants and frag in variants:
-                variants.remove(frag)
-                variants.insert(0, frag)
-            self.stats["hits"] += 1
+        variants = self._by_key.get(key)
+        if variants and frag in variants:
+            variants.remove(frag)
+            variants.insert(0, frag)
 
     def store(self, key, frag):
-        with self._lock:
-            variants = self._by_key.setdefault(key, [])
-            variants.insert(0, frag)
-            del variants[self.MAX_VARIANTS:]
-            self.stats["stores"] += 1
-
-    def miss(self):
-        with self._lock:
-            self.stats["misses"] += 1
+        variants = self._by_key.setdefault(key, [])
+        variants.insert(0, frag)
+        del variants[self.MAX_VARIANTS:]
 
     def clear(self):
-        with self._lock:
-            self._by_key.clear()
+        self._by_key.clear()
 
     def __len__(self):
-        with self._lock:
-            return sum(len(v) for v in self._by_key.values())
+        return sum(len(v) for v in self._by_key.values())

@@ -55,7 +55,6 @@ def _region(conv, key, interface, env_names, accept, build):
             if binding is not None:
                 gen.adopt_fragment(key, frag)
                 return frag.payload, binding
-    gen.fragments.miss()
     with gen.recording_region() as rec:
         payload, binding = build()
     gen.count_reconverted(key)

@@ -4,8 +4,7 @@ The tracer answers "what happened, in order"; this module answers "what
 happened *to this request*".  The serving layer gives every request a
 :class:`RequestContext` that travels with it through queueing, batch
 dispatch, ``janus.function`` dispatch (warm hit / stampede loss /
-ticket win / background recompile / imperative fallback), disk-cache
-probes, and co-execution fragment/gap handoffs — Dapper-style causal
+recompile ticket / imperative fallback), disk-cache probes, and co-execution fragment/gap handoffs — Dapper-style causal
 propagation with the *request*, not the process, as the unit of
 observability.
 

@@ -12,8 +12,9 @@ capacity questions a serving deployment adds on top:
   coalesced (the dynamic-batching win is exactly this histogram's
   mean), and how many batches had to be re-run request by request,
 * **tenancy** — active / peak concurrent client threads,
-* **recompiles in flight** — compile tickets currently owned, sampled
-  from the live servers' endpoints when the gauge is *read*,
+* **recompiles in flight** — endpoint functions whose compile lock is
+  held, sampled from the live servers' endpoints when the gauge is
+  *read*,
 * **end-to-end latency** — per-outcome (``ok`` / ``error`` /
   ``rejected``) submit → resolve latency over a trailing window,
   stamped where the request is resolved.
@@ -88,7 +89,7 @@ class ServingStats(View):
     def __init__(self, registry=None):
         registry = Registry() if registry is None else registry
         self._lock = lock = threading.Lock()
-        #: Live servers, asked for their compile tickets on read.
+        #: Live servers, asked for their compiles in flight on read.
         self._servers = weakref.WeakSet()
         #: One entry per thread inside ``Server.call``: entering is one
         #: (thread-safe) append and no lock.  The peak is taken, under
@@ -137,8 +138,8 @@ class ServingStats(View):
                 ("peak_clients", "Peak concurrent client threads.",
                  "threads", self._sample_peak),
                 ("recompiles_in_flight",
-                 "Compile tickets currently owned across endpoints.",
-                 "tickets", self._sample_recompiles),
+                 "Endpoint functions whose compile lock is held.",
+                 "compiles", self._sample_recompiles),
                 ("rejection_rate",
                  "Rejected / offered requests since start.", "ratio",
                  lambda: self.rejection_rate))}

@@ -626,7 +626,7 @@ class Server:
     # -- introspection / lifecycle -------------------------------------------
 
     def recompiles_in_flight(self):
-        """Compile tickets currently owned across all endpoints."""
+        """Endpoint functions whose compile lock is held."""
         return sum(getattr(endpoint.fn, "recompiles_in_flight", 0)
                    for endpoint in self._endpoints.values())
 

@@ -59,11 +59,14 @@ way on trees from :func:`random_tree`.
 
 :func:`assert_arguments_prechecked` is the suites' coverage check on
 what a program compiled to: every tensor argument of a generated graph
-is checked at cache retrieval, the one place it is checked.
+is checked at cache retrieval, the one place it is checked, and
+:func:`assert_quiescent` is their conservation check once every call
+has returned.
 """
 
 import linecache
 import random
+import threading
 
 import numpy as np
 
@@ -78,7 +81,7 @@ __all__ = [
     "LOOP_BODY", "RECURSE_BODY", "Gate", "TreeNode", "gen_program",
     "gen_loop_grad_program", "gen_recurse_grad_program", "random_tree",
     "mutation_pool", "apply_mutation", "vec",
-    "assert_arguments_prechecked",
+    "assert_arguments_prechecked", "assert_quiescent",
 ]
 
 
@@ -586,3 +589,18 @@ def assert_arguments_prechecked(entry):
             assert tuple(path) not in shapes, (path, out.shape)
         checked += 1
     return checked
+
+
+def assert_quiescent(functions, threads_before):
+    """At quiescence every call of each JANUS function in *functions*
+    ran exactly once — as a graph, imperatively or co-executed — no
+    caller holds a compile lock, and no thread the run started is still
+    alive (*threads_before*: ``threading.active_count()`` before it)."""
+    for f in functions:
+        stats = f.stats
+        assert stats["calls"] == stats["graph_runs"] \
+            + stats["imperative_runs"] + stats["coexec_runs"], \
+            (f.__name__, dict(stats))
+        assert f.recompiles_in_flight == 0, f.__name__
+    assert threading.active_count() == threads_before, \
+        [t.name for t in threading.enumerate()]

@@ -16,14 +16,15 @@ be ``np.array_equal``.
 
 import linecache
 import random
+import threading
 
 import numpy as np
 
 import repro as R
 from repro import janus
 
-from progen import (CLEANUP_MIX, apply_mutation, gen_program,
-                    mutation_pool, vec)
+from progen import (CLEANUP_MIX, apply_mutation, assert_quiescent,
+                    gen_program, mutation_pool, vec)
 
 #: Seeded programs; each runs both arms.
 SEEDS = 100
@@ -37,6 +38,7 @@ def _heap(m):
 
 def _run_arm(seed, arm):
     """One arm's (output, heap) per call, and its stats."""
+    threads_before = threading.active_count()
     prog, m, used, has_branch, filename = gen_program(
         seed, "clean-%s" % arm, mix=CLEANUP_MIX)
     rng = random.Random(13_000 + seed)
@@ -70,6 +72,8 @@ def _run_arm(seed, arm):
             # second and third run the regenerated graph.
             for _ in range(3):
                 call()
+        if arm == "janus":
+            assert_quiescent([prog], threads_before)
     finally:
         linecache.cache.pop(filename, None)
     return trace, stats

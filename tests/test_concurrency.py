@@ -8,9 +8,10 @@ concurrent callers:
   speculate → guard → fallback machinery never leaks a wrong value to
   any caller, no matter how calls interleave with compiles and swaps),
 * **single-flight compilation** — a cold-start stampede or an
-  assumption-failure storm elects exactly one compile per signature;
-  every other caller is served by the imperative fallback instead of
-  duplicating graph generation,
+  assumption-failure storm elects exactly one compile or relaxation;
+  every other caller, whatever its signature, is served by the
+  imperative fallback instead of duplicating graph generation or
+  waiting on it,
 * **no lost updates** — the stats/health/memo accounting survives the
   races that the old unlocked read-modify-write paths lost (the retired
   ``_MEMO_COUNTS`` flush being the canonical offender):
@@ -19,9 +20,9 @@ concurrent callers:
 The differential section reuses the seeded-program approach of
 ``test_write_barrier_differential``: generated programs over a heap
 model run in 4 threads against the imperative oracle.  The storm
-section forces a burned-constant guard failure under
-``recompile_workers=1`` and asserts exactly one recompile ticket while
-the stale window is served by fallbacks.
+section forces a burned-constant guard failure and asserts exactly one
+recompile ticket while the stale window is served by fallbacks.  Each
+ends with :func:`progen.assert_quiescent`.
 
 The last section stresses the serving layer's leader/follower dispatch
 (:mod:`repro.serving`): client threads are the only threads there are,
@@ -40,7 +41,8 @@ import pytest
 
 import repro as R
 from repro import janus
-from repro.janus.concurrency import RWLock, TicketTable, recompile_pool
+from repro.janus.concurrency import RWLock
+from repro.janus.graphgen import GraphGenerator
 from repro.observability import SERVING, clear, counter_values
 from repro.serving import Server, ServingConfig
 
@@ -130,27 +132,14 @@ class TestPrimitives:
         t.join(5.0)
         assert log == ["write", "read"]
 
-    def test_ticket_table_single_flight(self):
-        table = TicketTable()
-        wins = [table.claim("sig") for _ in range(5)]
-        assert wins == [True, False, False, False, False]
-        assert len(table) == 1
-        table.release("sig")
-        assert len(table) == 0
-        assert table.claim("sig")
-
-    def test_recompile_pool_shared(self):
-        pool = recompile_pool(2)
-        assert recompile_pool(2) is pool
-        assert pool.submit(lambda: 21 * 2).result(5.0) == 42
-
 
 # -- seeded threaded differential --------------------------------------------
 
 # Shared seeded generator (tests/progen.py): CONCURRENCY_MIX reproduces
 # the historical inline generator stream-for-stream — 4-kind pool, no
 # t/t2 aliasing, model built t, w, gain, var.
-from progen import CONCURRENCY_MIX, gen_program, vec as _vec  # noqa: E402
+from progen import (CONCURRENCY_MIX, assert_quiescent,  # noqa: E402
+                    gen_program, vec as _vec)
 
 
 def _gen_program(seed):
@@ -159,18 +148,11 @@ def _gen_program(seed):
     return prog, filename
 
 
-def _settle(f):
-    """Wait for any background regeneration of *f* to publish."""
-    deadline = time.time() + 10.0
-    while f.recompiles_in_flight and time.time() < deadline:
-        time.sleep(0.01)
-
-
-def _differential_one(seed, recompile_workers):
+def _differential_one(seed):
+    threads_before = threading.active_count()
     prog, filename = _gen_program(seed)
     nprng = np.random.default_rng(50_000 + seed)
-    cfg = strict(profile_runs=2, recompile_workers=recompile_workers)
-    f = janus.function(config=cfg)(prog)
+    f = janus.function(config=strict(profile_runs=2))(prog)
 
     # Distinct inputs, both branch directions represented; the oracle
     # outputs come from the pure imperative function, single-threaded.
@@ -191,11 +173,7 @@ def _differential_one(seed, recompile_workers):
         errors = _run_threads(THREADS, client)
         assert not errors, (seed, errors)
 
-        # With background workers the client calls can all finish
-        # before the regeneration publishes: wait for it, then one more
-        # oracle-checked call per input runs whatever was published.
-        _settle(f)
-        assert f.recompiles_in_flight == 0
+        # One more oracle-checked call per input, single-threaded.
         for x, expect in zip(inputs, oracle):
             assert np.array_equal(f(x).numpy(), expect), seed
 
@@ -208,25 +186,23 @@ def _differential_one(seed, recompile_workers):
         assert stats["graph_runs"] + stats["imperative_runs"] \
             + stats["coexec_runs"] == total, stats
         assert stats["graph_runs"] > 0, stats
+        assert_quiescent([f], threads_before)
     finally:
-        _settle(f)      # nothing may still be converting at teardown
         linecache.cache.pop(filename, None)
 
 
 class TestThreadedDifferential:
     @pytest.mark.parametrize("seed", range(SEEDS))
     def test_threads_match_single_thread_oracle(self, seed):
-        _differential_one(seed, recompile_workers=0)
-
-    @pytest.mark.parametrize("seed", range(0, SEEDS, 3))
-    def test_threads_match_oracle_with_background_recompile(self, seed):
-        _differential_one(seed, recompile_workers=1)
+        _differential_one(seed)
 
 
 # -- cold-start stampede ------------------------------------------------------
 
 class TestColdStartStampede:
     def test_stampede_compiles_once(self):
+        threads_before = threading.active_count()
+
         @janus.function(config=strict(profile_runs=2))
         def f(x):
             y = x * 2.0
@@ -253,19 +229,18 @@ class TestColdStartStampede:
                 + f.stats["imperative_runs"]) == 10, f.stats
         assert np.array_equal(f(x).numpy(), expect)
         assert f.stats["graph_runs"] >= 1
+        assert_quiescent([f], threads_before)
 
 
 # -- assumption-failure storm -------------------------------------------------
 
 class TestFailureStorm:
-    def _storm(self, recompile_workers):
+    def test_storm_inline_mode_still_single_ticket(self):
+        threads_before = threading.active_count()
         knob = type("K", (), {})()
         knob.scale = 3.0
 
-        cfg = strict(profile_runs=2,
-                     recompile_workers=recompile_workers)
-
-        @janus.function(config=cfg)
+        @janus.function(config=strict(profile_runs=2))
         def g(x):
             return x * knob.scale
 
@@ -283,44 +258,95 @@ class TestFailureStorm:
             assert np.array_equal(out.numpy(), expect)
 
         assert not _run_threads(8, client)
-        return g, x, expect, before, base_generated
-
-    def test_storm_elects_exactly_one_recompile_ticket(self):
-        g, x, expect, before, base_generated = self._storm(
-            recompile_workers=1)
-
-        # Exactly one caller won the recompile ticket; the regeneration
-        # ran on the background pool while the rest fell back.
+        # Every caller pinned to the failing graph fell back, but only
+        # the one that retired it relaxed: one recompile ticket.
         assert g.stats["recompile_tickets"] == 1, g.stats
         assert counters()["dispatch.recompile_tickets"] \
             - before.get("dispatch.recompile_tickets", 0) == 1
-        assert counters()["dispatch.background_recompiles"] \
-            - before.get("dispatch.background_recompiles", 0) == 1
         assert g.stats["fallbacks"] >= 1
-
-        # Wait for the background publish, then the relaxed graph serves.
-        _settle(g)
-        assert g.recompiles_in_flight == 0
-        assert g.stats["graphs_generated"] == base_generated + 1, g.stats
-
-        graph_runs = g.stats["graph_runs"]
-        assert np.array_equal(g(x).numpy(), expect)
-        assert g.stats["graph_runs"] == graph_runs + 1
-
-    def test_storm_inline_mode_still_single_ticket(self):
-        # recompile_workers=0: the ticket is released after retire and
-        # the next call regenerates inline — but the storm itself must
-        # still elect only one failure-path winner.
-        g, x, expect, before, base_generated = self._storm(
-            recompile_workers=0)
-        assert g.stats["recompile_tickets"] == 1, g.stats
-        assert counters()["dispatch.recompile_tickets"] \
-            - before.get("dispatch.recompile_tickets", 0) == 1
         # Post-storm calls regenerate (possibly already during the
-        # storm, under the cold-path single-flight ticket).
+        # storm, by a caller that got the compile lock).
         assert np.array_equal(g(x).numpy(), expect)
         assert np.array_equal(g(x).numpy(), expect)
-        assert g.stats["graphs_generated"] >= base_generated + 1
+        assert g.stats["graphs_generated"] == base_generated + 1, g.stats
+        assert_quiescent([g], threads_before)
+
+
+# -- the compile lock -----------------------------------------------------------
+
+class TestCompileLock:
+    def test_other_signature_never_waits_on_a_compile(self, monkeypatch):
+        """While signature A compiles, a call with signature B (profiled,
+        never compiled) is served imperatively at once: it does not
+        wait behind A's compile."""
+        threads_before = threading.active_count()
+
+        @janus.function(config=strict(profile_runs=2))
+        def f(x):
+            return R.reduce_sum(x * 2.0)
+
+        a = R.constant(np.ones(4, np.float32))
+        b = R.constant(np.ones((2, 4), np.float32))
+        f(a)
+        f(b)                       # both signatures profiled
+        sig_a = f.cache.signature_of((a,))
+        entered, release = threading.Event(), threading.Event()
+        generate = GraphGenerator.generate
+
+        def held(self):
+            if self.signature == sig_a:
+                entered.set()
+                release.wait(10.0)
+            return generate(self)
+
+        monkeypatch.setattr(GraphGenerator, "generate", held)
+        out = []
+        compiling = threading.Thread(target=f, args=(a,))
+        caller = threading.Thread(target=lambda: out.append(f(b)))
+        compiling.start()
+        try:
+            assert entered.wait(10.0)
+            caller.start()
+            caller.join(1.0)
+            assert not caller.is_alive(), "B waited on A's compile"
+            assert np.array_equal(out[0].numpy(), f.func(b).numpy())
+            assert f.stats["stampede_fallbacks"] == 1, f.stats
+            assert f.recompiles_in_flight == 1
+        finally:
+            release.set()
+            compiling.join(10.0)
+            if caller.is_alive():
+                caller.join(10.0)
+        assert not compiling.is_alive() and not caller.is_alive()
+        assert f.stats["graphs_generated"] == 1, f.stats
+        assert_quiescent([f], threads_before)
+
+    def test_stale_pinned_failure_retires_only_its_own_entry(self):
+        """A caller still running a retired graph fails its guard; it
+        falls back, but neither relaxes again nor retires the graph
+        that replaced it."""
+        knob = type("K", (), {})()
+        knob.scale = 3.0
+
+        @janus.function(config=strict(profile_runs=2))
+        def g(x):
+            return x * knob.scale
+
+        x = R.constant(np.linspace(-1.0, 1.0, 8).astype(np.float32))
+        warm(g, x, n=3)
+        signature = g.cache.signature_of((x,))
+        stale = g.cache.lookup(signature)
+        knob.scale = 5.0
+        outs = [g(x) for _ in range(3)]    # fallback, regeneration, hit
+        fresh = g.cache.lookup(signature)
+        assert fresh is not stale
+        outs.append(g._run_graph(stale, (x,), signature))
+        assert g.cache.lookup(signature) is fresh
+        outs += [g(x) for _ in range(2)]
+        for out in outs:
+            assert np.array_equal(out.numpy(), x.numpy() * 5.0)
+        assert g.stats["graphs_generated"] == 2, g.stats
+        assert g.stats["recompile_tickets"] == 1, g.stats
 
 
 # -- accounting under contention ----------------------------------------------

@@ -12,7 +12,6 @@ other at quiescence; the tests after it pin the individual corrections.
 import os
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -61,12 +60,6 @@ def _config(**kw):
 
 def _x(n=4, fill=1.0):
     return R.constant(np.full((n,), fill, np.float32))
-
-
-def _settle(f):
-    deadline = time.time() + 10.0
-    while f.recompiles_in_flight and time.time() < deadline:
-        time.sleep(0.01)
 
 
 def _scaled(**kw):
@@ -140,18 +133,6 @@ def assumption_failure_inline(tmp_path):
     for _ in range(3):           # fallback, regeneration, hit
         assert f(_x()).numpy()[0] == 5.0
     assert f.stats["fallbacks"] == 1 and f.stats["graphs_generated"] == 2
-    return [f]
-
-
-def assumption_failure_background(tmp_path):
-    f, knob = _scaled(recompile_workers=1)
-    for _ in range(4):
-        f(_x())
-    knob.scale = 5.0
-    f(_x())
-    _settle(f)
-    assert f(_x()).numpy()[0] == 5.0
-    assert f.stats["recompile_tickets"] == 1
     return [f]
 
 
@@ -258,7 +239,7 @@ def raising_coexec_call(tmp_path):
 
 
 EXITS = [profiling_run, warm_hit, precheck_miss, assumption_failure_inline,
-         assumption_failure_background, cold_stampede, imperative_only,
+         cold_stampede, imperative_only,
          co_executed, boundary_mismatch, disk_warm_start,
          raising_graph_run, raising_imperative_run, raising_coexec_call]
 
@@ -338,19 +319,22 @@ def test_warm_start_precheck_failure_is_a_cache_miss(tmp_path):
 
 
 def test_background_not_convertible_reaches_health(metrics_on):
-    f, knob = _scaled(recompile_workers=1)
+    """A regeneration that finds the body unconvertible leaves the
+    function, and its health row, imperative-only."""
+    f, knob = _scaled()
     for _ in range(4):
         f(_x())
 
     def unconvertible(x):
         yield x
 
-    # The regeneration the failure schedules finds a generator body.
+    # The regenerating call after the failure finds a generator body.
     f.func = unconvertible
     f._fragment_cache.clear()
     knob.scale = 5.0
-    f(_x())
-    _settle(f)
+    f(_x())                      # fallback: relax + retire
+    assert not f.imperative_only
+    f(_x())                      # regeneration: not convertible
     assert f.recompiles_in_flight == 0
     assert f.imperative_only
     assert HEALTH.function("scaled").imperative_only

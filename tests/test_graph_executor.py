@@ -759,15 +759,6 @@ class TestUsableCpus:
         ex.run([np.ones((4, 8), np.float32)])
         assert executor_mod._POOL is None
 
-        from repro.janus import concurrency
-        monkeypatch.setattr(concurrency, "_POOL", None)
-        monkeypatch.setattr(concurrency, "_POOL_WORKERS", 0)
-        pool = concurrency.recompile_pool(1)
-        try:
-            assert pool._max_workers == 1
-        finally:
-            pool.shutdown(wait=False)
-
 
 class TestNestedRun:
     def test_rejects_a_wrong_feed_count(self):

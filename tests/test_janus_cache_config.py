@@ -110,21 +110,23 @@ class TestJanusConfig:
 
     @pytest.mark.parametrize("kwarg", [
         "tensor_write_barrier", "incremental_regeneration",
-        "optimize_graph", "max_recursion_inline", "trace_level", "serving"])
+        "optimize_graph", "max_recursion_inline", "trace_level", "serving",
+        "recompile_workers"])
     def test_retired_path_switch(self, kwarg):
         """One path per mechanism: the write barrier, fragment splicing
         and the +SPCN passes are not options; nothing read the inline
         bound; a trace level is process-wide (JANUS_TRACE); a ``Server``
-        takes its own ``ServingConfig``."""
+        takes its own ``ServingConfig``; a regeneration runs on the next
+        caller, and no caller waits on it."""
         with pytest.raises(TypeError):
             JanusConfig(**{kwarg: True})
         assert not hasattr(JanusConfig(), kwarg)
         assert kwarg not in _CONFIG_KEY_FIELDS
 
-    def test_surface_is_twelve_fields(self):
-        """Six paper switches, three bounds, two deployment fields,
-        one test aid (README "Configuration")."""
-        assert len(inspect.signature(JanusConfig).parameters) == 12
+    def test_surface_is_eleven_fields(self):
+        """Six paper switches, three bounds, one deployment field, one
+        test aid (README "Configuration")."""
+        assert len(inspect.signature(JanusConfig).parameters) == 11
         cfg = JanusConfig()
         assert all(hasattr(cfg, name) for name in FIELDS)
         # The disk-cache key lists only fields that exist.

@@ -16,6 +16,7 @@ and draw a second dropout mask.
 
 import linecache
 import random
+import threading
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from repro import janus, nn
 from repro.modes import ImperativeStep
 from repro.ops import random_ops
 
-from progen import gen_loop_grad_program
+from progen import assert_quiescent, gen_loop_grad_program
 
 #: Seeded programs; each runs both arms.
 SEEDS = 100
@@ -48,6 +49,7 @@ def _state(m):
 
 
 def _run_arm(seed, arm):
+    threads_before = threading.active_count()
     loss, m, used, filename = gen_loop_grad_program(seed, arm)
     nprng = np.random.default_rng(250_000 + seed)
     batches = [nprng.normal(size=(n, 4)).astype(np.float32)
@@ -64,6 +66,8 @@ def _run_arm(seed, arm):
             random_ops.seed(k)
             out = step(R.constant(xs))
             trace.append([out.numpy().copy()] + _state(m))
+        if arm == "janus":
+            assert_quiescent([step], threads_before)
     finally:
         linecache.cache.pop(filename, None)
     return trace, used, getattr(step, "stats", None)

@@ -15,6 +15,7 @@ write the counter and the Variable twice and draw a second dropout mask.
 
 import linecache
 import random
+import threading
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from repro import janus, nn
 from repro.modes import ImperativeStep
 from repro.ops import random_ops
 
-from progen import gen_recurse_grad_program, random_tree
+from progen import (assert_quiescent, gen_recurse_grad_program,
+                    random_tree)
 
 #: Seeded programs; each runs both arms.
 SEEDS = 100
@@ -47,6 +49,7 @@ def _state(m):
 
 
 def _run_arm(seed, arm):
+    threads_before = threading.active_count()
     loss, m, used, filename = gen_recurse_grad_program(seed, arm)
     opt = nn.SGD(0.01)
     if arm == "janus":
@@ -60,6 +63,8 @@ def _run_arm(seed, arm):
             random_ops.seed(k)
             out = step(root)
             trace.append([out.numpy().copy()] + _state(m))
+        if arm == "janus":
+            assert_quiescent([step], threads_before)
     finally:
         linecache.cache.pop(filename, None)
     return trace, used, step

@@ -29,6 +29,7 @@ options), so ``SEEDS`` distinct programs run on it: >= 200 programs.
 
 import linecache
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def _traced():
 
 from progen import (GUARDED as _GUARDED,                # noqa: E402
                     apply_mutation as _apply_mutation,
-                    assert_arguments_prechecked,
+                    assert_arguments_prechecked, assert_quiescent,
                     gen_program as _gen_program,
                     mutation_pool as _mutation_pool, vec as _vec)
 
@@ -85,6 +86,7 @@ def _assert_entries_prechecked(f):
 
 
 def _run_program(seed):
+    threads_before = threading.active_count()
     prog, m, used, has_branch, filename = _gen_program(seed)
     rng = random.Random(7_000 + seed)
     nprng = np.random.default_rng(20_000 + seed)
@@ -129,6 +131,7 @@ def _run_program(seed):
                       + delta(before_counters, "executor.memo_stale"))
             if kind in _GUARDED:
                 assert signal >= 1, (seed, kind, f.stats)
+        assert_quiescent([f], threads_before)
     finally:
         linecache.cache.pop(filename, None)
     return tracked_after_warm, checked
