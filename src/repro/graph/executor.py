@@ -4,13 +4,16 @@ Compiles a graph into a flat closure program and runs it over numpy
 buffers.  Every SSA value has a preallocated register slot in one flat
 ``values`` list and every instruction — registered op, fused kernel,
 heap access, variable access, functional control flow — is a pre-bound
-``fn(values, run_state)`` closure, so the run loop is
-``for fn in program: fn(values, run_state)``: all instruction-kind
-dispatch happens once at compile time, none per run.  This is the one
-execution tier; the JANUS path and the symbolic baseline share it.
-Three properties reproduce the paper's execution model:
+``fn(values, run_state)`` closure: all instruction-kind dispatch
+happens once at compile time, none per run.  That closure list is the
+per-op form, which the level schedule and level-2 tracing run; an
+in-order run calls one generated function per executor instead
+(:func:`_render`), with registered-op kernels called inline and every
+other node as a call of its closure.  This is the one execution tier;
+the JANUS path and the symbolic baseline share it.  Three properties
+reproduce the paper's execution model:
 
-* **Low per-op overhead** — running a node costs one closure call plus
+* **Low per-op overhead** — running an op costs its kernel call plus
   list indexing, unlike the eager executor's full dispatch path.  This
   is the BASE speedup of figure 7 and the "only residual cost is
   checking the assumptions" claim of section 4.3.
@@ -28,6 +31,7 @@ Three properties reproduce the paper's execution model:
 See docs/compilation.md ("Mechanism 4: the executed form").
 """
 
+import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -39,6 +43,7 @@ from ..errors import AssumptionFailed, ExecutionError, GraphError
 from ..observability import COUNTERS, METRICS, TRACER
 from ..tensor import TensorValue, PyRef
 from .core import EFFECT_OPS
+from .passes import compile_cached
 
 _POOL_LOCK = threading.Lock()
 _POOL = None
@@ -330,6 +335,7 @@ class GraphExecutor:
         self._slot_count = slot_count
 
         scheduled = []   # (node, closure), in schedule order
+        slots = []       # (in_slots, out_slots), aligned with scheduled
         self._placeholder_slots = {}
         for node in order:
             if node in bound:
@@ -341,8 +347,13 @@ class GraphExecutor:
             fn = self._compile_node(node, in_slots, out_slots)
             if fn is not None:
                 scheduled.append((node, fn))
-        #: The flat program: one ``fn(values, run_state)`` per node.
+                slots.append((in_slots, out_slots))
+        #: The per-op program: one ``fn(values, run_state)`` per node,
+        #: what the level schedule and level-2 tracing run.
         self._program = [fn for _, fn in scheduled]
+        #: The same program as one generated function (:func:`_render`),
+        #: what an untraced in-order run calls.
+        self._rendered = _render(scheduled, slots)
         #: Aligned with _program; consumed by level-2 op tracing.
         self._labels = [(node.op_name, node.debug_name)
                         for node, _ in scheduled]
@@ -365,8 +376,7 @@ class GraphExecutor:
             self._placeholder_slots[node.attrs["ph_name"]] = out_slots[0]
             return None
         if op == "constant":
-            value = node.constant_value
-            raw = value.array if isinstance(value, TensorValue) else value
+            raw = _constant_raw(node)
             slot = out_slots[0]
 
             def run_const(values, run_state, raw=raw, slot=slot):
@@ -416,6 +426,8 @@ class GraphExecutor:
         Binding slots and kernel at compile time removes the per-node
         tuple unpacking and dispatch from the hot loop — the 'low per-op
         overhead' property the symbolic executor owes its BASE speedup to.
+        This is the per-op form; :func:`_render` inlines the same call
+        and coercion for an in-order run.
         """
         asarray = np.asarray
         ndarray = np.ndarray
@@ -790,8 +802,7 @@ class GraphExecutor:
         elif TRACER.level >= 2:
             self._run_traced(values, run_state)
         else:
-            for fn in self._program:
-                fn(values, run_state)
+            self._rendered(values, run_state)
 
         outputs = [values[s] for s in self._output_slots]
         run_state.commit()
@@ -821,8 +832,7 @@ class GraphExecutor:
         if TRACER.level >= 2:
             self._run_traced(values, run_state)
         else:
-            for fn in self._program:
-                fn(values, run_state)
+            self._rendered(values, run_state)
         return values
 
     def _bind(self, feeds):
@@ -905,6 +915,83 @@ class GraphExecutor:
         # No level measuring or kept: leave the level schedule for good.
         if all(level.verdict is False for level in self._candidates):
             self.parallel = False
+
+
+def _constant_raw(node):
+    """The value a constant node stores, in executor-internal form."""
+    value = node.constant_value
+    return value.array if isinstance(value, TensorValue) else value
+
+
+#: Numbers the linecache names of rendered programs.
+_RENDER_COUNTER = itertools.count()
+
+
+def _render(scheduled, slots):
+    """The program ``scheduled`` as one generated ``_rendered(v, rs)``.
+
+    ``scheduled`` holds ``(node, closure)`` in schedule order and
+    ``slots`` each one's ``(in_slots, out_slots)``.  A single-output
+    registered op (fused ones included) becomes two lines: a call of its
+    kernel with its attrs — or of its OpDef's attrs-free ``direct``
+    callable — and the coercion :meth:`GraphExecutor._make_op_closure`
+    applies, so results are the closures' bit for bit.  A constant is
+    stored from a binding.  Every other node — variable and heap access
+    with their guards and memo, calls, control flow, gradient replay,
+    a multi-output op — is a call of its closure.  An input an earlier
+    line computed is read from a local, any other from the register
+    file, and every output still lands in ``v``: records, replays,
+    closures and the outputs read the register file.
+
+    Kernels, attrs, constants and closures are parameters of a binding
+    function named by schedule position, so programs of one structure
+    render the same source and share one code object
+    (:func:`~repro.graph.passes.compile_cached`); each program is one
+    call of the binding function over its own values.
+    """
+    params = ["_nd", "_as"]
+    bindings = [np.ndarray, np.asarray]
+    body = []
+    local = set()
+    for i, ((node, fn), (in_slots, out_slots)) in enumerate(
+            zip(scheduled, slots)):
+        op_def = node.op_def
+        if node.op_name == "constant":
+            slot, = out_slots
+            params.append("c%d" % i)
+            bindings.append(_constant_raw(node))
+            body.append("s%d = v[%d] = c%d" % (slot, slot, i))
+            local.add(slot)
+        elif op_def is not None and len(out_slots) == 1:
+            args = ["s%d" % s if s in local else "v[%d]" % s
+                    for s in in_slots]
+            params.append("k%d" % i)
+            if op_def.direct is not None:
+                bindings.append(op_def.direct)
+            else:
+                bindings.append(op_def.kernel)
+                params.append("a%d" % i)
+                bindings.append(node.attrs)
+                args.insert(0, "a%d" % i)
+            slot, = out_slots
+            body.append("r = k%d(%s)" % (i, ", ".join(args)))
+            body.append("s%d = v[%d] = r if r.__class__ is _nd else _as(r)"
+                        % (slot, slot))
+            local.add(slot)
+        else:
+            params.append("f%d" % i)
+            bindings.append(fn)
+            body.append("f%d(v, rs)" % i)
+    lines = ["def _bind(%s):" % ", ".join(params),
+             "    def _rendered(v, rs):"]
+    lines.extend("        " + line for line in body or ["pass"])
+    lines.append("    return _rendered")
+    source = "\n".join(lines) + "\n"
+    code, _ = compile_cached(
+        source, "<janus-render-%d>" % next(_RENDER_COUNTER))
+    namespace = {}
+    exec(code, namespace)
+    return namespace["_bind"](*bindings)
 
 
 def _run_check(check, raw):

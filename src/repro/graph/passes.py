@@ -345,19 +345,42 @@ ELEMENTWISE_OPS = frozenset([
 
 _FUSED_COUNTER = itertools.count()
 
-#: ``source text -> (code object, linecache filename)``.  The same op
-#: chain with the same wiring generates byte-identical source (kernels
-#: and attrs are reached through namespace bindings, not literals), and
-#: chains repeat heavily — unrolled RNN cells, per-topology TreeNN
-#: regenerations — so caching ``compile()`` output cuts the dominant
-#: cost of fusing a recompile-heavy workload.  Bounded crudely: emptied,
-#: together with the sources it registered in :mod:`linecache`, when it
-#: outgrows _CODE_CACHE_MAX distinct shapes.  Guarded by a lock:
+#: ``source text -> (code object, linecache filename)``.  Generated
+#: source — fused kernels, rendered executor programs — is byte-identical
+#: for identical structure (kernels and attrs are reached through
+#: namespace bindings, not literals), and structures repeat heavily —
+#: unrolled RNN cells, per-topology TreeNN regenerations, the same model
+#: built again — so caching ``compile()`` output cuts the dominant cost
+#: of generating code for a recompile-heavy workload.  Bounded crudely:
+#: emptied, together with the sources it registered in :mod:`linecache`,
+#: when it outgrows _CODE_CACHE_MAX distinct sources.  Guarded by a lock:
 #: different functions compile concurrently (each under its own compile
 #: lock), and the clear-then-store sequence must not interleave.
 _CODE_CACHE = {}
 _CODE_CACHE_MAX = 512
 _CODE_CACHE_LOCK = threading.Lock()
+
+
+def compile_cached(source, source_name):
+    """``(code, name)`` for generated ``source``, compiled once per text.
+
+    A new source is registered in :mod:`linecache` as ``source_name``, so
+    tracebacks and profilers show its lines; a source seen before
+    returns the code object and name of its first compile.
+    """
+    with _CODE_CACHE_LOCK:
+        cached = _CODE_CACHE.get(source)
+        if cached is None:
+            if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
+                for _, evicted_name in _CODE_CACHE.values():
+                    linecache.cache.pop(evicted_name, None)
+                _CODE_CACHE.clear()
+            linecache.cache[source_name] = (len(source), None,
+                                            source.splitlines(True),
+                                            source_name)
+            cached = (compile(source, source_name, "exec"), source_name)
+            _CODE_CACHE[source] = cached
+    return cached
 
 
 def fused_kernel_opdef(members, ext_index):
@@ -371,8 +394,9 @@ def fused_kernel_opdef(members, ext_index):
     ``source_name`` is the linecache-registered filename of the
     generated source (so tracebacks and profilers can see the body).
 
-    The generated body coerces every intermediate exactly like
-    ``GraphExecutor._make_op_closure`` coerces op results
+    A member whose OpDef has a ``direct`` callable is called without its
+    ``attrs``.  The generated body coerces every intermediate exactly
+    like an executor coerces op results
     (``r if type(r) is ndarray else asarray(r)``), so a fused chain is
     bit-for-bit identical to running the member kernels node by node.
     """
@@ -382,36 +406,27 @@ def fused_kernel_opdef(members, ext_index):
     namespace = {"_nd": np.ndarray, "_as": np.asarray}
     local = {}
     for i, node in enumerate(members):
-        kname, aname = "_k%d" % i, "_a%d" % i
-        namespace[kname] = node.op_def.kernel
-        namespace[aname] = node.attrs
+        kname = "_k%d" % i
         args = []
+        direct = node.op_def.direct
+        if direct is not None:
+            namespace[kname] = direct
+        else:
+            namespace[kname] = node.op_def.kernel
+            namespace["_a%d" % i] = node.attrs
+            args.append("_a%d" % i)
         for inp in node.inputs:
             edge = (id(inp.node), inp.index)
             name = local.get(edge)
             args.append(name if name is not None
                         else "x%d" % ext_index[edge])
-        lines.append("    v%d = %s(%s, %s)" % (i, kname, aname,
-                                               ", ".join(args)))
+        lines.append("    v%d = %s(%s)" % (i, kname, ", ".join(args)))
         lines.append("    if v%d.__class__ is not _nd: v%d = _as(v%d)"
                      % (i, i, i))
         local[(id(node), 0)] = "v%d" % i
     lines.append("    return v%d" % (len(members) - 1))
     source = "\n".join(lines) + "\n"
-    with _CODE_CACHE_LOCK:
-        cached = _CODE_CACHE.get(source)
-        if cached is None:
-            if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-                for _, evicted_name in _CODE_CACHE.values():
-                    linecache.cache.pop(evicted_name, None)
-                _CODE_CACHE.clear()
-            source_name = "<janus-fused-%d>" % uid
-            linecache.cache[source_name] = (len(source), None,
-                                            source.splitlines(True),
-                                            source_name)
-            cached = (compile(source, source_name, "exec"), source_name)
-            _CODE_CACHE[source] = cached
-    code, source_name = cached
+    code, source_name = compile_cached(source, "<janus-fused-%d>" % uid)
     exec(code, namespace)
 
     root_out = members[-1].outputs[0]

@@ -258,13 +258,26 @@ GATHER = register_op("gather", kernel=_gather_kernel,
 def _gather_grad_kernel(attrs, grad, indices, ref):
     axis = attrs.get("axis", 0)
     out = np.zeros_like(ref, dtype=grad.dtype)
+    if axis == 0:
+        # ``out[indices]`` has ``grad``'s shape: no axis to move and no
+        # index to flatten.  ``np.add.at`` visits ``indices`` in C
+        # order, the order of ``_scatter_add``'s flat index, so the sums
+        # agree bit for bit.
+        np.add.at(out, indices, grad)
+    else:
+        _scatter_add(out, axis, indices, grad)
+    return out
+
+
+def _scatter_add(out, axis, indices, grad):
+    """``out`` += ``grad`` scattered along ``axis`` at ``indices``: the
+    general form, over a flat index with ``axis`` moved to the front."""
     moved = np.moveaxis(out, axis, 0)
     flat_idx = indices.reshape(-1)
     g = np.moveaxis(grad, tuple(range(axis, axis + indices.ndim)),
                     tuple(range(indices.ndim)))
     g = g.reshape((flat_idx.size,) + moved.shape[1:])
     np.add.at(moved, flat_idx, g)
-    return out
 
 
 GATHER_GRAD = register_op(

@@ -44,14 +44,16 @@ def _binary(name, fn, dtype_fn=_promote, commutative=False):
         name,
         kernel=lambda attrs, a, b: fn(a, b),
         shape_fn=_broadcast_shape_fn(dtype_fn),
-        commutative=commutative)
+        commutative=commutative,
+        direct=fn)
 
 
 def _unary(name, fn, dtype_fn=_same):
     return register_op(
         name,
         kernel=lambda attrs, a: fn(a),
-        shape_fn=_unary_shape_fn(dtype_fn))
+        shape_fn=_unary_shape_fn(dtype_fn),
+        direct=fn)
 
 
 def _true_div(a, b):

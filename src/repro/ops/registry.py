@@ -4,7 +4,9 @@ Every primitive operation in the system — whether executed eagerly, run by
 the dataflow graph executor, or differentiated — is described once by an
 ``OpDef``:
 
-* ``kernel(attrs, *arrays)``: the numpy forward computation,
+* ``kernel(attrs, *arrays)``: the numpy forward computation (and, for
+  the thin elementwise ops, ``direct(*arrays)``: the attrs-free callable
+  the kernel wraps, which compiled programs call without the wrapper),
 * ``shape_fn(attrs, input_shapes, input_dtypes)``: static shape/dtype
   inference over possibly-partial shapes (used by the graph generator and
   the specialization machinery),
@@ -23,12 +25,15 @@ class OpDef:
     """Immutable description of a primitive operation."""
 
     __slots__ = ("name", "kernel", "shape_fn", "grad_fn", "num_outputs",
-                 "stateful", "commutative")
+                 "stateful", "commutative", "direct")
 
     def __init__(self, name, kernel, shape_fn, grad_fn=None, num_outputs=1,
-                 stateful=False, commutative=False):
+                 stateful=False, commutative=False, direct=None):
         self.name = name
         self.kernel = kernel
+        #: ``kernel`` without its ``attrs`` parameter, when the kernel
+        #: only forwards its arrays to it; None otherwise.
+        self.direct = direct
         self.shape_fn = shape_fn
         self.grad_fn = grad_fn
         self.num_outputs = num_outputs
@@ -57,12 +62,12 @@ _REGISTRY = {}
 
 
 def register_op(name, kernel, shape_fn, num_outputs=1, stateful=False,
-                commutative=False):
+                commutative=False, direct=None):
     """Register a new primitive op; returns the OpDef."""
     if name in _REGISTRY:
         raise GraphError("op %r registered twice" % name)
     op_def = OpDef(name, kernel, shape_fn, None, num_outputs, stateful,
-                   commutative)
+                   commutative, direct)
     _REGISTRY[name] = op_def
     return op_def
 

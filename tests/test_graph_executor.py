@@ -1,21 +1,25 @@
-"""Graph executor: feeds, commits, all-or-nothing aborts, parallelism."""
+"""Graph executor: feeds, commits, all-or-nothing aborts, parallelism,
+the rendered program."""
 
+import linecache
 import os
 import sys
 import threading
 import time
+import traceback
 
 import numpy as np
 import pytest
 
 import repro as R
-from repro import host
+from repro import host, nn
 from repro.errors import AssumptionFailed, ExecutionError
-from repro.graph import GraphBuilder, GraphExecutor, autodiff
+from repro.graph import GraphBuilder, GraphExecutor, autodiff, passes
 from repro.graph import executor as executor_mod
 from repro.graph.core import GraphFunction
+from repro.modes import make_step
 from repro.observability import TRACER, counter_values, override_level
-from repro.ops import api
+from repro.ops import api, random_ops
 from repro.tensor import PyRef, TensorValue
 
 
@@ -960,3 +964,122 @@ class TestInternalize:
     def test_truth_is_bool_of_np_all(self, pred):
         pred = np.asarray(pred)
         assert executor_mod._truth(pred) is bool(np.all(pred))
+
+
+_LEDGER = os.path.join(os.path.dirname(__file__), os.pardir,
+                       "benchmarks", "ledger")
+
+
+def _ledger_programs():
+    sys.path.insert(0, _LEDGER)
+    try:
+        import programs
+    finally:
+        sys.path.remove(_LEDGER)
+    return programs
+
+
+def _closure_loops(monkeypatch):
+    """Compile every executor from here on with the per-op program run
+    as the plain loop over its closures, in place of
+    :func:`executor._render`; returns the list of loops made."""
+    loops = []
+
+    def render(scheduled, slots):
+        program = [fn for _, fn in scheduled]
+
+        def loop(v, rs):
+            loop.runs += 1
+            for fn in program:
+                fn(v, rs)
+        loop.runs = 0
+        loops.append(loop)
+        return loop
+    monkeypatch.setattr(executor_mod, "_render", render)
+    return loops
+
+
+class TestRenderedProgram:
+    """The generated function of each executor runs what its closure
+    list runs: same outputs, same state, bit for bit."""
+
+    def _train(self, name, steps=2):
+        """``(step, per-step outputs, final Variable arrays)`` of a
+        fresh ledger program: three passes to warm it, then ``steps``
+        more, each step reseeded."""
+        programs = _ledger_programs()
+        program = programs.TRAIN_PROGRAMS[name]
+        model = program.make_model(programs.MODEL_SEED)
+        step = make_step(program.make_loss(model), nn.SGD(0.01), "janus",
+                         config=R.janus.JanusConfig(
+                             parallel_execution=False))
+        outputs = []
+        k = 0
+        for _ in range(3 + steps):
+            for batch in program.make_batches(1):
+                random_ops.seed(k)
+                k += 1
+                outputs.append(step(*batch))
+        assert step.stats["graph_runs"] > 0
+        return step, outputs, [v.storage.array for v in model.variables]
+
+    @staticmethod
+    def _assert_same(a, b):
+        if isinstance(a, (tuple, list)):
+            assert type(a) is type(b) and len(a) == len(b)
+            for x, y in zip(a, b):
+                TestRenderedProgram._assert_same(x, y)
+            return
+        x = np.asarray(a.numpy() if isinstance(a, R.Tensor) else a)
+        y = np.asarray(b.numpy() if isinstance(b, R.Tensor) else b)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("name", ["A3C", "TreeRNN"])
+    def test_rendered_equals_closure_loop(self, name, monkeypatch):
+        """A3C: a fused top-level graph and a loop gradient; TreeRNN: a
+        recursive gradient (invoke and cond replays)."""
+        step, rendered_out, rendered_vars = self._train(name)
+        entries = [entry for _, entry in step.cache.entries()]
+        assert any(node.op_name == "fused"
+                   for entry in entries
+                   for node in entry.compiled.executor.graph.nodes)
+        for entry in entries:
+            code = entry.compiled.executor._rendered.__code__
+            assert code.co_filename.startswith("<janus-render-")
+
+        loops = _closure_loops(monkeypatch)
+        _, loop_out, loop_vars = self._train(name)
+        # Every executor of the second model, nested and replay ones
+        # too, was compiled under the stand-in.
+        assert len(loops) > len(entries)
+        assert sum(loop.runs for loop in loops) > len(loop_out)
+        self._assert_same(rendered_out, loop_out)
+        self._assert_same(rendered_vars, loop_vars)
+
+    def test_same_model_twice_compiles_no_new_source(self, monkeypatch):
+        monkeypatch.setattr(passes, "_CODE_CACHE", {})
+        first, _, _ = self._train("TreeRNN", steps=0)
+        sources = dict(passes._CODE_CACHE)
+        assert any(name.startswith("<janus-render-")
+                   for _, name in sources.values())
+        second, _, _ = self._train("TreeRNN", steps=0)
+        assert passes._CODE_CACHE == sources
+        codes = [{id(entry.compiled.executor._rendered.__code__)
+                  for _, entry in step.cache.entries()}
+                 for step in (first, second)]
+        assert codes[0] == codes[1]
+
+    def test_a_raising_kernel_shows_its_rendered_line(self):
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(None,), dtype=R.float32)
+            b.mark_outputs([api.reshape(api.tanh(x), (5,))])
+        executor = GraphExecutor(b.graph)
+        with pytest.raises(ValueError) as info:
+            executor.run([np.zeros(6, np.float32)])
+        frame, = [frame for frame in traceback.extract_tb(info.tb)
+                  if frame.filename.startswith("<janus-render-")]
+        line = linecache.getline(frame.filename, frame.lineno)
+        assert line.strip() == frame.line
+        assert line.strip().startswith("r = k")

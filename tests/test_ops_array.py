@@ -93,6 +93,26 @@ class TestGather:
         np.testing.assert_array_equal(out[1], [2.0, 2.0])
         np.testing.assert_array_equal(out[4], [1.0, 1.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index_shape", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("ref_rank", [1, 2, 3])
+    def test_axis0_gather_grad_matches_general_path(
+            self, dtype, index_shape, ref_rank):
+        """The axis-0 kernel scatters without moving or flattening; it
+        sums duplicates in the general path's order, bit for bit."""
+        from repro.ops.array_ops import _scatter_add
+        rng = np.random.default_rng(len(index_shape) * 10 + ref_rank)
+        ref = np.zeros((4, 3, 2)[:ref_rank], dtype)
+        indices = rng.integers(0, 3, size=index_shape)   # duplicates
+        grad = rng.standard_normal(
+            index_shape + ref.shape[1:]).astype(dtype)
+        want = np.zeros_like(ref, dtype=grad.dtype)
+        _scatter_add(want, 0, indices, grad)
+        got = run("gather_grad", grad, indices, ref, axis=0)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == ref.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestConstruction:
     def test_fill(self):
