@@ -3,13 +3,13 @@
 The disk tier (:mod:`repro.janus.diskcache`, docs/compilation.md
 "Persistence & warm start") claims that a worker joining a fleet whose
 cache already holds its artifact skips profiling and graph generation
-entirely: its first call loads, re-fuses, and re-lowers the published
-pre-fusion graph and executes it directly.  This bench measures exactly
+entirely: its first call loads and recompiles the published graph and
+executes it directly.  This bench measures exactly
 that boundary, in real subprocesses:
 
 * **cold** — a fresh worker with an *empty* cache directory: its
   time-to-first-graph-hit spans ``profile_runs`` imperative profiling
-  runs, AST conversion, specialization, fusion, and compilation,
+  runs, AST conversion, specialization, and compilation,
 * **warm** — an identical worker against a *seeded* cache directory:
   one disk load plus the deterministic rebuild pipeline.
 

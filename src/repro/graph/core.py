@@ -344,27 +344,6 @@ class Graph:
         roots += self.placeholders  # feeds bind positionally: keep them all
         return set(self.topological_order(roots))
 
-    def consumer_info(self):
-        """Edge-consumer map plus control-dependency users.
-
-        Returns ``(consumers, control_users)`` where ``consumers`` maps
-        ``(id(node), output index)`` to the list of nodes reading that
-        edge (one entry per consuming *edge*, so a node reading the same
-        output twice appears twice) and ``control_users`` is the set of
-        ``id(node)`` values referenced by any ``control_inputs`` list.
-        Fusion-style passes use this to prove an intermediate value is
-        invisible outside a candidate group before erasing it.
-        """
-        consumers = {}
-        control_users = set()
-        for node in self.nodes:
-            for inp in node.inputs:
-                consumers.setdefault((id(inp.node), inp.index),
-                                     []).append(node)
-            for dep in node.control_inputs:
-                control_users.add(id(dep))
-        return consumers, control_users
-
     def validate(self):
         node_set = set(self.nodes)
         for node in self.nodes:

@@ -2,14 +2,15 @@
 
 Compiles a graph into a flat closure program and runs it over numpy
 buffers.  Every SSA value has a preallocated register slot in one flat
-``values`` list and every instruction — registered op, fused kernel,
-heap access, variable access, functional control flow — is a pre-bound
+``values`` list and every instruction — registered op, heap access,
+variable access, functional control flow — is a pre-bound
 ``fn(values, run_state)`` closure: all instruction-kind dispatch
 happens once at compile time, none per run.  That closure list is the
 per-op form, which the level schedule and level-2 tracing run; an
 in-order run calls one generated function per executor instead
-(:func:`_render`), with registered-op kernels called inline and every
-other node as a call of its closure.  This is the one execution tier;
+(:func:`_render`), with registered-op kernels called inline, their
+intermediates in locals, and every other node as a call of its
+closure.  This is the one execution tier;
 the JANUS path and the symbolic baseline share it.  Three properties
 reproduce the paper's execution model:
 
@@ -32,8 +33,11 @@ See docs/compilation.md ("Mechanism 4: the executed form").
 """
 
 import itertools
+import linecache
 import threading
 import time
+import types
+import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -43,7 +47,6 @@ from ..errors import AssumptionFailed, ExecutionError, GraphError
 from ..observability import COUNTERS, METRICS, TRACER
 from ..tensor import TensorValue, PyRef
 from .core import EFFECT_OPS
-from .passes import compile_cached
 
 _POOL_LOCK = threading.Lock()
 _POOL = None
@@ -303,6 +306,10 @@ class GraphExecutor:
     #: Nodes whose values a replayed forward iteration supplies (see
     #: :class:`_ReplayExecutor`): they get no closure and no new slot.
     _bound = {}
+    #: Whether the rendered program stores every inline result to the
+    #: register file.  True for a body :func:`_function_executor`
+    #: builds: a caller's record may copy any slot of its file.
+    _keeps_stores = False
 
     def _live(self):
         return self.graph.live_nodes()
@@ -348,22 +355,51 @@ class GraphExecutor:
             if fn is not None:
                 scheduled.append((node, fn))
                 slots.append((in_slots, out_slots))
-        #: The per-op program: one ``fn(values, run_state)`` per node,
-        #: what the level schedule and level-2 tracing run.
-        self._program = [fn for _, fn in scheduled]
-        #: The same program as one generated function (:func:`_render`),
-        #: what an untraced in-order run calls.
-        self._rendered = _render(scheduled, slots)
-        #: Aligned with _program; consumed by level-2 op tracing.
-        self._labels = [(node.op_name, node.debug_name)
-                        for node, _ in scheduled]
         self._ph_slot_order = [
             self._placeholder_slots[node.attrs["ph_name"]]
             for node in graph.placeholders if node not in bound]
         self._output_slots = [self._slots[(id(o.node), o.index)]
                               for o in self._computed_outputs()]
+        #: The per-op program: one ``fn(values, run_state)`` per node,
+        #: what the level schedule and level-2 tracing run.
+        self._program = [fn for _, fn in scheduled]
+        stores = self._stores(scheduled, slots)
+        #: Ops whose result the rendered program keeps only in a local.
+        self.local_ops = sum(
+            1 for (node, _), store in zip(scheduled, stores)
+            if not store and node.op_name != "constant")
+        #: The same program as one generated function (:func:`_render`),
+        #: what an untraced in-order run calls.
+        self._rendered = _render(scheduled, [
+            (ins, outs, store)
+            for (ins, outs), store in zip(slots, stores)])
+        #: Aligned with _program; consumed by level-2 op tracing.
+        self._labels = [(node.op_name, node.debug_name)
+                        for node, _ in scheduled]
         if self.parallel:
-            self._compile_levels(order, scheduled)
+            self._compile_levels(order, scheduled, slots)
+
+    def _stores(self, scheduled, slots):
+        """For each scheduled node, whether the rendered program stores
+        its result to the register file.  A closure always does.  An
+        inline line (:func:`_inline`) does when its result is an output,
+        when a closure reads it, or when a line of a later region reads
+        it (:data:`_REGION_OPS`), and always under ``_keeps_stores``;
+        otherwise later lines of its own region read it from a local."""
+        stored = set(self._output_slots)
+        made = {}   # slot of an inline result -> the region that made it
+        regions = []
+        for i, ((node, _), (in_slots, out_slots)) in enumerate(
+                zip(scheduled, slots)):
+            region = i // _REGION_OPS if _inline(node, out_slots) else None
+            for slot in in_slots:
+                if slot in made and made[slot] != region:
+                    stored.add(slot)
+            if region is not None:
+                made[out_slots[0]] = region
+            regions.append(region)
+        return [self._keeps_stores or region is None or outs[0] in stored
+                for region, (_, outs) in zip(regions, slots)]
 
     def _compile_node(self, node, in_slots, out_slots):
         """One node -> one bare ``fn(values, run_state)`` closure.
@@ -730,7 +766,7 @@ class GraphExecutor:
         "avg_pool_grad", "invoke", "gather_grad",
     ])
 
-    def _compile_levels(self, order, scheduled):
+    def _compile_levels(self, order, scheduled, slots):
         """Group the program's closures into dependency levels.
 
         A level with at least two *heavy* instructions is a candidate
@@ -745,6 +781,10 @@ class GraphExecutor:
         control dependencies): a write of a state lands after every
         earlier access of it in program order and before every later
         one, so no level reorders a write past a read, either way.
+
+        After each level the schedule drops the slots no later level
+        reads (``_frees``): a replay reads its forward's record, and an
+        output is never dropped.
         """
         node_level = {}
         last_write = {}     # state -> level of its latest write
@@ -765,16 +805,31 @@ class GraphExecutor:
                 last_write[state] = lvl
             node_level[node] = lvl
         levels = {}
-        for node, fn in scheduled:
-            levels.setdefault(node_level[node], []).append((node, fn))
+        for entry in zip(scheduled, slots):
+            levels.setdefault(node_level[entry[0][0]], []).append(entry)
         #: In dependency order: a closure list (runs in order) or a
         #: candidate :class:`_Level`.
         self._levels = []
-        for key in sorted(levels):
-            fns = [fn for _, fn in levels[key]]
-            heavy = sum(1 for node, _ in levels[key]
+        last = {}   # slot -> index of the last level that makes or reads it
+        for index, key in enumerate(sorted(levels)):
+            for (node, _), (in_slots, out_slots) in levels[key]:
+                touched = [*in_slots, *out_slots,
+                           self._slots.get((id(node), _RECORD))]
+                if node.op_name == "replay_grad":
+                    touched.append(self._slots.get(
+                        (id(node.attrs["forward_node"]), _RECORD)))
+                for slot in touched:
+                    last[slot] = index
+            fns = [fn for (_, fn), _ in levels[key]]
+            heavy = sum(1 for (node, _), _ in levels[key]
                         if node.op_name in self._HEAVY_OPS)
             self._levels.append(_Level(fns) if heavy >= 2 else fns)
+        #: Aligned with _levels: the slots to drop once the level ran.
+        self._frees = [[] for _ in self._levels]
+        outputs = set(self._output_slots)
+        for slot, index in last.items():
+            if slot is not None and slot not in outputs:
+                self._frees[index].append(slot)
         self._candidates = [level for level in self._levels
                             if type(level) is _Level]
         if not self._candidates:
@@ -862,7 +917,8 @@ class GraphExecutor:
         """Run level by level; level-2 tracing gets one ``level`` event
         per level (trials carry ``trial="seq"|"par"``)."""
         trace = TRACER.level >= 2
-        for index, level in enumerate(self._levels):
+        for index, (level, dead) in enumerate(zip(self._levels,
+                                                  self._frees)):
             start = time.perf_counter() if trace else 0.0
             trial = {}
             if type(level) is list:
@@ -874,6 +930,8 @@ class GraphExecutor:
                 trial = {"trial": "par" if fan_out else "seq"}
             else:
                 _run_level(fns, fan_out, values, run_state)
+            for slot in dead:
+                values[slot] = None
             if trace:
                 TRACER.complete("level", "L%d" % index, start,
                                 time.perf_counter() - start, level=2,
@@ -926,71 +984,158 @@ def _constant_raw(node):
 #: Numbers the linecache names of rendered programs.
 _RENDER_COUNTER = itertools.count()
 
+#: The most scheduled nodes one generated function of a rendered
+#: program holds.  ``compile()`` keeps a few KB per generated line until
+#: it returns, so a long program (an unrolled LSTM renders 1,700 lines)
+#: compiles region by region.
+_REGION_OPS = 200
+
+#: ``source text -> (code object, linecache name)``.  Rendered source
+#: is byte-identical for identical structure (kernels, attrs and
+#: closures are parameters, not literals), and structures repeat — the
+#: same model built again, per-topology TreeNN regenerations — so
+#: compiling each text once cuts the dominant cost of generating code.
+#: Bounded crudely: emptied when it outgrows _CODE_CACHE_MAX sources.
+#: Locked: functions compile concurrently (each under its own compile
+#: lock), and the clear-then-store sequence must not interleave.
+_CODE_CACHE = {}
+_CODE_CACHE_MAX = 512
+_CODE_CACHE_LOCK = threading.Lock()
+
+
+def compile_cached(source):
+    """The code of generated ``source``, compiled once per text.
+
+    A new source is registered in :mod:`linecache` under a fresh
+    ``<janus-render-N>`` name for as long as the code that runs it
+    lives, so tracebacks and profilers show its lines whether or not the
+    cache still holds it.
+    """
+    with _CODE_CACHE_LOCK:
+        cached = _CODE_CACHE.get(source)
+        if cached is None:
+            if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
+                _CODE_CACHE.clear()
+            name = "<janus-render-%d>" % next(_RENDER_COUNTER)
+            code = compile(source, name, "exec")
+            linecache.cache[name] = (len(source), None,
+                                     source.splitlines(True), name)
+            weakref.finalize(_innermost(code), linecache.cache.pop, name,
+                             None)
+            cached = _CODE_CACHE[source] = (code, name)
+    return cached[0]
+
+
+def _innermost(code):
+    """The code of the innermost function ``code`` defines: what runs."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            return _innermost(const)
+    return code
+
+
+def _inline(node, out_slots):
+    """Whether :func:`_render` writes ``node`` as lines of its own: a
+    constant, or a single-output registered op."""
+    return node.op_name == "constant" or (
+        node.op_def is not None and len(out_slots) == 1)
+
 
 def _render(scheduled, slots):
     """The program ``scheduled`` as one generated ``_rendered(v, rs)``.
 
     ``scheduled`` holds ``(node, closure)`` in schedule order and
-    ``slots`` each one's ``(in_slots, out_slots)``.  A single-output
-    registered op (fused ones included) becomes two lines: a call of its
-    kernel with its attrs — or of its OpDef's attrs-free ``direct``
-    callable — and the coercion :meth:`GraphExecutor._make_op_closure`
-    applies, so results are the closures' bit for bit.  A constant is
-    stored from a binding.  Every other node — variable and heap access
-    with their guards and memo, calls, control flow, gradient replay,
-    a multi-output op — is a call of its closure.  An input an earlier
-    line computed is read from a local, any other from the register
-    file, and every output still lands in ``v``: records, replays,
-    closures and the outputs read the register file.
+    ``slots`` each one's ``(in_slots, out_slots, store)``, ``store``
+    saying whether its result must land in the register file ``v``
+    (:meth:`GraphExecutor._stores`).  A single-output registered op
+    becomes a call of its kernel with its attrs — or of its OpDef's
+    attrs-free ``direct`` callable — and the coercion
+    :meth:`GraphExecutor._make_op_closure` applies, so results are the
+    closures' bit for bit.  Its result goes to ``v`` if ``store`` says
+    so, and to a local if a later line of its region reads it; the local
+    is deleted after the last line that reads it.  A constant is read by
+    its binding's name.  Every other node — variable and heap access
+    with their guards and memo, calls, control flow, gradient replay, a
+    multi-output op — is a call of its closure, which reads and writes
+    ``v``.
 
-    Kernels, attrs, constants and closures are parameters of a binding
-    function named by schedule position, so programs of one structure
+    Each region of at most :data:`_REGION_OPS` nodes is one generated
+    function; one more calls them in order when there are several.
+    Kernels, attrs, constants, closures and regions are parameters of a
+    binding function named by position, so programs of one structure
     render the same source and share one code object
-    (:func:`~repro.graph.passes.compile_cached`); each program is one
-    call of the binding function over its own values.
+    (:func:`compile_cached`).
     """
+    regions = [_render_region(scheduled[k:k + _REGION_OPS],
+                              slots[k:k + _REGION_OPS])
+               for k in range(0, len(scheduled), _REGION_OPS)]
+    if len(regions) == 1:
+        return regions[0]
+    names = ["r%d" % k for k in range(len(regions))]
+    return _generate(names, regions, [name + "(v, rs)" for name in names])
+
+
+def _render_region(scheduled, slots):
+    """One region of :func:`_render`'s program, as its function."""
+    last = {}   # slot -> the last inline line of the region reading it
+    for i, ((node, _), (in_slots, out_slots, _)) in enumerate(
+            zip(scheduled, slots)):
+        if _inline(node, out_slots):
+            for slot in in_slots:
+                last[slot] = i
     params = ["_nd", "_as"]
     bindings = [np.ndarray, np.asarray]
     body = []
-    local = set()
-    for i, ((node, fn), (in_slots, out_slots)) in enumerate(
+    names = {}       # slot -> the local or binding a line reads it by
+    local = set()    # slots held in a local
+    for i, ((node, fn), (in_slots, out_slots, store)) in enumerate(
             zip(scheduled, slots)):
-        op_def = node.op_def
-        if node.op_name == "constant":
-            slot, = out_slots
-            params.append("c%d" % i)
-            bindings.append(_constant_raw(node))
-            body.append("s%d = v[%d] = c%d" % (slot, slot, i))
-            local.add(slot)
-        elif op_def is not None and len(out_slots) == 1:
-            args = ["s%d" % s if s in local else "v[%d]" % s
-                    for s in in_slots]
-            params.append("k%d" % i)
-            if op_def.direct is not None:
-                bindings.append(op_def.direct)
-            else:
-                bindings.append(op_def.kernel)
-                params.append("a%d" % i)
-                bindings.append(node.attrs)
-                args.insert(0, "a%d" % i)
-            slot, = out_slots
-            body.append("r = k%d(%s)" % (i, ", ".join(args)))
-            body.append("s%d = v[%d] = r if r.__class__ is _nd else _as(r)"
-                        % (slot, slot))
-            local.add(slot)
-        else:
+        if not _inline(node, out_slots):
             params.append("f%d" % i)
             bindings.append(fn)
             body.append("f%d(v, rs)" % i)
+            continue
+        slot, = out_slots
+        if node.op_name == "constant":
+            names[slot] = "c%d" % i
+            params.append(names[slot])
+            bindings.append(_constant_raw(node))
+            if store:
+                body.append("v[%d] = c%d" % (slot, i))
+            continue
+        args = [names.get(s, "v[%d]" % s) for s in in_slots]
+        params.append("k%d" % i)
+        if node.op_def.direct is not None:
+            bindings.append(node.op_def.direct)
+        else:
+            bindings.append(node.op_def.kernel)
+            params.append("a%d" % i)
+            bindings.append(node.attrs)
+            args.insert(0, "a%d" % i)
+        body.append("r = k%d(%s)" % (i, ", ".join(args)))
+        targets = ["v[%d]" % slot] if store else []
+        if last.get(slot, -1) > i:
+            names[slot] = "s%d" % slot
+            local.add(slot)
+            targets.append(names[slot])
+        if targets:
+            body.append("%s = r if r.__class__ is _nd else _as(r)"
+                        % " = ".join(targets))
+        dead = sorted({s for s in in_slots if s in local and last[s] == i})
+        if dead:
+            body.append("del " + ", ".join("s%d" % s for s in dead))
+    return _generate(params, bindings, body)
+
+
+def _generate(params, bindings, body):
+    """A generated ``_rendered(v, rs)`` running the lines ``body``, with
+    ``params`` bound to ``bindings``."""
     lines = ["def _bind(%s):" % ", ".join(params),
              "    def _rendered(v, rs):"]
     lines.extend("        " + line for line in body or ["pass"])
     lines.append("    return _rendered")
-    source = "\n".join(lines) + "\n"
-    code, _ = compile_cached(
-        source, "<janus-render-%d>" % next(_RENDER_COUNTER))
     namespace = {}
-    exec(code, namespace)
+    exec(compile_cached("\n".join(lines) + "\n"), namespace)
     return namespace["_bind"](*bindings)
 
 
@@ -1298,8 +1443,8 @@ def _function_executor(func):
     """Compiled (sequential) executor for a GraphFunction, cached.
 
     Cached in ``func.graph._executor_cache`` (graph mutation clears
-    it).  Nested bodies are never fused (fused OpDefs carry no
-    ``grad_fn`` and bodies may be re-differentiated).
+    it).  Its rendered program keeps every store
+    (``_keeps_stores``): a caller's record may copy any slot.
     """
     if func.graph is None:
         raise GraphError("function %s invoked before finalization"
@@ -1307,6 +1452,9 @@ def _function_executor(func):
     cache = func.graph._executor_cache
     executor = cache.get("nested")
     if executor is None:
-        executor = GraphExecutor(func.graph, parallel=False)
+        # Set before __init__ compiles, as _ReplayExecutor sets _bound.
+        executor = GraphExecutor.__new__(GraphExecutor)
+        executor._keeps_stores = True
+        executor.__init__(func.graph)
         cache["nested"] = executor
     return executor

@@ -7,37 +7,18 @@ simplification.  Speculative specialization (section 4.2.2) is what makes
 them bite — once profiled shapes and stable values are burned into the
 graph as constants, folding and simplification cascade.
 
-:class:`ElementwiseFusion` (paper §4.3's "executing the symbolic graph
-with decent performance") collapses chains of pure elementwise ops into
-single generated-source numpy kernels (:func:`fused_kernel_opdef`).  It
-is *not* part of :data:`DEFAULT_PASSES` because it erases per-op node
-structure (fused nodes carry no ``grad_fn`` and cannot be
-re-differentiated), so it runs only on top-level graphs immediately
-before executor compilation — ``compile_generated`` calls
-:func:`fuse_graph`.  Nested :class:`~repro.graph.core.GraphFunction`
-bodies (cond/while/invoke) are reused across regenerations via the
-fragment cache and may be re-differentiated by autodiff, so they stay
-unfused.
-
 Paper correspondence: DCE/CSE/folding/simplification are §3.1's
 "various compiler optimizations" that motivate symbolic execution;
 their leverage comes from §4.2.2's specialization burning profiled
-values in as foldable constants.  :class:`ElementwiseFusion` belongs
-to §4.3/Table 3 (graph execution performance) and is documented in
-docs/compilation.md ("Mechanism 4: the executed form").
+values in as foldable constants.
 """
 
-import itertools
-import linecache
-import threading
 import time
 
 import numpy as np
 
 from ..observability import COUNTERS, TRACER
-from ..ops.registry import OpDef
 from ..tensor import TensorValue
-from .core import Graph
 
 
 class AnalysisContext:
@@ -318,245 +299,6 @@ class ArithmeticSimplification(Pass):
             if cb == 1.0 and keeps(a):
                 return a
         return None
-
-
-#: Pure, shape-preserving-or-broadcasting ops whose kernels compose into
-#: a single fused closure without changing results: every member reads
-#: only its direct inputs, writes one output, and touches no state.
-#: Reductions, matmuls, reshapes and gathers are deliberately absent —
-#: fusing across them would change nothing (they dominate their own
-#: cost) while complicating the group-legality argument.
-ELEMENTWISE_OPS = frozenset([
-    # arithmetic
-    "add", "sub", "mul", "div", "floordiv", "mod", "pow",
-    "maximum", "minimum", "neg", "abs", "sign", "square",
-    # transcendental / activations
-    "exp", "log", "log1p", "expm1", "sqrt", "tanh", "floor",
-    "sigmoid", "relu", "leaky_relu", "clip", "softplus", "elu", "gelu",
-    # comparisons and logic
-    "equal", "not_equal", "less", "less_equal",
-    "greater", "greater_equal",
-    "logical_and", "logical_or", "logical_not",
-    # select / dtype / passthrough
-    "where", "cast", "identity", "stop_gradient",
-    "zeros_like", "ones_like",
-])
-
-
-_FUSED_COUNTER = itertools.count()
-
-#: ``source text -> (code object, linecache filename)``.  Generated
-#: source — fused kernels, rendered executor programs — is byte-identical
-#: for identical structure (kernels and attrs are reached through
-#: namespace bindings, not literals), and structures repeat heavily —
-#: unrolled RNN cells, per-topology TreeNN regenerations, the same model
-#: built again — so caching ``compile()`` output cuts the dominant cost
-#: of generating code for a recompile-heavy workload.  Bounded crudely:
-#: emptied, together with the sources it registered in :mod:`linecache`,
-#: when it outgrows _CODE_CACHE_MAX distinct sources.  Guarded by a lock:
-#: different functions compile concurrently (each under its own compile
-#: lock), and the clear-then-store sequence must not interleave.
-_CODE_CACHE = {}
-_CODE_CACHE_MAX = 512
-_CODE_CACHE_LOCK = threading.Lock()
-
-
-def compile_cached(source, source_name):
-    """``(code, name)`` for generated ``source``, compiled once per text.
-
-    A new source is registered in :mod:`linecache` as ``source_name``, so
-    tracebacks and profilers show its lines; a source seen before
-    returns the code object and name of its first compile.
-    """
-    with _CODE_CACHE_LOCK:
-        cached = _CODE_CACHE.get(source)
-        if cached is None:
-            if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-                for _, evicted_name in _CODE_CACHE.values():
-                    linecache.cache.pop(evicted_name, None)
-                _CODE_CACHE.clear()
-            linecache.cache[source_name] = (len(source), None,
-                                            source.splitlines(True),
-                                            source_name)
-            cached = (compile(source, source_name, "exec"), source_name)
-            _CODE_CACHE[source] = cached
-    return cached
-
-
-def fused_kernel_opdef(members, ext_index):
-    """Generate one numpy kernel replaying ``members`` in order.
-
-    ``members`` is the fusion group in topological order (last member is
-    the group root whose output survives); ``ext_index`` maps external
-    input edges ``(id(node), index)`` to the fused node's input
-    positions.  Returns ``(op_def, source_name, uid)`` where ``op_def``
-    is a fresh single-output :class:`~repro.ops.registry.OpDef` and
-    ``source_name`` is the linecache-registered filename of the
-    generated source (so tracebacks and profilers can see the body).
-
-    A member whose OpDef has a ``direct`` callable is called without its
-    ``attrs``.  The generated body coerces every intermediate exactly
-    like an executor coerces op results
-    (``r if type(r) is ndarray else asarray(r)``), so a fused chain is
-    bit-for-bit identical to running the member kernels node by node.
-    """
-    uid = next(_FUSED_COUNTER)
-    params = ["x%d" % i for i in range(len(ext_index))]
-    lines = ["def _fused(attrs, %s):" % ", ".join(params)]
-    namespace = {"_nd": np.ndarray, "_as": np.asarray}
-    local = {}
-    for i, node in enumerate(members):
-        kname = "_k%d" % i
-        args = []
-        direct = node.op_def.direct
-        if direct is not None:
-            namespace[kname] = direct
-        else:
-            namespace[kname] = node.op_def.kernel
-            namespace["_a%d" % i] = node.attrs
-            args.append("_a%d" % i)
-        for inp in node.inputs:
-            edge = (id(inp.node), inp.index)
-            name = local.get(edge)
-            args.append(name if name is not None
-                        else "x%d" % ext_index[edge])
-        lines.append("    v%d = %s(%s)" % (i, kname, ", ".join(args)))
-        lines.append("    if v%d.__class__ is not _nd: v%d = _as(v%d)"
-                     % (i, i, i))
-        local[(id(node), 0)] = "v%d" % i
-    lines.append("    return v%d" % (len(members) - 1))
-    source = "\n".join(lines) + "\n"
-    code, source_name = compile_cached(source, "<janus-fused-%d>" % uid)
-    exec(code, namespace)
-
-    root_out = members[-1].outputs[0]
-    spec = (root_out.shape, root_out.dtype)
-
-    def shape_fn(attrs, in_shapes, in_dtypes, _spec=spec):
-        return [_spec]
-
-    return OpDef("fused", kernel=namespace["_fused"],
-                 shape_fn=shape_fn), source_name, uid
-
-
-class ElementwiseFusion(Pass):
-    """Collapse chains of elementwise ops into single fused kernels.
-
-    Greedy reverse-topological grouping: each ungrouped elementwise node
-    becomes a group root, then absorbs producers so long as the producer
-    is (a) itself a fusable single-output op, (b) consumed *only* inside
-    the group, (c) not a graph output, and (d) free of control-dependency
-    edges in either direction.  Conditions (b)+(c) guarantee the
-    intermediate value is unobservable, so erasing it cannot change any
-    result; condition (d) plus producer-only growth guarantees the
-    replacement node cannot create a cycle.  Each group is replaced by
-    one ``fused`` node whose :class:`~repro.ops.registry.OpDef` kernel is
-    a generated-source closure replaying the member kernels in order
-    (see :func:`fused_kernel_opdef`).
-
-    Not in :data:`DEFAULT_PASSES`: fused OpDefs have no ``grad_fn``, so
-    this pass must only run on graphs that will never be differentiated
-    again — the top-level graph right before executor compilation.
-    """
-
-    name = "elementwise_fusion"
-
-    #: Minimum member count for a group to be worth a generated kernel.
-    MIN_GROUP = 2
-
-    def __init__(self):
-        self.fused_ops = 0       # member ops collapsed in the last run
-        self.fused_kernels = 0   # fused nodes emitted in the last run
-
-    def run(self, graph, ctx=None):
-        self.fused_ops = 0
-        self.fused_kernels = 0
-        order = _order_of(graph, ctx)
-        consumers, control_users = graph.consumer_info()
-        out_edges = {(id(o.node), o.index) for o in graph.outputs}
-
-        def fusable(node):
-            return (node.op_name in ELEMENTWISE_OPS
-                    and node.op_def is not None
-                    and not node.op_def.stateful
-                    and len(node.outputs) == 1
-                    and not node.control_inputs
-                    and id(node) not in control_users)
-
-        grouped = set()
-        groups = []   # (root, member set)
-        for node in reversed(order):
-            if node in grouped or not fusable(node):
-                continue
-            group = {node}
-            frontier = [node]
-            while frontier:
-                member = frontier.pop()
-                for inp in member.inputs:
-                    prod = inp.node
-                    if prod in group or prod in grouped \
-                            or not fusable(prod):
-                        continue
-                    edge = (id(prod), 0)
-                    if edge in out_edges:
-                        continue
-                    if any(c not in group
-                           for c in consumers.get(edge, ())):
-                        continue
-                    group.add(prod)
-                    frontier.append(prod)
-            if len(group) >= self.MIN_GROUP:
-                groups.append((node, group))
-                grouped |= group
-
-        if not groups:
-            return False
-
-        position = {node: i for i, node in enumerate(order)}
-        replacements = {}
-        for root, group in groups:
-            members = sorted(group, key=position.__getitem__)
-            # External inputs, deduplicated in first-use order; these
-            # become the fused node's input edges / kernel parameters.
-            ext = []
-            ext_index = {}
-            for member in members:
-                for inp in member.inputs:
-                    if inp.node in group:
-                        continue
-                    edge = (id(inp.node), inp.index)
-                    if edge not in ext_index:
-                        ext_index[edge] = len(ext)
-                        ext.append(inp)
-            op_def, source_name, uid = fused_kernel_opdef(members, ext_index)
-            fused = graph.new_node(
-                "fused", op_def=op_def,
-                attrs={"fused_id": uid,
-                       "fused_ops": "|".join(m.op_name for m in members),
-                       "fused_src": source_name},
-                inputs=ext,
-                name="fused_%s" % root.debug_name)
-            root_out = root.outputs[0]
-            new_out = fused.add_output(root_out.shape, root_out.dtype)
-            replacements[(id(root), 0)] = new_out
-            self.fused_ops += len(members)
-        self.fused_kernels = len(groups)
-        _remap_inputs(graph, replacements)
-        graph.remove_nodes(grouped)
-        COUNTERS.labels("lowering.fused_ops").inc(self.fused_ops)
-        COUNTERS.labels("lowering.fused_kernels").inc(self.fused_kernels)
-        return True
-
-
-def fuse_graph(graph):
-    """Run elementwise fusion on a top-level graph; returns ops fused.
-
-    Must only be called on graphs that will never be differentiated
-    again (see :class:`ElementwiseFusion`).
-    """
-    fusion = ElementwiseFusion()
-    fusion.run(graph)
-    return fusion.fused_ops
 
 
 DEFAULT_PASSES = (

@@ -7,8 +7,8 @@ bundles everything produced at graph-generation time — the converted
 :class:`~repro.janus.graphgen.GeneratedGraph` (graph + binding plan +
 prechecks, which with the cache key are the one place a tensor
 argument's dtype and shape are checked), the compiled
-:class:`~repro.graph.executor.GraphExecutor` (the fused graph's flat
-closure program with its specialized per-node guard closures), and the
+:class:`~repro.graph.executor.GraphExecutor` (the graph's flat closure
+program with its specialized per-node guard closures), and the
 compile-time metadata used to audit the
 amortization — so nothing is re-derived on the hot path.
 
@@ -22,7 +22,6 @@ import pickle
 import time
 
 from ..graph.executor import GraphExecutor
-from ..graph.passes import fuse_graph
 from ..observability import COUNTERS, METRICS, TRACER
 from ..tensor import PyRef, TensorValue
 
@@ -42,7 +41,7 @@ ARTIFACT_FORMAT = 5
 
 _COMPILE_SECONDS = METRICS.histogram(
     "janus_compile_seconds",
-    "Fusion + executor compilation of one generated graph.").labels()
+    "Executor compilation of one generated graph.").labels()
 
 
 class UnportableArtifact(Exception):
@@ -110,13 +109,13 @@ def _structure_blocker(structure):
 
 
 def serialize_generated(generated):
-    """Pickle a (pre-fusion) GeneratedGraph, or raise UnportableArtifact.
+    """Pickle a GeneratedGraph, or raise UnportableArtifact.
 
-    Must be called *before* :func:`~repro.graph.passes.fuse_graph`
-    mutates the graph: fused kernels are exec-generated code objects
-    that cannot pickle.  Loading re-runs the full deterministic
-    ``compile_generated`` pipeline on the deserialized graph, so loaded
-    and freshly-compiled artifacts are bit-for-bit identical.
+    The executor's closures and rendered program are exec-generated and
+    cannot pickle, so only the graph is persisted.  Loading re-runs the
+    full deterministic ``compile_generated`` pipeline on the
+    deserialized graph, so loaded and freshly-compiled artifacts are
+    bit-for-bit identical.
     """
     blocker = portability_blockers(generated)
     if blocker:
@@ -157,7 +156,7 @@ class CompiledGraph:
         self.node_count = len(generated.graph.nodes)
         self.compile_seconds = compile_seconds
         self.fused_ops = fused_ops
-        #: Pre-fusion pickle of ``generated``, captured by
+        #: Pickle of ``generated``, captured by
         #: ``compile_generated(..., persist=True)`` for disk publication;
         #: consumed (once) via :meth:`take_payload`.
         self.payload = None
@@ -196,7 +195,7 @@ class CompiledGraph:
         return self.executor.run(feeds)
 
     def __repr__(self):
-        return "CompiledGraph(%s, %d nodes, %d ops fused, compiled in " \
+        return "CompiledGraph(%s, %d nodes, %d ops in locals, compiled in " \
             "%.1f ms)" % (self.graph.name, self.node_count, self.fused_ops,
                           self.compile_seconds * 1e3)
 
@@ -286,10 +285,10 @@ def compile_generated(generated, config, signature=None, persist=False):
     specialized guard/heap-read closures) are compiled on the JANUS
     path; everything downstream reuses the artifact.
 
-    ``persist=True`` additionally snapshots the pre-fusion pickle of
-    *generated* (when portable) so the caller can publish the artifact
-    to the cross-process disk cache; the snapshot must happen here,
-    before fusion rewrites the graph in place.
+    ``persist=True`` additionally snapshots the pickle of *generated*
+    (when portable) so the caller can publish the artifact to the
+    cross-process disk cache.  ``fused_ops`` is the number of ops whose
+    result the rendered top-level program keeps only in a local.
     """
     start = time.perf_counter()
     payload = None
@@ -301,12 +300,9 @@ def compile_generated(generated, config, signature=None, persist=False):
             portable_skip = exc.reason
             COUNTERS.labels(
                 "diskcache.store_skipped.%s" % exc.reason).inc()
-    # Fuse before the executor compiles: the program binds the fused
-    # kernels' closures, and nothing may mutate the graph afterwards.
-    with TRACER.span("janus", "fuse", graph=generated.graph.name):
-        fused_ops = fuse_graph(generated.graph)
     executor = GraphExecutor(generated.graph,
                              parallel=config.parallel_execution)
+    fused_ops = executor.local_ops
     elapsed = time.perf_counter() - start
     COUNTERS.labels("janus.graphs_compiled").inc()
     _COMPILE_SECONDS.observe(elapsed)
@@ -325,8 +321,8 @@ def compile_generated(generated, config, signature=None, persist=False):
 def load_compiled(payload, config, signature=None):
     """Rebuild a full CompiledGraph from a persisted payload.
 
-    Runs the standard ``compile_generated`` pipeline (fuse → executor)
-    on the deserialized pre-fusion graph, so the result is
+    Runs the standard ``compile_generated`` pipeline on the
+    deserialized graph, so the result is
     indistinguishable from a freshly-compiled artifact apart from
     ``from_disk``.  Raises on corrupt payloads; the disk cache converts
     any raise into a counted miss.

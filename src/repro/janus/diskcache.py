@@ -4,7 +4,7 @@ The in-memory :class:`~repro.janus.cache.GraphCache` dies with its
 process, so every worker in a fleet — and every restart — pays the full
 profile → convert → optimize → compile pipeline for functions an identical
 neighbour already compiled.  This module is the disk tier underneath it:
-serialized pre-fusion :class:`~repro.janus.graphgen.GeneratedGraph`
+serialized :class:`~repro.janus.graphgen.GeneratedGraph`
 payloads (see :func:`repro.janus.compiled.serialize_generated`) keyed so
 that a hit is *provably* the artifact this process would have compiled
 itself:

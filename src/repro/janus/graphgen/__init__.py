@@ -38,7 +38,7 @@ around generation are recorded by :mod:`repro.janus.api`.
 
 In the execution pipeline (instrument → graphgen → compile,
 docs/architecture.md) this package is stage 2; its output graph is
-immediately fused and compiled into a
+immediately compiled into a
 :class:`~repro.janus.compiled.CompiledGraph` by ``compile_generated``.
 """
 

@@ -14,7 +14,7 @@ that design raises:
   ``diskcache.store_skipped.*`` counters for the reason taxonomy),
 * **evictions** — LRU pressure against the size bound,
 * **load latency** — the warm-start price actually paid (unpickle +
-  re-fuse + re-lower), the number to compare against a cold compile.
+  recompile), the number to compare against a cold compile.
 
 A *view* over the metrics registry
 (:mod:`repro.observability.metrics`): every number is a

@@ -144,7 +144,7 @@ class SpeculationHealth(View):
         ("janus_function_cache_invalidations_total",
          "Graph-cache entries retired after a failed assumption."),
         ("janus_function_fused_ops_total",
-         "Elementwise ops collapsed into fused kernels."),
+         "Ops a compiled top-level program keeps only in locals."),
         ("janus_function_coexec_runs_total",
          "Calls served by a co-execution plan."),
         ("janus_function_coexec_fragment_runs_total",

@@ -47,8 +47,6 @@ class OpDef:
     def __reduce__(self):
         # OpDefs pickle by name and rehydrate from the registry of the
         # loading process; kernels/grad closures never cross processes.
-        # Synthesized defs (fused kernels) are exec-generated and must
-        # not be persisted — serialization snapshots graphs pre-fusion.
         if _REGISTRY.get(self.name) is not self:
             raise TypeError(
                 "cannot pickle non-registered OpDef %r" % self.name)

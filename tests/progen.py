@@ -1,7 +1,8 @@
 """Shared seeded program generator for the differential suites.
 
 Grown out of the inline generators that test_write_barrier_differential,
-test_fusion_differential, and test_concurrency each carried a copy of:
+test_fusion_differential (now test_render_differential), and
+test_concurrency each carried a copy of:
 a seeded :func:`gen_program` builds a small tensor program over a heap
 model object (Tensor attributes, raw ndarrays, aliased attributes,
 burned scalars, Variables, input-dependent branches), registers its
@@ -17,7 +18,7 @@ order, so the same seed yields byte-identical programs and models as
 before the extraction):
 
 * :data:`WRITE_BARRIER_MIX` — the 5-kind pool with t/t2 aliasing
-  (test_write_barrier_differential, test_fusion_differential),
+  (test_write_barrier_differential, test_render_differential),
 * :data:`CONCURRENCY_MIX` — the 4-kind pool without aliasing
   (test_concurrency).
 
@@ -61,7 +62,9 @@ way on trees from :func:`random_tree`.
 what a program compiled to: every tensor argument of a generated graph
 is checked at cache retrieval, the one place it is checked, and
 :func:`assert_quiescent` is their conservation check once every call
-has returned.
+has returned.  :func:`closure_loops` swaps each executor's rendered
+program for the plain loop over its closures, the reference the
+rendered program is held to.
 """
 
 import linecache
@@ -72,6 +75,7 @@ import numpy as np
 
 import repro as R
 from repro import nn
+from repro.graph import executor as executor_mod
 from repro.janus.specialization import ArgShape
 
 __all__ = [
@@ -81,7 +85,7 @@ __all__ = [
     "LOOP_BODY", "RECURSE_BODY", "Gate", "TreeNode", "gen_program",
     "gen_loop_grad_program", "gen_recurse_grad_program", "random_tree",
     "mutation_pool", "apply_mutation", "vec",
-    "assert_arguments_prechecked", "assert_quiescent",
+    "assert_arguments_prechecked", "assert_quiescent", "closure_loops",
 ]
 
 
@@ -251,7 +255,7 @@ class Mix:
 
 
 #: Stream-identical to the historical test_write_barrier_differential
-#: generator (also consumed by test_fusion_differential).
+#: generator (also consumed by test_render_differential).
 WRITE_BARRIER_MIX = Mix(filename_prefix="wbdiff")
 
 #: Stream-identical to the historical test_concurrency generator: no
@@ -604,3 +608,23 @@ def assert_quiescent(functions, threads_before):
         assert f.recompiles_in_flight == 0, f.__name__
     assert threading.active_count() == threads_before, \
         [t.name for t in threading.enumerate()]
+
+
+def closure_loops(monkeypatch):
+    """Compile every executor from here on with the per-op program run
+    as the plain loop over its closures, in place of
+    :func:`executor._render`; returns the list of loops made."""
+    loops = []
+
+    def render(scheduled, slots):
+        program = [fn for _, fn in scheduled]
+
+        def loop(v, rs):
+            loop.runs += 1
+            for fn in program:
+                fn(v, rs)
+        loop.runs = 0
+        loops.append(loop)
+        return loop
+    monkeypatch.setattr(executor_mod, "_render", render)
+    return loops

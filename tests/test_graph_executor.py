@@ -1,6 +1,7 @@
 """Graph executor: feeds, commits, all-or-nothing aborts, parallelism,
 the rendered program."""
 
+import gc
 import linecache
 import os
 import sys
@@ -12,15 +13,19 @@ import numpy as np
 import pytest
 
 import repro as R
-from repro import host, nn
+from repro import host, janus, nn
 from repro.errors import AssumptionFailed, ExecutionError
-from repro.graph import GraphBuilder, GraphExecutor, autodiff, passes
+from repro.graph import GraphBuilder, GraphExecutor, autodiff
 from repro.graph import executor as executor_mod
 from repro.graph.core import GraphFunction
+from repro.janus import compiled as compiled_mod
 from repro.modes import make_step
 from repro.observability import TRACER, counter_values, override_level
 from repro.ops import api, random_ops
 from repro.tensor import PyRef, TensorValue
+
+from progen import (assert_arguments_prechecked,
+                    closure_loops as _closure_loops)
 
 
 class TestBasicExecution:
@@ -979,26 +984,6 @@ def _ledger_programs():
     return programs
 
 
-def _closure_loops(monkeypatch):
-    """Compile every executor from here on with the per-op program run
-    as the plain loop over its closures, in place of
-    :func:`executor._render`; returns the list of loops made."""
-    loops = []
-
-    def render(scheduled, slots):
-        program = [fn for _, fn in scheduled]
-
-        def loop(v, rs):
-            loop.runs += 1
-            for fn in program:
-                fn(v, rs)
-        loop.runs = 0
-        loops.append(loop)
-        return loop
-    monkeypatch.setattr(executor_mod, "_render", render)
-    return loops
-
-
 class TestRenderedProgram:
     """The generated function of each executor runs what its closure
     list runs: same outputs, same state, bit for bit."""
@@ -1037,13 +1022,13 @@ class TestRenderedProgram:
 
     @pytest.mark.parametrize("name", ["A3C", "TreeRNN"])
     def test_rendered_equals_closure_loop(self, name, monkeypatch):
-        """A3C: a fused top-level graph and a loop gradient; TreeRNN: a
-        recursive gradient (invoke and cond replays)."""
+        """A3C: a top-level program that keeps intermediates in locals
+        and a loop gradient; TreeRNN: a recursive gradient (invoke and
+        cond replays)."""
         step, rendered_out, rendered_vars = self._train(name)
         entries = [entry for _, entry in step.cache.entries()]
-        assert any(node.op_name == "fused"
-                   for entry in entries
-                   for node in entry.compiled.executor.graph.nodes)
+        assert any(entry.compiled.executor.local_ops > 0
+                   for entry in entries)
         for entry in entries:
             code = entry.compiled.executor._rendered.__code__
             assert code.co_filename.startswith("<janus-render-")
@@ -1058,13 +1043,13 @@ class TestRenderedProgram:
         self._assert_same(rendered_vars, loop_vars)
 
     def test_same_model_twice_compiles_no_new_source(self, monkeypatch):
-        monkeypatch.setattr(passes, "_CODE_CACHE", {})
+        monkeypatch.setattr(executor_mod, "_CODE_CACHE", {})
         first, _, _ = self._train("TreeRNN", steps=0)
-        sources = dict(passes._CODE_CACHE)
+        sources = dict(executor_mod._CODE_CACHE)
         assert any(name.startswith("<janus-render-")
                    for _, name in sources.values())
         second, _, _ = self._train("TreeRNN", steps=0)
-        assert passes._CODE_CACHE == sources
+        assert executor_mod._CODE_CACHE == sources
         codes = [{id(entry.compiled.executor._rendered.__code__)
                   for _, entry in step.cache.entries()}
                  for step in (first, second)]
@@ -1083,3 +1068,258 @@ class TestRenderedProgram:
         line = linecache.getline(frame.filename, frame.lineno)
         assert line.strip() == frame.line
         assert line.strip().startswith("r = k")
+
+    def test_code_cache_eviction_drops_linecache_sources(self, monkeypatch):
+        """Regression: evicting the code cache left every generated
+        source in linecache forever, so a per-topology regenerating
+        workload grew without bound.  A source's lines go once no
+        program runs its code."""
+        monkeypatch.setattr(executor_mod, "_CODE_CACHE_MAX", 4)
+        monkeypatch.setattr(executor_mod, "_CODE_CACHE", {})
+        gc.collect()
+        baseline = len(_rendered_sources())
+        feed = np.linspace(-1.0, 1.0, 4).astype(np.float32)
+        for depth in range(2, 14):      # 12 distinct programs
+            GraphExecutor(_tanh_chain(depth)).run([feed])
+        gc.collect()
+        assert len(_rendered_sources()) - baseline <= 4
+
+    def test_a_live_program_keeps_its_lines_after_eviction(
+            self, monkeypatch):
+        """Evicting the code cache takes no lines from a program that
+        still runs: its traceback still shows the line that raised."""
+        monkeypatch.setattr(executor_mod, "_CODE_CACHE_MAX", 2)
+        monkeypatch.setattr(executor_mod, "_CODE_CACHE", {})
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(None,), dtype=R.float32)
+            b.mark_outputs([api.reshape(api.tanh(x), (5,))])
+        executor = GraphExecutor(b.graph)
+        for depth in range(2, 5):       # 3 other distinct sources
+            GraphExecutor(_tanh_chain(depth))
+        assert executor._rendered.__code__.co_filename not in {
+            name for _, name in executor_mod._CODE_CACHE.values()}
+        gc.collect()
+        with pytest.raises(ValueError) as info:
+            executor.run([np.zeros(6, np.float32)])
+        frame, = [frame for frame in traceback.extract_tb(info.tb)
+                  if frame.filename.startswith("<janus-render-")]
+        line = linecache.getline(frame.filename, frame.lineno)
+        assert line.strip().startswith("r = k")
+        assert line.strip() == frame.line
+
+    def test_regions_equal_closure_loop(self, monkeypatch):
+        """Three nodes to a region: A3C's locals cross region
+        boundaries, and each region is its own generated function, yet
+        the program still runs what its closures run."""
+        step, _, _ = self._train("A3C", steps=0)
+        whole = sum(entry.compiled.executor.local_ops
+                    for _, entry in step.cache.entries())
+        monkeypatch.setattr(executor_mod, "_REGION_OPS", 3)
+        step, rendered_out, rendered_vars = self._train("A3C")
+        executors = [entry.compiled.executor
+                     for _, entry in step.cache.entries()]
+        for executor in executors:
+            regions = [cell.cell_contents
+                       for cell in executor._rendered.__closure__]
+            assert len(regions) == -(-len(executor._program) // 3) > 1
+            assert all(region.__code__.co_filename.startswith(
+                "<janus-render-") for region in regions)
+        # A value read in a later region than its own is stored.
+        assert 0 < sum(executor.local_ops for executor in executors) \
+            < whole
+
+        loops = _closure_loops(monkeypatch)
+        _, loop_out, loop_vars = self._train("A3C")
+        assert sum(loop.runs for loop in loops) > len(loop_out)
+        self._assert_same(rendered_out, loop_out)
+        self._assert_same(rendered_vars, loop_vars)
+
+    def test_a_function_executor_stores_every_inline_result(self):
+        """A caller's record may copy any slot of a body's register
+        file, so a body's rendered program stores every result; a
+        top-level program over the same graph keeps its intermediates
+        and constants out of the file."""
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(4,), dtype=R.float32)
+            y = api.tanh(api.mul(api.add(x, 1.0), 2.0))
+            b.mark_outputs([api.reduce_sum(y)])
+        body = b.finalize_function("body")
+        nested = executor_mod._function_executor(body)
+        top = GraphExecutor(body.graph)
+        feed = np.arange(4, dtype=np.float32)
+        files = [executor._run_values(executor._bind([feed]),
+                                      executor_mod.RunState())
+                 for executor in (nested, top)]
+        assert (nested.local_ops, top.local_ops) == (0, 3)
+        assert all(value is not None for value in files[0])
+        # add, mul, tanh and the two constants.
+        assert sum(value is None for value in files[1]) == 5
+        assert files[0][nested._output_slots[0]].tobytes() \
+            == files[1][top._output_slots[0]].tobytes()
+
+    def test_level_schedule_equals_in_order_run(self, monkeypatch):
+        """A3C's loop record is made in one level and read by its
+        ``replay_grad`` in a later one: run level by level, dropping
+        each slot after the last level that reads it, every step gives
+        the in-order run's bits and dtypes."""
+        monkeypatch.setattr(host, "usable_cpus", lambda: 2)
+        _, want_out, want_vars = self._train("A3C")
+
+        def leveled(graph, parallel=False):
+            executor = GraphExecutor(graph, parallel=True)
+            # Level by level on every run, candidate levels or none.
+            executor.parallel = True
+            return executor
+        monkeypatch.setattr(compiled_mod, "GraphExecutor", leveled)
+        step, got_out, got_vars = self._train("A3C")
+        for _, entry in step.cache.entries():
+            assert entry.compiled.executor.parallel
+            assert any(entry.compiled.executor._frees)
+        self._assert_same(want_out, got_out)
+        self._assert_same(want_vars, got_vars)
+
+
+def _tanh_chain(depth):
+    b = GraphBuilder()
+    with b:
+        x = b.placeholder("x", shape=(4,), dtype=R.float32)
+        y = x
+        for _ in range(depth):
+            y = api.tanh(api.add(y, 0.5))
+        b.mark_outputs([api.reduce_sum(y)])
+    return b.graph
+
+
+def _rendered_sources():
+    return [name for name in linecache.cache
+            if name.startswith("<janus-render-")]
+
+
+class TestFlatProgram:
+    def _graph(self):
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(2, 3), dtype=R.float32)
+            w = b.convert(np.ones((3, 3), np.float32) * 0.5)
+            h = api.tanh(api.add(api.matmul(x, w), 1.0))
+            b.mark_outputs([api.reduce_sum(api.mul(h, h))])
+        return b.graph
+
+    def test_while_loop_and_gradient(self):
+        """while + replay_grad: the loop's record reaches its gradient."""
+        w = R.Variable(np.float32(2.0))
+        cb = GraphBuilder()
+        with cb:
+            i = cb.placeholder("i", shape=(), dtype=R.int64)
+            acc = cb.placeholder("acc", shape=(), dtype=R.float32)
+            cb.mark_outputs([api.less(i, 3)])
+        cond = cb.finalize_function("cond")
+        bb = GraphBuilder()
+        with bb:
+            i = bb.placeholder("i", shape=(), dtype=R.int64)
+            acc = bb.placeholder("acc", shape=(), dtype=R.float32)
+            bb.mark_outputs([api.add(i, 1),
+                             api.mul(acc, bb.read_variable(w))])
+        body = bb.finalize_function("body")
+        b = GraphBuilder()
+        with b:
+            outs = b.while_loop(cond, body,
+                                [b.convert(np.int64(0)),
+                                 b.convert(np.float32(1.0))])
+            grads = autodiff.add_training_gradients(b, outs[1])
+            b.mark_outputs([outs[1], grads[w]])
+        val, grad = GraphExecutor(b.graph).run([])
+        assert val == pytest.approx(8.0)
+        assert grad == pytest.approx(12.0)
+
+    def test_repr_names_program(self):
+        text = repr(GraphExecutor(self._graph()))
+        assert "instructions" in text and "levels parallel" in text
+
+
+def strict(**kw):
+    kw.setdefault("profile_runs", 1)
+    return janus.JanusConfig(fail_on_not_convertible=True,
+                             parallel_execution=False, **kw)
+
+
+class TestEndToEnd:
+    """Through ``janus.function``: the executor checks no feed; a
+    tensor argument's dtype and shape are checked once, by the
+    cache-retrieval prechecks."""
+
+    def test_one_precheck_per_tensor_placeholder(self):
+        @janus.function(config=strict())
+        def f(x, pair):
+            return R.reduce_sum(x * pair[0]) + R.reduce_sum(pair[1])
+
+        rng = np.random.default_rng(0)
+
+        def vec(n):
+            return R.constant(rng.normal(size=(n,)).astype(np.float32))
+
+        for _ in range(4):
+            f(vec(3), [vec(3), vec(2)])
+        assert f.stats["graph_runs"] > 0
+        (_sig, entry), = f.cache.entries()
+        assert assert_arguments_prechecked(entry) == 3
+
+    def test_nested_bodies_keep_every_store(self):
+        @janus.function(config=strict(profile_runs=2))
+        def f(x):
+            if R.reduce_sum(x) > 0.0:
+                y = R.tanh(x * 2.0 + 1.0)
+            else:
+                y = R.tanh(x - 1.0) * 0.5
+            return R.reduce_sum(y)
+
+        # Both directions profiled: the branch stays a dynamic cond.
+        xp = R.constant(np.ones(4, np.float32))
+        xn = R.constant(-np.ones(4, np.float32))
+        for x in (xp, xn, xp, xn, xp):
+            out = f(x)
+            assert np.array_equal(out.numpy(), f.func(x).numpy())
+        assert f.stats["graph_runs"] > 0
+        # Every nested body that ran keeps each result in its file.
+        stack = [e.compiled.graph for _, e in f.cache.entries()]
+        nested = []
+        while stack:
+            for node in stack.pop().nodes:
+                for func in node._nested_functions():
+                    if func is not None and func.graph is not None:
+                        nested.append(func.graph)
+                        stack.append(func.graph)
+        executors = [graph._executor_cache["nested"] for graph in nested
+                     if "nested" in graph._executor_cache]
+        assert len(executors) == 2
+        assert all(executor.local_ops == 0 for executor in executors)
+
+    def test_health_reports_ops_in_locals(self):
+        # Health attribution rides the metrics pipeline; enable it.
+        import repro.observability as obs
+        from repro.observability import HEALTH
+
+        previous = obs.set_metrics_enabled(True)
+        try:
+            # Two profile runs over varying values keep the argument a
+            # placeholder (a single observation would burn it in as a
+            # speculated constant and fail prechecks on later values).
+            @janus.function(config=strict(profile_runs=2))
+            def health_probe(x):
+                return R.reduce_sum(x * 2.0 + 1.0)
+
+            rng = np.random.default_rng(2)
+            for _ in range(5):
+                health_probe(R.constant(rng.normal(size=(4,))
+                                        .astype(np.float32)))
+            assert health_probe.stats["graph_runs"] > 0
+            (_sig, entry), = health_probe.cache.entries()
+            assert entry.compiled.fused_ops == 2     # mul, add
+            assert "2 ops in locals" in repr(entry.compiled)
+            health = HEALTH.function("health_probe")
+            assert health.graphs_generated >= 1
+            assert health.fused_ops >= 2
+        finally:
+            obs.set_metrics_enabled(previous)

@@ -7,8 +7,8 @@ Four concerns, each with its own class:
   then a *fresh* ``janus.function`` instance over the same source is
   called once.  The fresh instance must reach the graph path with zero
   profiling runs, its artifact must be marked ``from_disk`` with the
-  same node/fusion shape, and its output must match the cold graph
-  output bit-for-bit.
+  same node count and ops in locals, and its output must match the
+  cold graph output bit-for-bit.
 * **Tolerance** — truncated, corrupt, version-skewed, key-mismatched,
   and rebuild-failing entries are counted misses, never errors, and
   recognizably-bad files are dropped so the next publish heals the
@@ -527,7 +527,7 @@ class TestPortability:
             (key,) = (n[:-len(dc.SUFFIX)] for n in _entries(tmp_path))
             payload = store.load(key)
             loaded = load_compiled(payload, JanusConfig())
-            # Pre-fusion payloads carry zero blockers by construction.
+            # A published payload carries zero blockers by construction.
             assert portability_blockers(loaded.generated) is None
         finally:
             linecache.cache.pop(filename, None)
