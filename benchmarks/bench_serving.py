@@ -31,7 +31,8 @@ Run standalone or via ``make bench-check``::
 
     PYTHONPATH=src python benchmarks/bench_serving.py --check
 
-``BENCH_LABEL=foo`` writes ``results/serving-foo.json``.
+``BENCH_LABEL=foo`` writes ``results/serving-foo.json``; a ``--check`` run
+without a label writes nothing.
 """
 
 import argparse
@@ -244,10 +245,13 @@ def main(argv=None):
         title="Spinning client threads, information only (%dx%d "
               "requests, batch<=8, linger 0)" % (ROWS, FEATURES)))
 
+    # A gate run writes a file only when asked to: the tracked
+    # results/serving.json is a plain run's.
     label = os.environ.get("BENCH_LABEL")
-    path = save_results("serving" + ("-" + label if label else ""),
-                        results)
-    print("results written to %s" % path)
+    if label or not args.check:
+        path = save_results("serving" + ("-" + label if label else ""),
+                            results)
+        print("results written to %s" % path)
 
     if args.check:
         failed = False

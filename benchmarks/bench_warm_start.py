@@ -24,7 +24,8 @@ via ``make bench-check``::
 
     PYTHONPATH=src python benchmarks/bench_warm_start.py --check
 
-``BENCH_LABEL=foo`` writes ``results/warm_start-foo.json``.
+``BENCH_LABEL=foo`` writes ``results/warm_start-foo.json``; a ``--check`` run
+without a label writes nothing.
 """
 
 import argparse
@@ -181,10 +182,13 @@ def main(argv=None):
         title="Warm start via disk cache (%d layers, %dx%d, median of %d)"
               % (LAYERS, FEATURES, FEATURES, REPEATS)))
 
+    # A gate run writes a file only when asked to: the tracked
+    # results/warm_start.json is a plain run's.
     label = os.environ.get("BENCH_LABEL")
-    path = save_results("warm_start" + ("-" + label if label else ""),
-                        results)
-    print("results written to %s" % path)
+    if label or not args.check:
+        path = save_results("warm_start" + ("-" + label if label else ""),
+                            results)
+        print("results written to %s" % path)
 
     if args.check:
         print("gate: warm start is %.1fx faster than cold "

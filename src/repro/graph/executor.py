@@ -9,8 +9,12 @@ happens once at compile time, none per run.  That closure list is the
 per-op form, which the level schedule and level-2 tracing run; an
 in-order run calls one generated function per executor instead
 (:func:`_render`), with registered-op kernels called inline, their
-intermediates in locals, and every other node as a call of its
-closure.  This is the one execution tier;
+intermediates in locals, a heap read of a receiver on an edge as a line
+template, and every other node as a call of its closure.  A nested call
+(invoke, cond, while_loop, replay_grad) is a *call site*: its closure
+pins the callee on first run and calls a function generated for that
+pin, so a warm nested run costs an identity test and a few calls.  This
+is the one execution tier;
 the JANUS path and the symbolic baseline share it.  Three properties
 reproduce the paper's execution model:
 
@@ -45,7 +49,7 @@ import numpy as np
 from .. import host
 from ..errors import AssumptionFailed, ExecutionError, GraphError
 from ..observability import COUNTERS, METRICS, TRACER
-from ..tensor import TensorValue, PyRef
+from ..tensor import PyRef, Shape, TensorValue
 from .core import EFFECT_OPS
 
 _POOL_LOCK = threading.Lock()
@@ -121,8 +125,6 @@ def _externalize(raw):
     return raw
 
 
-#: Sentinel meaning "no value validated yet" in a py_get identity memo.
-_MEMO_MISS = object()
 _MEMO_SAFE = None
 
 
@@ -512,12 +514,14 @@ class GraphExecutor:
         A hit returns the *live* buffer, so content stays aliased
         exactly as on the slow path (tensor guards never pin content).
         """
+        if node.py_object is None:
+            # The line template of a dynamic read, rendered alone.
+            return _render_region([(node, None)],
+                                  [(in_slots, out_slots, True)])
         kind = "attr" if node.op_name == "py_get_attr" else "subscr"
         key = node.attrs["name"] if kind == "attr" else node.attrs["key"]
         check = _compile_expected_check(node.attrs.get("expected"), node)
         out_slot = out_slots[0]
-        if node.py_object is None:
-            return _dynamic_py_get(kind, in_slots[0], key, check, out_slot)
         obj = node.py_object.obj
         local_key = (id(obj), kind, key)
         memo_safe = _memo_safe_types()
@@ -624,10 +628,12 @@ class GraphExecutor:
                     values[slot] = _internalize(r)
         return run_call
 
-    # Nested bodies (invoke / cond / while) resolve their executor per
-    # run, not at compile time: a recursive function's graph may not be
-    # finalized yet when its caller compiles, and graph mutation clears
-    # ``_executor_cache`` underneath long-lived parents.
+    # Each invoke, cond, while_loop and replay_grad node is a call site:
+    # a closure that pins its callee on first run (a recursive callee may
+    # be the executor still compiling) and calls the function generated
+    # for the pin.  A warm run checks the pin by identity against the
+    # callee graph's ``_executor_cache``, which graph mutation clears.  A
+    # pin is one immutable tuple, published in one store.
 
     def _compile_call(self, node, in_slots, out_slots):
         """An invoke, or a cond: a call of the branch its predicate
@@ -635,30 +641,38 @@ class GraphExecutor:
         ``(callee executor, [record], gradient of the callee)``; the
         record holds the values of the callee's register file that the
         gradient ``record_grad`` reads (per branch for a cond;
-        :func:`_record_layout`)."""
+        :func:`_record_layout`).  A cond pins each branch apart."""
         record_slot = self._slots.get((id(node), _RECORD))
         grads = node.attrs.get("record_grad")
         if node.op_name == "cond":
             pred_slot, arg_slots = in_slots[0], in_slots[1:]
-            callees = node.branches
+            funcs = (node.branches["true"], node.branches["false"])
+            grads = (grads or {}).get("true"), (grads or {}).get("false")
         else:
             pred_slot, arg_slots = None, in_slots
-            callees = {"true": node.func}
-            grads = {"true": grads}
+            funcs, grads = (node.func,), (grads,)
+        pins = [None] * len(funcs)
+
+        def pin_call(k):
+            callee = _function_executor(funcs[k])
+            layouts = None if record_slot is None \
+                else grads[k].graph._executor_cache
+            entry = None if layouts is None \
+                else _record_layout(grads[k], callee)
+            pins[k] = pin = (
+                funcs[k].graph._executor_cache, callee, layouts, entry,
+                _call_site(callee, arg_slots, out_slots, record_slot,
+                           entry, grads[k]))
+            return pin
 
         def run_call(values, run_state):
-            taken = "true" if pred_slot is None \
-                or _truth(values[pred_slot]) else "false"
-            callee = _function_executor(callees[taken])
-            file = callee._run_values(
-                callee._bind([values[s] for s in arg_slots]), run_state)
-            if record_slot is not None:
-                grad = grads[taken]
-                layout = _record_layout(grad, callee)
-                values[record_slot] = (callee, [[file[s] for s in layout]],
-                                       grad)
-            for slot, s in zip(out_slots, callee._output_slots):
-                values[slot] = file[s]
+            k = 0 if pred_slot is None or _truth(values[pred_slot]) else 1
+            pin = pins[k]
+            if pin is None or pin[0].get("nested") is not pin[1] \
+                    or (pin[2] is not None
+                        and pin[2].get("record") is not pin[3]):
+                pin = pin_call(k)
+            pin[4](values, run_state)
         return run_call
 
     def _compile_while(self, node, in_slots, out_slots):
@@ -667,31 +681,32 @@ class GraphExecutor:
         (as :meth:`_compile_call` does for one call)."""
         cond_func = node.attrs["cond_func"]
         body_func = node.attrs["body_func"]
-        grad_body = node.attrs.get("record_grad")
+        grad = node.attrs.get("record_grad")
         record_slot = self._slots.get((id(node), _RECORD))
         max_iters = node.attrs.get("max_iterations", 1_000_000)
+        pins = [None]
+
+        def pin_while():
+            cond = _function_executor(cond_func)
+            body = _function_executor(body_func)
+            layouts = None if record_slot is None \
+                else grad.graph._executor_cache
+            entry = None if layouts is None else _record_layout(grad, body)
+            pins[0] = pin = (
+                cond_func.graph._executor_cache, cond,
+                body_func.graph._executor_cache, body, layouts, entry,
+                _loop_site(cond, body, in_slots, out_slots, record_slot,
+                           entry, grad, max_iters))
+            return pin
 
         def run_while(values, run_state):
-            cond_step = _function_executor(cond_func)._run_nested
-            body = _function_executor(body_func)
-            layout = None if record_slot is None \
-                else _record_layout(grad_body, body)
-            records = []
-            state = [values[s] for s in in_slots]
-            iteration = 0
-            while _truth(cond_step(state, run_state)[0]):
-                file = body._run_values(body._bind(state), run_state)
-                if layout is not None:
-                    records.append([file[s] for s in layout])
-                state = [file[s] for s in body._output_slots]
-                iteration += 1
-                if iteration > max_iters:
-                    raise ExecutionError("while_loop exceeded %d iterations"
-                                         % max_iters)
-            if layout is not None:
-                values[record_slot] = (body, records, grad_body)
-            for slot, value in zip(out_slots, state):
-                values[slot] = value
+            pin = pins[0]
+            if pin is None or pin[0].get("nested") is not pin[1] \
+                    or pin[2].get("nested") is not pin[3] \
+                    or (pin[4] is not None
+                        and pin[4].get("record") is not pin[5]):
+                pin = pin_while()
+            pin[6](values, run_state)
         return run_while
 
     def _compile_replay_grad(self, node, in_slots, out_slots):
@@ -703,50 +718,50 @@ class GraphExecutor:
         gradient of one iteration, for each loop variable ``k`` it
         depends on, is the incoming adjoint ``k`` of the one before
         (:func:`_adjoint_closure`), and a loop that ran zero times gives
-        zero variable gradients."""
+        zero variable gradients.  One pin per gradient function."""
         forward = node.attrs["forward_node"]
         record_slot = self._slots.get((id(forward), _RECORD))
         reads = self._read_outputs(node)
+        grads = forward.attrs["record_grad"]
+        grads = (grads["true"], grads["false"]) \
+            if forward.op_name == "cond" else (grads,)
         if forward.op_name == "while_loop":
             n_carried = len(in_slots)
-            wanted = _adjoint_closure(forward.attrs["record_grad"].graph,
-                                      len(forward.inputs), n_carried, reads)
+            wanted = _adjoint_closure(grads[0].graph, len(forward.inputs),
+                                      n_carried, reads)
         else:
             n_carried = 0
             wanted = tuple(sorted(reads))
-        # Result position -> loop-carried adjoint, or -> summed output.
-        carried = [(k, i) for k, i in enumerate(wanted) if i < n_carried]
-        summed = [(k, out_slots[i]) for k, i in enumerate(wanted)
-                  if i >= n_carried]
-        carried_slots = [(out_slots[i], i) for _, i in carried]
         # A loop that ran zero times adds nothing: zeros of the
         # variable's own shape, so a scalar Variable stays a scalar.
-        zeros = [(node.outputs[i].shape.as_tuple(),
-                  node.outputs[i].dtype.np_dtype)
-                 for i in wanted if i >= n_carried] if n_carried else ()
+        zeros = {i: (node.outputs[i].shape.as_tuple(),
+                     node.outputs[i].dtype.np_dtype)
+                 for i in wanted if i >= n_carried} if n_carried else {}
+        key = ("replay", wanted)
+        pins = [None] * len(grads)
+
+        def pin_replay(k, callee):
+            cache = grads[k].graph._executor_cache
+            replay = cache.get(key)
+            if replay is None or replay.forward is not callee:
+                replay = cache[key] = _ReplayExecutor(grads[k], callee,
+                                                      wanted)
+            pins[k] = pin = (callee, cache, replay, _replay_site(
+                replay, in_slots, out_slots, record_slot, n_carried, zeros))
+            return pin
 
         def run_replay_grad(values, run_state):
             record = None if record_slot is None else values[record_slot]
             if record is None:
                 raise ExecutionError("replay_grad has no record of %s"
                                      % forward.debug_name)
-            callee, records, grad = record
-            step = _replay_executor(grad, callee, wanted)._run_replay
-            grads = [values[s] for s in in_slots]
-            totals = [None] * len(summed)
-            for kept in reversed(records):
-                results = step(kept, grads, run_state)
-                for k, i in carried:
-                    grads[i] = results[k]
-                for j, (k, _) in enumerate(summed):
-                    g = results[k]
-                    totals[j] = g if totals[j] is None else totals[j] + g
-            for slot, i in carried_slots:
-                values[slot] = grads[i]
-            if not records:
-                totals = [np.zeros(shape, dtype) for shape, dtype in zeros]
-            for total, (_, slot) in zip(totals, summed):
-                values[slot] = total
+            callee, _, grad = record
+            k = 0 if grad is grads[0] else 1
+            pin = pins[k]
+            if pin is None or pin[0] is not callee \
+                    or pin[1].get(key) is not pin[2]:
+                pin = pin_replay(k, callee)
+            pin[3](values, run_state)
         return run_replay_grad
 
     def _read_outputs(self, node):
@@ -844,9 +859,9 @@ class GraphExecutor:
         graph's placeholders.  Returns the list of output values
         (numpy arrays, or the wrapped object for PyRef outputs is kept as
         PyRef — callers externalize) and commits the deferred state
-        updates on success.  Nested bodies go through
-        :meth:`_run_nested`, which shares the caller's run state and
-        never commits.
+        updates on success.  Nested bodies run through their call
+        sites (:meth:`_compile_call`), which share the caller's run
+        state and never commit.
         """
         run_state = RunState()
         run_start = time.perf_counter() \
@@ -870,25 +885,6 @@ class GraphExecutor:
         if METRICS.enabled and run_start:
             _GRAPH_RUN.observe(time.perf_counter() - run_start)
         return outputs
-
-    def _run_nested(self, feeds, run_state):
-        """What :meth:`run` does for a nested body, and nothing else.
-
-        Same feed-count check, bind, run the program in order (nested
-        bodies have no level schedule), return the outputs;
-        state stays in the caller's ``run_state`` for its commit.
-        """
-        values = self._run_values(self._bind(feeds), run_state)
-        return [values[s] for s in self._output_slots]
-
-    def _run_values(self, values, run_state):
-        """The program in order over the register file ``values``,
-        returned."""
-        if TRACER.level >= 2:
-            self._run_traced(values, run_state)
-        else:
-            self._rendered(values, run_state)
-        return values
 
     def _bind(self, feeds):
         """Fresh slots with ``feeds`` internalized on the placeholders."""
@@ -1054,10 +1050,9 @@ def _render(scheduled, slots):
     closures' bit for bit.  Its result goes to ``v`` if ``store`` says
     so, and to a local if a later line of its region reads it; the local
     is deleted after the last line that reads it.  A constant is read by
-    its binding's name.  Every other node — variable and heap access
-    with their guards and memo, calls, control flow, gradient replay, a
-    multi-output op — is a call of its closure, which reads and writes
-    ``v``.
+    its binding's name; a heap read of a receiver on an edge is the
+    lines of :func:`_dynamic_get_lines`.  Every other node — call sites
+    included — is a call of its closure, which reads and writes ``v``.
 
     Each region of at most :data:`_REGION_OPS` nodes is one generated
     function; one more calls them in order when there are several.
@@ -1083,13 +1078,19 @@ def _render_region(scheduled, slots):
         if _inline(node, out_slots):
             for slot in in_slots:
                 last[slot] = i
-    params = ["_nd", "_as"]
-    bindings = [np.ndarray, np.asarray]
+    params = ["_nd", "_as", "_PR", "_EE", "_in", "_rc"]
+    bindings = [np.ndarray, np.asarray, PyRef, ExecutionError,
+                _internalize, _run_check]
     body = []
     names = {}       # slot -> the local or binding a line reads it by
     local = set()    # slots held in a local
     for i, ((node, fn), (in_slots, out_slots, store)) in enumerate(
             zip(scheduled, slots)):
+        if node.op_name in ("py_get_attr", "py_get_subscr") \
+                and node.py_object is None:
+            body.extend(_dynamic_get_lines(i, node, in_slots, out_slots,
+                                           params, bindings))
+            continue
         if not _inline(node, out_slots):
             params.append("f%d" % i)
             bindings.append(fn)
@@ -1139,6 +1140,99 @@ def _generate(params, bindings, body):
     return namespace["_bind"](*bindings)
 
 
+def _feed_lines(file, callee, sources):
+    """Lines making ``callee``'s register file, named ``file``, with the
+    expressions ``sources`` on its placeholders."""
+    slots = callee._ph_slot_order
+    if len(sources) != len(slots):
+        raise ExecutionError("graph %s expects %d feeds, got %d"
+                             % (callee.graph.name, len(slots),
+                                len(sources)))
+    return ["%s = [None] * %d" % (file, callee._slot_count)] + [
+        "%s[%d] = %s" % (file, slot, source)
+        for slot, source in zip(slots, sources)]
+
+
+def _call_site(callee, arg_slots, out_slots, record_slot, entry, grad):
+    """The function of an invoke or cond branch pinned to ``callee``:
+    its file ``w`` fed from the caller's slots, a call of its program
+    (the closures under level-2 tracing), the record the layout
+    ``entry`` names as one list display, and the outputs copied back."""
+    body = _feed_lines("w", callee, ["v[%d]" % s for s in arg_slots])
+    body.append("(tr if _T.level >= 2 else rd)(w, rs)")
+    if entry is not None:
+        body.append("v[%d] = (ex, [[%s]], gr)" % (record_slot, ", ".join(
+            "w[%d]" % s for s in entry[1])))
+    body += ["v[%d] = w[%d]" % pair
+             for pair in zip(out_slots, callee._output_slots)]
+    return _generate(
+        ["_T", "rd", "tr", "ex", "gr"],
+        [TRACER, callee._rendered, callee._run_traced, callee, grad], body)
+
+
+def _loop_site(cond, body_ex, in_slots, out_slots, record_slot, entry,
+               grad, max_iters):
+    """The function of a loop pinned to ``cond`` and ``body_ex``: the
+    loop state in locals ``x0…``; per iteration a call of each program
+    over a fresh file, and the record ``entry`` names appended."""
+    state = ["x%d" % j for j in range(len(in_slots))]
+    loop = _feed_lines("c", cond, state) + [
+        "cr(c, rs)", "if not _tr(c[%d]):" % cond._output_slots[0],
+        "    break"] + _feed_lines("w", body_ex, state) + ["br(w, rs)"]
+    if entry is not None:
+        loop.append("recs.append([%s])" % ", ".join(
+            "w[%d]" % s for s in entry[1]))
+    loop += ["%s = w[%d]" % pair
+             for pair in zip(state, body_ex._output_slots)]
+    loop += ["n += 1", "if n > mx:",
+             "    raise _EE('while_loop exceeded %d iterations' % mx)"]
+    body = ["%s = v[%d]" % pair for pair in zip(state, in_slots)]
+    body += ["recs = []", "n = 0", "cr = ct if _T.level >= 2 else cd",
+             "br = bt if _T.level >= 2 else bd", "while True:"]
+    body += ["    " + line for line in loop]
+    if entry is not None:
+        body.append("v[%d] = (ex, recs, gr)" % record_slot)
+    body += ["v[%d] = %s" % pair for pair in zip(out_slots, state)]
+    return _generate(
+        ["_T", "_tr", "_EE", "cd", "ct", "bd", "bt", "ex", "gr", "mx"],
+        [TRACER, _truth, ExecutionError, cond._rendered, cond._run_traced,
+         body_ex._rendered, body_ex._run_traced, body_ex, grad, max_iters],
+        body)
+
+
+def _replay_site(replay, in_slots, out_slots, record_slot, n_carried,
+                 zeros):
+    """The function of a ``replay_grad`` pinned to ``replay``: per
+    record, last first, the record's file with the adjoints (locals
+    ``g0…``) on its placeholders and a call of its program, then the
+    carried adjoints updated and the rest summed (locals ``t0…``).  A
+    loop with no record gives ``zeros``."""
+    results = list(zip(replay.wanted, replay._output_slots))
+    carried = [(i, slot) for i, slot in results if i < n_carried]
+    summed = [(i, slot) for i, slot in results if i >= n_carried]
+    loop = ["w = kept + tl"] + [
+        "w[%d] = g%d" % (slot, j)
+        for j, slot in enumerate(replay._ph_slot_order[:len(in_slots)])]
+    loop += ["run(w, rs)"] + ["g%d = w[%d]" % pair for pair in carried]
+    for i, slot in summed:
+        loop += ["r = w[%d]" % slot,
+                 "t%d = r if t%d is None else t%d + r" % (i, i, i)]
+    body = ["recs = v[%d][1]" % record_slot]
+    body += ["g%d = v[%d]" % pair for pair in enumerate(in_slots)]
+    body += ["t%d = None" % i for i, _ in summed]
+    body += ["run = tr if _T.level >= 2 else rd",
+             "for kept in reversed(recs):"]
+    body += ["    " + line for line in loop]
+    body += ["v[%d] = g%d" % (out_slots[i], i) for i, _ in carried]
+    if zeros and summed:
+        body.append("if not recs:")
+        body += ["    t%d = _zs(*zs[%d])" % (i, i) for i, _ in summed]
+    body += ["v[%d] = t%d" % (out_slots[i], i) for i, _ in summed]
+    return _generate(["_T", "rd", "tr", "tl", "_zs", "zs"],
+                     [TRACER, replay._rendered, replay._run_traced,
+                      replay._tail, np.zeros, zeros], body)
+
+
 def _run_check(check, raw):
     """Run one heap-read guard, timed when metrics are on."""
     if METRICS.enabled:
@@ -1151,31 +1245,34 @@ def _run_check(check, raw):
         check(raw)
 
 
-def _dynamic_py_get(kind, dyn_slot, key, check, out_slot):
-    """Heap read whose receiver arrives on an input edge.
-
-    Only the guard check can be precompiled; there is no per-node memo
-    because the object may differ run to run.
-    """
-    is_attr = kind == "attr"
-
-    def run_get_dynamic(values, run_state):
-        ref = values[dyn_slot]
-        if not isinstance(ref, PyRef):
-            raise ExecutionError("py_get on non-PyRef input")
-        obj = ref.obj
-        local_key = (id(obj), kind, key)
-        raw = run_state.py_local.get(local_key)
-        if raw is None:
-            raw = run_state.py_read_cache.get(local_key)
-            if raw is None:
-                raw = _internalize(getattr(obj, key) if is_attr
-                                   else obj[key])
-                if check is not None:
-                    _run_check(check, raw)
-                run_state.py_read_cache[local_key] = raw
-        values[out_slot] = raw
-    return run_get_dynamic
+def _dynamic_get_lines(i, node, in_slots, out_slots, params, bindings):
+    """Line ``i`` of a region: a heap read of the receiver in slot
+    ``in_slots[0]``.  It reads the run's own write (``py_local``) first,
+    then the run's earlier read of the same slot (``py_read_cache``),
+    and only then the heap, internalized and guarded; there is no
+    per-node memo because the receiver may differ run to run."""
+    kind = "attr" if node.op_name == "py_get_attr" else "subscr"
+    params.append("y%d" % i)
+    bindings.append(node.attrs["name"] if kind == "attr"
+                    else node.attrs["key"])
+    check = _compile_expected_check(node.attrs.get("expected"), node)
+    fetch = "getattr(p, y%d)" % i if kind == "attr" else "p[y%d]" % i
+    lines = ["p = v[%d]" % in_slots[0],
+             "if not isinstance(p, _PR):",
+             "    raise _EE('py_get on non-PyRef input')",
+             "p = p.obj",
+             "q = (id(p), %r, y%d)" % (kind, i),
+             "r = rs.py_local.get(q)",
+             "if r is None:",
+             "    r = rs.py_read_cache.get(q)",
+             "    if r is None:",
+             "        r = _in(%s)" % fetch]
+    if check is not None:
+        params.append("g%d" % i)
+        bindings.append(check)
+        lines.append("        _rc(g%d, r)" % i)
+    return lines + ["        rs.py_read_cache[q] = r",
+                    "v[%d] = r" % out_slots[0]]
 
 
 def _compile_expected_check(expected, node):
@@ -1209,11 +1306,7 @@ def _compile_expected_check(expected, node):
         _, dtype, shape = expected
         np_dtype = dtype.np_dtype if dtype is not None else None
         dtype_name = dtype.name if dtype is not None else None
-        if shape is not None:
-            from ..tensor.shape import Shape
-            shape_obj = Shape.of(shape)
-        else:
-            shape_obj = None
+        shape_obj = None if shape is None else Shape.of(shape)
         ndarray = np.ndarray
 
         def check_tensor(raw):
@@ -1307,7 +1400,7 @@ class _ReplayExecutor(GraphExecutor):
         self.forward = forward
         self.wanted = wanted
         self._bound = _bound_clones(func, forward)
-        self._layout = _record_layout(func, forward)
+        self._layout = _record_layout(func, forward)[1]
         super().__init__(func.graph)
         self._tail = [None] * (self._slot_count - len(self._layout))
 
@@ -1331,15 +1424,6 @@ class _ReplayExecutor(GraphExecutor):
                 if slot in position:
                     slots[(id(clone), index)] = position[slot]
         return slots, len(self._layout)
-
-    def _run_replay(self, kept, grads, run_state):
-        """The wanted outputs for one iteration: its record ``kept`` and
-        the adjoints ``grads`` of the body's float outputs."""
-        values = kept + self._tail
-        for slot, grad in zip(self._ph_slot_order, grads):
-            values[slot] = grad
-        self._run_values(values, run_state)
-        return [values[s] for s in self._output_slots]
 
 
 def _bound_clones(func, forward):
@@ -1368,16 +1452,16 @@ def _replay_live(graph, bound, outputs):
 
 
 def _record_layout(func, forward):
-    """The slots of ``forward``'s register file a record keeps: those
-    a replay of gradient body ``func`` reads when it computes every
-    output, so a replay of any of them finds its values.
-    Cached in ``func.graph``'s executor cache while ``forward`` is the
-    one it was computed against (a recompiled forward body lays its
-    slots out anew)."""
+    """``(forward, layout)``: the slots of ``forward``'s register file
+    a record keeps, those a replay of gradient body ``func`` reads when
+    it computes every output, so a replay of any of them finds its
+    values.  Cached in ``func.graph``'s executor cache while ``forward``
+    is the one it was computed against (a recompiled forward body lays
+    its slots out anew); a call site pins the cached pair."""
     cache = func.graph._executor_cache
     cached = cache.get("record")
     if cached is not None and cached[0] is forward:
-        return cached[1]
+        return cached
     bound = _bound_clones(func, forward)
     forward_slots = forward._slots
     reads = set()
@@ -1396,21 +1480,8 @@ def _record_layout(func, forward):
             read(node.attrs["forward_node"], _RECORD)
     for out in graph.outputs:
         read(out.node, out.index)
-    layout = tuple(sorted(reads))
-    cache["record"] = (forward, layout)
-    return layout
-
-
-def _replay_executor(func, forward, wanted):
-    """The :class:`_ReplayExecutor` of gradient body ``func`` over
-    ``forward``'s records, cached like :func:`_record_layout`."""
-    cache = func.graph._executor_cache
-    key = ("replay", wanted)
-    executor = cache.get(key)
-    if executor is None or executor.forward is not forward:
-        executor = _ReplayExecutor(func, forward, wanted)
-        cache[key] = executor
-    return executor
+    entry = cache["record"] = (forward, tuple(sorted(reads)))
+    return entry
 
 
 def _adjoint_closure(graph, n_args, n_float, reads):

@@ -1,6 +1,7 @@
 """Graph executor: feeds, commits, all-or-nothing aborts, parallelism,
 the rendered program."""
 
+import collections
 import gc
 import linecache
 import os
@@ -771,10 +772,15 @@ class TestUsableCpus:
 
 class TestNestedRun:
     def test_rejects_a_wrong_feed_count(self):
-        body = executor_mod._function_executor(_unary_fn(api.neg, "body"))
+        f = _unary_fn(api.neg, "body")
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(4, 8), dtype=R.float32)
+            b.mark_outputs([b.invoke(f, [x, x],
+                                     [(R.Shape((4, 8)), R.float32)])])
+        ex = GraphExecutor(b.graph)
         with pytest.raises(ExecutionError, match="expects 1 feeds, got 2"):
-            body._run_nested([np.zeros((4, 8), np.float32)] * 2,
-                             executor_mod.RunState())
+            ex.run([np.zeros((4, 8), np.float32)])
 
     def test_binds_runs_returns_and_commits_nothing(self):
         v = R.Variable(np.float32(1.0))
@@ -783,16 +789,25 @@ class TestNestedRun:
             x = b.placeholder("x", shape=(), dtype=R.float32)
             b.assign_variable(v, api.mul(x, 3.0))
             b.mark_outputs([api.add(x, 1.0)])
-        body = executor_mod._function_executor(b.finalize_function("body"))
+        body = b.finalize_function("body")
+        outer = GraphBuilder()
+        with outer:
+            x = outer.placeholder("x", shape=(), dtype=R.float32)
+            outer.mark_outputs([outer.invoke(body, [x],
+                                             [(R.Shape(()), R.float32)])])
+        ex = GraphExecutor(outer.graph)
         run_state = executor_mod.RunState()
-        # A python float is internalized like a top-level feed would be.
-        out, = body._run_nested([2.0], run_state)
+        # A python float is internalized by the top-level bind; the call
+        # site hands the internal value on.
+        values = ex._bind([2.0])
+        ex._rendered(values, run_state)
+        out = values[ex._output_slots[0]]
         assert out.dtype == np.float32 and out == 3.0
-        assert float(v.numpy()) == 1.0          # the caller commits
+        assert float(v.numpy()) == 1.0          # the top-level run commits
         assert run_state.var_local[v] == 6.0
         ref = PyRef(object())
-        values = body._bind([ref])
-        assert values[body._ph_slot_order[0]] is ref
+        values = ex._bind([ref])
+        assert values[ex._ph_slot_order[0]] is ref
 
     def test_emits_per_op_events_at_level_2(self):
         f = _unary_fn(lambda t: api.tanh(api.mul(t, 0.5)), "callee")
@@ -814,6 +829,195 @@ class TestNestedRun:
         assert [e.category for e in nested] \
             == ["op"] * body.instruction_count
         assert [e.name for e in nested] == [n for n, _ in body._labels]
+
+
+def _reachable_graphs(graph):
+    """Every graph nested in ``graph``: bodies, branches, gradients."""
+    found, stack = {}, [graph]
+    while stack:
+        for node in stack.pop().nodes:
+            for func in node._nested_functions():
+                if func is not None and func.graph is not None \
+                        and id(func.graph) not in found:
+                    found[id(func.graph)] = func.graph
+                    stack.append(func.graph)
+    return list(found.values())
+
+
+def _loop_model(w, limit=3, width=(), invoke=True):
+    """A graph running ``acc = acc * w`` ``limit`` times from ones, plus
+    (``invoke``) an invoke of ``tanh(x * w)``, and the gradient of the
+    sum of both with respect to ``w``: a while, an invoke and their
+    ``replay_grad``s.  Returns the graph and the callees by graph
+    name."""
+    cb = GraphBuilder(name="loop_cond")
+    with cb:
+        i = cb.placeholder("i", shape=(), dtype=R.int64)
+        cb.placeholder("acc", shape=width, dtype=R.float32)
+        cb.mark_outputs([api.less(i, limit)])
+    cond = cb.finalize_function("loop_cond")
+    bb = GraphBuilder(name="loop_body")
+    with bb:
+        i = bb.placeholder("i", shape=(), dtype=R.int64)
+        acc = bb.placeholder("acc", shape=width, dtype=R.float32)
+        bb.mark_outputs([api.add(i, 1),
+                         api.mul(acc, bb.read_variable(w))])
+    body = bb.finalize_function("loop_body")
+    fb = GraphBuilder(name="squash")
+    with fb:
+        x = fb.placeholder("x", shape=width, dtype=R.float32)
+        fb.mark_outputs([api.tanh(api.mul(x, fb.read_variable(w)))])
+    squash = fb.finalize_function("squash")
+    b = GraphBuilder()
+    with b:
+        ones = b.convert(np.ones(width, np.float32))
+        outs = b.while_loop(cond, body, [b.convert(np.int64(0)), ones])
+        loss = api.reduce_sum(outs[1])
+        if invoke:
+            y = b.invoke(squash, [ones], [(R.Shape(width), R.float32)])
+            loss = api.add(loss, api.reduce_sum(y))
+        grads = autodiff.add_training_gradients(b, loss)
+        b.mark_outputs([loss, grads[w]])
+    return b.graph, {f.name: f for f in (cond, body, squash)}
+
+
+class TestCallSites:
+    """An invoke, cond, while or replay_grad pins its callee on first
+    run and calls the function generated for the pin."""
+
+    @pytest.mark.parametrize("cleared", ["callees", "gradients", "both"])
+    def test_a_cleared_cache_repins(self, cleared):
+        w = R.Variable(np.float32(1.5))
+        graph, funcs = _loop_model(w)
+        ex = GraphExecutor(graph)
+        first = ex.run([])
+        callees = [f.graph for f in funcs.values()]
+        gradients = [g for g in _reachable_graphs(graph)
+                     if g not in callees]
+        old = {id(g): dict(g._executor_cache) for g in callees + gradients}
+        assert all(old.values())
+        clear = {"callees": callees, "gradients": gradients,
+                 "both": callees + gradients}[cleared]
+        for nested in clear:
+            nested._executor_cache.clear()
+        second = ex.run([])
+        # Each cleared cache is filled again, with new executors.
+        for nested in clear:
+            cache = nested._executor_cache
+            assert cache.keys() == old[id(nested)].keys()
+            assert all(cache[key] is not old[id(nested)][key]
+                       for key in cache)
+        fresh_graph, _ = _loop_model(w)
+        fresh = GraphExecutor(fresh_graph).run([])
+        for a, b, c in zip(first, second, fresh):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+            assert a.dtype == b.dtype == c.dtype
+
+    def test_level_2_emits_one_op_event_per_closure_of_every_body_run(
+            self):
+        w = R.Variable(np.float32(1.5))
+        graph, funcs = _loop_model(w, limit=3)
+        ex = GraphExecutor(graph)
+        ex.run([])          # pins every site
+        TRACER.clear()
+        try:
+            with override_level(2):
+                ex.run([])
+            ops = collections.Counter(
+                e.args["graph"] for e in TRACER.events
+                if e.category == "op" and e.args and "node" in e.args)
+        finally:
+            TRACER.clear()
+        runs = {"loop_cond": 4, "loop_body": 3, "squash": 1}
+        for name, count in runs.items():
+            executor = funcs[name].graph._executor_cache["nested"]
+            assert ops[name] == count * executor.instruction_count
+        replays = [(key, executor) for nested in _reachable_graphs(graph)
+                   for key, executor in nested._executor_cache.items()
+                   if key != "record" and key[0] == "replay"]
+        assert len(replays) == 2
+        for _, replay in replays:
+            count = runs[replay.forward.graph.name]
+            assert ops[replay.graph.name] \
+                == count * replay.instruction_count
+
+    def test_a_loop_past_max_iterations_raises(self):
+        graph, _ = _loop_model(R.Variable(np.float32(1.0)), limit=10 ** 9)
+        node, = [n for n in graph.nodes if n.op_name == "while_loop"]
+        node.attrs["max_iterations"] = 50
+        with pytest.raises(ExecutionError,
+                           match="while_loop exceeded 50 iterations"):
+            GraphExecutor(graph).run([])
+
+    @pytest.mark.parametrize("width", [(), (2, 3)])
+    def test_a_zero_trip_loop_gradient_is_zeros_of_the_variable(
+            self, width):
+        w = R.Variable(np.full(width, 1.5, np.float32))
+        graph, _ = _loop_model(w, limit=0, width=width, invoke=False)
+        loss, grad = GraphExecutor(graph).run([])
+        assert loss == np.prod(width)
+        assert grad.shape == width and grad.dtype == np.float32
+        assert not grad.any()
+
+    @staticmethod
+    def _dynamic_read(expected=None, site=None, write=None):
+        b = GraphBuilder()
+        with b:
+            h = b.placeholder("h", shape=(), dtype=None)
+            if write is not None:
+                b.py_set_attr(h, "k", write)
+            out = b.py_get_attr(h, "k", expected=expected)
+            if site is not None:
+                out.node.attrs["prof_site"] = site
+            b.mark_outputs([out])
+        return GraphExecutor(b.graph)
+
+    @pytest.fixture(params=["rendered", "per-op"])
+    def form(self, request):
+        """Run the rendered program, or the per-op closures (level-2
+        tracing): the read's template either way."""
+        if request.param == "rendered":
+            yield
+            return
+        with override_level(2):
+            yield
+        TRACER.clear()
+
+    def test_a_dynamic_read_rejects_a_non_pyref_receiver(self, form):
+        ex = self._dynamic_read()
+        with pytest.raises(ExecutionError,
+                           match="py_get on non-PyRef input"):
+            ex.run([np.float32(1.0)])
+
+    def test_a_dynamic_read_guard_miss_names_its_site(self, form):
+        holder = type("S", (), {"k": 2})()
+        ex = self._dynamic_read(
+            expected=("const", R.int64, TensorValue.of(2).array),
+            site=("attr", "s7"))
+        assert ex.run([PyRef(holder)])[0] == 2
+        holder.k = 3
+        with pytest.raises(AssumptionFailed) as info:
+            ex.run([PyRef(holder)])
+        assert info.value.site == ("attr", "s7")
+
+    def test_a_dynamic_read_sees_the_runs_own_write(self, form):
+        holder = type("S", (), {"k": 2.0})()
+        ex = self._dynamic_read(write=np.float32(5.0))
+        out, = ex.run([PyRef(holder)])
+        assert out == 5.0
+        assert float(holder.k.numpy()) == 5.0
+
+    def test_the_same_recursive_model_twice_compiles_no_new_source(
+            self, monkeypatch):
+        """Site sources hold slot indices, never an id: a second build
+        of the same recursive model reuses every generated code."""
+        monkeypatch.setattr(executor_mod, "_CODE_CACHE", {})
+        TestFunctionalControlFlow().test_recursive_invoke()
+        sources = dict(executor_mod._CODE_CACHE)
+        assert any("(tr if _T.level >= 2 else rd)(w, rs)" in source
+                   for source in sources)
+        TestFunctionalControlFlow().test_recursive_invoke()
+        assert executor_mod._CODE_CACHE == sources
 
 
 def _legacy_internalize(value):
@@ -1149,9 +1353,9 @@ class TestRenderedProgram:
         nested = executor_mod._function_executor(body)
         top = GraphExecutor(body.graph)
         feed = np.arange(4, dtype=np.float32)
-        files = [executor._run_values(executor._bind([feed]),
-                                      executor_mod.RunState())
-                 for executor in (nested, top)]
+        files = [executor._bind([feed]) for executor in (nested, top)]
+        for executor, file in zip((nested, top), files):
+            executor._rendered(file, executor_mod.RunState())
         assert (nested.local_ops, top.local_ops) == (0, 3)
         assert all(value is not None for value in files[0])
         # add, mul, tanh and the two constants.
