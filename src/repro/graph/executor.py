@@ -5,12 +5,15 @@ buffers.  Every SSA value has a preallocated register slot in one flat
 ``values`` list and every instruction — registered op, heap access,
 variable access, functional control flow — is a pre-bound
 ``fn(values, run_state)`` closure: all instruction-kind dispatch
-happens once at compile time, none per run.  That closure list is the
-per-op form, which the level schedule and level-2 tracing run; an
-in-order run calls one generated function per executor instead
-(:func:`_render`), with registered-op kernels called inline, their
-intermediates in locals, a heap read of a receiver on an edge as a line
-template, and every other node as a call of its closure.  A nested call
+happens once at compile time, none per run.  A registered op's kernel
+is bound to its node's attributes there too (``op_def.bind(attrs)``,
+evaluated once per node), so a run calls it over arrays alone.  That
+closure list is the per-op form, which the level schedule and level-2
+tracing run; an in-order run calls one generated function per executor
+instead (:func:`_render`), with each registered op's bound kernel
+called inline as ``r = k<i>(args)``, their intermediates in locals, a
+heap read of a receiver on an edge as a line template, and every other
+node as a call of its closure.  A nested call
 (invoke, cond, while_loop, replay_grad) is a *call site*: its closure
 pins the callee on first run and calls a function generated for that
 pin, so a warm nested run costs an identity test and a few calls.  This
@@ -345,6 +348,7 @@ class GraphExecutor:
 
         scheduled = []   # (node, closure), in schedule order
         slots = []       # (in_slots, out_slots), aligned with scheduled
+        kernels = []     # a registered op's bound kernel, or None
         self._placeholder_slots = {}
         for node in order:
             if node in bound:
@@ -353,10 +357,16 @@ class GraphExecutor:
                              for i in node.inputs)
             out_slots = tuple(self._slots[(id(node), out.index)]
                               for out in node.outputs)
-            fn = self._compile_node(node, in_slots, out_slots)
+            if node.op_def is not None:
+                kernel = node.op_def.bind(node.attrs)
+                fn = self._make_op_closure(kernel, in_slots, out_slots)
+            else:
+                kernel = None
+                fn = self._compile_node(node, in_slots, out_slots)
             if fn is not None:
                 scheduled.append((node, fn))
                 slots.append((in_slots, out_slots))
+                kernels.append(kernel)
         self._ph_slot_order = [
             self._placeholder_slots[node.attrs["ph_name"]]
             for node in graph.placeholders if node not in bound]
@@ -373,8 +383,8 @@ class GraphExecutor:
         #: The same program as one generated function (:func:`_render`),
         #: what an untraced in-order run calls.
         self._rendered = _render(scheduled, [
-            (ins, outs, store)
-            for (ins, outs), store in zip(slots, stores)])
+            (ins, outs, store, kernel)
+            for (ins, outs), store, kernel in zip(slots, stores, kernels)])
         #: Aligned with _program; consumed by level-2 op tracing.
         self._labels = [(node.op_name, node.debug_name)
                         for node, _ in scheduled]
@@ -404,7 +414,9 @@ class GraphExecutor:
                 for region, (_, outs) in zip(regions, slots)]
 
     def _compile_node(self, node, in_slots, out_slots):
-        """One node -> one bare ``fn(values, run_state)`` closure.
+        """One node other than a registered op (those are
+        :meth:`_make_op_closure`'s) -> one bare ``fn(values, run_state)``
+        closure.
 
         Returns None for nodes that execute nothing (placeholders are
         filled during feed binding, groups only order their inputs).
@@ -452,20 +464,20 @@ class GraphExecutor:
             return self._compile_replay_grad(node, in_slots, out_slots)
         if op == "group":
             return None
-        if node.op_def is not None:
-            return self._make_op_closure(node.op_def.kernel, node.attrs,
-                                         in_slots, out_slots)
         raise GraphError("cannot compile node %s" % node.debug_name)
 
     @staticmethod
-    def _make_op_closure(kernel, attrs, in_slots, out_slots):
-        """A pre-bound callable for one registered-op node.
+    def _make_op_closure(kernel, in_slots, out_slots):
+        """A pre-bound callable for one registered-op node, over its
+        ``kernel`` — ``op_def.bind(attrs)``, the node's attributes
+        already read.
 
         Binding slots and kernel at compile time removes the per-node
-        tuple unpacking and dispatch from the hot loop — the 'low per-op
-        overhead' property the symbolic executor owes its BASE speedup to.
-        This is the per-op form; :func:`_render` inlines the same call
-        and coercion for an in-order run.
+        tuple unpacking, dispatch and attribute decoding from the hot
+        loop — the 'low per-op overhead' property the symbolic executor
+        owes its BASE speedup to.  This is the per-op form;
+        :func:`_render` inlines the same call and coercion for an
+        in-order run.
         """
         asarray = np.asarray
         ndarray = np.ndarray
@@ -475,24 +487,24 @@ class GraphExecutor:
                 a0 = in_slots[0]
 
                 def run1(values, run_state):
-                    r = kernel(attrs, values[a0])
+                    r = kernel(values[a0])
                     values[o0] = r if type(r) is ndarray else asarray(r)
                 return run1
             if len(in_slots) == 2:
                 a0, a1 = in_slots
 
                 def run2(values, run_state):
-                    r = kernel(attrs, values[a0], values[a1])
+                    r = kernel(values[a0], values[a1])
                     values[o0] = r if type(r) is ndarray else asarray(r)
                 return run2
 
             def run_n(values, run_state):
-                r = kernel(attrs, *[values[s] for s in in_slots])
+                r = kernel(*[values[s] for s in in_slots])
                 values[o0] = r if type(r) is ndarray else asarray(r)
             return run_n
 
         def run_multi(values, run_state):
-            results = kernel(attrs, *[values[s] for s in in_slots])
+            results = kernel(*[values[s] for s in in_slots])
             for slot, r in zip(out_slots, results):
                 values[slot] = r if type(r) is ndarray else asarray(r)
         return run_multi
@@ -515,9 +527,17 @@ class GraphExecutor:
         exactly as on the slow path (tensor guards never pin content).
         """
         if node.py_object is None:
-            # The line template of a dynamic read, rendered alone.
-            return _render_region([(node, None)],
-                                  [(in_slots, out_slots, True)])
+            # The line template of a dynamic read, rendered alone on
+            # first use: only the level schedule and level-2 tracing
+            # call the per-op form.
+            rendered = []
+
+            def run_dynamic_get(values, run_state):
+                if not rendered:
+                    rendered.append(_render_region(
+                        [(node, None)], [(in_slots, out_slots, True, None)]))
+                rendered[0](values, run_state)
+            return run_dynamic_get
         kind = "attr" if node.op_name == "py_get_attr" else "subscr"
         key = node.attrs["name"] if kind == "attr" else node.attrs["key"]
         check = _compile_expected_check(node.attrs.get("expected"), node)
@@ -1041,11 +1061,12 @@ def _render(scheduled, slots):
     """The program ``scheduled`` as one generated ``_rendered(v, rs)``.
 
     ``scheduled`` holds ``(node, closure)`` in schedule order and
-    ``slots`` each one's ``(in_slots, out_slots, store)``, ``store``
-    saying whether its result must land in the register file ``v``
-    (:meth:`GraphExecutor._stores`).  A single-output registered op
-    becomes a call of its kernel with its attrs — or of its OpDef's
-    attrs-free ``direct`` callable — and the coercion
+    ``slots`` each one's ``(in_slots, out_slots, store, kernel)``,
+    ``store`` saying whether its result must land in the register file
+    ``v`` (:meth:`GraphExecutor._stores`) and ``kernel`` being a
+    registered op's ``op_def.bind(attrs)``, the one its closure calls.
+    A single-output registered op becomes the line ``r = k<i>(args)``,
+    a call of that kernel, and the coercion
     :meth:`GraphExecutor._make_op_closure` applies, so results are the
     closures' bit for bit.  Its result goes to ``v`` if ``store`` says
     so, and to a local if a later line of its region reads it; the local
@@ -1056,7 +1077,7 @@ def _render(scheduled, slots):
 
     Each region of at most :data:`_REGION_OPS` nodes is one generated
     function; one more calls them in order when there are several.
-    Kernels, attrs, constants, closures and regions are parameters of a
+    Kernels, constants, closures and regions are parameters of a
     binding function named by position, so programs of one structure
     render the same source and share one code object
     (:func:`compile_cached`).
@@ -1073,7 +1094,7 @@ def _render(scheduled, slots):
 def _render_region(scheduled, slots):
     """One region of :func:`_render`'s program, as its function."""
     last = {}   # slot -> the last inline line of the region reading it
-    for i, ((node, _), (in_slots, out_slots, _)) in enumerate(
+    for i, ((node, _), (in_slots, out_slots, _, _)) in enumerate(
             zip(scheduled, slots)):
         if _inline(node, out_slots):
             for slot in in_slots:
@@ -1084,7 +1105,7 @@ def _render_region(scheduled, slots):
     body = []
     names = {}       # slot -> the local or binding a line reads it by
     local = set()    # slots held in a local
-    for i, ((node, fn), (in_slots, out_slots, store)) in enumerate(
+    for i, ((node, fn), (in_slots, out_slots, store, kernel)) in enumerate(
             zip(scheduled, slots)):
         if node.op_name in ("py_get_attr", "py_get_subscr") \
                 and node.py_object is None:
@@ -1104,16 +1125,10 @@ def _render_region(scheduled, slots):
             if store:
                 body.append("v[%d] = c%d" % (slot, i))
             continue
-        args = [names.get(s, "v[%d]" % s) for s in in_slots]
         params.append("k%d" % i)
-        if node.op_def.direct is not None:
-            bindings.append(node.op_def.direct)
-        else:
-            bindings.append(node.op_def.kernel)
-            params.append("a%d" % i)
-            bindings.append(node.attrs)
-            args.insert(0, "a%d" % i)
-        body.append("r = k%d(%s)" % (i, ", ".join(args)))
+        bindings.append(kernel)
+        body.append("r = k%d(%s)" % (i, ", ".join(
+            names.get(s, "v[%d]" % s) for s in in_slots)))
         targets = ["v[%d]" % slot] if store else []
         if last.get(slot, -1) > i:
             names[slot] = "s%d" % slot

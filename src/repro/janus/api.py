@@ -648,6 +648,9 @@ def _ensure_tensor(value):
     import numpy as np
     from ..imperative.eager import Tensor
     from ..tensor import TensorValue
+    if type(value) is np.ndarray:
+        # The caller keeps the array: wrap it without sealing it.
+        return Tensor(TensorValue.borrowed(value))
     if isinstance(value, (np.ndarray, np.generic)):
         return Tensor(TensorValue.of(np.asarray(value)))
     return value

@@ -237,13 +237,15 @@ def observe(value):
         return ValueSpec(NONE)
     if isinstance(value, Variable):
         return ValueSpec(VARIABLE, value=value)
-    if isinstance(value, Tensor):
-        tv = value.value
+    if isinstance(value, (Tensor, TensorValue)):
+        tv = value.value if isinstance(value, Tensor) else value
+        if tv.is_borrowed:
+            # The caller may write its array in place: the constant is a
+            # private copy, and nothing pins the caller's buffer.
+            return ValueSpec(CONST_TENSOR, dtype=tv.dtype, shape=tv.shape,
+                             value=tv.array.copy())
         return ValueSpec(CONST_TENSOR, dtype=tv.dtype, shape=tv.shape,
                          value=tv.array, source=tv)
-    if isinstance(value, TensorValue):
-        return ValueSpec(CONST_TENSOR, dtype=value.dtype, shape=value.shape,
-                         value=value.array, source=value)
     if isinstance(value, np.ndarray):
         tv = TensorValue.of(value)
         return ValueSpec(CONST_TENSOR, dtype=tv.dtype, shape=tv.shape,

@@ -1,4 +1,12 @@
-"""Array manipulation op kernels (reshape, concat, slicing, gather, ...)."""
+"""Array manipulation op kernels (reshape, concat, slicing, gather, ...).
+
+Most bound forms (``bind``) call the ndarray method or index that the
+numpy function they stand for forwards to — ``np.reshape(a, s)`` is
+``a.reshape(s)`` — so results are that function's bit for bit, views
+included (``tests/test_op_bind.py``).
+"""
+
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -12,17 +20,21 @@ def _passthrough_shape_fn(attrs, in_shapes, in_dtypes):
     return [(in_shapes[0], in_dtypes[0])]
 
 
-IDENTITY = register_op("identity", kernel=lambda attrs, a: a,
+def _same(a):
+    return a
+
+
+IDENTITY = register_op("identity", bind=lambda attrs: _same,
                        shape_fn=_passthrough_shape_fn)
 
-STOP_GRADIENT = register_op("stop_gradient", kernel=lambda attrs, a: a,
+STOP_GRADIENT = register_op("stop_gradient", bind=lambda attrs: _same,
                             shape_fn=_passthrough_shape_fn)
 
 # -- reshape ------------------------------------------------------------------
 
 
-def _reshape_kernel(attrs, a):
-    return np.reshape(a, attrs["shape"])
+def _bind_reshape(attrs):
+    return methodcaller("reshape", attrs["shape"])
 
 
 def _reshape_shape_fn(attrs, in_shapes, in_dtypes):
@@ -39,14 +51,14 @@ def _reshape_shape_fn(attrs, in_shapes, in_dtypes):
     return [(Shape(dims), in_dtypes[0])]
 
 
-RESHAPE = register_op("reshape", kernel=_reshape_kernel,
+RESHAPE = register_op("reshape", bind=_bind_reshape,
                       shape_fn=_reshape_shape_fn)
 
 # -- transpose ----------------------------------------------------------------
 
 
-def _transpose_kernel(attrs, a):
-    return np.transpose(a, attrs.get("perm"))
+def _bind_transpose(attrs):
+    return methodcaller("transpose", attrs.get("perm"))
 
 
 def _transpose_shape_fn(attrs, in_shapes, in_dtypes):
@@ -59,14 +71,19 @@ def _transpose_shape_fn(attrs, in_shapes, in_dtypes):
     return [(Shape([shape.dims[p] for p in perm]), in_dtypes[0])]
 
 
-TRANSPOSE = register_op("transpose", kernel=_transpose_kernel,
+TRANSPOSE = register_op("transpose", bind=_bind_transpose,
                         shape_fn=_transpose_shape_fn)
 
 # -- concat / split / stack / unstack -----------------------------------------
 
 
-def _concat_kernel(attrs, *arrays):
-    return np.concatenate(arrays, axis=attrs.get("axis", 0))
+def _bind_concat(attrs):
+    axis = attrs.get("axis", 0)
+    concatenate = np.concatenate
+
+    def concat(*arrays):
+        return concatenate(arrays, axis)
+    return concat
 
 
 def _concat_shape_fn(attrs, in_shapes, in_dtypes):
@@ -94,12 +111,34 @@ def _concat_shape_fn(attrs, in_shapes, in_dtypes):
     return [(Shape(dims), dtypes.result_dtype(*in_dtypes))]
 
 
-CONCAT = register_op("concat", kernel=_concat_kernel,
+CONCAT = register_op("concat", bind=_bind_concat,
                      shape_fn=_concat_shape_fn)
 
 
-def _split_kernel(attrs, a):
-    return tuple(np.array_split(a, attrs["num"], axis=attrs.get("axis", 0)))
+def _bind_split(attrs):
+    """``tuple(np.array_split(a, num, axis))``: the same views, as basic
+    slices along ``axis``.  The slices depend only on the length of that
+    axis, so each length's are made once."""
+    num, axis = attrs["num"], attrs.get("axis", 0)
+    if num <= 0:
+        return lambda a: tuple(np.array_split(a, num, axis=axis))  # raises
+    lead = (slice(None),) * axis if axis >= 0 else (Ellipsis,)
+    trail = () if axis >= 0 else (slice(None),) * (-axis - 1)
+    indexes = {}
+
+    def split(a):
+        n = a.shape[axis]
+        index = indexes.get(n)
+        if index is None:
+            each, extras = divmod(n, num)
+            bounds = [0]
+            for k in range(num):
+                bounds.append(bounds[-1] + each + (k < extras))
+            index = indexes[n] = [
+                lead + (slice(bounds[k], bounds[k + 1]),) + trail
+                for k in range(num)]
+        return tuple([a[i] for i in index])
+    return split
 
 
 def _split_shape_fn(attrs, in_shapes, in_dtypes):
@@ -121,7 +160,7 @@ def _split_num_outputs(attrs):
     return attrs["num"]
 
 
-SPLIT = register_op("split", kernel=_split_kernel, shape_fn=_split_shape_fn,
+SPLIT = register_op("split", bind=_bind_split, shape_fn=_split_shape_fn,
                     num_outputs=_split_num_outputs)
 
 
@@ -207,8 +246,8 @@ def encode_index(index):
     return tuple(spec)
 
 
-def _getitem_kernel(attrs, a):
-    return a[decode_index_spec(attrs["spec"])]
+def _bind_getitem(attrs):
+    return itemgetter(decode_index_spec(attrs["spec"]))
 
 
 def _getitem_shape_fn(attrs, in_shapes, in_dtypes):
@@ -220,7 +259,7 @@ def _getitem_shape_fn(attrs, in_shapes, in_dtypes):
     return [(Shape(out.shape), in_dtypes[0])]
 
 
-GETITEM = register_op("getitem", kernel=_getitem_kernel,
+GETITEM = register_op("getitem", bind=_bind_getitem,
                       shape_fn=_getitem_shape_fn)
 
 
@@ -238,8 +277,12 @@ GETITEM_GRAD = register_op(
 # -- gather / scatter -----------------------------------------------------------
 
 
-def _gather_kernel(attrs, params, indices):
-    return np.take(params, indices, axis=attrs.get("axis", 0))
+def _bind_gather(attrs):
+    axis = attrs.get("axis", 0)
+
+    def gather(params, indices):
+        return params.take(indices, axis)
+    return gather
 
 
 def _gather_shape_fn(attrs, in_shapes, in_dtypes):
@@ -251,7 +294,7 @@ def _gather_shape_fn(attrs, in_shapes, in_dtypes):
     return [(Shape(dims), in_dtypes[0])]
 
 
-GATHER = register_op("gather", kernel=_gather_kernel,
+GATHER = register_op("gather", bind=_bind_gather,
                      shape_fn=_gather_shape_fn)
 
 
@@ -344,15 +387,25 @@ def _expand_dims_shape_fn(attrs, in_shapes, in_dtypes):
     return [(Shape(dims), in_dtypes[0])]
 
 
-EXPAND_DIMS = register_op(
-    "expand_dims",
-    kernel=lambda attrs, a: np.expand_dims(a, attrs["axis"]),
-    shape_fn=_expand_dims_shape_fn)
+def _bind_expand_dims(attrs):
+    """``np.expand_dims(a, axis)`` as the index that inserts the axis
+    (a view either way); an axis past the rank raises ``IndexError``
+    where ``expand_dims`` raises its subclass ``AxisError``."""
+    axis = attrs["axis"]
+    if axis >= 0:
+        return itemgetter((slice(None),) * axis + (None,))
+    return itemgetter((Ellipsis, None) + (slice(None),) * (-axis - 1))
 
 
-def _squeeze_kernel(attrs, a):
+EXPAND_DIMS = register_op("expand_dims", bind=_bind_expand_dims,
+                          shape_fn=_expand_dims_shape_fn)
+
+
+def _bind_squeeze(attrs):
     axis = attrs.get("axis")
-    return np.squeeze(a, axis=axis)
+    if axis is None:
+        return methodcaller("squeeze")
+    return methodcaller("squeeze", axis=axis)
 
 
 def _squeeze_shape_fn(attrs, in_shapes, in_dtypes):
@@ -370,7 +423,7 @@ def _squeeze_shape_fn(attrs, in_shapes, in_dtypes):
     return [(Shape(dims), in_dtypes[0])]
 
 
-SQUEEZE = register_op("squeeze", kernel=_squeeze_kernel,
+SQUEEZE = register_op("squeeze", bind=_bind_squeeze,
                       shape_fn=_squeeze_shape_fn)
 
 # -- construction -----------------------------------------------------------------
@@ -389,15 +442,25 @@ def _fill_shape_fn(attrs, in_shapes, in_dtypes):
 FILL = register_op("fill", kernel=_fill_kernel, shape_fn=_fill_shape_fn)
 
 
-def _zeros_like_kernel(attrs, a):
-    return np.zeros_like(a)
+def _filled_like(value):
+    """``np.zeros_like``/``np.ones_like`` for ``value`` 0/1: the same
+    ``empty_like`` (order ``'K'``), filled."""
+    empty_like = np.empty_like
+
+    def filled(a):
+        out = empty_like(a)
+        out.fill(value)
+        return out
+    return filled
 
 
-ZEROS_LIKE = register_op("zeros_like", kernel=_zeros_like_kernel,
+_ZEROS_LIKE = _filled_like(0)
+_ONES_LIKE = _filled_like(1)
+
+ZEROS_LIKE = register_op("zeros_like", bind=lambda attrs: _ZEROS_LIKE,
                          shape_fn=_passthrough_shape_fn)
 
-ONES_LIKE = register_op("ones_like",
-                        kernel=lambda attrs, a: np.ones_like(a),
+ONES_LIKE = register_op("ones_like", bind=lambda attrs: _ONES_LIKE,
                         shape_fn=_passthrough_shape_fn)
 
 
@@ -439,12 +502,12 @@ ONE_HOT = register_op("one_hot", kernel=_one_hot_kernel,
                       shape_fn=_one_hot_shape_fn)
 
 
-def _reshape_like_kernel(attrs, a, ref):
-    return np.reshape(a, ref.shape)
+def _reshape_like(a, ref):
+    return a.reshape(ref.shape)
 
 
 RESHAPE_LIKE = register_op(
-    "reshape_like", kernel=_reshape_like_kernel,
+    "reshape_like", bind=lambda attrs: _reshape_like,
     shape_fn=lambda attrs, in_shapes, in_dtypes:
         [(in_shapes[1], in_dtypes[0])])
 

@@ -1,6 +1,13 @@
 """Elementwise math, comparison, and logical op kernels."""
 
+from operator import methodcaller
+
 import numpy as np
+
+try:
+    from numpy._core.umath import clip as _um_clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _um_clip
 
 from ..tensor import dtype as dtypes
 from ..tensor.shape import Shape, broadcast_shapes
@@ -42,18 +49,16 @@ def _unary_shape_fn(result_dtype_fn=_same):
 def _binary(name, fn, dtype_fn=_promote, commutative=False):
     return register_op(
         name,
-        kernel=lambda attrs, a, b: fn(a, b),
+        bind=lambda attrs: fn,
         shape_fn=_broadcast_shape_fn(dtype_fn),
-        commutative=commutative,
-        direct=fn)
+        commutative=commutative)
 
 
 def _unary(name, fn, dtype_fn=_same):
     return register_op(
         name,
-        kernel=lambda attrs, a: fn(a),
-        shape_fn=_unary_shape_fn(dtype_fn),
-        direct=fn)
+        bind=lambda attrs: fn,
+        shape_fn=_unary_shape_fn(dtype_fn))
 
 
 def _true_div(a, b):
@@ -131,11 +136,19 @@ LEAKY_RELU = register_op("leaky_relu", kernel=_leaky_relu_kernel,
                          shape_fn=_unary_shape_fn())
 
 
-def _clip_kernel(attrs, a):
-    return np.clip(a, attrs["min"], attrs["max"])
+def _bind_clip(attrs):
+    """``np.clip(a, min, max)`` is ``_methods._clip``: the ``clip`` ufunc,
+    past a case for a Python int bound (``api.clip`` makes them floats)."""
+    lo, hi = attrs["min"], attrs["max"]
+    if type(lo) is int or type(hi) is int:
+        return methodcaller("clip", lo, hi)
+
+    def clip(a):
+        return _um_clip(a, lo, hi)
+    return clip
 
 
-CLIP = register_op("clip", kernel=_clip_kernel, shape_fn=_unary_shape_fn())
+CLIP = register_op("clip", bind=_bind_clip, shape_fn=_unary_shape_fn())
 
 # -- comparisons (not differentiable) ----------------------------------------
 
@@ -166,21 +179,21 @@ def _where_shape_fn(attrs, in_shapes, in_dtypes):
 
 WHERE = register_op(
     "where",
-    kernel=lambda attrs, c, a, b: np.where(c, a, b),
+    bind=lambda attrs: np.where,
     shape_fn=_where_shape_fn)
 
 # -- cast ---------------------------------------------------------------------
 
 
-def _cast_kernel(attrs, a):
-    return a.astype(dtypes.DType.of(attrs["dtype"]).np_dtype)
+def _bind_cast(attrs):
+    return methodcaller("astype", dtypes.DType.of(attrs["dtype"]).np_dtype)
 
 
 def _cast_shape_fn(attrs, in_shapes, in_dtypes):
     return [(in_shapes[0], dtypes.DType.of(attrs["dtype"]))]
 
 
-CAST = register_op("cast", kernel=_cast_kernel, shape_fn=_cast_shape_fn)
+CAST = register_op("cast", bind=_bind_cast, shape_fn=_cast_shape_fn)
 
 # -- gradient helper: reduce a broadcast gradient back to an input's shape ----
 

@@ -33,23 +33,37 @@ def _reduced_shape(shape, axis, keepdims):
     return Shape(dims)
 
 
-def _make_reduce(name, np_fn, dtype_fn=None):
-    def kernel(attrs, a):
-        axis = attrs.get("axis")
-        keepdims = attrs.get("keepdims", False)
-        if isinstance(axis, list):
-            axis = tuple(axis)
-        out = np_fn(a, axis=axis, keepdims=keepdims)
-        return np.asarray(out, dtype=out.dtype if hasattr(out, "dtype")
-                          else a.dtype)
+def _reduce_args(attrs):
+    axis = attrs.get("axis")
+    if isinstance(axis, list):
+        axis = tuple(axis)
+    return axis, attrs.get("keepdims", False)
 
+
+def _make_reduce(name, bind, dtype_fn=None):
     def shape_fn(attrs, in_shapes, in_dtypes):
         out_shape = _reduced_shape(in_shapes[0], attrs.get("axis"),
                                    attrs.get("keepdims", False))
         out_dtype = in_dtypes[0] if dtype_fn is None else dtype_fn(in_dtypes)
         return [(out_shape, out_dtype)]
 
-    return register_op(name, kernel=kernel, shape_fn=shape_fn)
+    return register_op(name, bind=bind, shape_fn=shape_fn)
+
+
+def _ufunc_reduce(ufunc):
+    """The bind of a reduction ``np.sum``/``max``/``min``/``prod`` makes:
+    for an ndarray each of them is its ufunc's ``reduce``.  A whole
+    reduction gives a numpy scalar, which every caller makes a 0-d
+    array."""
+    reduce = ufunc.reduce
+
+    def bind(attrs):
+        axis, keepdims = _reduce_args(attrs)
+
+        def reduced(a):
+            return reduce(a, axis, None, None, keepdims)
+        return reduced
+    return bind
 
 
 def _mean_dtype(in_dtypes):
@@ -63,14 +77,49 @@ def _np_mean(a, axis=None, keepdims=False):
         out = out.astype(np.float32)
     else:
         out = out.astype(a.dtype)
-    return out
+    return np.asarray(out)
 
 
-REDUCE_SUM = _make_reduce("reduce_sum", np.sum)
-REDUCE_MEAN = _make_reduce("reduce_mean", _np_mean, dtype_fn=_mean_dtype)
-REDUCE_MAX = _make_reduce("reduce_max", np.max)
-REDUCE_MIN = _make_reduce("reduce_min", np.min)
-REDUCE_PROD = _make_reduce("reduce_prod", np.prod)
+def _bind_mean(attrs):
+    """``_np_mean``.  For float32/float64 input it is numpy's ``_mean``
+    written out — the sum, then the in-place division by the count as an
+    ``intp`` — less the ``astype`` copy to the dtype it already has;
+    other input, and an empty reduction (numpy warns), go to ``_np_mean``
+    itself."""
+    axis, keepdims = _reduce_args(attrs)
+    axes = axis if axis is None or isinstance(axis, tuple) else (axis,)
+    add_reduce = np.add.reduce
+    true_divide = np.true_divide
+    intp = np.intp
+    ndarray = np.ndarray
+    floats = (np.dtype(np.float32), np.dtype(np.float64))
+
+    def mean(a):
+        if a.dtype not in floats:
+            return _np_mean(a, axis, keepdims)
+        out = add_reduce(a, axis, None, None, keepdims)
+        if axes is None:
+            count = a.size
+        else:
+            shape = a.shape
+            count = 1
+            for ax in axes:
+                count *= shape[ax]
+        if not count:
+            return _np_mean(a, axis, keepdims)
+        count = intp(count)
+        if out.__class__ is ndarray:
+            return true_divide(out, count, out=out, casting="unsafe",
+                               subok=False)
+        return out.dtype.type(out / count)
+    return mean
+
+
+REDUCE_SUM = _make_reduce("reduce_sum", _ufunc_reduce(np.add))
+REDUCE_MEAN = _make_reduce("reduce_mean", _bind_mean, dtype_fn=_mean_dtype)
+REDUCE_MAX = _make_reduce("reduce_max", _ufunc_reduce(np.maximum))
+REDUCE_MIN = _make_reduce("reduce_min", _ufunc_reduce(np.minimum))
+REDUCE_PROD = _make_reduce("reduce_prod", _ufunc_reduce(np.multiply))
 
 
 def _arg_shape_fn(attrs, in_shapes, in_dtypes):

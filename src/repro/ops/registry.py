@@ -4,9 +4,14 @@ Every primitive operation in the system — whether executed eagerly, run by
 the dataflow graph executor, or differentiated — is described once by an
 ``OpDef``:
 
-* ``kernel(attrs, *arrays)``: the numpy forward computation (and, for
-  the thin elementwise ops, ``direct(*arrays)``: the attrs-free callable
-  the kernel wraps, which compiled programs call without the wrapper),
+* ``bind(attrs)``: the numpy forward computation with the attributes of
+  one node already read — a callable over the node's arrays alone.  The
+  graph executor evaluates it once per node when it compiles a program,
+  so a run calls numpy (or one thin closure) with nothing left to
+  decode; ``kernel(attrs, *arrays)`` is the same computation for one
+  call, what the eager executor and constant folding run.  An op is
+  registered with one of the two bodies and the other is derived from
+  it, so its semantics are written once,
 * ``shape_fn(attrs, input_shapes, input_dtypes)``: static shape/dtype
   inference over possibly-partial shapes (used by the graph generator and
   the specialization machinery),
@@ -18,22 +23,39 @@ Stateful ops (random, assertions, variable and Python-heap access) are
 flagged so the graph optimizer never folds or deduplicates them.
 """
 
+from functools import partial
+
 from ..errors import GraphError
 
 
-class OpDef:
-    """Immutable description of a primitive operation."""
+def _call_bound(bind, attrs, *arrays):
+    """The kernel of an op registered with ``bind``: bind, then call."""
+    return bind(attrs)(*arrays)
 
-    __slots__ = ("name", "kernel", "shape_fn", "grad_fn", "num_outputs",
-                 "stateful", "commutative", "direct")
+
+class OpDef:
+    """Immutable description of a primitive operation.
+
+    Exactly one of ``kernel`` and ``bind`` is given; the other is
+    derived.  Of an op registered with a ``kernel``, ``bind(attrs)`` is
+    ``partial(kernel, attrs)``; of one registered with ``bind``,
+    ``kernel(attrs, *arrays)`` is ``bind(attrs)(*arrays)``.  A bound
+    callable reads its attributes when it is made: a compiled node's
+    attrs are never mutated after that.
+    """
+
+    __slots__ = ("name", "kernel", "bind", "shape_fn", "grad_fn",
+                 "num_outputs", "stateful", "commutative")
 
     def __init__(self, name, kernel, shape_fn, grad_fn=None, num_outputs=1,
-                 stateful=False, commutative=False, direct=None):
+                 stateful=False, commutative=False, bind=None):
+        if (kernel is None) == (bind is None):
+            raise GraphError("op %r needs exactly one of kernel and bind"
+                             % name)
         self.name = name
-        self.kernel = kernel
-        #: ``kernel`` without its ``attrs`` parameter, when the kernel
-        #: only forwards its arrays to it; None otherwise.
-        self.direct = direct
+        self.kernel = partial(_call_bound, bind) if kernel is None \
+            else kernel
+        self.bind = partial(partial, kernel) if bind is None else bind
         self.shape_fn = shape_fn
         self.grad_fn = grad_fn
         self.num_outputs = num_outputs
@@ -59,13 +81,14 @@ class OpDef:
 _REGISTRY = {}
 
 
-def register_op(name, kernel, shape_fn, num_outputs=1, stateful=False,
-                commutative=False, direct=None):
-    """Register a new primitive op; returns the OpDef."""
+def register_op(name, shape_fn, kernel=None, bind=None, num_outputs=1,
+                stateful=False, commutative=False):
+    """Register a new primitive op with its ``kernel`` or its ``bind``
+    body (see :class:`OpDef`); returns the OpDef."""
     if name in _REGISTRY:
         raise GraphError("op %r registered twice" % name)
     op_def = OpDef(name, kernel, shape_fn, None, num_outputs, stateful,
-                   commutative, direct)
+                   commutative, bind)
     _REGISTRY[name] = op_def
     return op_def
 
@@ -73,10 +96,7 @@ def register_op(name, kernel, shape_fn, num_outputs=1, stateful=False,
 def register_gradient(name):
     """Decorator attaching a gradient function to a registered op."""
     def deco(fn):
-        op_def = _REGISTRY[name]
-        object.__setattr__ if False else None
-        # OpDef uses __slots__; assign directly.
-        op_def.grad_fn = fn
+        _REGISTRY[name].grad_fn = fn
         return fn
     return deco
 

@@ -30,7 +30,10 @@ from .shape import Shape
 #: ndarray), in-place writes copy unless the buffer is demonstrably ours.
 #: PRIVATE: exclusively owned (post-COW), writes go straight through.
 #: SEALED: enrolled in a guarded memo, buffer frozen, writes always COW.
-_UNKNOWN, _PRIVATE, _SEALED = 0, 1, 2
+#: BORROWED: wraps an ndarray its caller passed and still holds; never
+#: sealed, so the caller's array stays writeable (in-place writes as
+#: UNKNOWN).
+_UNKNOWN, _PRIVATE, _SEALED, _BORROWED = 0, 1, 2, 3
 
 _OBS = None
 
@@ -80,6 +83,14 @@ class TensorValue:
         return value
 
     @classmethod
+    def borrowed(cls, array):
+        """A value over *array*, an ndarray a caller passed and may
+        still write: :meth:`track` refuses it."""
+        value = cls(array)
+        value._mode = _BORROWED
+        return value
+
+    @classmethod
     def of(cls, value, dtype=None):
         """Coerce scalars, lists, numpy arrays, or TensorValues."""
         if isinstance(value, TensorValue) and dtype is None:
@@ -126,6 +137,11 @@ class TensorValue:
         """Whether this value is sealed behind the write barrier."""
         return self._mode == _SEALED
 
+    @property
+    def is_borrowed(self):
+        """Whether the buffer is a caller's (:meth:`borrowed`)."""
+        return self._mode == _BORROWED
+
     def track(self):
         """Seal the buffer for enrollment in a guarded identity memo.
 
@@ -135,10 +151,12 @@ class TensorValue:
         every sanctioned write copies first.  Refuses — returning False,
         leaving the value unmemoizable — when the array is a view (a
         frozen view still sees writes through its writable base, so
-        freezing it would pin nothing).
+        freezing it would pin nothing) or a caller's (:meth:`borrowed`).
         """
         if self._mode == _SEALED:
             return True
+        if self._mode == _BORROWED:
+            return False
         arr = self.array
         if arr.base is not None or not arr.flags.owndata:
             return False

@@ -1007,6 +1007,30 @@ class TestCallSites:
         assert out == 5.0
         assert float(holder.k.numpy()) == 5.0
 
+    def test_a_dynamic_read_renders_its_per_op_form_on_first_use(
+            self, monkeypatch):
+        """Building compiles only the program; the read's line template
+        is rendered alone when a per-op run first calls its closure,
+        which then emits one ``op`` event per closure as before."""
+        monkeypatch.setattr(executor_mod, "_CODE_CACHE", {})
+        holder = type("S", (), {"k": 2.0})()
+        ex = self._dynamic_read(write=np.float32(5.0))
+        assert len(executor_mod._CODE_CACHE) == 1
+        assert ex.run([PyRef(holder)])[0] == 5.0
+        assert len(executor_mod._CODE_CACHE) == 1
+        TRACER.clear()
+        try:
+            with override_level(2):
+                for _ in range(2):
+                    assert ex.run([PyRef(holder)])[0] == 5.0
+            ops = [e.name for e in TRACER.events
+                   if e.category == "op" and e.args and "node" in e.args]
+        finally:
+            TRACER.clear()
+        assert len(executor_mod._CODE_CACHE) == 2
+        assert ops == ["constant", "py_set_attr", "py_get_attr"] * 2
+        assert len(ops) == 2 * ex.instruction_count
+
     def test_the_same_recursive_model_twice_compiles_no_new_source(
             self, monkeypatch):
         """Site sources hold slot indices, never an id: a second build

@@ -1,5 +1,8 @@
 """The JanusFunction execution model (paper figure 2) end to end."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -178,3 +181,41 @@ class TestNumpyArguments:
             out = f(np.ones((2, 2), np.float32))
         assert float(out.numpy()) == 4.0
         assert f.stats["graph_runs"] > 0
+
+    def test_a_numpy_argument_stays_writeable(self):
+        """Speculating on a numpy argument never seals the caller's
+        array; a write to it between calls is a precheck miss that runs
+        imperatively."""
+        @janus.function(config=strict())
+        def f(x):
+            return R.reduce_sum(x * 2.0)
+
+        arr = np.ones((8, 4), np.float32)
+        for _ in range(6):
+            assert float(f(arr).numpy()) == 64.0
+        assert f.stats["graph_runs"] > 0
+        assert arr.flags.writeable
+        misses, runs = f.stats["precheck_misses"], f.stats["graph_runs"]
+        arr[0, 0] = 5.0
+        assert float(f(arr).numpy()) == 72.0
+        assert f.stats["precheck_misses"] == misses + 1
+        assert f.stats["graph_runs"] == runs
+        assert arr.flags.writeable
+
+    def test_a_numpy_argument_stays_writeable_in_a_ledger_program(self):
+        ledger = os.path.join(os.path.dirname(__file__), "..",
+                              "benchmarks", "ledger")
+        sys.path.insert(0, ledger)
+        try:
+            import programs
+        finally:
+            sys.path.remove(ledger)
+        program = programs.TRAIN_PROGRAMS["AN"]
+        step = program.build("janus")
+        batches = program.make_batches(1)
+        for k in range(12):
+            step(*batches[k % len(batches)])
+        assert step.stats["graph_runs"] > 0
+        assert all(arr.flags.writeable for batch in batches
+                   for arr in batch)
+        batches[0][0][0, 0, 0, 0] = 1.0
