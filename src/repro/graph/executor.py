@@ -1007,9 +1007,9 @@ _RENDER_COUNTER = itertools.count()
 _REGION_OPS = 200
 
 #: ``source text -> (code object, linecache name)``.  Rendered source
-#: is byte-identical for identical structure (kernels, attrs and
-#: closures are parameters, not literals), and structures repeat — the
-#: same model built again, per-topology TreeNN regenerations — so
+#: is byte-identical for identical structure (bound kernels, constants
+#: and closures are parameters, not literals), and structures repeat —
+#: the same model built again, per-topology TreeNN regenerations — so
 #: compiling each text once cuts the dominant cost of generating code.
 #: Bounded crudely: emptied when it outgrows _CODE_CACHE_MAX sources.
 #: Locked: functions compile concurrently (each under its own compile

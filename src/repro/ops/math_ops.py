@@ -4,11 +4,6 @@ from operator import methodcaller
 
 import numpy as np
 
-try:
-    from numpy._core.umath import clip as _um_clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _um_clip
-
 from ..tensor import dtype as dtypes
 from ..tensor.shape import Shape, broadcast_shapes
 from .registry import register_op
@@ -136,19 +131,11 @@ LEAKY_RELU = register_op("leaky_relu", kernel=_leaky_relu_kernel,
                          shape_fn=_unary_shape_fn())
 
 
-def _bind_clip(attrs):
-    """``np.clip(a, min, max)`` is ``_methods._clip``: the ``clip`` ufunc,
-    past a case for a Python int bound (``api.clip`` makes them floats)."""
-    lo, hi = attrs["min"], attrs["max"]
-    if type(lo) is int or type(hi) is int:
-        return methodcaller("clip", lo, hi)
-
-    def clip(a):
-        return _um_clip(a, lo, hi)
-    return clip
-
-
-CLIP = register_op("clip", bind=_bind_clip, shape_fn=_unary_shape_fn())
+# ``np.clip(a, lo, hi)`` is ``a.clip(lo, hi)``.
+CLIP = register_op(
+    "clip",
+    bind=lambda attrs: methodcaller("clip", attrs["min"], attrs["max"]),
+    shape_fn=_unary_shape_fn())
 
 # -- comparisons (not differentiable) ----------------------------------------
 

@@ -1,5 +1,7 @@
 """Reduction op kernels (sum, mean, max, min, prod, argmax, argmin)."""
 
+from functools import partial
+
 import numpy as np
 
 from ..tensor import dtype as dtypes
@@ -72,47 +74,17 @@ def _mean_dtype(in_dtypes):
 
 
 def _np_mean(a, axis=None, keepdims=False):
-    out = np.mean(a, axis=axis, keepdims=keepdims)
-    if a.dtype.kind in "ib":
-        out = out.astype(np.float32)
-    else:
-        out = out.astype(a.dtype)
-    return np.asarray(out)
+    """``np.mean`` less its wrapper, then the input's float dtype (int
+    and bool input give float32) without ``astype``'s copy when the mean
+    already has it."""
+    out = a.mean(axis, None, None, keepdims)
+    return np.asarray(out.astype(
+        np.float32 if a.dtype.kind in "ib" else a.dtype, copy=False))
 
 
 def _bind_mean(attrs):
-    """``_np_mean``.  For float32/float64 input it is numpy's ``_mean``
-    written out — the sum, then the in-place division by the count as an
-    ``intp`` — less the ``astype`` copy to the dtype it already has;
-    other input, and an empty reduction (numpy warns), go to ``_np_mean``
-    itself."""
     axis, keepdims = _reduce_args(attrs)
-    axes = axis if axis is None or isinstance(axis, tuple) else (axis,)
-    add_reduce = np.add.reduce
-    true_divide = np.true_divide
-    intp = np.intp
-    ndarray = np.ndarray
-    floats = (np.dtype(np.float32), np.dtype(np.float64))
-
-    def mean(a):
-        if a.dtype not in floats:
-            return _np_mean(a, axis, keepdims)
-        out = add_reduce(a, axis, None, None, keepdims)
-        if axes is None:
-            count = a.size
-        else:
-            shape = a.shape
-            count = 1
-            for ax in axes:
-                count *= shape[ax]
-        if not count:
-            return _np_mean(a, axis, keepdims)
-        count = intp(count)
-        if out.__class__ is ndarray:
-            return true_divide(out, count, out=out, casting="unsafe",
-                               subok=False)
-        return out.dtype.type(out / count)
-    return mean
+    return partial(_np_mean, axis=axis, keepdims=keepdims)
 
 
 REDUCE_SUM = _make_reduce("reduce_sum", _ufunc_reduce(np.add))
