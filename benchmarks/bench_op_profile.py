@@ -5,18 +5,18 @@ programs.py``) as JANUS and as ``SymbolicStep`` (the arms of
 ``bench_symbolic_parity.py``), warms both with three passes over the
 program's batches (ten steps at least), then traces one more pass of
 each at trace level 2,
-a step at a time.  Every level-2 ``op`` event is one executed closure,
-nested bodies included: an ``invoke``, ``cond``, ``while_loop`` or
-``replay_grad`` event spans the events of the bodies it ran, so its time
-is counted exclusive of theirs.  Per program it prints, for each op
+a step at a time.  Every level-2 ``op`` event is one executed node of
+the traced rendering, nested bodies included: an ``invoke``, ``cond``,
+``while_loop`` or ``replay_grad`` event spans the events of the bodies
+it ran, so its time is counted exclusive of theirs.  Per program it prints, for each op
 kind, the executed count and the microseconds per step of each arm,
 largest JANUS time first::
 
     PYTHONPATH=src python benchmarks/bench_op_profile.py \\
         --programs A3C LSTM --top 15
 
-The closure form that tracing runs carries a frame and the tracer's own
-cost per op that an untraced (rendered) run does not pay — a call's or
+The traced rendering runs the untraced one's lines plus two
+``perf_counter`` calls and the tracer's own cost per op — a call's or
 loop's exclusive time holds that cost of every event of its bodies — so
 read counts, shares and rankings from it, not step times.  Garbage
 collection is off while a step is traced: a collection would land in

@@ -1,24 +1,27 @@
 """Dataflow graph executor.
 
-Compiles a graph into a flat closure program and runs it over numpy
-buffers.  Every SSA value has a preallocated register slot in one flat
-``values`` list and every instruction — registered op, heap access,
-variable access, functional control flow — is a pre-bound
-``fn(values, run_state)`` closure: all instruction-kind dispatch
-happens once at compile time, none per run.  A registered op's kernel
-is bound to its node's attributes there too (``op_def.bind(attrs)``,
-evaluated once per node), so a run calls it over arrays alone.  That
-closure list is the per-op form, which the level schedule and level-2
-tracing run; an in-order run calls one generated function per executor
-instead (:func:`_render`), with each registered op's bound kernel
-called inline as ``r = k<i>(args)``, their intermediates in locals, a
-heap read of a receiver on an edge as a line template, and every other
-node as a call of its closure.  A nested call
-(invoke, cond, while_loop, replay_grad) is a *call site*: its closure
-pins the callee on first run and calls a function generated for that
-pin, so a warm nested run costs an identity test and a few calls.  This
-is the one execution tier;
-the JANUS path and the symbolic baseline share it.  Three properties
+Compiles a graph into generated Python functions over numpy buffers.
+Every SSA value has a preallocated register slot in one flat ``values``
+list.  :meth:`GraphExecutor._compile` schedules the graph's nodes once
+and keeps, for each, its slots and how it runs: a registered op's
+kernel bound to its node's attributes (``op_def.bind(attrs)``,
+evaluated once per node), or — for a static heap read, a heap write, a
+Python call and the four call sites only — a pre-bound
+``fn(values, run_state)`` closure.  Every executed form is a rendering
+of that one node list (:func:`_render`): a registered op is the line
+``r = k<i>(args)``, a constant, a variable access and a heap read of a
+receiver on an edge are line templates of their own, and a closure node
+is a call of its closure, so all instruction-kind dispatch happens at
+compile time and a node's run-time semantics are written once.  There
+are three renderings: the *in-order* program an untraced run calls,
+with intermediates in locals; the *level form* the level schedule runs
+(:meth:`GraphExecutor._compile_levels`); and the *traced* program, the
+in-order lines with one level-2 ``op`` event after each node, rendered
+on the first level-2 run.  A nested call (invoke, cond, while_loop,
+replay_grad) is a *call site*: its closure pins the callee on first run
+and calls a function generated for that pin, so a warm nested run costs
+an identity test and a few calls.  This is the one execution tier; the
+JANUS path and the symbolic baseline share it.  Three properties
 reproduce the paper's execution model:
 
 * **Low per-op overhead** — running an op costs its kernel call plus
@@ -31,10 +34,11 @@ reproduce the paper's execution model:
   has passed, so an :class:`~repro.errors.AssumptionFailed` abort never
   leaves partial state behind and fallback is always safe.
 * **Inter-op parallelism** (+PARL of figure 7) — an optional level-wise
-  schedule runs the same closures on a thread pool (numpy kernels
-  release the GIL for the heavy lifting), but only for the levels where
-  the executor *measured* the fan-out to be clearly faster than running
-  the level in order; everywhere else it stands aside.
+  schedule runs each op of a candidate level rendered alone, on a
+  thread pool (numpy kernels release the GIL for the heavy lifting),
+  but only for the levels where the executor *measured* the fan-out to
+  be clearly faster than running the level in order; everywhere else
+  it stands aside.
 
 See docs/compilation.md ("Mechanism 4: the executed form").
 """
@@ -251,14 +255,20 @@ _MARGIN = 0.30
 
 
 class _Level:
-    """One candidate fan-out level: its closures and the evidence."""
+    """One step of the level schedule: a rendered run of in-order levels
+    (verdict False, one function), or a candidate fan-out level — the
+    one-node renderings of its ops — and the evidence."""
 
-    __slots__ = ("fns", "verdict", "trials", "seq")
+    __slots__ = ("fns", "nodes", "dead", "verdict", "trials", "seq")
 
-    def __init__(self, fns):
+    def __init__(self, fns, nodes, dead, verdict=None):
         self.fns = fns
+        #: The scheduled nodes it runs.
+        self.nodes = nodes
+        #: The slots to drop once it ran: no later level reads them.
+        self.dead = dead
         #: None while measuring; then whether the fan-out is kept.
-        self.verdict = None
+        self.verdict = verdict
         self.trials = 0
         #: In-order time of the pair being measured.
         self.seq = 0.0
@@ -272,7 +282,7 @@ def _run_level(fns, fan_out, values, run_state):
     pool = _shared_pool()
     futures = [pool.submit(fn, values, run_state) for fn in fns]
     wait(futures)
-    # Submission order is schedule order: when several closures of one
+    # Submission order is schedule order: when several ops of one
     # level fail, raise what the sequential schedule would have raised.
     for future in futures:
         exc = future.exception()
@@ -281,7 +291,8 @@ def _run_level(fns, fan_out, values, run_state):
 
 
 class GraphExecutor:
-    """A compiled, reusable flat closure program for one graph."""
+    """A compiled, reusable program for one graph: its scheduled nodes
+    and their renderings."""
 
     def __init__(self, graph, parallel=False):
         self.graph = graph
@@ -297,23 +308,24 @@ class GraphExecutor:
 
     @property
     def instruction_count(self):
-        return len(self._program)
+        return len(self._entries)
 
     def __repr__(self):
         return "GraphExecutor(%s, %d instructions, " \
             "%d/%d levels parallel)" % (
-                self.graph.name, len(self._program),
+                self.graph.name, len(self._entries),
                 sum(1 for level in self._candidates if level.verdict),
                 len(self._candidates))
 
     # -- compilation -------------------------------------------------------
 
     #: Nodes whose values a replayed forward iteration supplies (see
-    #: :class:`_ReplayExecutor`): they get no closure and no new slot.
+    #: :class:`_ReplayExecutor`): they are not scheduled and get no new
+    #: slot.
     _bound = {}
-    #: Whether the rendered program stores every inline result to the
-    #: register file.  True for a body :func:`_function_executor`
-    #: builds: a caller's record may copy any slot of its file.
+    #: Whether the rendered program stores every result to the register
+    #: file.  True for a body :func:`_function_executor` builds: a
+    #: caller's record may copy any slot of its file.
     _keeps_stores = False
 
     def _live(self):
@@ -346,64 +358,62 @@ class GraphExecutor:
                 slot_count += 1
         self._slot_count = slot_count
 
-        scheduled = []   # (node, closure), in schedule order
-        slots = []       # (in_slots, out_slots), aligned with scheduled
-        kernels = []     # a registered op's bound kernel, or None
+        #: The scheduled nodes, in schedule order, each as ``(node,
+        #: closure, in_slots, out_slots, kernel)``: a registered op's
+        #: ``kernel`` is ``op_def.bind(attrs)``, and ``closure`` is None
+        #: but for the nodes :meth:`_compile_node` builds one for.  Every
+        #: rendering (:func:`_render`) writes this one list.
+        self._entries = entries = []
         self._placeholder_slots = {}
         for node in order:
-            if node in bound:
-                continue
+            if node in bound or node.op_name == "group":
+                continue    # a group only orders its inputs
             in_slots = tuple(self._slots[(id(i.node), i.index)]
                              for i in node.inputs)
             out_slots = tuple(self._slots[(id(node), out.index)]
                               for out in node.outputs)
+            if node.op_name == "placeholder":     # filled by feed binding
+                self._placeholder_slots[node.attrs["ph_name"]] = out_slots[0]
+                continue
+            kernel = fn = None
             if node.op_def is not None:
                 kernel = node.op_def.bind(node.attrs)
-                fn = self._make_op_closure(kernel, in_slots, out_slots)
             else:
-                kernel = None
                 fn = self._compile_node(node, in_slots, out_slots)
-            if fn is not None:
-                scheduled.append((node, fn))
-                slots.append((in_slots, out_slots))
-                kernels.append(kernel)
+            entries.append((node, fn, in_slots, out_slots, kernel))
         self._ph_slot_order = [
             self._placeholder_slots[node.attrs["ph_name"]]
             for node in graph.placeholders if node not in bound]
         self._output_slots = [self._slots[(id(o.node), o.index)]
                               for o in self._computed_outputs()]
-        #: The per-op program: one ``fn(values, run_state)`` per node,
-        #: what the level schedule and level-2 tracing run.
-        self._program = [fn for _, fn in scheduled]
-        stores = self._stores(scheduled, slots)
+        #: Aligned with _entries: whether the in-order and traced
+        #: renderings store the node's result to the register file.
+        self._stores = self._store_plan(entries)
         #: Ops whose result the rendered program keeps only in a local.
         self.local_ops = sum(
-            1 for (node, _), store in zip(scheduled, stores)
+            1 for (node, *_), store in zip(entries, self._stores)
             if not store and node.op_name != "constant")
-        #: The same program as one generated function (:func:`_render`),
-        #: what an untraced in-order run calls.
-        self._rendered = _render(scheduled, [
-            (ins, outs, store, kernel)
-            for (ins, outs), store, kernel in zip(slots, stores, kernels)])
-        #: Aligned with _program; consumed by level-2 op tracing.
-        self._labels = [(node.op_name, node.debug_name)
-                        for node, _ in scheduled]
+        #: The in-order rendering, what an untraced run calls.
+        self._rendered = _render(entries, self._stores)
+        #: The traced rendering, made by the first level-2 run.
+        self._traced = None
         if self.parallel:
-            self._compile_levels(order, scheduled, slots)
+            self._compile_levels(order, entries)
 
-    def _stores(self, scheduled, slots):
-        """For each scheduled node, whether the rendered program stores
-        its result to the register file.  A closure always does.  An
-        inline line (:func:`_inline`) does when its result is an output,
-        when a closure reads it, or when a line of a later region reads
-        it (:data:`_REGION_OPS`), and always under ``_keeps_stores``;
+    def _store_plan(self, entries):
+        """For each scheduled node, whether the in-order program stores
+        its result to the register file.  A node whose result cannot
+        live in a local (:func:`_local_result`) always does.  One that
+        can does when its result is an output, when a node of the other
+        kind reads it, or when a line of a later region reads it
+        (:data:`_REGION_OPS`), and always under ``_keeps_stores``;
         otherwise later lines of its own region read it from a local."""
         stored = set(self._output_slots)
-        made = {}   # slot of an inline result -> the region that made it
+        made = {}   # slot of a local-able result -> the region that made it
         regions = []
-        for i, ((node, _), (in_slots, out_slots)) in enumerate(
-                zip(scheduled, slots)):
-            region = i // _REGION_OPS if _inline(node, out_slots) else None
+        for i, (node, _, in_slots, out_slots, _) in enumerate(entries):
+            region = i // _REGION_OPS \
+                if _local_result(node, out_slots) else None
             for slot in in_slots:
                 if slot in made and made[slot] != region:
                     stored.add(slot)
@@ -411,47 +421,20 @@ class GraphExecutor:
                 made[out_slots[0]] = region
             regions.append(region)
         return [self._keeps_stores or region is None or outs[0] in stored
-                for region, (_, outs) in zip(regions, slots)]
+                for region, (_, _, _, outs, _) in zip(regions, entries)]
 
     def _compile_node(self, node, in_slots, out_slots):
-        """One node other than a registered op (those are
-        :meth:`_make_op_closure`'s) -> one bare ``fn(values, run_state)``
-        closure.
-
-        Returns None for nodes that execute nothing (placeholders are
-        filled during feed binding, groups only order their inputs).
-        """
+        """The closure of a node other than a registered op, for the
+        nodes a rendering calls one for: a static heap read, a heap
+        write, a Python call and a call site.  None for a constant, a
+        variable access and a heap read of a receiver on an edge, which
+        :func:`_render_region` writes as lines."""
         op = node.op_name
-        if op == "placeholder":
-            self._placeholder_slots[node.attrs["ph_name"]] = out_slots[0]
+        if op in ("constant", "var_read", "var_assign"):
             return None
-        if op == "constant":
-            raw = _constant_raw(node)
-            slot = out_slots[0]
-
-            def run_const(values, run_state, raw=raw, slot=slot):
-                values[slot] = raw
-            return run_const
-        if op == "var_read":
-            variable = node.variable
-            slot = out_slots[0]
-
-            def run_read(values, run_state, variable=variable, slot=slot):
-                local = run_state.var_local.get(variable)
-                values[slot] = local if local is not None \
-                    else variable.storage.array
-            return run_read
-        if op == "var_assign":
-            variable = node.variable
-            in_slot, out_slot = in_slots[0], out_slots[0]
-
-            def run_assign(values, run_state):
-                value = values[in_slot]
-                run_state.var_local[variable] = value
-                values[out_slot] = value
-            return run_assign
         if op in ("py_get_attr", "py_get_subscr"):
-            return self._compile_py_get(node, in_slots, out_slots)
+            return None if node.py_object is None \
+                else self._compile_py_get(node, out_slots)
         if op in ("py_set_attr", "py_set_subscr"):
             return self._compile_py_set(node, in_slots, out_slots)
         if op == "py_call":
@@ -462,61 +445,16 @@ class GraphExecutor:
             return self._compile_while(node, in_slots, out_slots)
         if op == "replay_grad":
             return self._compile_replay_grad(node, in_slots, out_slots)
-        if op == "group":
-            return None
         raise GraphError("cannot compile node %s" % node.debug_name)
 
-    @staticmethod
-    def _make_op_closure(kernel, in_slots, out_slots):
-        """A pre-bound callable for one registered-op node, over its
-        ``kernel`` — ``op_def.bind(attrs)``, the node's attributes
-        already read.
+    def _compile_py_get(self, node, out_slots):
+        """Specialize one static heap read into a precompiled closure.
 
-        Binding slots and kernel at compile time removes the per-node
-        tuple unpacking, dispatch and attribute decoding from the hot
-        loop — the 'low per-op overhead' property the symbolic executor
-        owes its BASE speedup to.  This is the per-op form;
-        :func:`_render` inlines the same call and coercion for an
-        in-order run.
-        """
-        asarray = np.asarray
-        ndarray = np.ndarray
-        if len(out_slots) == 1:
-            o0 = out_slots[0]
-            if len(in_slots) == 1:
-                a0 = in_slots[0]
-
-                def run1(values, run_state):
-                    r = kernel(values[a0])
-                    values[o0] = r if type(r) is ndarray else asarray(r)
-                return run1
-            if len(in_slots) == 2:
-                a0, a1 = in_slots
-
-                def run2(values, run_state):
-                    r = kernel(values[a0], values[a1])
-                    values[o0] = r if type(r) is ndarray else asarray(r)
-                return run2
-
-            def run_n(values, run_state):
-                r = kernel(*[values[s] for s in in_slots])
-                values[o0] = r if type(r) is ndarray else asarray(r)
-            return run_n
-
-        def run_multi(values, run_state):
-            results = kernel(*[values[s] for s in in_slots])
-            for slot, r in zip(out_slots, results):
-                values[slot] = r if type(r) is ndarray else asarray(r)
-        return run_multi
-
-    def _compile_py_get(self, node, in_slots, out_slots):
-        """Specialize one heap read into a precompiled closure.
-
-        Mirrors :meth:`_make_op_closure`: the object, key, guard check
-        and output slot are all bound at compile time, so a run costs
-        two dict probes plus (at most) one getattr.  A per-node identity
-        memo additionally skips re-internalizing and re-checking a value
-        that was already validated on an earlier run.  Immutable scalars
+        The object, key, guard check and output slot are all bound at
+        compile time, so a run costs two dict probes plus (at most) one
+        getattr.  A per-node identity memo additionally skips
+        re-internalizing and re-checking a value that was already
+        validated on an earlier run.  Immutable scalars
         and PyRef wrappers hit on identity alone; Tensor-typed reads
         (``memo[2]`` non-None) also require an unchanged write-barrier
         version stamp plus the buffer's shape and dtype — the version
@@ -526,18 +464,6 @@ class GraphExecutor:
         A hit returns the *live* buffer, so content stays aliased
         exactly as on the slow path (tensor guards never pin content).
         """
-        if node.py_object is None:
-            # The line template of a dynamic read, rendered alone on
-            # first use: only the level schedule and level-2 tracing
-            # call the per-op form.
-            rendered = []
-
-            def run_dynamic_get(values, run_state):
-                if not rendered:
-                    rendered.append(_render_region(
-                        [(node, None)], [(in_slots, out_slots, True, None)]))
-                rendered[0](values, run_state)
-            return run_dynamic_get
         kind = "attr" if node.op_name == "py_get_attr" else "subscr"
         key = node.attrs["name"] if kind == "attr" else node.attrs["key"]
         check = _compile_expected_check(node.attrs.get("expected"), node)
@@ -801,8 +727,8 @@ class GraphExecutor:
         "avg_pool_grad", "invoke", "gather_grad",
     ])
 
-    def _compile_levels(self, order, scheduled, slots):
-        """Group the program's closures into dependency levels.
+    def _compile_levels(self, order, entries):
+        """The level form: the program grouped into dependency levels.
 
         A level with at least two *heavy* instructions is a candidate
         for the thread pool, not a fan-out: inter-op parallelism only
@@ -810,15 +736,20 @@ class GraphExecutor:
         6.3.1), and neither the CPU count nor the op names say whether
         these are — so each candidate is measured both ways over its
         first runs (:meth:`_trial`) and fans out only if that clearly
-        won.  Every other level runs in order.
+        won.  Every other level runs in order.  Without a candidate the
+        executor is not parallel, and nothing more is rendered.
 
         Levels follow state as well as edges (TensorFlow's automatic
         control dependencies): a write of a state lands after every
         earlier access of it in program order and before every later
         one, so no level reorders a write past a read, either way.
 
-        After each level the schedule drops the slots no later level
-        reads (``_frees``): a replay reads its forward's record, and an
+        Each maximal run of in-order levels is one rendering
+        (:func:`_render`), and each op of a candidate level is rendered
+        alone, a closure node being its own rendering.  Every result is
+        stored, and each slot no later level reads is dropped once its
+        last level ran — by a line of the run, or after the candidate
+        (``_Level.dead``): a replay reads its forward's record, and an
         output is never dropped.
         """
         node_level = {}
@@ -839,15 +770,19 @@ class GraphExecutor:
             for state in writes:
                 last_write[state] = lvl
             node_level[node] = lvl
-        levels = {}
-        for entry in zip(scheduled, slots):
-            levels.setdefault(node_level[entry[0][0]], []).append(entry)
-        #: In dependency order: a closure list (runs in order) or a
-        #: candidate :class:`_Level`.
-        self._levels = []
+        by_level = {}
+        for entry in entries:
+            by_level.setdefault(node_level[entry[0]], []).append(entry)
+        levels = [by_level[key] for key in sorted(by_level)]
+        candidate = [sum(1 for entry in level
+                         if entry[0].op_name in self._HEAVY_OPS) >= 2
+                     for level in levels]
+        if not any(candidate):
+            self.parallel = False
+            return
         last = {}   # slot -> index of the last level that makes or reads it
-        for index, key in enumerate(sorted(levels)):
-            for (node, _), (in_slots, out_slots) in levels[key]:
+        for index, level in enumerate(levels):
+            for node, _, in_slots, out_slots, _ in level:
                 touched = [*in_slots, *out_slots,
                            self._slots.get((id(node), _RECORD))]
                 if node.op_name == "replay_grad":
@@ -855,20 +790,32 @@ class GraphExecutor:
                         (id(node.attrs["forward_node"]), _RECORD)))
                 for slot in touched:
                     last[slot] = index
-            fns = [fn for (_, fn), _ in levels[key]]
-            heavy = sum(1 for (node, _), _ in levels[key]
-                        if node.op_name in self._HEAVY_OPS)
-            self._levels.append(_Level(fns) if heavy >= 2 else fns)
-        #: Aligned with _levels: the slots to drop once the level ran.
-        self._frees = [[] for _ in self._levels]
+        dead = [[] for _ in levels]
         outputs = set(self._output_slots)
         for slot, index in last.items():
             if slot is not None and slot not in outputs:
-                self._frees[index].append(slot)
+                dead[index].append(slot)
+        #: In dependency order: :class:`_Level` steps.
+        self._levels = []
+        for fan, steps in itertools.groupby(zip(levels, candidate, dead),
+                                            key=lambda step: step[1]):
+            if fan:
+                self._levels += [_Level(
+                    [entry[1] if entry[1] is not None
+                     else _render_region([entry], (True,))
+                     for entry in level],
+                    [entry[0] for entry in level], gone)
+                    for level, _, gone in steps]
+                continue
+            run, drops = [], []
+            for level, _, gone in steps:
+                run += level
+                drops += [()] * (len(level) - 1) + [gone]
+            self._levels.append(_Level(
+                [_render(run, [True] * len(run), drops)],
+                [entry[0] for entry in run], (), verdict=False))
         self._candidates = [level for level in self._levels
-                            if type(level) is _Level]
-        if not self._candidates:
-            self.parallel = False
+                            if level.verdict is None]
 
     # -- execution ------------------------------------------------------------
 
@@ -900,7 +847,7 @@ class GraphExecutor:
             TRACER.complete("op", "run:%s" % self.graph.name,
                             run_start,
                             time.perf_counter() - run_start,
-                            instructions=len(self._program),
+                            instructions=len(self._entries),
                             parallel=self.parallel)
         if METRICS.enabled and run_start:
             _GRAPH_RUN.observe(time.perf_counter() - run_start)
@@ -920,40 +867,36 @@ class GraphExecutor:
         return values
 
     def _run_traced(self, values, run_state):
-        """The in-order loop with one level-2 ``op`` event per closure."""
-        perf = time.perf_counter
-        for fn, (op_name, debug_name) in zip(self._program, self._labels):
-            start = perf()
-            fn(values, run_state)
-            TRACER.complete("op", op_name, start, perf() - start,
-                            level=2, node=debug_name,
-                            graph=self.graph.name)
+        """The in-order program with one level-2 ``op`` event after each
+        scheduled node: its rendering is made on the first level-2 run
+        and published in one store."""
+        traced = self._traced
+        if traced is None:
+            traced = self._traced = _render(self._entries, self._stores,
+                                            graph=self.graph.name)
+        traced(values, run_state)
 
     def _run_levels(self, values, run_state):
         """Run level by level; level-2 tracing gets one ``level`` event
-        per level (trials carry ``trial="seq"|"par"``)."""
+        per step (trials carry ``trial="seq"|"par"``)."""
         trace = TRACER.level >= 2
-        for index, (level, dead) in enumerate(zip(self._levels,
-                                                  self._frees)):
+        for index, level in enumerate(self._levels):
             start = time.perf_counter() if trace else 0.0
             trial = {}
-            if type(level) is list:
-                fns, fan_out = level, False
-            else:
-                fns, fan_out = level.fns, level.verdict
+            fan_out = level.verdict
             if fan_out is None:
                 fan_out = self._trial(level, values, run_state)
                 trial = {"trial": "par" if fan_out else "seq"}
             else:
-                _run_level(fns, fan_out, values, run_state)
-            for slot in dead:
+                _run_level(level.fns, fan_out, values, run_state)
+            for slot in level.dead:
                 values[slot] = None
             if trace:
                 TRACER.complete("level", "L%d" % index, start,
                                 time.perf_counter() - start, level=2,
                                 graph=self.graph.name,
-                                instructions=len(fns), parallel=fan_out,
-                                **trial)
+                                instructions=len(level.nodes),
+                                parallel=fan_out, **trial)
 
     def _trial(self, level, values, run_state):
         """One timed run of an undecided level.
@@ -965,8 +908,8 @@ class GraphExecutor:
         won keep the fan-out.  The verdict state is plain attributes
         without a lock: concurrent runs may repeat or lose a trial (and,
         landing one verdict at once, count it twice), never get a wrong
-        result — both schedules run the same closures on the same
-        slots.  A trial in which a closure raised never reaches the
+        result — both schedules run the same renderings on the same
+        slots.  A trial in which one raised never reaches the
         bookkeeping, so it is not counted.
         """
         fan_out = bool(level.trials & 1)
@@ -1007,10 +950,11 @@ _RENDER_COUNTER = itertools.count()
 _REGION_OPS = 200
 
 #: ``source text -> (code object, linecache name)``.  Rendered source
-#: is byte-identical for identical structure (bound kernels, constants
-#: and closures are parameters, not literals), and structures repeat —
-#: the same model built again, per-topology TreeNN regenerations — so
-#: compiling each text once cuts the dominant cost of generating code.
+#: is byte-identical for identical structure (bound kernels, constants,
+#: variables and closures are parameters, not literals), and structures
+#: repeat — the same model built again, per-topology TreeNN
+#: regenerations — so compiling each text once cuts the dominant cost of
+#: generating code.
 #: Bounded crudely: emptied when it outgrows _CODE_CACHE_MAX sources.
 #: Locked: functions compile concurrently (each under its own compile
 #: lock), and the clear-then-store sequence must not interleave.
@@ -1050,96 +994,128 @@ def _innermost(code):
     return code
 
 
-def _inline(node, out_slots):
-    """Whether :func:`_render` writes ``node`` as lines of its own: a
-    constant, or a single-output registered op."""
+def _local_result(node, out_slots):
+    """Whether :func:`_render_region` may keep ``node``'s result in a
+    local: a constant's, or a single-output registered op's."""
     return node.op_name == "constant" or (
         node.op_def is not None and len(out_slots) == 1)
 
 
-def _render(scheduled, slots):
-    """The program ``scheduled`` as one generated ``_rendered(v, rs)``.
+def _render(entries, stores, drops=None, graph=None):
+    """The program ``entries`` as one generated ``_rendered(v, rs)``.
 
-    ``scheduled`` holds ``(node, closure)`` in schedule order and
-    ``slots`` each one's ``(in_slots, out_slots, store, kernel)``,
-    ``store`` saying whether its result must land in the register file
-    ``v`` (:meth:`GraphExecutor._stores`) and ``kernel`` being a
-    registered op's ``op_def.bind(attrs)``, the one its closure calls.
-    A single-output registered op becomes the line ``r = k<i>(args)``,
-    a call of that kernel, and the coercion
-    :meth:`GraphExecutor._make_op_closure` applies, so results are the
-    closures' bit for bit.  Its result goes to ``v`` if ``store`` says
+    ``entries`` holds :attr:`GraphExecutor._entries` tuples in schedule
+    order, and ``stores`` says for each whether its result must land in
+    the register file ``v`` (:meth:`GraphExecutor._store_plan`).  A
+    registered op becomes the line ``r = k<i>(args)``, a call of its
+    bound kernel, and a coercion of each result to an ndarray into its
+    slot.  A single-output op's result goes to ``v`` if ``store`` says
     so, and to a local if a later line of its region reads it; the local
     is deleted after the last line that reads it.  A constant is read by
-    its binding's name; a heap read of a receiver on an edge is the
-    lines of :func:`_dynamic_get_lines`.  Every other node — call sites
-    included — is a call of its closure, which reads and writes ``v``.
+    its binding's name; a variable read reads the run's local copy
+    (``rs.var_local``), else the variable's stored array, and a variable
+    write writes the local copy; a heap read of a receiver on an edge is
+    the lines of :func:`_dynamic_get_lines`.  Every other node — call
+    sites included — is a call of its closure, which reads and writes
+    ``v``.  ``drops``, aligned with ``entries`` if given, names the
+    slots set to None after each node.  Given a ``graph`` name, one
+    level-2 ``op`` event follows each node, timing it.
 
     Each region of at most :data:`_REGION_OPS` nodes is one generated
     function; one more calls them in order when there are several.
-    Kernels, constants, closures and regions are parameters of a
-    binding function named by position, so programs of one structure
-    render the same source and share one code object
+    Kernels, constants, variables, closures and regions are parameters
+    of a binding function named by position, so programs of one
+    structure render the same source and share one code object
     (:func:`compile_cached`).
     """
-    regions = [_render_region(scheduled[k:k + _REGION_OPS],
-                              slots[k:k + _REGION_OPS])
-               for k in range(0, len(scheduled), _REGION_OPS)]
+    regions = [_render_region(entries[k:k + _REGION_OPS],
+                              stores[k:k + _REGION_OPS],
+                              drops and drops[k:k + _REGION_OPS], graph)
+               for k in range(0, len(entries), _REGION_OPS)]
     if len(regions) == 1:
         return regions[0]
     names = ["r%d" % k for k in range(len(regions))]
     return _generate(names, regions, [name + "(v, rs)" for name in names])
 
 
-def _render_region(scheduled, slots):
+def _render_region(entries, stores, drops=None, graph=None):
     """One region of :func:`_render`'s program, as its function."""
-    last = {}   # slot -> the last inline line of the region reading it
-    for i, ((node, _), (in_slots, out_slots, _, _)) in enumerate(
-            zip(scheduled, slots)):
-        if _inline(node, out_slots):
+    last = {}   # slot -> the last local-able line of the region reading it
+    for i, (node, _, in_slots, out_slots, _) in enumerate(entries):
+        if _local_result(node, out_slots):
             for slot in in_slots:
                 last[slot] = i
     params = ["_nd", "_as", "_PR", "_EE", "_in", "_rc"]
     bindings = [np.ndarray, np.asarray, PyRef, ExecutionError,
                 _internalize, _run_check]
+    if graph is not None:
+        params += ["_pc", "_tc", "_gn"]
+        bindings += [time.perf_counter, TRACER.complete, graph]
     body = []
     names = {}       # slot -> the local or binding a line reads it by
     local = set()    # slots held in a local
-    for i, ((node, fn), (in_slots, out_slots, store, kernel)) in enumerate(
-            zip(scheduled, slots)):
-        if node.op_name in ("py_get_attr", "py_get_subscr") \
-                and node.py_object is None:
-            body.extend(_dynamic_get_lines(i, node, in_slots, out_slots,
-                                           params, bindings))
-            continue
-        if not _inline(node, out_slots):
+    for i, ((node, fn, in_slots, out_slots, kernel), store) in enumerate(
+            zip(entries, stores)):
+        op = node.op_name
+        if graph is not None:
+            body.append("t = _pc()")
+        if fn is not None:
             params.append("f%d" % i)
             bindings.append(fn)
             body.append("f%d(v, rs)" % i)
-            continue
-        slot, = out_slots
-        if node.op_name == "constant":
+        elif op in ("py_get_attr", "py_get_subscr"):
+            body.extend(_dynamic_get_lines(i, node, in_slots, out_slots,
+                                           params, bindings))
+        elif op in ("var_read", "var_assign"):
+            params.append("V%d" % i)
+            bindings.append(node.variable)
+            if op == "var_read":
+                body += ["r = rs.var_local.get(V%d)" % i,
+                         "v[%d] = V%d.storage.array if r is None else r"
+                         % (out_slots[0], i)]
+            else:
+                body.append("v[%d] = rs.var_local[V%d] = v[%d]"
+                            % (out_slots[0], i, in_slots[0]))
+        elif op == "constant":
+            slot, = out_slots
             names[slot] = "c%d" % i
             params.append(names[slot])
             bindings.append(_constant_raw(node))
             if store:
                 body.append("v[%d] = c%d" % (slot, i))
-            continue
-        params.append("k%d" % i)
-        bindings.append(kernel)
-        body.append("r = k%d(%s)" % (i, ", ".join(
-            names.get(s, "v[%d]" % s) for s in in_slots)))
-        targets = ["v[%d]" % slot] if store else []
-        if last.get(slot, -1) > i:
-            names[slot] = "s%d" % slot
-            local.add(slot)
-            targets.append(names[slot])
-        if targets:
-            body.append("%s = r if r.__class__ is _nd else _as(r)"
-                        % " = ".join(targets))
-        dead = sorted({s for s in in_slots if s in local and last[s] == i})
-        if dead:
-            body.append("del " + ", ".join("s%d" % s for s in dead))
+        else:
+            params.append("k%d" % i)
+            bindings.append(kernel)
+            # A local lives only as long as a local-able line reads it.
+            reads = names if len(out_slots) == 1 else {}
+            body.append("r = k%d(%s)" % (i, ", ".join(
+                reads.get(s, "v[%d]" % s) for s in in_slots)))
+            if len(out_slots) != 1:
+                for j, slot in enumerate(out_slots):
+                    body += ["q = r[%d]" % j,
+                             "v[%d] = q if q.__class__ is _nd else _as(q)"
+                             % slot]
+            else:
+                slot, = out_slots
+                targets = ["v[%d]" % slot] if store else []
+                if last.get(slot, -1) > i:
+                    names[slot] = "s%d" % slot
+                    local.add(slot)
+                    targets.append(names[slot])
+                if targets:
+                    body.append("%s = r if r.__class__ is _nd else _as(r)"
+                                % " = ".join(targets))
+                dead = sorted({s for s in in_slots
+                               if s in local and last[s] == i})
+                if dead:
+                    body.append("del " + ", ".join("s%d" % s for s in dead))
+        if graph is not None:
+            params.append("n%d" % i)
+            bindings.append(node.debug_name)
+            body.append("_tc('op', %r, t, _pc() - t, level=2, node=n%d, "
+                        "graph=_gn)" % (op, i))
+        if drops and drops[i]:
+            body.append(" = ".join("v[%d]" % s for s in drops[i]) + " = None")
     return _generate(params, bindings, body)
 
 
@@ -1171,7 +1147,7 @@ def _feed_lines(file, callee, sources):
 def _call_site(callee, arg_slots, out_slots, record_slot, entry, grad):
     """The function of an invoke or cond branch pinned to ``callee``:
     its file ``w`` fed from the caller's slots, a call of its program
-    (the closures under level-2 tracing), the record the layout
+    (the traced one under level-2 tracing), the record the layout
     ``entry`` names as one list display, and the outputs copied back."""
     body = _feed_lines("w", callee, ["v[%d]" % s for s in arg_slots])
     body.append("(tr if _T.level >= 2 else rd)(w, rs)")
@@ -1399,11 +1375,11 @@ class _ReplayExecutor(GraphExecutor):
     The gradient body (``autodiff.grad_function``) is a clone of the
     forward body followed by backprop, and ``grad_meta["forward_of"]``
     maps each clone to its forward node.  A clone whose forward node is
-    in ``forward``'s program is *bound*: it gets no closure, and the
+    in ``forward``'s program is *bound*: it is not scheduled, and the
     value it has, if the replay reads it, is at the front of the
-    register file, copied from the record.  Closures are compiled only
-    for the rest: backprop nodes, and clones of forward nodes a pass
-    removed, which recompute.  The callee's guards, heap writes,
+    register file, copied from the record.  Only the rest is scheduled:
+    backprop nodes, and clones of forward nodes a pass removed, which
+    recompute.  The callee's guards, heap writes,
     variable writes and random draws therefore happen once, in the
     forward.  A call or loop nested in the body is matched by structure:
     its bound clone's record slot is the forward node's, so a recursive

@@ -62,9 +62,10 @@ way on trees from :func:`random_tree`.
 what a program compiled to: every tensor argument of a generated graph
 is checked at cache retrieval, the one place it is checked, and
 :func:`assert_quiescent` is their conservation check once every call
-has returned.  :func:`closure_loops` swaps each executor's rendered
-program for the plain loop over its closures, the reference the
-rendered program is held to.
+has returned.  :func:`one_node_loops` swaps each executor's rendered
+program for a loop over its nodes rendered one at a time, every result
+stored: the second arm the rendered program's locals and regions are
+held to.
 """
 
 import linecache
@@ -85,7 +86,7 @@ __all__ = [
     "LOOP_BODY", "RECURSE_BODY", "Gate", "TreeNode", "gen_program",
     "gen_loop_grad_program", "gen_recurse_grad_program", "random_tree",
     "mutation_pool", "apply_mutation", "vec",
-    "assert_arguments_prechecked", "assert_quiescent", "closure_loops",
+    "assert_arguments_prechecked", "assert_quiescent", "one_node_loops",
 ]
 
 
@@ -610,14 +611,18 @@ def assert_quiescent(functions, threads_before):
         [t.name for t in threading.enumerate()]
 
 
-def closure_loops(monkeypatch):
-    """Compile every executor from here on with the per-op program run
-    as the plain loop over its closures, in place of
-    :func:`executor._render`; returns the list of loops made."""
+def one_node_loops(monkeypatch):
+    """Compile every executor from here on with each rendering made of
+    one-node regions — every scheduled node rendered alone by
+    :func:`executor._render_region`, every result stored — run in a
+    loop, in place of :func:`executor._render`; returns the list of
+    loops made."""
     loops = []
 
-    def render(scheduled, slots):
-        program = [fn for _, fn in scheduled]
+    def render(entries, stores, drops=None, graph=None):
+        program = [executor_mod._render_region(
+            [entry], (True,), drops and drops[i:i + 1], graph)
+            for i, entry in enumerate(entries)]
 
         def loop(v, rs):
             loop.runs += 1

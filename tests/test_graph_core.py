@@ -190,7 +190,7 @@ class TestEffectModel:
                  for func in node.attrs.get("grad_funcs", ())}
         replay, = [ex for key, ex in grad.graph._executor_cache.items()
                    if key[0] == "replay"]
-        ran = {op for op, _ in replay._labels}
+        ran = {entry[0].op_name for entry in replay._entries}
         assert ran and not ran & {"py_get_attr", "assert", "py_set_attr"}
 
 

@@ -26,7 +26,7 @@ from repro.ops import api, random_ops
 from repro.tensor import PyRef, TensorValue
 
 from progen import (assert_arguments_prechecked,
-                    closure_loops as _closure_loops)
+                    one_node_loops as _one_node_loops)
 
 
 class TestBasicExecution:
@@ -284,15 +284,21 @@ def _pin(executor, verdict=True):
     return executor
 
 
+def _labels(executor):
+    """``(op name, node name)`` of each scheduled node, in order."""
+    return [(entry[0].op_name, entry[0].debug_name)
+            for entry in executor._entries]
+
+
 def _fanned_out(executor, op_name):
-    """Whether every ``op_name`` closure sits in a level whose verdict
-    is fan-out."""
-    fns = [fn for fn, (name, _) in zip(executor._program, executor._labels)
-           if name == op_name]
-    assert fns, "graph has no %s instruction" % op_name
-    pooled = {id(fn) for level in executor._candidates if level.verdict
-              for fn in level.fns}
-    return all(id(fn) in pooled for fn in fns)
+    """Whether every ``op_name`` node sits in a level whose verdict is
+    fan-out."""
+    nodes = [entry[0] for entry in executor._entries
+             if entry[0].op_name == op_name]
+    assert nodes, "graph has no %s instruction" % op_name
+    pooled = {id(node) for level in executor._candidates if level.verdict
+              for node in level.nodes}
+    return all(id(node) in pooled for node in nodes)
 
 
 def _unary_fn(fn, name):
@@ -468,7 +474,7 @@ class TestParallelExecution:
 
     def test_level_with_two_failures_raises_the_schedule_first(
             self, two_cores):
-        """Every closure of a fanned-out level is joined, the
+        """Every op of a fanned-out level is joined, the
         schedule-first error is raised every time, nothing is committed.
         (Regression: ``for future in done`` iterated a *set*, so which
         of two failing instructions surfaced differed run to run.)"""
@@ -502,7 +508,7 @@ class TestParallelExecution:
     def test_an_interrupt_on_the_pool_is_raised_after_every_join(
             self, two_cores):
         """A ``BaseException`` from user code on a pool thread reaches
-        the caller only once the level's other closures are done."""
+        the caller only once the level's other ops are done."""
         done = []
 
         def stop(t):
@@ -545,7 +551,7 @@ class TestParallelExecution:
         events = traced(seq)
         assert [e.category for e in events] \
             == ["op"] * seq.instruction_count
-        assert [e.name for e in events] == [n for n, _ in seq._labels]
+        assert [e.name for e in events] == [n for n, _ in _labels(seq)]
 
         # A live level schedule: one event per level.
         par = _pin(GraphExecutor(b.graph, parallel=True))
@@ -553,10 +559,9 @@ class TestParallelExecution:
         events = traced(par)
         assert [e.category for e in events] == ["level"] * len(par._levels)
         assert [e.args["parallel"] for e in events] \
-            == [type(level) is not list for level in par._levels]
+            == [level in par._candidates for level in par._levels]
         assert [e.args["instructions"] for e in events] \
-            == [len(level if type(level) is list else level.fns)
-                for level in par._levels]
+            == [len(level.nodes) for level in par._levels]
         assert not any("trial" in e.args for e in events)
 
         # Trials say which schedule they timed: in order first.
@@ -702,8 +707,7 @@ class TestMeasuredSchedule:
         ex = GraphExecutor(b.graph, parallel=True)
         assert len(ex._candidates) == 3
         levels = ex._levels
-        was = [list(level) if type(level) is list else list(level.fns)
-               for level in levels]
+        was = [list(level.fns) for level in levels]
 
         before = counter_values()
         errors = []
@@ -736,8 +740,7 @@ class TestMeasuredSchedule:
                    for name in ("executor.levels_parallel",
                                 "executor.levels_sequential")) >= 3
         assert ex._levels is levels
-        assert was == [list(level) if type(level) is list
-                       else list(level.fns) for level in levels]
+        assert was == [list(level.fns) for level in levels]
 
 
 class TestUsableCpus:
@@ -828,7 +831,7 @@ class TestNestedRun:
             TRACER.clear()
         assert [e.category for e in nested] \
             == ["op"] * body.instruction_count
-        assert [e.name for e in nested] == [n for n, _ in body._labels]
+        assert [e.name for e in nested] == [n for n, _ in _labels(body)]
 
 
 def _reachable_graphs(graph):
@@ -974,7 +977,7 @@ class TestCallSites:
 
     @pytest.fixture(params=["rendered", "per-op"])
     def form(self, request):
-        """Run the rendered program, or the per-op closures (level-2
+        """Run the rendered program, or the traced one (level-2
         tracing): the read's template either way."""
         if request.param == "rendered":
             yield
@@ -1009,9 +1012,9 @@ class TestCallSites:
 
     def test_a_dynamic_read_renders_its_per_op_form_on_first_use(
             self, monkeypatch):
-        """Building compiles only the program; the read's line template
-        is rendered alone when a per-op run first calls its closure,
-        which then emits one ``op`` event per closure as before."""
+        """Building compiles only the in-order program; the traced one,
+        the read's line template among its lines, is rendered on the
+        first level-2 run, which emits one ``op`` event per node."""
         monkeypatch.setattr(executor_mod, "_CODE_CACHE", {})
         holder = type("S", (), {"k": 2.0})()
         ex = self._dynamic_read(write=np.float32(5.0))
@@ -1213,8 +1216,10 @@ def _ledger_programs():
 
 
 class TestRenderedProgram:
-    """The generated function of each executor runs what its closure
-    list runs: same outputs, same state, bit for bit."""
+    """The generated function of each executor, with its locals and
+    regions, runs what its nodes rendered one at a time run
+    (:func:`progen.one_node_loops`): same outputs, same state, bit for
+    bit."""
 
     def _train(self, name, steps=2):
         """``(step, per-step outputs, final Variable arrays)`` of a
@@ -1261,7 +1266,7 @@ class TestRenderedProgram:
             code = entry.compiled.executor._rendered.__code__
             assert code.co_filename.startswith("<janus-render-")
 
-        loops = _closure_loops(monkeypatch)
+        loops = _one_node_loops(monkeypatch)
         _, loop_out, loop_vars = self._train(name)
         # Every executor of the second model, nested and replay ones
         # too, was compiled under the stand-in.
@@ -1339,7 +1344,7 @@ class TestRenderedProgram:
     def test_regions_equal_closure_loop(self, monkeypatch):
         """Three nodes to a region: A3C's locals cross region
         boundaries, and each region is its own generated function, yet
-        the program still runs what its closures run."""
+        the program still runs what its nodes rendered alone run."""
         step, _, _ = self._train("A3C", steps=0)
         whole = sum(entry.compiled.executor.local_ops
                     for _, entry in step.cache.entries())
@@ -1350,14 +1355,14 @@ class TestRenderedProgram:
         for executor in executors:
             regions = [cell.cell_contents
                        for cell in executor._rendered.__closure__]
-            assert len(regions) == -(-len(executor._program) // 3) > 1
+            assert len(regions) == -(-len(executor._entries) // 3) > 1
             assert all(region.__code__.co_filename.startswith(
                 "<janus-render-") for region in regions)
         # A value read in a later region than its own is stored.
         assert 0 < sum(executor.local_ops for executor in executors) \
             < whole
 
-        loops = _closure_loops(monkeypatch)
+        loops = _one_node_loops(monkeypatch)
         _, loop_out, loop_vars = self._train("A3C")
         assert sum(loop.runs for loop in loops) > len(loop_out)
         self._assert_same(rendered_out, loop_out)
@@ -1395,18 +1400,143 @@ class TestRenderedProgram:
         monkeypatch.setattr(host, "usable_cpus", lambda: 2)
         _, want_out, want_vars = self._train("A3C")
 
+        class EveryOp:
+            def __contains__(self, op_name):
+                return True
+
         def leveled(graph, parallel=False):
-            executor = GraphExecutor(graph, parallel=True)
-            # Level by level on every run, candidate levels or none.
-            executor.parallel = True
-            return executor
+            # Level by level on every run: every level of two ops is a
+            # candidate, fanned out; the others run in order.
+            return _pin(GraphExecutor(graph, parallel=True))
+        monkeypatch.setattr(GraphExecutor, "_HEAVY_OPS", EveryOp())
         monkeypatch.setattr(compiled_mod, "GraphExecutor", leveled)
         step, got_out, got_vars = self._train("A3C")
         for _, entry in step.cache.entries():
+            levels = entry.compiled.executor._levels
             assert entry.compiled.executor.parallel
-            assert any(entry.compiled.executor._frees)
+            assert any(level.dead for level in levels)
+            assert any(level.verdict is False for level in levels)
         self._assert_same(want_out, got_out)
         self._assert_same(want_vars, got_vars)
+
+
+class TestRenderings:
+    """In-order, level form and traced program are renderings of one
+    scheduled node list."""
+
+    def test_an_untraced_run_compiles_no_traced_source(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "_CODE_CACHE", {})
+        graph, _ = _loop_model(R.Variable(np.float32(1.5)))
+        ex = GraphExecutor(graph)
+        with override_level(1):
+            for _ in range(2):
+                ex.run([])
+        executors = [ex] + [executor for nested in _reachable_graphs(graph)
+                            for key, executor in
+                            nested._executor_cache.items()
+                            if key != "record"]
+        assert len(executors) == 6
+        assert all(executor._traced is None for executor in executors)
+        assert not any("_tc(" in source
+                       for source in executor_mod._CODE_CACHE)
+        TRACER.clear()
+        try:
+            with override_level(2):
+                ex.run([])
+        finally:
+            TRACER.clear()
+        assert all(executor._traced is not None for executor in executors)
+
+    def test_level_2_emits_one_op_event_per_node_in_node_order(self):
+        """A top-level program, the bodies it calls and the gradients it
+        replays: each run of each emits one ``op`` event per scheduled
+        node, named by its op, with its node and graph."""
+        graph, _ = _loop_model(R.Variable(np.float32(1.5)), limit=2)
+        ex = GraphExecutor(graph)
+        ex.run([])
+        TRACER.clear()
+        try:
+            with override_level(2):
+                ex.run([])
+            events = [e for e in TRACER.events if e.category == "op"
+                      and e.args and "node" in e.args]
+        finally:
+            TRACER.clear()
+        runs = {graph.name: (ex, 1)}
+        replays = []
+        for nested in _reachable_graphs(graph):
+            for key, executor in nested._executor_cache.items():
+                if key == "nested":
+                    runs[nested.name] = (executor, {"loop_cond": 3,
+                                                    "loop_body": 2,
+                                                    "squash": 1}[nested.name])
+                elif key != "record":
+                    replays.append(executor)
+        for replay in replays:
+            runs[replay.graph.name] = (replay,
+                                       runs[replay.forward.graph.name][1])
+        assert len(runs) == 6
+        assert {e.args["graph"] for e in events} == set(runs)
+        for name, (executor, count) in runs.items():
+            got = [(e.name, e.args["node"]) for e in events
+                   if e.args["graph"] == name]
+            assert got == _labels(executor) * count, name
+
+    def test_a_level_form_built_twice_compiles_no_new_source(
+            self, two_cores, monkeypatch):
+        monkeypatch.setattr(executor_mod, "_CODE_CACHE", {})
+        feed = np.random.default_rng(4).normal(size=(4, 8)) \
+            .astype(np.float32)
+
+        def build():
+            b = GraphBuilder()
+            with b:
+                x = b.placeholder("x", shape=(4, 8), dtype=R.float32)
+                outs, _ = _Kinds.while_grad(b, x, {})
+                b.mark_outputs(outs + _ladder(x, np.random.default_rng(1)))
+            return GraphExecutor(b.graph, parallel=True)
+        first = build()
+        assert first.parallel and first._candidates
+        assert any(level.verdict is False for level in first._levels)
+        want = first.run([feed])
+        sources = dict(executor_mod._CODE_CACHE)
+        second = build()
+        assert executor_mod._CODE_CACHE == sources
+        for w, got in zip(want, second.run([feed])):
+            assert w.tobytes() == got.tobytes()
+        assert executor_mod._CODE_CACHE == sources
+
+    def test_split_is_an_inline_line_bit_for_bit_the_one_node_arms(
+            self, monkeypatch):
+        """A multi-output op is lines of the program, not a closure
+        call; its outputs are the kernel's views, as in the one-node
+        arm."""
+        b = GraphBuilder()
+        with b:
+            x = b.placeholder("x", shape=(4, 6), dtype=R.float32)
+            y = api.tanh(x)
+            parts = api.split(y, 3, axis=1)
+            b.mark_outputs([api.add(parts[0], parts[2]), parts[1], y])
+        feed = np.random.default_rng(6).normal(size=(4, 6)) \
+            .astype(np.float32)
+        ex = GraphExecutor(b.graph)
+        i, = [k for k, entry in enumerate(ex._entries)
+              if entry[0].op_name == "split"]
+        assert ex._entries[i][1] is None
+        text = "".join(linecache.getlines(
+            ex._rendered.__code__.co_filename))
+        assert "r = k%d(" % i in text and "f%d(" % i not in text
+        with monkeypatch.context() as patch:
+            loops = _one_node_loops(patch)
+            one = GraphExecutor(b.graph)
+        outs = {"rendered": ex.run([feed]), "one_node": one.run([feed])}
+        assert loops[0].runs == 1
+        for got in outs.values():
+            assert np.shares_memory(got[1], got[2])
+        for want, got in zip(*outs.values()):
+            assert want.dtype == got.dtype and want.shape == got.shape
+            assert want.tobytes() == got.tobytes()
+            assert want.strides == got.strides
 
 
 def _tanh_chain(depth):

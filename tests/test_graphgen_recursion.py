@@ -313,4 +313,5 @@ class TestRecursiveGradientCost:
                     if any((id(forward), out.index) in replay.forward._slots
                            for out in forward.outputs)}
                 assert recorded
-                assert not recorded & {name for _, name in replay._labels}
+                assert not recorded & {entry[0].debug_name
+                                       for entry in replay._entries}

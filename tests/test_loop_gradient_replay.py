@@ -131,8 +131,9 @@ class TestLoopBodyEffectsRunOnce:
         replay = _replays(outer)
         assert replay and all(ex._bound for ex in replay)
         for ex in replay:
-            assert "while_loop" not in {op for op, _ in ex._labels}
-            assert "replay_grad" in {op for op, _ in ex._labels}
+            ran = {entry[0].op_name for entry in ex._entries}
+            assert "while_loop" not in ran
+            assert "replay_grad" in ran
 
     def test_zero_trip_loop_keeps_a_scalar_variable_scalar(self):
         """A loop that never ran filled the gradient of a scalar Variable
@@ -242,7 +243,7 @@ class TestReplay:
         finally:
             TRACER.clear()
         assert [e.name for e in events] \
-            == [op for op, _ in replay._labels] * 3
+            == [entry[0].op_name for entry in replay._entries] * 3
 
 
 _LEDGER = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -267,13 +268,14 @@ class TestA3CGradientCost:
                 step(*batch)
         node = _only(step, "replay_grad")
         replay, = _replays(node)
-        assert len(replay._program) <= 65
+        assert len(replay._entries) <= 65
         meta = node.attrs["grad_funcs"][0].grad_meta
         recorded = {clone.name for clone, forward in
                     meta["forward_of"].items()
                     if forward in replay.forward._live_nodes}
         assert recorded and recorded <= {c.name for c in replay._bound}
-        assert not recorded & {name for _, name in replay._labels}
+        assert not recorded & {entry[0].debug_name
+                               for entry in replay._entries}
         n_float = len(node.inputs)
         assert len(replay.wanted) < len(node.outputs)
         assert [i for i in replay.wanted if i < n_float] == [0]
